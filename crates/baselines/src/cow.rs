@@ -190,7 +190,7 @@ impl DudeTm {
 
 impl ShadowPagingTm {
     fn new(mem: Arc<MemorySpace>, cfg: CowConfig, flavor: CowFlavor, htm_cfg: HtmConfig) -> Self {
-        let recorder = Arc::new(BreakdownRecorder::new());
+        let recorder = Arc::new(BreakdownRecorder::with_threads(mem.config().max_threads));
         let htm = Arc::new(HtmRuntime::new(
             Arc::clone(&mem),
             htm_cfg,
@@ -218,7 +218,7 @@ impl ShadowPagingTm {
                         mem.clwb(checkpoint_tid, *addr);
                     }
                     mem.drain(checkpoint_tid);
-                    recorder.record_drain();
+                    recorder.record_drain(checkpoint_tid);
                     queue.completed.fetch_add(1, Ordering::AcqRel);
                     // Hand the core back between jobs. On hosts with fewer
                     // cores than workers the checkpointer otherwise chews
@@ -276,7 +276,7 @@ impl ShadowPagingTm {
             self.mem.clwb(tid, base.add(start + w));
         }
         self.mem.drain(tid);
-        self.recorder.record_drain();
+        self.recorder.record_drain(tid);
 
         if self.flavor == CowFlavor::NvHtm {
             // Commit-time wait: another thread may still be about to
@@ -304,7 +304,7 @@ impl ShadowPagingTm {
         self.mem.write(base.add(start + needed - 1), ts);
         self.mem.clwb(tid, base.add(start + needed - 2));
         self.mem.drain(tid);
-        self.recorder.record_drain();
+        self.recorder.record_drain(tid);
         *cursor = start + needed;
     }
 
@@ -317,14 +317,15 @@ impl ShadowPagingTm {
         path: CompletionPath,
         attempts: u32,
     ) -> TxnReport {
-        self.recorder.record_persistent_writes(writes.len() as u64);
+        self.recorder
+            .record_persistent_writes(tid, writes.len() as u64);
         if !writes.is_empty() {
             self.persist_redo_log(tid, cursor, &writes, ts);
             let addrs = writes.iter().map(|&(a, _)| a).collect();
             self.queue.submit(CheckpointJob { addrs });
         }
         self.in_flight[tid].store(0, Ordering::Release);
-        self.recorder.record_completion(path);
+        self.recorder.record_completion(tid, path);
         TxnReport::new(path, attempts)
     }
 }
@@ -453,7 +454,9 @@ impl TmThread for CowThread<'_> {
             }
             if writes.is_empty() {
                 engine.in_flight[self.tid].store(0, Ordering::Release);
-                engine.recorder.record_completion(CompletionPath::ReadOnly);
+                engine
+                    .recorder
+                    .record_completion(self.tid, CompletionPath::ReadOnly);
                 return TxnReport::new(CompletionPath::ReadOnly, attempts);
             }
             return engine.complete_transaction(

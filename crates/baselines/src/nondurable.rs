@@ -37,7 +37,7 @@ impl NonDurable {
 
     /// Creates the engine with an explicit HTM configuration.
     pub fn with_htm_config(mem: Arc<MemorySpace>, heap_words: u64, htm_cfg: HtmConfig) -> Self {
-        let recorder = Arc::new(BreakdownRecorder::new());
+        let recorder = Arc::new(BreakdownRecorder::with_threads(mem.config().max_threads));
         let htm = HtmRuntime::new(Arc::clone(&mem), htm_cfg, Arc::clone(&recorder));
         let heap = mem.reserve_persistent(heap_words);
         let sgl_addr = mem.reserve_volatile(1);
@@ -133,7 +133,9 @@ impl TmThread for NonDurableThread<'_> {
                 body(&mut ops).is_ok()
             };
             if ok && txn.commit().is_ok() {
-                engine.recorder.record_completion(CompletionPath::NonCrafty);
+                engine
+                    .recorder
+                    .record_completion(self.tid, CompletionPath::NonCrafty);
                 return TxnReport::new(CompletionPath::NonCrafty, attempts);
             }
         }
@@ -148,7 +150,9 @@ impl TmThread for NonDurableThread<'_> {
         };
         body(&mut ops).expect("transaction body must succeed under the global lock");
         drop(sgl);
-        engine.recorder.record_completion(CompletionPath::Sgl);
+        engine
+            .recorder
+            .record_completion(self.tid, CompletionPath::Sgl);
         TxnReport::new(CompletionPath::Sgl, attempts)
     }
 }

@@ -70,7 +70,7 @@ impl SwRedoLog {
 
 impl SwLogTm {
     fn new(mem: Arc<MemorySpace>, heap_words: u64, mechanism: Mechanism) -> Self {
-        let recorder = Arc::new(BreakdownRecorder::new());
+        let recorder = Arc::new(BreakdownRecorder::with_threads(mem.config().max_threads));
         let heap = mem.reserve_persistent(heap_words);
         let log_words = 1 << 14;
         let log_region = mem.reserve_persistent(log_words);
@@ -112,7 +112,7 @@ impl TxnOps for UndoOps<'_> {
         // Persist the log entry before the in-place update (Figure 1(b)).
         e.mem.clwb(self.tid, slot);
         e.mem.drain(self.tid);
-        e.recorder.record_drain();
+        e.recorder.record_drain(self.tid);
         e.mem.write(addr, value);
         e.mem.clwb(self.tid, addr);
         self.log_cursor += 1;
@@ -184,7 +184,7 @@ impl TmThread for SwThread<'_> {
                     .add((ops.log_cursor * 2) % engine.log_words);
                 engine.mem.write(slot, u64::MAX);
                 engine.mem.persist(self.tid, slot);
-                engine.recorder.record_drain();
+                engine.recorder.record_drain(self.tid);
                 ops.writes
             }
             Mechanism::Redo => {
@@ -202,18 +202,20 @@ impl TmThread for SwThread<'_> {
                     engine.mem.clwb(self.tid, slot);
                 }
                 engine.mem.drain(self.tid);
-                engine.recorder.record_drain();
+                engine.recorder.record_drain(self.tid);
                 for addr in &ops.order {
                     engine.mem.write(*addr, ops.buffer[&addr.word()]);
                     engine.mem.clwb(self.tid, *addr);
                 }
                 engine.mem.drain(self.tid);
-                engine.recorder.record_drain();
+                engine.recorder.record_drain(self.tid);
                 ops.order.len() as u64
             }
         };
-        engine.recorder.record_persistent_writes(writes);
-        engine.recorder.record_completion(CompletionPath::NonCrafty);
+        engine.recorder.record_persistent_writes(self.tid, writes);
+        engine
+            .recorder
+            .record_completion(self.tid, CompletionPath::NonCrafty);
         TxnReport::new(CompletionPath::NonCrafty, 0)
     }
 }

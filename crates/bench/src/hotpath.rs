@@ -115,7 +115,13 @@ pub fn render_hotpath_json(cfg: &HarnessConfig, points: &[HotpathPoint]) -> Stri
             Json::object()
                 .with("txns_per_thread", Json::from(cfg.txns_per_thread))
                 .with("drain_latency_ns", Json::from(cfg.latency.drain_ns))
-                .with("seed", Json::from(cfg.seed)),
+                .with("seed", Json::from(cfg.seed))
+                // Multi-thread points mean nothing without it: on fewer
+                // CPUs than threads they measure the scheduler.
+                .with(
+                    "nproc",
+                    Json::from(std::thread::available_parallelism().map_or(0, |n| n.get())),
+                ),
         )
         .with("points", Json::Array(arr))
         .render_pretty()
@@ -143,6 +149,7 @@ mod tests {
         assert!(points.iter().all(|p| p.ops_per_sec > 0.0));
         let json = render_hotpath_json(&cfg, &points);
         assert!(json.contains("\"engine\": \"Crafty\""));
+        assert!(json.contains("\"nproc\""));
         assert!(json.contains("\"ops_per_sec\""));
         assert!(json.contains("\"conflict\""));
         // The Crafty point must account for every transaction in its

@@ -205,6 +205,7 @@ mod tests {
     struct MapThread<'a> {
         store: HashMap<u64, u64>,
         next: u64,
+        tid: usize,
         recorder: &'a BreakdownRecorder,
     }
 
@@ -238,7 +239,8 @@ mod tests {
                 next: &mut self.next,
             };
             body(&mut ops).expect("map engine never aborts");
-            self.recorder.record_completion(CompletionPath::NonCrafty);
+            self.recorder
+                .record_completion(self.tid, CompletionPath::NonCrafty);
             TxnReport::new(CompletionPath::NonCrafty, 1)
         }
     }
@@ -247,10 +249,11 @@ mod tests {
         fn name(&self) -> &str {
             "map"
         }
-        fn register_thread(&self, _tid: usize) -> Box<dyn TmThread + '_> {
+        fn register_thread(&self, tid: usize) -> Box<dyn TmThread + '_> {
             Box::new(MapThread {
                 store: HashMap::new(),
                 next: 1,
+                tid,
                 recorder: &self.recorder,
             })
         }

@@ -4,11 +4,12 @@
 //! engine, (a) how each *persistent* transaction was completed and (b) the
 //! outcome of every *hardware* transaction. These enums and the
 //! [`BreakdownRecorder`] reproduce those categories. Engines record into a
-//! shared recorder; the figure harness snapshots it after a run.
+//! shared recorder (one private set of cells per thread slot); the figure
+//! harness snapshots it after a run.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::counter::OwnedCounter;
 use crate::trace::{AbortCause, TxnPhase};
 
 /// How a persistent transaction ultimately committed.
@@ -126,87 +127,128 @@ impl fmt::Display for HwTxnOutcome {
     }
 }
 
-/// Lock-free counters shared between an engine and the measurement harness.
-///
-/// All counters are monotonically increasing; [`BreakdownRecorder::snapshot`]
-/// takes a consistent-enough point-in-time copy for reporting (exactness is
-/// not required because snapshots are taken while threads are quiescent).
+/// One thread slot's counters, on cache lines of their own so that no two
+/// threads ever write the same line.
 #[derive(Debug, Default)]
-pub struct BreakdownRecorder {
-    persistent: [AtomicU64; 5],
-    hardware: [AtomicU64; 5],
-    persistent_writes: AtomicU64,
-    persist_drains: AtomicU64,
-    flushed_lines: AtomicU64,
+#[repr(align(128))]
+struct ThreadCells {
+    persistent: [OwnedCounter; 5],
+    hardware: [OwnedCounter; 5],
+    persistent_writes: OwnedCounter,
+    persist_drains: OwnedCounter,
+    flushed_lines: OwnedCounter,
     /// Accumulated virtual cycles (ns) per [`TxnPhase`]. Only populated
     /// while [`crate::trace::counters_enabled`] — the phase timers that
     /// feed it are the Counters-level cost.
-    phase_cycles: [AtomicU64; 6],
+    phase_cycles: [OwnedCounter; 6],
     /// Abort-cause histogram ([`AbortCause`] taxonomy). Populated
-    /// unconditionally, like the hardware-outcome counters: the
-    /// per-abort `fetch_add` is off the commit fast path.
-    abort_causes: [AtomicU64; 5],
+    /// unconditionally, like the hardware-outcome counters.
+    abort_causes: [OwnedCounter; 5],
+}
+
+/// Counters shared between an engine and the measurement harness.
+///
+/// Every `record_*` call names the recording thread's slot (`tid`) and
+/// bumps that slot's private, cache-line-padded cells with a plain
+/// load + store ([`OwnedCounter`]): no locked instruction and no line
+/// shared between threads on the commit path. The contract is the one the
+/// flush queues already impose — one OS thread per `tid` at a time.
+/// [`BreakdownRecorder::snapshot`] sums the cells; it is exact once the
+/// recording threads are quiescent (or when the caller is the only
+/// recorder), which is when the harness takes it.
+#[derive(Debug)]
+pub struct BreakdownRecorder {
+    cells: Box<[ThreadCells]>,
+}
+
+impl Default for BreakdownRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BreakdownRecorder {
-    /// Creates a recorder with all counters at zero.
+    /// Thread slots of a recorder made with [`BreakdownRecorder::new`].
+    pub const DEFAULT_THREADS: usize = 64;
+
+    /// Creates a recorder for thread ids below
+    /// [`BreakdownRecorder::DEFAULT_THREADS`], all counters at zero.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_threads(Self::DEFAULT_THREADS)
+    }
+
+    /// Creates a recorder for thread ids `0..threads`.
+    pub fn with_threads(threads: usize) -> Self {
+        BreakdownRecorder {
+            cells: (0..threads).map(|_| ThreadCells::default()).collect(),
+        }
     }
 
     /// Records the completion of one persistent transaction.
+    ///
+    /// # Panics
+    ///
+    /// This and every other `record_*` method panics if `tid` is not below
+    /// the recorder's thread count.
     #[inline]
-    pub fn record_completion(&self, path: CompletionPath) {
-        self.persistent[path.index()].fetch_add(1, Ordering::Relaxed);
+    pub fn record_completion(&self, tid: usize, path: CompletionPath) {
+        self.cells[tid].persistent[path.index()].add(1);
     }
 
     /// Records the outcome of one hardware transaction attempt.
     #[inline]
-    pub fn record_hw(&self, outcome: HwTxnOutcome) {
-        self.hardware[outcome.index()].fetch_add(1, Ordering::Relaxed);
+    pub fn record_hw(&self, tid: usize, outcome: HwTxnOutcome) {
+        self.cells[tid].hardware[outcome.index()].add(1);
     }
 
     /// Records `n` program writes to persistent memory (Table 1 input).
     #[inline]
-    pub fn record_persistent_writes(&self, n: u64) {
-        self.persistent_writes.fetch_add(n, Ordering::Relaxed);
+    pub fn record_persistent_writes(&self, tid: usize, n: u64) {
+        self.cells[tid].persistent_writes.add(n);
     }
 
     /// Records one drain (SFENCE-after-CLWB) operation.
     #[inline]
-    pub fn record_drain(&self) {
-        self.persist_drains.fetch_add(1, Ordering::Relaxed);
+    pub fn record_drain(&self, tid: usize) {
+        self.cells[tid].persist_drains.add(1);
     }
 
     /// Records `n` cache-line flushes (CLWB operations).
     #[inline]
-    pub fn record_flushed_lines(&self, n: u64) {
-        self.flushed_lines.fetch_add(n, Ordering::Relaxed);
+    pub fn record_flushed_lines(&self, tid: usize, n: u64) {
+        self.cells[tid].flushed_lines.add(n);
     }
 
     /// Accumulates `cycles` virtual cycles (ns) spent in `phase`.
     #[inline]
-    pub fn record_phase_cycles(&self, phase: TxnPhase, cycles: u64) {
-        self.phase_cycles[phase.index()].fetch_add(cycles, Ordering::Relaxed);
+    pub fn record_phase_cycles(&self, tid: usize, phase: TxnPhase, cycles: u64) {
+        self.cells[tid].phase_cycles[phase.index()].add(cycles);
     }
 
     /// Records one abort attributed to `cause`.
     #[inline]
-    pub fn record_abort_cause(&self, cause: AbortCause) {
-        self.abort_causes[cause.index()].fetch_add(1, Ordering::Relaxed);
+    pub fn record_abort_cause(&self, tid: usize, cause: AbortCause) {
+        self.cells[tid].abort_causes[cause.index()].add(1);
     }
 
-    /// Takes a point-in-time copy of all counters.
+    /// Takes a point-in-time copy of all counters, summed over threads.
     pub fn snapshot(&self) -> BreakdownSnapshot {
-        BreakdownSnapshot {
-            persistent: core::array::from_fn(|i| self.persistent[i].load(Ordering::Relaxed)),
-            hardware: core::array::from_fn(|i| self.hardware[i].load(Ordering::Relaxed)),
-            persistent_writes: self.persistent_writes.load(Ordering::Relaxed),
-            persist_drains: self.persist_drains.load(Ordering::Relaxed),
-            flushed_lines: self.flushed_lines.load(Ordering::Relaxed),
-            phase_cycles: core::array::from_fn(|i| self.phase_cycles[i].load(Ordering::Relaxed)),
-            abort_causes: core::array::from_fn(|i| self.abort_causes[i].load(Ordering::Relaxed)),
+        let mut s = BreakdownSnapshot::default();
+        let sum = |into: &mut [u64], from: &[OwnedCounter]| {
+            for (total, cell) in into.iter_mut().zip(from) {
+                *total += cell.get();
+            }
+        };
+        for c in self.cells.iter() {
+            sum(&mut s.persistent, &c.persistent);
+            sum(&mut s.hardware, &c.hardware);
+            s.persistent_writes += c.persistent_writes.get();
+            s.persist_drains += c.persist_drains.get();
+            s.flushed_lines += c.flushed_lines.get();
+            sum(&mut s.phase_cycles, &c.phase_cycles);
+            sum(&mut s.abort_causes, &c.abort_causes);
         }
+        s
     }
 }
 
@@ -303,10 +345,10 @@ mod tests {
     #[test]
     fn completion_counters_accumulate() {
         let r = BreakdownRecorder::new();
-        r.record_completion(CompletionPath::Redo);
-        r.record_completion(CompletionPath::Redo);
-        r.record_completion(CompletionPath::Validate);
-        r.record_completion(CompletionPath::Sgl);
+        r.record_completion(0, CompletionPath::Redo);
+        r.record_completion(0, CompletionPath::Redo);
+        r.record_completion(0, CompletionPath::Validate);
+        r.record_completion(0, CompletionPath::Sgl);
         let s = r.snapshot();
         assert_eq!(s.completions(CompletionPath::Redo), 2);
         assert_eq!(s.completions(CompletionPath::Validate), 1);
@@ -318,12 +360,12 @@ mod tests {
     #[test]
     fn hw_counters_accumulate() {
         let r = BreakdownRecorder::new();
-        r.record_hw(HwTxnOutcome::Commit);
-        r.record_hw(HwTxnOutcome::Conflict);
-        r.record_hw(HwTxnOutcome::Conflict);
-        r.record_hw(HwTxnOutcome::Capacity);
-        r.record_hw(HwTxnOutcome::Explicit);
-        r.record_hw(HwTxnOutcome::Zero);
+        r.record_hw(0, HwTxnOutcome::Commit);
+        r.record_hw(0, HwTxnOutcome::Conflict);
+        r.record_hw(0, HwTxnOutcome::Conflict);
+        r.record_hw(0, HwTxnOutcome::Capacity);
+        r.record_hw(0, HwTxnOutcome::Explicit);
+        r.record_hw(0, HwTxnOutcome::Zero);
         let s = r.snapshot();
         assert_eq!(s.hw(HwTxnOutcome::Commit), 1);
         assert_eq!(s.hw(HwTxnOutcome::Conflict), 2);
@@ -334,10 +376,10 @@ mod tests {
     #[test]
     fn writes_per_txn_divides_by_transactions() {
         let r = BreakdownRecorder::new();
-        r.record_persistent_writes(10);
-        r.record_persistent_writes(10);
-        r.record_completion(CompletionPath::Redo);
-        r.record_completion(CompletionPath::Validate);
+        r.record_persistent_writes(0, 10);
+        r.record_persistent_writes(0, 10);
+        r.record_completion(0, CompletionPath::Redo);
+        r.record_completion(0, CompletionPath::Validate);
         let s = r.snapshot();
         assert!((s.writes_per_txn() - 10.0).abs() < 1e-9);
     }
@@ -351,14 +393,14 @@ mod tests {
     #[test]
     fn since_subtracts_counters() {
         let r = BreakdownRecorder::new();
-        r.record_hw(HwTxnOutcome::Commit);
-        r.record_drain();
-        r.record_flushed_lines(3);
+        r.record_hw(0, HwTxnOutcome::Commit);
+        r.record_drain(0);
+        r.record_flushed_lines(0, 3);
         let first = r.snapshot();
-        r.record_hw(HwTxnOutcome::Commit);
-        r.record_hw(HwTxnOutcome::Conflict);
-        r.record_drain();
-        r.record_flushed_lines(2);
+        r.record_hw(0, HwTxnOutcome::Commit);
+        r.record_hw(0, HwTxnOutcome::Conflict);
+        r.record_drain(0);
+        r.record_flushed_lines(0, 2);
         let delta = r.snapshot().since(&first);
         assert_eq!(delta.hw(HwTxnOutcome::Commit), 1);
         assert_eq!(delta.hw(HwTxnOutcome::Conflict), 1);
@@ -380,15 +422,15 @@ mod tests {
     #[test]
     fn phase_cycles_accumulate_and_subtract() {
         let r = BreakdownRecorder::new();
-        r.record_phase_cycles(TxnPhase::Log, 100);
-        r.record_phase_cycles(TxnPhase::Log, 50);
-        r.record_phase_cycles(TxnPhase::Redo, 25);
+        r.record_phase_cycles(0, TxnPhase::Log, 100);
+        r.record_phase_cycles(0, TxnPhase::Log, 50);
+        r.record_phase_cycles(0, TxnPhase::Redo, 25);
         let first = r.snapshot();
         assert_eq!(first.phase_cycles(TxnPhase::Log), 150);
         assert_eq!(first.phase_cycles(TxnPhase::Redo), 25);
         assert_eq!(first.phase_cycles(TxnPhase::Validate), 0);
         assert_eq!(first.total_phase_cycles(), 175);
-        r.record_phase_cycles(TxnPhase::Fence, 10);
+        r.record_phase_cycles(0, TxnPhase::Fence, 10);
         let delta = r.snapshot().since(&first);
         assert_eq!(delta.phase_cycles(TxnPhase::Log), 0);
         assert_eq!(delta.phase_cycles(TxnPhase::Fence), 10);
@@ -398,15 +440,31 @@ mod tests {
     #[test]
     fn abort_cause_histogram_accumulates() {
         let r = BreakdownRecorder::new();
-        r.record_abort_cause(AbortCause::Conflict);
-        r.record_abort_cause(AbortCause::Conflict);
-        r.record_abort_cause(AbortCause::PersistentDoomed);
-        r.record_abort_cause(AbortCause::SglFallback);
+        r.record_abort_cause(0, AbortCause::Conflict);
+        r.record_abort_cause(0, AbortCause::Conflict);
+        r.record_abort_cause(0, AbortCause::PersistentDoomed);
+        r.record_abort_cause(0, AbortCause::SglFallback);
         let s = r.snapshot();
         assert_eq!(s.abort_cause(AbortCause::Conflict), 2);
         assert_eq!(s.abort_cause(AbortCause::PersistentDoomed), 1);
         assert_eq!(s.abort_cause(AbortCause::SglFallback), 1);
         assert_eq!(s.abort_cause(AbortCause::Capacity), 0);
         assert_eq!(s.total_abort_causes(), 4);
+    }
+
+    #[test]
+    fn snapshot_sums_every_threads_cells() {
+        let r = BreakdownRecorder::with_threads(3);
+        r.record_hw(0, HwTxnOutcome::Commit);
+        r.record_hw(2, HwTxnOutcome::Commit);
+        r.record_hw(2, HwTxnOutcome::Zero);
+        r.record_persistent_writes(1, 7);
+        r.record_phase_cycles(1, TxnPhase::Redo, 40);
+        r.record_phase_cycles(2, TxnPhase::Redo, 2);
+        let s = r.snapshot();
+        assert_eq!(s.hw(HwTxnOutcome::Commit), 2);
+        assert_eq!(s.total_hardware(), 3);
+        assert_eq!(s.persistent_writes, 7);
+        assert_eq!(s.phase_cycles(TxnPhase::Redo), 42);
     }
 }

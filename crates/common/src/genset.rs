@@ -1,18 +1,23 @@
 //! Generation-stamped open-addressed hash tables with O(1) clear.
 //!
-//! [`GenSet`] and [`GenMap`] back every hot-path structure in the workspace
-//! that must be emptied once per transaction (or once per drain) without
+//! [`GenMap`] and [`LineTable`] back every hot-path structure in the
+//! workspace that must be emptied once per transaction (or once per drain) without
 //! touching its storage: each slot carries a *generation* stamp, and a slot
 //! is occupied only while its stamp equals the table's current generation.
 //! Clearing is a single counter bump; growth doubles the table (the only
 //! allocation, and only until the table reaches the workload's steady-state
 //! footprint).
 //!
-//! The tables started life as the read-set/write-buffer of `crafty-htm`'s
-//! reusable transaction descriptors and were hoisted here so the persistence
-//! domain (`crafty-pmem`) and the engines can share the design: the flush
-//! queues' per-line dedup stamps and the property tests' reference models
-//! are built on the same generation-stamp idea.
+//! [`GenMap`] is the engines' buffered-write map. [`LineTable`] is
+//! `crafty-htm`'s transaction descriptor: the same generation stamps over
+//! a *line*-keyed index, with each entry carrying the line's buffered
+//! words, written-word mask and flags, so one lookup per access answers
+//! every question the hardware-transaction simulation asks about a line
+//! (read? written? to be locked? to be flushed?). The persistence domain's
+//! flush-queue dedup stamps apply the same idea with the queue's claim
+//! cursor as the generation.
+
+use crate::WORDS_PER_LINE;
 
 /// Multiplicative hash spreading keys across the table (Fibonacci hashing).
 #[inline]
@@ -24,144 +29,6 @@ const INITIAL_CAPACITY: usize = 64;
 /// Grow when occupancy passes 3/4.
 const LOAD_NUM: usize = 3;
 const LOAD_DEN: usize = 4;
-
-/// An open-addressed hash set of `u64` keys with O(1) generation clear.
-#[derive(Clone, Debug)]
-pub struct GenSet {
-    /// Generation stamp per slot; a slot is occupied iff its stamp equals
-    /// the set's current generation.
-    gens: Vec<u64>,
-    keys: Vec<u64>,
-    gen: u64,
-    len: usize,
-}
-
-impl GenSet {
-    /// Creates an empty set with the default initial capacity.
-    pub fn new() -> Self {
-        GenSet::with_capacity(INITIAL_CAPACITY)
-    }
-
-    /// Creates an empty set able to hold roughly `capacity` keys before
-    /// growing. The table size is the next power of two above
-    /// `capacity * 4/3`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let slots = (capacity.max(4) * LOAD_DEN / LOAD_NUM).next_power_of_two();
-        GenSet {
-            gens: vec![0; slots],
-            // Generation 0 is never "current" (gen starts at 1), so fresh
-            // slots read as empty without an extra init pass.
-            keys: vec![0; slots],
-            gen: 1,
-            len: 0,
-        }
-    }
-
-    /// Number of keys currently in the set.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the set holds no keys.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The table's slot count (stable across [`GenSet::clear`]; used by
-    /// tests asserting steady-state capacity stability).
-    pub fn slot_capacity(&self) -> usize {
-        self.gens.len()
-    }
-
-    /// Logically empties the set in O(1) by advancing the generation.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.gen += 1;
-        self.len = 0;
-    }
-
-    /// The slot holding `key`, or the empty slot where it would go.
-    /// Termination is guaranteed because the load factor stays below 1.
-    #[inline]
-    fn find_slot(&self, key: u64) -> (usize, bool) {
-        let mask = (self.gens.len() - 1) as u64;
-        let mut i = (spread(key) & mask) as usize;
-        loop {
-            if self.gens[i] != self.gen {
-                return (i, false);
-            }
-            if self.keys[i] == key {
-                return (i, true);
-            }
-            i = (i + 1) & mask as usize;
-        }
-    }
-
-    /// Inserts `key`; returns `true` if it was not already present.
-    /// Probes before the load check, so a duplicate insert never grows the
-    /// table.
-    #[inline]
-    pub fn insert(&mut self, key: u64) -> bool {
-        let (mut slot, found) = self.find_slot(key);
-        if found {
-            return false;
-        }
-        if (self.len + 1) * LOAD_DEN >= self.gens.len() * LOAD_NUM {
-            self.grow();
-            slot = self.find_slot(key).0;
-        }
-        self.gens[slot] = self.gen;
-        self.keys[slot] = key;
-        self.len += 1;
-        true
-    }
-
-    /// True if `key` is in the set.
-    #[inline]
-    pub fn contains(&self, key: u64) -> bool {
-        self.find_slot(key).1
-    }
-
-    /// Iterates the keys (in table order, not insertion order).
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.gens
-            .iter()
-            .zip(&self.keys)
-            .filter(move |(g, _)| **g == self.gen)
-            .map(|(_, k)| *k)
-    }
-
-    #[cold]
-    fn grow(&mut self) {
-        let new_slots = self.gens.len() * 2;
-        let mut bigger = GenSet {
-            gens: vec![0; new_slots],
-            keys: vec![0; new_slots],
-            gen: 1,
-            len: 0,
-        };
-        for key in self.iter() {
-            // Re-insert without the load check: the doubled table fits.
-            let mask = (new_slots - 1) as u64;
-            let mut i = (spread(key) & mask) as usize;
-            while bigger.gens[i] == bigger.gen {
-                i = (i + 1) & mask as usize;
-            }
-            bigger.gens[i] = bigger.gen;
-            bigger.keys[i] = key;
-            bigger.len += 1;
-        }
-        *self = bigger;
-    }
-}
-
-impl Default for GenSet {
-    fn default() -> Self {
-        GenSet::new()
-    }
-}
 
 /// An open-addressed `u64 → u64` hash map with O(1) generation clear.
 #[derive(Clone, Debug)]
@@ -296,42 +163,214 @@ impl Default for GenMap {
     }
 }
 
+/// One cache line's entry in a [`LineTable`]: the line id, an 8-word value
+/// buffer with a written-word mask, and a byte of caller-defined flags.
+///
+/// `words[i]` is meaningful only while bit `i` of `mask` is set; a reused
+/// entry keeps stale values in its unmasked words.
+#[derive(Clone, Copy, Debug)]
+pub struct LineSlot {
+    line: u64,
+    /// Buffered values, indexed by word-within-line.
+    pub words: [u64; WORDS_PER_LINE as usize],
+    /// Bit `i` set: `words[i]` holds a buffered value.
+    pub mask: u8,
+    /// Caller-defined per-line flags; zero on a fresh entry.
+    pub flags: u8,
+}
+
+impl LineSlot {
+    /// The cache-line index this entry describes.
+    #[inline]
+    pub fn line(&self) -> u64 {
+        self.line
+    }
+}
+
+/// A slot of the [`LineTable`]'s sparse index: occupied while `gen` equals
+/// the table's generation, and then naming entry `idx` of the dense array.
+#[derive(Clone, Copy)]
+struct IndexSlot {
+    gen: u64,
+    idx: u32,
+}
+
+/// A line-keyed transaction footprint table: one [`LineSlot`] per distinct
+/// cache line, found in O(1) and kept in first-touch order.
+///
+/// Entries live densely in insertion order (so commit-time walks visit
+/// exactly the lines touched, not the table's slot count) and are located
+/// through a generation-stamped open-addressed index over line ids —
+/// clearing is a generation bump plus a length reset, like [`GenMap`]. A
+/// one-entry cache of the last line looked up makes runs of accesses to
+/// one line (sequential log appends, read-then-write of one word) skip
+/// the probe entirely.
+#[derive(Clone)]
+pub struct LineTable {
+    /// Entry storage; only `..len` is live. Entries past `len` are kept
+    /// so that reuse never re-initializes a 64-byte buffer.
+    slots: Vec<LineSlot>,
+    len: usize,
+    index: Vec<IndexSlot>,
+    gen: u64,
+    /// Dense index of the most recently looked-up entry.
+    last: usize,
+}
+
+impl std::fmt::Debug for LineTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.slots()).finish()
+    }
+}
+
+impl LineTable {
+    /// Creates an empty table with the default initial capacity.
+    pub fn new() -> Self {
+        LineTable::with_capacity(INITIAL_CAPACITY)
+    }
+
+    /// Creates an empty table able to hold roughly `capacity` lines before
+    /// its index grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let index_slots = (capacity.max(4) * LOAD_DEN / LOAD_NUM).next_power_of_two();
+        LineTable {
+            slots: Vec::with_capacity(capacity),
+            len: 0,
+            // Generation 0 is never current, so fresh index slots are empty.
+            index: vec![IndexSlot { gen: 0, idx: 0 }; index_slots],
+            gen: 1,
+            last: 0,
+        }
+    }
+
+    /// Number of distinct lines in the table.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the table holds no line.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Allocated capacity (index slots plus entry storage); stable across
+    /// [`LineTable::clear`] once the workload's footprint has been seen.
+    pub fn slot_capacity(&self) -> usize {
+        self.index.len() + self.slots.capacity()
+    }
+
+    /// Logically empties the table in O(1).
+    #[inline]
+    pub fn clear(&mut self) {
+        self.gen += 1;
+        self.len = 0;
+    }
+
+    /// The live entries, in first-touch order.
+    #[inline]
+    pub fn slots(&self) -> &[LineSlot] {
+        &self.slots[..self.len]
+    }
+
+    /// The entry at dense index `idx` (as returned by [`LineTable::entry`]).
+    #[inline]
+    pub fn slot_mut(&mut self, idx: usize) -> &mut LineSlot {
+        &mut self.slots[..self.len][idx]
+    }
+
+    /// Probes the index for `line`: the dense index of its entry, or the
+    /// empty index position where it would go.
+    #[inline]
+    fn probe(&self, line: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        // The product's high bits: its low bits depend only on the line
+        // id's low bits, and line ids are often strided.
+        let mut i = (spread(line) >> (64 - self.index.len().trailing_zeros())) as usize;
+        loop {
+            let slot = self.index[i];
+            if slot.gen != self.gen {
+                return Err(i);
+            }
+            if self.slots[slot.idx as usize].line == line {
+                return Ok(slot.idx as usize);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The dense index of `line`'s entry, inserting a fresh one (`mask` and
+    /// `flags` zero) if the line is new. At most one probe, none when
+    /// `line` is the line looked up last.
+    #[inline]
+    pub fn entry(&mut self, line: u64) -> usize {
+        if let Some(slot) = self.slots().get(self.last) {
+            if slot.line == line {
+                return self.last;
+            }
+        }
+        self.last = match self.probe(line) {
+            Ok(idx) => idx,
+            Err(pos) => self.insert_at(pos, line),
+        };
+        self.last
+    }
+
+    fn insert_at(&mut self, mut pos: usize, line: u64) -> usize {
+        if (self.len + 1) * LOAD_DEN >= self.index.len() * LOAD_NUM {
+            self.grow_index();
+            pos = self.probe(line).expect_err("line is new");
+        }
+        let idx = self.len;
+        match self.slots.get_mut(idx) {
+            Some(slot) => {
+                slot.line = line;
+                slot.mask = 0;
+                slot.flags = 0;
+            }
+            None => self.slots.push(LineSlot {
+                line,
+                words: [0; WORDS_PER_LINE as usize],
+                mask: 0,
+                flags: 0,
+            }),
+        }
+        self.len += 1;
+        self.index[pos] = IndexSlot {
+            gen: self.gen,
+            idx: idx as u32,
+        };
+        idx
+    }
+
+    #[cold]
+    fn grow_index(&mut self) {
+        let new_slots = self.index.len() * 2;
+        self.index.clear();
+        self.index.resize(new_slots, IndexSlot { gen: 0, idx: 0 });
+        self.gen = 1;
+        for idx in 0..self.len {
+            let pos = self
+                .probe(self.slots[idx].line)
+                .expect_err("dense entries are distinct");
+            self.index[pos] = IndexSlot {
+                gen: self.gen,
+                idx: idx as u32,
+            };
+        }
+    }
+}
+
+impl Default for LineTable {
+    fn default() -> Self {
+        LineTable::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn genset_insert_contains_and_clear() {
-        let mut s = GenSet::new();
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
-        assert!(s.contains(7));
-        assert!(!s.contains(8));
-        assert!(s.insert(0), "zero must be a usable key");
-        assert_eq!(s.len(), 2);
-        s.clear();
-        assert_eq!(s.len(), 0);
-        assert!(!s.contains(7));
-        assert!(!s.contains(0));
-        assert!(s.insert(7), "cleared keys are insertable again");
-    }
-
-    #[test]
-    fn genset_grows_past_initial_capacity() {
-        let mut s = GenSet::with_capacity(4);
-        let initial = s.slot_capacity();
-        for k in 0..1000 {
-            assert!(s.insert(k * 3));
-        }
-        assert_eq!(s.len(), 1000);
-        assert!(s.slot_capacity() > initial);
-        for k in 0..1000 {
-            assert!(s.contains(k * 3), "key {} lost in growth", k * 3);
-        }
-        let mut collected: Vec<u64> = s.iter().collect();
-        collected.sort_unstable();
-        assert_eq!(collected, (0..1000).map(|k| k * 3).collect::<Vec<_>>());
-    }
 
     #[test]
     fn genmap_insert_get_overwrite_clear() {
@@ -361,15 +400,55 @@ mod tests {
 
     #[test]
     fn clear_is_constant_time_capacity_preserving() {
-        let mut s = GenSet::new();
+        let mut m = GenMap::new();
         for k in 0..200 {
-            s.insert(k);
+            m.insert(k, k);
         }
-        let cap = s.slot_capacity();
+        let cap = m.slot_capacity();
         for _ in 0..10_000 {
-            s.clear();
-            s.insert(1);
+            m.clear();
+            m.insert(1, 1);
         }
-        assert_eq!(s.slot_capacity(), cap, "clear must never shrink or grow");
+        assert_eq!(m.slot_capacity(), cap, "clear must never shrink or grow");
+    }
+
+    #[test]
+    fn line_table_entry_is_find_or_insert() {
+        let mut t = LineTable::new();
+        let a = t.entry(7);
+        assert_eq!(t.entry(7), a, "last-line cache hit");
+        let b = t.entry(0);
+        assert_ne!(a, b, "zero must be a usable line id");
+        assert_eq!(t.entry(7), a, "probe hit after another line intervened");
+        assert_eq!(t.len(), 2);
+        t.slot_mut(a).words[3] = 9;
+        t.slot_mut(a).mask = 1 << 3;
+        t.slot_mut(a).flags = 5;
+        t.clear();
+        assert!(t.is_empty());
+        let again = t.entry(7);
+        assert_eq!(
+            (t.slots()[again].mask, t.slots()[again].flags),
+            (0, 0),
+            "a reused entry starts unmasked and unflagged"
+        );
+    }
+
+    #[test]
+    fn line_table_grows_and_keeps_first_touch_order() {
+        let mut t = LineTable::with_capacity(4);
+        let before = t.slot_capacity();
+        for k in 0..500u64 {
+            let idx = t.entry(k * 3);
+            assert_eq!(idx, k as usize);
+            t.slot_mut(idx).words[0] = k;
+        }
+        assert!(t.slot_capacity() > before);
+        for k in 0..500u64 {
+            let idx = t.entry(k * 3);
+            assert_eq!(idx, k as usize, "line {} lost in growth", k * 3);
+        }
+        let lines: Vec<u64> = t.slots().iter().map(LineSlot::line).collect();
+        assert_eq!(lines, (0..500).map(|k| k * 3).collect::<Vec<_>>());
     }
 }

@@ -10,12 +10,14 @@
 //! * [`api`] — the object-safe engine interface ([`PersistentTm`],
 //!   [`TmThread`], [`TxnOps`]) implemented by Crafty and all baselines so
 //!   that workloads and the figure harness are engine-generic.
-//! * [`breakdown`] — atomic counters that record how each persistent
+//! * [`breakdown`] — per-thread counters that record how each persistent
 //!   transaction completed and how each hardware transaction ended,
 //!   mirroring the categories of the paper's appendix figures.
+//! * [`counter`] — the single-writer counter cell those (and the
+//!   persistence domain's statistics) are built from.
 //! * [`genset`] — generation-stamped open-addressed tables with O(1)
-//!   clear, shared by the HTM transaction descriptors and the persistence
-//!   domain's flush-queue dedup.
+//!   clear: the HTM transaction descriptors' line table and the engines'
+//!   buffered-write map.
 //! * [`shard`] — lazily-allocated sharded atomic arrays backing the
 //!   per-line metadata (versioned locks, dirty bits, dedup stamps).
 //! * [`trace`] — the runtime-leveled observability layer: per-thread
@@ -46,6 +48,7 @@ pub mod addr;
 pub mod api;
 pub mod breakdown;
 pub mod clock;
+pub mod counter;
 pub mod error;
 pub mod genset;
 pub mod rng;
@@ -57,8 +60,9 @@ pub use addr::{LineId, PAddr, WORDS_PER_LINE};
 pub use api::{PersistentTm, TmThread, TxnBody, TxnOps, TxnReport};
 pub use breakdown::{BreakdownRecorder, BreakdownSnapshot, CompletionPath, HwTxnOutcome};
 pub use clock::{Clock, Timestamp};
+pub use counter::OwnedCounter;
 pub use error::{SetupError, TxAbort};
-pub use genset::{GenMap, GenSet};
+pub use genset::{GenMap, LineSlot, LineTable};
 pub use rng::{mix64, SplitMix64};
 pub use shard::LazyAtomicArray;
 pub use trace::{

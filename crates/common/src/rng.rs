@@ -42,6 +42,13 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
+    /// The generator's current state: `SplitMix64::new(rng.state())`
+    /// continues `rng`'s stream, so a stream can be parked in a plain word
+    /// between uses.
+    pub const fn state(&self) -> u64 {
+        self.state
+    }
+
     /// Returns the next 64-bit value in the stream.
     pub fn next_u64(&mut self) -> u64 {
         let out = mix64(self.state);

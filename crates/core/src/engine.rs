@@ -112,7 +112,7 @@ impl Crafty {
             cfg.undo_log_entries >= 8,
             "undo log must hold at least a few entries"
         );
-        let recorder = Arc::new(BreakdownRecorder::new());
+        let recorder = Arc::new(BreakdownRecorder::with_threads(mem.config().max_threads));
         let htm = HtmRuntime::new(Arc::clone(&mem), htm_cfg, Arc::clone(&recorder));
 
         // Persistent layout: directory, per-thread logs, heap.
@@ -390,6 +390,7 @@ impl PersistentTm for Crafty {
         self.persist_now(calling_tid);
         if let Some(t0) = t0 {
             self.recorder.record_phase_cycles(
+                calling_tid,
                 crafty_common::TxnPhase::Fence,
                 crafty_common::trace::phase_elapsed(t0),
             );

@@ -1,5 +1,5 @@
 //! Per-thread execution of persistent transactions: the Log, Redo, and
-//! Validate phases, the SGL fallback, and the thread-unsafe mode.
+//! Validate phases, the software fallbacks, and the thread-unsafe mode.
 //!
 //! The control flow follows Figures 3 and 4 of the paper:
 //!
@@ -7,17 +7,21 @@
 //!   in a hardware transaction, flush the undo entries, then try to commit
 //!   the program's writes with the Redo phase; if its conservative
 //!   timestamp check fails, re-execute the body under the Validate phase;
-//!   after repeated failures fall back to the single global lock (SGL).
+//!   after repeated failures fall back to software. The default fallback
+//!   ([`FallbackPolicy::PerLine`]) locks exactly the transaction's
+//!   write-set lines through the HTM's versioned line locks, so nothing
+//!   system-wide is serialized; the paper's single global lock survives as
+//!   [`FallbackPolicy::Sgl`], the differential reference.
 //! * **Thread-unsafe mode** — the program already provides atomicity, so
 //!   the Redo phase runs unconditionally and Validate is never needed.
 //!
-//! One deliberate implementation difference from the paper is documented on
-//! [`CraftyThread`]: inside SGL sections this implementation buffers the
-//! body's writes instead of re-running chunked hardware transactions. The
-//! guarantee (undo log persisted before any program write reaches
-//! persistent memory) and the cost profile (a single drain per transaction)
-//! are the same; only the mechanism differs, because closure-based bodies
-//! cannot be resumed from a mid-transaction point the way the paper's
+//! One deliberate implementation difference from the paper: inside the
+//! software fallbacks this implementation buffers the body's writes
+//! instead of re-running chunked hardware transactions. The guarantee
+//! (undo log persisted before any program write reaches persistent
+//! memory) and the cost profile (a single drain per transaction) are the
+//! same; only the mechanism differs, because closure-based bodies cannot
+//! be resumed from a mid-transaction point the way the paper's
 //! compiler-instrumented transactions can.
 
 use crafty_common::trace::{self, AbortCause, TraceEventKind, TxnPhase};
@@ -150,14 +154,18 @@ impl<'c> CraftyThread<'c> {
             let log_t0 = trace::phase_start();
             let logged = self.log_phase(body, &mut hw_attempts);
             if let Some(t0) = log_t0 {
-                engine
-                    .recorder
-                    .record_phase_cycles(TxnPhase::Log, trace::phase_elapsed(t0));
+                engine.recorder.record_phase_cycles(
+                    self.tid,
+                    TxnPhase::Log,
+                    trace::phase_elapsed(t0),
+                );
             }
             let seq = match logged {
                 LogOutcome::ReadOnly => {
                     self.alloc_log.clear();
-                    engine.recorder.record_completion(CompletionPath::ReadOnly);
+                    engine
+                        .recorder
+                        .record_completion(self.tid, CompletionPath::ReadOnly);
                     return TxnReport::new(CompletionPath::ReadOnly, hw_attempts);
                 }
                 LogOutcome::Aborted => {
@@ -171,9 +179,11 @@ impl<'c> CraftyThread<'c> {
                 let redo_t0 = trace::phase_start();
                 let redo = self.redo_phase(&seq, &mut hw_attempts);
                 if let Some(t0) = redo_t0 {
-                    engine
-                        .recorder
-                        .record_phase_cycles(TxnPhase::Redo, trace::phase_elapsed(t0));
+                    engine.recorder.record_phase_cycles(
+                        self.tid,
+                        TxnPhase::Redo,
+                        trace::phase_elapsed(t0),
+                    );
                 }
                 if let CommitOutcome::Committed = redo {
                     return self.finish(CompletionPath::Redo, &seq, hw_attempts);
@@ -186,9 +196,11 @@ impl<'c> CraftyThread<'c> {
             let validate_t0 = trace::phase_start();
             let validated = self.validate_phase(body, &seq, &mut hw_attempts);
             if let Some(t0) = validate_t0 {
-                engine
-                    .recorder
-                    .record_phase_cycles(TxnPhase::Validate, trace::phase_elapsed(t0));
+                engine.recorder.record_phase_cycles(
+                    self.tid,
+                    TxnPhase::Validate,
+                    trace::phase_elapsed(t0),
+                );
             }
             match validated {
                 CommitOutcome::Committed => {
@@ -207,8 +219,8 @@ impl<'c> CraftyThread<'c> {
         self.alloc_log.apply_frees(&engine.allocator);
         engine
             .recorder
-            .record_persistent_writes(seq.persistent_writes);
-        engine.recorder.record_completion(path);
+            .record_persistent_writes(self.tid, seq.persistent_writes);
+        engine.recorder.record_completion(self.tid, path);
         TxnReport::new(path, hw_attempts)
     }
 
@@ -335,7 +347,9 @@ impl<'c> CraftyThread<'c> {
 
             let flushed_lines =
                 undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
-            engine.recorder.record_flushed_lines(flushed_lines);
+            engine
+                .recorder
+                .record_flushed_lines(self.tid, flushed_lines);
             engine.note_sequence(self.tid, log_ts);
             trace::record(
                 self.tid,
@@ -587,7 +601,7 @@ impl<'c> CraftyThread<'c> {
     fn after_commit(&self, foreign_append: bool) {
         if foreign_append {
             self.engine.mem.drain(self.tid);
-            self.engine.recorder.record_drain();
+            self.engine.recorder.record_drain(self.tid);
         }
     }
 
@@ -635,7 +649,9 @@ impl<'c> CraftyThread<'c> {
         let undo_log = engine.threads[self.tid].undo_log;
         // Entering the fallback is a taxonomy event regardless of which
         // fallback it is: the phase machinery gave up.
-        engine.recorder.record_abort_cause(AbortCause::SglFallback);
+        engine
+            .recorder
+            .record_abort_cause(self.tid, AbortCause::SglFallback);
         trace::record(
             self.tid,
             TraceEventKind::Abort,
@@ -683,7 +699,9 @@ impl<'c> CraftyThread<'c> {
                 // Read-only: every value handed to the body was consistent
                 // at the begin snapshot; nothing to lock or persist.
                 self.alloc_log.clear();
-                engine.recorder.record_completion(CompletionPath::ReadOnly);
+                engine
+                    .recorder
+                    .record_completion(self.tid, CompletionPath::ReadOnly);
                 break TxnReport::new(CompletionPath::ReadOnly, *hw_attempts);
             }
 
@@ -700,12 +718,8 @@ impl<'c> CraftyThread<'c> {
             // Undo entries: the pre-publish values of the persistent
             // write-set words, read under the held locks.
             self.persistent_addrs_buf.clear();
-            self.persistent_addrs_buf.extend(
-                fb.write_order()
-                    .iter()
-                    .copied()
-                    .filter(|a| engine.mem.is_persistent(*a)),
-            );
+            self.persistent_addrs_buf
+                .extend(fb.written_words().filter(|a| engine.mem.is_persistent(*a)));
             self.entries_buf.clear();
             self.entries_buf.extend(
                 self.persistent_addrs_buf
@@ -721,7 +735,7 @@ impl<'c> CraftyThread<'c> {
             );
             undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
             engine.mem.drain(self.tid);
-            engine.recorder.record_drain();
+            engine.recorder.record_drain(self.tid);
             trace::record(
                 self.tid,
                 TraceEventKind::UndoAppend,
@@ -745,7 +759,7 @@ impl<'c> CraftyThread<'c> {
             undo_log.flush_marker(&engine.mem, self.tid, info.marker_abs);
             if !self.deferred_mode {
                 engine.mem.drain(self.tid);
-                engine.recorder.record_drain();
+                engine.recorder.record_drain(self.tid);
             }
             fb.commit_release();
             drop(fb);
@@ -754,14 +768,16 @@ impl<'c> CraftyThread<'c> {
             self.alloc_log.apply_frees(&engine.allocator);
             engine
                 .recorder
-                .record_persistent_writes(self.entries_buf.len() as u64);
-            engine.recorder.record_completion(CompletionPath::Sgl);
+                .record_persistent_writes(self.tid, self.entries_buf.len() as u64);
+            engine
+                .recorder
+                .record_completion(self.tid, CompletionPath::Sgl);
             break TxnReport::new(CompletionPath::Sgl, *hw_attempts);
         };
         if let Some(t0) = fb_t0 {
             engine
                 .recorder
-                .record_phase_cycles(TxnPhase::Sgl, trace::phase_elapsed(t0));
+                .record_phase_cycles(self.tid, TxnPhase::Sgl, trace::phase_elapsed(t0));
         }
         report
     }
@@ -771,7 +787,9 @@ impl<'c> CraftyThread<'c> {
         // Entering the fallback is itself a taxonomy entry: the phase
         // machinery gave up, which is the signal an adaptive mode switcher
         // would act on.
-        engine.recorder.record_abort_cause(AbortCause::SglFallback);
+        engine
+            .recorder
+            .record_abort_cause(self.tid, AbortCause::SglFallback);
         trace::record(
             self.tid,
             TraceEventKind::Abort,
@@ -784,7 +802,7 @@ impl<'c> CraftyThread<'c> {
         if let Some(t0) = sgl_t0 {
             engine
                 .recorder
-                .record_phase_cycles(TxnPhase::Sgl, trace::phase_elapsed(t0));
+                .record_phase_cycles(self.tid, TxnPhase::Sgl, trace::phase_elapsed(t0));
         }
         report
     }
@@ -795,7 +813,9 @@ impl<'c> CraftyThread<'c> {
         match self.log_phase(body, &mut hw_attempts) {
             LogOutcome::ReadOnly => {
                 self.alloc_log.clear();
-                engine.recorder.record_completion(CompletionPath::ReadOnly);
+                engine
+                    .recorder
+                    .record_completion(self.tid, CompletionPath::ReadOnly);
                 TxnReport::new(CompletionPath::ReadOnly, hw_attempts)
             }
             LogOutcome::Logged(seq) => {
@@ -804,7 +824,7 @@ impl<'c> CraftyThread<'c> {
                 // transaction (Section 4.4). Ensure the undo entries are
                 // durable before performing the in-place writes.
                 engine.mem.drain(self.tid);
-                engine.recorder.record_drain();
+                engine.recorder.record_drain(self.tid);
                 let undo_log = engine.threads[self.tid].undo_log;
                 for &(addr, value) in self.redo_buf.iter().rev() {
                     engine.htm.nontx_write(addr, value);
@@ -828,7 +848,7 @@ impl<'c> CraftyThread<'c> {
                 // group's shared drain barrier covers them.
                 if !self.deferred_mode {
                     engine.mem.drain(self.tid);
-                    engine.recorder.record_drain();
+                    engine.recorder.record_drain(self.tid);
                 }
                 engine.note_sequence(self.tid, commit_ts);
                 trace::record(
@@ -881,7 +901,9 @@ impl<'c> CraftyThread<'c> {
                 && self.alloc_log.allocations() == 0
                 && self.alloc_log.deferred_frees() == 0
             {
-                engine.recorder.record_completion(CompletionPath::ReadOnly);
+                engine
+                    .recorder
+                    .record_completion(self.tid, CompletionPath::ReadOnly);
                 return TxnReport::new(CompletionPath::ReadOnly, *hw_attempts);
             }
 
@@ -907,7 +929,7 @@ impl<'c> CraftyThread<'c> {
             );
             undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
             engine.mem.drain(self.tid);
-            engine.recorder.record_drain();
+            engine.recorder.record_drain(self.tid);
             trace::record(
                 self.tid,
                 TraceEventKind::UndoAppend,
@@ -947,15 +969,15 @@ impl<'c> CraftyThread<'c> {
             // unless durability is deferred to the group's shared drain.
             if !self.deferred_mode {
                 engine.mem.drain(self.tid);
-                engine.recorder.record_drain();
+                engine.recorder.record_drain(self.tid);
             }
             engine.note_sequence(self.tid, commit_ts);
 
             self.alloc_log.apply_frees(&engine.allocator);
             engine
                 .recorder
-                .record_persistent_writes(self.entries_buf.len() as u64);
-            engine.recorder.record_completion(path);
+                .record_persistent_writes(self.tid, self.entries_buf.len() as u64);
+            engine.recorder.record_completion(self.tid, path);
             return TxnReport::new(path, *hw_attempts);
         }
         panic!("transaction body kept aborting outside hardware transactions; bodies must eventually succeed when run in isolation");
@@ -995,11 +1017,13 @@ impl TmThread for CraftyThread<'_> {
         if self.engine.mem.pending_flushes(self.tid) > 0 {
             let t0 = trace::phase_start();
             self.engine.mem.drain(self.tid);
-            self.engine.recorder.record_drain();
+            self.engine.recorder.record_drain(self.tid);
             if let Some(t0) = t0 {
-                self.engine
-                    .recorder
-                    .record_phase_cycles(TxnPhase::Drain, trace::phase_elapsed(t0));
+                self.engine.recorder.record_phase_cycles(
+                    self.tid,
+                    TxnPhase::Drain,
+                    trace::phase_elapsed(t0),
+                );
             }
         }
     }

@@ -461,14 +461,15 @@ impl UndoLog {
     }
 
     /// Issues CLWBs (no drain) for every line holding entries
-    /// `[first_abs, last_abs]`, one queue interaction per touched line.
-    /// Returns the number of lines flushed.
+    /// `[first_abs, last_abs]`, one queue interaction per touched line and
+    /// one fence for the lot ([`MemorySpace::clwb_lines`]). Returns the
+    /// number of lines flushed.
     ///
     /// Entry slots are laid out contiguously, so the touched words form at
     /// most two contiguous ranges (the tail of the region and, after a
-    /// wraparound, its start). The flush loop walks *lines*, not slot
-    /// words: a line holding four freshly appended entries is enqueued
-    /// once, instead of paying eight per-word queue interactions that the
+    /// wraparound, its start). The flush walks *lines*, not slot words: a
+    /// line holding four freshly appended entries is enqueued once,
+    /// instead of paying eight per-word queue interactions that the
     /// queue-side dedup would then have to absorb. The entries' dirty
     /// words are already recorded in the lines' persistence masks (every
     /// transactional or `nontx` store marks its word), so the eventual
@@ -486,22 +487,17 @@ impl UndoLog {
         let entries = last_abs - first_abs + 1;
         let first_slot = first_abs % capacity;
         let before_wrap = entries.min(capacity - first_slot);
-        let mut lines = 0u64;
-        for (slot, count) in [(first_slot, before_wrap), (0, entries - before_wrap)] {
-            if count == 0 {
-                continue;
-            }
-            let first_word = self.geometry.start.word() + slot * 2;
-            let last_word = first_word + count * 2 - 1;
-            let mut line = PAddr::new(first_word).line().index();
-            let last_line = PAddr::new(last_word).line().index();
-            while line <= last_line {
-                mem.clwb(tid, crafty_common::LineId::new(line).first_word());
-                lines += 1;
-                line += 1;
-            }
-        }
-        lines
+        let start = self.geometry.start.word();
+        let lines = [(first_slot, before_wrap), (0, entries - before_wrap)]
+            .into_iter()
+            .filter(|&(_, count)| count > 0)
+            .flat_map(|(slot, count)| {
+                let first_word = start + slot * 2;
+                let last_word = first_word + count * 2 - 1;
+                PAddr::new(first_word).line().index()..=PAddr::new(last_word).line().index()
+            })
+            .map(crafty_common::LineId::new);
+        mem.clwb_lines(tid, lines)
     }
 
     /// Issues a CLWB for the marker entry at `marker_abs`.

@@ -60,25 +60,24 @@ use crafty_common::{LineId, PAddr};
 use crossbeam::utils::Backoff;
 
 use crate::runtime::{AbortCode, HtmRuntime, FALLBACK_BIT, LOCKED_MASK, VERSION_MASK};
-use crate::scratch::TxnScratch;
+use crate::scratch::{self, TxnScratch, DATA, READ};
 
 impl HtmRuntime {
     /// Begins a software fallback transaction for thread `tid`.
     ///
-    /// Checks out the thread's reusable descriptor (sharing the pool with
-    /// hardware transactions — the fallback hot path is equally
+    /// Borrows the calling thread's reusable descriptor (the same one
+    /// hardware transactions use — the fallback hot path is equally
     /// allocation-free) and snapshots the version clock. Unlike
     /// [`HtmRuntime::begin`], this neither drains pending flushes nor
     /// consumes the thread's abort-injection schedule: the fallback is
     /// software, it cannot spuriously abort, and the caller sequences its
     /// own fences.
     pub fn begin_fallback(&self, tid: usize) -> FallbackTxn<'_> {
-        let scratch = self.checkout_scratch(tid);
         FallbackTxn {
             rt: self,
             tid,
             rv: self.version_clock.load(Ordering::Acquire),
-            scratch: Some(scratch),
+            scratch: Some(scratch::checkout()),
             committed: false,
         }
     }
@@ -92,26 +91,31 @@ pub struct FallbackTxn<'rt> {
     rt: &'rt HtmRuntime,
     tid: usize,
     rv: u64,
-    /// The thread's checked-out descriptor; `Some` for the whole life of
-    /// the transaction (`Drop` returns it to the runtime's pool).
+    /// The descriptor lent by the calling thread for the life of the
+    /// transaction; `Drop` takes it to hand it back.
     scratch: Option<Box<TxnScratch>>,
     committed: bool,
 }
 
 impl std::fmt::Debug for FallbackTxn<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.scratch.as_ref().expect("descriptor present");
+        let s = self.scratch();
         f.debug_struct("FallbackTxn")
             .field("tid", &self.tid)
             .field("rv", &self.rv)
-            .field("reads", &s.read_set.len())
-            .field("writes", &s.write_buf.len())
-            .field("locked", &s.locked.len())
+            .field("read_lines", &s.read_count)
+            .field("writes", &s.words_written)
+            .field("locked", &s.locked)
             .finish()
     }
 }
 
 impl FallbackTxn<'_> {
+    #[inline]
+    fn scratch(&self) -> &TxnScratch {
+        self.scratch.as_ref().expect("descriptor present")
+    }
+
     #[inline]
     fn s(&mut self) -> &mut TxnScratch {
         self.scratch.as_mut().expect("descriptor present")
@@ -132,8 +136,8 @@ impl FallbackTxn<'_> {
     /// under a fresh [`HtmRuntime::begin_fallback`]. The transaction holds
     /// no locks at read time, so a conflicting retry never blocks anyone.
     pub fn read(&mut self, addr: PAddr) -> Result<u64, AbortCode> {
-        if let Some(v) = self.s().write_buf.get(addr.word()) {
-            return Ok(v);
+        if let Some(value) = self.s().read_buffered(addr) {
+            return Ok(value);
         }
         let line = addr.line();
         let v1 = self.rt.version_of(line);
@@ -144,10 +148,6 @@ impl FallbackTxn<'_> {
         if self.rt.version_of(line) != v1 {
             return Err(AbortCode::Conflict);
         }
-        let s = self.s();
-        if s.read_set.insert(line.index()) {
-            s.read_order.push(line.index());
-        }
         Ok(value)
     }
 
@@ -155,33 +155,24 @@ impl FallbackTxn<'_> {
     /// [`FallbackTxn::publish`]. The software path has no capacity limit —
     /// that is the point of a fallback.
     pub fn write(&mut self, addr: PAddr, value: u64) {
-        let s = self.s();
-        if s.write_buf.insert(addr.word(), value).is_none() {
-            s.write_order.push(addr);
-            let line = addr.line();
-            if s.write_lines.insert(line.index()) {
-                s.line_order.push(line);
-            }
-        }
+        self.s().buffer_write(addr, value);
     }
 
     /// True if the body buffered at least one write.
     pub fn has_writes(&self) -> bool {
-        !self
-            .scratch
-            .as_ref()
-            .expect("descriptor present")
-            .write_order
-            .is_empty()
+        self.scratch().words_written > 0
     }
 
-    /// The distinct written words, in first-write order.
-    pub fn write_order(&self) -> &[PAddr] {
-        &self
-            .scratch
-            .as_ref()
-            .expect("descriptor present")
-            .write_order
+    /// The distinct written words: lines in first-write order, the words
+    /// of a line in address order.
+    pub fn written_words(&self) -> impl Iterator<Item = PAddr> + '_ {
+        self.scratch().lines.slots().iter().flat_map(|slot| {
+            LineId::new(slot.line())
+                .words()
+                .enumerate()
+                .filter(move |(i, _)| slot.mask & (1 << i) != 0)
+                .map(|(_, addr)| addr)
+        })
     }
 
     /// Acquires the fallback write lock on every distinct write-set line,
@@ -190,11 +181,10 @@ impl FallbackTxn<'_> {
     /// clock once per acquired line.
     pub fn lock_write_set(&mut self) {
         let rt = self.rt;
-        let s = self.scratch.as_mut().expect("descriptor present");
-        s.line_order.sort_unstable();
-        s.locked.clear();
-        for &line in &s.line_order {
-            let slot = rt.line_versions.get(line.index());
+        let s = self.s();
+        s.lock_order.sort_unstable();
+        for (i, &line) in s.lock_order.iter().enumerate() {
+            let slot = rt.line_versions.get(line);
             let mut backoff = Backoff::new();
             loop {
                 let v = slot.load(Ordering::Acquire);
@@ -210,7 +200,7 @@ impl FallbackTxn<'_> {
                 }
                 backoff.spin();
             }
-            s.locked.push(line);
+            s.locked = i + 1;
             rt.mem.fault_event();
         }
     }
@@ -232,10 +222,13 @@ impl FallbackTxn<'_> {
     pub fn validate_reads(&mut self) -> Result<(), AbortCode> {
         let rt = self.rt;
         let rv = self.rv;
-        let s = self.scratch.as_mut().expect("descriptor present");
-        for &line_idx in &s.read_order {
-            let v = rt.version_of(LineId::new(line_idx));
-            let foreign_lock = if s.write_lines.contains(line_idx) {
+        let s = self.s();
+        let stale = s.lines.slots().iter().any(|slot| {
+            if slot.flags & READ == 0 {
+                return false;
+            }
+            let v = rt.version_of(LineId::new(slot.line()));
+            let foreign_lock = if slot.flags & DATA != 0 {
                 // We hold this line's FALLBACK_BIT; only a concurrent
                 // LOCK_BIT holder (impossible while we hold the line, but
                 // checked for robustness) would be foreign.
@@ -243,14 +236,17 @@ impl FallbackTxn<'_> {
             } else {
                 v & LOCKED_MASK != 0
             };
-            if foreign_lock || (v & VERSION_MASK) > rv {
-                release_locked(rt, s);
-                rt.mem.fault_event();
-                return Err(AbortCode::Conflict);
-            }
+            foreign_lock || (v & VERSION_MASK) > rv
+        });
+        if stale {
+            release_locked(rt, s);
         }
         rt.mem.fault_event();
-        Ok(())
+        if stale {
+            Err(AbortCode::Conflict)
+        } else {
+            Ok(())
+        }
     }
 
     /// Reads a word directly from memory while the write locks are held —
@@ -262,21 +258,17 @@ impl FallbackTxn<'_> {
         self.rt.mem.read(addr)
     }
 
-    /// Publishes every buffered write in place, while the write locks are
-    /// held. Deliberately a plain store per word — taking the line locks
-    /// here (as `nontx_write` would) would self-deadlock on our own held
-    /// `FALLBACK_BIT`; exclusion is already guaranteed by the held locks,
-    /// and concurrent readers see either the lock bit (abort/wait) or,
-    /// after release, the new commit version.
+    /// Publishes every buffered write in place, line by line, while the
+    /// write locks are held. Deliberately plain stores — taking the line
+    /// locks here (as `nontx_write` would) would self-deadlock on our own
+    /// held `FALLBACK_BIT`; exclusion is already guaranteed by the held
+    /// locks, and concurrent readers see either the lock bit (abort/wait)
+    /// or, after release, the new commit version.
     pub fn publish(&mut self) {
-        let rt = self.rt;
-        let s = self.scratch.as_mut().expect("descriptor present");
-        for addr in &s.write_order {
-            let value = s
-                .write_buf
-                .get(addr.word())
-                .expect("buffered write present");
-            rt.mem.write(*addr, value);
+        for slot in self.scratch().lines.slots() {
+            self.rt
+                .mem
+                .write_line(LineId::new(slot.line()), &slot.words, slot.mask);
         }
     }
 
@@ -285,14 +277,12 @@ impl FallbackTxn<'_> {
     /// the last crash point of the lock-hold window.
     pub fn commit_release(&mut self) -> u64 {
         let rt = self.rt;
-        let s = self.scratch.as_mut().expect("descriptor present");
+        let s = self.s();
         let wv = rt.version_clock.fetch_add(1, Ordering::AcqRel) + 1;
-        for &line in &s.locked {
-            rt.line_versions
-                .get(line.index())
-                .store(wv, Ordering::Release);
+        for &line in &s.lock_order[..s.locked] {
+            rt.line_versions.get(line).store(wv, Ordering::Release);
         }
-        s.locked.clear();
+        s.locked = 0;
         self.committed = true;
         rt.mem.fault_event();
         wv
@@ -302,24 +292,24 @@ impl FallbackTxn<'_> {
 /// Releases every held fallback lock *without* bumping versions (the abort
 /// path: nothing was published, so readers must not be invalidated).
 fn release_locked(rt: &HtmRuntime, s: &mut TxnScratch) {
-    for &line in &s.locked {
-        let slot = rt.line_versions.get(line.index());
+    for &line in &s.lock_order[..s.locked] {
+        let slot = rt.line_versions.get(line);
         let v = slot.load(Ordering::Acquire);
         slot.store(v & !FALLBACK_BIT, Ordering::Release);
     }
-    s.locked.clear();
+    s.locked = 0;
 }
 
 impl Drop for FallbackTxn<'_> {
     fn drop(&mut self) {
         if let Some(mut scratch) = self.scratch.take() {
-            if !self.committed && !scratch.locked.is_empty() {
+            if !self.committed && scratch.locked > 0 {
                 // Abandoned mid-commit (abort or panic): free the lines,
                 // versions unchanged, so no reader is wedged or invalidated.
                 release_locked(self.rt, &mut scratch);
                 self.rt.mem.fault_event();
             }
-            self.rt.return_scratch(self.tid, scratch);
+            scratch::give_back(scratch);
         }
     }
 }

@@ -8,41 +8,50 @@
 //! boundaries. See `ARCHITECTURE.md` at the repository root for the
 //! fidelity argument behind this substitution.
 //!
-//! # Hot-path design: reusable per-thread descriptors
+//! # Hot-path design: a line-granular, reusable descriptor
 //!
-//! The transaction hot path is allocation-free and contention-free in
-//! steady state, mirroring how real HTM/STM runtimes keep a per-thread
-//! transaction descriptor (cf. phasedTM's `__thread`-local descriptor
-//! state):
+//! The transaction hot path is allocation-free and, outside the commit's
+//! per-line lock and dirty-mask updates, free of locked instructions —
+//! mirroring how real HTM/STM runtimes keep a per-thread transaction
+//! descriptor (cf. phasedTM's `__thread`-local descriptor state) and how
+//! real RTM tracks its footprint per cache line:
 //!
-//! * **Descriptor checkout** — [`HtmRuntime`] owns one reusable
-//!   [`TxnScratch`] per thread slot. [`HtmRuntime::begin`] checks the
-//!   calling thread's descriptor out of the pool and the finished
-//!   transaction returns it on drop. The pool slots are single-slot
-//!   lock-free queues (atomic take/put cells), so the only per-transaction
-//!   costs are two uncontended atomic operations and an O(1) reset — no
-//!   mutex is taken anywhere on the checkout path. If a thread begins a
-//!   nested transaction while its descriptor is out (which no engine path
-//!   does in steady state), a fresh descriptor is allocated for the inner
-//!   transaction and dropped afterwards.
-//! * **O(1) epoch clear** — the descriptor's read set and write buffer are
-//!   open-addressed tables ([`GenSet`], [`GenMap`]) whose slots carry a
-//!   generation stamp; clearing bumps the generation instead of touching
-//!   the slots. Tables only allocate when they grow past the workload's
-//!   observed footprint, so a warmed-up transaction allocates nothing —
-//!   a property asserted by the `alloc_free_hot_path` integration test
-//!   with a counting global allocator.
-//! * **Incremental write-line dedup** — distinct written lines are tracked
-//!   as writes arrive, so the commit's canonical lock ordering is a sort
-//!   of an already-deduplicated reused buffer and the capacity check is
-//!   O(1) per write, instead of rebuilding a `HashSet` per commit.
-//! * **Per-thread RNG streams** — the spurious-abort ("zero abort")
-//!   injector draws from a [`crafty_common::SplitMix64`] stream stored in
-//!   the descriptor, seeded as `cfg.seed ^ 0x51_0D0A ^ (tid + 1) ·
-//!   0x9E3779B97F4A7C15`. Each thread's abort schedule is a pure function
-//!   of `(seed, tid)`: reruns with the same configuration reproduce the
-//!   same per-thread schedules regardless of interleaving, and no global
-//!   RNG lock is taken at `begin`.
+//! * **One line table** — a [`TxnScratch`] holds one
+//!   [`crafty_common::LineTable`] entry per touched *line*: the line's
+//!   buffered words, a written-word mask, and read / data / sink / flush
+//!   flags. A read or write is one O(1) lookup (none at all when it hits
+//!   the line looked up last: sequential undo-log appends,
+//!   read-then-write of one account); capacity checks are counters;
+//!   commit walks the lines — lock, publish the line's written words with
+//!   one dirty-mask update ([`crafty_pmem::MemorySpace::write_line`]),
+//!   enqueue one CLWB per flagged line as a single batch
+//!   ([`crafty_pmem::MemorySpace::clwb_lines`]).
+//! * **O(1) epoch clear** — the table clears by generation bump and only
+//!   allocates when it grows past the workload's observed footprint, so a
+//!   warmed-up transaction allocates nothing — a property asserted by the
+//!   `alloc_free_hot_path` integration test with a counting global
+//!   allocator.
+//! * **Descriptor checkout without atomics** — the descriptor a
+//!   transaction uses is the *calling OS thread's* spare, kept in a
+//!   thread-local cell: [`HtmRuntime::begin`] takes it and the finished
+//!   transaction puts it back, a plain pointer swap. A descriptor carries
+//!   no identity, so it serves whichever runtime and thread id the thread
+//!   uses next. If a thread begins a nested transaction while its
+//!   descriptor is out (which no engine path does in steady state), a
+//!   fresh descriptor is allocated for the inner transaction and dropped
+//!   afterwards.
+//! * **Per-thread-slot abort schedules** — the spurious-abort ("zero
+//!   abort") injector draws from a [`crafty_common::SplitMix64`] stream
+//!   whose state lives in the *runtime*, one padded word per thread id,
+//!   seeded as `cfg.seed ^ 0x51_0D0A ^ (tid + 1) · 0x9E3779B97F4A7C15`.
+//!   Each thread id's abort schedule is a pure function of `(seed, tid)`
+//!   and of how many transactions it has begun: reruns reproduce it
+//!   regardless of interleaving, of which OS thread or descriptor serves
+//!   a transaction, and of nesting — it cannot rewind. No RNG lock is
+//!   taken at `begin`.
+//! * **Read-only commits are local** — a transaction that wrote nothing
+//!   validates its reads and returns its snapshot version without
+//!   touching the global version clock (TL2's read-only rule).
 //!
 //! # Example
 //!
@@ -77,4 +86,4 @@ pub use config::HtmConfig;
 pub use fallback::FallbackTxn;
 pub use retry::{run_with_retries, RetryPolicy, RetryResult};
 pub use runtime::{AbortCode, HtmRuntime, HwTxn, LockWordGuard};
-pub use scratch::{GenMap, GenSet, TxnScratch};
+pub use scratch::{GenMap, TxnScratch};

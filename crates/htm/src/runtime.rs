@@ -27,13 +27,12 @@ use std::sync::Arc;
 use crafty_common::trace::{
     self, AbortCause, TraceEventKind, ABORT_REDO_TS_CHECK, ABORT_VALIDATE_MISMATCH,
 };
-use crafty_common::{BreakdownRecorder, HwTxnOutcome, LazyAtomicArray, LineId, PAddr};
+use crafty_common::{BreakdownRecorder, HwTxnOutcome, LazyAtomicArray, LineId, PAddr, SplitMix64};
 use crafty_pmem::MemorySpace;
-use crossbeam::queue::ArrayQueue;
 use crossbeam::utils::Backoff;
 
 use crate::config::HtmConfig;
-use crate::scratch::TxnScratch;
+use crate::scratch::{self, TxnScratch, FLUSH, LOCKS, READ, SINK};
 
 /// Why a hardware transaction aborted.
 ///
@@ -129,15 +128,23 @@ pub struct HtmRuntime {
     pub(crate) line_versions: LazyAtomicArray,
     pub(crate) version_clock: AtomicU64,
     recorder: Arc<BreakdownRecorder>,
-    /// One reusable transaction descriptor per thread slot, held in a
-    /// single-slot lock-free queue used as an atomic take/put cell:
-    /// `begin(tid)` pops the descriptor out and the transaction pushes it
-    /// back on drop — no mutex anywhere on the checkout path (the previous
-    /// implementation took an uncontended `parking_lot::Mutex` per
-    /// transaction). In the (non-steady-state) event that a thread begins a
-    /// second transaction while its descriptor is out, a fresh descriptor
-    /// is allocated for the inner transaction and discarded afterwards.
-    scratch_pool: Box<[ArrayQueue<Box<TxnScratch>>]>,
+    /// Per-thread-slot abort-injection state. It lives here, not in the
+    /// transaction descriptors, so a thread slot's spurious-abort stream
+    /// continues across transactions whichever descriptor (or OS thread)
+    /// serves them: reuse can never rewind a thread's abort schedule.
+    abort_schedules: Box<[AbortSchedule]>,
+}
+
+/// One thread slot's abort-injection state: plain words written only by
+/// the thread currently using the slot (and only when injection is
+/// configured), padded so that neighbouring slots do not share a line.
+#[repr(align(64))]
+struct AbortSchedule {
+    /// State of the slot's spurious-abort [`SplitMix64`] stream.
+    zero_rng: AtomicU64,
+    /// Lifetime count of hardware transactions begun on the slot; drives
+    /// the phase of abort-storm injection ([`HtmConfig::storm_burst`]).
+    begin_count: AtomicU64,
 }
 
 impl std::fmt::Debug for HtmRuntime {
@@ -148,6 +155,15 @@ impl std::fmt::Debug for HtmRuntime {
             .field("config", &self.cfg)
             .finish()
     }
+}
+
+/// The seed of thread `tid`'s spurious-abort stream: the configured seed
+/// XORed with a per-thread multiplicative spread, so streams are
+/// independent yet each is a pure function of `(seed, tid)` — reruns with
+/// the same configuration reproduce the same per-thread abort schedule
+/// regardless of thread interleaving.
+fn zero_rng_seed(seed: u64, tid: usize) -> u64 {
+    seed ^ 0x51_0D0A ^ (tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl HtmRuntime {
@@ -161,42 +177,17 @@ impl HtmRuntime {
         let threads = mem.config().max_threads;
         HtmRuntime {
             mem,
-            cfg,
             line_versions: LazyAtomicArray::new(lines),
             version_clock: AtomicU64::new(0),
             recorder,
-            scratch_pool: (0..threads).map(|_| ArrayQueue::new(1)).collect(),
+            abort_schedules: (0..threads)
+                .map(|tid| AbortSchedule {
+                    zero_rng: AtomicU64::new(zero_rng_seed(cfg.seed, tid)),
+                    begin_count: AtomicU64::new(0),
+                })
+                .collect(),
+            cfg,
         }
-    }
-
-    /// The seed of thread `tid`'s spurious-abort stream: the configured
-    /// seed XORed with a per-thread multiplicative spread, so streams are
-    /// independent yet each is a pure function of `(cfg.seed, tid)` —
-    /// reruns with the same configuration reproduce the same per-thread
-    /// abort schedule regardless of thread interleaving.
-    fn zero_rng_seed(&self, tid: usize) -> u64 {
-        self.cfg.seed ^ 0x51_0D0A ^ (tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    /// Checks out thread `tid`'s reusable descriptor (creating it on first
-    /// use), reset and ready for a new transaction. A single atomic pop on
-    /// the slot's lock-free cell — no lock is taken.
-    pub(crate) fn checkout_scratch(&self, tid: usize) -> Box<TxnScratch> {
-        let mut scratch = self.scratch_pool[tid]
-            .pop()
-            .unwrap_or_else(|| Box::new(TxnScratch::new(self.zero_rng_seed(tid))));
-        scratch.reset();
-        scratch
-    }
-
-    /// Returns a descriptor to its thread slot. In the nested-begin case
-    /// the slot may already hold the inner transaction's descriptor; the
-    /// one returned later (the outer transaction's, which carries the
-    /// thread's cumulative spurious-abort RNG stream) wins — `force_push`
-    /// evicts the inner descriptor, which is then dropped — so descriptor
-    /// reuse never rewinds a thread's abort schedule.
-    pub(crate) fn return_scratch(&self, tid: usize, scratch: Box<TxnScratch>) {
-        drop(self.scratch_pool[tid].force_push(scratch));
     }
 
     /// The memory space transactions operate on.
@@ -223,10 +214,13 @@ impl HtmRuntime {
         if self.mem.pending_flushes(tid) > 0 {
             let t0 = trace::phase_start();
             self.mem.drain(tid);
-            self.recorder.record_drain();
+            self.recorder.record_drain(tid);
             if let Some(t0) = t0 {
-                self.recorder
-                    .record_phase_cycles(crafty_common::TxnPhase::Drain, trace::phase_elapsed(t0));
+                self.recorder.record_phase_cycles(
+                    tid,
+                    crafty_common::TxnPhase::Drain,
+                    trace::phase_elapsed(t0),
+                );
             }
         }
         self.begin_inner(tid, false)
@@ -252,7 +246,7 @@ impl HtmRuntime {
     }
 
     fn begin_inner(&self, tid: usize, deferred_fence: bool) -> HwTxn<'_> {
-        let mut scratch = self.checkout_scratch(tid);
+        let schedule = &self.abort_schedules[tid];
         let storm_doomed = {
             let burst = self.cfg.storm_burst;
             if burst > 0 {
@@ -260,35 +254,29 @@ impl HtmRuntime {
                 // internal commit paths retry hardware transactions in
                 // bounded loops and need an abort-free window to stay live.
                 let period = u64::from(self.cfg.storm_period.max(burst + 1));
-                let phase = scratch.begin_count % period;
-                scratch.begin_count += 1;
-                phase < u64::from(burst)
+                let count = schedule.begin_count.load(Ordering::Relaxed);
+                schedule.begin_count.store(count + 1, Ordering::Relaxed);
+                count % period < u64::from(burst)
             } else {
                 false
             }
         };
-        let doomed_after = if storm_doomed {
-            let rng = &mut scratch.zero_rng;
-            Some(rng.next_below(24) as u32 + 1)
+        let p = self.cfg.zero_abort_probability;
+        let doomed_after = if storm_doomed || p > 0.0 {
+            let mut rng = SplitMix64::new(schedule.zero_rng.load(Ordering::Relaxed));
+            let doomed = storm_doomed || rng.chance(p);
+            let after = doomed.then(|| rng.next_below(24) as u32 + 1);
+            schedule.zero_rng.store(rng.state(), Ordering::Relaxed);
+            after
         } else {
-            let p = self.cfg.zero_abort_probability;
-            if p > 0.0 {
-                let rng = &mut scratch.zero_rng;
-                if rng.chance(p) {
-                    Some(rng.next_below(24) as u32 + 1)
-                } else {
-                    None
-                }
-            } else {
-                None
-            }
+            None
         };
         trace::record(tid, TraceEventKind::HtmAttempt, 0);
         HwTxn {
             rt: self,
             tid,
             rv: self.version_clock.load(Ordering::Acquire),
-            scratch: Some(scratch),
+            scratch: Some(scratch::checkout()),
             failed: None,
             finished: false,
             doomed_after,
@@ -486,9 +474,8 @@ pub struct HwTxn<'rt> {
     rt: &'rt HtmRuntime,
     tid: usize,
     rv: u64,
-    /// The thread's checked-out descriptor; `Some` for the whole life of
-    /// the transaction (taken only transiently inside `commit` and finally
-    /// by `Drop`, which returns it to the runtime's pool).
+    /// The descriptor lent by the calling thread for the life of the
+    /// transaction; `Drop` takes it to hand it back.
     scratch: Option<Box<TxnScratch>>,
     failed: Option<AbortCode>,
     finished: bool,
@@ -504,8 +491,8 @@ impl std::fmt::Debug for HwTxn<'_> {
         let s = self.scratch.as_ref().expect("descriptor present");
         f.debug_struct("HwTxn")
             .field("tid", &self.tid)
-            .field("reads", &s.read_set.len())
-            .field("writes", &s.write_buf.len())
+            .field("read_lines", &s.read_count)
+            .field("writes", &s.words_written)
             .field("failed", &self.failed)
             .finish()
     }
@@ -516,8 +503,8 @@ impl<'rt> HwTxn<'rt> {
         if self.failed.is_none() {
             self.failed = Some(code);
             self.finished = true;
-            self.rt.recorder.record_hw(code.outcome());
-            self.rt.recorder.record_abort_cause(code.cause());
+            self.rt.recorder.record_hw(self.tid, code.outcome());
+            self.rt.recorder.record_abort_cause(self.tid, code.cause());
             trace::record(self.tid, TraceEventKind::Abort, code.cause().index() as u64);
         }
         code
@@ -543,8 +530,7 @@ impl<'rt> HwTxn<'rt> {
         self.scratch
             .as_ref()
             .expect("descriptor present")
-            .write_buf
-            .len()
+            .words_written
     }
 
     /// The thread id this transaction belongs to.
@@ -565,9 +551,12 @@ impl<'rt> HwTxn<'rt> {
         if let Some(code) = self.tick_doom() {
             return Err(self.fail(code));
         }
-        if let Some(v) = self.s().write_buf.get(addr.word()) {
-            return Ok(v);
+        let read_capacity = self.rt.cfg.read_capacity_lines;
+        let s = self.s();
+        if let Some(value) = s.read_buffered(addr) {
+            return Ok(value);
         }
+        let over_capacity = s.read_count > read_capacity;
         let line = addr.line();
         // Per-line subscription: the fast path watches exactly this line's
         // lock word — both the transient commit lock and the fallback
@@ -582,13 +571,8 @@ impl<'rt> HwTxn<'rt> {
         if v2 != v1 {
             return Err(self.fail(AbortCode::Conflict));
         }
-        let read_capacity = self.rt.cfg.read_capacity_lines;
-        let s = self.s();
-        if s.read_set.insert(line.index()) {
-            s.read_order.push(line.index());
-            if s.read_order.len() > read_capacity {
-                return Err(self.fail(AbortCode::Capacity));
-            }
+        if over_capacity {
+            return Err(self.fail(AbortCode::Capacity));
         }
         Ok(value)
     }
@@ -609,20 +593,10 @@ impl<'rt> HwTxn<'rt> {
         }
         let write_capacity = self.rt.cfg.write_capacity_lines;
         let s = self.s();
-        if s.write_buf.insert(addr.word(), value).is_none() {
-            s.write_order.push(addr);
-            // Deduplicate write lines incrementally, so commit never has to
-            // rebuild the distinct-line set and the capacity check is O(1).
-            let line = addr.line();
-            if s.write_lines.insert(line.index()) {
-                s.line_order.push(line);
-            }
-            // Capacity counts *data* lines only (version-sink lines are
-            // lock-ordering entries in `write_lines`, not HTM footprint),
-            // matching the pre-descriptor accounting exactly.
-            if s.data_lines.insert(line.index()) && s.data_lines.len() > write_capacity {
-                return Err(self.fail(AbortCode::Capacity));
-            }
+        // Capacity counts *data* lines only: version-sink lines are
+        // lock-ordering entries, not HTM footprint.
+        if s.buffer_write(addr, value) && s.data_count > write_capacity {
+            return Err(self.fail(AbortCode::Capacity));
         }
         Ok(())
     }
@@ -653,10 +627,7 @@ impl<'rt> HwTxn<'rt> {
         let s = self.s();
         s.version_sinks.push(addr);
         // The sink's line must be locked at commit like any written line.
-        let line = addr.line();
-        if s.write_lines.insert(line.index()) {
-            s.line_order.push(line);
-        }
+        s.flag_line(addr, SINK);
         Ok(())
     }
 
@@ -669,12 +640,12 @@ impl<'rt> HwTxn<'rt> {
     /// that later drains this thread's flush queue is guaranteed to cover
     /// it if it observed the commit.
     ///
-    /// Requests are deduplicated per line as they arrive: a transaction
-    /// that writes several words of one line issues a single commit-time
-    /// CLWB for it. Word precision is not lost — each buffered word store
-    /// published at commit marks exactly its word in the line's dirty
-    /// mask, so the eventual drain copies the words this transaction
-    /// wrote, not the whole line.
+    /// A request is a flag on the line's descriptor entry, so a
+    /// transaction that writes several words of one line issues a single
+    /// commit-time CLWB for it. Word precision is not lost — publication
+    /// marks exactly the written words in the line's dirty mask, so the
+    /// eventual drain copies the words this transaction wrote, not the
+    /// whole line. Flushing a volatile address is a no-op.
     ///
     /// # Errors
     ///
@@ -683,9 +654,8 @@ impl<'rt> HwTxn<'rt> {
         if let Some(code) = self.failed {
             return Err(code);
         }
-        let s = self.s();
-        if s.flush_lines.insert(addr.line().index()) {
-            s.flush_requests.push(addr);
+        if self.rt.mem.is_persistent(addr) {
+            self.s().flag_line(addr, FLUSH);
         }
         Ok(())
     }
@@ -693,7 +663,11 @@ impl<'rt> HwTxn<'rt> {
     /// Attempts to commit. On success all buffered writes are published
     /// atomically to the memory space, the thread's outstanding flushes
     /// are drained (SFENCE semantics), and the transaction's commit
-    /// version is returned.
+    /// version is returned. A transaction that wrote nothing and
+    /// registered no version sink has nothing to order after its snapshot:
+    /// it returns the snapshot version and leaves the global version clock
+    /// alone (TL2's read-only rule), so read-only commits never serialize
+    /// on the clock's cache line.
     ///
     /// # Errors
     ///
@@ -706,23 +680,13 @@ impl<'rt> HwTxn<'rt> {
         if let Some(code) = self.tick_doom() {
             return Err(self.fail(code));
         }
-        // Operate on the descriptor directly while keeping `self` free for
-        // the abort bookkeeping; `Drop` puts it back in the pool.
-        let mut scratch = self.scratch.take().expect("descriptor present");
-        let result = self.commit_with(&mut scratch);
-        self.scratch = Some(scratch);
-        result
-    }
+        let rt = self.rt;
+        let rv = self.rv;
+        let s = self.scratch.as_mut().expect("descriptor present");
 
-    fn commit_with(&mut self, s: &mut TxnScratch) -> Result<u64, AbortCode> {
-        // The distinct write lines were deduplicated as writes arrived;
-        // sorting the reused buffer in place gives the canonical lock
-        // order (avoids deadlock between concurrent committers).
-        s.line_order.sort_unstable();
-
-        let release = |rt: &HtmRuntime, locked: &[LineId], version: Option<u64>| {
+        let release = |locked: &[u64], version: Option<u64>| {
             for &line in locked {
-                let slot = rt.line_versions.get(line.index());
+                let slot = rt.line_versions.get(line);
                 match version {
                     Some(wv) => slot.store(wv, Ordering::Release),
                     None => {
@@ -733,49 +697,55 @@ impl<'rt> HwTxn<'rt> {
             }
         };
 
-        s.locked.clear();
-        for &line in &s.line_order {
-            let slot = self.rt.line_versions.get(line.index());
+        // The lines to lock were collected as writes arrived; sorting the
+        // reused buffer in place gives the canonical lock order (avoids
+        // deadlock between concurrent committers).
+        s.lock_order.sort_unstable();
+        let mut conflict = false;
+        for (i, &line) in s.lock_order.iter().enumerate() {
+            let slot = rt.line_versions.get(line);
             let v = slot.load(Ordering::Acquire);
-            let lockable = v & SUBSCRIBE_VIEW & LOCKED_MASK == 0 && (v & VERSION_MASK) <= self.rv;
+            let lockable = v & SUBSCRIBE_VIEW & LOCKED_MASK == 0 && (v & VERSION_MASK) <= rv;
             let acquired = lockable
                 && slot
                     .compare_exchange(v, v | LOCK_BIT, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok();
             if !acquired {
-                release(self.rt, &s.locked, None);
-                return Err(self.fail(AbortCode::Conflict));
+                conflict = true;
+                break;
             }
-            s.locked.push(line);
+            s.locked = i + 1;
         }
 
-        // Validate the read set (lines we only read must not have advanced).
-        // Walks the insertion-order list, not the table: its length is the
-        // transaction's actual read-line count, while the table's slot
-        // count is the *largest* footprint this descriptor has ever seen.
-        for &line_idx in &s.read_order {
-            if s.write_lines.contains(line_idx) {
-                continue;
-            }
-            let v = self.rt.subscribed_version_of(LineId::new(line_idx));
-            if v & LOCKED_MASK != 0 || (v & VERSION_MASK) > self.rv {
-                release(self.rt, &s.locked, None);
-                return Err(self.fail(AbortCode::Conflict));
-            }
+        // Validate the read set: lines we only read must not have advanced
+        // (the ones we hold were checked when they were locked).
+        conflict = conflict
+            || s.lines.slots().iter().any(|slot| {
+                if slot.flags & READ == 0 || slot.flags & LOCKS != 0 {
+                    return false;
+                }
+                let v = rt.subscribed_version_of(LineId::new(slot.line()));
+                v & LOCKED_MASK != 0 || (v & VERSION_MASK) > rv
+            });
+        if conflict {
+            release(&s.lock_order[..s.locked], None);
+            return Err(self.fail(AbortCode::Conflict));
         }
 
-        // Assign the commit version and publish buffered writes (and the
-        // commit version itself into any registered sinks).
-        let wv = self.rt.version_clock.fetch_add(1, Ordering::AcqRel) + 1;
-        for addr in &s.write_order {
-            let value = s
-                .write_buf
-                .get(addr.word())
-                .expect("buffered write present");
-            self.rt.mem.write(*addr, value);
+        // Assign the commit version and publish the buffered writes, line
+        // by line (and the commit version itself into any registered
+        // sinks).
+        let wv = if s.lock_order.is_empty() {
+            rv
+        } else {
+            rt.version_clock.fetch_add(1, Ordering::AcqRel) + 1
+        };
+        for slot in s.lines.slots().iter().filter(|slot| slot.mask != 0) {
+            rt.mem
+                .write_line(LineId::new(slot.line()), &slot.words, slot.mask);
         }
         for addr in &s.version_sinks {
-            self.rt.mem.write(*addr, wv);
+            rt.mem.write(*addr, wv);
         }
         // Fence semantics for flushes issued before the transaction (they
         // were normally already drained at begin), then enqueue the
@@ -783,22 +753,23 @@ impl<'rt> HwTxn<'rt> {
         // that the enqueue is atomic with the publication of the writes.
         // Durability-deferred transactions skip the fence: their pending
         // flushes are covered by the group's shared drain barrier instead.
-        if !self.deferred_fence && self.rt.mem.pending_flushes(self.tid) > 0 {
-            self.rt.mem.drain(self.tid);
-            self.rt.recorder.record_drain();
+        if !self.deferred_fence && rt.mem.pending_flushes(self.tid) > 0 {
+            rt.mem.drain(self.tid);
+            rt.recorder.record_drain(self.tid);
         }
-        for addr in &s.flush_requests {
-            self.rt.mem.clwb(self.tid, *addr);
-        }
-        release(self.rt, &s.locked, Some(wv));
+        rt.mem.clwb_lines(
+            self.tid,
+            s.lines
+                .slots()
+                .iter()
+                .filter(|slot| slot.flags & FLUSH != 0)
+                .map(|slot| LineId::new(slot.line())),
+        );
+        release(&s.lock_order, Some(wv));
 
         self.finished = true;
-        self.rt.recorder.record_hw(HwTxnOutcome::Commit);
-        trace::record(
-            self.tid,
-            TraceEventKind::HtmCommit,
-            s.write_buf.len() as u64,
-        );
+        rt.recorder.record_hw(self.tid, HwTxnOutcome::Commit);
+        trace::record(self.tid, TraceEventKind::HtmCommit, s.words_written as u64);
         Ok(wv)
     }
 }
@@ -809,8 +780,10 @@ impl Drop for HwTxn<'_> {
         // as an explicit abort: the program chose not to finish it.
         if !self.finished {
             self.failed = Some(AbortCode::Explicit(0));
-            self.rt.recorder.record_hw(HwTxnOutcome::Explicit);
-            self.rt.recorder.record_abort_cause(AbortCause::Explicit);
+            self.rt.recorder.record_hw(self.tid, HwTxnOutcome::Explicit);
+            self.rt
+                .recorder
+                .record_abort_cause(self.tid, AbortCause::Explicit);
             trace::record(
                 self.tid,
                 TraceEventKind::Abort,
@@ -819,7 +792,7 @@ impl Drop for HwTxn<'_> {
         }
         // Hand the descriptor back for the thread's next transaction.
         if let Some(scratch) = self.scratch.take() {
-            self.rt.return_scratch(self.tid, scratch);
+            scratch::give_back(scratch);
         }
     }
 }
@@ -945,6 +918,33 @@ mod tests {
     }
 
     #[test]
+    fn abort_schedule_survives_descriptor_and_thread_changes() {
+        let cfg = HtmConfig::skylake()
+            .with_zero_aborts(0.5, 7)
+            .with_abort_storm(2, 5, 7);
+        let reference = runtime(cfg);
+        let expected: Vec<bool> = (0..40).map(|_| try_txn(&reference, 30)).collect();
+        assert!(expected.contains(&true) && expected.contains(&false));
+
+        // The same begins on tid 0, but served by three different
+        // descriptors: a spawned thread's, this thread's, and — while an
+        // outer transaction on another tid holds this thread's — a nested
+        // begin's fresh one. The schedule lives in the runtime, so the
+        // outcomes must not notice.
+        let rt = runtime(cfg);
+        let mut outcomes: Vec<bool> = std::thread::scope(|s| {
+            s.spawn(|| (0..15).map(|_| try_txn(&rt, 30)).collect())
+                .join()
+                .expect("first leg")
+        });
+        outcomes.extend((15..30).map(|_| try_txn(&rt, 30)));
+        let outer = rt.begin(1);
+        outcomes.extend((30..40).map(|_| try_txn(&rt, 30)));
+        drop(outer);
+        assert_eq!(outcomes, expected);
+    }
+
+    #[test]
     fn capacity_abort_when_write_set_exceeds_budget() {
         let rt = runtime(HtmConfig::tiny());
         let mut t = rt.begin(0);
@@ -1017,6 +1017,38 @@ mod tests {
         rt.nontx_write(a, 77);
         assert_eq!(rt.nontx_read(a), 77);
         assert_eq!(t.commit().unwrap_err(), AbortCode::Conflict);
+    }
+
+    #[test]
+    fn write_less_commits_leave_the_version_clock_alone() {
+        let rt = runtime(HtmConfig::skylake());
+        let (a, b) = (PAddr::new(64), PAddr::new(256));
+        let mut writer = rt.begin(0);
+        writer.write(a, 1).unwrap();
+        let wv = writer.commit().unwrap();
+        assert_eq!(rt.version_clock.load(Ordering::Relaxed), wv);
+        // TL2's read-only rule: nothing to order after the snapshot, so a
+        // commit without writes or version sinks returns the snapshot
+        // version and never touches the shared clock — flush requests
+        // included (they publish nothing).
+        for _ in 0..100 {
+            let mut reader = rt.begin(0);
+            assert_eq!(reader.read(a).unwrap(), 1);
+            reader.read(b).unwrap();
+            reader.flush_on_commit(a).unwrap();
+            assert_eq!(reader.commit().unwrap(), wv);
+        }
+        assert_eq!(rt.version_clock.load(Ordering::Relaxed), wv);
+        // It still validates: a reader overtaken by a writer aborts.
+        let mut reader = rt.begin(0);
+        reader.read(a).unwrap();
+        rt.nontx_write(a, 2);
+        assert_eq!(reader.commit().unwrap_err(), AbortCode::Conflict);
+        // A version sink alone is a write.
+        let mut sink = rt.begin(0);
+        sink.publish_commit_version(b).unwrap();
+        let sv = sink.commit().unwrap();
+        assert_eq!((sv, rt.mem().read(b)), (wv + 2, wv + 2));
     }
 
     #[test]

@@ -1,137 +1,177 @@
-//! Reusable per-thread transaction descriptor state.
+//! Reusable transaction descriptor state.
 //!
 //! Real HTM/STM runtimes keep one transaction descriptor per thread and
 //! reuse it across transactions (cf. phasedTM's `__thread`-local descriptor
 //! state); allocating a fresh read set and write buffer per `xbegin` would
-//! dwarf the cost of the transaction itself. This module provides the
-//! same discipline for the simulated RTM:
+//! dwarf the cost of the transaction itself. Real RTM also tracks its
+//! footprint per *cache line*, for free. This module provides the same
+//! discipline for the simulated RTM:
 //!
-//! * [`GenSet`] / [`GenMap`] — generation-stamped open-addressed tables
-//!   with O(1) clear. They originated here and now live in
-//!   [`crafty_common::genset`], shared with the persistence domain's
-//!   flush-queue dedup; they are re-exported for compatibility.
-//! * [`TxnScratch`] — everything a hardware transaction needs (read set,
-//!   write buffer, write order, distinct-write-line tracking, commit lock
-//!   buffer, per-thread RNG), checked out of the runtime at
-//!   [`crate::HtmRuntime::begin`] and returned when the transaction ends.
+//! * [`TxnScratch`] — everything a hardware or fallback transaction needs
+//!   to remember: one [`LineTable`] entry per touched line (buffered words,
+//!   written-word mask, and the `READ`/`DATA`/`SINK`/`FLUSH` flags), the
+//!   lock order, and the version sinks.
+//! * A thread-local spare — `checkout` takes the calling thread's
+//!   descriptor and `give_back` returns it: a `Cell` swap, no atomic
+//!   instruction. A descriptor has no identity (per-thread-slot state such
+//!   as the spurious-abort stream lives in the runtime), so any thread's
+//!   descriptor serves any runtime and thread id.
 //!
 //! In steady state a committed transaction performs **zero heap
 //! allocations**: every structure here retains its capacity across reuse.
 
-use crafty_common::{LineId, PAddr, SplitMix64};
+use std::cell::Cell;
 
-pub use crafty_common::{GenMap, GenSet};
+use crafty_common::{LineTable, PAddr, WORDS_PER_LINE};
+
+pub use crafty_common::GenMap;
+
+/// [`LineSlot::flags`](crafty_common::LineSlot::flags) bit: the
+/// transaction read the line from memory (it is in the read set).
+pub(crate) const READ: u8 = 1;
+/// Flags bit: a data write is buffered for the line (it counts toward the
+/// write capacity and is locked at commit).
+pub(crate) const DATA: u8 = 1 << 1;
+/// Flags bit: a version sink lives on the line (locked at commit, but not
+/// HTM write footprint).
+pub(crate) const SINK: u8 = 1 << 2;
+/// Flags bit: a commit-time CLWB was requested for the line.
+pub(crate) const FLUSH: u8 = 1 << 3;
+/// Lines carrying either of these flags are locked at commit.
+pub(crate) const LOCKS: u8 = DATA | SINK;
 
 const INITIAL_CAPACITY: usize = 64;
 
-/// A reusable hardware-transaction descriptor: the read set, write buffer,
-/// and commit-time buffers of one in-flight transaction, plus the thread's
-/// spurious-abort RNG stream.
+/// A reusable transaction descriptor: the line-granular footprint and the
+/// commit-time buffers of one in-flight transaction.
 ///
-/// One `TxnScratch` lives per thread slot in the runtime; `begin(tid)`
-/// checks it out (resetting it in O(1)) and the transaction returns it when
-/// dropped. All capacity survives reuse, so steady-state transactions
-/// allocate nothing.
+/// All capacity survives reuse, so steady-state transactions allocate
+/// nothing.
 #[derive(Debug)]
 pub struct TxnScratch {
-    /// Distinct lines read (keys are `LineId::index` values).
-    pub(crate) read_set: GenSet,
-    /// The same distinct read lines in insertion order, so commit-time
-    /// read validation walks exactly `len` entries instead of scanning the
-    /// whole table (which never shrinks after a large transaction).
-    pub(crate) read_order: Vec<u64>,
-    /// Buffered word writes (`PAddr::word` → value).
-    pub(crate) write_buf: GenMap,
-    /// First-write order of distinct written words (publication order).
-    pub(crate) write_order: Vec<PAddr>,
-    /// Distinct lines to lock at commit (data writes and version sinks),
-    /// deduplicated incrementally as writes arrive.
-    pub(crate) write_lines: GenSet,
-    /// Distinct lines written by *data* writes only — the set the HTM
-    /// write-capacity check counts, matching the pre-descriptor semantics
-    /// where version-sink lines never counted toward capacity.
-    pub(crate) data_lines: GenSet,
-    /// The same distinct lines in insertion order; sorted in place at
-    /// commit to give the canonical lock order.
-    pub(crate) line_order: Vec<LineId>,
+    /// One entry per touched line, in first-touch order.
+    pub(crate) lines: LineTable,
+    /// Number of lines flagged [`READ`] (the read-capacity count).
+    pub(crate) read_count: usize,
+    /// Number of lines flagged [`DATA`] (the write-capacity count; sink
+    /// lines never count toward capacity).
+    pub(crate) data_count: usize,
+    /// Number of distinct words with a buffered write.
+    pub(crate) words_written: usize,
+    /// Ids of the lines to lock at commit ([`LOCKS`]), in first-touch
+    /// order; sorted in place at commit to give the canonical lock order.
+    pub(crate) lock_order: Vec<u64>,
+    /// How many lines of the (sorted) `lock_order` are currently locked.
+    pub(crate) locked: usize,
     /// Addresses to receive the commit version.
     pub(crate) version_sinks: Vec<PAddr>,
-    /// CLWBs to enqueue atomically with the commit, at most one per line
-    /// (deduplicated incrementally through `flush_lines`).
-    pub(crate) flush_requests: Vec<PAddr>,
-    /// Distinct lines already covered by `flush_requests`: a transaction
-    /// that writes several words of one line requests a single commit-time
-    /// CLWB for it, so the commit's critical section performs one
-    /// flush-queue interaction per touched line (the line's dirty-word
-    /// mask, maintained by the memory space, records which words the
-    /// eventual drain must copy).
-    pub(crate) flush_lines: GenSet,
-    /// Lines locked so far during a commit attempt (for rollback).
-    pub(crate) locked: Vec<LineId>,
-    /// The thread's private spurious-abort stream (see
-    /// [`crate::HtmRuntime::begin`] for the seeding discipline).
-    pub(crate) zero_rng: SplitMix64,
-    /// Lifetime count of hardware transactions begun by this thread —
-    /// *not* cleared by `reset`. Drives the phase of abort-storm
-    /// injection ([`crate::HtmConfig::storm_burst`]).
-    pub(crate) begin_count: u64,
 }
 
 impl TxnScratch {
-    /// Creates a descriptor whose zero-abort stream is seeded for one
-    /// thread. `rng_seed` must be unique per thread for independent
-    /// streams; the runtime derives it from the configured seed and the
-    /// thread id.
-    pub(crate) fn new(rng_seed: u64) -> Self {
+    fn new() -> Self {
         TxnScratch {
-            read_set: GenSet::new(),
-            read_order: Vec::with_capacity(INITIAL_CAPACITY),
-            write_buf: GenMap::new(),
-            write_order: Vec::with_capacity(INITIAL_CAPACITY),
-            write_lines: GenSet::new(),
-            data_lines: GenSet::new(),
-            line_order: Vec::with_capacity(INITIAL_CAPACITY),
+            lines: LineTable::new(),
+            read_count: 0,
+            data_count: 0,
+            words_written: 0,
+            lock_order: Vec::with_capacity(INITIAL_CAPACITY),
+            locked: 0,
             version_sinks: Vec::with_capacity(4),
-            flush_requests: Vec::with_capacity(INITIAL_CAPACITY),
-            flush_lines: GenSet::new(),
-            locked: Vec::with_capacity(INITIAL_CAPACITY),
-            zero_rng: SplitMix64::new(rng_seed),
-            begin_count: 0,
         }
     }
 
-    /// Readies the descriptor for a fresh transaction. O(1): the hash
-    /// tables clear by generation bump and the `Vec`s keep their capacity.
-    pub(crate) fn reset(&mut self) {
-        self.read_set.clear();
-        self.read_order.clear();
-        self.write_buf.clear();
-        self.write_order.clear();
-        self.write_lines.clear();
-        self.data_lines.clear();
-        self.line_order.clear();
+    /// Readies the descriptor for a fresh transaction. O(1): the line
+    /// table clears by generation bump and the `Vec`s keep their capacity.
+    fn reset(&mut self) {
+        self.lines.clear();
+        self.read_count = 0;
+        self.data_count = 0;
+        self.words_written = 0;
+        self.lock_order.clear();
+        self.locked = 0;
         self.version_sinks.clear();
-        self.flush_requests.clear();
-        self.flush_lines.clear();
-        self.locked.clear();
     }
 
-    /// Total slot capacity across the descriptor's tables and buffers.
-    /// Stable across transactions once the workload's footprint has been
-    /// seen — asserted by the zero-allocation tests.
-    pub fn capacity_signature(&self) -> usize {
-        self.read_set.slot_capacity()
-            + self.write_buf.slot_capacity()
-            + self.write_lines.slot_capacity()
-            + self.data_lines.slot_capacity()
-            + self.read_order.capacity()
-            + self.write_order.capacity()
-            + self.line_order.capacity()
-            + self.version_sinks.capacity()
-            + self.flush_requests.capacity()
-            + self.flush_lines.slot_capacity()
-            + self.locked.capacity()
+    /// Sets `flag` on the entry of `addr`'s line (created if the line is
+    /// new); the first [`LOCKS`] flag a line gets also enters it in the
+    /// lock order. Returns the entry's index and its flags from before.
+    #[inline]
+    pub(crate) fn flag_line(&mut self, addr: PAddr, flag: u8) -> (usize, u8) {
+        let line = addr.line().index();
+        let idx = self.lines.entry(line);
+        let slot = self.lines.slot_mut(idx);
+        let before = slot.flags;
+        slot.flags |= flag;
+        if flag & LOCKS != 0 && before & LOCKS == 0 {
+            self.lock_order.push(line);
+        }
+        (idx, before)
     }
+
+    /// Starts a read of `addr`: the buffered value if the transaction
+    /// wrote the word; otherwise `None` — the caller reads memory — with
+    /// the line now in the read set (`read_count` says whether that
+    /// exceeded a capacity; a caller whose memory read then fails abandons
+    /// the transaction, footprint and all).
+    #[inline]
+    pub(crate) fn read_buffered(&mut self, addr: PAddr) -> Option<u64> {
+        let idx = self.lines.entry(addr.line().index());
+        let slot = self.lines.slot_mut(idx);
+        let word = (addr.word() % WORDS_PER_LINE) as usize;
+        if slot.mask & (1 << word) != 0 {
+            return Some(slot.words[word]);
+        }
+        self.read_count += usize::from(slot.flags & READ == 0);
+        slot.flags |= READ;
+        None
+    }
+
+    /// Buffers `value` for `addr`. Returns true if this made the word's
+    /// line a [`DATA`] line (the caller's cue to check write capacity).
+    #[inline]
+    pub(crate) fn buffer_write(&mut self, addr: PAddr, value: u64) -> bool {
+        let (idx, before) = self.flag_line(addr, DATA);
+        let slot = self.lines.slot_mut(idx);
+        let word = (addr.word() % WORDS_PER_LINE) as usize;
+        slot.words[word] = value;
+        self.words_written += usize::from(slot.mask & (1 << word) == 0);
+        slot.mask |= 1 << word;
+        let new_data_line = before & DATA == 0;
+        self.data_count += usize::from(new_data_line);
+        new_data_line
+    }
+
+    /// Total capacity across the descriptor's table and buffers. Stable
+    /// across transactions once the workload's footprint has been seen.
+    pub fn capacity_signature(&self) -> usize {
+        self.lines.slot_capacity() + self.lock_order.capacity() + self.version_sinks.capacity()
+    }
+}
+
+thread_local! {
+    /// The calling thread's idle descriptor. A transaction takes it at
+    /// begin and puts it back when it ends; a nested begin finds the cell
+    /// empty and allocates a descriptor of its own, discarded afterwards.
+    static SPARE: Cell<Option<Box<TxnScratch>>> = const { Cell::new(None) };
+}
+
+/// Takes the calling thread's descriptor (allocating one on the thread's
+/// first transaction, or for a nested begin), reset and ready.
+pub(crate) fn checkout() -> Box<TxnScratch> {
+    let mut scratch = SPARE
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_else(|| Box::new(TxnScratch::new()));
+    scratch.reset();
+    scratch
+}
+
+/// Hands a descriptor back for the calling thread's next transaction.
+pub(crate) fn give_back(scratch: Box<TxnScratch>) {
+    // During thread teardown the cell may already be gone; the descriptor
+    // is then simply dropped.
+    let _ = SPARE.try_with(|spare| spare.set(Some(scratch)));
 }
 
 #[cfg(test)]
@@ -140,21 +180,54 @@ mod tests {
 
     #[test]
     fn scratch_reset_preserves_capacity_signature() {
-        let mut scratch = TxnScratch::new(7);
+        let mut scratch = TxnScratch::new();
         for k in 0..300u64 {
-            scratch.read_set.insert(k);
-            scratch.write_buf.insert(k, k);
-            scratch.write_order.push(PAddr::new(k));
-            scratch.write_lines.insert(k);
-            scratch.line_order.push(LineId::new(k));
+            scratch.buffer_write(PAddr::new(k * 8), k);
         }
         scratch.reset();
         let sig = scratch.capacity_signature();
         for _ in 0..1000 {
             scratch.reset();
-            scratch.read_set.insert(3);
-            scratch.write_buf.insert(3, 4);
+            scratch.buffer_write(PAddr::new(24), 4);
         }
         assert_eq!(scratch.capacity_signature(), sig);
+    }
+
+    #[test]
+    fn buffer_write_counts_words_lines_and_lock_order_once() {
+        let mut s = TxnScratch::new();
+        assert!(s.buffer_write(PAddr::new(64), 1), "first word of a line");
+        assert!(!s.buffer_write(PAddr::new(65), 2), "same line again");
+        assert!(!s.buffer_write(PAddr::new(64), 3), "overwrite");
+        assert_eq!((s.words_written, s.data_count), (2, 1));
+        assert_eq!(s.lock_order, vec![8]);
+        let slot = s.lines.slots()[0];
+        assert_eq!((slot.mask, slot.words[0], slot.words[1]), (0b11, 3, 2));
+    }
+
+    #[test]
+    fn only_reads_served_from_memory_join_the_read_set() {
+        let mut s = TxnScratch::new();
+        s.buffer_write(PAddr::new(64), 7);
+        assert_eq!(s.read_buffered(PAddr::new(64)), Some(7));
+        assert_eq!((s.read_count, s.lines.slots()[0].flags), (0, DATA));
+        assert_eq!(
+            s.read_buffered(PAddr::new(65)),
+            None,
+            "other word, same line"
+        );
+        assert_eq!(s.read_buffered(PAddr::new(66)), None);
+        assert_eq!((s.read_count, s.lines.slots()[0].flags), (1, DATA | READ));
+    }
+
+    #[test]
+    fn nested_checkout_gets_its_own_descriptor() {
+        let outer = checkout();
+        let inner = checkout();
+        give_back(inner);
+        give_back(outer);
+        // Whichever came back last is the spare; one checkout empties it.
+        let _a = checkout();
+        assert!(SPARE.with(Cell::take).is_none());
     }
 }

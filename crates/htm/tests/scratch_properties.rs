@@ -1,11 +1,12 @@
 //! Property tests for the open-addressed scratch structures: arbitrary
 //! interleavings of insert / lookup / epoch-clear / growth must agree with
-//! the std `HashSet` / `HashMap` reference behaviour the structures
-//! replaced on the transaction hot path.
+//! the std `HashMap` reference behaviour the structures replaced on the
+//! transaction hot path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use crafty_htm::{GenMap, GenSet};
+use crafty_common::LineTable;
+use crafty_htm::GenMap;
 use proptest::prelude::*;
 
 /// One scripted operation against both the scratch structure and its
@@ -40,33 +41,66 @@ fn decode_op(raw: u64, value: u64) -> Op {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// GenSet behaves exactly like a HashSet under arbitrary op sequences.
+    /// The line table behaves exactly like a `HashMap` from line id to
+    /// (words, mask, flags) plus a first-touch order list, under arbitrary
+    /// sequences of entry / word store / flag set / generation clear, with
+    /// a tiny initial capacity so that the index grows mid-generation.
     #[test]
-    fn genset_agrees_with_hashset(seed: u64, ops in 1usize..400) {
+    fn line_table_agrees_with_hashmap_model(seed: u64, ops in 1usize..400) {
         let mut rng = crafty_common::SplitMix64::new(seed);
-        let mut ours = GenSet::with_capacity(4); // tiny: forces growth
-        let mut reference: HashSet<u64> = HashSet::new();
+        let mut ours = LineTable::with_capacity(4);
+        let mut model: HashMap<u64, ([u64; 8], u8, u8)> = HashMap::new();
+        let mut order: Vec<u64> = Vec::new();
         for step in 0..ops {
-            match decode_op(rng.next_u64(), 0) {
-                Op::Insert(key, _) => {
-                    let inserted = ours.insert(key);
-                    prop_assert_eq!(inserted, reference.insert(key), "step {}", step);
+            let value = rng.next_u64();
+            match decode_op(rng.next_u64(), value) {
+                Op::Insert(line, value) => {
+                    let idx = ours.entry(line);
+                    if !model.contains_key(&line) {
+                        prop_assert_eq!(idx, order.len(), "step {}: new lines append", step);
+                        let fresh = ours.slots()[idx];
+                        prop_assert_eq!((fresh.mask, fresh.flags), (0, 0), "step {}", step);
+                        order.push(line);
+                    }
+                    let entry = model.entry(line).or_insert(([0; 8], 0, 0));
+                    let word = (value % 8) as usize;
+                    let flag = 1u8 << ((value >> 8) % 4);
+                    entry.0[word] = value;
+                    entry.1 |= 1 << word;
+                    entry.2 |= flag;
+                    let slot = ours.slot_mut(idx);
+                    slot.words[word] = value;
+                    slot.mask |= 1 << word;
+                    slot.flags |= flag;
                 }
-                Op::Lookup(key) => {
-                    prop_assert_eq!(ours.contains(key), reference.contains(&key), "step {}", step);
+                Op::Lookup(line) => {
+                    // `entry` is find-or-insert: a hit must return the
+                    // line's existing index with its contents intact, twice
+                    // in a row (the second time through the last-line cache).
+                    if let Some(pos) = order.iter().position(|&l| l == line) {
+                        prop_assert_eq!(ours.entry(line), pos, "step {}", step);
+                        prop_assert_eq!(ours.entry(line), pos, "step {}", step);
+                    }
                 }
                 Op::Clear => {
                     ours.clear();
-                    reference.clear();
+                    model.clear();
+                    order.clear();
                 }
             }
-            prop_assert_eq!(ours.len(), reference.len(), "step {}", step);
+            prop_assert_eq!(ours.len(), order.len(), "step {}", step);
         }
-        let mut collected: Vec<u64> = ours.iter().collect();
-        collected.sort_unstable();
-        let mut expected: Vec<u64> = reference.into_iter().collect();
-        expected.sort_unstable();
-        prop_assert_eq!(collected, expected);
+        let lines: Vec<u64> = ours.slots().iter().map(|s| s.line()).collect();
+        prop_assert_eq!(&lines, &order, "first-touch order");
+        for slot in ours.slots() {
+            let (words, mask, flags) = model[&slot.line()];
+            prop_assert_eq!((slot.mask, slot.flags), (mask, flags));
+            for (i, (ours, model)) in slot.words.iter().zip(&words).enumerate() {
+                if mask & (1 << i) != 0 {
+                    prop_assert_eq!(ours, model);
+                }
+            }
+        }
     }
 
     /// GenMap behaves exactly like a HashMap under arbitrary op sequences,
@@ -110,17 +144,19 @@ proptest! {
     #[test]
     fn generations_never_alias(seed: u64) {
         let mut rng = crafty_common::SplitMix64::new(seed);
-        let mut set = GenSet::with_capacity(8);
+        let mut lines = LineTable::with_capacity(8);
         let mut map = GenMap::with_capacity(8);
         for _gen in 0..2000 {
             let key = rng.next_u64() % 31;
-            prop_assert!(!set.contains(key), "stale key visible after clear");
+            prop_assert!(lines.is_empty(), "stale line visible after clear");
             prop_assert_eq!(map.get(key), None, "stale entry visible after clear");
-            set.insert(key);
+            let idx = lines.entry(key);
+            prop_assert_eq!(lines.slots()[idx].mask, 0, "stale mask on a reused entry");
+            lines.slot_mut(idx).mask = 0xFF;
             map.insert(key, key + 1);
-            prop_assert!(set.contains(key));
+            prop_assert_eq!(lines.entry(key), idx);
             prop_assert_eq!(map.get(key), Some(key + 1));
-            set.clear();
+            lines.clear();
             map.clear();
         }
     }

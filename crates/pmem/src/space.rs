@@ -35,9 +35,11 @@
 //! line's last write-back):
 //!
 //! * Every store ([`MemorySpace::write`], [`MemorySpace::compare_exchange`],
-//!   [`MemorySpace::fetch_add`] — and through them every transactional
-//!   publish and `nontx` write in the stack) ORs exactly its word's bit
-//!   into the mask. The mask doubles as the dirty flag: mask ≠ 0 ⇔ dirty.
+//!   [`MemorySpace::fetch_add`] — and through them every `nontx` write in
+//!   the stack) ORs exactly its word's bit into the mask; a transactional
+//!   publish ([`MemorySpace::write_line`]) ORs the bits of all the words
+//!   it stored to a line at once, after the last of them. The mask
+//!   doubles as the dirty flag: mask ≠ 0 ⇔ dirty.
 //! * A write-back (`persist_line`) atomically takes the mask (`swap(0)`)
 //!   and copies only the masked words into the persistent image. Unmasked
 //!   words are *provably identical* in both views (they have not been
@@ -113,9 +115,9 @@
 //!   the owner's most recent enqueue (`pos + 1`; 0 = never flushed). A line
 //!   is pending iff its stamp is at or past the queue's `claim` cursor, so
 //!   the cursor acts as the stamp generation: a drain logically invalidates
-//!   every stamp below it in O(1), exactly the [`crafty_common::GenSet`]
-//!   discipline (the design this table generalizes), with no `Vec::contains`
-//!   scan.
+//!   every stamp below it in O(1), exactly the generation-stamp
+//!   discipline of [`crafty_common::genset`] (the design this table
+//!   generalizes), with no `Vec::contains` scan.
 //! * **Lock-free drains.** [`MemorySpace::drain`] claims the pending range
 //!   `[claim, tail)` with one CAS, persists it, then retires the range in
 //!   order. Concurrent drains of one queue (owner + a Section 5.2 forcing
@@ -132,9 +134,22 @@
 //!   materialized on first touch, so a multi-gigabyte simulated space no
 //!   longer pays dense up-front metadata proportional to its size.
 //!
+//! * **Per-queue, single-writer statistics.** [`PmemStats`] is the sum of
+//!   one cache-line-aligned set of plain [`OwnedCounter`] cells per flush
+//!   queue (plus a few shared cells for evictions and empty drains, which
+//!   are off the commit path). Flush counts are bumped by the queue's
+//!   owner; a drain — the owner's or a foreign one — adds up what it wrote
+//!   back locally and publishes the sums once, between observing
+//!   `done == claim` and storing `done = target`. Drains of one queue
+//!   retire strictly in claim order, so that window is a critical section
+//!   ordered by the acquire/release pair on `done`: no locked instruction
+//!   is needed to count, and no increment can be lost
+//!   (`crates/htm/tests/per_thread_counters.rs` runs four committers
+//!   against a foreign drainer and checks every total exactly).
+//!
 //! Concurrency contract: all methods are safe to call from any thread, but
-//! `clwb(tid, ..)` calls for one `tid` must come from a single thread at a
-//! time (the queues are single-writer; every engine in the workspace
+//! `clwb(tid, ..)` / `clwb_lines(tid, ..)` calls for one `tid` must come
+//! from a single thread at a time (the queues are single-writer; every engine in the workspace
 //! already follows this discipline — a thread only flushes through its own
 //! slot, and the NV-HTM checkpointer owns a dedicated slot). `drain(tid)`
 //! carries no such restriction.
@@ -144,7 +159,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crafty_common::trace::{self, TraceEventKind};
-use crafty_common::{mix64, LazyAtomicArray, LineId, PAddr, SplitMix64, WORDS_PER_LINE};
+use crafty_common::{
+    mix64, LazyAtomicArray, LineId, OwnedCounter, PAddr, SplitMix64, WORDS_PER_LINE,
+};
 
 use crate::config::{CrashModel, DrainCoalescing, PersistGranularity, PmemConfig};
 use crate::image::PersistentImage;
@@ -227,22 +244,56 @@ impl PmemStats {
     }
 }
 
+/// One flush queue's share of the [`PmemStats`] counters. Plain
+/// single-writer cells ([`OwnedCounter`]): the persist path executes no
+/// locked instruction to count, and [`MemorySpace::stats`] sums the queues.
 #[derive(Default)]
-struct StatCells {
-    drains: AtomicU64,
-    flushes: AtomicU64,
-    lines_persisted: AtomicU64,
+struct QueueStats {
+    // Written by the queue's owner thread only (the `clwb` path; see the
+    // module docs for the one-thread-per-`tid` contract).
+    flushes: OwnedCounter,
+    overflow_writebacks: OwnedCounter,
+    overflow_words: OwnedCounter,
+    overflow_line_words: OwnedCounter,
+    // Written inside a claiming drain's *retirement window* only: drains
+    // of one queue retire strictly in claim order (`done == claim` →
+    // `done = target`), so the window is a critical section whichever
+    // thread drains, ordered by the acquire/release pair on `done`. Each
+    // drain sums locally and publishes here once.
+    drains: OwnedCounter,
+    lines_persisted: OwnedCounter,
+    words_persisted: OwnedCounter,
+    line_words_persisted: OwnedCounter,
+    flush_ranges: OwnedCounter,
+    range_lines: OwnedCounter,
+}
+
+/// Counters for the events that have no exclusive writer: spontaneous
+/// evictions (any thread, any line) and drains that found nothing left to
+/// claim. Both are off the commit path, so a shared RMW is affordable.
+#[derive(Default)]
+struct SharedStats {
     evictions: AtomicU64,
-    overflow_writebacks: AtomicU64,
-    words_persisted: AtomicU64,
-    line_words_persisted: AtomicU64,
-    flush_ranges: AtomicU64,
-    range_lines: AtomicU64,
+    evicted_words: AtomicU64,
+    evicted_line_words: AtomicU64,
+    idle_drains: AtomicU64,
+}
+
+/// What one drain's write-back of its claimed range amounted to.
+#[derive(Default)]
+struct DrainSums {
+    cost_ns: u64,
+    words: u64,
+    line_words: u64,
+    ranges: u64,
+    range_lines: u64,
 }
 
 /// One thread slot's pending-flush state. See the module docs for the
 /// design; all fields are plain atomics — the queue takes no lock on either
-/// the enqueue or the drain path.
+/// the enqueue or the drain path. Aligned so that neighbouring queues'
+/// cursors and counters never share a cache line.
+#[repr(align(128))]
 struct FlushQueue {
     /// Ring of pending line ids; absolute position `p` lives in slot
     /// `p & (capacity - 1)`. Allocated eagerly (it is small and hot) so the
@@ -259,6 +310,7 @@ struct FlushQueue {
     /// Per-line dedup stamps: `pos + 1` of the owner's latest enqueue of
     /// that line (0 = never enqueued). Lazily sharded by line index.
     stamps: LazyAtomicArray,
+    stats: QueueStats,
 }
 
 impl FlushQueue {
@@ -269,6 +321,7 @@ impl FlushQueue {
             claim: AtomicU64::new(0),
             done: AtomicU64::new(0),
             stamps: LazyAtomicArray::new(persistent_lines),
+            stats: QueueStats::default(),
         }
     }
 
@@ -339,7 +392,7 @@ pub struct MemorySpace {
     /// seeded from this space's crash-model seed (see
     /// [`MemorySpace::evict_chance`]).
     evict_stripes: Box<[AtomicU64]>,
-    stats: StatCells,
+    shared_stats: SharedStats,
     /// Persistence-step counter for deterministic fault injection: every
     /// durability-relevant event (store to pmem, CLWB enqueue, drain claim,
     /// per-line persist, SFENCE) ticks this clock when the configured
@@ -409,7 +462,7 @@ impl MemorySpace {
                     )
                 })
                 .collect(),
-            stats: StatCells::default(),
+            shared_stats: SharedStats::default(),
             fault_step: AtomicU64::new(0),
             fault_image: Mutex::new(None),
             fault_trace: Mutex::new(Vec::new()),
@@ -514,11 +567,77 @@ impl MemorySpace {
             let line = addr.line();
             let p = self.cfg.crash.eviction_probability;
             if p > 0.0 && self.evict_chance(line, p) {
-                self.persist_line(line);
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evict(line);
             }
             self.fault_tick();
         }
+    }
+
+    /// Publishes a line's worth of stores at once: for every bit `i` set in
+    /// `mask`, word `i` of `line` takes `words[i]` — what that many
+    /// [`MemorySpace::write`] calls would do, except that the line's dirty
+    /// mask is ORed **once**, after the last data store (the same
+    /// OR-after-store order `mark_written` relies on), instead of once per
+    /// word. The fault clock still ticks once per persistent store, after
+    /// the mask is in place, and each store still draws its own eviction
+    /// coin (the write-back, if any coin comes up, happens once, after the
+    /// whole line is stored). This is the hardware-transaction commit's
+    /// publication step: a transaction that wrote five words of a line
+    /// pays one locked instruction for it, not five.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a masked word is out of bounds.
+    pub fn write_line(&self, line: LineId, words: &[u64; WORDS_PER_LINE as usize], mask: u8) {
+        if mask == 0 {
+            return;
+        }
+        let base = line.first_word();
+        self.check_bounds(base.add(u64::from(mask.ilog2())));
+        for i in 0..WORDS_PER_LINE {
+            if mask & (1 << i) != 0 {
+                self.volatile_view[(base.word() + i) as usize]
+                    .store(words[i as usize], Ordering::Release);
+            }
+        }
+        // The persistent words among them (a line straddles the boundary
+        // only when the region size is not a multiple of the line size).
+        let persistent_words = self.cfg.persistent_words.saturating_sub(base.word());
+        let pmask = if persistent_words >= WORDS_PER_LINE {
+            mask
+        } else {
+            mask & ((1u8 << persistent_words) - 1)
+        };
+        if pmask == 0 {
+            return;
+        }
+        let dirty = match self.cfg.granularity {
+            PersistGranularity::Word => u64::from(pmask),
+            PersistGranularity::Line => (1 << WORDS_PER_LINE) - 1,
+        };
+        self.line_masks
+            .get(line.index())
+            .fetch_or(dirty, Ordering::AcqRel);
+        let stores = pmask.count_ones();
+        let p = self.cfg.crash.eviction_probability;
+        if p > 0.0 && (0..stores).filter(|_| self.evict_chance(line, p)).count() > 0 {
+            self.evict(line);
+        }
+        for _ in 0..stores {
+            self.fault_tick();
+        }
+    }
+
+    /// Spontaneously writes `line` back (the crash model's eviction).
+    #[cold]
+    fn evict(&self, line: LineId) {
+        let (words, line_words) = self.persist_line(line);
+        let shared = &self.shared_stats;
+        shared.evictions.fetch_add(1, Ordering::Relaxed);
+        shared.evicted_words.fetch_add(words, Ordering::Relaxed);
+        shared
+            .evicted_line_words
+            .fetch_add(line_words, Ordering::Relaxed);
     }
 
     /// Draws one eviction-sampling coin flip from one of this space's
@@ -586,65 +705,98 @@ impl MemorySpace {
     /// volatile address is a no-op, as on real hardware where it simply
     /// would not reach a persistence domain.
     ///
-    /// Lock-free and O(1): a per-line generation stamp absorbs duplicate
-    /// flushes of a still-pending line, and the enqueue is two plain atomic
-    /// stores. Calls for one `tid` must come from a single thread at a time
-    /// (see the module docs); every `tid` may flush concurrently with every
-    /// other.
+    /// A one-line [`MemorySpace::clwb_lines`]; see there for the queue
+    /// protocol and the single-thread-per-`tid` contract.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of bounds or `tid >= max_threads`.
     pub fn clwb(&self, tid: usize, addr: PAddr) {
         self.check_bounds(addr);
-        if !self.is_persistent(addr) {
-            return;
+        if self.is_persistent(addr) {
+            self.clwb_lines(tid, std::iter::once(addr.line()));
         }
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        self.fault_tick();
-        let line = addr.line();
+    }
+
+    /// Requests write-backs (CLWBs) of a batch of lines on thread `tid`'s
+    /// queue, at most one queue slot per line; volatile lines are skipped.
+    /// Returns the number of persistent lines requested.
+    ///
+    /// Lock-free and O(1) per line: a per-line generation stamp absorbs
+    /// flushes of a still-pending line, and an enqueue is two plain atomic
+    /// stores. The whole batch pays **one** `SeqCst` fence (see the
+    /// comment inside), so the caller must have performed the stores to
+    /// *every* line of the batch before the call — which a transaction
+    /// commit, flushing what it just published, has. Calls for one `tid`
+    /// must come from a single thread at a time (see the module docs);
+    /// every `tid` may flush concurrently with every other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a line is out of bounds or `tid >= max_threads`.
+    pub fn clwb_lines(&self, tid: usize, lines: impl IntoIterator<Item = LineId>) -> u64 {
         let q = &self.flush_queues[tid];
-        let stamp = q.stamps.get(line.index());
-        let s = stamp.load(Ordering::Relaxed);
-        if s != 0 {
-            // The stamp holds `pos + 1` of this queue's latest enqueue of
-            // the line (0 = never enqueued). If that enqueue is still
-            // unclaimed, the write-back its drain performs covers this
-            // flush too and nothing needs to be queued.
-            //
-            // The fence pairs with the one a claiming drain issues between
-            // its claim CAS and its persist loads (store-buffering
-            // pattern): either the load below observes the claim — the
-            // skip is not taken and the line is re-enqueued — or the
-            // drain's persist is guaranteed to read the data store that
-            // preceded this clwb. Without it, this thread's data store
-            // could still sit in its store buffer while a concurrent
-            // foreign drain claims the old enqueue and persists the stale
-            // value, losing the write.
-            std::sync::atomic::fence(Ordering::SeqCst);
-            if s > q.claim.load(Ordering::Relaxed) {
-                return;
+        // The queue's claim cursor, read (once, lazily) behind the fence.
+        let mut claim = None;
+        let mut requested = 0u64;
+        for line in lines {
+            self.check_bounds(line.first_word());
+            if !self.is_persistent(line.first_word()) {
+                continue;
             }
+            requested += 1;
+            self.fault_tick();
+            let stamp = q.stamps.get(line.index());
+            let s = stamp.load(Ordering::Relaxed);
+            if s != 0 {
+                // The stamp holds `pos + 1` of this queue's latest enqueue of
+                // the line (0 = never enqueued). If that enqueue is still
+                // unclaimed, the write-back its drain performs covers this
+                // flush too and nothing needs to be queued.
+                //
+                // The fence pairs with the one a claiming drain issues between
+                // its claim CAS and its persist loads (store-buffering
+                // pattern): either the load below observes the claim — the
+                // skip is not taken and the line is re-enqueued — or the
+                // drain's persist is guaranteed to read the data stores that
+                // preceded this call. Without it, this thread's data store
+                // could still sit in its store buffer while a concurrent
+                // foreign drain claims the old enqueue and persists the stale
+                // value, losing the write. One fence serves the whole batch:
+                // it follows every line's data stores and precedes the claim
+                // load, so the argument holds line by line; a claim that
+                // advances later in the batch belongs to a drain whose fence
+                // is ordered after ours, which therefore reads those stores.
+                let claim = *claim.get_or_insert_with(|| {
+                    std::sync::atomic::fence(Ordering::SeqCst);
+                    q.claim.load(Ordering::Relaxed)
+                });
+                if s > claim {
+                    continue;
+                }
+            }
+            let pos = q.tail.load(Ordering::Relaxed);
+            if pos - q.done.load(Ordering::Acquire) >= q.slots.len() as u64 {
+                // Ring full: complete the write-back immediately. CLWB may
+                // finish at any point before the fence on real hardware, so an
+                // early write-back is always legal; it is just not
+                // deduplicated, and — unlike an asynchronous eviction — the
+                // issuing thread is stalled on the full buffer, so it pays the
+                // per-word media-write cost here instead of at a later drain.
+                let (words, line_words) = self.persist_line(line);
+                q.stats.overflow_writebacks.add(1);
+                q.stats.overflow_words.add(words);
+                q.stats.overflow_line_words.add(line_words);
+                self.busy_wait_ns(self.cfg.latency.clwb_range(1, words));
+                continue;
+            }
+            q.slot(pos).store(line.index(), Ordering::Release);
+            q.tail.store(pos + 1, Ordering::Release);
+            stamp.store(pos + 1, Ordering::Release);
+            trace::record(tid, TraceEventKind::Enqueue, line.index());
         }
-        let pos = q.tail.load(Ordering::Relaxed);
-        if pos - q.done.load(Ordering::Acquire) >= q.slots.len() as u64 {
-            // Ring full: complete the write-back immediately. CLWB may
-            // finish at any point before the fence on real hardware, so an
-            // early write-back is always legal; it is just not
-            // deduplicated, and — unlike an asynchronous eviction — the
-            // issuing thread is stalled on the full buffer, so it pays the
-            // per-word media-write cost here instead of at a later drain.
-            let words = self.persist_line(line);
-            self.stats
-                .overflow_writebacks
-                .fetch_add(1, Ordering::Relaxed);
-            self.busy_wait_ns(self.cfg.latency.clwb_range(1, words));
-            return;
-        }
-        q.slot(pos).store(line.index(), Ordering::Release);
-        q.tail.store(pos + 1, Ordering::Release);
-        stamp.store(pos + 1, Ordering::Release);
-        trace::record(tid, TraceEventKind::Enqueue, line.index());
+        q.stats.flushes.add(requested);
+        requested
     }
 
     /// Completes all of thread `tid`'s outstanding flushes (SFENCE) and
@@ -684,17 +836,18 @@ impl MemorySpace {
             // This call owns positions [claim, target): persist them, then
             // retire the range in order so ring slots are never reused
             // while a drain is still reading them. The fence pairs with
-            // the one in `clwb`'s dedup skip (see there): it guarantees
-            // that any flusher whose skip check did not observe this claim
-            // has its preceding data store visible to the persist loads
-            // below.
+            // the one in `clwb_lines`' dedup skip (see there): it
+            // guarantees that any flusher whose skip check did not observe
+            // this claim has its preceding data stores visible to the
+            // persist loads below.
             std::sync::atomic::fence(Ordering::SeqCst);
             self.fault_tick();
-            cost_ns = match self.cfg.coalescing {
+            let sums = match self.cfg.coalescing {
                 DrainCoalescing::Ranged => self.persist_claimed_ranged(tid, q, claim, target),
                 DrainCoalescing::PerLine => self.persist_claimed_per_line(q, claim, target),
             };
             count = target - claim;
+            cost_ns = sums.cost_ns;
             // Both retirement waits yield rather than pure-spin: the drain
             // being waited on needs a core to finish persisting, and on a
             // few-core host a spinning waiter is what keeps it descheduled
@@ -704,6 +857,16 @@ impl MemorySpace {
             while q.done.load(Ordering::Acquire) != claim {
                 std::thread::yield_now();
             }
+            // The retirement window: this drain is the only one of this
+            // queue between observing `done == claim` and publishing
+            // `done = target`, so its sums go into the queue's
+            // single-writer cells here, once.
+            q.stats.drains.add(1);
+            q.stats.lines_persisted.add(count);
+            q.stats.words_persisted.add(sums.words);
+            q.stats.line_words_persisted.add(sums.line_words);
+            q.stats.flush_ranges.add(sums.ranges);
+            q.stats.range_lines.add(sums.range_lines);
             q.done.store(target, Ordering::Release);
             break;
         }
@@ -712,11 +875,14 @@ impl MemorySpace {
         while q.done.load(Ordering::Acquire) < target {
             std::thread::yield_now();
         }
-        self.stats.drains.fetch_add(1, Ordering::Relaxed);
+        if count == 0 {
+            // Nothing left to claim (empty queue, or a concurrent drain took
+            // it all): no retirement window to count in.
+            self.shared_stats
+                .idle_drains
+                .fetch_add(1, Ordering::Relaxed);
+        }
         self.fault_tick();
-        self.stats
-            .lines_persisted
-            .fetch_add(count, Ordering::Relaxed);
         self.busy_wait_ns(self.cfg.latency.drain_ns + cost_ns);
         trace::record(tid, TraceEventKind::Drain, count);
         count
@@ -724,17 +890,22 @@ impl MemorySpace {
 
     /// Reference write-back: persists the claimed positions one line at a
     /// time in enqueue order, each charged as a single-line ranged flush.
-    /// Returns the accumulated flush cost in nanoseconds (charged by the
-    /// caller after retirement, alongside the flat drain cost).
-    fn persist_claimed_per_line(&self, q: &FlushQueue, claim: u64, target: u64) -> u64 {
-        let mut cost_ns = 0u64;
+    /// Returns what was written and its flush cost (charged by the caller
+    /// after retirement, alongside the flat drain cost).
+    fn persist_claimed_per_line(&self, q: &FlushQueue, claim: u64, target: u64) -> DrainSums {
+        let mut sums = DrainSums {
+            ranges: target - claim,
+            range_lines: target - claim,
+            ..DrainSums::default()
+        };
         for pos in claim..target {
             let line = LineId::new(q.slot(pos).load(Ordering::Acquire));
-            let words = self.persist_line(line);
-            cost_ns += self.cfg.latency.clwb_range(1, words);
+            let (words, line_words) = self.persist_line(line);
+            sums.words += words;
+            sums.line_words += line_words;
+            sums.cost_ns += self.cfg.latency.clwb_range(1, words);
         }
-        self.note_ranges(target - claim, target - claim);
-        cost_ns
+        sums
     }
 
     /// Batched write-back (the production pipeline): snapshots the claimed
@@ -745,8 +916,14 @@ impl MemorySpace {
     /// exactly partition the claimed range: each position's line is
     /// persisted exactly once (duplicate ids, which the dedup stamps make
     /// impossible within one claimed range, would be skipped defensively).
-    /// Returns the accumulated flush cost in nanoseconds.
-    fn persist_claimed_ranged(&self, tid: usize, q: &FlushQueue, claim: u64, target: u64) -> u64 {
+    /// Returns what was written and its accumulated flush cost.
+    fn persist_claimed_ranged(
+        &self,
+        tid: usize,
+        q: &FlushQueue,
+        claim: u64,
+        target: u64,
+    ) -> DrainSums {
         thread_local! {
             /// Per-thread drain scratch: claimed line ids awaiting the
             /// coalescing sort. Grown once to the queue capacity (the upper
@@ -767,14 +944,12 @@ impl MemorySpace {
                 scratch.push(q.slot(pos).load(Ordering::Acquire));
             }
             scratch.sort_unstable();
-            let mut cost_ns = 0u64;
-            let mut ranges = 0u64;
-            let mut lines = 0u64;
+            let mut sums = DrainSums::default();
             let mut i = 0usize;
             while i < scratch.len() {
                 let mut prev = scratch[i];
                 let mut run_lines = 1u64;
-                let mut run_words = self.persist_line(LineId::new(prev));
+                let (mut run_words, mut run_line_words) = self.persist_line(LineId::new(prev));
                 i += 1;
                 while i < scratch.len() {
                     let id = scratch[i];
@@ -785,29 +960,22 @@ impl MemorySpace {
                     if id != prev + 1 {
                         break;
                     }
-                    run_words += self.persist_line(LineId::new(id));
+                    let (words, line_words) = self.persist_line(LineId::new(id));
+                    run_words += words;
+                    run_line_words += line_words;
                     run_lines += 1;
                     prev = id;
                     i += 1;
                 }
-                cost_ns += self.cfg.latency.clwb_range(run_lines, run_words);
-                ranges += 1;
-                lines += run_lines;
+                sums.cost_ns += self.cfg.latency.clwb_range(run_lines, run_words);
+                sums.words += run_words;
+                sums.line_words += run_line_words;
+                sums.ranges += 1;
+                sums.range_lines += run_lines;
                 trace::record(tid, TraceEventKind::RangedClwb, run_lines);
             }
-            self.note_ranges(ranges, lines);
-            cost_ns
+            sums
         })
-    }
-
-    /// Records that a drain issued `ranges` ranged flushes covering `lines`
-    /// distinct lines.
-    fn note_ranges(&self, ranges: u64, lines: u64) {
-        if ranges == 0 {
-            return;
-        }
-        self.stats.flush_ranges.fetch_add(ranges, Ordering::Relaxed);
-        self.stats.range_lines.fetch_add(lines, Ordering::Relaxed);
     }
 
     /// Convenience: flush the line of `addr` and drain immediately (a full
@@ -835,22 +1003,23 @@ impl MemorySpace {
 
     /// Completes a write-back of `line`: atomically takes the line's
     /// dirty-word mask and copies exactly the masked words from the
-    /// volatile view into the persistent image. Returns the number of
-    /// words copied (0 for a clean line — its views are already
-    /// identical). Invoked by drains, spontaneous evictions, and ring
-    /// overflows; updates the word-granular persist counters.
+    /// volatile view into the persistent image. Returns `(words copied,
+    /// in-bounds line width)` — `(0, 0)` for a clean line, whose views are
+    /// already identical — for the caller to account: drains into their
+    /// queue's cells, ring overflows into the owner's, evictions into the
+    /// shared ones.
     ///
     /// Taking the mask with a `swap(0)` *before* copying means a store
     /// racing this write-back either lands its value in time to be copied
     /// or re-ORs its bit after the swap and stays dirty — no combination
     /// loses a word (see `mark_written`).
-    fn persist_line(&self, line: LineId) -> u64 {
+    fn persist_line(&self, line: LineId) -> (u64, u64) {
         let Some(slot) = self.line_masks.peek(line.index()) else {
-            return 0; // untouched segment: the whole line is clean
+            return (0, 0); // untouched segment: the whole line is clean
         };
         let mask = slot.swap(0, Ordering::AcqRel);
         if mask == 0 {
-            return 0;
+            return (0, 0);
         }
         let mut words = 0u64;
         let mut line_words = 0u64;
@@ -866,14 +1035,8 @@ impl MemorySpace {
             self.persistent_image[addr.word() as usize].store(v, Ordering::Release);
             words += 1;
         }
-        self.stats
-            .words_persisted
-            .fetch_add(words, Ordering::Relaxed);
-        self.stats
-            .line_words_persisted
-            .fetch_add(line_words, Ordering::Relaxed);
         self.fault_tick();
-        words
+        (words, line_words)
     }
 
     /// Reads the *persistent image* (not the volatile view) at `addr`.
@@ -1116,19 +1279,31 @@ impl MemorySpace {
         PAddr::new(start)
     }
 
-    /// Returns the persist-traffic counters accumulated so far.
+    /// Returns the persist-traffic counters accumulated so far: the sum of
+    /// every flush queue's cells plus the shared (eviction, idle-drain)
+    /// ones. Exact once the persisting threads are quiescent, or when the
+    /// caller is the only one persisting.
     pub fn stats(&self) -> PmemStats {
-        PmemStats {
-            drains: self.stats.drains.load(Ordering::Relaxed),
-            flushes: self.stats.flushes.load(Ordering::Relaxed),
-            lines_persisted: self.stats.lines_persisted.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            overflow_writebacks: self.stats.overflow_writebacks.load(Ordering::Relaxed),
-            words_persisted: self.stats.words_persisted.load(Ordering::Relaxed),
-            line_words_persisted: self.stats.line_words_persisted.load(Ordering::Relaxed),
-            flush_ranges: self.stats.flush_ranges.load(Ordering::Relaxed),
-            range_lines: self.stats.range_lines.load(Ordering::Relaxed),
+        let shared = &self.shared_stats;
+        let mut s = PmemStats {
+            drains: shared.idle_drains.load(Ordering::Relaxed),
+            evictions: shared.evictions.load(Ordering::Relaxed),
+            words_persisted: shared.evicted_words.load(Ordering::Relaxed),
+            line_words_persisted: shared.evicted_line_words.load(Ordering::Relaxed),
+            ..PmemStats::default()
+        };
+        for q in self.flush_queues.iter() {
+            let c = &q.stats;
+            s.drains += c.drains.get();
+            s.flushes += c.flushes.get();
+            s.lines_persisted += c.lines_persisted.get();
+            s.overflow_writebacks += c.overflow_writebacks.get();
+            s.words_persisted += c.words_persisted.get() + c.overflow_words.get();
+            s.line_words_persisted += c.line_words_persisted.get() + c.overflow_line_words.get();
+            s.flush_ranges += c.flush_ranges.get();
+            s.range_lines += c.range_lines.get();
         }
+        s
     }
 }
 

@@ -17,6 +17,14 @@
 //! [`DrainCoalescing::PerLine`] reference mode, alone and composed with
 //! the granularity relaxation.
 //!
+//! A third pair isolates *publication*: a transaction commit stores a line's
+//! written words and ORs the line's dirty mask once
+//! ([`MemorySpace::write_line`]) and enqueues its CLWBs as one batch behind
+//! one fence ([`MemorySpace::clwb_lines`]), where the original published
+//! word by word ([`MemorySpace::write`]) and flushed line by line
+//! ([`MemorySpace::clwb`]). Same write sets, same volatile view, same
+//! persistent and crash images, same [`PmemStats`](crafty_pmem::PmemStats).
+//!
 //! These tests drive identical randomized write/clwb/drain/evict/crash
 //! schedules against two spaces that differ **only** in the relaxation
 //! under test — e.g. the masked pipeline vs the
@@ -35,7 +43,7 @@
 //! per `(crash seed, store sequence)`, so the two spaces evict the same
 //! lines at the same schedule steps.
 
-use crafty_common::{PAddr, SplitMix64, WORDS_PER_LINE};
+use crafty_common::{LineId, PAddr, SplitMix64, WORDS_PER_LINE};
 use crafty_pmem::{CrashModel, DrainCoalescing, MemorySpace, PersistGranularity, PmemConfig};
 use proptest::prelude::*;
 
@@ -175,6 +183,83 @@ fn run_differential_against(
     );
 }
 
+/// Publishes `commits` random write sets (a few lines each, a random mask
+/// and fresh values per line) on two identically configured spaces — line
+/// by line with a batched flush on one, word by word with per-line flushes
+/// on the other — draining now and then, and checks that nothing an
+/// observer can see tells them apart.
+fn run_publication_differential(seed: u64, commits: usize, cfg: PmemConfig) {
+    let by_line = MemorySpace::new(cfg);
+    let by_word = MemorySpace::new(cfg);
+    let first_line = PAddr::new(FIRST_WORD).line().index();
+    let mut rng = SplitMix64::new(seed);
+    for commit in 0..commits {
+        let tid = rng.next_below(2) as usize;
+        let mut lines: Vec<LineId> = Vec::new();
+        for _ in 0..1 + rng.next_below(5) {
+            let line = LineId::new(first_line + rng.next_below(DOMAIN_WORDS / WORDS_PER_LINE));
+            if lines.contains(&line) {
+                continue;
+            }
+            lines.push(line);
+            let mask = rng.next_below(256) as u8;
+            let words: [u64; 8] = std::array::from_fn(|_| rng.next_u64() | 1);
+            by_line.write_line(line, &words, mask);
+            for (i, addr) in line.words().enumerate() {
+                if mask & (1 << i) != 0 {
+                    by_word.write(addr, words[i]);
+                }
+            }
+        }
+        // Flush most of what was published, like a Redo-phase commit.
+        lines.retain(|_| rng.next_below(4) != 0);
+        let requested = by_line.clwb_lines(tid, lines.iter().copied());
+        assert_eq!(requested, lines.len() as u64);
+        for line in &lines {
+            by_word.clwb(tid, line.first_word());
+        }
+        if rng.next_below(3) == 0 {
+            let drained = by_line.drain(tid);
+            assert_eq!(
+                drained,
+                by_word.drain(tid),
+                "commit {commit}: lines drained"
+            );
+            assert_images_agree(&by_line, &by_word, commit);
+        }
+        for w in FIRST_WORD..FIRST_WORD + DOMAIN_WORDS {
+            let addr = PAddr::new(w);
+            assert_eq!(
+                by_line.read(addr),
+                by_word.read(addr),
+                "commit {commit}: volatile word {w} diverged"
+            );
+        }
+    }
+    // The dirty masks are what a word-lossy crash resolves over: a crash
+    // that persists *every* dirty word exposes them exactly, and the
+    // strict and relaxed models bracket it.
+    let every_dirty_word = CrashModel {
+        dirty_word_persist_probability: 1.0,
+        ..CrashModel::strict()
+    };
+    for (label, model) in [
+        ("strict", CrashModel::strict()),
+        ("relaxed", CrashModel::relaxed(seed ^ 0xBEEF)),
+        ("every dirty word", every_dirty_word),
+    ] {
+        let (img_line, img_word) = (by_line.crash_with(model), by_word.crash_with(model));
+        for w in 0..img_line.len_words() {
+            assert_eq!(
+                img_line.read(PAddr::new(w)),
+                img_word.read(PAddr::new(w)),
+                "{label} crash image diverged at word {w}"
+            );
+        }
+    }
+    assert_eq!(by_line.stats(), by_word.stats(), "persist traffic diverged");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -245,5 +330,28 @@ proptest! {
     fn full_pipeline_equals_original_under_adversarial(seed: u64, ops in 1usize..300) {
         run_differential_against(seed, ops, CrashModel::adversarial(seed ^ 0x9A), 1 << 10,
             Reference::Original);
+    }
+
+    /// Per-line publication + batched flush vs word-by-word publication +
+    /// per-line flush, deterministic run.
+    #[test]
+    fn line_publication_equals_word_publication(seed: u64, commits in 1usize..120) {
+        run_publication_differential(seed, commits, PmemConfig::small_for_tests());
+    }
+
+    /// The same with a tiny flush ring (overflow write-backs inside a
+    /// batch) and in the whole-line reference granularity.
+    #[test]
+    fn line_publication_equals_word_publication_off_the_main_path(
+        seed: u64,
+        commits in 1usize..120,
+    ) {
+        let small = PmemConfig::small_for_tests();
+        run_publication_differential(seed, commits, small.with_flush_queue_capacity(4));
+        run_publication_differential(
+            seed,
+            commits,
+            small.with_granularity(PersistGranularity::Line),
+        );
     }
 }

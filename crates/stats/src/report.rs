@@ -251,10 +251,10 @@ mod tests {
     #[test]
     fn breakdown_renders_phase_and_cause_sections_when_present() {
         let r = crafty_common::BreakdownRecorder::new();
-        r.record_phase_cycles(TxnPhase::Log, 600);
-        r.record_phase_cycles(TxnPhase::Drain, 400);
-        r.record_abort_cause(AbortCause::PersistentDoomed);
-        r.record_abort_cause(AbortCause::SglFallback);
+        r.record_phase_cycles(0, TxnPhase::Log, 600);
+        r.record_phase_cycles(0, TxnPhase::Drain, 400);
+        r.record_abort_cause(0, AbortCause::PersistentDoomed);
+        r.record_abort_cause(0, AbortCause::SglFallback);
         let s = render_breakdown("Crafty", &r.snapshot());
         assert!(s.contains("abort causes"));
         assert!(s.contains("persistent-doomed: 1"));
