@@ -769,10 +769,13 @@ fn run_torture(args: &[String]) -> ! {
         } else {
             for f in &report.failures {
                 println!("  VIOLATION {f}");
+                // A route of the fallback suite (`fallback/<route>`) replays
+                // through the suite it belongs to.
+                let suite = report.suite.split('/').next().unwrap_or(report.suite);
                 println!(
-                    "    replay: figures -- torture --suite {} --seed {} --txns {} \
+                    "    replay: figures -- torture --suite {suite} --seed {} --txns {} \
                      --crash-step {}",
-                    report.suite, f.seed, cfg.txns, f.step
+                    f.seed, cfg.txns, f.step
                 );
             }
         }
@@ -790,7 +793,9 @@ fn run_torture(args: &[String]) -> ! {
         }
     }
     if wants("fallback") {
-        failed |= show(&run_fallback_torture(&cfg));
+        for report in run_fallback_torture(&cfg) {
+            failed |= show(&report);
+        }
     }
     if wants("kv") {
         failed |= show(&run_kv_torture(&cfg));

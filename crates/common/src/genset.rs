@@ -1,21 +1,19 @@
-//! Generation-stamped open-addressed hash tables with O(1) clear.
+//! A generation-stamped open-addressed line table with O(1) clear.
 //!
-//! [`GenMap`] and [`LineTable`] back every hot-path structure in the
-//! workspace that must be emptied once per transaction (or once per drain) without
-//! touching its storage: each slot carries a *generation* stamp, and a slot
+//! [`LineTable`] backs every transaction descriptor in the workspace —
+//! structures that must be emptied once per transaction without touching
+//! their storage: each index slot carries a *generation* stamp, and a slot
 //! is occupied only while its stamp equals the table's current generation.
-//! Clearing is a single counter bump; growth doubles the table (the only
+//! Clearing is a single counter bump; growth doubles the index (the only
 //! allocation, and only until the table reaches the workload's steady-state
 //! footprint).
 //!
-//! [`GenMap`] is the engines' buffered-write map. [`LineTable`] is
-//! `crafty-htm`'s transaction descriptor: the same generation stamps over
-//! a *line*-keyed index, with each entry carrying the line's buffered
-//! words, written-word mask and flags, so one lookup per access answers
-//! every question the hardware-transaction simulation asks about a line
-//! (read? written? to be locked? to be flushed?). The persistence domain's
-//! flush-queue dedup stamps apply the same idea with the queue's claim
-//! cursor as the generation.
+//! The index is keyed by cache *line*, and each entry carries the line's
+//! buffered words, written-word mask and flags, so one lookup per access
+//! answers every question a hardware, fallback or exclusive transaction
+//! asks about a line (read? written? to be locked? to be flushed?). The
+//! persistence domain's flush-queue dedup stamps apply the same idea with
+//! the queue's claim cursor as the generation.
 
 use crate::WORDS_PER_LINE;
 
@@ -29,139 +27,6 @@ const INITIAL_CAPACITY: usize = 64;
 /// Grow when occupancy passes 3/4.
 const LOAD_NUM: usize = 3;
 const LOAD_DEN: usize = 4;
-
-/// An open-addressed `u64 → u64` hash map with O(1) generation clear.
-#[derive(Clone, Debug)]
-pub struct GenMap {
-    gens: Vec<u64>,
-    keys: Vec<u64>,
-    vals: Vec<u64>,
-    gen: u64,
-    len: usize,
-}
-
-impl GenMap {
-    /// Creates an empty map with the default initial capacity.
-    pub fn new() -> Self {
-        GenMap::with_capacity(INITIAL_CAPACITY)
-    }
-
-    /// Creates an empty map able to hold roughly `capacity` entries before
-    /// growing.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let slots = (capacity.max(4) * LOAD_DEN / LOAD_NUM).next_power_of_two();
-        GenMap {
-            gens: vec![0; slots],
-            keys: vec![0; slots],
-            vals: vec![0; slots],
-            gen: 1,
-            len: 0,
-        }
-    }
-
-    /// Number of entries currently in the map.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the map holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The table's slot count (stable across [`GenMap::clear`]).
-    pub fn slot_capacity(&self) -> usize {
-        self.gens.len()
-    }
-
-    /// Logically empties the map in O(1) by advancing the generation.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.gen += 1;
-        self.len = 0;
-    }
-
-    /// The slot holding `key`, or the empty slot where it would go.
-    /// Termination is guaranteed because the load factor stays below 1.
-    #[inline]
-    fn find_slot(&self, key: u64) -> (usize, bool) {
-        let mask = (self.gens.len() - 1) as u64;
-        let mut i = (spread(key) & mask) as usize;
-        loop {
-            if self.gens[i] != self.gen {
-                return (i, false);
-            }
-            if self.keys[i] == key {
-                return (i, true);
-            }
-            i = (i + 1) & mask as usize;
-        }
-    }
-
-    /// Inserts or overwrites; returns the previous value if the key was
-    /// present. Probes before the load check, so an overwrite never grows
-    /// the table.
-    #[inline]
-    pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        let (mut slot, found) = self.find_slot(key);
-        if found {
-            let old = self.vals[slot];
-            self.vals[slot] = value;
-            return Some(old);
-        }
-        if (self.len + 1) * LOAD_DEN >= self.gens.len() * LOAD_NUM {
-            self.grow();
-            slot = self.find_slot(key).0;
-        }
-        self.gens[slot] = self.gen;
-        self.keys[slot] = key;
-        self.vals[slot] = value;
-        self.len += 1;
-        None
-    }
-
-    /// Looks up `key`.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<u64> {
-        let (slot, found) = self.find_slot(key);
-        found.then(|| self.vals[slot])
-    }
-
-    #[cold]
-    fn grow(&mut self) {
-        let new_slots = self.gens.len() * 2;
-        let mut bigger = GenMap {
-            gens: vec![0; new_slots],
-            keys: vec![0; new_slots],
-            vals: vec![0; new_slots],
-            gen: 1,
-            len: 0,
-        };
-        for i in 0..self.gens.len() {
-            if self.gens[i] != self.gen {
-                continue;
-            }
-            let mask = (new_slots - 1) as u64;
-            let mut j = (spread(self.keys[i]) & mask) as usize;
-            while bigger.gens[j] == bigger.gen {
-                j = (j + 1) & mask as usize;
-            }
-            bigger.gens[j] = bigger.gen;
-            bigger.keys[j] = self.keys[i];
-            bigger.vals[j] = self.vals[i];
-            bigger.len += 1;
-        }
-        *self = bigger;
-    }
-}
-
-impl Default for GenMap {
-    fn default() -> Self {
-        GenMap::new()
-    }
-}
 
 /// One cache line's entry in a [`LineTable`]: the line id, an 8-word value
 /// buffer with a written-word mask, and a byte of caller-defined flags.
@@ -201,10 +66,10 @@ struct IndexSlot {
 /// Entries live densely in insertion order (so commit-time walks visit
 /// exactly the lines touched, not the table's slot count) and are located
 /// through a generation-stamped open-addressed index over line ids —
-/// clearing is a generation bump plus a length reset, like [`GenMap`]. A
-/// one-entry cache of the last line looked up makes runs of accesses to
-/// one line (sequential log appends, read-then-write of one word) skip
-/// the probe entirely.
+/// clearing is a generation bump plus a length reset. A one-entry cache
+/// of the last line looked up makes runs of accesses to one line
+/// (sequential log appends, read-then-write of one word) skip the probe
+/// entirely.
 #[derive(Clone)]
 pub struct LineTable {
     /// Entry storage; only `..len` is live. Entries past `len` are kept
@@ -371,46 +236,6 @@ impl Default for LineTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn genmap_insert_get_overwrite_clear() {
-        let mut m = GenMap::new();
-        assert_eq!(m.insert(1, 10), None);
-        assert_eq!(m.insert(1, 20), Some(10));
-        assert_eq!(m.get(1), Some(20));
-        assert_eq!(m.get(2), None);
-        assert_eq!(m.insert(0, 5), None, "zero must be a usable key");
-        m.clear();
-        assert_eq!(m.get(1), None);
-        assert_eq!(m.get(0), None);
-        assert_eq!(m.len(), 0);
-    }
-
-    #[test]
-    fn genmap_grows_and_keeps_entries() {
-        let mut m = GenMap::with_capacity(4);
-        for k in 0..500 {
-            assert_eq!(m.insert(k, k + 1), None);
-        }
-        for k in 0..500 {
-            assert_eq!(m.get(k), Some(k + 1));
-        }
-        assert_eq!(m.len(), 500);
-    }
-
-    #[test]
-    fn clear_is_constant_time_capacity_preserving() {
-        let mut m = GenMap::new();
-        for k in 0..200 {
-            m.insert(k, k);
-        }
-        let cap = m.slot_capacity();
-        for _ in 0..10_000 {
-            m.clear();
-            m.insert(1, 1);
-        }
-        assert_eq!(m.slot_capacity(), cap, "clear must never shrink or grow");
-    }
 
     #[test]
     fn line_table_entry_is_find_or_insert() {

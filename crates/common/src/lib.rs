@@ -15,9 +15,8 @@
 //!   mirroring the categories of the paper's appendix figures.
 //! * [`counter`] — the single-writer counter cell those (and the
 //!   persistence domain's statistics) are built from.
-//! * [`genset`] — generation-stamped open-addressed tables with O(1)
-//!   clear: the HTM transaction descriptors' line table and the engines'
-//!   buffered-write map.
+//! * [`genset`] — the generation-stamped open-addressed line table with
+//!   O(1) clear that every transaction descriptor is built on.
 //! * [`shard`] — lazily-allocated sharded atomic arrays backing the
 //!   per-line metadata (versioned locks, dirty bits, dedup stamps).
 //! * [`trace`] — the runtime-leveled observability layer: per-thread
@@ -62,7 +61,7 @@ pub use breakdown::{BreakdownRecorder, BreakdownSnapshot, CompletionPath, HwTxnO
 pub use clock::{Clock, Timestamp};
 pub use counter::OwnedCounter;
 pub use error::{SetupError, TxAbort};
-pub use genset::{GenMap, LineSlot, LineTable};
+pub use genset::{LineSlot, LineTable};
 pub use rng::{mix64, SplitMix64};
 pub use shard::LazyAtomicArray;
 pub use trace::{

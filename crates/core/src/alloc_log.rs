@@ -11,12 +11,18 @@
 use crafty_common::PAddr;
 use crafty_pmem::PmemAllocator;
 
-/// Per-transaction record of allocator activity.
+/// Per-transaction record of allocator activity. It is either *recording*
+/// (Log phase and software commits: allocations are made and logged) or
+/// *replaying* (Validate phase, after [`AllocLog::start_replay`]: the
+/// logged allocations are handed back in order), so a transaction context
+/// serves `alloc`/`dealloc` the same way in every phase.
 #[derive(Clone, Debug, Default)]
 pub struct AllocLog {
     allocations: Vec<(PAddr, u64)>,
     frees: Vec<(PAddr, u64)>,
-    replay_cursor: usize,
+    /// `Some(next)` while replaying: index of the next allocation to hand
+    /// back.
+    replay_cursor: Option<usize>,
 }
 
 impl AllocLog {
@@ -25,20 +31,39 @@ impl AllocLog {
         AllocLog::default()
     }
 
-    /// Records an allocation made during the Log phase.
-    pub fn record_alloc(&mut self, addr: PAddr, words: u64) {
+    /// Serves one allocation request of the transaction body. Recording:
+    /// allocates from `allocator` and logs it. Replaying: returns the next
+    /// logged allocation, or `None` if the re-executed body diverged
+    /// (asked for a different size, or for more allocations than were
+    /// logged) — a validation failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the persistent heap is exhausted.
+    pub fn alloc(&mut self, allocator: &PmemAllocator, words: u64) -> Option<PAddr> {
+        if let Some(next) = self.replay_cursor {
+            let &(addr, logged_words) = self.allocations.get(next)?;
+            if logged_words != words {
+                return None;
+            }
+            self.replay_cursor = Some(next + 1);
+            return Some(addr);
+        }
+        let addr = allocator
+            .alloc(words)
+            .expect("persistent heap exhausted; increase CraftyConfig::heap_words");
         self.allocations.push((addr, words));
+        Some(addr)
     }
 
-    /// Records a free requested by the transaction body; the actual release
-    /// is deferred until the persistent transaction commits.
-    pub fn record_free(&mut self, addr: PAddr, words: u64) {
-        self.frees.push((addr, words));
-    }
-
-    /// Number of allocations recorded so far.
-    pub fn allocations(&self) -> usize {
-        self.allocations.len()
+    /// Serves one free request of the transaction body: logged while
+    /// recording, and released only once the persistent transaction
+    /// commits. Ignored while replaying — the Log phase already logged it,
+    /// and the release is deferred to commit either way (Section 6).
+    pub fn free(&mut self, addr: PAddr, words: u64) {
+        if self.replay_cursor.is_none() {
+            self.frees.push((addr, words));
+        }
     }
 
     /// Number of deferred frees recorded so far.
@@ -46,24 +71,16 @@ impl AllocLog {
         self.frees.len()
     }
 
-    /// Prepares for a Validate-phase re-execution: subsequent
-    /// [`AllocLog::replay_alloc`] calls hand back the Log phase's
-    /// allocations in order.
-    pub fn start_replay(&mut self) {
-        self.replay_cursor = 0;
+    /// True when the transaction neither allocated nor freed.
+    pub fn is_empty(&self) -> bool {
+        self.allocations.is_empty() && self.frees.is_empty()
     }
 
-    /// Returns the next logged allocation, checking that the re-executed
-    /// body asked for the same size. Returns `None` if the body diverged
-    /// (requested a different size or more allocations than were logged),
-    /// which the Validate phase treats as a validation failure.
-    pub fn replay_alloc(&mut self, words: u64) -> Option<PAddr> {
-        let (addr, logged_words) = *self.allocations.get(self.replay_cursor)?;
-        if logged_words != words {
-            return None;
-        }
-        self.replay_cursor += 1;
-        Some(addr)
+    /// Prepares for a Validate-phase re-execution: subsequent
+    /// [`AllocLog::alloc`] calls hand back the Log phase's allocations in
+    /// order.
+    pub fn start_replay(&mut self) {
+        self.replay_cursor = Some(0);
     }
 
     /// Releases every logged allocation back to the allocator. Called when
@@ -73,18 +90,18 @@ impl AllocLog {
         for (addr, words) in self.allocations.drain(..) {
             allocator.free(addr, words);
         }
-        self.replay_cursor = 0;
+        self.replay_cursor = None;
         self.frees.clear();
     }
 
     /// Performs the deferred frees. Called once the persistent transaction
-    /// has committed (after the Redo or Validate phase, or the SGL path).
+    /// has committed (after the Redo or Validate phase, or a software commit).
     pub fn apply_frees(&mut self, allocator: &PmemAllocator) {
         for (addr, words) in self.frees.drain(..) {
             allocator.free(addr, words);
         }
         self.allocations.clear();
-        self.replay_cursor = 0;
+        self.replay_cursor = None;
     }
 
     /// Discards all records without touching the allocator (used for
@@ -92,7 +109,7 @@ impl AllocLog {
     pub fn clear(&mut self) {
         self.allocations.clear();
         self.frees.clear();
-        self.replay_cursor = 0;
+        self.replay_cursor = None;
     }
 }
 
@@ -108,42 +125,47 @@ mod tests {
     fn replay_returns_same_addresses_in_order() {
         let a = allocator();
         let mut log = AllocLog::new();
-        let x = a.alloc(4).expect("alloc");
-        let y = a.alloc(8).expect("alloc");
-        log.record_alloc(x, 4);
-        log.record_alloc(y, 8);
+        let x = log.alloc(&a, 4).expect("alloc");
+        let y = log.alloc(&a, 8).expect("alloc");
         log.start_replay();
-        assert_eq!(log.replay_alloc(4), Some(x));
-        assert_eq!(log.replay_alloc(8), Some(y));
-        assert_eq!(log.replay_alloc(8), None, "no more allocations were logged");
+        assert_eq!(log.alloc(&a, 4), Some(x));
+        assert_eq!(log.alloc(&a, 8), Some(y));
+        assert_eq!(log.alloc(&a, 8), None, "no more allocations were logged");
+        assert_eq!(a.live_allocations(), 2, "replay allocates nothing");
     }
 
     #[test]
     fn replay_with_diverging_size_fails() {
+        let a = allocator();
         let mut log = AllocLog::new();
-        log.record_alloc(PAddr::new(100), 4);
+        log.alloc(&a, 4).expect("alloc");
         log.start_replay();
-        assert_eq!(log.replay_alloc(8), None);
+        assert_eq!(log.alloc(&a, 8), None);
     }
 
     #[test]
-    fn release_allocations_returns_memory() {
+    fn release_allocations_returns_memory_and_resumes_recording() {
         let a = allocator();
         let mut log = AllocLog::new();
-        let x = a.alloc(4).expect("alloc");
-        log.record_alloc(x, 4);
+        log.alloc(&a, 4).expect("alloc");
+        log.start_replay();
         assert_eq!(a.live_allocations(), 1);
         log.release_allocations(&a);
         assert_eq!(a.live_allocations(), 0);
-        assert_eq!(log.allocations(), 0);
+        assert!(log.is_empty());
+        log.alloc(&a, 4).expect("recording again");
+        assert_eq!(a.live_allocations(), 1);
     }
 
     #[test]
-    fn frees_are_deferred_until_applied() {
+    fn frees_are_deferred_until_applied_and_not_logged_twice() {
         let a = allocator();
         let mut log = AllocLog::new();
         let x = a.alloc(4).expect("alloc");
-        log.record_free(x, 4);
+        log.free(x, 4);
+        log.start_replay();
+        log.free(x, 4);
+        assert_eq!(log.deferred_frees(), 1, "replayed frees are not re-logged");
         assert_eq!(a.live_allocations(), 1, "free must be deferred");
         log.apply_frees(&a);
         assert_eq!(a.live_allocations(), 0);
@@ -152,11 +174,11 @@ mod tests {
 
     #[test]
     fn clear_discards_everything() {
+        let a = allocator();
         let mut log = AllocLog::new();
-        log.record_alloc(PAddr::new(100), 4);
-        log.record_free(PAddr::new(200), 4);
+        log.alloc(&a, 4).expect("alloc");
+        log.free(PAddr::new(200), 4);
         log.clear();
-        assert_eq!(log.allocations(), 0);
-        assert_eq!(log.deferred_frees(), 0);
+        assert!(log.is_empty());
     }
 }

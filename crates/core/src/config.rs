@@ -9,7 +9,8 @@
 /// whenever the Redo phase's timestamp check fails.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CraftyVariant {
-    /// Full Crafty: Log → Redo → (Validate if Redo fails) → SGL fallback.
+    /// Full Crafty: Log → Redo → (Validate if Redo fails) → software
+    /// fallback.
     #[default]
     Full,
     /// Skip the Redo phase; always use Validate after the Log phase.
@@ -78,12 +79,6 @@ pub struct CraftyConfig {
     pub variant: CraftyVariant,
     /// Whether Crafty provides thread atomicity or only durability.
     pub mode: ThreadingMode,
-    /// How many times a persistent transaction restarts its phases before
-    /// falling back to the single global lock.
-    pub max_phase_restarts: u32,
-    /// How many times an individual hardware transaction is retried within
-    /// one phase attempt before the attempt counts as failed.
-    pub htm_retries_per_phase: u32,
     /// Capacity, in entries, of each thread's circular persistent undo log.
     /// Each entry occupies two 64-bit words. Must hold at least two
     /// maximal transactions (Section 5.2).
@@ -113,8 +108,6 @@ impl CraftyConfig {
         CraftyConfig {
             variant: CraftyVariant::Full,
             mode: ThreadingMode::ThreadSafe,
-            max_phase_restarts: 8,
-            htm_retries_per_phase: 4,
             undo_log_entries: 256,
             max_lag: 1 << 20,
             max_threads: 8,
@@ -129,8 +122,6 @@ impl CraftyConfig {
         CraftyConfig {
             variant: CraftyVariant::Full,
             mode: ThreadingMode::ThreadSafe,
-            max_phase_restarts: 8,
-            htm_retries_per_phase: 4,
             undo_log_entries: 1 << 14,
             max_lag: 1 << 30,
             max_threads,
@@ -222,7 +213,6 @@ mod tests {
         let cfg = CraftyConfig::default();
         assert_eq!(cfg.variant, CraftyVariant::Full);
         assert_eq!(cfg.mode, ThreadingMode::ThreadSafe);
-        assert!(cfg.max_phase_restarts > 0);
         assert_eq!(cfg.fallback, FallbackPolicy::PerLine);
         assert!(!cfg.force_fallback);
     }

@@ -233,47 +233,13 @@ impl Crafty {
             if tid == calling_tid {
                 continue;
             }
-            if shared.last_seq_ts.load(Ordering::Acquire) >= threshold_ts {
-                continue;
-            }
             // Retry until either our forced sequence lands or the owner
             // itself commits something newer than the threshold.
-            for _ in 0..64 {
-                if shared.last_seq_ts.load(Ordering::Acquire) >= threshold_ts {
-                    break;
-                }
-                let ts = self.clock.now();
-                let mut txn = self.htm.begin(calling_tid);
-                let appended =
-                    shared
-                        .undo_log
-                        .append_sequence(&mut txn, &[], ts)
-                        .and_then(|info| {
-                            shared
-                                .undo_log
-                                .commit_marker_txn(&mut txn, info.marker_abs, 0, ts)?;
-                            Ok(info)
-                        });
-                let info = match appended {
-                    Ok(info) => info,
-                    Err(_) => continue,
-                };
-                if txn.commit().is_ok() {
-                    shared
-                        .undo_log
-                        .flush_marker(&self.mem, calling_tid, info.marker_abs);
-                    self.mem.drain(calling_tid);
-                    // The refresh is now the target's latest sequence, so
-                    // recovery stops rolling back the target's own earlier
-                    // sequences. Every commit that precedes the refresh in
-                    // the target's log enqueued its write-backs atomically
-                    // with its commit, so completing the target's flush
-                    // queue here makes all of them durable.
-                    self.mem.drain(tid);
-                    shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
-                    break;
-                }
-            }
+            let mut attempts_left = 64;
+            self.force_empty_sequence(tid, calling_tid, || {
+                attempts_left -= 1;
+                attempts_left >= 0 && shared.last_seq_ts.load(Ordering::Acquire) < threshold_ts
+            });
         }
         // Threads that have never logged a sequence have nothing recovery
         // could roll back, so they do not constrain the bound.
@@ -297,16 +263,22 @@ impl Crafty {
     /// externally visible, irrevocable actions (system calls).
     pub fn persist_now(&self, calling_tid: usize) {
         for tid in 0..self.threads.len() {
-            self.force_empty_sequence(tid, calling_tid);
+            self.force_empty_sequence(tid, calling_tid, || true);
         }
     }
 
     /// Appends an empty committed sequence to `target_tid`'s log, executing
-    /// the append on `via_tid`'s hardware-transaction context. Loops until
-    /// the hardware transaction commits.
-    fn force_empty_sequence(&self, target_tid: usize, via_tid: usize) {
+    /// the append on `via_tid`'s hardware-transaction context (which
+    /// synchronizes with the owner). Retries until the hardware transaction
+    /// commits or `still_wanted`, asked before every attempt, says no.
+    fn force_empty_sequence(
+        &self,
+        target_tid: usize,
+        via_tid: usize,
+        mut still_wanted: impl FnMut() -> bool,
+    ) {
         let shared = &self.threads[target_tid];
-        loop {
+        while still_wanted() {
             let ts = self.clock.now();
             let mut txn = self.htm.begin(via_tid);
             let appended = shared
@@ -327,8 +299,12 @@ impl Crafty {
                     .undo_log
                     .flush_marker(&self.mem, via_tid, info.marker_abs);
                 self.mem.drain(via_tid);
-                // Make everything the target committed before this refresh
-                // durable (see `maintain_ts_lower_bound`).
+                // The refresh is now the target's latest sequence, so
+                // recovery stops rolling back the target's own earlier
+                // sequences. Every commit that precedes the refresh in
+                // the target's log enqueued its write-backs atomically
+                // with its commit, so completing the target's flush
+                // queue here makes all of them durable.
                 self.mem.drain(target_tid);
                 shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
                 return;
@@ -478,6 +454,30 @@ mod tests {
             "idle thread must have been forced to commit an empty sequence"
         );
         assert!(crafty.ts_lower_bound.load(Ordering::Relaxed) > 0);
+    }
+
+    /// The end-to-end twin: the `MAX_LAG` check follows *every* undo
+    /// append, so an idle thread is refreshed whether the busy thread
+    /// commits in hardware or (forced) in software.
+    #[test]
+    fn every_commit_route_refreshes_idle_threads_past_max_lag() {
+        for force_fallback in [false, true] {
+            let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
+            let cfg = CraftyConfig::small_for_tests()
+                .with_max_threads(2)
+                .with_force_fallback(force_fallback);
+            let crafty = Crafty::new(Arc::clone(&mem), CraftyConfig { max_lag: 4, ..cfg });
+            let cell = mem.reserve_persistent(1);
+            let idle_head = crafty.threads[1].undo_log.head(&mem);
+            let mut busy = crafty.register_thread(0);
+            for i in 0..20 {
+                busy.execute(&mut |ops| ops.write(cell, i));
+            }
+            assert!(
+                crafty.threads[1].undo_log.head(&mem) > idle_head,
+                "force_fallback = {force_fallback}: the idle thread was never refreshed"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! undo log can be persisted *before* any program write becomes visible —
 //! and the full Crafty engine built on it:
 //!
-//! * the **Log**, **Redo**, and **Validate** phases and the single-global-
-//!   lock fallback of thread-safe mode (Sections 3–4, Figure 3);
+//! * the **Log**, **Redo**, and **Validate** phases of thread-safe mode
+//!   and its software fallback — one software commit under per-line locks
+//!   (the default) or the paper's single global lock (Sections 3–4,
+//!   Figure 3);
 //! * **thread-unsafe mode** for programs that already provide atomicity
 //!   (Section 4.4, Figure 4);
 //! * per-thread **circular persistent undo logs** with wraparound bits,

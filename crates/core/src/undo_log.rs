@@ -405,10 +405,10 @@ impl UndoLog {
         )
     }
 
-    /// Non-transactional variants used by the SGL (thread-unsafe) path,
-    /// which runs while holding the global lock: writes go through the HTM
-    /// runtime's non-transactional store so that doomed concurrent
-    /// transactions still detect them.
+    /// Non-transactional variant used by every software commit (line locks
+    /// held, SGL held, or thread-unsafe mode) and by quiesce: writes go
+    /// through the HTM runtime's non-transactional store so that doomed
+    /// concurrent transactions still detect them.
     pub fn append_sequence_nontx(
         &self,
         htm: &HtmRuntime,
@@ -440,8 +440,9 @@ impl UndoLog {
         }
     }
 
-    /// Overwrites a marker non-transactionally (SGL path). `data_entries`
-    /// must repeat the sequence's entry count.
+    /// Overwrites a marker non-transactionally (software commits and the
+    /// thread-unsafe Redo). `data_entries` must repeat the sequence's entry
+    /// count.
     pub fn commit_marker_nontx(
         &self,
         htm: &HtmRuntime,

@@ -1,7 +1,9 @@
 //! End-to-end allocation check for the Crafty engine: after warmup, a
 //! committed persistent transaction on the bank-workload hot path (Log
 //! phase → undo-log append → flush → Redo phase) performs **zero heap
-//! allocations**. This is the acceptance bar for the reusable-descriptor /
+//! allocations** — and so does the software commit under either exclusion
+//! strategy (forced per-line, forced SGL), which borrows the same
+//! descriptor. This is the acceptance bar for the reusable-descriptor /
 //! scratch-buffer design across the HTM → core → pmem stack.
 //!
 //! This file intentionally holds a single `#[test]` so no concurrent test
@@ -12,7 +14,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use crafty_common::{PersistentTm, SplitMix64, TxAbort, TxnOps};
-use crafty_core::{Crafty, CraftyConfig};
+use crafty_core::{Crafty, CraftyConfig, FallbackPolicy};
 use crafty_pmem::{MemorySpace, PmemConfig};
 
 std::thread_local! {
@@ -64,6 +66,21 @@ fn transfer(
 
 #[test]
 fn steady_state_bank_transactions_do_not_allocate() {
+    let base = CraftyConfig::small_for_tests().with_max_threads(1);
+    for (route, cfg) in [
+        ("hardware", base),
+        ("forced per-line", base.with_force_fallback(true)),
+        (
+            "forced SGL",
+            base.with_force_fallback(true)
+                .with_fallback(FallbackPolicy::Sgl),
+        ),
+    ] {
+        run_route(route, cfg);
+    }
+}
+
+fn run_route(route: &str, cfg: CraftyConfig) {
     let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
     // A roomy undo log postpones half-crossing maintenance; the test spans
     // several crossings anyway, which must also be allocation-free.
@@ -71,7 +88,7 @@ fn steady_state_bank_transactions_do_not_allocate() {
         Arc::clone(&mem),
         CraftyConfig {
             undo_log_entries: 1024,
-            ..CraftyConfig::small_for_tests().with_max_threads(1)
+            ..cfg
         },
     );
     let accounts_n = 64u64;
@@ -102,7 +119,7 @@ fn steady_state_bank_transactions_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "engine hot path allocated {} times over 10k steady-state transactions",
+        "{route}: engine hot path allocated {} times over 10k steady-state transactions",
         after - before
     );
 

@@ -3,8 +3,10 @@
 
 use std::sync::Arc;
 
+use crafty_common::trace::{self, AbortCause, TraceConfig, TxnPhase};
 use crafty_common::{CompletionPath, PAddr, PersistentTm, TxAbort, TxnOps};
-use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant, ThreadingMode};
+use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant, FallbackPolicy, ThreadingMode};
+use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, MemorySpace, PmemConfig};
 
 fn small_mem() -> Arc<MemorySpace> {
@@ -418,4 +420,77 @@ fn sgl_fallback_is_used_when_htm_capacity_is_exceeded() {
         assert_eq!(mem.read(base.add(i)), i);
     }
     assert_eq!(crafty.breakdown().completions(CompletionPath::Sgl), 1);
+}
+
+/// Every route through the one software commit keeps the same books as
+/// the hardware path: flushed undo-log lines are counted, the software
+/// entry is recorded as an abort cause and timed as a phase, thread-unsafe
+/// mode times its Log and Redo phases, and a body that never succeeds is
+/// given the same patience everywhere.
+#[test]
+fn software_commit_routes_keep_the_same_books() {
+    // Phase timing is process-wide; other tests in this binary merely
+    // record a few cycles more.
+    trace::configure(TraceConfig::counters());
+    let base = CraftyConfig::small_for_tests().with_max_threads(1);
+    let unsafe_mode = base.with_mode(ThreadingMode::ThreadUnsafe);
+    let forced_sgl = base
+        .with_force_fallback(true)
+        .with_fallback(FallbackPolicy::Sgl);
+    for (route, cfg, htm) in [
+        (
+            "forced per-line",
+            base.with_force_fallback(true),
+            HtmConfig::skylake(),
+        ),
+        ("forced SGL", forced_sgl, HtmConfig::skylake()),
+        ("thread-unsafe, tiny HTM", unsafe_mode, HtmConfig::tiny()),
+    ] {
+        let mem = small_mem();
+        let crafty = Crafty::with_htm_config(Arc::clone(&mem), cfg, htm);
+        let cells = mem.reserve_persistent(64 * 8);
+        let mut thread = crafty.register_thread(0);
+        for round in 0..5u64 {
+            let report = thread.execute(&mut |ops| {
+                for i in 0..64 {
+                    ops.write(cells.add(i * 8), round)?;
+                }
+                Ok(())
+            });
+            assert_eq!(report.path, CompletionPath::Sgl, "{route}");
+        }
+        let b = crafty.breakdown();
+        assert_eq!(b.completions(CompletionPath::Sgl), 5, "{route}");
+        assert_eq!(b.abort_cause(AbortCause::SglFallback), 5, "{route}");
+        assert!(b.phase_cycles(TxnPhase::Sgl) > 0, "{route}: no phase time");
+        assert!(b.flushed_lines > 0, "{route}: undo-log flushes not counted");
+        assert_eq!(b.persistent_writes, 5 * 64, "{route}");
+
+        let mut runs = 0u32;
+        let gave_up = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            thread.execute(&mut |_ops| {
+                runs += 1;
+                Err(TxAbort::inconsistent())
+            })
+        }));
+        assert!(gave_up.is_err(), "{route}: a hopeless body must panic");
+        let hw_runs = if cfg.mode == ThreadingMode::ThreadUnsafe {
+            5
+        } else {
+            0
+        };
+        assert_eq!(runs, hw_runs + 16, "{route}: software patience differs");
+    }
+
+    // Thread-unsafe mode on a real HTM: hardware Log, software Redo.
+    let mem = small_mem();
+    let crafty = Crafty::new(Arc::clone(&mem), unsafe_mode);
+    let cell = mem.reserve_persistent(1);
+    let mut thread = crafty.register_thread(0);
+    let report = thread.execute(&mut |ops| ops.write(cell, 7));
+    assert_eq!(report.path, CompletionPath::Redo);
+    let b = crafty.breakdown();
+    assert!(b.phase_cycles(TxnPhase::Log) > 0, "Log phase not timed");
+    assert!(b.phase_cycles(TxnPhase::Redo) > 0, "Redo phase not timed");
+    assert!(b.flushed_lines > 0);
 }

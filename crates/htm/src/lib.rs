@@ -83,7 +83,7 @@ pub mod runtime;
 pub mod scratch;
 
 pub use config::HtmConfig;
-pub use fallback::FallbackTxn;
+pub use fallback::{Exclusion, ExclusiveTxn, FallbackTxn};
 pub use retry::{run_with_retries, RetryPolicy, RetryResult};
 pub use runtime::{AbortCode, HtmRuntime, HwTxn, LockWordGuard};
-pub use scratch::{GenMap, TxnScratch};
+pub use scratch::TxnScratch;

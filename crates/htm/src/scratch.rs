@@ -7,10 +7,11 @@
 //! footprint per *cache line*, for free. This module provides the same
 //! discipline for the simulated RTM:
 //!
-//! * [`TxnScratch`] — everything a hardware or fallback transaction needs
-//!   to remember: one [`LineTable`] entry per touched line (buffered words,
-//!   written-word mask, and the `READ`/`DATA`/`SINK`/`FLUSH` flags), the
-//!   lock order, and the version sinks.
+//! * [`TxnScratch`] — everything a hardware, fallback or exclusive
+//!   transaction needs to remember: one [`LineTable`] entry per touched
+//!   line (buffered words, written-word mask, and the
+//!   `READ`/`DATA`/`SINK`/`FLUSH` flags), the lock order, and the version
+//!   sinks.
 //! * A thread-local spare — `checkout` takes the calling thread's
 //!   descriptor and `give_back` returns it: a `Cell` swap, no atomic
 //!   instruction. A descriptor has no identity (per-thread-slot state such
@@ -22,9 +23,7 @@
 
 use std::cell::Cell;
 
-use crafty_common::{LineTable, PAddr, WORDS_PER_LINE};
-
-pub use crafty_common::GenMap;
+use crafty_common::{LineId, LineTable, PAddr, WORDS_PER_LINE};
 
 /// [`LineSlot::flags`](crafty_common::LineSlot::flags) bit: the
 /// transaction read the line from memory (it is in the read set).
@@ -139,6 +138,19 @@ impl TxnScratch {
         let new_data_line = before & DATA == 0;
         self.data_count += usize::from(new_data_line);
         new_data_line
+    }
+
+    /// The distinct buffered writes as `(address, value)`: lines in
+    /// first-write order, the words of a line in address order.
+    pub(crate) fn written(&self) -> impl Iterator<Item = (PAddr, u64)> + '_ {
+        self.lines.slots().iter().flat_map(|slot| {
+            LineId::new(slot.line())
+                .words()
+                .zip(slot.words)
+                .enumerate()
+                .filter(move |(i, _)| slot.mask & (1 << i) != 0)
+                .map(|(_, write)| write)
+        })
     }
 
     /// Total capacity across the descriptor's table and buffers. Stable

@@ -1,12 +1,11 @@
-//! Property tests for the open-addressed scratch structures: arbitrary
+//! Property tests for the open-addressed line table: arbitrary
 //! interleavings of insert / lookup / epoch-clear / growth must agree with
-//! the std `HashMap` reference behaviour the structures replaced on the
-//! transaction hot path.
+//! the std `HashMap` reference behaviour it replaced on the transaction
+//! hot path.
 
 use std::collections::HashMap;
 
 use crafty_common::LineTable;
-use crafty_htm::GenMap;
 use proptest::prelude::*;
 
 /// One scripted operation against both the scratch structure and its
@@ -103,61 +102,20 @@ proptest! {
         }
     }
 
-    /// GenMap behaves exactly like a HashMap under arbitrary op sequences,
-    /// including overwrite semantics (returning the previous value).
-    #[test]
-    fn genmap_agrees_with_hashmap(seed: u64, ops in 1usize..400) {
-        let mut rng = crafty_common::SplitMix64::new(seed);
-        let mut ours = GenMap::with_capacity(4); // tiny: forces growth
-        let mut reference: HashMap<u64, u64> = HashMap::new();
-        for step in 0..ops {
-            let value = rng.next_u64();
-            match decode_op(rng.next_u64(), value) {
-                Op::Insert(key, value) => {
-                    prop_assert_eq!(
-                        ours.insert(key, value),
-                        reference.insert(key, value),
-                        "step {}", step
-                    );
-                }
-                Op::Lookup(key) => {
-                    prop_assert_eq!(
-                        ours.get(key),
-                        reference.get(&key).copied(),
-                        "step {}", step
-                    );
-                }
-                Op::Clear => {
-                    ours.clear();
-                    reference.clear();
-                }
-            }
-            prop_assert_eq!(ours.len(), reference.len(), "step {}", step);
-        }
-        for (&key, &value) in &reference {
-            prop_assert_eq!(ours.get(key), Some(value));
-        }
-    }
-
     /// Epoch-clearing never resurrects previous-epoch entries, even after
     /// thousands of generations (the generation counter must not alias).
     #[test]
     fn generations_never_alias(seed: u64) {
         let mut rng = crafty_common::SplitMix64::new(seed);
         let mut lines = LineTable::with_capacity(8);
-        let mut map = GenMap::with_capacity(8);
         for _gen in 0..2000 {
             let key = rng.next_u64() % 31;
             prop_assert!(lines.is_empty(), "stale line visible after clear");
-            prop_assert_eq!(map.get(key), None, "stale entry visible after clear");
             let idx = lines.entry(key);
             prop_assert_eq!(lines.slots()[idx].mask, 0, "stale mask on a reused entry");
             lines.slot_mut(idx).mask = 0xFF;
-            map.insert(key, key + 1);
             prop_assert_eq!(lines.entry(key), idx);
-            prop_assert_eq!(map.get(key), Some(key + 1));
             lines.clear();
-            map.clear();
         }
     }
 }

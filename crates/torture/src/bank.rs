@@ -7,12 +7,17 @@
 //! of the seed, so crashing at step *s* on a replay reproduces exactly the
 //! machine state the counting run passed through at step *s* — the whole
 //! harness is deterministic end to end.
+//!
+//! The engine the workload runs on is picked by a [`Route`]: the hardware
+//! phases (this suite), or one of the routes through the software commit
+//! that [`crate::fallback`] audits with the same run and enumeration code.
 
 use std::sync::Arc;
 
 use crafty_common::trace::{self, ThreadTrace};
 use crafty_common::{PAddr, PersistentTm, SplitMix64};
-use crafty_core::{logs_are_clean, recover, Crafty, CraftyConfig};
+use crafty_core::{logs_are_clean, recover, Crafty, CraftyConfig, FallbackPolicy, ThreadingMode};
+use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
 
 use crate::{crash_points, EventTraceArm, TortureConfig, TortureFailure, TortureReport};
@@ -55,6 +60,71 @@ fn apply_shadow(shadow: &mut [u64], txn: &[Transfer]) {
     }
 }
 
+/// How the bank's transactions commit: who provides atomicity meanwhile.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Route {
+    /// The hardware phases (Log, then Redo or Validate): the `bank` suite.
+    Hardware,
+    /// Forced through the (default) per-line fallback.
+    PerLine,
+    /// Forced through the single-global-lock reference.
+    Sgl,
+    /// Thread-unsafe mode on [`HtmConfig::tiny`]: the Log phase rarely fits
+    /// a transaction's account lines plus their undo entries, so most
+    /// transactions take the capacity fallback — the software commit with
+    /// no lock at all — and the rest a hardware Log plus a software Redo.
+    ThreadUnsafeTiny,
+}
+
+impl Route {
+    /// The suite name of the route's report.
+    pub const fn suite(self) -> &'static str {
+        match self {
+            Route::Hardware => "bank",
+            Route::PerLine => "fallback",
+            Route::Sgl => "fallback/sgl",
+            Route::ThreadUnsafeTiny => "fallback/thread-unsafe",
+        }
+    }
+
+    /// Lays a small single-thread engine committing through this route
+    /// out over `mem`.
+    pub(crate) fn engine(self, mem: &Arc<MemorySpace>) -> Crafty {
+        let cfg = CraftyConfig::small_for_tests()
+            .with_max_threads(1)
+            .with_undo_log_entries(64);
+        let forced = cfg.with_force_fallback(true);
+        let (cfg, htm) = match self {
+            Route::Hardware => (cfg, HtmConfig::skylake()),
+            Route::PerLine => (forced, HtmConfig::skylake()),
+            Route::Sgl => (
+                forced.with_fallback(FallbackPolicy::Sgl),
+                HtmConfig::skylake(),
+            ),
+            Route::ThreadUnsafeTiny => (
+                cfg.with_mode(ThreadingMode::ThreadUnsafe),
+                HtmConfig::tiny(),
+            ),
+        };
+        Crafty::with_htm_config(Arc::clone(mem), cfg, htm)
+    }
+}
+
+/// The memory configuration of every run (and of the fallback suite's
+/// second lives: sizes must match so [`MemorySpace::boot`] accepts the
+/// image).
+pub(crate) fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
+    PmemConfig {
+        persistent_words: 1 << 15,
+        volatile_words: 1 << 13,
+        max_threads: 3,
+        latency: LatencyModel::instant(),
+        crash: CrashModel::strict(),
+        ..PmemConfig::small_for_tests()
+    }
+    .with_fault_plan(plan)
+}
+
 /// Everything a completed (possibly trapped) bank run hands to the
 /// auditor.
 pub(crate) struct BankRun {
@@ -75,28 +145,13 @@ pub(crate) struct BankRun {
     pub trace: Vec<ThreadTrace>,
 }
 
-/// Runs the bank workload once under `plan` and returns the run record.
-/// The event rings are reset first, so a trapped run's frozen tail shows
-/// only this replay's events.
-pub(crate) fn run_once(picks: &[Vec<Transfer>], plan: FaultPlan) -> BankRun {
+/// Runs the bank workload once down `route` under `plan` and returns the
+/// run record. The event rings are reset first, so a trapped run's frozen
+/// tail shows only this replay's events.
+pub(crate) fn run_once(route: Route, picks: &[Vec<Transfer>], plan: FaultPlan) -> BankRun {
     trace::reset_rings();
-    let mem = Arc::new(MemorySpace::new(
-        PmemConfig {
-            persistent_words: 1 << 15,
-            volatile_words: 1 << 13,
-            max_threads: 3,
-            latency: LatencyModel::instant(),
-            crash: CrashModel::strict(),
-            ..PmemConfig::small_for_tests()
-        }
-        .with_fault_plan(plan),
-    ));
-    let engine = Crafty::new(
-        Arc::clone(&mem),
-        CraftyConfig::small_for_tests()
-            .with_max_threads(1)
-            .with_undo_log_entries(64),
-    );
+    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan)));
+    let engine = route.engine(&mem);
     let dir_addr = engine.directory_addr();
     let base = mem.reserve_persistent(ACCOUNTS * 8);
     for i in 0..ACCOUNTS {
@@ -181,60 +236,61 @@ pub(crate) fn prefix_check(
     ))
 }
 
-/// Full audit of one trapped crash image.
-fn audit(image: PersistentImage, run: &BankRun, picks: &[Vec<Transfer>]) -> Result<(), String> {
-    let recovered = recover_checked(image, run.dir_addr)?;
-    prefix_check(&recovered, run.base, picks)?;
-    Ok(())
-}
-
 /// Runs the bank torture suite: counts the workload's persistence steps,
 /// replays it crashing at every enumerated step, and audits each crash
 /// image. See the crate docs for the invariants.
 pub fn run_bank_torture(cfg: &TortureConfig) -> TortureReport {
     let _trace = EventTraceArm::arm();
     let picks = draw_picks(cfg.seed, cfg.txns);
-    let count = run_once(&picks, FaultPlan::count_only());
-    let points = crash_points(
+    enumerate(Route::Hardware, cfg, &picks, |_, _| Ok(()))
+}
+
+/// The enumeration every bank-shaped suite shares: counts `route`'s
+/// persistence steps, replays the run crashing at every enumerated step
+/// (a pinned `crash_step` only if the run reaches it), and audits each
+/// crash image — recovery invariants, prefix consistency, then
+/// `also(recovered, step)`.
+pub(crate) fn enumerate(
+    route: Route,
+    cfg: &TortureConfig,
+    picks: &[Vec<Transfer>],
+    also: impl Fn(&PersistentImage, u64) -> Result<(), String>,
+) -> TortureReport {
+    let count = run_once(route, picks, FaultPlan::count_only());
+    let mut points = crash_points(
         cfg.seed,
         count.setup_steps,
         count.total_steps,
         cfg.max_crash_points,
         cfg.crash_step,
     );
+    points.retain(|&step| step <= count.total_steps);
     let mut failures = Vec::new();
     for &step in &points {
         let mut run = run_once(
-            &picks,
+            route,
+            picks,
             FaultPlan::crash_at(step, CrashModel::adversarial(cfg.seed ^ step)),
         );
-        if run.total_steps != count.total_steps {
-            failures.push(TortureFailure::capture(
-                cfg.seed,
-                step,
-                format!(
-                    "replay diverged: {} steps vs {} in the counting run",
-                    run.total_steps, count.total_steps
-                ),
-                &run.trace,
-            ));
-            continue;
-        }
-        let Some(image) = run.image.take() else {
-            failures.push(TortureFailure::capture(
-                cfg.seed,
-                step,
-                "no crash image captured at an in-range step".to_string(),
-                &run.trace,
-            ));
-            continue;
+        let verdict = if run.total_steps != count.total_steps {
+            Err(format!(
+                "replay diverged: {} steps vs {} in the counting run",
+                run.total_steps, count.total_steps
+            ))
+        } else if let Some(image) = run.image.take() {
+            recover_checked(image, run.dir_addr).and_then(|recovered| {
+                prefix_check(&recovered, run.base, picks)?;
+                also(&recovered, step)
+            })
+        } else {
+            Err("no crash image captured at an in-range step".to_string())
         };
-        if let Err(detail) = audit(image, &run, &picks) {
+        if let Err(detail) = verdict {
             failures.push(TortureFailure::capture(cfg.seed, step, detail, &run.trace));
         }
     }
     TortureReport {
-        suite: "bank",
+        suite: route.suite(),
         seed: cfg.seed,
         setup_steps: count.setup_steps,
         total_steps: count.total_steps,
@@ -250,9 +306,13 @@ pub fn run_bank_torture(cfg: &TortureConfig) -> TortureReport {
 pub fn injected_violation_is_caught(cfg: &TortureConfig) -> Result<TortureFailure, String> {
     let _trace = EventTraceArm::arm();
     let picks = draw_picks(cfg.seed, cfg.txns);
-    let count = run_once(&picks, FaultPlan::count_only());
+    let count = run_once(Route::Hardware, &picks, FaultPlan::count_only());
     let step = count.setup_steps + (count.total_steps - count.setup_steps) / 2;
-    let run = run_once(&picks, FaultPlan::crash_at(step, CrashModel::strict()));
+    let run = run_once(
+        Route::Hardware,
+        &picks,
+        FaultPlan::crash_at(step, CrashModel::strict()),
+    );
     let image = run
         .image
         .ok_or_else(|| "no crash image captured for the self-test".to_string())?;
@@ -276,8 +336,8 @@ mod tests {
     #[test]
     fn counting_run_is_deterministic() {
         let picks = draw_picks(3, 6);
-        let a = run_once(&picks, FaultPlan::count_only());
-        let b = run_once(&picks, FaultPlan::count_only());
+        let a = run_once(Route::Hardware, &picks, FaultPlan::count_only());
+        let b = run_once(Route::Hardware, &picks, FaultPlan::count_only());
         assert_eq!(a.total_steps, b.total_steps);
         assert_eq!(a.setup_steps, b.setup_steps);
         assert!(a.total_steps > a.setup_steps, "the run must tick");
@@ -286,8 +346,9 @@ mod tests {
     #[test]
     fn a_final_step_image_recovers_to_the_full_run() {
         let picks = draw_picks(5, 6);
-        let count = run_once(&picks, FaultPlan::count_only());
+        let count = run_once(Route::Hardware, &picks, FaultPlan::count_only());
         let run = run_once(
+            Route::Hardware,
             &picks,
             FaultPlan::crash_at(count.total_steps, CrashModel::strict()),
         );

@@ -1,18 +1,22 @@
-//! Exhaustive crash-point torture of the per-line fallback path.
+//! Exhaustive crash-point torture of the software commit, one [`Route`]
+//! at a time.
 //!
-//! Structurally the twin of [`crate::bank`], but the engine is built with
-//! [`crafty_core::CraftyConfig::with_force_fallback`], so every transfer
-//! transaction runs through the per-line software fallback instead of the
-//! hardware phases. The fallback ticks the fault clock at every lock-word
-//! transition (acquire, validate, release — see
-//! [`crafty_pmem::MemorySpace::fault_event`]), so the enumerated crash
+//! Structurally the twin of [`crate::bank`], but every transfer
+//! transaction commits in software instead of through the hardware
+//! phases: forced through the per-line fallback
+//! ([`crafty_core::CraftyConfig::with_force_fallback`]), forced through
+//! the SGL reference, or run in thread-unsafe mode on an HTM too small for
+//! the Log phase. The per-line route ticks the fault clock at every
+//! lock-word transition (acquire, validate, release — see
+//! [`crafty_pmem::MemorySpace::fault_event`]), so its enumerated crash
 //! points land *inside* lock-hold windows: after some locks of a sorted
 //! acquisition sweep are taken, between the undo append and publication,
-//! and between publication and release.
+//! and between publication and release. The other two routes share the
+//! same undo-append → drain → publish → stamp sequence without line locks.
 //!
 //! On top of the bank suite's recovery-and-prefix audit, every crash image
 //! gets a **second-life audit**: the recovered image is booted into a
-//! fresh [`MemorySpace`], a new forced-fallback engine is laid out over it
+//! fresh [`MemorySpace`], a new engine of the same route is laid out over it
 //! (reservation cursors are deterministic, so every address comes back
 //! identical), and a further batch of transfers is run. The run completing
 //! with conservation of money intact proves a rebooted heap never sees a
@@ -23,102 +27,37 @@
 use std::sync::Arc;
 
 use crafty_common::{PersistentTm, SplitMix64};
-use crafty_core::{Crafty, CraftyConfig};
-use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
+use crafty_pmem::{FaultPlan, MemorySpace, PersistentImage};
 
-use crate::bank::{draw_picks, prefix_check, recover_checked, ACCOUNTS, INITIAL};
-use crate::{crash_points, EventTraceArm, TortureConfig, TortureFailure, TortureReport};
-
-use crafty_common::trace::{self, ThreadTrace};
-use crafty_common::PAddr;
+pub use crate::bank::Route;
+use crate::bank::{draw_picks, enumerate, pmem_cfg, ACCOUNTS, INITIAL};
+use crate::{EventTraceArm, TortureConfig, TortureReport};
 
 /// Transfers run by the second-life audit after booting a crash image.
 const SECOND_LIFE_TXNS: u64 = 4;
 
-/// The memory configuration shared by the first life and every second
-/// life: sizes must match so [`MemorySpace::boot`] accepts the image.
-fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
-    PmemConfig {
-        persistent_words: 1 << 15,
-        volatile_words: 1 << 13,
-        max_threads: 3,
-        latency: LatencyModel::instant(),
-        crash: CrashModel::strict(),
-        ..PmemConfig::small_for_tests()
-    }
-    .with_fault_plan(plan)
-}
-
-/// The engine configuration: the bank suite's, with every transaction
-/// forced through the (default per-line) software fallback.
-fn crafty_cfg() -> CraftyConfig {
-    CraftyConfig::small_for_tests()
-        .with_max_threads(1)
-        .with_undo_log_entries(64)
-        .with_force_fallback(true)
-}
-
-/// Everything a completed (possibly trapped) forced-fallback run hands to
-/// the auditor. Mirrors [`crate::bank::BankRun`].
-struct FallbackRun {
-    setup_steps: u64,
-    total_steps: u64,
-    base: PAddr,
-    dir_addr: PAddr,
-    image: Option<PersistentImage>,
-    trace: Vec<ThreadTrace>,
-}
-
-/// Runs the forced-fallback bank workload once under `plan`.
-fn run_once(picks: &[Vec<(u64, u64, u64)>], plan: FaultPlan) -> FallbackRun {
-    trace::reset_rings();
-    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan)));
-    let engine = Crafty::new(Arc::clone(&mem), crafty_cfg());
-    let dir_addr = engine.directory_addr();
-    let base = mem.reserve_persistent(ACCOUNTS * 8);
-    for i in 0..ACCOUNTS {
-        mem.write(base.add(i * 8), INITIAL);
-        mem.clwb(0, base.add(i * 8));
-    }
-    mem.drain(0);
-    let mut thread = engine.register_thread(0);
-    let setup_steps = mem.fault_steps();
-    for txn in picks {
-        thread.execute(&mut |ops| {
-            for &(from, to, amount) in txn {
-                let a = base.add(from * 8);
-                let b = base.add(to * 8);
-                let va = ops.read(a)?;
-                ops.write(a, va.wrapping_sub(amount))?;
-                let vb = ops.read(b)?;
-                ops.write(b, vb.wrapping_add(amount))?;
-            }
-            Ok(())
-        });
-    }
-    drop(thread);
-    FallbackRun {
-        setup_steps,
-        total_steps: mem.fault_steps(),
-        base,
-        dir_addr,
-        image: mem.take_fault_image(),
-        trace: mem.take_fault_trace(),
-    }
-}
+/// The routes through the software commit, in report order. Per-line
+/// stays first: its `[fallback]` report line is the one earlier runs are
+/// compared with.
+pub const SOFTWARE_ROUTES: [Route; 3] = [Route::PerLine, Route::Sgl, Route::ThreadUnsafeTiny];
 
 /// Second-life audit: boots `recovered` into a fresh space, rebuilds the
-/// forced-fallback engine over it, runs [`SECOND_LIFE_TXNS`] more transfer
+/// route's engine over it, runs [`SECOND_LIFE_TXNS`] more transfer
 /// transactions, and checks conservation of money end to end. A stuck lock
 /// word would either hang the first fallback that touches its line (the
 /// sorted acquisition loop spins on `LOCKED_MASK`) or corrupt an account;
 /// completing cleanly proves the rebooted heap carries no lock state.
-fn second_life(recovered: &PersistentImage, seed: u64, step: u64) -> Result<(), String> {
+fn second_life(
+    route: Route,
+    recovered: &PersistentImage,
+    seed: u64,
+    step: u64,
+) -> Result<(), String> {
     let mem = Arc::new(MemorySpace::boot(
         recovered,
         pmem_cfg(FaultPlan::inactive()),
     ));
-    let engine = Crafty::new(Arc::clone(&mem), crafty_cfg());
+    let engine = route.engine(&mem);
     // Re-establish the layout exactly as a restarted program would; the
     // reservation cursor hands back the same base the first life used.
     let base = mem.reserve_persistent(ACCOUNTS * 8);
@@ -161,116 +100,60 @@ fn second_life(recovered: &PersistentImage, seed: u64, step: u64) -> Result<(), 
     Ok(())
 }
 
-/// Full audit of one trapped crash image: recovery invariants, prefix
-/// consistency, and the second-life no-stuck-lock run.
-fn audit(
-    image: PersistentImage,
-    run: &FallbackRun,
-    picks: &[Vec<(u64, u64, u64)>],
-    seed: u64,
-    step: u64,
-) -> Result<(), String> {
-    let recovered = recover_checked(image, run.dir_addr)?;
-    prefix_check(&recovered, run.base, picks)?;
-    second_life(&recovered, seed, step)?;
-    Ok(())
-}
-
-/// Runs the forced-fallback torture suite: counts the workload's
-/// persistence steps (lock-word transitions included), replays it crashing
-/// at every enumerated step, and audits each crash image — including a
-/// full second life over the recovered state.
-pub fn run_fallback_torture(cfg: &TortureConfig) -> TortureReport {
+/// Runs the software-commit torture suite, one report per route of
+/// [`SOFTWARE_ROUTES`]: counts the route's persistence steps (lock-word
+/// transitions included), replays it crashing at every enumerated step,
+/// and audits each crash image — recovery invariants, prefix consistency,
+/// and a full second life over the recovered state. A pinned `crash_step`
+/// replays on every route whose run reaches that step.
+pub fn run_fallback_torture(cfg: &TortureConfig) -> Vec<TortureReport> {
     let _trace = EventTraceArm::arm();
     let picks = draw_picks(cfg.seed, cfg.txns);
-    let count = run_once(&picks, FaultPlan::count_only());
-    let points = crash_points(
-        cfg.seed,
-        count.setup_steps,
-        count.total_steps,
-        cfg.max_crash_points,
-        cfg.crash_step,
-    );
-    let mut failures = Vec::new();
-    for &step in &points {
-        let mut run = run_once(
-            &picks,
-            FaultPlan::crash_at(step, CrashModel::adversarial(cfg.seed ^ step)),
-        );
-        if run.total_steps != count.total_steps {
-            failures.push(TortureFailure::capture(
-                cfg.seed,
-                step,
-                format!(
-                    "replay diverged: {} steps vs {} in the counting run",
-                    run.total_steps, count.total_steps
-                ),
-                &run.trace,
-            ));
-            continue;
-        }
-        let Some(image) = run.image.take() else {
-            failures.push(TortureFailure::capture(
-                cfg.seed,
-                step,
-                "no crash image captured at an in-range step".to_string(),
-                &run.trace,
-            ));
-            continue;
-        };
-        if let Err(detail) = audit(image, &run, &picks, cfg.seed, step) {
-            failures.push(TortureFailure::capture(cfg.seed, step, detail, &run.trace));
-        }
-    }
-    TortureReport {
-        suite: "fallback",
-        seed: cfg.seed,
-        setup_steps: count.setup_steps,
-        total_steps: count.total_steps,
-        crash_points_tested: points.len() as u64,
-        failures,
-    }
+    let audit = |route| {
+        enumerate(route, cfg, &picks, |recovered, step| {
+            second_life(route, recovered, cfg.seed, step)
+        })
+    };
+    SOFTWARE_ROUTES.map(audit).into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crafty_common::CompletionPath;
+    use crate::bank::run_once;
 
     #[test]
-    fn counting_run_is_deterministic_and_ticks_lock_windows() {
+    fn counting_runs_are_deterministic_and_only_per_line_ticks_lock_windows() {
         let picks = draw_picks(3, 6);
-        let a = run_once(&picks, FaultPlan::count_only());
-        let b = run_once(&picks, FaultPlan::count_only());
-        assert_eq!(a.total_steps, b.total_steps);
-        assert_eq!(a.setup_steps, b.setup_steps);
-        assert!(a.total_steps > a.setup_steps, "the run must tick");
-    }
-
-    #[test]
-    fn forced_runs_complete_through_the_fallback_path() {
-        let mem = Arc::new(MemorySpace::new(pmem_cfg(FaultPlan::inactive())));
-        let engine = Crafty::new(Arc::clone(&mem), crafty_cfg());
-        let addr = mem.reserve_persistent(8);
-        let mut thread = engine.register_thread(0);
-        let report = thread.execute(&mut |ops| {
-            let v = ops.read(addr)?;
-            ops.write(addr, v + 1)?;
-            Ok(())
+        let steps = SOFTWARE_ROUTES.map(|route| {
+            let a = run_once(route, &picks, FaultPlan::count_only());
+            let b = run_once(route, &picks, FaultPlan::count_only());
+            assert_eq!(a.total_steps, b.total_steps);
+            assert_eq!(a.setup_steps, b.setup_steps);
+            assert!(a.total_steps > a.setup_steps, "the run must tick");
+            a.total_steps - a.setup_steps
         });
-        assert_eq!(report.path, CompletionPath::Sgl, "fallback completion");
-        assert_eq!(report.hw_attempts, 0, "no hardware phase was attempted");
+        assert!(
+            steps[0] > steps[1],
+            "per-line ticks lock transitions the SGL reference does not have"
+        );
     }
 
     #[test]
-    fn a_final_step_image_passes_the_full_audit() {
+    fn a_final_step_image_passes_the_second_life_audit_on_every_route() {
         let picks = draw_picks(5, 6);
-        let count = run_once(&picks, FaultPlan::count_only());
-        let mut run = run_once(
-            &picks,
-            FaultPlan::crash_at(count.total_steps, CrashModel::strict()),
-        );
-        let image = run.image.take().expect("final step is reached");
-        audit(image, &run, &picks, 5, count.total_steps).expect("audit");
+        for route in SOFTWARE_ROUTES {
+            let total = run_once(route, &picks, FaultPlan::count_only()).total_steps;
+            let pinned = TortureConfig {
+                crash_step: Some(total),
+                txns: 6,
+                ..TortureConfig::quick(5)
+            };
+            let report = enumerate(route, &pinned, &picks, |recovered, step| {
+                second_life(route, recovered, 5, step)
+            });
+            assert_eq!(report.crash_points_tested, 1, "{route:?}");
+            assert!(report.ok(), "{route:?}: {:?}", report.failures);
+        }
     }
 }

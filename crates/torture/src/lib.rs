@@ -18,13 +18,15 @@
 //!   committed-transaction order replayed against a shadow oracle (plus
 //!   [`crafty_kv::ShardedKv::check_integrity`] deep structure checks for
 //!   the KV suite).
-//! * **Fallback lock-hold windows** — [`fallback::run_fallback_torture`]
-//!   forces every transaction through the per-line software fallback
+//! * **Software-commit windows** — [`fallback::run_fallback_torture`]
+//!   commits every transaction in software, one [`fallback::Route`] after
+//!   another: forced through the per-line fallback
 //!   ([`crafty_core::CraftyConfig::with_force_fallback`]), whose lock-word
 //!   transitions tick the fault clock, so crash points land while line
-//!   locks are held; every recovered image is additionally *booted* into a
-//!   second life that must run more transactions with conservation intact
-//!   (a rebooted heap never sees a stuck lock).
+//!   locks are held; forced through the SGL reference; and in thread-unsafe
+//!   mode on a tiny HTM. Every recovered image is additionally *booted*
+//!   into a second life that must run more transactions with conservation
+//!   intact (a rebooted heap never sees a stuck lock).
 //! * **Crash-during-recovery** — [`rec::run_recovery_torture`] interrupts
 //!   [`crafty_core::recover_interrupted`] at every write budget and checks
 //!   that re-running recovery converges to the uninterrupted image.
@@ -200,7 +202,8 @@ impl fmt::Display for TortureFailure {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TortureReport {
     /// Which suite ran (`"bank"`, `"fallback"`, `"kv"`, `"recovery"`,
-    /// `"storm"`).
+    /// `"storm"`, `"service"`); the fallback suite's further routes report
+    /// as `"fallback/<route>"`.
     pub suite: &'static str,
     /// The master seed the suite ran under.
     pub seed: u64,

@@ -17,7 +17,7 @@ use crafty_common::trace::ThreadTrace;
 use crafty_core::{logs_are_clean, recover, recover_interrupted};
 use crafty_pmem::{CrashModel, FaultPlan};
 
-use crate::bank::{draw_picks, prefix_check, run_once};
+use crate::bank::{draw_picks, prefix_check, run_once, Route};
 use crate::{crash_points, EventTraceArm, TortureConfig, TortureFailure, TortureReport};
 
 /// Trap points per run: each spawns a full budget sweep, so a few spread
@@ -29,7 +29,7 @@ const TRAP_POINTS: u64 = 6;
 pub fn run_recovery_torture(cfg: &TortureConfig) -> TortureReport {
     let _trace = EventTraceArm::arm();
     let picks = draw_picks(cfg.seed, cfg.txns);
-    let count = run_once(&picks, FaultPlan::count_only());
+    let count = run_once(Route::Hardware, &picks, FaultPlan::count_only());
     let max_points = if cfg.max_crash_points == 0 {
         TRAP_POINTS
     } else {
@@ -48,6 +48,7 @@ pub fn run_recovery_torture(cfg: &TortureConfig) -> TortureReport {
     };
     for &step in &points {
         let run = run_once(
+            Route::Hardware,
             &picks,
             FaultPlan::crash_at(step, CrashModel::adversarial(cfg.seed ^ step)),
         );

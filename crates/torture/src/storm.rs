@@ -2,10 +2,10 @@
 //!
 //! [`crafty_htm::HtmConfig::with_abort_storm`] dooms long consecutive runs
 //! of hardware transactions. Under a burst longer than the engine's whole
-//! retry budget, a transaction can only complete through the SGL fallback
-//! (Section 4's `max_phase_restarts` path), which uses no hardware
+//! retry budget, a transaction can only complete through the software
+//! fallback (Section 4's restart-budget path), which uses no hardware
 //! transactions — so the suite asserts three things: every transaction
-//! completes (liveness), at least one completed through the SGL path (the
+//! completes (liveness), at least one completed in software (the
 //! storm actually bit), and the final counter survives a quiesce + crash +
 //! recovery (durability is not weakened by the fallback).
 
@@ -20,9 +20,9 @@ use crafty_pmem::{CrashModel, LatencyModel, MemorySpace, PmemConfig};
 use crate::{EventTraceArm, TortureConfig, TortureFailure, TortureReport};
 
 /// Consecutive doomed hardware transactions per storm cycle: far beyond
-/// the engine's retry budget (`max_phase_restarts × htm_retries_per_phase`
-/// in the small test configuration), so a transaction starting inside a
-/// burst must fall back to the SGL.
+/// the engine's retry budget (9 phase rounds × 5 hardware attempts, fixed
+/// in `crafty-core`'s `thread.rs`), so a transaction starting inside a
+/// burst must fall back to software.
 const BURST: u32 = 96;
 /// Storm cycle length: leaves a clean window after each burst so the
 /// engine's bounded internal hardware-transaction loops stay live.

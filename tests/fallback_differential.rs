@@ -1,31 +1,33 @@
-//! Differential property tests: the per-line fallback is observably
-//! identical to the single-global-lock reference fallback.
+//! Differential property tests: every route through the one software
+//! commit is observably identical to the single-global-lock reference.
 //!
 //! The SGL fallback is simple enough to trust by inspection: one lock
 //! serializes every fallback transaction and every hardware phase
 //! subscribes to it. The per-line policy replaces that with write locks on
 //! exactly the fallback's write set plus read-version validation — far
-//! more concurrency, far more room for ordering bugs. These tests drive
-//! the *same seeded workload* under [`FallbackPolicy::Sgl`] and
-//! [`FallbackPolicy::PerLine`] (every transaction forced through the
-//! fallback so the policies actually execute) and assert:
+//! more concurrency, far more room for ordering bugs — and thread-unsafe
+//! mode drops the lock altogether (the program serializes), committing
+//! either through a hardware Log phase plus a software Redo or, when the
+//! HTM is too small, through the same software commit as the SGL. These
+//! tests drive the *same seeded workload* down each [`Route`] and assert:
 //!
 //! * the committed final states are identical word-for-word, and
-//! * crash images trapped across each policy's own run pass the identical
+//! * crash images trapped across each route's own run pass the identical
 //!   audit — recovery succeeds, logs decode clean, re-recovery is a
 //!   no-op, and the recovered accounts equal a prefix of the commit
 //!   order — under the strict, relaxed, and adversarial crash models.
 //!
-//! The two policies tick the fault clock differently (per-line adds
-//! lock-transition events), so crash *steps* are sampled per policy over
-//! that policy's own step range; what must agree is the audit verdict,
+//! The routes tick the fault clock differently (per-line adds
+//! lock-transition events), so crash *steps* are sampled per route over
+//! that route's own step range; what must agree is the audit verdict,
 //! not the byte-level images. This mirrors the structure of
 //! `crates/pmem/tests/masked_persistence_differential.rs`, one layer up.
 
 use std::sync::Arc;
 
-use crafty_common::{PAddr, PersistentTm, SplitMix64};
-use crafty_core::{logs_are_clean, recover, Crafty, CraftyConfig, FallbackPolicy};
+use crafty_common::{CompletionPath, PAddr, PersistentTm, SplitMix64};
+use crafty_core::{logs_are_clean, recover, Crafty, CraftyConfig, FallbackPolicy, ThreadingMode};
+use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
 use proptest::prelude::*;
 
@@ -52,20 +54,68 @@ fn draw_picks(seed: u64, txns: u64) -> Vec<Vec<Transfer>> {
         .collect()
 }
 
-/// Result of one forced-fallback run: the final (or trapped) state plus
+/// One way for a transaction to commit outside a Redo/Validate hardware
+/// transaction.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Route {
+    /// Thread-safe, every transaction forced through the per-line fallback.
+    PerLine,
+    /// Thread-safe, every transaction forced through the SGL reference.
+    Sgl,
+    /// Thread-unsafe mode: hardware Log phase, software Redo.
+    ThreadUnsafe,
+    /// Thread-unsafe mode on an HTM too small for the Log phase: the
+    /// capacity fallback, i.e. the software commit without any lock.
+    ThreadUnsafeTiny,
+}
+
+const ROUTES: [Route; 4] = [
+    Route::Sgl,
+    Route::PerLine,
+    Route::ThreadUnsafe,
+    Route::ThreadUnsafeTiny,
+];
+
+impl Route {
+    fn engine(self, mem: &Arc<MemorySpace>) -> Crafty {
+        let cfg = CraftyConfig::small_for_tests()
+            .with_max_threads(1)
+            .with_undo_log_entries(64);
+        let (cfg, htm) = match self {
+            Route::PerLine => (cfg.with_force_fallback(true), HtmConfig::skylake()),
+            Route::Sgl => (
+                cfg.with_force_fallback(true)
+                    .with_fallback(FallbackPolicy::Sgl),
+                HtmConfig::skylake(),
+            ),
+            Route::ThreadUnsafe => (
+                cfg.with_mode(ThreadingMode::ThreadUnsafe),
+                HtmConfig::skylake(),
+            ),
+            Route::ThreadUnsafeTiny => (
+                cfg.with_mode(ThreadingMode::ThreadUnsafe),
+                HtmConfig::tiny(),
+            ),
+        };
+        Crafty::with_htm_config(Arc::clone(mem), cfg, htm)
+    }
+}
+
+/// Result of one run down a route: the final (or trapped) state plus
 /// everything the auditor needs.
-struct PolicyRun {
+struct RouteRun {
     setup_steps: u64,
     total_steps: u64,
     base: PAddr,
     dir_addr: PAddr,
     final_accounts: Vec<u64>,
+    /// Transactions that completed through the software commit.
+    software_commits: u64,
     image: Option<PersistentImage>,
 }
 
-/// Runs the seeded bank workload with every transaction forced through
-/// `policy`'s fallback, under `plan`.
-fn run_policy(picks: &[Vec<Transfer>], policy: FallbackPolicy, plan: FaultPlan) -> PolicyRun {
+/// Runs the seeded bank workload down `route`, under `plan`.
+fn run_route(picks: &[Vec<Transfer>], route: Route, plan: FaultPlan) -> RouteRun {
     let mem = Arc::new(MemorySpace::new(
         PmemConfig {
             persistent_words: 1 << 15,
@@ -77,14 +127,7 @@ fn run_policy(picks: &[Vec<Transfer>], policy: FallbackPolicy, plan: FaultPlan) 
         }
         .with_fault_plan(plan),
     ));
-    let engine = Crafty::new(
-        Arc::clone(&mem),
-        CraftyConfig::small_for_tests()
-            .with_max_threads(1)
-            .with_undo_log_entries(64)
-            .with_fallback(policy)
-            .with_force_fallback(true),
-    );
+    let engine = route.engine(&mem);
     let dir_addr = engine.directory_addr();
     let base = mem.reserve_persistent(ACCOUNTS * 8);
     for i in 0..ACCOUNTS {
@@ -109,22 +152,23 @@ fn run_policy(picks: &[Vec<Transfer>], policy: FallbackPolicy, plan: FaultPlan) 
     }
     drop(thread);
     engine.quiesce();
-    PolicyRun {
+    RouteRun {
         setup_steps,
         total_steps: mem.fault_steps(),
         base,
         dir_addr,
         final_accounts: (0..ACCOUNTS).map(|i| mem.read(base.add(i * 8))).collect(),
+        software_commits: engine.breakdown().completions(CompletionPath::Sgl),
         image: mem.take_fault_image(),
     }
 }
 
-/// The audit every trapped crash image must pass, identically for both
-/// policies: recovery, clean logs, idempotent re-recovery, and prefix
+/// The audit every trapped crash image must pass, identically for every
+/// route: recovery, clean logs, idempotent re-recovery, and prefix
 /// consistency against the shadow oracle.
 fn audit(
     mut image: PersistentImage,
-    run: &PolicyRun,
+    run: &RouteRun,
     picks: &[Vec<Transfer>],
 ) -> Result<u64, String> {
     recover(&mut image, run.dir_addr).map_err(|e| format!("recovery failed: {e}"))?;
@@ -171,18 +215,20 @@ fn sample_steps(seed: u64, setup: u64, total: u64, n: u64) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Fault-free completion: both policies commit the same seeded
+    /// Fault-free completion: every route commits the same seeded
     /// workload to the identical final state, with money conserved.
     #[test]
-    fn final_state_is_policy_independent(seed: u64, txns in 2u64..12) {
+    fn final_state_is_route_independent(seed: u64, txns in 2u64..12) {
         let picks = draw_picks(seed, txns);
-        let sgl = run_policy(&picks, FallbackPolicy::Sgl, FaultPlan::inactive());
-        let per_line = run_policy(&picks, FallbackPolicy::PerLine, FaultPlan::inactive());
-        prop_assert_eq!(
-            &sgl.final_accounts, &per_line.final_accounts,
-            "policies committed different final states"
-        );
-        let total: u64 = per_line
+        let reference = run_route(&picks, Route::Sgl, FaultPlan::inactive());
+        for route in ROUTES {
+            let run = run_route(&picks, route, FaultPlan::inactive());
+            prop_assert_eq!(
+                &reference.final_accounts, &run.final_accounts,
+                "{:?} committed a different final state than the SGL reference", route
+            );
+        }
+        let total: u64 = reference
             .final_accounts
             .iter()
             .fold(0u64, |s, &v| s.wrapping_add(v));
@@ -190,17 +236,17 @@ proptest! {
     }
 }
 
-/// Crash-image audits: for each policy, trap images at seeded steps of
-/// that policy's own run under every crash model, and demand the audit
-/// verdict be identical — a clean pass everywhere. A policy-specific
+/// Crash-image audits: for each route, trap images at seeded steps of
+/// that route's own run under every crash model, and demand the audit
+/// verdict be identical — a clean pass everywhere. A route-specific
 /// durability-ordering bug (undo log not persisted before publication,
 /// say) would fail its side only.
 #[test]
-fn crash_audits_agree_across_models_and_policies() {
+fn crash_audits_agree_across_models_and_routes() {
     for seed in [41u64, 42, 43] {
         let picks = draw_picks(seed, 8);
-        for policy in [FallbackPolicy::Sgl, FallbackPolicy::PerLine] {
-            let count = run_policy(&picks, policy, FaultPlan::count_only());
+        for route in ROUTES {
+            let count = run_route(&picks, route, FaultPlan::count_only());
             let steps = sample_steps(seed, count.setup_steps, count.total_steps, 4);
             for step in steps {
                 for (label, model) in [
@@ -208,18 +254,14 @@ fn crash_audits_agree_across_models_and_policies() {
                     ("relaxed", CrashModel::relaxed(seed ^ step)),
                     ("adversarial", CrashModel::adversarial(seed ^ step)),
                 ] {
-                    let mut run = run_policy(&picks, policy, FaultPlan::crash_at(step, model));
+                    let mut run = run_route(&picks, route, FaultPlan::crash_at(step, model));
                     let image = run.image.take().unwrap_or_else(|| {
-                        panic!(
-                            "{} policy trapped no image at step {step} ({label})",
-                            policy.label()
-                        )
+                        panic!("{route:?} trapped no image at step {step} ({label})")
                     });
                     if let Err(detail) = audit(image, &run, &picks) {
                         panic!(
-                            "{} policy failed the {label} audit at step {step} \
-                             (seed {seed}): {detail}",
-                            policy.label()
+                            "{route:?} failed the {label} audit at step {step} \
+                             (seed {seed}): {detail}"
                         );
                     }
                 }
@@ -228,20 +270,40 @@ fn crash_audits_agree_across_models_and_policies() {
     }
 }
 
-/// The two policies genuinely execute different code: per-line runs tick
-/// extra fault-clock events (lock transitions), so its step count must
-/// strictly exceed the SGL's on the same workload. Guards against the
-/// differential silently comparing one policy with itself.
+/// The per-line and SGL routes genuinely execute different code: per-line
+/// runs tick extra fault-clock events (lock transitions), so its step
+/// count must strictly exceed the SGL's on the same workload. Guards
+/// against the differential silently comparing one policy with itself.
 #[test]
 fn per_line_runs_tick_lock_transition_events() {
     let picks = draw_picks(7, 6);
-    let sgl = run_policy(&picks, FallbackPolicy::Sgl, FaultPlan::count_only());
-    let per_line = run_policy(&picks, FallbackPolicy::PerLine, FaultPlan::count_only());
+    let sgl = run_route(&picks, Route::Sgl, FaultPlan::count_only());
+    let per_line = run_route(&picks, Route::PerLine, FaultPlan::count_only());
     assert_eq!(sgl.final_accounts, per_line.final_accounts);
     assert!(
         per_line.total_steps - per_line.setup_steps > sgl.total_steps - sgl.setup_steps,
         "per-line ({}) should tick more steps than sgl ({}) on the same workload",
         per_line.total_steps - per_line.setup_steps,
         sgl.total_steps - sgl.setup_steps,
+    );
+}
+
+/// Every route is really taken: the forced routes and the tiny HTM commit
+/// in software, plain thread-unsafe mode (hardware Log, software Redo)
+/// never does.
+#[test]
+fn every_route_is_really_taken() {
+    let picks = draw_picks(7, 6);
+    let commits = |route| run_route(&picks, route, FaultPlan::inactive()).software_commits;
+    assert_eq!(commits(Route::Sgl), 6);
+    assert_eq!(commits(Route::PerLine), 6);
+    assert_eq!(
+        commits(Route::ThreadUnsafe),
+        0,
+        "the Log phase fits a real HTM"
+    );
+    assert!(
+        commits(Route::ThreadUnsafeTiny) > 0,
+        "the tiny HTM never took thread-unsafe mode's capacity fallback"
     );
 }

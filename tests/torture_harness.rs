@@ -24,22 +24,32 @@ fn bank_exhaustive_enumeration_is_violation_free() {
     assert!(report.crash_points_tested > 100, "run too small to matter");
 }
 
-/// Exhaustive enumeration of the forced per-line-fallback bank run: the
-/// fallback's lock-word transitions tick the fault clock, so the
+/// Exhaustive enumeration of the bank run committed in software, route by
+/// route (forced per-line, forced SGL, thread-unsafe on a tiny HTM): the
+/// per-line fallback's lock-word transitions tick the fault clock, so its
 /// enumerated steps include crash points strictly inside lock-hold
 /// windows. Every crash image must recover to a commit-order prefix AND
 /// boot into a second life that keeps running with conservation intact —
 /// a rebooted heap must never see a stuck lock.
 #[test]
 fn fallback_exhaustive_enumeration_is_violation_free() {
-    let report = run_fallback_torture(&TortureConfig::quick(27));
-    assert!(report.ok(), "violations: {:?}", report.failures);
-    assert_eq!(
-        report.crash_points_tested,
-        report.total_steps - report.setup_steps,
-        "exhaustive mode must audit every post-setup step"
-    );
-    assert!(report.crash_points_tested > 100, "run too small to matter");
+    let reports = run_fallback_torture(&TortureConfig::quick(27));
+    assert_eq!(reports.len(), 3, "one report per software route");
+    assert_eq!(reports[0].suite, "fallback", "per-line reports first");
+    for report in &reports {
+        assert!(
+            report.ok(),
+            "{} violations: {:?}",
+            report.suite,
+            report.failures
+        );
+        assert_eq!(
+            report.crash_points_tested,
+            report.total_steps - report.setup_steps,
+            "exhaustive mode must audit every post-setup step"
+        );
+        assert!(report.crash_points_tested > 100, "run too small to matter");
+    }
 }
 
 /// Stratified sampling of the KV suite: structural integrity, exact
