@@ -5,9 +5,9 @@
 //! in-place write — one drain per write) or redo logging (buffer writes,
 //! persist the log once, then write back — one drain per transaction, but
 //! every read must consult the buffered writes). They are not part of the
-//! paper's measured configurations; they exist to let the benches
-//! demonstrate the per-write versus per-transaction persist-cost trade-off
-//! the paper's Section 2.2 describes.
+//! paper's measured configurations; they exist to demonstrate the
+//! per-write versus per-transaction persist-cost trade-off the paper's
+//! Section 2.2 describes (the unit tests below count the drains).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,68 +1,78 @@
-//! Regenerates the paper's tables and figures.
+//! Regenerates the paper's engine × workload × thread-count comparisons,
+//! and hosts the drivers that share its flag parser.
 //!
 //! ```text
-//! figures [targets...] [--paper] [--latency-100] [--threads a,b,c] [--txns N] [--csv DIR]
-//!         [--json-out PATH] [--trace off|counters|events]
+//! figures [targets...] [--paper] [--latency-100] [--threads a,b,c] [--txns N]
+//!         [--trace off|counters|events] [--csv DIR] [--json-out PATH]
 //!
-//! targets: fig6 fig7 fig8 table1 breakdowns breakdown fig22 fig23 fig24
-//!          hotpath flushbound kv all   (default: fig6 fig7 table1 breakdown)
+//! targets: fig6 fig7 fig8 table1 breakdowns fig22 fig23 fig24 hotpath kv all
+//!          (default: fig6 fig7 table1)
 //!
-//! figures compare --candidate PATH [--baseline BENCH_hotpath.json]
-//!         [--suite hotpath|kv] [--tolerance 0.40] [--engine Crafty]
-//!         [--reference Non-durable] [--threads 1] [--absolute]
-//!
-//! figures torture [--suite bank|fallback|kv|storm|recovery|all] [--seed N]
-//!         [--txns N] [--steps N] [--crash-step N]
-//!
-//! figures contention [--threads a,b,c] [--txns N] [--accounts N]
-//!         [--theta F] [--seed N] [--json-out PATH]
-//!
-//! figures kvserve [--rates a,b,c] [--ops N] [--engines e,e] [--connections N]
-//!         [--workers N] [--records N] [--read-pct N] [--fixed] [--seed N]
-//!         [--drain-ns N] [--json-out PATH]
-//!
-//! figures breakdown [--threads N] [--txns N] [--json-out PATH]
-//!
-//! figures trace [--out trace.json] [--threads N] [--txns N] [--ring N]
-//!
-//! figures --help   prints the full usage, generated from the same flag
-//!                  table the parser validates against
+//! figures breakdown  [--threads N] [--txns N] [--json-out PATH]
+//! figures compare    --candidate PATH [--baseline BENCH_hotpath.json] [--tolerance 0.40]
+//! figures flushbound [--threads a,b,c] [--txns N] [--json-out PATH]
+//! figures contention [--threads a,b,c] [--txns N] [--accounts N] [--theta F]
+//!                    [--seed N] [--json-out PATH]
+//! figures kvserve    [--rates a,b,c] [--ops N] [--engines e,e] [--connections N]
+//!                    [--workers N] [--records N] [--read-pct N] [--fixed] [--seed N]
+//!                    [--drain-ns N] [--json-out PATH] [--assert-no-shed]
+//! figures torture    [--suite bank|fallback|kv|storm|recovery|service|all] [--seed N]
+//!                    [--txns N] [--steps N] [--crash-step N]
+//! figures trace      [--out trace.json] [--threads N] [--txns N] [--ring N]
+//! figures --help
 //! ```
 //!
 //! Every subcommand's flags are declared once in [`SPECS`] and parsed by
 //! the shared [`crafty_bench::cli`] helper; `--help` renders from the same
 //! table, so usage text and parser cannot drift apart.
 //!
-//! The `hotpath` target runs the tracked bank benchmark and writes the
-//! machine-readable `BENCH_hotpath.json` artifact (see
-//! [`crafty_bench::hotpath`]); `--json-out` overrides its output path. The
-//! `flushbound` target stresses the persistence domain (clwb/drain) with no
-//! transactions (see [`crafty_bench::flushbound`]) and writes
-//! `BENCH_flushbound.json`. The `kv` target runs the YCSB-style mixes —
-//! A/B/C/E plus the batched-update `A+gc` group-commit mode — over the
-//! durable sharded `crafty-kv` store on Crafty, Non-durable, NV-HTM,
-//! and DudeTM, and writes `BENCH_kv.json` (see [`crafty_bench::kvbench`]).
-//! `--json-out` overrides the path of the *single* JSON-writing target
-//! requested (with several in one invocation, hotpath wins and the others
-//! keep their defaults). All three artifacts report the measured
-//! write-amplification ratio (`words_persisted / line_words_persisted`)
-//! of the word-granular persistence pipeline and the drain-coalescing
-//! counters (`flush_ranges`, `lines_per_range`) of the batched drain
-//! pipeline.
+//! **The comparisons.** Every target of the default command is a list of
+//! [`Point`]s from [`run_points`], shown one way or another. `fig6`–`fig8`
+//! print the table of normalized throughputs behind the paper's plots (one
+//! row per thread count, one column per engine, normalized to single-thread
+//! Non-durable; `--csv DIR` also writes one CSV per figure) and
+//! `fig22`–`fig24` repeat them under the appendix's 100 ns drain latency;
+//! `table1` prints Crafty's writes per transaction next to the paper's;
+//! `breakdowns` prints the completion-path and hardware-outcome counts of
+//! Figures 9–21; `hotpath` (the medium-contention bank benchmark, all six
+//! engines) and `kv` (the YCSB mixes A/B/C/E and the group-commit `A+gc`
+//! over `crafty-kv`, four engines) print one line per point with
+//! throughput, write amplification and drain coalescing. `--json-out PATH`
+//! writes every point the invocation measured under its own config —
+//! whatever the targets — as one engine artifact
+//! ([`render_points_json`]); the appendix targets run under a different
+//! latency model than the artifact's config block states and are left out
+//! (`--latency-100 fig6` captures them). `--paper` uses the full thread
+//! sweep (1–16) and a larger budget; `--trace LEVEL` arms the tracer for
+//! the whole invocation. The `breakdown` subcommand is the same mechanism
+//! at trace level `counters`: bank and YCSB-A on the four KV engines, with
+//! each engine's per-phase time and abort-cause histogram on screen and
+//! (as `phase_ns` / `abort_causes`) in its artifact.
 //!
-//! `compare` is the CI perf-regression gate: it reads two JSON artifacts
-//! (the committed baseline and a fresh candidate run) and fails (exit 1)
-//! if the candidate's Crafty throughput regressed by more than the
-//! tolerance. By default the compared metric is Crafty's throughput
-//! *normalized to Non-durable in the same artifact*, which cancels
-//! machine-speed differences between the baseline host and the CI runner;
-//! `--absolute` compares raw ops/s instead (only meaningful on the same
-//! host). `--suite kv` gates the KV artifact instead of the hotpath one:
-//! the normalized ratio is checked *per YCSB mix*, and any mix regressing
-//! beyond the tolerance fails the gate. To intentionally move a baseline,
-//! regenerate it (`cargo run --release -p crafty-bench --bin figures --
-//! hotpath`, or `kv --threads 1 --txns 1000` for the KV baseline) and
-//! commit the new JSON alongside the change that shifted performance.
+//! **The gate.** `compare` reads two engine artifacts and, for every
+//! workload in the baseline, checks Crafty's single-thread throughput
+//! *normalized to Non-durable in the same artifact* (which cancels
+//! machine-speed differences between the baseline host and the CI runner)
+//! against the baseline's ratio; exit 1 if any workload fell more than the
+//! tolerance below it, 2 if a point is missing ([`compare`] is the tested
+//! decision). One baseline is committed and gated, `BENCH_hotpath.json`;
+//! to move it intentionally, regenerate it with `figures -- hotpath
+//! --json-out BENCH_hotpath.json` and commit it with the change that
+//! shifted performance. The gate runs untraced, so it is also what pins the
+//! `off` trace level's overhead at zero.
+//!
+//! **The drivers.** `flushbound` stresses the persistence domain
+//! (clwb/drain) with no transactions ([`crafty_bench::flushbound`]);
+//! `contention` forces every transaction through the software fallback and
+//! sweeps the SGL against the per-line locks under zipfian skew, with a
+//! conservation-of-money audit per point that gates the artifact
+//! ([`crafty_bench::contention`]); `kvserve` boots the networked KV
+//! front-end on loopback and drives it open-loop, reporting p50/p99/p999
+//! from intended send times per engine per rate — and `saturated` instead
+//! wherever the server fell behind the schedule
+//! ([`crafty_bench::kvserve`]); `trace` dumps one run's event rings as
+//! chrome://tracing JSON ([`crafty_bench::tracedump`]). The first three
+//! write a local `BENCH_<name>.json` (`--json-out` overrides the path).
 //!
 //! `torture` drives the deterministic fault-injection harness
 //! (`crafty-torture`): it enumerates crash points over the suites'
@@ -77,61 +87,36 @@
 //! transaction through the per-line software fallback so crash points
 //! land inside lock-hold windows, and boots each recovered image into a
 //! second life that must keep running (no stuck lock survives a reboot).
-//!
-//! `contention` compares the two software-fallback policies head to head:
-//! every transaction is forced through the fallback and a zipfian-skewed
-//! transfer mix runs at each requested thread count under both the single
-//! global lock and the per-line write locks, with a conservation-of-money
-//! audit per point. It writes `BENCH_contention.json`; under the SGL the
-//! throughput column flatlines as threads are added, under per-line it
-//! scales — that separation is the artifact's point.
-//!
-//! `kvserve` boots the networked KV front-end (`crafty-server`) on
-//! loopback and drives it **open-loop** at a sweep of arrival rates,
-//! reporting p50/p99/p999 latency per engine per rate (measured from
-//! intended send times, so queueing delay and coordinated omission stay
-//! visible) and writing `BENCH_kvserve.json` (see
-//! [`crafty_bench::kvserve`]). The default sweep compares Non-durable,
-//! per-transaction-durable Crafty, and Crafty behind the server's
-//! group-commit durability window.
-//!
-//! `breakdown` runs the *traced* phase decomposition: the bank (medium
-//! contention) benchmark and the YCSB-A mix on the four KV-comparison
-//! engines with the trace subsystem at `counters` level, printing each
-//! engine's per-phase virtual-cycle table and abort-cause histogram and
-//! writing `BENCH_breakdown.json` (see [`crafty_bench::breakdown`]). The
-//! same section rides along with every default (no-target) run. `trace`
-//! captures one run at the `events` level and dumps every thread's event
-//! ring as chrome://tracing JSON (see [`crafty_bench::tracedump`]). The
-//! figure targets additionally accept `--trace LEVEL` to run with the
-//! tracer armed; the `compare` gate against the committed baseline is what
-//! pins the default `off` level's overhead at zero.
-//!
-//! Every figure is printed as the table of normalized throughputs behind
-//! the paper's plot (one row per thread count, one column per engine,
-//! normalized to single-thread Non-durable). `--csv DIR` additionally
-//! writes one CSV per figure. `--paper` uses the full thread sweep
-//! (1–16) and a larger transaction budget; the default "quick" scale keeps
-//! the whole run in the minutes range on a laptop.
 
 use std::collections::BTreeSet;
 
 use crafty_bench::{
-    cli, render_breakdown_json, render_flushbound_json, render_hotpath_json, render_kv_json,
-    render_kvserve_json, render_kvserve_table, run_breakdown, run_breakdowns, run_figure,
-    run_flushbound, run_hotpath, run_kv, run_kvserve_point, run_trace_dump, writes_per_txn,
-    FlagDef, HarnessConfig, KvServeConfig, KvServeEngine, ParsedArgs, SubcommandSpec,
-    TraceDumpConfig,
+    cli, compare, render_by_workload, render_flushbound_json, render_kvserve_json,
+    render_kvserve_table, render_points_json, render_points_table, run_flushbound,
+    run_kvserve_point, run_point, run_points, run_trace_dump, FlagDef, HarnessConfig,
+    KvServeConfig, KvServeEngine, ParsedArgs, Point, SubcommandSpec, TraceDumpConfig, KV_ENGINES,
 };
 use crafty_common::trace::{self, TraceConfig, TraceLevel};
 use crafty_pmem::LatencyModel;
-use crafty_stats::{
-    render_breakdown, render_figure, render_figure_csv, render_writes_per_txn_row, Json,
-};
+use crafty_stats::{render_breakdown, render_figure, render_figure_csv, Figure, Json};
 use crafty_workloads::{
-    ArrivalProcess, BankWorkload, BtreeVariant, BtreeWorkload, Contention, StampKernel,
-    StampWorkload, Workload,
+    ArrivalProcess, BankWorkload, BtreeVariant, BtreeWorkload, Contention, EngineKind, StampKernel,
+    StampWorkload, Workload, YcsbMix, YcsbWorkload,
 };
+
+/// Every target of the default command; `all` expands to this list.
+const TARGETS: [&str; 10] = [
+    "fig6",
+    "fig7",
+    "fig8",
+    "table1",
+    "breakdowns",
+    "fig22",
+    "fig23",
+    "fig24",
+    "hotpath",
+    "kv",
+];
 
 /// Every subcommand's flags, declared once: the parser validates against
 /// this table and `--help` renders from it.
@@ -139,9 +124,8 @@ const SPECS: &[SubcommandSpec] = &[
     SubcommandSpec {
         name: "",
         positional: Some("targets..."),
-        summary: "regenerate figures/tables (fig6 fig7 fig8 table1 breakdowns \
-                  fig22 fig23 fig24 hotpath flushbound kv all; \
-                  default: fig6 fig7 table1 + traced phase breakdown)",
+        summary: "engine x workload x threads comparisons (fig6 fig7 fig8 table1 \
+                  breakdowns fig22 fig23 fig24 hotpath kv all; default: fig6 fig7 table1)",
         flags: &[
             FlagDef {
                 name: "--trace",
@@ -176,54 +160,30 @@ const SPECS: &[SubcommandSpec] = &[
             FlagDef {
                 name: "--json-out",
                 value: Some("PATH"),
-                help: "override the JSON artifact path of the requested target",
+                help: "write every point measured (fig22-24 excepted) as one engine artifact",
             },
         ],
     },
     SubcommandSpec {
         name: "compare",
         positional: None,
-        summary: "CI perf-regression gate: candidate JSON vs committed baseline",
+        summary:
+            "perf-regression gate: Crafty/Non-durable ratio at 1 thread, per baseline workload",
         flags: &[
             FlagDef {
                 name: "--candidate",
                 value: Some("PATH"),
-                help: "fresh benchmark artifact to check (required)",
+                help: "fresh engine artifact to check (required)",
             },
             FlagDef {
                 name: "--baseline",
                 value: Some("PATH"),
-                help: "committed baseline (default BENCH_hotpath.json / BENCH_kv.json)",
-            },
-            FlagDef {
-                name: "--suite",
-                value: Some("hotpath|kv"),
-                help: "which artifact schema to gate (default hotpath)",
+                help: "engine artifact to hold it to (default BENCH_hotpath.json)",
             },
             FlagDef {
                 name: "--tolerance",
                 value: Some("F"),
                 help: "allowed fractional regression (default 0.40)",
-            },
-            FlagDef {
-                name: "--engine",
-                value: Some("NAME"),
-                help: "engine under test (default Crafty)",
-            },
-            FlagDef {
-                name: "--reference",
-                value: Some("NAME"),
-                help: "normalization reference engine (default Non-durable)",
-            },
-            FlagDef {
-                name: "--threads",
-                value: Some("N"),
-                help: "thread count of the gated point (default 1)",
-            },
-            FlagDef {
-                name: "--absolute",
-                value: None,
-                help: "compare raw ops/s instead of the normalized ratio",
             },
         ],
     },
@@ -256,6 +216,28 @@ const SPECS: &[SubcommandSpec] = &[
                 name: "--crash-step",
                 value: Some("N"),
                 help: "pin the crash to one step (replaying a reported failure)",
+            },
+        ],
+    },
+    SubcommandSpec {
+        name: "flushbound",
+        positional: None,
+        summary: "persistence-domain microbenchmark: clwb/drain batches, no transactions",
+        flags: &[
+            FlagDef {
+                name: "--threads",
+                value: Some("a,b,c"),
+                help: "thread counts to sweep (default 1,2,4)",
+            },
+            FlagDef {
+                name: "--txns",
+                value: Some("N"),
+                help: "batches (drains) per thread per point (default 2000)",
+            },
+            FlagDef {
+                name: "--json-out",
+                value: Some("PATH"),
+                help: "artifact path (default BENCH_flushbound.json)",
             },
         ],
     },
@@ -366,7 +348,8 @@ const SPECS: &[SubcommandSpec] = &[
     SubcommandSpec {
         name: "breakdown",
         positional: None,
-        summary: "traced phase-cycle + abort-cause breakdown (bank and YCSB-A, four engines)",
+        summary:
+            "bank and YCSB-A on four engines at trace level counters: phase times, abort causes",
         flags: &[
             FlagDef {
                 name: "--threads",
@@ -381,7 +364,7 @@ const SPECS: &[SubcommandSpec] = &[
             FlagDef {
                 name: "--json-out",
                 value: Some("PATH"),
-                help: "artifact path (default BENCH_breakdown.json)",
+                help: "write the points (with phase_ns / abort_causes) as an engine artifact",
             },
         ],
     },
@@ -440,17 +423,20 @@ fn print_usage() {
     print!(
         "{}",
         cli::render_help(
-            "figures — regenerate the paper's tables/figures and the benchmark artifacts",
+            "figures — the paper's engine comparisons, the perf gate, and the bench drivers",
             SPECS,
         )
     );
     println!(
         "\nNOTES:\n\
-         The hotpath/flushbound/kv artifacts carry throughput, the measured\n\
-         write-amplification ratio (words_persisted / line_words_persisted), and\n\
-         the drain-coalescing counters (flush_ranges, lines_per_range). The\n\
-         kvserve artifact carries p50/p99/p999 latency per (engine, rate),\n\
-         measured from intended send times (coordinated omission visible).\n\
+         Engine artifacts (--json-out of the default command and of breakdown) share one\n\
+         schema: per point workload, engine, threads, ops_per_sec, writes_per_txn, the\n\
+         persist-traffic counters (write_amplification = words_persisted /\n\
+         line_words_persisted; flush_ranges, lines_per_range), completions, hw_outcomes,\n\
+         and phase_ns / abort_causes when traced. `compare` gates any two of them.\n\
+         Every artifact's config block carries nproc and the git revision.\n\
+         The kvserve artifact carries p50/p99/p999 latency per (engine, rate), measured\n\
+         from intended send times — or `saturated` where achieved < 0.95 x offered.\n\
          Torture failures print a (seed, step) pair — replay one exactly with\n\
            figures -- torture --suite S --seed SEED --crash-step STEP"
     );
@@ -467,30 +453,17 @@ fn parse_figures_args(args: &[String]) -> Options {
     let p = parse_or_fail(spec(""), args);
     let mut targets: BTreeSet<String> = p.positionals().iter().cloned().collect();
     if targets.is_empty() {
-        // The traced phase breakdown rides along with every default run,
-        // so the four engines' phase tables are always a bare `figures`
-        // invocation away.
-        for t in ["fig6", "fig7", "table1", "breakdown"] {
-            targets.insert(t.to_string());
-        }
+        targets.extend(["fig6", "fig7", "table1"].map(String::from));
     }
-    if targets.contains("all") {
-        for t in [
-            "fig6",
-            "fig7",
-            "fig8",
-            "table1",
-            "breakdowns",
-            "breakdown",
-            "fig22",
-            "fig23",
-            "fig24",
-            "hotpath",
-            "flushbound",
-            "kv",
-        ] {
-            targets.insert(t.to_string());
-        }
+    if targets.remove("all") {
+        targets.extend(TARGETS.map(String::from));
+    }
+    if let Some(unknown) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
+        fail(&format!(
+            "unknown target `{unknown}` (targets: {}, all; breakdown, flushbound and the \
+             other drivers are subcommands — see --help)",
+            TARGETS.join(" ")
+        ));
     }
     let mut cfg = if p.has("--paper") {
         HarnessConfig::paper()
@@ -498,16 +471,10 @@ fn parse_figures_args(args: &[String]) -> Options {
         HarnessConfig::quick()
     };
     if p.has("--latency-100") {
-        cfg = cfg.with_latency(LatencyModel::nvm_100ns());
+        cfg.latency = LatencyModel::nvm_100ns();
     }
-    let threads: Vec<usize> = flag(p.parsed_list("--threads", vec![]));
-    if !threads.is_empty() {
-        cfg = cfg.with_thread_counts(threads);
-    }
-    if p.has("--txns") {
-        let txns = flag(p.parsed("--txns", cfg.txns_per_thread));
-        cfg = cfg.with_txns_per_thread(txns);
-    }
+    cfg.thread_counts = flag(p.parsed_list("--threads", cfg.thread_counts));
+    cfg.txns_per_thread = flag(p.parsed("--txns", cfg.txns_per_thread));
     if let Some(level) = p.value("--trace") {
         let level = TraceLevel::parse(level).unwrap_or_else(|| {
             fail(&format!(
@@ -527,180 +494,136 @@ fn parse_figures_args(args: &[String]) -> Options {
     }
 }
 
-fn emit(figure_id: &str, workload: &dyn Workload, cfg: &HarnessConfig, csv_dir: &Option<String>) {
-    let figure = run_figure(workload, cfg);
-    println!("\n== {figure_id}: {} ==", workload.name());
-    print!("{}", render_figure(&figure, "Non-durable"));
-    if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv directory");
-        let path = format!(
-            "{dir}/{}.csv",
-            figure_id.replace([' ', '(', ')'], "_").to_lowercase()
+/// A workload with the writes per transaction the paper's Table 1 reports
+/// for it.
+type PaperWorkload = (Box<dyn Workload>, f64);
+
+/// The paper's three benchmark families in figure order: the main figure,
+/// its 100 ns appendix twin, and the workloads both plot (sub-figures a, b,
+/// c… in this order).
+fn families(max_threads: usize) -> [(&'static str, &'static str, Vec<PaperWorkload>); 3] {
+    fn boxed(w: impl Workload + 'static, writes: f64) -> PaperWorkload {
+        (Box::new(w), writes)
+    }
+    [
+        (
+            "fig6",
+            "fig22",
+            [Contention::High, Contention::Medium, Contention::None]
+                .map(|c| boxed(BankWorkload::paper(c, max_threads), 10.0))
+                .into(),
+        ),
+        (
+            "fig7",
+            "fig23",
+            vec![
+                boxed(BtreeWorkload::paper(BtreeVariant::InsertOnly), 14.0),
+                boxed(BtreeWorkload::paper(BtreeVariant::Mixed), 13.3),
+            ],
+        ),
+        (
+            "fig8",
+            "fig24",
+            StampKernel::ALL
+                .map(|k| boxed(StampWorkload::new(k), k.paper_writes_per_txn()))
+                .into(),
+        ),
+    ]
+}
+
+/// Measures and prints one figure's sub-figures — every engine at every
+/// thread count, as the normalized-throughput table behind the plot.
+fn emit_figure(
+    figure: &str,
+    workloads: &[PaperWorkload],
+    cfg: &HarnessConfig,
+    csv_dir: Option<&str>,
+) -> Vec<Point> {
+    let mut measured = Vec::new();
+    for ((workload, _), letter) in workloads.iter().zip('a'..) {
+        let points = run_points(
+            &[workload.as_ref()],
+            &EngineKind::ALL,
+            &cfg.thread_counts,
+            cfg,
         );
-        std::fs::write(&path, render_figure_csv(&figure, "Non-durable")).expect("write csv");
-        println!("[csv written to {path}]");
+        let mut fig = Figure::new(workload.name());
+        for p in &points {
+            fig.push(p.measurement.clone());
+        }
+        println!("\n== {figure}{letter}: {} ==", fig.title);
+        print!("{}", render_figure(&fig, "Non-durable"));
+        if let Some(dir) = csv_dir {
+            std::fs::create_dir_all(dir).expect("create csv directory");
+            let path = format!("{dir}/{figure}{letter}.csv");
+            std::fs::write(&path, render_figure_csv(&fig, "Non-durable")).expect("write csv");
+            println!("[csv written to {path}]");
+        }
+        measured.extend(points);
+    }
+    measured
+}
+
+/// Prints each point's completion-path and hardware-outcome counts — and,
+/// from a traced run, its phase times and abort causes.
+fn print_breakdowns(points: &[Point]) {
+    let row = |p: &Point| render_breakdown(&p.measurement.engine, &p.breakdown);
+    print!("{}", render_by_workload(points, row));
+}
+
+/// Writes `points` as an engine artifact when a path was asked for.
+fn write_points_json(path: Option<&str>, cfg: &HarnessConfig, points: &[Point]) {
+    if let Some(path) = path {
+        std::fs::write(path, render_points_json(cfg, points)).expect("write engine artifact");
+        println!("[json written to {path}: {} points]", points.len());
     }
 }
 
-fn bank_workloads(max_threads: usize) -> Vec<(String, BankWorkload)> {
-    [Contention::High, Contention::Medium, Contention::None]
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| {
-            (
-                format!("fig6{}", (b'a' + i as u8) as char),
-                BankWorkload::paper(c, max_threads),
-            )
-        })
-        .collect()
-}
-
-/// The `compare` subcommand: the CI perf-regression gate. Exits the
-/// process — 0 when the candidate is within tolerance of the baseline,
-/// 1 on a regression, 2 on usage or artifact errors.
-///
-/// `--suite hotpath` (the default) checks one metric: the engine's
-/// throughput (normalized to the reference engine unless `--absolute`) at
-/// the given thread count. `--suite kv` checks the same normalized metric
-/// once *per YCSB mix* present in the baseline; any mix regressing beyond
-/// the tolerance fails the gate.
+/// The `compare` subcommand: the perf-regression gate over two engine
+/// artifacts (the decision itself is [`compare`]). Exits the process — 0
+/// when every baseline workload is within tolerance, 1 on a regression,
+/// 2 on usage or artifact errors.
 fn run_compare(args: &[String]) -> ! {
     let p = parse_or_fail(spec("compare"), args);
-    let suite = p.value("--suite").unwrap_or("hotpath").to_string();
     let tolerance: f64 = flag(p.parsed("--tolerance", 0.40));
-    let engine = p.value("--engine").unwrap_or("Crafty").to_string();
-    let reference = p.value("--reference").unwrap_or("Non-durable").to_string();
-    let threads: u64 = flag(p.parsed("--threads", 1));
-    let absolute = p.has("--absolute");
-
-    if suite != "hotpath" && suite != "kv" {
-        fail(&format!("--suite must be `hotpath` or `kv`, got `{suite}`"));
-    }
-    let baseline = p
-        .value("--baseline")
-        .map(str::to_string)
-        .unwrap_or_else(|| {
-            if suite == "kv" {
-                "BENCH_kv.json".to_string()
-            } else {
-                "BENCH_hotpath.json".to_string()
-            }
-        });
+    let baseline = p.value("--baseline").unwrap_or("BENCH_hotpath.json");
     let candidate = p
         .value("--candidate")
-        .map(str::to_string)
-        .unwrap_or_else(|| {
-            fail(&format!(
-                "compare requires --candidate PATH (a fresh {suite} JSON artifact)"
-            ))
-        });
-
+        .unwrap_or_else(|| fail("compare requires --candidate PATH (a fresh engine artifact)"));
     let load = |path: &str| -> Json {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
         Json::parse(&text).unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")))
     };
-    // Looks up one point's ops/s by engine, thread count, and (for the kv
-    // suite) mix label.
-    let ops = |doc: &Json, path: &str, engine: &str, mix: Option<&str>| -> f64 {
-        doc.get("points")
-            .map(Json::items)
-            .unwrap_or(&[])
-            .iter()
-            .find(|p| {
-                p.get("engine").and_then(Json::as_str) == Some(engine)
-                    && p.get("threads").and_then(Json::as_u64) == Some(threads)
-                    && (mix.is_none() || p.get("mix").and_then(Json::as_str) == mix)
-            })
-            .and_then(|p| p.get("ops_per_sec"))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| {
-                let mix_note = mix.map(|m| format!(" for mix {m}")).unwrap_or_default();
-                fail(&format!(
-                    "{path}: no `{engine}` point at {threads} thread(s){mix_note}"
-                ))
-            })
-    };
+    let verdicts = compare(&load(baseline), &load(candidate), tolerance).unwrap_or_else(|e| {
+        fail(&format!(
+            "{e}\n  (baseline {baseline}, candidate {candidate})"
+        ))
+    });
 
-    let base_doc = load(&baseline);
-    let cand_doc = load(&candidate);
-
-    // The (label, mix) cells to gate: one for the hotpath suite, one per
-    // distinct baseline mix for the kv suite.
-    let cells: Vec<(String, Option<String>)> = if suite == "kv" {
-        let mut mixes: Vec<String> = Vec::new();
-        for p in base_doc.get("points").map(Json::items).unwrap_or(&[]) {
-            if let Some(m) = p.get("mix").and_then(Json::as_str) {
-                if !mixes.iter().any(|seen| seen == m) {
-                    mixes.push(m.to_string());
-                }
-            }
-        }
-        if mixes.is_empty() {
-            fail(&format!("{baseline}: no kv mixes found in baseline points"));
-        }
-        mixes
-            .into_iter()
-            .map(|m| (format!("YCSB-{m}"), Some(m)))
-            .collect()
-    } else {
-        vec![("hotpath".to_string(), None)]
-    };
-
-    let metric_name = if absolute {
-        format!("{engine} ops/s at {threads} thread(s)")
-    } else {
-        format!("{engine}/{reference} throughput ratio at {threads} thread(s)")
-    };
-    println!("perf-regression gate [{suite}]: {metric_name}");
-    let mut failed = false;
-    for (label, mix) in &cells {
-        let mix = mix.as_deref();
-        let (base_metric, cand_metric) = if absolute {
-            (
-                ops(&base_doc, &baseline, &engine, mix),
-                ops(&cand_doc, &candidate, &engine, mix),
-            )
-        } else {
-            // Normalizing to a reference engine measured in the same
-            // artifact cancels host-speed differences between the baseline
-            // machine and the CI runner.
-            (
-                ops(&base_doc, &baseline, &engine, mix)
-                    / ops(&base_doc, &baseline, &reference, mix),
-                ops(&cand_doc, &candidate, &engine, mix)
-                    / ops(&cand_doc, &candidate, &reference, mix),
-            )
-        };
-        let floor = base_metric * (1.0 - tolerance);
-        let verdict = if cand_metric >= floor {
-            "ok"
-        } else {
-            failed = true;
-            "REGRESSED"
-        };
+    println!("perf-regression gate: Crafty/Non-durable throughput ratio at 1 thread");
+    for v in &verdicts {
         println!(
-            "  {label:<10} baseline {base_metric:>8.4}  candidate {cand_metric:>8.4}  \
-             floor {floor:>8.4}  {verdict}"
+            "  {:<54} baseline {:>7.4}  candidate {:>7.4}  floor {:>7.4}  {}",
+            v.workload,
+            v.baseline,
+            v.candidate,
+            v.floor,
+            if v.ok { "ok" } else { "REGRESSED" }
         );
     }
-    if !failed {
-        println!("PASS: candidate is within tolerance of the committed baseline.");
+    if verdicts.iter().all(|v| v.ok) {
+        println!("PASS: candidate is within tolerance of {baseline}.");
         std::process::exit(0);
     }
     println!(
-        "FAIL: candidate regressed more than {:.0}% below the baseline.",
+        "FAIL: candidate regressed more than {:.0}% below {baseline}.\n\
+         If this shift is intentional, regenerate the baseline the way it was produced — \
+         the committed one with\n  \
+         cargo run --release -p crafty-bench --bin figures -- hotpath --json-out \
+         BENCH_hotpath.json\n\
+         and commit it with your change.",
         tolerance * 100.0
-    );
-    let refresh = if suite == "kv" {
-        "kv --threads 1 --txns 1000"
-    } else {
-        "hotpath"
-    };
-    println!(
-        "If this shift is intentional, refresh the baseline with\n  \
-         cargo run --release -p crafty-bench --bin figures -- {refresh}\n\
-         and commit the regenerated {baseline} with your change."
     );
     std::process::exit(1);
 }
@@ -827,39 +750,32 @@ fn run_torture(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// Runs the traced breakdown matrix (bank + YCSB-A on the four KV
-/// engines at `Counters` level), prints the per-engine phase tables and
-/// abort-cause histograms, and writes the JSON artifact. Shared by the
-/// `breakdown` subcommand and the default figure run.
-fn emit_breakdown(cfg: &HarnessConfig, json_path: &str) {
-    println!("\n== traced phase breakdown: bank + YCSB-A on the four KV engines ==");
-    let runs = run_breakdown(cfg);
-    let mut current_mix = String::new();
-    for r in &runs {
-        if r.mix != current_mix {
-            println!(
-                "\n-- {} ({} threads, trace level counters) --",
-                r.mix, r.threads
-            );
-            current_mix.clone_from(&r.mix);
-        }
-        print!("{}", render_breakdown(&r.engine, &r.snapshot));
-    }
-    std::fs::write(json_path, render_breakdown_json(cfg, &runs)).expect("write breakdown json");
-    println!("[json written to {json_path}]");
-}
-
-/// The `breakdown` subcommand: the traced phase-cycle decomposition.
-/// Exits 0 after writing the artifact, 2 on usage errors.
+/// The `breakdown` subcommand: the comparison mechanism at trace level
+/// `counters`, so every instrumented engine's points carry phase times
+/// and abort causes. Its own process, because the trace level is
+/// process-global and an artifact states one. Exits 0, or 2 on usage
+/// errors.
 fn run_breakdown_cmd(args: &[String]) -> ! {
     let p = parse_or_fail(spec("breakdown"), args);
     let threads: usize = flag(p.parsed("--threads", 4));
-    let txns: u64 = flag(p.parsed("--txns", 2_000));
-    let json_path = p.value("--json-out").unwrap_or("BENCH_breakdown.json");
-    let cfg = HarnessConfig::quick()
-        .with_thread_counts(vec![threads])
-        .with_txns_per_thread(txns);
-    emit_breakdown(&cfg, json_path);
+    let mut cfg = HarnessConfig::quick();
+    cfg.txns_per_thread = flag(p.parsed("--txns", cfg.txns_per_thread));
+    trace::configure(TraceConfig::counters());
+    println!(
+        "== traced phase breakdown: bank + YCSB-A on the four KV engines, \
+         {threads} threads, trace level counters =="
+    );
+    let points = run_points(
+        &[
+            &BankWorkload::paper(Contention::Medium, threads),
+            &YcsbWorkload::paper(YcsbMix::A),
+        ],
+        &KV_ENGINES,
+        &[threads],
+        &cfg,
+    );
+    print_breakdowns(&points);
+    write_points_json(p.value("--json-out"), &cfg, &points);
     std::process::exit(0);
 }
 
@@ -873,7 +789,7 @@ fn run_trace_cmd(args: &[String]) -> ! {
     dump.txns_per_thread = flag(p.parsed("--txns", dump.txns_per_thread));
     dump.ring_capacity = flag(p.parsed("--ring", dump.ring_capacity));
     let out = p.value("--out").unwrap_or("trace.json");
-    let cfg = HarnessConfig::quick().with_thread_counts(vec![dump.threads]);
+    let cfg = HarnessConfig::quick();
     println!(
         "trace — {} on bank (medium contention), {} threads × {} txns, ring capacity {}",
         dump.engine.label(),
@@ -883,6 +799,43 @@ fn run_trace_cmd(args: &[String]) -> ! {
     );
     std::fs::write(out, run_trace_dump(&dump, &cfg)).expect("write trace json");
     println!("[chrome trace written to {out} — load it in chrome://tracing or Perfetto]");
+    std::process::exit(0);
+}
+
+/// The `flushbound` subcommand: the persistence-domain microbenchmark.
+/// Exits 0 after writing the artifact, 2 on usage errors.
+fn run_flushbound_cmd(args: &[String]) -> ! {
+    let p = parse_or_fail(spec("flushbound"), args);
+    let mut cfg = HarnessConfig::quick();
+    cfg.thread_counts = flag(p.parsed_list("--threads", cfg.thread_counts));
+    cfg.txns_per_thread = flag(p.parsed("--txns", cfg.txns_per_thread));
+    let json_path = p.value("--json-out").unwrap_or("BENCH_flushbound.json");
+
+    println!(
+        "flushbound — {} batches/thread of adjacent-line clwb + drain, {} ns drain latency",
+        cfg.txns_per_thread, cfg.latency.drain_ns
+    );
+    println!(
+        "{:>3}  {:>14}  {:>14}  {:>12}  {:>12}  {:>6}  {:>10}  {:>9}",
+        "thr", "lines/s", "drains/s", "lines total", "words total", "w-amp", "ranges", "lines/rng"
+    );
+    let points = run_flushbound(&cfg);
+    for p in &points {
+        println!(
+            "{:>3}  {:>14.0}  {:>14.0}  {:>12}  {:>12}  {:>6.3}  {:>10}  {:>9.2}",
+            p.threads,
+            p.lines_per_sec,
+            p.drains_per_sec,
+            p.lines_persisted,
+            p.words_persisted,
+            p.write_amplification,
+            p.flush_ranges,
+            p.lines_per_range
+        );
+    }
+    std::fs::write(json_path, render_flushbound_json(&cfg, &points))
+        .expect("write flushbound json");
+    println!("[json written to {json_path}]");
     std::process::exit(0);
 }
 
@@ -970,17 +923,9 @@ fn run_kvserve_cmd(args: &[String]) -> ! {
     for &engine in &cfg.engines {
         for &rate in &cfg.rates {
             let point = run_kvserve_point(&cfg, engine, rate);
-            let (p50, p99, p999) = point.percentiles();
             println!(
-                "  {:<12} @ {:>7}/s: {:>7.0} achieved, batch {:>5.2}, \
-                 p50/p99/p999 = {:.1}/{:.1}/{:.1} µs",
-                point.engine,
-                rate,
-                point.achieved_rate,
-                point.mean_batch,
-                p50 as f64 / 1e3,
-                p99 as f64 / 1e3,
-                p999 as f64 / 1e3,
+                "  {:<12} @ {:>7}/s: {:>7.0} achieved, batch {:>5.2}",
+                point.engine, rate, point.achieved_rate, point.mean_batch,
             );
             points.push(point);
         }
@@ -994,7 +939,7 @@ fn run_kvserve_cmd(args: &[String]) -> ! {
             println!("\nASSERT-NO-SHED FAILED — overload shedding fired during the sweep:");
             for pt in &shed {
                 println!(
-                    "  {:<12} @ {:>7}/s: {} batches shed (latency figures above are \
+                    "  {:<12} @ {:>7}/s: {} batches shed (the latencies above are \
                      survivorship-biased)",
                     pt.engine, pt.rate_per_sec, pt.shed_batches,
                 );
@@ -1018,6 +963,7 @@ fn main() {
     match argv.first().map(String::as_str) {
         Some("compare") => run_compare(&argv[1..]),
         Some("torture") => run_torture(&argv[1..]),
+        Some("flushbound") => run_flushbound_cmd(&argv[1..]),
         Some("contention") => run_contention_cmd(&argv[1..]),
         Some("kvserve") => run_kvserve_cmd(&argv[1..]),
         Some("breakdown") => run_breakdown_cmd(&argv[1..]),
@@ -1026,222 +972,80 @@ fn main() {
     }
     let options = parse_figures_args(&argv);
     let cfg = &options.cfg;
+    let csv_dir = options.csv_dir.as_deref();
     let max_threads = cfg.thread_counts.iter().copied().max().unwrap_or(1);
-    let latency_note = format!("{} ns drain latency", cfg.latency.drain_ns);
-    println!("crafty figure harness — engines: {:?}", cfg.engines.len());
     println!(
-        "thread counts {:?}, {} transactions/thread, {latency_note}",
-        cfg.thread_counts, cfg.txns_per_thread
+        "crafty figure harness — thread counts {:?}, {} transactions/thread, \
+         {} ns drain latency, trace level {}",
+        cfg.thread_counts,
+        cfg.txns_per_thread,
+        cfg.latency.drain_ns,
+        trace::level().label()
     );
 
     let has = |t: &str| options.targets.contains(t);
+    let families = families(max_threads);
+    let paper_workloads = || families.iter().flat_map(|(_, _, workloads)| workloads);
+    // Every point measured under `cfg`, for `--json-out`.
+    let mut measured: Vec<Point> = Vec::new();
 
-    if has("fig6") {
-        for (id, w) in bank_workloads(max_threads) {
-            emit(&id, &w, cfg, &options.csv_dir);
-        }
-    }
-    if has("fig7") {
-        emit(
-            "fig7a",
-            &BtreeWorkload::paper(BtreeVariant::InsertOnly),
-            cfg,
-            &options.csv_dir,
-        );
-        emit(
-            "fig7b",
-            &BtreeWorkload::paper(BtreeVariant::Mixed),
-            cfg,
-            &options.csv_dir,
-        );
-    }
-    if has("fig8") {
-        for (i, kernel) in StampKernel::ALL.iter().enumerate() {
-            let id = format!("fig8{}", (b'a' + i as u8) as char);
-            emit(&id, &StampWorkload::new(*kernel), cfg, &options.csv_dir);
+    for (figure, _, workloads) in &families {
+        if has(figure) {
+            measured.extend(emit_figure(figure, workloads, cfg, csv_dir));
         }
     }
     if has("table1") {
         println!("\n== Table 1: average writes per persistent transaction ==");
         let threads = *cfg.thread_counts.first().unwrap_or(&1);
-        let mut rows: Vec<(String, f64, f64)> = Vec::new();
-        for (name, w) in bank_workloads(max_threads) {
-            let _ = name;
-            rows.push((w.name(), writes_per_txn(&w, threads, cfg), 10.0));
-        }
-        for variant in [BtreeVariant::InsertOnly, BtreeVariant::Mixed] {
-            let w = BtreeWorkload::paper(variant);
-            let expected = match variant {
-                BtreeVariant::InsertOnly => 14.0,
-                BtreeVariant::Mixed => 13.3,
-            };
-            rows.push((w.name(), writes_per_txn(&w, threads, cfg), expected));
-        }
-        for kernel in StampKernel::ALL {
-            let w = StampWorkload::new(kernel);
-            rows.push((
-                w.name(),
-                writes_per_txn(&w, threads, cfg),
-                kernel.paper_writes_per_txn(),
-            ));
-        }
         println!("{:<28}{:>12}{:>12}", "benchmark", "measured", "paper");
-        for (name, measured, paper) in rows {
-            println!("{name:<28}{measured:>12.1}{paper:>12.1}");
-            let _ = render_writes_per_txn_row(&name, &[(threads, measured)]);
+        for (workload, paper) in paper_workloads() {
+            let point = run_point(workload.as_ref(), EngineKind::Crafty, threads, cfg);
+            println!(
+                "{:<28}{:>12.1}{paper:>12.1}",
+                point.workload,
+                point.breakdown.writes_per_txn()
+            );
+            measured.push(point);
         }
     }
     if has("breakdowns") {
-        let threads = max_threads;
-        println!("\n== Figures 9–21: transaction breakdowns at {threads} threads ==");
-        let mut workloads: Vec<Box<dyn Workload>> = Vec::new();
-        for (_, w) in bank_workloads(max_threads) {
-            workloads.push(Box::new(w));
+        println!("\n== Figures 9–21: transaction breakdowns at {max_threads} threads ==");
+        for (workload, _) in paper_workloads() {
+            let points = run_points(&[workload.as_ref()], &EngineKind::ALL, &[max_threads], cfg);
+            print_breakdowns(&points);
+            measured.extend(points);
         }
-        workloads.push(Box::new(BtreeWorkload::paper(BtreeVariant::InsertOnly)));
-        workloads.push(Box::new(BtreeWorkload::paper(BtreeVariant::Mixed)));
-        for kernel in StampKernel::ALL {
-            workloads.push(Box::new(StampWorkload::new(kernel)));
-        }
-        for w in &workloads {
-            println!("\n-- {} --", w.name());
-            for (engine, snapshot) in run_breakdowns(w.as_ref(), threads, cfg) {
-                print!("{}", render_breakdown(&engine, &snapshot));
-            }
-        }
-    }
-    if has("breakdown") {
-        emit_breakdown(cfg, "BENCH_breakdown.json");
     }
     if has("hotpath") {
-        let path = options.json_out.as_deref().unwrap_or("BENCH_hotpath.json");
-        println!("\n== hotpath: tracked bank benchmark ==");
-        let points = run_hotpath(cfg);
-        for p in &points {
-            let aborts: u64 = p
-                .hw_outcomes
-                .iter()
-                .filter(|(label, _)| *label != "commit")
-                .map(|(_, c)| c)
-                .sum();
-            println!(
-                "{:<20} {:>2} thr {:>12.0} ops/s  {:>8} hw aborts  w-amp {:.3}  \
-                 {:>7} ranges / {:>7} lines ({:.2}/rng)",
-                p.engine,
-                p.threads,
-                p.ops_per_sec,
-                aborts,
-                p.write_amplification,
-                p.flush_ranges,
-                p.lines_persisted,
-                p.lines_per_range
-            );
-        }
-        std::fs::write(path, render_hotpath_json(cfg, &points)).expect("write hotpath json");
-        println!("[json written to {path}]");
-    }
-    if has("flushbound") {
-        // `--json-out` names the hotpath or kv artifact when those targets
-        // run in the same invocation; flushbound then keeps its default.
-        let path = if has("hotpath") || has("kv") {
-            "BENCH_flushbound.json"
-        } else {
-            options
-                .json_out
-                .as_deref()
-                .unwrap_or("BENCH_flushbound.json")
-        };
-        println!("\n== flushbound: persistence-domain microbenchmark ==");
-        println!(
-            "{:>3}  {:>14}  {:>14}  {:>12}  {:>12}  {:>6}  {:>10}  {:>9}",
-            "thr",
-            "lines/s",
-            "drains/s",
-            "lines total",
-            "words total",
-            "w-amp",
-            "ranges",
-            "lines/rng"
+        println!("\n== hotpath: the gated bank benchmark ==");
+        let points = run_points(
+            &[&BankWorkload::paper(Contention::Medium, max_threads)],
+            &EngineKind::ALL,
+            &cfg.thread_counts,
+            cfg,
         );
-        let points = run_flushbound(cfg);
-        for p in &points {
-            println!(
-                "{:>3}  {:>14.0}  {:>14.0}  {:>12}  {:>12}  {:>6.3}  {:>10}  {:>9.2}",
-                p.threads,
-                p.lines_per_sec,
-                p.drains_per_sec,
-                p.lines_persisted,
-                p.words_persisted,
-                p.write_amplification,
-                p.flush_ranges,
-                p.lines_per_range
-            );
-        }
-        std::fs::write(path, render_flushbound_json(cfg, &points)).expect("write flushbound json");
-        println!("[json written to {path}]");
+        print!("{}", render_points_table(&points));
+        measured.extend(points);
     }
     if has("kv") {
-        // `--json-out` names the hotpath artifact when both targets run in
-        // one invocation; kv then keeps its default path.
-        let path = if has("hotpath") {
-            "BENCH_kv.json"
-        } else {
-            options.json_out.as_deref().unwrap_or("BENCH_kv.json")
-        };
         println!("\n== kv: YCSB mixes over the durable sharded store ==");
-        let points = run_kv(cfg);
-        for p in &points {
-            println!(
-                "YCSB-{:<4} {:<14} {:>2} thr {:>12.0} ops/s  w-amp {:.3}  \
-                 {:>6} ranges / {:>6} lines ({:.2}/rng)",
-                p.mix,
-                p.engine,
-                p.threads,
-                p.ops_per_sec,
-                p.write_amplification,
-                p.flush_ranges,
-                p.lines_persisted,
-                p.lines_per_range
-            );
-        }
-        std::fs::write(path, render_kv_json(cfg, &points)).expect("write kv json");
-        println!("[json written to {path}]");
+        let mixes = YcsbMix::ALL.map(YcsbWorkload::paper);
+        let workloads: Vec<&dyn Workload> = mixes.iter().map(|w| w as &dyn Workload).collect();
+        let points = run_points(&workloads, &KV_ENGINES, &cfg.thread_counts, cfg);
+        print!("{}", render_points_table(&points));
+        measured.extend(points);
     }
-    // Appendix figures: the same benchmarks at 100 ns drain latency.
-    let appendix = cfg.clone().with_latency(LatencyModel::nvm_100ns());
-    if has("fig22") {
-        for (id, w) in bank_workloads(max_threads) {
-            emit(
-                &id.replace("fig6", "fig22"),
-                &w,
-                &appendix,
-                &options.csv_dir,
-            );
-        }
-    }
-    if has("fig23") {
-        emit(
-            "fig23a",
-            &BtreeWorkload::paper(BtreeVariant::InsertOnly),
-            &appendix,
-            &options.csv_dir,
-        );
-        emit(
-            "fig23b",
-            &BtreeWorkload::paper(BtreeVariant::Mixed),
-            &appendix,
-            &options.csv_dir,
-        );
-    }
-    if has("fig24") {
-        for (i, kernel) in StampKernel::ALL.iter().enumerate() {
-            let id = format!("fig24{}", (b'a' + i as u8) as char);
-            emit(
-                &id,
-                &StampWorkload::new(*kernel),
-                &appendix,
-                &options.csv_dir,
-            );
+    write_points_json(options.json_out.as_deref(), cfg, &measured);
+
+    // Appendix figures: the same benchmarks at 100 ns drain latency — not
+    // `cfg`'s model, so their points stay out of the artifact above.
+    let appendix = HarnessConfig {
+        latency: LatencyModel::nvm_100ns(),
+        ..cfg.clone()
+    };
+    for (_, figure, workloads) in &families {
+        if has(figure) {
+            emit_figure(figure, workloads, &appendix, csv_dir);
         }
     }
     println!("\ndone.");

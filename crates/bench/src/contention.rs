@@ -28,7 +28,7 @@ use crafty_core::{Crafty, CraftyConfig, FallbackPolicy};
 use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
 use crafty_stats::Json;
 
-use crate::round2;
+use crate::{artifact, round2};
 
 /// Initial balance per account.
 const INITIAL: u64 = 1_000;
@@ -184,38 +184,32 @@ pub fn run_contention(cfg: &ContentionConfig) -> Vec<ContentionPoint> {
 /// any point failed its conservation audit — corrupt numbers must never
 /// become a committed baseline.
 pub fn render_contention_json(cfg: &ContentionConfig, points: &[ContentionPoint]) -> String {
-    let mut arr = Vec::with_capacity(points.len());
-    for p in points {
-        assert!(
-            p.conserved,
-            "contention point ({}, {} threads) lost updates — not rendering",
-            p.policy, p.threads
-        );
-        arr.push(
+    let points = points
+        .iter()
+        .map(|p| {
+            assert!(
+                p.conserved,
+                "contention point ({}, {} threads) lost updates — not rendering",
+                p.policy, p.threads
+            );
             Json::object()
                 .with("policy", Json::from(p.policy))
                 .with("threads", Json::from(p.threads))
                 .with("transactions", Json::from(p.transactions))
                 .with("ops_per_sec", Json::Float(round2(p.ops_per_sec)))
-                .with("conserved", Json::Bool(p.conserved)),
-        );
-    }
-    Json::object()
-        .with(
-            "benchmark",
-            Json::from("forced-fallback zipfian transfers (sgl vs per-line)"),
-        )
-        .with(
-            "config",
-            Json::object()
-                .with("txns_per_thread", Json::from(cfg.txns_per_thread))
-                .with("accounts", Json::from(cfg.accounts))
-                .with("theta", Json::Float(cfg.theta))
-                .with("drain_latency_ns", Json::from(cfg.latency.drain_ns))
-                .with("seed", Json::from(cfg.seed)),
-        )
-        .with("points", Json::Array(arr))
-        .render_pretty()
+                .with("conserved", Json::Bool(p.conserved))
+        })
+        .collect();
+    artifact(
+        "forced-fallback zipfian transfers (sgl vs per-line)",
+        Json::object()
+            .with("txns_per_thread", Json::from(cfg.txns_per_thread))
+            .with("accounts", Json::from(cfg.accounts))
+            .with("theta", Json::Float(cfg.theta))
+            .with("drain_latency_ns", Json::from(cfg.latency.drain_ns))
+            .with("seed", Json::from(cfg.seed)),
+        points,
+    )
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use crafty_common::WORDS_PER_LINE;
 use crafty_pmem::MemorySpace;
 use crafty_stats::Json;
 
-use crate::{round2, round4, HarnessConfig};
+use crate::{artifact, round2, round4, HarnessConfig};
 
 /// Lines written + flushed per drain by each thread. Chosen to look like a
 /// mid-size transaction's write-back set (cf. Table 1's writes/txn).
@@ -116,14 +116,13 @@ fn run_flushbound_point(cfg: &HarnessConfig, threads: usize) -> FlushboundPoint 
     }
 }
 
-/// Renders the flush-bound samples as the `flushbound-candidate` JSON
-/// artifact CI uploads, so the persistence domain's raw throughput and
-/// write amplification are inspectable per run alongside the hotpath and
-/// kv artifacts.
+/// Renders the flush-bound samples as the `BENCH_flushbound.json`
+/// artifact (local; CI uploads its smoke run's copy), so the persistence
+/// domain's raw throughput and write amplification are inspectable per run.
 pub fn render_flushbound_json(cfg: &HarnessConfig, points: &[FlushboundPoint]) -> String {
-    let mut arr = Vec::with_capacity(points.len());
-    for p in points {
-        arr.push(
+    let points = points
+        .iter()
+        .map(|p| {
             Json::object()
                 .with("threads", Json::from(p.threads))
                 .with("batches_per_thread", Json::from(p.batches_per_thread))
@@ -136,33 +135,28 @@ pub fn render_flushbound_json(cfg: &HarnessConfig, points: &[FlushboundPoint]) -
                     Json::Float(round4(p.write_amplification)),
                 )
                 .with("flush_ranges", Json::UInt(p.flush_ranges))
-                .with("lines_per_range", Json::Float(round4(p.lines_per_range))),
-        );
-    }
-    Json::object()
-        .with("benchmark", Json::from("flushbound (clwb/drain, no txns)"))
-        .with(
-            "config",
-            Json::object()
-                .with("batches_per_thread", Json::from(cfg.txns_per_thread))
-                .with("lines_per_batch", Json::from(LINES_PER_BATCH))
-                .with("drain_latency_ns", Json::from(cfg.latency.drain_ns))
-                .with("clwb_word_ns", Json::from(cfg.latency.clwb_word_ns)),
-        )
-        .with("points", Json::Array(arr))
-        .render_pretty()
+                .with("lines_per_range", Json::Float(round4(p.lines_per_range)))
+        })
+        .collect();
+    artifact(
+        "flushbound (clwb/drain, no txns)",
+        Json::object()
+            .with("batches_per_thread", Json::from(cfg.txns_per_thread))
+            .with("lines_per_batch", Json::from(LINES_PER_BATCH))
+            .with("drain_latency_ns", Json::from(cfg.latency.drain_ns))
+            .with("clwb_word_ns", Json::from(cfg.latency.clwb_word_ns)),
+        points,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crafty_pmem::LatencyModel;
-    use crafty_workloads::EngineKind;
 
     #[test]
     fn flushbound_persists_exactly_the_batched_lines() {
         let cfg = HarnessConfig {
-            engines: vec![EngineKind::Crafty],
             thread_counts: vec![1, 2],
             txns_per_thread: 50,
             latency: LatencyModel::instant(),

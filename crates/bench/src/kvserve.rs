@@ -1,5 +1,5 @@
-//! The open-loop service benchmark behind `figures kvserve` and
-//! `BENCH_kvserve.json`.
+//! The open-loop service benchmark behind `figures kvserve` and its local
+//! `BENCH_kvserve.json` output.
 //!
 //! Boots the networked KV front-end (`crafty-server`) over a prefilled
 //! [`crafty_kv::ShardedKv`] on loopback, offers it an **open-loop**
@@ -9,7 +9,9 @@
 //! server that falls behind charges the backlog to the requests that
 //! queued — coordinated omission stays visible, which is the entire point
 //! of driving the store through a service instead of the closed-loop
-//! driver.
+//! driver. A point the server could not keep up with
+//! ([`KvServePoint::saturated`]) reports no percentile at all: there the
+//! numbers measure how long the run was, not how fast the server answers.
 //!
 //! Three engine configurations bound the durability trade:
 //!
@@ -23,11 +25,9 @@
 //! The drain dominates the service time by construction (the default
 //! [`KvServeConfig`] uses a deliberately expensive fence,
 //! [`KvServeConfig::SERVICE_DRAIN_NS`]), so the per-txn vs group-commit
-//! gap shows up above loopback and scheduler noise: as the arrival rate
-//! climbs toward the per-transaction engine's capacity its queue — and
-//! p99 — grows without bound, while the group-commit server amortizes the
-//! same fences across naturally deepening pipelines and keeps its tail
-//! flat. That crossing is the figure this benchmark exists to draw.
+//! gap shows up above loopback and scheduler noise: the per-transaction
+//! engine saturates at a rate the group-commit server, amortizing the same
+//! fences across naturally deepening pipelines, still keeps up with.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,7 +39,7 @@ use crafty_server::{KvClient, KvServer, Request, ServerConfig};
 use crafty_stats::{Json, LatencyHistogram};
 use crafty_workloads::{build_engine, ArrivalProcess, EngineKind, OpKind, OpenLoopConfig};
 
-use crate::{round2, round4};
+use crate::{artifact, round2, round4};
 
 /// The engine configurations the service benchmark sweeps.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -214,13 +214,24 @@ pub struct KvServePoint {
 }
 
 impl KvServePoint {
-    /// `(p50, p99, p999)` in nanoseconds.
-    pub fn percentiles(&self) -> (u64, u64, u64) {
-        (
-            self.latency.percentile(0.50),
-            self.latency.percentile(0.99),
-            self.latency.percentile(0.999),
-        )
+    /// Whether the server fell behind the offered schedule (achieved less
+    /// than 95% of it). The backlog then grows for as long as the run
+    /// lasts, so a "latency" percentile is a queue length set by `ops`,
+    /// not a property of the server.
+    pub fn saturated(&self) -> bool {
+        self.achieved_rate < 0.95 * self.rate_per_sec as f64
+    }
+
+    /// `(p50, p99, p999)` in nanoseconds; `None` for a
+    /// [saturated](Self::saturated) point.
+    pub fn percentiles(&self) -> Option<(u64, u64, u64)> {
+        (!self.saturated()).then(|| {
+            (
+                self.latency.percentile(0.50),
+                self.latency.percentile(0.99),
+                self.latency.percentile(0.999),
+            )
+        })
     }
 }
 
@@ -353,64 +364,66 @@ pub fn run_kvserve_point(cfg: &KvServeConfig, engine: KvServeEngine, rate: u64) 
 }
 
 /// Renders the sweep as the `BENCH_kvserve.json` artifact: one point per
-/// (engine, rate) with the percentile columns the latency figures plot.
+/// (engine, rate) with the latency columns the figures plot — or
+/// `"saturated": true` in their place where the server fell behind.
 pub fn render_kvserve_json(cfg: &KvServeConfig, points: &[KvServePoint]) -> String {
-    let mut arr = Vec::with_capacity(points.len());
-    for p in points {
-        let (p50, p99, p999) = p.percentiles();
-        arr.push(
-            Json::object()
+    let points = points
+        .iter()
+        .map(|p| {
+            let o = Json::object()
                 .with("engine", Json::from(p.engine.as_str()))
                 .with("rate_per_sec", Json::from(p.rate_per_sec))
                 .with("ops", Json::from(p.ops))
                 .with("achieved_rate", Json::Float(round2(p.achieved_rate)))
                 .with("mean_batch", Json::Float(round4(p.mean_batch)))
-                .with("shed_batches", Json::from(p.shed_batches))
-                .with("p50_ns", Json::UInt(p50))
-                .with("p99_ns", Json::UInt(p99))
-                .with("p999_ns", Json::UInt(p999))
-                .with("mean_ns", Json::Float(round2(p.latency.mean())))
-                .with("max_ns", Json::UInt(p.latency.max())),
-        );
-    }
-    Json::object()
-        .with("benchmark", Json::from("open-loop kv service"))
-        .with(
-            "config",
-            Json::object()
-                .with("ops", Json::from(cfg.ops))
-                .with("records", Json::from(cfg.records))
-                .with("connections", Json::from(cfg.connections))
-                .with("workers", Json::from(cfg.workers))
-                .with("read_pct", Json::from(cfg.read_pct as u64))
-                .with("zipf_theta", Json::Float(cfg.theta))
-                .with("arrival", Json::from(cfg.arrival.label()))
-                .with("seed", Json::from(cfg.seed))
-                .with("drain_latency_ns", Json::from(cfg.latency.drain_ns)),
-        )
-        .with("points", Json::Array(arr))
-        .render_pretty()
+                .with("shed_batches", Json::from(p.shed_batches));
+            match p.percentiles() {
+                Some((p50, p99, p999)) => o
+                    .with("p50_ns", Json::UInt(p50))
+                    .with("p99_ns", Json::UInt(p99))
+                    .with("p999_ns", Json::UInt(p999))
+                    .with("mean_ns", Json::Float(round2(p.latency.mean())))
+                    .with("max_ns", Json::UInt(p.latency.max())),
+                None => o.with("saturated", Json::Bool(true)),
+            }
+        })
+        .collect();
+    artifact(
+        "open-loop kv service",
+        Json::object()
+            .with("ops", Json::from(cfg.ops))
+            .with("records", Json::from(cfg.records))
+            .with("connections", Json::from(cfg.connections))
+            .with("workers", Json::from(cfg.workers))
+            .with("read_pct", Json::from(cfg.read_pct as u64))
+            .with("zipf_theta", Json::Float(cfg.theta))
+            .with("arrival", Json::from(cfg.arrival.label()))
+            .with("seed", Json::from(cfg.seed))
+            .with("drain_latency_ns", Json::from(cfg.latency.drain_ns)),
+        points,
+    )
 }
 
 /// Renders the human-readable table printed by `figures kvserve`.
 pub fn render_kvserve_table(points: &[KvServePoint]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "{:<14} {:>10} {:>12} {:>8} {:>10} {:>10} {:>10}\n",
         "engine", "rate/s", "achieved/s", "batch", "p50 µs", "p99 µs", "p999 µs"
-    ));
+    );
     for p in points {
-        let (p50, p99, p999) = p.percentiles();
         out.push_str(&format!(
-            "{:<14} {:>10} {:>12.0} {:>8.2} {:>10.1} {:>10.1} {:>10.1}\n",
-            p.engine,
-            p.rate_per_sec,
-            p.achieved_rate,
-            p.mean_batch,
-            p50 as f64 / 1e3,
-            p99 as f64 / 1e3,
-            p999 as f64 / 1e3,
+            "{:<14} {:>10} {:>12.0} {:>8.2} ",
+            p.engine, p.rate_per_sec, p.achieved_rate, p.mean_batch,
         ));
+        out.push_str(&match p.percentiles() {
+            Some((p50, p99, p999)) => format!(
+                "{:>10.1} {:>10.1} {:>10.1}\n",
+                p50 as f64 / 1e3,
+                p99 as f64 / 1e3,
+                p999 as f64 / 1e3,
+            ),
+            None => format!("{:>32}\n", "saturated"),
+        });
     }
     out
 }
@@ -445,6 +458,10 @@ mod tests {
         assert_eq!(p.shed_batches, 0, "nominal load must never shed");
         assert!(p.achieved_rate > 0.0);
         assert!(p.latency.percentile(0.99) >= p.latency.percentile(0.50));
+        // Saturation is exactly "achieved under 95% of offered", and a
+        // saturated point has no percentile to report.
+        assert_eq!(p.saturated(), p.achieved_rate < 0.95 * 50_000.0);
+        assert_eq!(p.percentiles().is_none(), p.saturated());
         assert!(p.mean_batch >= 1.0);
     }
 
@@ -465,8 +482,11 @@ mod tests {
     #[test]
     fn json_and_table_carry_the_percentile_columns() {
         let cfg = tiny();
-        let points = run_kvserve(&cfg);
+        let mut points = run_kvserve(&cfg);
         assert_eq!(points.len(), 1);
+        // Pin the one point on each side of the saturation line, whatever
+        // this host achieved: the renderers must follow the flag alone.
+        points[0].achieved_rate = points[0].rate_per_sec as f64;
         let json = render_kvserve_json(&cfg, &points);
         for key in [
             "\"engine\"",
@@ -477,12 +497,26 @@ mod tests {
             "\"mean_batch\"",
             "\"shed_batches\"",
             "\"arrival\"",
+            "\"nproc\"",
+            "\"revision\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.contains("\"saturated\""));
         let table = render_kvserve_table(&points);
         assert!(table.contains("p999 µs"));
         assert!(table.contains("Non-durable"));
+        assert!(!table.contains("saturated"));
+
+        points[0].achieved_rate = 0.94 * points[0].rate_per_sec as f64;
+        let json = render_kvserve_json(&cfg, &points);
+        assert!(json.contains("\"saturated\": true"));
+        for key in ["p50_ns", "p99_ns", "p999_ns", "mean_ns", "max_ns"] {
+            assert!(!json.contains(key), "saturated point reports {key}");
+        }
+        let row = render_kvserve_table(&points);
+        let row = row.lines().nth(1).expect("one data row");
+        assert!(row.ends_with("saturated"), "{row}");
     }
 
     #[test]

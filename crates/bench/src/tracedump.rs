@@ -153,7 +153,6 @@ mod tests {
             ring_capacity: 1 << 12,
         };
         let cfg = HarnessConfig {
-            engines: vec![EngineKind::Crafty],
             thread_counts: vec![2],
             txns_per_thread: 40,
             latency: LatencyModel::instant(),

@@ -28,7 +28,9 @@ pub enum CompletionPath {
     Redo,
     /// Committed by Crafty's Validate phase.
     Validate,
-    /// Committed under the single-global-lock fallback.
+    /// Committed in software under the fallback — per-line locks by
+    /// default, the single global lock under the SGL policy; the variant
+    /// name predates the per-line policy.
     Sgl,
 }
 
@@ -49,7 +51,7 @@ impl CompletionPath {
             CompletionPath::ReadOnly => "read-only",
             CompletionPath::Redo => "redo",
             CompletionPath::Validate => "validate",
-            CompletionPath::Sgl => "sgl",
+            CompletionPath::Sgl => "software",
         }
     }
 

@@ -143,7 +143,8 @@ pub enum AbortCause {
     /// already stale.
     PersistentDoomed,
     /// The phase-restart budget ran out and the transaction entered the
-    /// single-global-lock fallback (counted once per fallback entry).
+    /// software fallback — per-line or SGL, whichever policy is configured
+    /// (counted once per fallback entry).
     SglFallback,
 }
 
@@ -164,7 +165,7 @@ impl AbortCause {
             AbortCause::Capacity => "capacity",
             AbortCause::Explicit => "explicit",
             AbortCause::PersistentDoomed => "persistent-doomed",
-            AbortCause::SglFallback => "sgl-fallback",
+            AbortCause::SglFallback => "software-fallback",
         }
     }
 
@@ -202,7 +203,7 @@ pub enum TxnPhase {
     Redo,
     /// Crafty's Validate phase (re-execution against the persisted log).
     Validate,
-    /// The single-global-lock fallback execution.
+    /// The software fallback execution (per-line or SGL policy).
     Sgl,
     /// Flush-queue drains (SFENCE + write-backs).
     Drain,
@@ -227,7 +228,7 @@ impl TxnPhase {
             TxnPhase::Log => "log",
             TxnPhase::Redo => "redo",
             TxnPhase::Validate => "validate",
-            TxnPhase::Sgl => "sgl",
+            TxnPhase::Sgl => "software",
             TxnPhase::Drain => "drain",
             TxnPhase::Fence => "fence",
         }

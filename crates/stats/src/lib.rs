@@ -4,15 +4,12 @@
 //!
 //! * [`Measurement`] / [`Figure`] — throughput points and per-benchmark
 //!   series, normalized to single-thread Non-durable throughput exactly as
-//!   in Section 7.1. A measurement may additionally carry a
-//!   [`LatencyHistogram`]; figures with latency data also render and emit
-//!   percentile (p50/p99/p999) columns.
+//!   in Section 7.1.
 //! * [`latency`] — the log-bucketed, mergeable, allocation-free-in-steady-
 //!   state latency histogram behind the service benchmarks' tail-latency
 //!   reporting.
-//! * [`report`] — text/CSV rendering of every figure, of the
-//!   persistent/hardware transaction breakdowns (Figures 9–21), and of
-//!   Table 1 (writes per transaction).
+//! * [`report`] — text/CSV rendering of every figure and of the
+//!   persistent/hardware transaction breakdowns (Figures 9–21).
 //! * [`json`] — a dependency-free JSON builder for machine-readable
 //!   benchmark artifacts such as `BENCH_hotpath.json`.
 
@@ -26,5 +23,5 @@ pub mod throughput;
 
 pub use json::Json;
 pub use latency::LatencyHistogram;
-pub use report::{render_breakdown, render_figure, render_figure_csv, render_writes_per_txn_row};
+pub use report::{render_breakdown, render_figure, render_figure_csv};
 pub use throughput::{Figure, Measurement, PAPER_THREAD_COUNTS};

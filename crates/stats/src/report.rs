@@ -2,17 +2,14 @@
 //!
 //! The harness cannot draw the paper's plots, so every figure is rendered
 //! as the table of numbers behind it: one row per thread count, one column
-//! per engine, values normalized exactly as in the paper. Tables (Table 1,
-//! the breakdowns of Figures 9–21) are rendered the same way.
+//! per engine, values normalized exactly as in the paper. The breakdowns of
+//! Figures 9–21 are rendered the same way.
 
 use crafty_common::{AbortCause, BreakdownSnapshot, CompletionPath, HwTxnOutcome, TxnPhase};
 
 use crate::throughput::Figure;
 
 /// Renders a figure as an aligned text table of normalized throughputs.
-/// When any point carries a latency distribution, a second table with the
-/// p50/p99/p999 columns follows (figures from the closed-loop benchmarks
-/// render exactly as before).
 pub fn render_figure(figure: &Figure, baseline_engine: &str) -> String {
     let engines = figure.engines();
     let threads = figure.thread_counts();
@@ -38,64 +35,23 @@ pub fn render_figure(figure: &Figure, baseline_engine: &str) -> String {
         }
         out.push('\n');
     }
-    if figure.has_latency() {
-        out.push_str(&format!("# {} — latency µs (p50/p99/p999)\n", figure.title));
-        out.push_str(&format!("{:>8}", "threads"));
-        for e in &engines {
-            out.push_str(&format!("{e:>26}"));
-        }
-        out.push('\n');
-        for &t in &threads {
-            out.push_str(&format!("{t:>8}"));
-            for e in &engines {
-                match figure.latency_percentiles(e, t) {
-                    Some((p50, p99, p999)) => out.push_str(&format!(
-                        "{:>26}",
-                        format!(
-                            "{:.1}/{:.1}/{:.1}",
-                            p50 as f64 / 1_000.0,
-                            p99 as f64 / 1_000.0,
-                            p999 as f64 / 1_000.0
-                        )
-                    )),
-                    None => out.push_str(&format!("{:>26}", "-")),
-                }
-            }
-            out.push('\n');
-        }
-    }
     out
 }
 
-/// Renders a figure as CSV (`threads,engine,normalized_throughput,raw_tps`).
-/// Figures with latency data gain `p50_ns,p99_ns,p999_ns` columns; the
-/// header and rows of throughput-only figures are unchanged, so existing
-/// consumers keep parsing them as before.
+/// Renders a figure as CSV (`benchmark,threads,engine,normalized_throughput,raw_tps`).
 pub fn render_figure_csv(figure: &Figure, baseline_engine: &str) -> String {
-    let latency = figure.has_latency();
-    let mut out = String::from("benchmark,threads,engine,normalized_throughput,raw_tps");
-    if latency {
-        out.push_str(",p50_ns,p99_ns,p999_ns");
-    }
-    out.push('\n');
+    let mut out = String::from("benchmark,threads,engine,normalized_throughput,raw_tps\n");
     let base = figure.baseline_throughput(baseline_engine).unwrap_or(1.0);
     let base = if base > 0.0 { base } else { 1.0 };
     for p in &figure.points {
         out.push_str(&format!(
-            "{},{},{},{:.6},{:.3}",
+            "{},{},{},{:.6},{:.3}\n",
             figure.title,
             p.threads,
             p.engine,
             p.throughput() / base,
             p.throughput()
         ));
-        if latency {
-            match p.latency_percentiles() {
-                Some((p50, p99, p999)) => out.push_str(&format!(",{p50},{p99},{p999}")),
-                None => out.push_str(",,,"),
-            }
-        }
-        out.push('\n');
     }
     out
 }
@@ -157,16 +113,6 @@ pub fn render_breakdown(engine: &str, snapshot: &BreakdownSnapshot) -> String {
     out
 }
 
-/// One row of Table 1: average writes per persistent transaction.
-pub fn render_writes_per_txn_row(benchmark: &str, per_thread_counts: &[(usize, f64)]) -> String {
-    let mut out = format!("{benchmark:<24}");
-    for (threads, writes) in per_thread_counts {
-        out.push_str(&format!("  {threads:>2}:{writes:>6.1}"));
-    }
-    out.push('\n');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,28 +154,6 @@ mod tests {
         let csv = render_figure_csv(&fig, "Non-durable");
         assert_eq!(csv.lines().count(), fig.points.len() + 1);
         assert!(csv.starts_with("benchmark,threads,engine"));
-        // Throughput-only figures keep the pre-latency schema exactly.
-        assert!(!csv.contains("p50_ns"));
-    }
-
-    #[test]
-    fn latency_figures_render_percentile_columns() {
-        use crate::latency::LatencyHistogram;
-        let mut fig = figure();
-        let mut h = LatencyHistogram::new();
-        for ns in [10_000u64, 20_000, 30_000, 900_000] {
-            h.record(ns);
-        }
-        fig.push(
-            Measurement::throughput_only("Crafty", 4, 100, Duration::from_secs(1)).with_latency(h),
-        );
-        let text = render_figure(&fig, "Non-durable");
-        assert!(text.contains("latency µs (p50/p99/p999)"));
-        assert!(text.lines().filter(|l| l.starts_with('#')).count() == 2);
-        let csv = render_figure_csv(&fig, "Non-durable");
-        assert!(csv.starts_with("benchmark,threads,engine,normalized_throughput,raw_tps,p50_ns"));
-        // The latency-less points keep empty percentile cells.
-        assert!(csv.contains(",,,"));
     }
 
     #[test]
@@ -239,7 +163,7 @@ mod tests {
             "read-only",
             "redo",
             "validate",
-            "sgl",
+            "software",
             "commit",
             "conflict",
             "capacity",
@@ -258,7 +182,7 @@ mod tests {
         let s = render_breakdown("Crafty", &r.snapshot());
         assert!(s.contains("abort causes"));
         assert!(s.contains("persistent-doomed: 1"));
-        assert!(s.contains("sgl-fallback: 1"));
+        assert!(s.contains("software-fallback: 1"));
         assert!(s.contains("phase cycles"));
         assert!(s.contains("(60.0%)"));
         assert!(s.contains("(40.0%)"));
@@ -266,13 +190,5 @@ mod tests {
         let bare = render_breakdown("Crafty", &BreakdownSnapshot::default());
         assert!(!bare.contains("phase cycles"));
         assert!(!bare.contains("abort causes"));
-    }
-
-    #[test]
-    fn table1_row_contains_thread_counts_and_values() {
-        let row = render_writes_per_txn_row("bank (high)", &[(1, 10.0), (16, 10.0)]);
-        assert!(row.contains("bank (high)"));
-        assert!(row.contains("16:"));
-        assert!(row.contains("10.0"));
     }
 }

@@ -9,14 +9,11 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use crate::latency::LatencyHistogram;
-
 /// The thread counts every figure in the paper sweeps.
 pub const PAPER_THREAD_COUNTS: [usize; 7] = [1, 2, 4, 8, 12, 15, 16];
 
 /// One measured run: an engine, a thread count, how much work was done and
-/// how long it took — plus, for latency-aware benchmarks (the open-loop
-/// service runs), the per-request latency distribution.
+/// how long it took.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Measurement {
     /// Engine name as used in the figure legends (e.g. `"Crafty"`).
@@ -27,9 +24,6 @@ pub struct Measurement {
     pub transactions: u64,
     /// Wall-clock time of the measured region.
     pub elapsed: Duration,
-    /// Per-request latency distribution, when the benchmark measures one
-    /// (closed-loop throughput runs leave this `None`).
-    pub latency: Option<LatencyHistogram>,
 }
 
 impl Measurement {
@@ -45,14 +39,7 @@ impl Measurement {
             threads,
             transactions,
             elapsed,
-            latency: None,
         }
-    }
-
-    /// Attaches a latency histogram (builder style).
-    pub fn with_latency(mut self, histogram: LatencyHistogram) -> Self {
-        self.latency = Some(histogram);
-        self
     }
 
     /// Transactions per second.
@@ -61,14 +48,6 @@ impl Measurement {
             return 0.0;
         }
         self.transactions as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// The standard tail-latency triple `(p50, p99, p999)` in nanoseconds,
-    /// when a latency distribution was recorded.
-    pub fn latency_percentiles(&self) -> Option<(u64, u64, u64)> {
-        self.latency
-            .as_ref()
-            .map(|h| (h.percentile(0.50), h.percentile(0.99), h.percentile(0.999)))
     }
 }
 
@@ -138,21 +117,6 @@ impl Figure {
         t.dedup();
         t
     }
-
-    /// Whether any point of the figure carries a latency distribution
-    /// (drives the optional percentile columns in the rendered output).
-    pub fn has_latency(&self) -> bool {
-        self.points.iter().any(|p| p.latency.is_some())
-    }
-
-    /// The `(p50, p99, p999)` triple of `engine` at `threads`, if that
-    /// point exists and recorded latency.
-    pub fn latency_percentiles(&self, engine: &str, threads: usize) -> Option<(u64, u64, u64)> {
-        self.points
-            .iter()
-            .find(|p| p.engine == engine && p.threads == threads)
-            .and_then(Measurement::latency_percentiles)
-    }
 }
 
 #[cfg(test)]
@@ -209,26 +173,5 @@ mod tests {
     #[test]
     fn paper_thread_counts_match_figures() {
         assert_eq!(PAPER_THREAD_COUNTS, [1, 2, 4, 8, 12, 15, 16]);
-    }
-
-    #[test]
-    fn latency_percentiles_surface_through_figure() {
-        use crate::latency::LatencyHistogram;
-        let mut fig = Figure::new("kvserve");
-        fig.push(m("Non-durable", 1, 100, 10));
-        assert!(!fig.has_latency());
-        assert_eq!(fig.latency_percentiles("Non-durable", 1), None);
-
-        let mut h = LatencyHistogram::new();
-        for ns in [1_000u64, 2_000, 3_000, 100_000] {
-            h.record(ns);
-        }
-        fig.push(m("Crafty", 1, 100, 10).with_latency(h));
-        assert!(fig.has_latency());
-        let (p50, p99, p999) = fig.latency_percentiles("Crafty", 1).expect("latency");
-        assert!(p50 <= p99 && p99 <= p999);
-        assert!((1_900..=2_100).contains(&p50), "p50 {p50}");
-        assert!(p999 >= 95_000, "p999 {p999}");
-        assert_eq!(fig.latency_percentiles("Crafty", 2), None);
     }
 }

@@ -1,8 +1,8 @@
 //! Constructors for every engine configuration the paper evaluates.
 //!
-//! The figure harness and the benches build engines by [`EngineKind`] so
-//! that a benchmark run is fully described by (workload, engine, threads,
-//! latency model).
+//! The figure harness and the repository benchmark build engines by
+//! [`EngineKind`] so that a benchmark run is fully described by (workload,
+//! engine, threads, latency model).
 
 use std::sync::Arc;
 
