@@ -62,25 +62,42 @@ pub(crate) fn round4(x: f64) -> f64 {
     (x * 10_000.0).round() / 10_000.0
 }
 
-/// The short git revision of the work tree this crate was built from, or
-/// `"unknown"` outside one (a tarball checkout must not report whatever
-/// repository happens to enclose it).
+/// The short git revision of the work tree this crate was built from —
+/// with `-dirty` appended when the tree differs from it, so an artifact
+/// regenerated before its commit cannot pass for a measurement of the
+/// parent — or `"unknown"` outside a work tree (a tarball checkout must not
+/// report whatever repository happens to enclose it).
 fn revision() -> String {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    root.join(".git")
-        .exists()
-        .then(|| {
+    let git = |args: &[&str]| {
+        let run = || {
             std::process::Command::new("git")
-                .args(["rev-parse", "--short", "HEAD"])
+                .args(args)
                 .current_dir(&root)
                 .output()
                 .ok()
-        })
-        .flatten()
-        .filter(|o| o.status.success())
-        .map_or("unknown".to_string(), |o| {
-            String::from_utf8_lossy(&o.stdout).trim().to_string()
-        })
+        };
+        root.join(".git")
+            .exists()
+            .then(run)
+            .flatten()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    revision_stamp(
+        git(&["rev-parse", "--short", "HEAD"]),
+        git(&["status", "--porcelain"]),
+    )
+}
+
+/// `head`, marked `-dirty` unless `status` (the porcelain listing) is known
+/// to be empty.
+fn revision_stamp(head: Option<String>, status: Option<String>) -> String {
+    match head {
+        None => "unknown".to_string(),
+        Some(head) if status.as_deref() == Some("") => head,
+        Some(head) => format!("{head}-dirty"),
+    }
 }
 
 /// The envelope every JSON artifact of this crate leaves through:
@@ -420,6 +437,17 @@ mod tests {
     use crafty_stats::Figure;
     use crafty_workloads::{BankWorkload, Contention, YcsbMix, YcsbWorkload};
     use std::time::Duration;
+
+    #[test]
+    fn revision_is_marked_dirty_unless_the_tree_is_known_clean() {
+        let head = || Some("1395212".to_string());
+        let stamp = |status: Option<&str>| revision_stamp(head(), status.map(str::to_string));
+        assert_eq!(stamp(Some("")), "1395212");
+        assert_eq!(stamp(Some(" M README.md")), "1395212-dirty");
+        assert_eq!(stamp(Some("?? BENCH_new.json")), "1395212-dirty");
+        assert_eq!(stamp(None), "1395212-dirty", "status unknown: do not vouch");
+        assert_eq!(revision_stamp(None, Some(String::new())), "unknown");
+    }
 
     fn tiny() -> HarnessConfig {
         HarnessConfig {

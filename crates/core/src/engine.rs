@@ -283,7 +283,7 @@ impl Crafty {
             let mut txn = self.htm.begin(via_tid);
             let appended = shared
                 .undo_log
-                .append_sequence(&mut txn, &[], ts)
+                .append_sequence(&mut txn, &[], ts, &mut Vec::new())
                 .and_then(|info| {
                     shared
                         .undo_log

@@ -36,7 +36,7 @@ use std::sync::atomic::Ordering;
 
 use crafty_common::trace::{self, AbortCause, TraceEventKind, TxnPhase};
 use crafty_common::{
-    CompletionPath, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps, TxnReport,
+    CompletionPath, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps, TxnReport,
 };
 use crafty_htm::{AbortCode, Exclusion, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
@@ -58,22 +58,17 @@ const MAX_PHASE_RESTARTS: u32 = 8;
 /// other than a snapshot conflict before concluding the program is broken.
 const MAX_BODY_FAILURES: u32 = 16;
 
-/// One program write captured by the Log phase.
-#[derive(Clone, Copy, Debug)]
-struct UndoRecord {
-    addr: PAddr,
-    old_value: u64,
-    persistent: bool,
-}
-
 /// Metadata the Redo/Validate phases need about a logged transaction. The
-/// bulk data — the undo records, the redo log, and the persistent entries —
-/// lives in [`CraftyThread`]'s reusable buffers (`undo_buf`, `redo_buf`,
-/// `entries_buf`), filled by the Log phase and read by the later phases, so
-/// no per-transaction `Vec`s are allocated.
+/// bulk data — the redo image and the persistent entries — lives in
+/// [`CraftyThread`]'s reusable buffers (`redo_buf`, `entries_buf`), filled
+/// by the Log phase and read by the later phases, so no per-transaction
+/// `Vec`s are allocated.
 #[derive(Clone, Copy, Debug)]
 struct LoggedSeq {
     marker_abs: u64,
+    /// How many writes the body made (persistent or not, a word written
+    /// twice counted twice): what the Redo phase stands for.
+    writes: usize,
     /// The Log phase's hardware-transaction commit version: the point in
     /// the global commit order at which the undo log entries (and the
     /// values they captured) became current. The Redo phase's `gLastRedoTS`
@@ -119,18 +114,22 @@ pub struct CraftyThread<'c> {
     /// are unaffected.
     deferred_mode: bool,
     alloc_log: AllocLog,
-    /// All writes of the current transaction in program order (persistent
-    /// and volatile), captured by the Log phase. Reused across
-    /// transactions; cleared (capacity-preserving) at each Log attempt.
-    undo_buf: Vec<UndoRecord>,
-    /// Redo log built while rolling back (reverse program order); the Redo
-    /// phase applies it back-to-front. Reused across transactions.
-    redo_buf: Vec<(PAddr, u64)>,
+    /// The redo log: the Log transaction's write buffer as it stood before
+    /// roll-back, one entry per written line (persistent or volatile) with
+    /// the final words and their mask. The Redo phase buffers it back by
+    /// the line. Reused across transactions.
+    redo_buf: Vec<LineSlot>,
     /// The sequence's `<addr, oldValue>` undo entries, one per persistent
-    /// word written: what the Log phase or the software commit appends to
-    /// the undo log, and what the Validate phase checks re-executed writes
-    /// against. Reused across transactions.
+    /// write in program order: what the Log phase or the software commit
+    /// appends to the undo log, what the Validate phase checks re-executed
+    /// writes against (the Log transaction and its journal are gone by
+    /// then), and whose lines a commit outside a hardware transaction
+    /// CLWBs. Reused across transactions.
     entries_buf: Vec<(PAddr, u64)>,
+    /// `entries_buf` and its marker as encoded log words, between
+    /// [`crate::undo_log::UndoLog::append_sequence`] encoding them and the
+    /// Log transaction buffering them.
+    log_words: Vec<u64>,
 }
 
 impl std::fmt::Debug for CraftyThread<'_> {
@@ -148,9 +147,9 @@ impl<'c> CraftyThread<'c> {
             tid,
             deferred_mode: false,
             alloc_log: AllocLog::new(),
-            undo_buf: Vec::new(),
             redo_buf: Vec::new(),
             entries_buf: Vec::new(),
+            log_words: Vec::new(),
         }
     }
 
@@ -318,11 +317,12 @@ impl<'c> CraftyThread<'c> {
     }
 
     /// The Log phase (Algorithm 1): execute the body in a hardware
-    /// transaction, recording each write's old value; roll every write back
-    /// (building the redo log) before committing; append the undo entries
-    /// plus a LOGGED marker to the persistent undo log; after the hardware
-    /// transaction commits, flush the entries (no drain — the next hardware
-    /// transaction's fence semantics complete the persist).
+    /// transaction whose descriptor journals each write's old value; keep
+    /// the write buffer as the redo log and roll every write back before
+    /// committing; append the undo entries plus a LOGGED marker to the
+    /// persistent undo log; after the hardware transaction commits, flush
+    /// the entries (no drain — the next hardware transaction's fence
+    /// semantics complete the persist).
     fn log_phase(&mut self, body: &mut TxnBody<'_>, hw_attempts: &mut u32) -> LogOutcome {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
@@ -352,13 +352,8 @@ impl<'c> CraftyThread<'c> {
                 }
             }
 
-            self.undo_buf.clear();
             let mut ctx = Ctx {
-                access: LogAccess {
-                    txn: &mut txn,
-                    mem: &engine.mem,
-                    undo: &mut self.undo_buf,
-                },
+                access: LogAccess { txn: &mut txn },
                 allocator: &engine.allocator,
                 alloc_log: &mut self.alloc_log,
             };
@@ -366,28 +361,26 @@ impl<'c> CraftyThread<'c> {
                 continue;
             }
 
-            if self.undo_buf.is_empty() && self.alloc_log.is_empty() {
+            if txn.write_set_len() == 0 && self.alloc_log.is_empty() {
                 match txn.commit() {
                     Ok(_) => return LogOutcome::ReadOnly,
                     Err(_) => continue,
                 }
             }
 
-            if self.roll_back(&mut txn).is_err() {
-                continue;
-            }
-
             self.entries_buf.clear();
             self.entries_buf.extend(
-                self.undo_buf
-                    .iter()
-                    .filter(|r| r.persistent)
-                    .map(|r| (r.addr, r.old_value)),
+                txn.exchanged()
+                    .filter(|&(addr, _)| engine.mem.is_persistent(addr)),
             );
+            let Ok(writes) = txn.roll_back(&mut self.redo_buf) else {
+                continue;
+            };
             let log_ts = engine.timestamp();
-            let info = match undo_log.append_sequence(&mut txn, &self.entries_buf, log_ts) {
-                Ok(info) => info,
-                Err(_) => continue,
+            let appended =
+                undo_log.append_sequence(&mut txn, &self.entries_buf, log_ts, &mut self.log_words);
+            let Ok(info) = appended else {
+                continue;
             };
             // `commit` consumes the transaction: by the time it returns,
             // the HwTxn has been dropped and the thread's descriptor is
@@ -402,22 +395,11 @@ impl<'c> CraftyThread<'c> {
             return LogOutcome::Logged(LoggedSeq {
                 persistent_writes: info.data_entries,
                 marker_abs: info.marker_abs,
+                writes,
                 log_commit_version,
             });
         }
         LogOutcome::Aborted
-    }
-
-    /// Rolls the Log phase's writes back in reverse order, building the redo
-    /// log from the values visible just before each rollback step.
-    #[inline]
-    fn roll_back(&mut self, txn: &mut HwTxn<'_>) -> Result<(), AbortCode> {
-        self.redo_buf.clear();
-        for rec in self.undo_buf.iter().rev() {
-            self.redo_buf.push((rec.addr, txn.read(rec.addr)?));
-            txn.write(rec.addr, rec.old_value)?;
-        }
-        Ok(())
     }
 
     /// The step after every undo append, hardware or software: request
@@ -498,9 +480,7 @@ impl<'c> CraftyThread<'c> {
         let foreign_append = self.touch_log_head(&mut txn, seq)?;
         let commit_ts = engine.timestamp();
         if redo {
-            for &(addr, value) in self.redo_buf.iter().rev() {
-                txn.write(addr, value)?;
-            }
+            txn.write_lines(&self.redo_buf, seq.writes)?;
         }
         txn.publish_commit_version(engine.g_last_redo_ts_addr)?;
         engine.threads[self.tid].undo_log.commit_marker_txn(
@@ -509,7 +489,13 @@ impl<'c> CraftyThread<'c> {
             seq.persistent_writes,
             commit_ts,
         )?;
-        self.flush_writes_on_commit(&mut txn, seq)?;
+        // CLWBs (no drain) for every persistent line written — the undo
+        // entries' lines plus the marker's — enqueued atomically with the
+        // commit. The next hardware transaction this thread starts
+        // completes the persist, and recovery always rolls back the
+        // thread's latest sequence in case these write-backs had not
+        // finished (Section 4.2).
+        txn.flush_writes_on_commit()?;
         txn.commit()?;
         // If another thread appended to this thread's log while the
         // transaction was in flight, this sequence is no longer the latest
@@ -520,11 +506,7 @@ impl<'c> CraftyThread<'c> {
         }
         engine.note_sequence(self.tid, commit_ts);
         if redo {
-            trace::record(
-                self.tid,
-                TraceEventKind::RedoApply,
-                self.redo_buf.len() as u64,
-            );
+            trace::record(self.tid, TraceEventKind::RedoApply, seq.writes as u64);
         }
         Ok(())
     }
@@ -608,24 +590,6 @@ impl<'c> CraftyThread<'c> {
         Ok(head != seq.marker_abs + 1)
     }
 
-    /// Requests CLWBs (no drain) for every persistent address the
-    /// transaction wrote (one undo entry each, still in `entries_buf`) plus
-    /// its marker entry, enqueued atomically with the commit. The next
-    /// hardware transaction this thread starts completes the persist, and
-    /// recovery always rolls back the thread's latest sequence in case
-    /// these write-backs had not finished (Section 4.2).
-    fn flush_writes_on_commit(
-        &self,
-        txn: &mut HwTxn<'_>,
-        seq: &LoggedSeq,
-    ) -> Result<(), AbortCode> {
-        for &(addr, _) in &self.entries_buf {
-            txn.flush_on_commit(addr)?;
-        }
-        let geometry = self.engine.threads[self.tid].undo_log.geometry();
-        txn.flush_on_commit(geometry.slot_addr(seq.marker_abs))
-    }
-
     // ------------------------------------------------------------------
     // Atomicity from line locks, the SGL, or the program (Figure 4)
     // ------------------------------------------------------------------
@@ -636,15 +600,9 @@ impl<'c> CraftyThread<'c> {
     fn redo_thread_unsafe(&mut self, seq: &LoggedSeq) {
         // The undo entries must be durable before the in-place writes.
         self.drain();
-        for &(addr, value) in self.redo_buf.iter().rev() {
-            self.engine.htm.nontx_write(addr, value);
-        }
+        self.engine.htm.nontx_write_lines(&self.redo_buf);
         self.stamp_committed(seq.marker_abs);
-        trace::record(
-            self.tid,
-            TraceEventKind::RedoApply,
-            self.redo_buf.len() as u64,
-        );
+        trace::record(self.tid, TraceEventKind::RedoApply, seq.writes as u64);
     }
 
     /// The one software commit: run the body against buffered writes, let
@@ -861,14 +819,10 @@ impl<A: Access> TxnOps for Ctx<'_, A> {
     }
 }
 
-/// Log phase: performs writes in place (inside the hardware transaction)
-/// while recording old values for the undo log.
+/// Log phase: performs writes in place (inside the hardware transaction),
+/// whose descriptor journals the old values for the undo log.
 struct LogAccess<'a, 'rt> {
     txn: &'a mut HwTxn<'rt>,
-    mem: &'a MemorySpace,
-    /// Borrowed from [`CraftyThread::undo_buf`] so the record storage is
-    /// reused across transactions.
-    undo: &'a mut Vec<UndoRecord>,
 }
 
 impl Access for LogAccess<'_, '_> {
@@ -877,13 +831,8 @@ impl Access for LogAccess<'_, '_> {
     }
 
     fn store(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {
-        let old_value = self.txn.read(addr).map_err(|_| TxAbort::hardware())?;
-        self.undo.push(UndoRecord {
-            addr,
-            old_value,
-            persistent: self.mem.is_persistent(addr),
-        });
-        self.txn.write(addr, value).map_err(|_| TxAbort::hardware())
+        let exchanged = self.txn.exchange(addr, value);
+        exchanged.map(drop).map_err(|_| TxAbort::hardware())
     }
 }
 
@@ -904,17 +853,20 @@ impl Access for ValidateAccess<'_, '_> {
     }
 
     fn store(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {
-        if self.mem.is_persistent(addr) {
-            let Some(&(expected_addr, expected_value)) = self.expected.get(self.next) else {
-                return Err(self.diverged());
-            };
-            let current = self.txn.read(addr).map_err(|_| TxAbort::hardware())?;
-            if addr != expected_addr || current != expected_value {
-                return Err(self.diverged());
-            }
-            self.next += 1;
+        if !self.mem.is_persistent(addr) {
+            return self.txn.write(addr, value).map_err(|_| TxAbort::hardware());
         }
-        self.txn.write(addr, value).map_err(|_| TxAbort::hardware())
+        match self.expected.get(self.next) {
+            Some(&(expected_addr, expected_value)) if expected_addr == addr => {
+                let exchanged = self.txn.exchange(addr, value);
+                if exchanged.map_err(|_| TxAbort::hardware())? != expected_value {
+                    return Err(self.diverged());
+                }
+                self.next += 1;
+                Ok(())
+            }
+            _ => Err(self.diverged()),
+        }
     }
 
     fn diverged(&mut self) -> TxAbort {
@@ -948,3 +900,6 @@ impl<X: Exclusion> Access for Buffered<'_, X> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -346,6 +346,12 @@ impl UndoLog {
     /// `ts`, all inside the given hardware transaction. Nothing becomes
     /// visible or persistent unless the transaction commits.
     ///
+    /// The sequence is encoded into `words` (scratch the caller reuses, so
+    /// steady-state appends allocate nothing) and buffered as at most two
+    /// contiguous runs — up to the end of the region and, on wrap-around,
+    /// from its start — costing the transaction one descriptor lookup per
+    /// line instead of one per word.
+    ///
     /// # Errors
     ///
     /// Propagates any hardware-transaction abort.
@@ -354,28 +360,40 @@ impl UndoLog {
         txn: &mut HwTxn<'_>,
         entries: &[(PAddr, u64)],
         ts: Timestamp,
+        words: &mut Vec<u64>,
     ) -> Result<AppendInfo, AbortCode> {
+        let data_entries = entries.len() as u64;
+        assert!(
+            data_entries < self.geometry.capacity,
+            "a sequence must fit in the log region"
+        );
         let head = txn.read(self.head_addr)?;
-        let mut abs = head;
-        for &(addr, old_value) in entries {
-            self.write_entry_txn(txn, abs, Entry::Data { addr, old_value })?;
-            abs += 1;
+        let marker_abs = head + data_entries;
+        let marker = Entry::Marker {
+            kind: MarkerKind::Logged,
+            ts,
+            data_entries,
+        };
+        words.clear();
+        let data = entries
+            .iter()
+            .map(|&(addr, old_value)| Entry::Data { addr, old_value });
+        for (abs, entry) in (head..).zip(data.chain([marker])) {
+            let (meta, value) = encode(entry, self.geometry.parity(abs));
+            words.extend([meta, value]);
         }
-        let marker_abs = abs;
-        self.write_entry_txn(
-            txn,
-            marker_abs,
-            Entry::Marker {
-                kind: MarkerKind::Logged,
-                ts,
-                data_entries: entries.len() as u64,
-            },
-        )?;
+        let first_slot = head % self.geometry.capacity;
+        let before_wrap = words
+            .len()
+            .min(((self.geometry.capacity - first_slot) * 2) as usize);
+        let (tail, wrapped) = words.split_at(before_wrap);
+        txn.write_words(self.geometry.slot_addr(head), tail)?;
+        txn.write_words(self.geometry.start, wrapped)?;
         txn.write(self.head_addr, marker_abs + 1)?;
         Ok(AppendInfo {
             first_abs: head,
             marker_abs,
-            data_entries: entries.len() as u64,
+            data_entries,
         })
     }
 
@@ -394,15 +412,13 @@ impl UndoLog {
         data_entries: u64,
         ts: Timestamp,
     ) -> Result<(), AbortCode> {
-        self.write_entry_txn(
-            txn,
-            marker_abs,
-            Entry::Marker {
-                kind: MarkerKind::Committed,
-                ts,
-                data_entries,
-            },
-        )
+        let marker = Entry::Marker {
+            kind: MarkerKind::Committed,
+            ts,
+            data_entries,
+        };
+        let (meta, value) = encode(marker, self.geometry.parity(marker_abs));
+        txn.write_words(self.geometry.slot_addr(marker_abs), &[meta, value])
     }
 
     /// Non-transactional variant used by every software commit (line locks
@@ -515,19 +531,6 @@ impl UndoLog {
             return false;
         }
         (head / half) != ((head + extra) / half)
-    }
-
-    fn write_entry_txn(
-        &self,
-        txn: &mut HwTxn<'_>,
-        abs: u64,
-        entry: Entry,
-    ) -> Result<(), AbortCode> {
-        let (meta, value) = encode(entry, self.geometry.parity(abs));
-        let addr = self.geometry.slot_addr(abs);
-        txn.write(addr, meta)?;
-        txn.write(addr.add(1), value)?;
-        Ok(())
     }
 
     fn write_entry_nontx(&self, htm: &HtmRuntime, abs: u64, entry: Entry) {
@@ -765,7 +768,12 @@ mod tests {
         let (mem, htm, log) = setup();
         let mut txn = htm.begin(0);
         let info = log
-            .append_sequence(&mut txn, &[(PAddr::new(64), 9)], Timestamp::from_raw(3))
+            .append_sequence(
+                &mut txn,
+                &[(PAddr::new(64), 9)],
+                Timestamp::from_raw(3),
+                &mut Vec::new(),
+            )
             .expect("append");
         assert_eq!(info.data_entries, 1);
         assert_eq!(log.head(&mem), 0, "head update must be buffered");
@@ -779,7 +787,7 @@ mod tests {
         let data = [(PAddr::new(64), 11u64), (PAddr::new(72), 22u64)];
         let mut txn = htm.begin(0);
         let info = log
-            .append_sequence(&mut txn, &data, Timestamp::from_raw(5))
+            .append_sequence(&mut txn, &data, Timestamp::from_raw(5), &mut Vec::new())
             .expect("append");
         txn.commit().expect("commit");
         log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
@@ -813,7 +821,12 @@ mod tests {
         let (mem, htm, log) = setup();
         let mut txn = htm.begin(0);
         let info = log
-            .append_sequence(&mut txn, &[(PAddr::new(64), 1)], Timestamp::from_raw(7))
+            .append_sequence(
+                &mut txn,
+                &[(PAddr::new(64), 1)],
+                Timestamp::from_raw(7),
+                &mut Vec::new(),
+            )
             .expect("append");
         txn.commit().expect("commit");
         let mut txn2 = htm.begin(0);
@@ -844,25 +857,61 @@ mod tests {
     fn wraparound_flips_parity() {
         let (mem, htm, log) = setup();
         // Capacity is 16 entries; append 3 sequences of 5+1 entries each to
-        // wrap past the end.
+        // wrap past the end. The third starts at slot 12, so its run splits
+        // at the end of the region: four entries in the tail, then the
+        // fifth and the marker from the start.
         let data: Vec<(PAddr, u64)> = (0..5).map(|i| (PAddr::new(64 + i), i)).collect();
+        let mut words = Vec::new();
         for round in 0..3 {
             let mut txn = htm.begin(0);
-            log.append_sequence(&mut txn, &data, Timestamp::from_raw(round + 1))
+            let info = log
+                .append_sequence(&mut txn, &data, Timestamp::from_raw(round + 1), &mut words)
                 .expect("append");
+            assert_eq!(
+                (info.first_abs, info.marker_abs),
+                (round * 6, round * 6 + 5)
+            );
+            assert_eq!(txn.write_set_len(), 12 + 1, "entry words plus the head");
             txn.commit().expect("commit");
         }
         assert_eq!(log.head(&mem), 18);
-        // Absolute index 16 and 17 are the wrapped entries (parity 1).
-        assert_eq!(log.geometry().parity(15), 0);
-        assert_eq!(log.geometry().parity(16), 1);
-        let mut txn = htm.begin(0);
-        let v0 = txn.read(log.geometry().slot_addr(16)).expect("read");
-        txn.commit().ok();
-        match decode(v0, mem.read(log.geometry().slot_addr(16).add(1))) {
-            SlotState::Valid { parity, .. } => assert_eq!(parity, 1),
-            other => panic!("wrapped slot: {other:?}"),
+        let g = log.geometry();
+        assert_eq!((g.parity(15), g.parity(16)), (0, 1));
+        // Every slot of the region holds what a word-by-word append leaves:
+        // the third sequence over slots 12..16 (lap 0) and 0..2 (lap 1),
+        // the tail of the first over 2..6, the second over 6..12.
+        let image_slot = |slot: u64| {
+            let addr = g.start.add(slot * 2);
+            decode(mem.read(addr), mem.read(addr.add(1)))
+        };
+        for slot in 0..16u64 {
+            let abs = if slot < 2 { slot + 16 } else { slot };
+            let expected = match abs % 6 {
+                5 => Entry::Marker {
+                    kind: MarkerKind::Logged,
+                    ts: Timestamp::from_raw(abs / 6 + 1),
+                    data_entries: 5,
+                },
+                i => Entry::Data {
+                    addr: PAddr::new(64 + i),
+                    old_value: i,
+                },
+            };
+            let parity = g.parity(abs);
+            assert_eq!(
+                image_slot(slot),
+                SlotState::Valid {
+                    parity,
+                    entry: expected
+                },
+                "slot {slot}"
+            );
         }
+        assert_eq!(
+            mem.read(g.start.add(32)),
+            0,
+            "nothing written past the region"
+        );
     }
 
     #[test]

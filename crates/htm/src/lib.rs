@@ -26,6 +26,14 @@
 //!   one dirty-mask update ([`crafty_pmem::MemorySpace::write_line`]),
 //!   enqueue one CLWB per flagged line as a single batch
 //!   ([`crafty_pmem::MemorySpace::clwb_lines`]).
+//! * **Batch entry points, ticking per word** — [`HwTxn::exchange`],
+//!   [`HwTxn::roll_back`], [`HwTxn::write_words`], [`HwTxn::write_lines`]
+//!   and [`HwTxn::flush_writes_on_commit`] do the work of runs of
+//!   `read`/`write`/`flush_on_commit` calls with one lookup per line (none
+//!   for the roll-back, which restores by entry index), with every check
+//!   and every tick of the injected-abort countdown where the word-wise
+//!   run had it — `tests/batch_entry_points.rs` holds the two interfaces
+//!   to the same abort at the same access.
 //! * **O(1) epoch clear** — the table clears by generation bump and only
 //!   allocates when it grows past the workload's observed footprint, so a
 //!   warmed-up transaction allocates nothing — a property asserted by the

@@ -27,12 +27,15 @@ use std::sync::Arc;
 use crafty_common::trace::{
     self, AbortCause, TraceEventKind, ABORT_REDO_TS_CHECK, ABORT_VALIDATE_MISMATCH,
 };
-use crafty_common::{BreakdownRecorder, HwTxnOutcome, LazyAtomicArray, LineId, PAddr, SplitMix64};
+use crafty_common::{
+    BreakdownRecorder, HwTxnOutcome, LazyAtomicArray, LineId, LineSlot, PAddr, SplitMix64,
+    WORDS_PER_LINE,
+};
 use crafty_pmem::MemorySpace;
 use crossbeam::utils::Backoff;
 
 use crate::config::HtmConfig;
-use crate::scratch::{self, TxnScratch, FLUSH, LOCKS, READ, SINK};
+use crate::scratch::{self, Journalled, TxnScratch, DATA, FLUSH, LOCKS, READ, SINK};
 
 /// Why a hardware transaction aborted.
 ///
@@ -324,6 +327,14 @@ impl HtmRuntime {
         self.mem.write(addr, value);
         let wv = self.version_clock.fetch_add(1, Ordering::AcqRel) + 1;
         slot.store(wv, Ordering::Release);
+    }
+
+    /// [`HtmRuntime::nontx_write`] for every written word of a line image
+    /// taken by [`HwTxn::roll_back`] (Crafty's thread-unsafe Redo).
+    pub fn nontx_write_lines(&self, image: &[LineSlot]) {
+        for (addr, value) in image.iter().flat_map(scratch::slot_writes) {
+            self.nontx_write(addr, value);
+        }
     }
 
     /// Performs a non-transactional compare-and-swap that participates in
@@ -771,6 +782,226 @@ impl<'rt> HwTxn<'rt> {
         rt.recorder.record_hw(self.tid, HwTxnOutcome::Commit);
         trace::record(self.tid, TraceEventKind::HtmCommit, s.words_written as u64);
         Ok(wv)
+    }
+}
+
+/// The batch entry points Crafty's Log → Redo hand-off uses: each does the
+/// work of a run of [`HwTxn::read`]/[`HwTxn::write`] calls with one
+/// descriptor lookup per *line*, and is indistinguishable from that run to
+/// everything that counts — version checks, capacity checks, flags, and
+/// the injected-abort countdown, which still ticks once per word access. A
+/// batch that ticked once would let doomed transactions survive
+/// (`doomed_after` is at most 24) and move every abort-dependent count.
+///
+/// Kept in an `impl` of their own, out of line, so the text of
+/// `read`/`write`/`commit` — all a read-only transaction runs — stays as
+/// it was.
+impl HwTxn<'_> {
+    /// `n` ticks of the injected-abort countdown at once.
+    fn tick(&mut self, n: usize) -> Result<(), AbortCode> {
+        if let Some(left) = self.doomed_after.as_mut() {
+            match (*left as usize).checked_sub(n) {
+                Some(rest) => *left = rest as u32,
+                None => return Err(self.fail(AbortCode::Zero)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Transactionally replaces the word at `addr` with `value` and returns
+    /// what it held: [`HwTxn::read`] then [`HwTxn::write`] from a single
+    /// descriptor lookup, journalled so [`HwTxn::roll_back`] can undo it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the abort code the `read` or the `write` would have.
+    #[inline(never)]
+    pub fn exchange(&mut self, addr: PAddr, value: u64) -> Result<u64, AbortCode> {
+        if let Some(code) = self.failed {
+            return Err(code);
+        }
+        self.tick(1)?;
+        let rt = self.rt;
+        let line = addr.line();
+        let word = (addr.word() % WORDS_PER_LINE) as usize;
+        let s = self.s();
+        let idx = s.lines.entry(line.index());
+        let old = match s.read_at(idx, word) {
+            Some(buffered) => buffered,
+            None => {
+                let over_capacity = s.read_count > rt.cfg.read_capacity_lines;
+                let v1 = rt.subscribed_version_of(line);
+                if v1 & LOCKED_MASK != 0 || (v1 & VERSION_MASK) > self.rv {
+                    return Err(self.fail(AbortCode::Conflict));
+                }
+                let current = rt.mem.read(addr);
+                if rt.subscribed_version_of(line) != v1 {
+                    return Err(self.fail(AbortCode::Conflict));
+                }
+                if over_capacity {
+                    return Err(self.fail(AbortCode::Capacity));
+                }
+                current
+            }
+        };
+        self.tick(1)?;
+        let s = self.s();
+        if s.write_at(idx, word, value) && s.data_count > rt.cfg.write_capacity_lines {
+            return Err(self.fail(AbortCode::Capacity));
+        }
+        s.journal.push(Journalled {
+            slot: idx as u32,
+            word: word as u8,
+            old,
+        });
+        Ok(old)
+    }
+
+    /// Every [`HwTxn::exchange`] so far as `(address, old value)`, in
+    /// program order.
+    pub fn exchanged(&self) -> impl Iterator<Item = (PAddr, u64)> + '_ {
+        let s = self.scratch.as_ref().expect("descriptor present");
+        s.journal.iter().map(|j| {
+            let line = LineId::new(s.lines.slots()[j.slot as usize].line());
+            (line.first_word().add(u64::from(j.word)), j.old)
+        })
+    }
+
+    /// Copies every buffered line into `image` — line id, final words,
+    /// written-word mask: the write buffer *is* the redo log — and then
+    /// undoes every [`HwTxn::exchange`], newest first, so the transaction
+    /// commits the values it found. Returns how many exchanges that was.
+    /// Stands for one `read` and one `write` per exchange (the old
+    /// word-wise roll-back), so it ticks the countdown twice for each.
+    ///
+    /// # Errors
+    ///
+    /// Returns the abort code if the transaction has aborted or the
+    /// countdown runs out.
+    #[inline(never)]
+    pub fn roll_back(&mut self, image: &mut Vec<LineSlot>) -> Result<usize, AbortCode> {
+        if let Some(code) = self.failed {
+            return Err(code);
+        }
+        let s = self.s();
+        let exchanges = s.journal.len();
+        image.clear();
+        image.extend(s.lines.slots().iter().filter(|slot| slot.mask != 0));
+        for j in s.journal.iter().rev() {
+            s.lines.slot_mut(j.slot as usize).words[j.word as usize] = j.old;
+        }
+        self.tick(2 * exchanges)?;
+        Ok(exchanges)
+    }
+
+    /// Buffers the words `bits` of `line`, which `fill` copies into the
+    /// line's buffer: the first word's tick, the capacity check its
+    /// `write` would make, then the other words' ticks.
+    #[inline]
+    fn write_line_words(
+        &mut self,
+        line: u64,
+        bits: u8,
+        fill: impl FnOnce(&mut [u64; WORDS_PER_LINE as usize]),
+    ) -> Result<(), AbortCode> {
+        self.tick(1)?;
+        let write_capacity = self.rt.cfg.write_capacity_lines;
+        let s = self.s();
+        let (words, new_data_line) = s.claim_words(line, bits);
+        fill(words);
+        if new_data_line && s.data_count > write_capacity {
+            return Err(self.fail(AbortCode::Capacity));
+        }
+        self.tick(bits.count_ones() as usize - 1)
+    }
+
+    /// [`HwTxn::write`] for each of `words`, stored contiguously from
+    /// `addr`: one descriptor lookup per line, one tick per word.
+    ///
+    /// # Errors
+    ///
+    /// Returns the abort code the word-wise writes would have.
+    #[inline(never)]
+    pub fn write_words(&mut self, addr: PAddr, mut words: &[u64]) -> Result<(), AbortCode> {
+        if let Some(code) = self.failed {
+            return Err(code);
+        }
+        let mut at = addr.word();
+        while !words.is_empty() {
+            let first = (at % WORDS_PER_LINE) as usize;
+            let (run, rest) = words.split_at(words.len().min(WORDS_PER_LINE as usize - first));
+            let bits = (((1u16 << run.len()) - 1) << first) as u8;
+            self.write_line_words(at / WORDS_PER_LINE, bits, |buffer| {
+                buffer[first..first + run.len()].copy_from_slice(run);
+            })?;
+            at += run.len() as u64;
+            words = rest;
+        }
+        Ok(())
+    }
+
+    /// Buffers the written words of every line of `image` (taken by
+    /// [`HwTxn::roll_back`], possibly in an earlier transaction): the Redo
+    /// of `exchanges` logged writes, as if by [`HwTxn::write`] of each
+    /// image word, line by line, and then once more for every exchange
+    /// that hit an already-written word. One lookup per line; the
+    /// countdown ticks once per *logged write*, so a word exchanged twice
+    /// still counts twice, as it did when the redo log was replayed word
+    /// by word.
+    ///
+    /// # Errors
+    ///
+    /// Returns the abort code the word-wise writes would have.
+    #[inline(never)]
+    pub fn write_lines(&mut self, image: &[LineSlot], exchanges: usize) -> Result<(), AbortCode> {
+        if let Some(code) = self.failed {
+            return Err(code);
+        }
+        let mut distinct = 0;
+        for src in image.iter().filter(|src| src.mask != 0) {
+            distinct += src.mask.count_ones() as usize;
+            self.write_line_words(src.line(), src.mask, |buffer| {
+                let mut bits = src.mask;
+                while bits != 0 {
+                    let word = bits.trailing_zeros() as usize;
+                    buffer[word] = src.words[word];
+                    bits &= bits - 1;
+                }
+            })?;
+        }
+        self.tick(exchanges.saturating_sub(distinct))
+    }
+
+    /// [`HwTxn::flush_on_commit`] for every persistent line the
+    /// transaction has written so far: one walk of the descriptor instead
+    /// of one lookup per written word.
+    ///
+    /// # Errors
+    ///
+    /// Returns the abort code if the transaction has already aborted.
+    #[inline(never)]
+    pub fn flush_writes_on_commit(&mut self) -> Result<(), AbortCode> {
+        if let Some(code) = self.failed {
+            return Err(code);
+        }
+        let rt = self.rt;
+        let s = self.s();
+        for idx in 0..s.lines.len() {
+            let slot = s.lines.slot_mut(idx);
+            if slot.flags & DATA == 0 {
+                continue;
+            }
+            // The persistent region is a prefix of the space, so a line
+            // has a persistent written word iff its lowest one is.
+            let lowest = u64::from(slot.mask.trailing_zeros());
+            if rt
+                .mem
+                .is_persistent(LineId::new(slot.line()).first_word().add(lowest))
+            {
+                slot.flags |= FLUSH;
+            }
+        }
+        Ok(())
     }
 }
 

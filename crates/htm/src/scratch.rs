@@ -10,8 +10,8 @@
 //! * [`TxnScratch`] — everything a hardware, fallback or exclusive
 //!   transaction needs to remember: one [`LineTable`] entry per touched
 //!   line (buffered words, written-word mask, and the
-//!   `READ`/`DATA`/`SINK`/`FLUSH` flags), the lock order, and the version
-//!   sinks.
+//!   `READ`/`DATA`/`SINK`/`FLUSH` flags), the lock order, the version
+//!   sinks, and the journal of exchanged words' old values.
 //! * A thread-local spare — `checkout` takes the calling thread's
 //!   descriptor and `give_back` returns it: a `Cell` swap, no atomic
 //!   instruction. A descriptor has no identity (per-thread-slot state such
@@ -23,7 +23,7 @@
 
 use std::cell::Cell;
 
-use crafty_common::{LineId, LineTable, PAddr, WORDS_PER_LINE};
+use crafty_common::{LineId, LineSlot, LineTable, PAddr, WORDS_PER_LINE};
 
 /// [`LineSlot::flags`](crafty_common::LineSlot::flags) bit: the
 /// transaction read the line from memory (it is in the read set).
@@ -40,6 +40,16 @@ pub(crate) const FLUSH: u8 = 1 << 3;
 pub(crate) const LOCKS: u8 = DATA | SINK;
 
 const INITIAL_CAPACITY: usize = 64;
+
+/// One [`crate::HwTxn::exchange`]: which word it replaced and what the
+/// word held (transactionally) before. Dense entry indexes are stable for
+/// the life of a transaction, so roll-back needs no lookup.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Journalled {
+    pub(crate) slot: u32,
+    pub(crate) word: u8,
+    pub(crate) old: u64,
+}
 
 /// A reusable transaction descriptor: the line-granular footprint and the
 /// commit-time buffers of one in-flight transaction.
@@ -64,6 +74,8 @@ pub struct TxnScratch {
     pub(crate) locked: usize,
     /// Addresses to receive the commit version.
     pub(crate) version_sinks: Vec<PAddr>,
+    /// Every exchange of the transaction, in program order.
+    pub(crate) journal: Vec<Journalled>,
 }
 
 impl TxnScratch {
@@ -76,6 +88,7 @@ impl TxnScratch {
             lock_order: Vec::with_capacity(INITIAL_CAPACITY),
             locked: 0,
             version_sinks: Vec::with_capacity(4),
+            journal: Vec::with_capacity(INITIAL_CAPACITY),
         }
     }
 
@@ -89,34 +102,47 @@ impl TxnScratch {
         self.lock_order.clear();
         self.locked = 0;
         self.version_sinks.clear();
+        self.journal.clear();
     }
 
-    /// Sets `flag` on the entry of `addr`'s line (created if the line is
-    /// new); the first [`LOCKS`] flag a line gets also enters it in the
-    /// lock order. Returns the entry's index and its flags from before.
+    /// Sets `flag` on entry `idx`; the first [`LOCKS`] flag a line gets
+    /// also enters it in the lock order. Returns the flags from before.
     #[inline]
-    pub(crate) fn flag_line(&mut self, addr: PAddr, flag: u8) -> (usize, u8) {
-        let line = addr.line().index();
-        let idx = self.lines.entry(line);
+    fn flag_at(&mut self, idx: usize, flag: u8) -> u8 {
         let slot = self.lines.slot_mut(idx);
         let before = slot.flags;
         slot.flags |= flag;
         if flag & LOCKS != 0 && before & LOCKS == 0 {
-            self.lock_order.push(line);
+            self.lock_order.push(slot.line());
         }
-        (idx, before)
+        before
     }
 
-    /// Starts a read of `addr`: the buffered value if the transaction
-    /// wrote the word; otherwise `None` — the caller reads memory — with
-    /// the line now in the read set (`read_count` says whether that
-    /// exceeded a capacity; a caller whose memory read then fails abandons
-    /// the transaction, footprint and all).
+    /// Makes entry `idx` a [`DATA`] line. Returns true if it was not one
+    /// before (the caller's cue to check write capacity).
     #[inline]
-    pub(crate) fn read_buffered(&mut self, addr: PAddr) -> Option<u64> {
+    fn mark_data(&mut self, idx: usize) -> bool {
+        let new_data_line = self.flag_at(idx, DATA) & DATA == 0;
+        self.data_count += usize::from(new_data_line);
+        new_data_line
+    }
+
+    /// Sets `flag` on the entry of `addr`'s line (created if the line is
+    /// new).
+    #[inline]
+    pub(crate) fn flag_line(&mut self, addr: PAddr, flag: u8) {
         let idx = self.lines.entry(addr.line().index());
+        self.flag_at(idx, flag);
+    }
+
+    /// Starts a read of word `word` of entry `idx`: the buffered value if
+    /// the transaction wrote the word; otherwise `None` — the caller reads
+    /// memory — with the line now in the read set (`read_count` says
+    /// whether that exceeded a capacity; a caller whose memory read then
+    /// fails abandons the transaction, footprint and all).
+    #[inline]
+    pub(crate) fn read_at(&mut self, idx: usize, word: usize) -> Option<u64> {
         let slot = self.lines.slot_mut(idx);
-        let word = (addr.word() % WORDS_PER_LINE) as usize;
         if slot.mask & (1 << word) != 0 {
             return Some(slot.words[word]);
         }
@@ -125,39 +151,74 @@ impl TxnScratch {
         None
     }
 
-    /// Buffers `value` for `addr`. Returns true if this made the word's
-    /// line a [`DATA`] line (the caller's cue to check write capacity).
+    /// [`TxnScratch::read_at`] for `addr`, looking its line up.
     #[inline]
-    pub(crate) fn buffer_write(&mut self, addr: PAddr, value: u64) -> bool {
-        let (idx, before) = self.flag_line(addr, DATA);
+    pub(crate) fn read_buffered(&mut self, addr: PAddr) -> Option<u64> {
+        let idx = self.lines.entry(addr.line().index());
+        self.read_at(idx, (addr.word() % WORDS_PER_LINE) as usize)
+    }
+
+    /// The batch form of [`TxnScratch::buffer_write`]: marks the words
+    /// `bits` of `line` written with one lookup and hands their buffer to
+    /// the caller to fill, with the same flag.
+    #[inline]
+    pub(crate) fn claim_words(
+        &mut self,
+        line: u64,
+        bits: u8,
+    ) -> (&mut [u64; WORDS_PER_LINE as usize], bool) {
+        let idx = self.lines.entry(line);
+        let new_data_line = self.mark_data(idx);
         let slot = self.lines.slot_mut(idx);
-        let word = (addr.word() % WORDS_PER_LINE) as usize;
+        self.words_written += (bits & !slot.mask).count_ones() as usize;
+        slot.mask |= bits;
+        (&mut slot.words, new_data_line)
+    }
+
+    /// Buffers `value` for word `word` of entry `idx`. Returns true if this
+    /// made the line a [`DATA`] line.
+    #[inline]
+    pub(crate) fn write_at(&mut self, idx: usize, word: usize, value: u64) -> bool {
+        let new_data_line = self.mark_data(idx);
+        let slot = self.lines.slot_mut(idx);
         slot.words[word] = value;
         self.words_written += usize::from(slot.mask & (1 << word) == 0);
         slot.mask |= 1 << word;
-        let new_data_line = before & DATA == 0;
-        self.data_count += usize::from(new_data_line);
         new_data_line
+    }
+
+    /// [`TxnScratch::write_at`] for `addr`, looking its line up.
+    #[inline]
+    pub(crate) fn buffer_write(&mut self, addr: PAddr, value: u64) -> bool {
+        let idx = self.lines.entry(addr.line().index());
+        self.write_at(idx, (addr.word() % WORDS_PER_LINE) as usize, value)
     }
 
     /// The distinct buffered writes as `(address, value)`: lines in
     /// first-write order, the words of a line in address order.
     pub(crate) fn written(&self) -> impl Iterator<Item = (PAddr, u64)> + '_ {
-        self.lines.slots().iter().flat_map(|slot| {
-            LineId::new(slot.line())
-                .words()
-                .zip(slot.words)
-                .enumerate()
-                .filter(move |(i, _)| slot.mask & (1 << i) != 0)
-                .map(|(_, write)| write)
-        })
+        self.lines.slots().iter().flat_map(slot_writes)
     }
 
     /// Total capacity across the descriptor's table and buffers. Stable
     /// across transactions once the workload's footprint has been seen.
     pub fn capacity_signature(&self) -> usize {
-        self.lines.slot_capacity() + self.lock_order.capacity() + self.version_sinks.capacity()
+        self.lines.slot_capacity()
+            + self.lock_order.capacity()
+            + self.version_sinks.capacity()
+            + self.journal.capacity()
     }
+}
+
+/// The written words of one line entry as `(address, value)`, in address
+/// order.
+pub(crate) fn slot_writes(slot: &LineSlot) -> impl Iterator<Item = (PAddr, u64)> + '_ {
+    LineId::new(slot.line())
+        .words()
+        .zip(slot.words)
+        .enumerate()
+        .filter(move |(i, _)| slot.mask & (1 << i) != 0)
+        .map(|(_, write)| write)
 }
 
 thread_local! {

@@ -503,6 +503,7 @@ impl MemorySpace {
     }
 
     /// Returns true if `addr` lies in the persistent region.
+    #[inline]
     pub fn is_persistent(&self, addr: PAddr) -> bool {
         addr.word() < self.cfg.persistent_words
     }
@@ -987,6 +988,7 @@ impl MemorySpace {
 
     /// Number of lines queued by `tid` and not yet durably retired by a
     /// completed drain.
+    #[inline]
     pub fn pending_flushes(&self, tid: usize) -> usize {
         self.flush_queues[tid].pending() as usize
     }
@@ -1017,23 +1019,21 @@ impl MemorySpace {
         let Some(slot) = self.line_masks.peek(line.index()) else {
             return (0, 0); // untouched segment: the whole line is clean
         };
-        let mask = slot.swap(0, Ordering::AcqRel);
-        if mask == 0 {
+        let dirty = slot.swap(0, Ordering::AcqRel);
+        if dirty == 0 {
             return (0, 0);
         }
-        let mut words = 0u64;
-        let mut line_words = 0u64;
-        for (i, addr) in line.words().enumerate() {
-            if addr.word() >= self.cfg.persistent_words {
-                break;
-            }
-            line_words += 1;
-            if mask & (1 << i) == 0 {
-                continue;
-            }
-            let v = self.volatile_view[addr.word() as usize].load(Ordering::Acquire);
-            self.persistent_image[addr.word() as usize].store(v, Ordering::Release);
-            words += 1;
+        // Only the line straddling the end of the persistent region is
+        // narrower than a full line; dirty bits past it are dropped.
+        let base = line.first_word().word();
+        let line_words = WORDS_PER_LINE.min(self.cfg.persistent_words.saturating_sub(base));
+        let mut mask = dirty & ((1 << line_words) - 1);
+        let words = u64::from(mask.count_ones());
+        while mask != 0 {
+            let w = (base + u64::from(mask.trailing_zeros())) as usize;
+            let v = self.volatile_view[w].load(Ordering::Acquire);
+            self.persistent_image[w].store(v, Ordering::Release);
+            mask &= mask - 1;
         }
         self.fault_tick();
         (words, line_words)

@@ -130,22 +130,22 @@ impl TxnMix for BankMix {
         rng: &mut SplitMix64,
         ops: &mut dyn TxnOps,
     ) -> Result<(), TxAbort> {
-        // Pre-draw the account indices so that re-execution (Crafty's Log
-        // and Validate phases) deterministically touches the same accounts.
-        let mut picks = Vec::with_capacity(self.transfers_per_txn as usize * 2);
-        for _ in 0..self.transfers_per_txn * 2 {
-            let index = if self.partitioned {
+        // The body touches `rng` nowhere else, so drawing each transfer's
+        // accounts as it goes consumes the stream exactly as drawing them
+        // all up front would: re-execution from the same rng state
+        // (Crafty's Log and Validate phases) touches the same accounts.
+        let mut pick = || {
+            if self.partitioned {
                 let span = self.accounts / self.max_threads as u64;
                 let start = span * tid as u64 % self.accounts;
                 start + rng.next_below(span.max(1))
             } else {
                 rng.next_below(self.accounts)
-            };
-            picks.push(index);
-        }
-        for pair in picks.chunks(2) {
-            let from = self.account_addr(pair[0]);
-            let to = self.account_addr(pair[1]);
+            }
+        };
+        for _ in 0..self.transfers_per_txn {
+            let from = self.account_addr(pick());
+            let to = self.account_addr(pick());
             let a = ops.read(from)?;
             ops.write(from, a.wrapping_sub(1))?;
             let b = ops.read(to)?;
@@ -222,6 +222,64 @@ mod tests {
             0,
             "partitioned accounts must not conflict"
         );
+    }
+
+    /// Records every call a body makes; reads see a constant.
+    #[derive(Default)]
+    struct Recorder(Vec<(&'static str, PAddr)>);
+
+    impl TxnOps for Recorder {
+        fn read(&mut self, addr: PAddr) -> Result<u64, TxAbort> {
+            self.0.push(("read", addr));
+            Ok(100)
+        }
+        fn write(&mut self, addr: PAddr, _value: u64) -> Result<(), TxAbort> {
+            self.0.push(("write", addr));
+            Ok(())
+        }
+        fn alloc(&mut self, _words: u64) -> Result<PAddr, TxAbort> {
+            unreachable!("bank never allocates")
+        }
+        fn dealloc(&mut self, _addr: PAddr, _words: u64) -> Result<(), TxAbort> {
+            unreachable!("bank never frees")
+        }
+    }
+
+    #[test]
+    fn body_draws_two_accounts_per_transfer_in_stream_order() {
+        for (transfers_per_txn, partitioned) in [(1, false), (5, false), (5, true), (7, false)] {
+            let mix = BankMix {
+                base: PAddr::new(4096),
+                accounts: 1024,
+                transfers_per_txn,
+                initial_balance: 0,
+                partitioned,
+                max_threads: 4,
+            };
+            let trace = |seed| {
+                let mut ops = Recorder::default();
+                mix.run_txn(1, 0, &mut SplitMix64::new(seed), &mut ops)
+                    .expect("body");
+                ops.0
+            };
+            let first = trace(1);
+            assert_eq!(first, trace(1), "re-execution touches the same accounts");
+
+            // By hand: the stream's draws in order, two per transfer, one
+            // line per account; thread 1 of 4 owns accounts 256..512.
+            let mut rng = SplitMix64::new(1);
+            let mut expected = Vec::new();
+            for _ in 0..transfers_per_txn * 2 {
+                let account = if partitioned {
+                    256 + rng.next_below(256)
+                } else {
+                    rng.next_below(1024)
+                };
+                let addr = PAddr::new(4096 + account * WORDS_PER_LINE);
+                expected.extend([("read", addr), ("write", addr)]);
+            }
+            assert_eq!(first, expected);
+        }
     }
 
     #[test]
