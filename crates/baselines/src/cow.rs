@@ -38,6 +38,8 @@ use crafty_htm::{HtmConfig, HtmRuntime, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
 use parking_lot::{Condvar, Mutex};
 
+use crate::MAX_HTM_ATTEMPTS;
+
 /// Which copy-on-write system to emulate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum CowFlavor {
@@ -54,8 +56,6 @@ pub struct CowConfig {
     pub heap_words: u64,
     /// Per-thread redo log capacity in words.
     pub redo_log_words: u64,
-    /// Hardware-transaction attempts before falling back to the lock.
-    pub max_attempts: u32,
 }
 
 impl CowConfig {
@@ -65,24 +65,7 @@ impl CowConfig {
             max_threads: 4,
             heap_words: 1 << 12,
             redo_log_words: 1 << 10,
-            max_attempts: 8,
         }
-    }
-
-    /// Benchmark-sized configuration.
-    pub fn benchmark(max_threads: usize) -> Self {
-        CowConfig {
-            max_threads,
-            heap_words: 1 << 22,
-            redo_log_words: 1 << 16,
-            max_attempts: 8,
-        }
-    }
-}
-
-impl Default for CowConfig {
-    fn default() -> Self {
-        CowConfig::benchmark(16)
     }
 }
 
@@ -176,7 +159,7 @@ impl NvHtm {
     /// Creates an NV-HTM engine over `mem`.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(mem: Arc<MemorySpace>, cfg: CowConfig) -> ShadowPagingTm {
-        ShadowPagingTm::new(mem, cfg, CowFlavor::NvHtm, HtmConfig::skylake())
+        ShadowPagingTm::new(mem, cfg, CowFlavor::NvHtm)
     }
 }
 
@@ -184,16 +167,16 @@ impl DudeTm {
     /// Creates a DudeTM engine over `mem`.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(mem: Arc<MemorySpace>, cfg: CowConfig) -> ShadowPagingTm {
-        ShadowPagingTm::new(mem, cfg, CowFlavor::DudeTm, HtmConfig::skylake())
+        ShadowPagingTm::new(mem, cfg, CowFlavor::DudeTm)
     }
 }
 
 impl ShadowPagingTm {
-    fn new(mem: Arc<MemorySpace>, cfg: CowConfig, flavor: CowFlavor, htm_cfg: HtmConfig) -> Self {
+    fn new(mem: Arc<MemorySpace>, cfg: CowConfig, flavor: CowFlavor) -> Self {
         let recorder = Arc::new(BreakdownRecorder::with_threads(mem.config().max_threads));
         let htm = Arc::new(HtmRuntime::new(
             Arc::clone(&mem),
-            htm_cfg,
+            HtmConfig::skylake(),
             Arc::clone(&recorder),
         ));
         let heap = mem.reserve_persistent(cfg.heap_words);
@@ -411,7 +394,7 @@ impl TmThread for CowThread<'_> {
     fn execute(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
         let engine = self.engine;
         let mut attempts = 0;
-        while attempts < engine.cfg.max_attempts {
+        while attempts < MAX_HTM_ATTEMPTS {
             while engine.htm.nontx_read(engine.sgl_addr) != 0 {
                 std::thread::yield_now();
             }

@@ -18,9 +18,6 @@
 //!   order comes from a global counter incremented *inside* the hardware
 //!   transaction, which makes every pair of concurrent transactions
 //!   conflict on that counter.
-//! * [`SwUndoLog`] / [`SwRedoLog`] — the textbook software mechanisms of
-//!   Figure 1(b) and 1(c), under a global lock: per-write persist ordering
-//!   (undo) and per-transaction log persist plus write-back (redo).
 //!
 //! The engines share the simulated substrates ([`crafty_pmem`],
 //! [`crafty_htm`]) with Crafty so that comparisons measure algorithmic
@@ -31,8 +28,11 @@
 
 pub mod cow;
 pub mod nondurable;
-pub mod swlog;
 
 pub use cow::{CowConfig, DudeTm, NvHtm, ShadowPagingTm};
 pub use nondurable::NonDurable;
-pub use swlog::{SwRedoLog, SwUndoLog};
+
+/// How many times an engine of this crate tries a transaction in hardware
+/// before it takes its global lock. Every configuration has always run
+/// with this one value, so it is a constant rather than an option.
+const MAX_HTM_ATTEMPTS: u32 = 8;

@@ -9,6 +9,8 @@ use crafty_common::{
 use crafty_htm::{HtmConfig, HtmRuntime, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
 
+use crate::MAX_HTM_ATTEMPTS;
+
 /// Executes each persistent transaction in a hardware transaction with a
 /// global-lock fallback, exactly like the `Non-durable` configuration of
 /// the NV-HTM artifact: it provides thread atomicity but **no**
@@ -19,7 +21,6 @@ pub struct NonDurable {
     recorder: Arc<BreakdownRecorder>,
     allocator: PmemAllocator,
     sgl_addr: PAddr,
-    max_attempts: u32,
 }
 
 impl std::fmt::Debug for NonDurable {
@@ -32,13 +33,12 @@ impl NonDurable {
     /// Creates a Non-durable engine over `mem` with a heap of `heap_words`
     /// for transactional allocation.
     pub fn new(mem: Arc<MemorySpace>, heap_words: u64) -> Self {
-        NonDurable::with_htm_config(mem, heap_words, HtmConfig::skylake())
-    }
-
-    /// Creates the engine with an explicit HTM configuration.
-    pub fn with_htm_config(mem: Arc<MemorySpace>, heap_words: u64, htm_cfg: HtmConfig) -> Self {
         let recorder = Arc::new(BreakdownRecorder::with_threads(mem.config().max_threads));
-        let htm = HtmRuntime::new(Arc::clone(&mem), htm_cfg, Arc::clone(&recorder));
+        let htm = HtmRuntime::new(
+            Arc::clone(&mem),
+            HtmConfig::skylake(),
+            Arc::clone(&recorder),
+        );
         let heap = mem.reserve_persistent(heap_words);
         let sgl_addr = mem.reserve_volatile(1);
         NonDurable {
@@ -47,7 +47,6 @@ impl NonDurable {
             recorder,
             allocator: PmemAllocator::new(heap, heap_words),
             sgl_addr,
-            max_attempts: 8,
         }
     }
 
@@ -115,7 +114,7 @@ impl TmThread for NonDurableThread<'_> {
     fn execute(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
         let engine = self.engine;
         let mut attempts = 0;
-        while attempts < engine.max_attempts {
+        while attempts < MAX_HTM_ATTEMPTS {
             while engine.htm.nontx_read(engine.sgl_addr) != 0 {
                 std::thread::yield_now();
             }
@@ -175,6 +174,7 @@ impl PersistentTm for NonDurable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crafty_common::WORDS_PER_LINE;
     use crafty_pmem::PmemConfig;
 
     #[test]
@@ -224,17 +224,21 @@ mod tests {
     #[test]
     fn oversized_transactions_fall_back_to_the_lock() {
         let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
-        let engine = NonDurable::with_htm_config(Arc::clone(&mem), 1 << 12, HtmConfig::tiny());
-        let base = mem.reserve_persistent(512);
+        let engine = NonDurable::new(Arc::clone(&mem), 1 << 12);
+        // One word in each of more lines than a hardware transaction may
+        // write.
+        let lines = HtmConfig::skylake().write_capacity_lines as u64 + 1;
+        let base = mem.reserve_persistent(lines * WORDS_PER_LINE);
         let mut t = engine.register_thread(0);
         let report = t.execute(&mut |ops| {
-            for i in 0..100 {
-                ops.write(base.add(i), i)?;
+            for i in 0..lines {
+                ops.write(base.add(i * WORDS_PER_LINE), i)?;
             }
             Ok(())
         });
         assert_eq!(report.path, CompletionPath::Sgl);
-        assert_eq!(mem.read(base.add(99)), 99);
+        assert_eq!(report.hw_attempts, MAX_HTM_ATTEMPTS);
+        assert_eq!(mem.read(base.add((lines - 1) * WORDS_PER_LINE)), lines - 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::trace::{AbortCause, TxnPhase};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CompletionPath {
     /// Committed by a non-Crafty engine's ordinary path (Non-durable,
-    /// NV-HTM, DudeTM, software logging).
+    /// NV-HTM, DudeTM).
     NonCrafty,
     /// A read-only transaction: Crafty skips the Redo and Validate phases.
     ReadOnly,

@@ -11,8 +11,6 @@
 //! binary so the process-global trace level cannot leak into the untraced
 //! allocation test (`alloc_free_engine.rs`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use crafty_common::trace::{self, TraceConfig, TraceLevel};
@@ -20,37 +18,9 @@ use crafty_common::{PersistentTm, SplitMix64, TraceEventKind, TxAbort, TxnOps};
 use crafty_core::{Crafty, CraftyConfig};
 use crafty_pmem::{MemorySpace, PmemConfig};
 
-std::thread_local! {
-    /// Allocations made by the current thread. Per-thread because the
-    /// libtest harness's main thread blocks on an event channel while the
-    /// test thread runs and may allocate at any moment (mpmc waker
-    /// registration) — a process-global count races against it on small
-    /// machines. Const-initialized so the thread-local itself never
-    /// allocates on first use.
-    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn thread_allocations() -> u64 {
-    THREAD_ALLOCATIONS.with(|c| c.get())
-}
-
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../htm/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{thread_allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;

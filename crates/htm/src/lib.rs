@@ -86,12 +86,10 @@
 
 pub mod config;
 pub mod fallback;
-pub mod retry;
 pub mod runtime;
 pub mod scratch;
 
 pub use config::HtmConfig;
 pub use fallback::{Exclusion, ExclusiveTxn, FallbackTxn};
-pub use retry::{run_with_retries, RetryPolicy, RetryResult};
 pub use runtime::{AbortCode, HtmRuntime, HwTxn, LockWordGuard};
 pub use scratch::TxnScratch;

@@ -287,28 +287,20 @@ impl HtmRuntime {
         }
     }
 
-    /// Draws a fresh commit-order version outside any transaction. The
-    /// returned value is greater than the commit version of every
-    /// transaction that has already committed and smaller than that of any
-    /// transaction that commits later, so it can be published (with
-    /// [`HtmRuntime::nontx_write`]) wherever code running under a global
-    /// lock needs a value ordered consistently with transactional commits.
-    pub fn nontx_commit_version(&self) -> u64 {
-        self.version_clock.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Draws a fresh commit-order version and stores it at `addr` in one
-    /// versioned-lock critical section: the containing line is locked, the
-    /// version drawn *while the line is held*, the word written, and the
-    /// line released at that version.
+    /// Draws a fresh commit-order version — greater than the commit
+    /// version of every transaction that has already committed, smaller
+    /// than that of any that commits later — and stores it at `addr` in
+    /// one versioned-lock critical section: the containing line is locked,
+    /// the version drawn *while the line is held*, the word written, and
+    /// the line released at that version.
     ///
-    /// [`HtmRuntime::nontx_commit_version`] followed by a separate
-    /// [`HtmRuntime::nontx_write`] is only monotonic when the caller holds
-    /// a global lock (two racing callers can interleave draw/store and
-    /// publish a *smaller* version last). The per-line fallback has no
-    /// global lock, so its `gLastRedoTS` bump goes through this combined
-    /// operation; hardware transactions subscribed to the line abort the
-    /// moment it is taken, exactly as with `nontx_write`.
+    /// Drawing the version and storing it with a separate
+    /// [`HtmRuntime::nontx_write`] would only be monotonic under a global
+    /// lock (two racing callers can interleave draw/store and publish a
+    /// *smaller* version last). The per-line fallback has no global lock,
+    /// so its `gLastRedoTS` bump goes through this combined operation;
+    /// hardware transactions subscribed to the line abort the moment it is
+    /// taken, exactly as with `nontx_write`.
     pub fn nontx_bump_commit_version(&self, addr: PAddr) -> u64 {
         let slot = self.lock_line(addr.line());
         let wv = self.version_clock.fetch_add(1, Ordering::AcqRel) + 1;

@@ -3,47 +3,16 @@
 //! allocations**. A counting global allocator observes the begin → read →
 //! write → commit cycle after a warmup phase that lets every scratch
 //! structure reach its steady-state capacity.
-//!
-//! The counter is per-thread: the libtest harness's main thread blocks on
-//! an event channel while the test thread runs and may allocate at any
-//! moment (mpmc waker registration), so a process-global count races
-//! against the harness on small machines.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use crafty_common::{BreakdownRecorder, PAddr};
 use crafty_htm::{HtmConfig, HtmRuntime};
 use crafty_pmem::{MemorySpace, PmemConfig};
 
-std::thread_local! {
-    /// Allocations made by the current thread. Const-initialized so the
-    /// thread-local itself never allocates on first use.
-    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn thread_allocations() -> u64 {
-    THREAD_ALLOCATIONS.with(|c| c.get())
-}
-
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{thread_allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;

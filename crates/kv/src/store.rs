@@ -305,11 +305,6 @@ impl ShardedKv {
         self.shards
     }
 
-    /// The persistent address of the store's root block (diagnostics).
-    pub fn root_addr(&self) -> PAddr {
-        self.root
-    }
-
     #[inline]
     fn header(&self, shard: u64) -> PAddr {
         self.headers.add(shard * HDR_WORDS)

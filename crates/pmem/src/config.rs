@@ -1,7 +1,5 @@
 //! Configuration of the simulated memory system.
 
-use std::time::Duration;
-
 /// How the write-back latency of the simulated NVM is charged.
 ///
 /// The paper's methodology (Section 6) emulates non-volatile memory in DRAM
@@ -82,11 +80,6 @@ impl LatencyModel {
             clwb_line_ns: 0,
             clwb_word_ns: 0,
         }
-    }
-
-    /// Returns the drain latency as a [`Duration`].
-    pub const fn drain_duration(&self) -> Duration {
-        Duration::from_nanos(self.drain_ns)
     }
 
     /// Cost of one ranged flush covering `lines` adjacent cache lines of
@@ -425,10 +418,6 @@ mod tests {
         assert_eq!(LatencyModel::instant().clwb_word_ns, 0);
         assert_eq!(LatencyModel::instant().clwb_range_ns, 0);
         assert_eq!(LatencyModel::instant().clwb_line_ns, 0);
-        assert_eq!(
-            LatencyModel::nvm_300ns().drain_duration(),
-            Duration::from_nanos(300)
-        );
         assert_eq!(LatencyModel::default(), LatencyModel::nvm_300ns());
     }
 

@@ -1074,6 +1074,14 @@ impl MemorySpace {
     /// masks are walked, so two spaces that differ only in persist
     /// granularity resolve identical crash states for the words they both
     /// consider dirty.
+    ///
+    /// The copy is word by word and stops nobody: called while other
+    /// threads are writing, it returns a smear of many moments (a log
+    /// region copied before a transaction's undo entry, a data region
+    /// after its write-back), which no power failure produces. To crash a
+    /// space under load, arm [`FaultPlan::crash_at`](crate::FaultPlan::crash_at):
+    /// its capture parks every other thread's next persistence step until
+    /// the image is complete.
     pub fn crash_with(&self, model: CrashModel) -> PersistentImage {
         let words = self.cfg.persistent_words;
         let mut image = vec![0u64; words as usize];

@@ -65,26 +65,15 @@ pub fn build_engine(
     let heap_words = (mem.persistent_words() / 4).min(1 << 21);
     let per_thread_log_words =
         (mem.persistent_words() / (4 * max_threads as u64)).clamp(64, 1 << 16);
+    let cow_cfg = CowConfig {
+        max_threads,
+        heap_words,
+        redo_log_words: per_thread_log_words,
+    };
     match kind {
         EngineKind::NonDurable => Box::new(NonDurable::new(Arc::clone(mem), heap_words)),
-        EngineKind::NvHtm => Box::new(NvHtm::new(
-            Arc::clone(mem),
-            CowConfig {
-                max_threads,
-                heap_words,
-                redo_log_words: per_thread_log_words,
-                ..CowConfig::benchmark(max_threads)
-            },
-        )),
-        EngineKind::DudeTm => Box::new(DudeTm::new(
-            Arc::clone(mem),
-            CowConfig {
-                max_threads,
-                heap_words,
-                redo_log_words: per_thread_log_words,
-                ..CowConfig::benchmark(max_threads)
-            },
-        )),
+        EngineKind::NvHtm => Box::new(NvHtm::new(Arc::clone(mem), cow_cfg)),
+        EngineKind::DudeTm => Box::new(DudeTm::new(Arc::clone(mem), cow_cfg)),
         EngineKind::Crafty | EngineKind::CraftyNoValidate | EngineKind::CraftyNoRedo => {
             let variant = match kind {
                 EngineKind::CraftyNoValidate => CraftyVariant::NoValidate,

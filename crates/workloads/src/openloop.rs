@@ -99,20 +99,6 @@ pub struct OpenLoopConfig {
 }
 
 impl OpenLoopConfig {
-    /// A YCSB-A-shaped mix (50/50 read/write, zipfian 0.99) at the given
-    /// rate and length.
-    pub fn ycsb_a(rate_per_sec: u64, ops: u64, records: u64, seed: u64) -> Self {
-        OpenLoopConfig {
-            rate_per_sec,
-            ops,
-            seed,
-            records,
-            theta: crafty_common::YCSB_THETA,
-            read_pct: 50,
-            arrival: ArrivalProcess::Poisson,
-        }
-    }
-
     /// Scrambles a zipfian rank into a key — the same construction as the
     /// YCSB mixes, so schedules hit the same hot set a prefilled store
     /// has. Public so load generators can prefill a store with exactly the

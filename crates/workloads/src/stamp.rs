@@ -286,6 +286,7 @@ impl TxnMix for StampMix {
 mod tests {
     use super::*;
     use crate::driver::run_mix;
+    use crate::engines::{build_engine, EngineKind};
     use crafty_common::PersistentTm;
     use crafty_core::{Crafty, CraftyConfig};
     use crafty_pmem::PmemConfig;
@@ -302,8 +303,8 @@ mod tests {
 
     #[test]
     fn write_counts_track_table_1() {
-        // SW undo logging counts every persistent write it performs, which
-        // is exactly the Table 1 metric.
+        // NV-HTM and Crafty both record every persistent write of a
+        // committed transaction, which is exactly the Table 1 metric.
         let mem = Arc::new(MemorySpace::new(
             PmemConfig::benchmark().with_latency(crafty_pmem::LatencyModel::instant()),
         ));
@@ -314,16 +315,19 @@ mod tests {
             StampKernel::Ssca2,
             StampKernel::Intruder,
         ] {
-            let engine = crafty_baselines::SwUndoLog::new(Arc::clone(&mem), 1 << 14);
-            let mix = StampWorkload::new(kernel).prepare(&mem);
-            run_mix(&engine, mix.as_ref(), 1, 200, 5);
-            let measured = engine.breakdown().writes_per_txn();
-            let expected = kernel.paper_writes_per_txn();
-            assert!(
-                (measured - expected).abs() / expected < 0.35,
-                "{}: measured {measured:.1} writes/txn, paper reports {expected:.1}",
-                kernel.label()
-            );
+            for kind in [EngineKind::NvHtm, EngineKind::Crafty] {
+                let engine = build_engine(kind, &mem, 1);
+                let mix = StampWorkload::new(kernel).prepare(&mem);
+                run_mix(engine.as_ref(), mix.as_ref(), 1, 200, 5);
+                let measured = engine.breakdown().writes_per_txn();
+                let expected = kernel.paper_writes_per_txn();
+                assert!(
+                    (measured - expected).abs() / expected < 0.35,
+                    "{} on {}: measured {measured:.1} writes/txn, paper reports {expected:.1}",
+                    kernel.label(),
+                    kind.label()
+                );
+            }
         }
     }
 
@@ -333,9 +337,9 @@ mod tests {
             persistent_words: 1 << 18,
             ..PmemConfig::small_for_tests()
         }));
-        let engine = crafty_baselines::SwUndoLog::new(Arc::clone(&mem), 1 << 12);
+        let engine = build_engine(EngineKind::Crafty, &mem, 1);
         let mix = StampWorkload::new(StampKernel::Labyrinth).prepare(&mem);
-        run_mix(&engine, mix.as_ref(), 1, 20, 5);
+        run_mix(engine.as_ref(), mix.as_ref(), 1, 20, 5);
         assert!(engine.breakdown().writes_per_txn() > 150.0);
     }
 

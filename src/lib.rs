@@ -7,8 +7,7 @@
 //!   undo logging, Log/Redo/Validate phases, recovery).
 //! * [`pmem`] / [`htm`] — the simulated persistent memory and the simulated
 //!   RTM the engines run on.
-//! * [`baselines`] — Non-durable, NV-HTM, DudeTM, and the software logging
-//!   engines.
+//! * [`baselines`] — Non-durable, NV-HTM, and DudeTM.
 //! * [`kv`] ([`crafty_kv`]) — the durable, sharded key-value store built on
 //!   the persistent-transaction interface (the workspace's application
 //!   layer).
