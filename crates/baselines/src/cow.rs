@@ -193,7 +193,6 @@ impl ShadowPagingTm {
         let checkpointer = {
             let queue = Arc::clone(&queue);
             let mem = Arc::clone(&mem);
-            let recorder = Arc::clone(&recorder);
             let checkpoint_tid = cfg.max_threads.min(mem.config().max_threads - 1);
             std::thread::spawn(move || {
                 while let Some(job) = queue.next() {
@@ -201,7 +200,6 @@ impl ShadowPagingTm {
                         mem.clwb(checkpoint_tid, *addr);
                     }
                     mem.drain(checkpoint_tid);
-                    recorder.record_drain(checkpoint_tid);
                     queue.completed.fetch_add(1, Ordering::AcqRel);
                     // Hand the core back between jobs. On hosts with fewer
                     // cores than workers the checkpointer otherwise chews
@@ -259,7 +257,6 @@ impl ShadowPagingTm {
             self.mem.clwb(tid, base.add(start + w));
         }
         self.mem.drain(tid);
-        self.recorder.record_drain(tid);
 
         if self.flavor == CowFlavor::NvHtm {
             // Commit-time wait: another thread may still be about to
@@ -287,7 +284,6 @@ impl ShadowPagingTm {
         self.mem.write(base.add(start + needed - 1), ts);
         self.mem.clwb(tid, base.add(start + needed - 2));
         self.mem.drain(tid);
-        self.recorder.record_drain(tid);
         *cursor = start + needed;
     }
 

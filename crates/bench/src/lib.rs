@@ -497,6 +497,57 @@ mod tests {
         }
     }
 
+    /// The ablation measures the path it names: the driver re-runs a body
+    /// from the seed its Log phase ran from, so at one thread every
+    /// Crafty-NoRedo transaction of the gated benchmark commits in its
+    /// first Validate — no restart, no software fallback, and exactly the
+    /// words Crafty persists for the same transactions.
+    #[test]
+    fn no_redo_commits_the_hotpath_through_validate() {
+        // Thousands of transactions on tid 0: while a trace test has the
+        // level at Events they would flush its slices out of the ring.
+        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let cfg = HarnessConfig {
+            txns_per_thread: 2_000,
+            ..tiny()
+        };
+        let points = run_points(
+            &[&BankWorkload::paper(Contention::Medium, 1)],
+            &[EngineKind::Crafty, EngineKind::CraftyNoRedo],
+            &[1],
+            &cfg,
+        );
+        let (crafty, no_redo) = (&points[0], &points[1]);
+        let b = &no_redo.breakdown;
+        assert_eq!(b.completions(CompletionPath::Validate), 2_000);
+        assert_eq!(b.completions(CompletionPath::Sgl), 0);
+        assert_eq!(b.hw(HwTxnOutcome::Explicit), 0);
+        assert_eq!(no_redo.pmem.words_persisted, crafty.pmem.words_persisted);
+    }
+
+    /// Validate is safe against a body that is *not* re-executable: one
+    /// that draws from a stream shared by all its runs makes new picks
+    /// each time, so no Validate ever matches its Log phase's undo entries,
+    /// every phase restarts until the budget is spent, and the transaction
+    /// commits in software — with the money conserved.
+    #[test]
+    fn a_body_that_does_not_repeat_ends_in_software_and_stays_correct() {
+        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let mem = Arc::new(MemorySpace::new(tiny().pmem_config(1)));
+        let engine = build_engine(EngineKind::CraftyNoRedo, &mem, 1);
+        let mix = BankWorkload::paper(Contention::Medium, 1).prepare(&mem);
+        let mut shared = crafty_common::SplitMix64::new(7);
+        let mut thread = engine.register_thread(0);
+        for i in 0..200 {
+            thread.execute(&mut |ops| mix.run_txn(0, i, &mut shared, ops));
+        }
+        drop(thread);
+        let b = engine.breakdown();
+        assert_eq!(b.completions(CompletionPath::Sgl), 200);
+        assert_eq!(b.completions(CompletionPath::Validate), 0);
+        mix.verify(&mem).expect("conservation");
+    }
+
     #[test]
     fn kv_points_cover_all_mixes_and_engines() {
         let cfg = HarnessConfig {

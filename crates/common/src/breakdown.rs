@@ -137,8 +137,6 @@ struct ThreadCells {
     persistent: [OwnedCounter; 5],
     hardware: [OwnedCounter; 5],
     persistent_writes: OwnedCounter,
-    persist_drains: OwnedCounter,
-    flushed_lines: OwnedCounter,
     /// Accumulated virtual cycles (ns) per [`TxnPhase`]. Only populated
     /// while [`crate::trace::counters_enabled`] — the phase timers that
     /// feed it are the Counters-level cost.
@@ -209,18 +207,6 @@ impl BreakdownRecorder {
         self.cells[tid].persistent_writes.add(n);
     }
 
-    /// Records one drain (SFENCE-after-CLWB) operation.
-    #[inline]
-    pub fn record_drain(&self, tid: usize) {
-        self.cells[tid].persist_drains.add(1);
-    }
-
-    /// Records `n` cache-line flushes (CLWB operations).
-    #[inline]
-    pub fn record_flushed_lines(&self, tid: usize, n: u64) {
-        self.cells[tid].flushed_lines.add(n);
-    }
-
     /// Accumulates `cycles` virtual cycles (ns) spent in `phase`.
     #[inline]
     pub fn record_phase_cycles(&self, tid: usize, phase: TxnPhase, cycles: u64) {
@@ -245,8 +231,6 @@ impl BreakdownRecorder {
             sum(&mut s.persistent, &c.persistent);
             sum(&mut s.hardware, &c.hardware);
             s.persistent_writes += c.persistent_writes.get();
-            s.persist_drains += c.persist_drains.get();
-            s.flushed_lines += c.flushed_lines.get();
             sum(&mut s.phase_cycles, &c.phase_cycles);
             sum(&mut s.abort_causes, &c.abort_causes);
         }
@@ -261,10 +245,6 @@ pub struct BreakdownSnapshot {
     hardware: [u64; 5],
     /// Total number of program writes to persistent memory.
     pub persistent_writes: u64,
-    /// Total number of drain (SFENCE) operations.
-    pub persist_drains: u64,
-    /// Total number of cache-line flush (CLWB) operations.
-    pub flushed_lines: u64,
     phase_cycles: [u64; 6],
     abort_causes: [u64; 5],
 }
@@ -332,8 +312,6 @@ impl BreakdownSnapshot {
             persistent: core::array::from_fn(|i| self.persistent[i] - earlier.persistent[i]),
             hardware: core::array::from_fn(|i| self.hardware[i] - earlier.hardware[i]),
             persistent_writes: self.persistent_writes - earlier.persistent_writes,
-            persist_drains: self.persist_drains - earlier.persist_drains,
-            flushed_lines: self.flushed_lines - earlier.flushed_lines,
             phase_cycles: core::array::from_fn(|i| self.phase_cycles[i] - earlier.phase_cycles[i]),
             abort_causes: core::array::from_fn(|i| self.abort_causes[i] - earlier.abort_causes[i]),
         }
@@ -396,18 +374,15 @@ mod tests {
     fn since_subtracts_counters() {
         let r = BreakdownRecorder::new();
         r.record_hw(0, HwTxnOutcome::Commit);
-        r.record_drain(0);
-        r.record_flushed_lines(0, 3);
+        r.record_persistent_writes(0, 3);
         let first = r.snapshot();
         r.record_hw(0, HwTxnOutcome::Commit);
         r.record_hw(0, HwTxnOutcome::Conflict);
-        r.record_drain(0);
-        r.record_flushed_lines(0, 2);
+        r.record_persistent_writes(0, 2);
         let delta = r.snapshot().since(&first);
         assert_eq!(delta.hw(HwTxnOutcome::Commit), 1);
         assert_eq!(delta.hw(HwTxnOutcome::Conflict), 1);
-        assert_eq!(delta.persist_drains, 1);
-        assert_eq!(delta.flushed_lines, 2);
+        assert_eq!(delta.persistent_writes, 2);
     }
 
     #[test]

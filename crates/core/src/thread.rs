@@ -173,7 +173,6 @@ impl<'c> CraftyThread<'c> {
 
     fn drain(&self) {
         self.engine.mem.drain(self.tid);
-        self.engine.recorder.record_drain(self.tid);
     }
 
     // ------------------------------------------------------------------
@@ -409,11 +408,7 @@ impl<'c> CraftyThread<'c> {
     fn after_undo_append(&self, info: &AppendInfo, log_ts: Timestamp) {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
-        let flushed_lines =
-            undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
-        engine
-            .recorder
-            .record_flushed_lines(self.tid, flushed_lines);
+        undo_log.flush_entries(&engine.mem, self.tid, info.first_abs, info.marker_abs);
         engine.note_sequence(self.tid, log_ts);
         trace::record(self.tid, TraceEventKind::UndoAppend, info.data_entries);
 

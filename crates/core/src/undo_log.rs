@@ -479,8 +479,7 @@ impl UndoLog {
 
     /// Issues CLWBs (no drain) for every line holding entries
     /// `[first_abs, last_abs]`, one queue interaction per touched line and
-    /// one fence for the lot ([`MemorySpace::clwb_lines`]). Returns the
-    /// number of lines flushed.
+    /// one fence for the lot ([`MemorySpace::clwb_lines`]).
     ///
     /// Entry slots are laid out contiguously, so the touched words form at
     /// most two contiguous ranges (the tail of the region and, after a
@@ -491,13 +490,7 @@ impl UndoLog {
     /// words are already recorded in the lines' persistence masks (every
     /// transactional or `nontx` store marks its word), so the eventual
     /// drain persists exactly the appended slots.
-    pub fn flush_entries(
-        &self,
-        mem: &MemorySpace,
-        tid: usize,
-        first_abs: u64,
-        last_abs: u64,
-    ) -> u64 {
+    pub fn flush_entries(&self, mem: &MemorySpace, tid: usize, first_abs: u64, last_abs: u64) {
         debug_assert!(last_abs >= first_abs);
         debug_assert!(last_abs - first_abs < self.geometry.capacity);
         let capacity = self.geometry.capacity;
@@ -514,7 +507,7 @@ impl UndoLog {
                 PAddr::new(first_word).line().index()..=PAddr::new(last_word).line().index()
             })
             .map(crafty_common::LineId::new);
-        mem.clwb_lines(tid, lines)
+        mem.clwb_lines(tid, lines);
     }
 
     /// Issues a CLWB for the marker entry at `marker_abs`.

@@ -217,7 +217,6 @@ impl HtmRuntime {
         if self.mem.pending_flushes(tid) > 0 {
             let t0 = trace::phase_start();
             self.mem.drain(tid);
-            self.recorder.record_drain(tid);
             if let Some(t0) = t0 {
                 self.recorder.record_phase_cycles(
                     tid,
@@ -758,7 +757,6 @@ impl<'rt> HwTxn<'rt> {
         // flushes are covered by the group's shared drain barrier instead.
         if !self.deferred_fence && rt.mem.pending_flushes(self.tid) > 0 {
             rt.mem.drain(self.tid);
-            rt.recorder.record_drain(self.tid);
         }
         rt.mem.clwb_lines(
             self.tid,

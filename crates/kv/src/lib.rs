@@ -59,15 +59,16 @@
 //! without touching data. [`DirectOps`] adapts raw memory access to the
 //! `TxnOps` interface for setup-time prefill and post-recovery inspection.
 //!
-//! **Group commit.** [`GroupCommit`] lets K logically independent store
-//! transactions share one drain barrier: each transaction commits, logs,
-//! and marks COMMITTED individually, but durability is acknowledged once,
-//! when the shared drain covers their write-backs.
-//! [`ShardedKv::apply_batch`] is the store-level convenience (a batch of
-//! puts under one barrier); the YCSB `A+gc` benchmark mix measures the
-//! saving. A crash before the barrier may lose transactions — each one
-//! atomically, never partially (see the [`group`] module docs for the
-//! contract, and `tests/kv_crash_recovery.rs` for the pinning tests).
+//! **Group commit.** K logically independent store transactions can share
+//! one drain barrier: run each through
+//! [`TmThread::execute_deferred`](crafty_common::TmThread::execute_deferred)
+//! — it commits, logs, and marks COMMITTED individually — and acknowledge
+//! durability once with
+//! [`TmThread::flush_deferred`](crafty_common::TmThread::flush_deferred),
+//! when the shared drain covers their write-backs. The server's pipelined
+//! batches and the YCSB `A+gc` benchmark mix do exactly that. A crash
+//! before the barrier may lose transactions — each one atomically, never
+//! partially (`tests/kv_crash_recovery.rs` pins the contract).
 //!
 //! # Example
 //!
@@ -96,11 +97,9 @@
 #![warn(missing_docs)]
 
 pub mod direct;
-pub mod group;
 pub mod session;
 pub mod store;
 
 pub use direct::DirectOps;
-pub use group::GroupCommit;
 pub use session::{CachedReply, SeqCheck, SessionTable, REPLY_WINDOW};
 pub use store::{KvConfig, KvStats, ShardedKv, KEY_MAX};

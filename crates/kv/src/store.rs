@@ -17,11 +17,10 @@
 //! is the pair `[tag, value]` at offset `2·i`. `tag = 0` is an empty slot,
 //! `tag = 1` a tombstone, and any other tag stores key `tag − 2`.
 
-use crafty_common::{mix64, PAddr, TmThread, TxAbort, TxnOps, WORDS_PER_LINE};
+use crafty_common::{mix64, PAddr, TxAbort, TxnOps, WORDS_PER_LINE};
 use crafty_pmem::MemorySpace;
 
 use crate::direct::DirectOps;
-use crate::group::GroupCommit;
 
 /// Root-block magic ("CraftyKV" in spirit): identifies an initialized
 /// store when [`ShardedKv::open`] attaches to a rebooted space.
@@ -459,33 +458,6 @@ impl ShardedKv {
                 Ok(None)
             }
         }
-    }
-
-    /// Applies a batch of `key → value` updates under **group commit**:
-    /// each update runs as its own persistent transaction (one
-    /// [`ShardedKv::put`], visible and COMMITTED individually, exactly as
-    /// if issued through [`crafty_common::TmThread::execute`]), but all of
-    /// them share a single drain barrier — durability for the whole batch
-    /// is acknowledged once, when the shared drain covers their
-    /// write-backs. Returns the number of transactions the barrier
-    /// covered (`updates.len()`).
-    ///
-    /// Crash semantics: a crash before the barrier may lose a suffix of
-    /// the batch, but each lost update atomically — recovery never leaves
-    /// a half-applied put. Use the plain per-transaction path when every
-    /// individual update must be durable before the next begins.
-    ///
-    /// On engines without a durability-deferral fast path the batch
-    /// degrades gracefully to per-transaction execution.
-    pub fn apply_batch(&self, thread: &mut dyn TmThread, updates: &[(u64, u64)]) -> u64 {
-        let mut group = GroupCommit::new(thread);
-        for &(key, value) in updates {
-            group.execute(&mut |ops| {
-                self.put(ops, key, value)?;
-                Ok(())
-            });
-        }
-        group.commit()
     }
 
     /// Removes `key`; returns its value if it was present.

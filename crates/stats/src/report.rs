@@ -104,12 +104,7 @@ pub fn render_breakdown(engine: &str, snapshot: &BreakdownSnapshot) -> String {
             ));
         }
     }
-    out.push_str(&format!(
-        "  writes/txn: {:.2}   drains: {}   flushed lines: {}\n",
-        snapshot.writes_per_txn(),
-        snapshot.persist_drains,
-        snapshot.flushed_lines
-    ));
+    out.push_str(&format!("  writes/txn: {:.2}\n", snapshot.writes_per_txn()));
     out
 }
 

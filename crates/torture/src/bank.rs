@@ -10,31 +10,36 @@
 //!
 //! The engine the workload runs on is picked by a [`Route`]: the hardware
 //! phases (this suite), or one of the routes through the software commit
-//! that [`crate::fallback`] audits with the same run and enumeration code.
+//! that [`crate::fallback`] audits with the same run and audit code.
+//!
+//! The rig is public — [`Route`], [`draw_picks`], [`run_once`] /
+//! [`BankRun`], [`recover_checked`], [`prefix_check`] — so a test that
+//! compares routes (`tests/fallback_differential.rs`) drives this bank
+//! rather than a copy of it.
 
 use std::sync::Arc;
 
 use crafty_common::trace::{self, ThreadTrace};
-use crafty_common::{PAddr, PersistentTm, SplitMix64};
+use crafty_common::{BreakdownSnapshot, PAddr, PersistentTm, SplitMix64, TxAbort, TxnOps};
 use crafty_core::{logs_are_clean, recover, Crafty, CraftyConfig, FallbackPolicy, ThreadingMode};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
 
-use crate::{crash_points, EventTraceArm, TortureConfig, TortureFailure, TortureReport};
+use crate::{enumerate, EventTraceArm, Replay, TortureConfig, TortureFailure, TortureReport};
 
 /// Accounts in the bank (each on its own cache line).
 pub const ACCOUNTS: u64 = 16;
 /// Initial balance per account.
 pub const INITIAL: u64 = 1_000;
 /// Transfers per transaction.
-const TRANSFERS_PER_TXN: usize = 4;
+pub const TRANSFERS_PER_TXN: usize = 4;
 
 /// One transfer: `(from, to, amount)`.
-type Transfer = (u64, u64, u64);
+pub type Transfer = (u64, u64, u64);
 
 /// Draws the full deterministic pick list for a run: `txns` transactions
 /// of [`TRANSFERS_PER_TXN`] transfers each.
-pub(crate) fn draw_picks(seed: u64, txns: u64) -> Vec<Vec<Transfer>> {
+pub fn draw_picks(seed: u64, txns: u64) -> Vec<Vec<Transfer>> {
     let mut rng = SplitMix64::new(seed ^ 0xBA2C_0DE5_0001_F00D);
     (0..txns)
         .map(|_| {
@@ -49,6 +54,19 @@ pub(crate) fn draw_picks(seed: u64, txns: u64) -> Vec<Vec<Transfer>> {
                 .collect()
         })
         .collect()
+}
+
+/// One transfer over the account array at `base`, inside a transaction body.
+pub(crate) fn transfer(
+    ops: &mut dyn TxnOps,
+    base: PAddr,
+    (from, to, amount): Transfer,
+) -> Result<(), TxAbort> {
+    let (a, b) = (base.add(from * 8), base.add(to * 8));
+    let va = ops.read(a)?;
+    ops.write(a, va.wrapping_sub(amount))?;
+    let vb = ops.read(b)?;
+    ops.write(b, vb.wrapping_add(amount))
 }
 
 /// Applies one transaction's transfers to a shadow account vector with
@@ -74,6 +92,9 @@ pub enum Route {
     /// transactions take the capacity fallback — the software commit with
     /// no lock at all — and the rest a hardware Log plus a software Redo.
     ThreadUnsafeTiny,
+    /// Thread-unsafe mode on a real-sized HTM: every transaction is a
+    /// hardware Log plus a software Redo, none takes the software commit.
+    ThreadUnsafe,
 }
 
 impl Route {
@@ -84,6 +105,7 @@ impl Route {
             Route::PerLine => "fallback",
             Route::Sgl => "fallback/sgl",
             Route::ThreadUnsafeTiny => "fallback/thread-unsafe",
+            Route::ThreadUnsafe => "fallback/thread-unsafe-hw",
         }
     }
 
@@ -94,6 +116,7 @@ impl Route {
             .with_max_threads(1)
             .with_undo_log_entries(64);
         let forced = cfg.with_force_fallback(true);
+        let unlocked = cfg.with_mode(ThreadingMode::ThreadUnsafe);
         let (cfg, htm) = match self {
             Route::Hardware => (cfg, HtmConfig::skylake()),
             Route::PerLine => (forced, HtmConfig::skylake()),
@@ -101,10 +124,8 @@ impl Route {
                 forced.with_fallback(FallbackPolicy::Sgl),
                 HtmConfig::skylake(),
             ),
-            Route::ThreadUnsafeTiny => (
-                cfg.with_mode(ThreadingMode::ThreadUnsafe),
-                HtmConfig::tiny(),
-            ),
+            Route::ThreadUnsafeTiny => (unlocked, HtmConfig::tiny()),
+            Route::ThreadUnsafe => (unlocked, HtmConfig::skylake()),
         };
         Crafty::with_htm_config(Arc::clone(mem), cfg, htm)
     }
@@ -127,7 +148,7 @@ pub(crate) fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
 
 /// Everything a completed (possibly trapped) bank run hands to the
 /// auditor.
-pub(crate) struct BankRun {
+pub struct BankRun {
     /// Fault-clock value after engine construction, prefill, and thread
     /// registration — the first enumerable crash step is `setup_steps + 1`.
     pub setup_steps: u64,
@@ -137,6 +158,10 @@ pub(crate) struct BankRun {
     pub base: PAddr,
     /// The engine's log-directory address (recovery's entry point).
     pub dir_addr: PAddr,
+    /// The committed account balances when the run finished.
+    pub accounts: Vec<u64>,
+    /// The engine's counters when the run finished.
+    pub breakdown: BreakdownSnapshot,
     /// The image trapped at the plan's crash step, if one was armed and
     /// reached.
     pub image: Option<PersistentImage>,
@@ -145,10 +170,45 @@ pub(crate) struct BankRun {
     pub trace: Vec<ThreadTrace>,
 }
 
+impl Replay for BankRun {
+    fn setup_steps(&self) -> u64 {
+        self.setup_steps
+    }
+    fn total_steps(&self) -> u64 {
+        self.total_steps
+    }
+    fn trapped(&self) -> bool {
+        self.image.is_some()
+    }
+    fn trace(&self) -> &[ThreadTrace] {
+        &self.trace
+    }
+}
+
+impl BankRun {
+    /// The audit every route's crash image must pass: takes the trapped
+    /// image through [`recover_checked`] and [`prefix_check`] and returns
+    /// it recovered.
+    ///
+    /// # Panics
+    ///
+    /// If the run trapped no image ([`enumerate`] audits trapped runs only).
+    pub fn recover_to_prefix(
+        &mut self,
+        picks: &[Vec<Transfer>],
+    ) -> Result<PersistentImage, String> {
+        let image = self.image.take().expect("an audited run trapped its image");
+        let recovered = recover_checked(image, self.dir_addr)?;
+        prefix_check(&recovered, self.base, picks)?;
+        Ok(recovered)
+    }
+}
+
 /// Runs the bank workload once down `route` under `plan` and returns the
 /// run record. The event rings are reset first, so a trapped run's frozen
-/// tail shows only this replay's events.
-pub(crate) fn run_once(route: Route, picks: &[Vec<Transfer>], plan: FaultPlan) -> BankRun {
+/// tail shows only this replay's events. The engine is not quiesced: the
+/// run's last fault-clock tick is its last commit's.
+pub fn run_once(route: Route, picks: &[Vec<Transfer>], plan: FaultPlan) -> BankRun {
     trace::reset_rings();
     let mem = Arc::new(MemorySpace::new(pmem_cfg(plan)));
     let engine = route.engine(&mem);
@@ -162,17 +222,7 @@ pub(crate) fn run_once(route: Route, picks: &[Vec<Transfer>], plan: FaultPlan) -
     let mut thread = engine.register_thread(0);
     let setup_steps = mem.fault_steps();
     for txn in picks {
-        thread.execute(&mut |ops| {
-            for &(from, to, amount) in txn {
-                let a = base.add(from * 8);
-                let b = base.add(to * 8);
-                let va = ops.read(a)?;
-                ops.write(a, va.wrapping_sub(amount))?;
-                let vb = ops.read(b)?;
-                ops.write(b, vb.wrapping_add(amount))?;
-            }
-            Ok(())
-        });
+        thread.execute(&mut |ops| txn.iter().try_for_each(|&t| transfer(ops, base, t)));
     }
     drop(thread);
     BankRun {
@@ -180,6 +230,8 @@ pub(crate) fn run_once(route: Route, picks: &[Vec<Transfer>], plan: FaultPlan) -
         total_steps: mem.fault_steps(),
         base,
         dir_addr,
+        accounts: (0..ACCOUNTS).map(|i| mem.read(base.add(i * 8))).collect(),
+        breakdown: engine.breakdown(),
         image: mem.take_fault_image(),
         trace: mem.take_fault_trace(),
     }
@@ -188,7 +240,7 @@ pub(crate) fn run_once(route: Route, picks: &[Vec<Transfer>], plan: FaultPlan) -
 /// Recovers `image` and checks the generic log invariants: recovery
 /// succeeds, the logs decode clean afterwards, and a second recovery is a
 /// byte-for-byte no-op. Returns the recovered image.
-pub(crate) fn recover_checked(
+pub fn recover_checked(
     mut image: PersistentImage,
     dir_addr: PAddr,
 ) -> Result<PersistentImage, String> {
@@ -213,7 +265,7 @@ pub(crate) fn recover_checked(
 /// shadow oracle's state after some prefix of the committed-transaction
 /// order (single-threaded, so commit order is program order). Returns the
 /// matching prefix length.
-pub(crate) fn prefix_check(
+pub fn prefix_check(
     image: &PersistentImage,
     base: PAddr,
     picks: &[Vec<Transfer>],
@@ -240,63 +292,14 @@ pub(crate) fn prefix_check(
 /// replays it crashing at every enumerated step, and audits each crash
 /// image. See the crate docs for the invariants.
 pub fn run_bank_torture(cfg: &TortureConfig) -> TortureReport {
-    let _trace = EventTraceArm::arm();
     let picks = draw_picks(cfg.seed, cfg.txns);
-    enumerate(Route::Hardware, cfg, &picks, |_, _| Ok(()))
-}
-
-/// The enumeration every bank-shaped suite shares: counts `route`'s
-/// persistence steps, replays the run crashing at every enumerated step
-/// (a pinned `crash_step` only if the run reaches it), and audits each
-/// crash image — recovery invariants, prefix consistency, then
-/// `also(recovered, step)`.
-pub(crate) fn enumerate(
-    route: Route,
-    cfg: &TortureConfig,
-    picks: &[Vec<Transfer>],
-    also: impl Fn(&PersistentImage, u64) -> Result<(), String>,
-) -> TortureReport {
-    let count = run_once(route, picks, FaultPlan::count_only());
-    let mut points = crash_points(
-        cfg.seed,
-        count.setup_steps,
-        count.total_steps,
-        cfg.max_crash_points,
-        cfg.crash_step,
-    );
-    points.retain(|&step| step <= count.total_steps);
-    let mut failures = Vec::new();
-    for &step in &points {
-        let mut run = run_once(
-            route,
-            picks,
-            FaultPlan::crash_at(step, CrashModel::adversarial(cfg.seed ^ step)),
-        );
-        let verdict = if run.total_steps != count.total_steps {
-            Err(format!(
-                "replay diverged: {} steps vs {} in the counting run",
-                run.total_steps, count.total_steps
-            ))
-        } else if let Some(image) = run.image.take() {
-            recover_checked(image, run.dir_addr).and_then(|recovered| {
-                prefix_check(&recovered, run.base, picks)?;
-                also(&recovered, step)
-            })
-        } else {
-            Err("no crash image captured at an in-range step".to_string())
-        };
-        if let Err(detail) = verdict {
-            failures.push(TortureFailure::capture(cfg.seed, step, detail, &run.trace));
-        }
-    }
-    TortureReport {
-        suite: route.suite(),
-        seed: cfg.seed,
-        setup_steps: count.setup_steps,
-        total_steps: count.total_steps,
-        crash_points_tested: points.len() as u64,
-        failures,
-    }
+    enumerate(
+        Route::Hardware.suite(),
+        cfg,
+        |step| cfg.adversary(step),
+        |plan| run_once(Route::Hardware, &picks, plan),
+        |run, _| run.recover_to_prefix(&picks).map(drop),
+    )
 }
 
 /// Self-test of the auditor: traps a mid-run image, corrupts one account

@@ -2,17 +2,18 @@
 //! at a time.
 //!
 //! Structurally the twin of [`crate::bank`], but every transfer
-//! transaction commits in software instead of through the hardware
-//! phases: forced through the per-line fallback
+//! transaction commits outside a Redo/Validate hardware transaction:
+//! forced through the per-line fallback
 //! ([`crafty_core::CraftyConfig::with_force_fallback`]), forced through
-//! the SGL reference, or run in thread-unsafe mode on an HTM too small for
-//! the Log phase. The per-line route ticks the fault clock at every
+//! the SGL reference, or run in thread-unsafe mode — on an HTM too small
+//! for the Log phase, and on a real-sized one, where a hardware Log is
+//! followed by a software Redo. The per-line route ticks the fault clock at every
 //! lock-word transition (acquire, validate, release — see
 //! [`crafty_pmem::MemorySpace::fault_event`]), so its enumerated crash
 //! points land *inside* lock-hold windows: after some locks of a sorted
 //! acquisition sweep are taken, between the undo append and publication,
-//! and between publication and release. The other two routes share the
-//! same undo-append → drain → publish → stamp sequence without line locks.
+//! and between publication and release. The other routes share the same
+//! undo-append → drain → publish → stamp sequence without line locks.
 //!
 //! On top of the bank suite's recovery-and-prefix audit, every crash image
 //! gets a **second-life audit**: the recovered image is booted into a
@@ -29,17 +30,21 @@ use std::sync::Arc;
 use crafty_common::{PersistentTm, SplitMix64};
 use crafty_pmem::{FaultPlan, MemorySpace, PersistentImage};
 
-pub use crate::bank::Route;
-use crate::bank::{draw_picks, enumerate, pmem_cfg, ACCOUNTS, INITIAL};
-use crate::{EventTraceArm, TortureConfig, TortureReport};
+use crate::bank::{draw_picks, pmem_cfg, run_once, transfer, Route, Transfer, ACCOUNTS, INITIAL};
+use crate::{enumerate, TortureConfig, TortureReport};
 
 /// Transfers run by the second-life audit after booting a crash image.
 const SECOND_LIFE_TXNS: u64 = 4;
 
-/// The routes through the software commit, in report order. Per-line
-/// stays first: its `[fallback]` report line is the one earlier runs are
-/// compared with.
-pub const SOFTWARE_ROUTES: [Route; 3] = [Route::PerLine, Route::Sgl, Route::ThreadUnsafeTiny];
+/// The routes that commit outside a Redo/Validate hardware transaction,
+/// in report order. Per-line stays first: its `[fallback]` report line is
+/// the one earlier runs are compared with.
+pub const SOFTWARE_ROUTES: [Route; 4] = [
+    Route::PerLine,
+    Route::Sgl,
+    Route::ThreadUnsafeTiny,
+    Route::ThreadUnsafe,
+];
 
 /// Second-life audit: boots `recovered` into a fresh space, rebuilds the
 /// route's engine over it, runs [`SECOND_LIFE_TXNS`] more transfer
@@ -61,9 +66,12 @@ fn second_life(
     // Re-establish the layout exactly as a restarted program would; the
     // reservation cursor hands back the same base the first life used.
     let base = mem.reserve_persistent(ACCOUNTS * 8);
-    let before: u64 = (0..ACCOUNTS)
-        .map(|i| mem.read(base.add(i * 8)))
-        .fold(0u64, |s, v| s.wrapping_add(v));
+    let total = || {
+        (0..ACCOUNTS)
+            .map(|i| mem.read(base.add(i * 8)))
+            .fold(0u64, u64::wrapping_add)
+    };
+    let before = total();
     if before != ACCOUNTS * INITIAL {
         return Err(format!(
             "second life booted with a non-conserved bank: total {before} vs {}",
@@ -76,21 +84,11 @@ fn second_life(
         let from = rng.next_below(ACCOUNTS);
         let to = rng.next_below(ACCOUNTS);
         let amount = rng.next_below(9) + 1;
-        thread.execute(&mut |ops| {
-            let a = base.add(from * 8);
-            let b = base.add(to * 8);
-            let va = ops.read(a)?;
-            ops.write(a, va.wrapping_sub(amount))?;
-            let vb = ops.read(b)?;
-            ops.write(b, vb.wrapping_add(amount))?;
-            Ok(())
-        });
+        thread.execute(&mut |ops| transfer(ops, base, (from, to, amount)));
     }
     drop(thread);
     engine.quiesce();
-    let after: u64 = (0..ACCOUNTS)
-        .map(|i| mem.read(base.add(i * 8)))
-        .fold(0u64, |s, v| s.wrapping_add(v));
+    let after = total();
     if after != ACCOUNTS * INITIAL {
         return Err(format!(
             "second life broke conservation: total {after} vs {}",
@@ -100,27 +98,33 @@ fn second_life(
     Ok(())
 }
 
+/// Enumerates one route: the bank suite's recovery-and-prefix audit, then
+/// a full second life over the recovered state.
+fn audit_route(route: Route, cfg: &TortureConfig, picks: &[Vec<Transfer>]) -> TortureReport {
+    enumerate(
+        route.suite(),
+        cfg,
+        |step| cfg.adversary(step),
+        |plan| run_once(route, picks, plan),
+        |run, step| second_life(route, &run.recover_to_prefix(picks)?, cfg.seed, step),
+    )
+}
+
 /// Runs the software-commit torture suite, one report per route of
 /// [`SOFTWARE_ROUTES`]: counts the route's persistence steps (lock-word
 /// transitions included), replays it crashing at every enumerated step,
-/// and audits each crash image — recovery invariants, prefix consistency,
-/// and a full second life over the recovered state. A pinned `crash_step`
-/// replays on every route whose run reaches that step.
+/// and audits each crash image. A pinned `crash_step` replays on every
+/// route whose run reaches that step.
 pub fn run_fallback_torture(cfg: &TortureConfig) -> Vec<TortureReport> {
-    let _trace = EventTraceArm::arm();
     let picks = draw_picks(cfg.seed, cfg.txns);
-    let audit = |route| {
-        enumerate(route, cfg, &picks, |recovered, step| {
-            second_life(route, recovered, cfg.seed, step)
-        })
-    };
-    SOFTWARE_ROUTES.map(audit).into()
+    SOFTWARE_ROUTES
+        .map(|route| audit_route(route, cfg, &picks))
+        .into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bank::run_once;
 
     #[test]
     fn counting_runs_are_deterministic_and_only_per_line_ticks_lock_windows() {
@@ -149,9 +153,7 @@ mod tests {
                 txns: 6,
                 ..TortureConfig::quick(5)
             };
-            let report = enumerate(route, &pinned, &picks, |recovered, step| {
-                second_life(route, recovered, 5, step)
-            });
+            let report = audit_route(route, &pinned, &picks);
             assert_eq!(report.crash_points_tested, 1, "{route:?}");
             assert!(report.ok(), "{route:?}: {:?}", report.failures);
         }

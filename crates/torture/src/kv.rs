@@ -17,7 +17,7 @@ use crafty_kv::{KvConfig, ShardedKv};
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
 
 use crate::bank::recover_checked;
-use crate::{crash_points, EventTraceArm, TortureConfig, TortureFailure, TortureReport};
+use crate::{enumerate, Replay, TortureConfig, TortureReport};
 
 /// Key space; small enough that overwrites, removes, and rehash churn all
 /// happen within a short run.
@@ -27,11 +27,13 @@ const KEYS: u64 = 24;
 /// remove.
 type KvOp = (u64, Option<u64>);
 
-fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
+/// The memory configuration of a store rig with `workers` engine threads
+/// (shared with [`crate::service`]).
+pub(crate) fn pmem_cfg(plan: FaultPlan, workers: usize) -> PmemConfig {
     PmemConfig {
         persistent_words: 1 << 16,
         volatile_words: 1 << 14,
-        max_threads: 3,
+        max_threads: workers + 2,
         latency: LatencyModel::instant(),
         crash: CrashModel::strict(),
         ..PmemConfig::small_for_tests()
@@ -39,13 +41,13 @@ fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
     .with_fault_plan(plan)
 }
 
-fn crafty_cfg() -> CraftyConfig {
+pub(crate) fn crafty_cfg(workers: usize) -> CraftyConfig {
     CraftyConfig::small_for_tests()
-        .with_max_threads(1)
+        .with_max_threads(workers)
         .with_undo_log_entries(128)
 }
 
-fn kv_cfg() -> KvConfig {
+pub(crate) fn kv_cfg() -> KvConfig {
     KvConfig::small_for_tests()
         .with_shards(2)
         .with_initial_capacity(8)
@@ -77,12 +79,27 @@ struct KvRun {
     trace: Vec<ThreadTrace>,
 }
 
+impl Replay for KvRun {
+    fn setup_steps(&self) -> u64 {
+        self.setup_steps
+    }
+    fn total_steps(&self) -> u64 {
+        self.total_steps
+    }
+    fn trapped(&self) -> bool {
+        self.image.is_some()
+    }
+    fn trace(&self) -> &[ThreadTrace] {
+        &self.trace
+    }
+}
+
 /// Runs the KV workload once under `plan`. The event rings are reset
 /// first, so a trapped run's frozen tail shows only this replay's events.
 fn run_once(ops: &[KvOp], plan: FaultPlan) -> KvRun {
     trace::reset_rings();
-    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan)));
-    let engine = Crafty::new(Arc::clone(&mem), crafty_cfg());
+    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan, 1)));
+    let engine = Crafty::new(Arc::clone(&mem), crafty_cfg(1));
     let dir_addr = engine.directory_addr();
     let kv = ShardedKv::create(&mem, &kv_cfg());
     let mut thread = engine.register_thread(0);
@@ -110,20 +127,18 @@ fn run_once(ops: &[KvOp], plan: FaultPlan) -> KvRun {
     }
 }
 
-/// Audits one recovered KV image: boots it, replays the layout
-/// constructors, deep-checks store structure, and requires the surviving
-/// pairs to equal the shadow map after some prefix of the operation list.
-fn audit(
-    image: PersistentImage,
-    dir_addr: crafty_common::PAddr,
-    ops: &[KvOp],
-) -> Result<(), String> {
-    let recovered = recover_checked(image, dir_addr)?;
+/// Audits the run's trapped image: recovers and boots it, replays the
+/// layout constructors, deep-checks store structure, and requires the
+/// surviving pairs to equal the shadow map after some prefix of the
+/// operation list.
+fn audit(run: &mut KvRun, ops: &[KvOp]) -> Result<(), String> {
+    let image = run.image.take().expect("an audited run trapped its image");
+    let recovered = recover_checked(image, run.dir_addr)?;
     let mem = Arc::new(MemorySpace::boot(
         &recovered,
-        pmem_cfg(FaultPlan::inactive()),
+        pmem_cfg(FaultPlan::inactive(), 1),
     ));
-    let _engine = Crafty::new(Arc::clone(&mem), crafty_cfg());
+    let _engine = Crafty::new(Arc::clone(&mem), crafty_cfg(1));
     let kv = ShardedKv::open(&mem, &kv_cfg());
     kv.check_integrity(&mem)
         .map_err(|e| format!("store integrity violated: {e}"))?;
@@ -159,55 +174,14 @@ fn audit(
 /// Runs the KV torture suite: step counting, crash-point replay, and the
 /// full recover/boot/integrity/prefix audit per image.
 pub fn run_kv_torture(cfg: &TortureConfig) -> TortureReport {
-    let _trace = EventTraceArm::arm();
     let ops = draw_ops(cfg.seed, cfg.txns);
-    let count = run_once(&ops, FaultPlan::count_only());
-    let points = crash_points(
-        cfg.seed,
-        count.setup_steps,
-        count.total_steps,
-        cfg.max_crash_points,
-        cfg.crash_step,
-    );
-    let mut failures = Vec::new();
-    for &step in &points {
-        let run = run_once(
-            &ops,
-            FaultPlan::crash_at(step, CrashModel::adversarial(cfg.seed ^ step)),
-        );
-        if run.total_steps != count.total_steps {
-            failures.push(TortureFailure::capture(
-                cfg.seed,
-                step,
-                format!(
-                    "replay diverged: {} steps vs {} in the counting run",
-                    run.total_steps, count.total_steps
-                ),
-                &run.trace,
-            ));
-            continue;
-        }
-        let Some(image) = run.image else {
-            failures.push(TortureFailure::capture(
-                cfg.seed,
-                step,
-                "no crash image captured at an in-range step".to_string(),
-                &run.trace,
-            ));
-            continue;
-        };
-        if let Err(detail) = audit(image, run.dir_addr, &ops) {
-            failures.push(TortureFailure::capture(cfg.seed, step, detail, &run.trace));
-        }
-    }
-    TortureReport {
-        suite: "kv",
-        seed: cfg.seed,
-        setup_steps: count.setup_steps,
-        total_steps: count.total_steps,
-        crash_points_tested: points.len() as u64,
-        failures,
-    }
+    enumerate(
+        "kv",
+        cfg,
+        |step| cfg.adversary(step),
+        |plan| run_once(&ops, plan),
+        |run, _| audit(run, &ops),
+    )
 }
 
 #[cfg(test)]
@@ -227,11 +201,10 @@ mod tests {
     fn final_step_image_passes_the_full_audit() {
         let ops = draw_ops(9, 30);
         let count = run_once(&ops, FaultPlan::count_only());
-        let run = run_once(
+        let mut run = run_once(
             &ops,
             FaultPlan::crash_at(count.total_steps, CrashModel::strict()),
         );
-        let image = run.image.expect("final step reached");
-        audit(image, run.dir_addr, &ops).expect("audit");
+        audit(&mut run, &ops).expect("audit");
     }
 }

@@ -10,8 +10,10 @@
 //!   enqueue, drain claim, per-line persist, SFENCE). A workload is run
 //!   once under a count-only plan to measure its step count, then replayed
 //!   once per step with a plan that snapshots the crash image at exactly
-//!   that tick ([`bank::run_bank_torture`], [`kv::run_kv_torture`]).
-//!   Exhaustive for small runs; seeded stratified sampling otherwise.
+//!   that tick. That loop is [`enumerate`], written once; a suite
+//!   ([`bank::run_bank_torture`], [`kv::run_kv_torture`], ...) supplies the
+//!   run and the audit. Exhaustive for small runs; seeded stratified
+//!   sampling otherwise.
 //! * **Recovery auditing** — every snapshot is recovered and checked:
 //!   recovery succeeds, logs decode clean, a second recovery is a byte
 //!   no-op, and the recovered application state equals a *prefix* of the
@@ -19,12 +21,14 @@
 //!   [`crafty_kv::ShardedKv::check_integrity`] deep structure checks for
 //!   the KV suite).
 //! * **Software-commit windows** — [`fallback::run_fallback_torture`]
-//!   commits every transaction in software, one [`fallback::Route`] after
-//!   another: forced through the per-line fallback
-//!   ([`crafty_core::CraftyConfig::with_force_fallback`]), whose lock-word
-//!   transitions tick the fault clock, so crash points land while line
-//!   locks are held; forced through the SGL reference; and in thread-unsafe
-//!   mode on a tiny HTM. Every recovered image is additionally *booted*
+//!   commits every transaction outside a Redo/Validate hardware
+//!   transaction, one [`Route`] after another: forced through the per-line
+//!   fallback ([`crafty_core::CraftyConfig::with_force_fallback`]), whose
+//!   lock-word transitions tick the fault clock, so crash points land
+//!   while line locks are held; forced through the SGL reference; and in
+//!   thread-unsafe mode on a tiny HTM (the software commit with no lock)
+//!   and on a real-sized one (hardware Log, software Redo). Every
+//!   recovered image is additionally *booted*
 //!   into a second life that must run more transactions with conservation
 //!   intact (a rebooted heap never sees a stuck lock).
 //! * **Crash-during-recovery** — [`rec::run_recovery_torture`] interrupts
@@ -64,6 +68,7 @@ use std::fmt;
 
 use crafty_common::trace::{self, ThreadTrace, TraceConfig, TraceLevel};
 use crafty_common::SplitMix64;
+use crafty_pmem::{CrashModel, FaultPlan};
 
 pub mod bank;
 pub mod fallback;
@@ -72,7 +77,7 @@ pub mod rec;
 pub mod service;
 pub mod storm;
 
-pub use bank::{injected_violation_is_caught, run_bank_torture};
+pub use bank::{injected_violation_is_caught, run_bank_torture, Route};
 pub use fallback::run_fallback_torture;
 pub use kv::run_kv_torture;
 pub use rec::run_recovery_torture;
@@ -106,6 +111,12 @@ impl TortureConfig {
             max_crash_points: 0,
             crash_step: None,
         }
+    }
+
+    /// The crash model the suites resolve the image of `step` under: each
+    /// crash point faces a lossy failure of its own.
+    pub fn adversary(&self, step: u64) -> CrashModel {
+        CrashModel::adversarial(self.seed ^ step)
     }
 }
 
@@ -226,18 +237,107 @@ impl TortureReport {
     }
 }
 
+/// What one run of a suite's workload under a [`FaultPlan`] reports back to
+/// [`enumerate`].
+pub trait Replay {
+    /// True (the default) for single-threaded runs, whose fault clock is a
+    /// pure function of their inputs: a replay must then repeat the
+    /// counting run's total and trap an image at every in-range step.
+    /// False for runs with threads and sockets, whose clock moves with the
+    /// interleaving: their step range is a scale estimate, a replay that
+    /// never reaches its step audits a crash-free life, and so does the
+    /// counting run itself.
+    const REPEATABLE: bool = true;
+
+    /// Fault-clock value after deterministic setup (engine construction,
+    /// prefill, thread registration): the first enumerable crash step is
+    /// one past it.
+    fn setup_steps(&self) -> u64;
+
+    /// Fault-clock value when the run finished.
+    fn total_steps(&self) -> u64;
+
+    /// Whether the plan's crash step was reached and an image trapped.
+    fn trapped(&self) -> bool;
+
+    /// Flight-recorder state frozen at the trap (empty without one).
+    fn trace(&self) -> &[ThreadTrace];
+}
+
+/// The one crash-point enumeration every suite shares. Runs
+/// `run(FaultPlan::count_only())` to measure the workload's step range,
+/// picks the crash steps `cfg` asks for (all of them, a stratified sample,
+/// or the one pinned step — which replays only on a [`Replay::REPEATABLE`]
+/// run that reaches it), replays the run once per step with the image
+/// resolved under `model(step)`, and hands each replay that repeated the
+/// counting run and trapped its image to `audit(run, step)`. Every `Err`
+/// becomes a [`TortureFailure`] carrying the replay's trace tail: event
+/// tracing is armed for the duration.
+///
+/// A suite supplies `run` and `audit` and nothing else; the cut-based
+/// `kvserve_e2e` crash test and the schedule explorer (ROADMAP) are this
+/// function's next customers.
+pub fn enumerate<R: Replay>(
+    suite: &'static str,
+    cfg: &TortureConfig,
+    model: impl Fn(u64) -> CrashModel,
+    run: impl Fn(FaultPlan) -> R,
+    audit: impl Fn(&mut R, u64) -> Result<(), String>,
+) -> TortureReport {
+    let _trace = EventTraceArm::arm();
+    let mut count = run(FaultPlan::count_only());
+    let (setup_steps, total_steps) = (count.setup_steps(), count.total_steps());
+    let mut points = crash_points(
+        cfg.seed,
+        setup_steps,
+        total_steps,
+        cfg.max_crash_points,
+        cfg.crash_step,
+    );
+    let mut failures = Vec::new();
+    if R::REPEATABLE {
+        points.retain(|&step| step <= total_steps);
+    } else if let Err(detail) = audit(&mut count, 0) {
+        let detail = format!("fault-free run: {detail}");
+        failures.push(TortureFailure::capture(cfg.seed, 0, detail, count.trace()));
+    }
+    for &step in &points {
+        let mut replay = run(FaultPlan::crash_at(step, model(step)));
+        let verdict = if R::REPEATABLE && replay.total_steps() != total_steps {
+            Err(format!(
+                "replay diverged: {} steps vs {total_steps} in the counting run",
+                replay.total_steps()
+            ))
+        } else if R::REPEATABLE && !replay.trapped() {
+            Err("no crash image captured at an in-range step".to_string())
+        } else {
+            audit(&mut replay, step)
+        };
+        if let Err(detail) = verdict {
+            failures.push(TortureFailure::capture(
+                cfg.seed,
+                step,
+                detail,
+                replay.trace(),
+            ));
+        }
+    }
+    TortureReport {
+        suite,
+        seed: cfg.seed,
+        setup_steps,
+        total_steps,
+        crash_points_tested: points.len() as u64,
+        failures,
+    }
+}
+
 /// Picks the crash steps to test inside `(setup, total]`: all of them when
 /// `max_points` is 0 or covers the span, otherwise one seeded draw per
 /// stratum of a `max_points`-way partition (so samples stay spread over
 /// the whole run instead of clustering). `only` short-circuits to a single
 /// step for failure reproduction.
-pub(crate) fn crash_points(
-    seed: u64,
-    setup: u64,
-    total: u64,
-    max_points: u64,
-    only: Option<u64>,
-) -> Vec<u64> {
+fn crash_points(seed: u64, setup: u64, total: u64, max_points: u64, only: Option<u64>) -> Vec<u64> {
     if let Some(step) = only {
         return vec![step];
     }

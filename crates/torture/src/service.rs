@@ -53,15 +53,16 @@ use std::time::Duration;
 
 use crafty_common::trace::{self, ThreadTrace};
 use crafty_common::{PersistentTm, SplitMix64};
-use crafty_core::{Crafty, CraftyConfig};
-use crafty_kv::{KvConfig, SessionTable, ShardedKv};
-use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PmemConfig};
+use crafty_core::Crafty;
+use crafty_kv::{SessionTable, ShardedKv};
+use crafty_pmem::{FaultPlan, MemorySpace};
 use crafty_server::{
     FaultConfig, FaultyStream, KvServer, RetryPolicy, ServerConfig, SessionClient, WriteOp,
 };
 
 use crate::bank::recover_checked;
-use crate::{crash_points, EventTraceArm, TortureConfig, TortureFailure, TortureReport};
+use crate::kv::{crafty_cfg, kv_cfg, pmem_cfg};
+use crate::{enumerate, Replay, TortureConfig, TortureReport};
 
 /// Key space: a handful of hot counters, so every key accumulates many
 /// increments and any duplicate or loss moves a sum.
@@ -88,30 +89,6 @@ type ServerLife = (
     KvServer,
 );
 
-fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
-    PmemConfig {
-        persistent_words: 1 << 16,
-        volatile_words: 1 << 14,
-        max_threads: WORKERS + 2,
-        latency: LatencyModel::instant(),
-        crash: CrashModel::strict(),
-        ..PmemConfig::small_for_tests()
-    }
-    .with_fault_plan(plan)
-}
-
-fn crafty_cfg() -> CraftyConfig {
-    CraftyConfig::small_for_tests()
-        .with_max_threads(WORKERS)
-        .with_undo_log_entries(128)
-}
-
-fn kv_cfg() -> KvConfig {
-    KvConfig::small_for_tests()
-        .with_shards(2)
-        .with_initial_capacity(8)
-}
-
 /// Record of one service run (and possibly its crash-restart).
 struct ServiceRun {
     setup_steps: u64,
@@ -123,6 +100,24 @@ struct ServiceRun {
     failures: Vec<String>,
     /// Flight-recorder state frozen at the trap (empty without one).
     trace: Vec<ThreadTrace>,
+}
+
+impl Replay for ServiceRun {
+    /// Threads and sockets move the fault clock: see the module docs.
+    const REPEATABLE: bool = false;
+
+    fn setup_steps(&self) -> u64 {
+        self.setup_steps
+    }
+    fn total_steps(&self) -> u64 {
+        self.total_steps
+    }
+    fn trapped(&self) -> bool {
+        self.restarted
+    }
+    fn trace(&self) -> &[ThreadTrace] {
+        &self.trace
+    }
 }
 
 /// One client thread: `txns` exactly-once increments in pipelined batches
@@ -178,8 +173,8 @@ fn drive_client(
 /// crash-restart if the fault trap fires, and audits the final state.
 fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
     trace::reset_rings();
-    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan)));
-    let engine = Arc::new(Crafty::new(Arc::clone(&mem), crafty_cfg()));
+    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan, WORKERS)));
+    let engine = Arc::new(Crafty::new(Arc::clone(&mem), crafty_cfg(WORKERS)));
     let dir_addr = engine.directory_addr();
     let kv = ShardedKv::create(&mem, &kv_cfg());
     let sessions = SessionTable::create(&mem, SESSION_SLOTS);
@@ -242,9 +237,9 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
                     Ok(recovered) => {
                         let mem2 = Arc::new(MemorySpace::boot(
                             &recovered,
-                            pmem_cfg(FaultPlan::inactive()),
+                            pmem_cfg(FaultPlan::inactive(), WORKERS),
                         ));
-                        let engine2 = Arc::new(Crafty::new(Arc::clone(&mem2), crafty_cfg()));
+                        let engine2 = Arc::new(Crafty::new(Arc::clone(&mem2), crafty_cfg(WORKERS)));
                         let kv2 = ShardedKv::open(&mem2, &kv_cfg());
                         let sessions2 = SessionTable::open(&mem2, SESSION_SLOTS);
                         if let Err(e) = kv2.check_integrity(&mem2) {
@@ -333,59 +328,32 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
 /// path and estimate the step scale, then one crash-restart run per
 /// sampled step ([`TortureConfig::max_crash_points`] strata, or
 /// [`TortureConfig::crash_step`] for reproduction). `txns` is increments
-/// **per client**.
+/// **per client**. The audit happens inside the run, against the live
+/// second server; what is left for the enumerator is to report it.
 pub fn run_service_torture(cfg: &TortureConfig) -> TortureReport {
-    let _trace = EventTraceArm::arm();
-    let count = run_service_once(cfg.seed, cfg.txns, FaultPlan::count_only());
-    let mut failures = Vec::new();
-    for detail in &count.failures {
-        failures.push(TortureFailure::capture(
-            cfg.seed,
-            0,
-            format!("fault-free run: {detail}"),
-            &count.trace,
-        ));
-    }
-    let points = crash_points(
-        cfg.seed,
-        count.setup_steps,
-        count.total_steps,
-        cfg.max_crash_points,
-        cfg.crash_step,
-    );
-    for &step in &points {
-        let run = run_service_once(
-            cfg.seed,
-            cfg.txns,
-            FaultPlan::crash_at(step, CrashModel::adversarial(cfg.seed ^ step)),
-        );
-        for detail in run.failures {
+    enumerate(
+        "service",
+        cfg,
+        |step| cfg.adversary(step),
+        |plan| run_service_once(cfg.seed, cfg.txns, plan),
+        |run, _| {
+            if run.failures.is_empty() {
+                return Ok(());
+            }
             let phase = if run.restarted {
                 "crash-restart"
             } else {
                 "pre-crash life"
             };
-            failures.push(TortureFailure::capture(
-                cfg.seed,
-                step,
-                format!("{phase}: {detail}"),
-                &run.trace,
-            ));
-        }
-    }
-    TortureReport {
-        suite: "service",
-        seed: cfg.seed,
-        setup_steps: count.setup_steps,
-        total_steps: count.total_steps,
-        crash_points_tested: points.len() as u64,
-        failures,
-    }
+            Err(format!("{phase}: {}", run.failures.join("; ")))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crafty_pmem::CrashModel;
 
     #[test]
     fn fault_free_run_is_exactly_once() {

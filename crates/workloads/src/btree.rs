@@ -50,8 +50,6 @@ pub struct BtreeWorkload {
     pub variant: BtreeVariant,
     /// Keys are drawn uniformly from `[0, key_space)`.
     pub key_space: u64,
-    /// Number of keys inserted before the measured region starts.
-    pub prefill: u64,
 }
 
 impl BtreeWorkload {
@@ -60,7 +58,6 @@ impl BtreeWorkload {
         BtreeWorkload {
             variant,
             key_space: 1 << 20,
-            prefill: 512,
         }
     }
 }
@@ -93,22 +90,6 @@ impl Workload for BtreeWorkload {
 }
 
 impl BtreeMix {
-    /// Number of keys the benchmark pre-fills before measurement.
-    pub fn prefill(
-        &self,
-        mem: &Arc<MemorySpace>,
-        engine: &dyn crafty_common::PersistentTm,
-        keys: u64,
-    ) {
-        let mut handle = engine.register_thread(0);
-        let mut rng = SplitMix64::new(0xB7EE);
-        for _ in 0..keys {
-            let key = rng.next_below(self.key_space);
-            handle.execute(&mut |ops| self.insert(ops, key, key ^ 0xABCD).map(|_| ()));
-        }
-        let _ = mem;
-    }
-
     fn node_read(&self, ops: &mut dyn TxnOps, node: PAddr, off: u64) -> Result<u64, TxAbort> {
         ops.read(node.add(off))
     }
@@ -443,7 +424,6 @@ mod tests {
         let workload = BtreeWorkload {
             variant: BtreeVariant::InsertOnly,
             key_space: 1 << 30,
-            prefill: 0,
         };
         let mix = workload.prepare(&mem);
         run_mix(&engine, mix.as_ref(), 3, 50, 11);
@@ -457,7 +437,6 @@ mod tests {
         let workload = BtreeWorkload {
             variant: BtreeVariant::Mixed,
             key_space: 256,
-            prefill: 0,
         };
         let mix = workload.prepare(&mem);
         run_mix(&engine, mix.as_ref(), 2, 200, 13);

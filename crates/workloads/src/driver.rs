@@ -55,36 +55,46 @@ pub trait Workload {
     fn prepare(&self, mem: &Arc<MemorySpace>) -> Box<dyn TxnMix>;
 }
 
-/// Runs `txns_per_thread` transactions on each of `threads` worker threads
-/// and returns the wall-clock time of the measured region.
+/// The one thread × transaction loop: runs `txns_per_thread` transactions
+/// of `mix` on each of `threads` worker threads of `engine`. Neither timed
+/// nor quiesced — [`run_mix`] adds both, a crash test adds neither.
+///
+/// Every transaction gets one seed, drawn from its thread's stream
+/// *outside* the body, and every run of the body starts from
+/// `SplitMix64::new(that seed)`: a re-execution (a hardware retry, the
+/// Validate phase of Algorithm 3) makes the picks its Log phase made, so it
+/// can match the undo entries that phase persisted.
 ///
 /// Honors the mix's [`TxnMix::durability_group`]: with a group size above
 /// one, each window of that many consecutive transactions runs under group
 /// commit (deferred durability, one shared drain barrier per window, plus
 /// a final barrier for a trailing partial window).
-pub fn run_mix(
+pub fn drive(
     engine: &dyn PersistentTm,
     mix: &dyn TxnMix,
     threads: usize,
     txns_per_thread: u64,
     seed: u64,
-) -> Duration {
+) {
     let group = mix.durability_group().max(1);
-    let start = Instant::now();
     crossbeam::scope(|s| {
         for tid in 0..threads {
             s.spawn(move |_| {
                 let mut handle = engine.register_thread(tid);
-                let mut rng = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x9E37));
+                let mut seeds = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x9E37));
                 for i in 0..txns_per_thread {
+                    let txn_seed = seeds.next_u64();
+                    let mut body = |ops: &mut dyn TxnOps| {
+                        mix.run_txn(tid, i, &mut SplitMix64::new(txn_seed), ops)
+                    };
                     // Engine-agnostic lifecycle bracketing: every engine's
                     // transactions show up as begin/end pairs in a trace
                     // dump, whatever the engine does in between.
                     trace::record(tid, TraceEventKind::TxnBegin, i);
                     if group <= 1 {
-                        handle.execute(&mut |ops| mix.run_txn(tid, i, &mut rng, ops));
+                        handle.execute(&mut body);
                     } else {
-                        handle.execute_deferred(&mut |ops| mix.run_txn(tid, i, &mut rng, ops));
+                        handle.execute_deferred(&mut body);
                         if (i + 1) % group == 0 {
                             handle.flush_deferred();
                         }
@@ -97,7 +107,20 @@ pub fn run_mix(
             });
         }
     })
-    .expect("benchmark worker thread panicked");
+    .expect("worker thread panicked");
+}
+
+/// [`drive`], timed and then quiesced: returns the wall-clock time of the
+/// measured region.
+pub fn run_mix(
+    engine: &dyn PersistentTm,
+    mix: &dyn TxnMix,
+    threads: usize,
+    txns_per_thread: u64,
+    seed: u64,
+) -> Duration {
+    let start = Instant::now();
+    drive(engine, mix, threads, txns_per_thread, seed);
     let elapsed = start.elapsed();
     engine.quiesce();
     elapsed

@@ -33,7 +33,7 @@ pub mod ycsb;
 
 pub use bank::{BankWorkload, Contention};
 pub use btree::{BtreeVariant, BtreeWorkload};
-pub use driver::{measure, run_mix, TxnMix, Workload};
+pub use driver::{drive, measure, run_mix, TxnMix, Workload};
 pub use engines::{build_engine, EngineKind};
 pub use openloop::{ArrivalProcess, OpKind, OpenLoopConfig, ScheduledOp};
 pub use stamp::{StampKernel, StampWorkload};

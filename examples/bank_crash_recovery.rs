@@ -12,9 +12,8 @@
 
 use std::sync::Arc;
 
-use crafty_common::SplitMix64;
 use crafty_repro::prelude::*;
-use crafty_repro::workloads::{BankWorkload, Contention};
+use crafty_repro::workloads::{drive, BankWorkload, Contention};
 
 fn main() {
     let threads = 4usize;
@@ -24,21 +23,7 @@ fn main() {
 
     let workload = BankWorkload::paper(Contention::High, threads);
     let mix = workload.prepare(&mem);
-
-    crossbeam::scope(|s| {
-        for tid in 0..threads {
-            let crafty = &crafty;
-            let mix = &mix;
-            s.spawn(move |_| {
-                let mut thread = crafty.register_thread(tid);
-                let mut rng = SplitMix64::new(tid as u64 + 99);
-                for i in 0..3_000u64 {
-                    thread.execute(&mut |ops| mix.run_txn(tid, i, &mut rng, ops));
-                }
-            });
-        }
-    })
-    .expect("worker threads");
+    drive(&crafty, mix.as_ref(), threads, 3_000, 99);
 
     // Note: no quiesce — the "power failure" interrupts steady state.
     println!("crash! resolving dirty lines per the adversarial crash model...");
@@ -53,12 +38,11 @@ fn main() {
         report.entries_rolled_back
     );
 
-    // Check the invariant on the *recovered* image by booting it.
-    let recovered = MemorySpace::boot(&image, *mem.config());
-    let workload_check = BankWorkload::paper(Contention::High, threads);
-    // Re-deriving the account region: prepare() reserves deterministically,
-    // so a fresh prepare on the booted space maps to the same addresses.
-    let _ = workload_check;
+    // Check the invariant on the *recovered* image by booting it: the mix
+    // reads its accounts at the addresses it reserved in the first life.
+    if let Err(violation) = mix.verify(&MemorySpace::boot(&image, cfg)) {
+        eprintln!("recovered bank is corrupt: {violation}");
+        std::process::exit(1);
+    }
     println!("recovered bank verified: every transfer is all-or-nothing");
-    drop(recovered);
 }

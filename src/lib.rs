@@ -67,7 +67,7 @@ pub mod prelude {
         BreakdownSnapshot, CompletionPath, PAddr, PersistentTm, TmThread, TxAbort, TxnOps, Zipfian,
     };
     pub use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant, ThreadingMode};
-    pub use crafty_kv::{DirectOps, GroupCommit, KvConfig, SeqCheck, SessionTable, ShardedKv};
+    pub use crafty_kv::{DirectOps, KvConfig, SeqCheck, SessionTable, ShardedKv};
     pub use crafty_pmem::{CrashModel, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
     pub use crafty_server::{
         ClientError, FaultConfig, FaultyStream, KvClient, KvServer, NetStream, ProtocolError,

@@ -6,22 +6,20 @@
 
 use std::sync::Arc;
 
-use crafty_common::SplitMix64;
 use crafty_core::recover;
-use crafty_pmem::PersistentImage;
 use crafty_repro::prelude::*;
-use crafty_repro::workloads::{BankWorkload, Contention};
+use crafty_repro::workloads::{drive, BankWorkload, Contention};
 use proptest::prelude::*;
 
 /// Runs a multi-threaded bank run on Crafty, crashes without quiescing,
-/// recovers, and returns (expected total, recovered total).
+/// recovers, and checks conservation of money on the booted image.
 fn bank_crash_run(
     seed: u64,
     threads: usize,
     txns_per_thread: u64,
     crash: CrashModel,
     variant: CraftyVariant,
-) -> (u64, u64) {
+) -> Result<(), String> {
     let pmem_cfg = PmemConfig {
         persistent_words: 1 << 18,
         volatile_words: 1 << 14,
@@ -36,109 +34,46 @@ fn bank_crash_run(
         undo_log_entries: 512,
         ..CraftyConfig::small_for_tests().with_max_threads(threads)
     };
-    let crafty = Arc::new(Crafty::new(Arc::clone(&mem), crafty_cfg));
+    let crafty = Crafty::new(Arc::clone(&mem), crafty_cfg);
     let workload = BankWorkload {
         contention: Contention::High,
         transfers_per_txn: 3,
         initial_balance: 500,
         max_threads: threads,
     };
-    let mix = crafty_repro::workloads::Workload::prepare(&workload, &mem);
-
-    crossbeam::scope(|s| {
-        for tid in 0..threads {
-            let crafty = Arc::clone(&crafty);
-            let mix = &mix;
-            s.spawn(move |_| {
-                let mut handle = crafty.register_thread(tid);
-                let mut rng = SplitMix64::new(seed.wrapping_mul(31).wrapping_add(tid as u64));
-                for i in 0..txns_per_thread {
-                    handle.execute(&mut |ops| mix.run_txn(tid, i, &mut rng, ops));
-                }
-            });
-        }
-    })
-    .expect("worker threads");
+    let mix = workload.prepare(&mem);
+    drive(&crafty, mix.as_ref(), threads, txns_per_thread, seed);
 
     // Crash mid-steady-state (no quiesce), then recover.
     let mut image = mem.crash();
     recover(&mut image, crafty.directory_addr()).expect("recovery");
-
-    // The bank accounts are the first reservation the workload made; to
-    // read them from the image we reconstruct the address the same way the
-    // workload did, by booting the image and re-preparing the layout on a
-    // fresh (identically configured) space.
-    let expected = 1024 * 500; // high contention = 1024 accounts
-    let total = bank_total_in_image(&image, &mem, &workload);
-    (expected, total)
-}
-
-/// Sums the bank accounts inside a recovered image. The account region's
-/// address is recomputed by replaying the same reservations on a scratch
-/// space (reservation order is deterministic).
-fn bank_total_in_image(
-    image: &PersistentImage,
-    original: &Arc<MemorySpace>,
-    workload: &BankWorkload,
-) -> u64 {
-    // The workload reserved its accounts immediately after the Crafty
-    // engine's reservations; replaying the same constructor calls on a
-    // fresh space yields the same layout.
-    let scratch = Arc::new(MemorySpace::new(*original.config()));
-    let _engine = Crafty::new(
-        Arc::clone(&scratch),
-        CraftyConfig {
-            variant: CraftyVariant::Full,
-            undo_log_entries: 512,
-            ..CraftyConfig::small_for_tests().with_max_threads(original.config().max_threads - 2)
-        },
-    );
-    let mix = crafty_repro::workloads::Workload::prepare(workload, &scratch);
-    // Find the account values by diffing: the scratch space has the fresh
-    // initial balances at the account addresses; read the same addresses
-    // from the crashed image.
-    let accounts = 1024u64;
-    let mut base = None;
-    for w in 0..scratch.persistent_words() {
-        if scratch.read(crafty_common::PAddr::new(w)) == 500
-            && scratch.read(crafty_common::PAddr::new(w + 8)) == 500
-        {
-            base = Some(w);
-            break;
-        }
-    }
-    let base = base.expect("account region in scratch layout");
-    drop(mix);
-    (0..accounts)
-        .map(|i| image.read(crafty_common::PAddr::new(base + i * 8)))
-        .sum()
+    mix.verify(&MemorySpace::boot(&image, pmem_cfg))
 }
 
 #[test]
 fn bank_invariant_survives_a_strict_crash() {
-    let (expected, total) = bank_crash_run(1, 3, 150, CrashModel::strict(), CraftyVariant::Full);
-    assert_eq!(total, expected);
+    bank_crash_run(1, 3, 150, CrashModel::strict(), CraftyVariant::Full).expect("conservation");
 }
 
 #[test]
 fn bank_invariant_survives_an_adversarial_crash() {
     for seed in 0..4 {
-        let (expected, total) = bank_crash_run(
+        bank_crash_run(
             seed,
             3,
             150,
             CrashModel::adversarial(seed),
             CraftyVariant::Full,
-        );
-        assert_eq!(total, expected, "seed {seed}");
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
 #[test]
 fn ablation_variants_are_also_crash_consistent() {
     for variant in [CraftyVariant::NoRedo, CraftyVariant::NoValidate] {
-        let (expected, total) = bank_crash_run(7, 2, 120, CrashModel::adversarial(7), variant);
-        assert_eq!(total, expected, "{variant:?}");
+        bank_crash_run(7, 2, 120, CrashModel::adversarial(7), variant)
+            .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
     }
 }
 
@@ -158,8 +93,7 @@ proptest! {
             dirty_word_persist_probability: persist_prob,
             seed,
         };
-        let (expected, total) = bank_crash_run(seed, threads, 80, crash, CraftyVariant::Full);
-        prop_assert_eq!(total, expected);
+        prop_assert_eq!(bank_crash_run(seed, threads, 80, crash, CraftyVariant::Full), Ok(()));
     }
 
     /// A committed-and-quiesced counter value is never lost, and the

@@ -67,7 +67,6 @@ fn every_engine_completes_the_btree_and_ssca2_workloads() {
             Box::new(BtreeWorkload {
                 variant: BtreeVariant::Mixed,
                 key_space: 1 << 12,
-                prefill: 0,
             }) as Box<dyn Workload>,
             Box::new(StampWorkload::new(StampKernel::Ssca2)),
         ] {

@@ -9,7 +9,8 @@
 //! mode drops the lock altogether (the program serializes), committing
 //! either through a hardware Log phase plus a software Redo or, when the
 //! HTM is too small, through the same software commit as the SGL. These
-//! tests drive the *same seeded workload* down each [`Route`] and assert:
+//! tests drive the *same seeded workload* — torture's miniature bank,
+//! [`crafty_torture::bank`] — down each [`Route`] and assert:
 //!
 //! * the committed final states are identical word-for-word, and
 //! * crash images trapped across each route's own run pass the identical
@@ -23,194 +24,20 @@
 //! not the byte-level images. This mirrors the structure of
 //! `crates/pmem/tests/masked_persistence_differential.rs`, one layer up.
 
-use std::sync::Arc;
-
-use crafty_common::{CompletionPath, PAddr, PersistentTm, SplitMix64};
-use crafty_core::{logs_are_clean, recover, Crafty, CraftyConfig, FallbackPolicy, ThreadingMode};
-use crafty_htm::HtmConfig;
-use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
+use crafty_common::CompletionPath;
+use crafty_pmem::{CrashModel, FaultPlan};
+use crafty_torture::bank::{draw_picks, run_once, Route, ACCOUNTS, INITIAL};
+use crafty_torture::{enumerate, TortureConfig};
 use proptest::prelude::*;
 
-const ACCOUNTS: u64 = 16;
-const INITIAL: u64 = 1_000;
-const TRANSFERS_PER_TXN: usize = 4;
-
-type Transfer = (u64, u64, u64);
-
-fn draw_picks(seed: u64, txns: u64) -> Vec<Vec<Transfer>> {
-    let mut rng = SplitMix64::new(seed ^ 0xD1FF_E2E4_71A1_5EED);
-    (0..txns)
-        .map(|_| {
-            (0..TRANSFERS_PER_TXN)
-                .map(|_| {
-                    (
-                        rng.next_below(ACCOUNTS),
-                        rng.next_below(ACCOUNTS),
-                        rng.next_below(9) + 1,
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// One way for a transaction to commit outside a Redo/Validate hardware
-/// transaction.
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Route {
-    /// Thread-safe, every transaction forced through the per-line fallback.
-    PerLine,
-    /// Thread-safe, every transaction forced through the SGL reference.
-    Sgl,
-    /// Thread-unsafe mode: hardware Log phase, software Redo.
-    ThreadUnsafe,
-    /// Thread-unsafe mode on an HTM too small for the Log phase: the
-    /// capacity fallback, i.e. the software commit without any lock.
-    ThreadUnsafeTiny,
-}
-
+/// Every way for a transaction to commit outside a Redo/Validate hardware
+/// transaction, the SGL reference first.
 const ROUTES: [Route; 4] = [
     Route::Sgl,
     Route::PerLine,
     Route::ThreadUnsafe,
     Route::ThreadUnsafeTiny,
 ];
-
-impl Route {
-    fn engine(self, mem: &Arc<MemorySpace>) -> Crafty {
-        let cfg = CraftyConfig::small_for_tests()
-            .with_max_threads(1)
-            .with_undo_log_entries(64);
-        let (cfg, htm) = match self {
-            Route::PerLine => (cfg.with_force_fallback(true), HtmConfig::skylake()),
-            Route::Sgl => (
-                cfg.with_force_fallback(true)
-                    .with_fallback(FallbackPolicy::Sgl),
-                HtmConfig::skylake(),
-            ),
-            Route::ThreadUnsafe => (
-                cfg.with_mode(ThreadingMode::ThreadUnsafe),
-                HtmConfig::skylake(),
-            ),
-            Route::ThreadUnsafeTiny => (
-                cfg.with_mode(ThreadingMode::ThreadUnsafe),
-                HtmConfig::tiny(),
-            ),
-        };
-        Crafty::with_htm_config(Arc::clone(mem), cfg, htm)
-    }
-}
-
-/// Result of one run down a route: the final (or trapped) state plus
-/// everything the auditor needs.
-struct RouteRun {
-    setup_steps: u64,
-    total_steps: u64,
-    base: PAddr,
-    dir_addr: PAddr,
-    final_accounts: Vec<u64>,
-    /// Transactions that completed through the software commit.
-    software_commits: u64,
-    image: Option<PersistentImage>,
-}
-
-/// Runs the seeded bank workload down `route`, under `plan`.
-fn run_route(picks: &[Vec<Transfer>], route: Route, plan: FaultPlan) -> RouteRun {
-    let mem = Arc::new(MemorySpace::new(
-        PmemConfig {
-            persistent_words: 1 << 15,
-            volatile_words: 1 << 13,
-            max_threads: 3,
-            latency: LatencyModel::instant(),
-            crash: CrashModel::strict(),
-            ..PmemConfig::small_for_tests()
-        }
-        .with_fault_plan(plan),
-    ));
-    let engine = route.engine(&mem);
-    let dir_addr = engine.directory_addr();
-    let base = mem.reserve_persistent(ACCOUNTS * 8);
-    for i in 0..ACCOUNTS {
-        mem.write(base.add(i * 8), INITIAL);
-        mem.clwb(0, base.add(i * 8));
-    }
-    mem.drain(0);
-    let mut thread = engine.register_thread(0);
-    let setup_steps = mem.fault_steps();
-    for txn in picks {
-        thread.execute(&mut |ops| {
-            for &(from, to, amount) in txn {
-                let a = base.add(from * 8);
-                let b = base.add(to * 8);
-                let va = ops.read(a)?;
-                ops.write(a, va.wrapping_sub(amount))?;
-                let vb = ops.read(b)?;
-                ops.write(b, vb.wrapping_add(amount))?;
-            }
-            Ok(())
-        });
-    }
-    drop(thread);
-    engine.quiesce();
-    RouteRun {
-        setup_steps,
-        total_steps: mem.fault_steps(),
-        base,
-        dir_addr,
-        final_accounts: (0..ACCOUNTS).map(|i| mem.read(base.add(i * 8))).collect(),
-        software_commits: engine.breakdown().completions(CompletionPath::Sgl),
-        image: mem.take_fault_image(),
-    }
-}
-
-/// The audit every trapped crash image must pass, identically for every
-/// route: recovery, clean logs, idempotent re-recovery, and prefix
-/// consistency against the shadow oracle.
-fn audit(
-    mut image: PersistentImage,
-    run: &RouteRun,
-    picks: &[Vec<Transfer>],
-) -> Result<u64, String> {
-    recover(&mut image, run.dir_addr).map_err(|e| format!("recovery failed: {e}"))?;
-    if !logs_are_clean(&image, run.dir_addr) {
-        return Err("logs are not clean after recovery".to_string());
-    }
-    let once = image.clone();
-    let second = recover(&mut image, run.dir_addr).map_err(|e| format!("re-recovery: {e}"))?;
-    if second.sequences_found != 0 || second.entries_rolled_back != 0 || image != once {
-        return Err("second recovery is not a no-op".to_string());
-    }
-    let recovered: Vec<u64> = (0..ACCOUNTS)
-        .map(|i| image.read(run.base.add(i * 8)))
-        .collect();
-    let mut shadow = vec![INITIAL; ACCOUNTS as usize];
-    for k in 0..=picks.len() {
-        if k > 0 {
-            for &(from, to, amount) in &picks[k - 1] {
-                shadow[from as usize] = shadow[from as usize].wrapping_sub(amount);
-                shadow[to as usize] = shadow[to as usize].wrapping_add(amount);
-            }
-        }
-        if recovered == shadow {
-            return Ok(k as u64);
-        }
-    }
-    Err("recovered accounts match no prefix of the commit order".to_string())
-}
-
-/// Samples `n` crash steps evenly over `(setup, total]`, seeded.
-fn sample_steps(seed: u64, setup: u64, total: u64, n: u64) -> Vec<u64> {
-    let span = total - setup;
-    assert!(span > n, "run too short to sample");
-    let mut rng = SplitMix64::new(seed ^ 0x5A4D_73E9_0000_0001);
-    (0..n)
-        .map(|i| {
-            let lo = setup + 1 + i * span / n;
-            let hi = setup + (i + 1) * span / n;
-            lo + rng.next_below(hi - lo + 1)
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -220,16 +47,16 @@ proptest! {
     #[test]
     fn final_state_is_route_independent(seed: u64, txns in 2u64..12) {
         let picks = draw_picks(seed, txns);
-        let reference = run_route(&picks, Route::Sgl, FaultPlan::inactive());
+        let reference = run_once(Route::Sgl, &picks, FaultPlan::inactive());
         for route in ROUTES {
-            let run = run_route(&picks, route, FaultPlan::inactive());
+            let run = run_once(route, &picks, FaultPlan::inactive());
             prop_assert_eq!(
-                &reference.final_accounts, &run.final_accounts,
+                &reference.accounts, &run.accounts,
                 "{:?} committed a different final state than the SGL reference", route
             );
         }
         let total: u64 = reference
-            .final_accounts
+            .accounts
             .iter()
             .fold(0u64, |s, &v| s.wrapping_add(v));
         prop_assert_eq!(total, ACCOUNTS * INITIAL, "conservation violated");
@@ -243,28 +70,34 @@ proptest! {
 /// say) would fail its side only.
 #[test]
 fn crash_audits_agree_across_models_and_routes() {
+    type Model = fn(u64) -> CrashModel;
+    let models: [(&str, Model); 3] = [
+        ("strict", |_| CrashModel::strict()),
+        ("relaxed", CrashModel::relaxed),
+        ("adversarial", CrashModel::adversarial),
+    ];
     for seed in [41u64, 42, 43] {
-        let picks = draw_picks(seed, 8);
+        let cfg = TortureConfig {
+            txns: 8,
+            max_crash_points: 4,
+            ..TortureConfig::quick(seed)
+        };
+        let picks = draw_picks(seed, cfg.txns);
         for route in ROUTES {
-            let count = run_route(&picks, route, FaultPlan::count_only());
-            let steps = sample_steps(seed, count.setup_steps, count.total_steps, 4);
-            for step in steps {
-                for (label, model) in [
-                    ("strict", CrashModel::strict()),
-                    ("relaxed", CrashModel::relaxed(seed ^ step)),
-                    ("adversarial", CrashModel::adversarial(seed ^ step)),
-                ] {
-                    let mut run = run_route(&picks, route, FaultPlan::crash_at(step, model));
-                    let image = run.image.take().unwrap_or_else(|| {
-                        panic!("{route:?} trapped no image at step {step} ({label})")
-                    });
-                    if let Err(detail) = audit(image, &run, &picks) {
-                        panic!(
-                            "{route:?} failed the {label} audit at step {step} \
-                             (seed {seed}): {detail}"
-                        );
-                    }
-                }
+            for (label, model) in models {
+                let report = enumerate(
+                    route.suite(),
+                    &cfg,
+                    |step| model(seed ^ step),
+                    |plan| run_once(route, &picks, plan),
+                    |run, _| run.recover_to_prefix(&picks).map(drop),
+                );
+                assert_eq!(report.crash_points_tested, 4, "{route:?} ({label})");
+                assert!(
+                    report.ok(),
+                    "{route:?} failed the {label} audit: {:?}",
+                    report.failures
+                );
             }
         }
     }
@@ -277,9 +110,9 @@ fn crash_audits_agree_across_models_and_routes() {
 #[test]
 fn per_line_runs_tick_lock_transition_events() {
     let picks = draw_picks(7, 6);
-    let sgl = run_route(&picks, Route::Sgl, FaultPlan::count_only());
-    let per_line = run_route(&picks, Route::PerLine, FaultPlan::count_only());
-    assert_eq!(sgl.final_accounts, per_line.final_accounts);
+    let sgl = run_once(Route::Sgl, &picks, FaultPlan::count_only());
+    let per_line = run_once(Route::PerLine, &picks, FaultPlan::count_only());
+    assert_eq!(sgl.accounts, per_line.accounts);
     assert!(
         per_line.total_steps - per_line.setup_steps > sgl.total_steps - sgl.setup_steps,
         "per-line ({}) should tick more steps than sgl ({}) on the same workload",
@@ -294,7 +127,11 @@ fn per_line_runs_tick_lock_transition_events() {
 #[test]
 fn every_route_is_really_taken() {
     let picks = draw_picks(7, 6);
-    let commits = |route| run_route(&picks, route, FaultPlan::inactive()).software_commits;
+    let commits = |route| {
+        run_once(route, &picks, FaultPlan::inactive())
+            .breakdown
+            .completions(CompletionPath::Sgl)
+    };
     assert_eq!(commits(Route::Sgl), 6);
     assert_eq!(commits(Route::PerLine), 6);
     assert_eq!(

@@ -164,11 +164,11 @@ fn crash_mid_rehash_and_recover(model: CrashModel, seed: u64) {
     }
 }
 
-/// Group commit's crash contract: a batch applied through
-/// `ShardedKv::apply_batch` whose shared drain barrier *has* run survives
-/// a crash in full (up to the engine's latest-sequence rollback, pinned by
-/// a trailing quiesce); a batch of deferred transactions whose barrier has
-/// NOT run may lose transactions, but each one atomically — every
+/// Group commit's crash contract: a batch of deferred transactions
+/// (`execute_deferred`) whose shared drain barrier (`flush_deferred`) *has*
+/// run survives a crash in full (up to the engine's latest-sequence
+/// rollback, pinned by a trailing quiesce); a batch whose barrier has NOT
+/// run may lose transactions, but each one atomically — every
 /// recovered value is either the pre-batch or the post-batch value, never
 /// torn, and the store stays structurally intact.
 fn group_commit_batch_crash(model: CrashModel, seed: u64) {
@@ -177,10 +177,13 @@ fn group_commit_batch_crash(model: CrashModel, seed: u64) {
     let kv = ShardedKv::create(&mem, &kv_cfg());
     let mut thread = crafty.register_thread(0);
 
-    // Acked batch: apply_batch issues the barrier; quiesce then pins the
+    // Acked batch: flush_deferred is the barrier; quiesce then pins the
     // thread's latest sequence so recovery cannot roll the tail back.
     let acked: Vec<(u64, u64)> = (0..32).map(|i| (seed * 977 + i, i * 3 + 1)).collect();
-    kv.apply_batch(&mut *thread, &acked);
+    for &(k, v) in &acked {
+        thread.execute_deferred(&mut |ops| kv.put(ops, k, v).map(|_| ()));
+    }
+    thread.flush_deferred();
     crafty.quiesce();
 
     // Unacked batch: deferred transactions with no barrier — overwrite

@@ -24,8 +24,9 @@ fn bank_exhaustive_enumeration_is_violation_free() {
     assert!(report.crash_points_tested > 100, "run too small to matter");
 }
 
-/// Exhaustive enumeration of the bank run committed in software, route by
-/// route (forced per-line, forced SGL, thread-unsafe on a tiny HTM): the
+/// Exhaustive enumeration of the bank run committed outside a Redo/Validate
+/// hardware transaction, route by route (forced per-line, forced SGL,
+/// thread-unsafe on a tiny HTM and on a real-sized one): the
 /// per-line fallback's lock-word transitions tick the fault clock, so its
 /// enumerated steps include crash points strictly inside lock-hold
 /// windows. Every crash image must recover to a commit-order prefix AND
@@ -34,7 +35,7 @@ fn bank_exhaustive_enumeration_is_violation_free() {
 #[test]
 fn fallback_exhaustive_enumeration_is_violation_free() {
     let reports = run_fallback_torture(&TortureConfig::quick(27));
-    assert_eq!(reports.len(), 3, "one report per software route");
+    assert_eq!(reports.len(), 4, "one report per software route");
     assert_eq!(reports[0].suite, "fallback", "per-line reports first");
     for report in &reports {
         assert!(
