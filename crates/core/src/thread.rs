@@ -27,8 +27,11 @@
 //! One deliberate implementation difference from the paper: the software
 //! commit buffers the body's writes instead of re-running chunked hardware
 //! transactions. The guarantee (undo log persisted before any program
-//! write reaches persistent memory) and the cost profile (a single drain
-//! per transaction) are the same; only the mechanism differs, because
+//! write reaches persistent memory) and the cost profile (two drains per
+//! transaction — the one before `publish` that makes the undo entries
+//! durable, and `stamp_committed`'s after the marker unless the
+//! transaction is durability-deferred — the same 2.0 `drains_per_op` the
+//! hardware path shows) are the same; only the mechanism differs, because
 //! closure-based bodies cannot be resumed from a mid-transaction point the
 //! way the paper's compiler-instrumented transactions can.
 
@@ -322,6 +325,16 @@ impl<'c> CraftyThread<'c> {
     /// persistent undo log; after the hardware transaction commits, flush
     /// the entries (no drain — the next hardware transaction's fence
     /// semantics complete the persist).
+    ///
+    /// The roll-back leaves the body's lines exactly as the transaction
+    /// read them, so the commit is a reader's commit plus a log append:
+    /// the data lines are validated, not locked, re-stored and
+    /// re-versioned ([`HwTxn::roll_back`]'s demotion rule). The Log↔Redo
+    /// conflict test is `gLastRedoTS` + Validate, never a Log–Log
+    /// conflict on a line neither changed. What keeps that sound is that
+    /// `log_commit_version` is drawn *before* those lines are validated
+    /// ([`HwTxn::commit`]'s order): a Redo the validation did not see drew
+    /// a larger version, so `redo_check` catches it.
     fn log_phase(&mut self, body: &mut TxnBody<'_>, hw_attempts: &mut u32) -> LogOutcome {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
@@ -618,13 +631,14 @@ impl<'c> CraftyThread<'c> {
     /// read validation, and this ordering is load-bearing. A concurrent
     /// Redo phase never re-reads its body's lines — the `gLastRedoTS`
     /// check is its only conflict test — so the software commit must
-    /// guarantee: any Log phase that committed before exclusion was
-    /// complete has a commit version below the bump (its Redo then fails
-    /// the check), and any Log phase committing after sees the lock bits
-    /// on every line it shares (its commit-time validation aborts), or the
-    /// held SGL it subscribed to. A Redo that read `gLastRedoTS` before
-    /// the bump and commits after is aborted by its subscription to the
-    /// bumped line.
+    /// guarantee: any Log phase that *validated* before exclusion was
+    /// complete drew its commit version before validating
+    /// ([`HwTxn::commit`] locks, draws, then validates), hence below the
+    /// bump (its Redo then fails the check), and any Log phase validating
+    /// after sees the lock bits on every line it shares — its data lines
+    /// are validated, not locked — and aborts, or sees the held SGL it
+    /// subscribed to. A Redo that read `gLastRedoTS` before the bump and
+    /// commits after is aborted by its subscription to the bumped line.
     ///
     /// Durability ordering is the same as every other path: undo entries
     /// appended, flushed, and **drained** strictly before the first

@@ -671,6 +671,14 @@ impl<'rt> HwTxn<'rt> {
     /// alone (TL2's read-only rule), so read-only commits never serialize
     /// on the clock's cache line.
     ///
+    /// The order is TL2's: lock the written lines, draw the commit
+    /// version, validate the read set, publish. Every line the commit
+    /// vouches for is therefore either held or was checked *after* the
+    /// draw, so any writer to it that the check missed locked it later and
+    /// drew a larger version — commit versions order commits consistently
+    /// with what each of them observed, which Crafty's Redo check relies
+    /// on (see the comment at the draw).
+    ///
     /// # Errors
     ///
     /// Returns the abort code if validation fails or the transaction had
@@ -719,6 +727,24 @@ impl<'rt> HwTxn<'rt> {
             s.locked = i + 1;
         }
 
+        // Draw the commit version with the write lines held and *before*
+        // validating the read set — TL2's order, and load-bearing: a line
+        // that is only validated (anything read, and every line a roll-back
+        // demoted) is not protected by a lock between its check and the
+        // draw, so a writer to it could slip into a validate-then-draw
+        // window and receive the *smaller* version while this transaction
+        // commits over what that writer replaced. Crafty's Redo check
+        // (`gLastRedoTS >= log_commit_version`) would then pass over a stale
+        // Log snapshot. Drawn first, the version is below that of every
+        // writer this validation does not see (writers lock, then draw). A
+        // failed validation merely skips a clock value; a commit with
+        // nothing to lock has nothing to order and draws none.
+        let wv = if conflict || s.lock_order.is_empty() {
+            rv
+        } else {
+            rt.version_clock.fetch_add(1, Ordering::AcqRel) + 1
+        };
+
         // Validate the read set: lines we only read must not have advanced
         // (the ones we hold were checked when they were locked).
         conflict = conflict
@@ -734,14 +760,8 @@ impl<'rt> HwTxn<'rt> {
             return Err(self.fail(AbortCode::Conflict));
         }
 
-        // Assign the commit version and publish the buffered writes, line
-        // by line (and the commit version itself into any registered
-        // sinks).
-        let wv = if s.lock_order.is_empty() {
-            rv
-        } else {
-            rt.version_clock.fetch_add(1, Ordering::AcqRel) + 1
-        };
+        // Publish the buffered writes, line by line (and the commit version
+        // itself into any registered sinks).
         for slot in s.lines.slots().iter().filter(|slot| slot.mask != 0) {
             rt.mem
                 .write_line(LineId::new(slot.line()), &slot.words, slot.mask);
@@ -836,7 +856,7 @@ impl HwTxn<'_> {
         };
         self.tick(1)?;
         let s = self.s();
-        if s.write_at(idx, word, value) && s.data_count > rt.cfg.write_capacity_lines {
+        if s.write_at(idx, word, value, 0) && s.data_count > rt.cfg.write_capacity_lines {
             return Err(self.fail(AbortCode::Capacity));
         }
         s.journal.push(Journalled {
@@ -864,6 +884,16 @@ impl HwTxn<'_> {
     /// Stands for one `read` and one `write` per exchange (the old
     /// word-wise roll-back), so it ticks the countdown twice for each.
     ///
+    /// A line that only exchanges wrote to — each served from memory under
+    /// the version check, no [`HwTxn::write`] underneath, no version sink —
+    /// is back to exactly what the transaction read, so it is **demoted**
+    /// to a read: [`HwTxn::commit`] validates it with the read set instead
+    /// of locking it, storing the old values over themselves and bumping
+    /// its version (which could only abort transactions whose reads of it
+    /// are still valid). It still counts toward the write capacity and
+    /// [`HwTxn::write_set_len`] — real HTM would have held it in the write
+    /// set — and a later write makes it a written line again.
+    ///
     /// # Errors
     ///
     /// Returns the abort code if the transaction has aborted or the
@@ -875,11 +905,7 @@ impl HwTxn<'_> {
         }
         let s = self.s();
         let exchanges = s.journal.len();
-        image.clear();
-        image.extend(s.lines.slots().iter().filter(|slot| slot.mask != 0));
-        for j in s.journal.iter().rev() {
-            s.lines.slot_mut(j.slot as usize).words[j.word as usize] = j.old;
-        }
+        s.roll_back(image);
         self.tick(2 * exchanges)?;
         Ok(exchanges)
     }

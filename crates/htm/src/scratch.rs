@@ -36,6 +36,15 @@ pub(crate) const DATA: u8 = 1 << 1;
 pub(crate) const SINK: u8 = 1 << 2;
 /// Flags bit: a commit-time CLWB was requested for the line.
 pub(crate) const FLUSH: u8 = 1 << 3;
+/// Flags bit: a plain write (anything but an [`crate::HwTxn::exchange`])
+/// is buffered for the line, so rolling the exchanges back does not return
+/// its buffer to what the transaction read.
+pub(crate) const PLAIN: u8 = 1 << 4;
+/// Flags bit: the line was a [`DATA`] line until
+/// [`TxnScratch::roll_back`] demoted it. It stays counted in
+/// [`TxnScratch::data_count`] — the footprint was real — but is neither
+/// locked nor published unless a later write makes it a data line again.
+pub(crate) const DEMOTED: u8 = 1 << 5;
 /// Lines carrying either of these flags are locked at commit.
 pub(crate) const LOCKS: u8 = DATA | SINK;
 
@@ -118,11 +127,13 @@ impl TxnScratch {
         before
     }
 
-    /// Makes entry `idx` a [`DATA`] line. Returns true if it was not one
-    /// before (the caller's cue to check write capacity).
+    /// Makes entry `idx` a [`DATA`] line, also setting `how` ([`PLAIN`] or
+    /// nothing). Returns true if it has not been one before (the caller's
+    /// cue to check write capacity); a [`DEMOTED`] line has, and re-enters
+    /// the lock order without being counted again.
     #[inline]
-    fn mark_data(&mut self, idx: usize) -> bool {
-        let new_data_line = self.flag_at(idx, DATA) & DATA == 0;
+    fn mark_data(&mut self, idx: usize, how: u8) -> bool {
+        let new_data_line = self.flag_at(idx, DATA | how) & (DATA | DEMOTED) == 0;
         self.data_count += usize::from(new_data_line);
         new_data_line
     }
@@ -160,7 +171,7 @@ impl TxnScratch {
 
     /// The batch form of [`TxnScratch::buffer_write`]: marks the words
     /// `bits` of `line` written with one lookup and hands their buffer to
-    /// the caller to fill, with the same flag.
+    /// the caller to fill, with the same flags.
     #[inline]
     pub(crate) fn claim_words(
         &mut self,
@@ -168,18 +179,19 @@ impl TxnScratch {
         bits: u8,
     ) -> (&mut [u64; WORDS_PER_LINE as usize], bool) {
         let idx = self.lines.entry(line);
-        let new_data_line = self.mark_data(idx);
+        let new_data_line = self.mark_data(idx, PLAIN);
         let slot = self.lines.slot_mut(idx);
         self.words_written += (bits & !slot.mask).count_ones() as usize;
         slot.mask |= bits;
         (&mut slot.words, new_data_line)
     }
 
-    /// Buffers `value` for word `word` of entry `idx`. Returns true if this
-    /// made the line a [`DATA`] line.
+    /// Buffers `value` for word `word` of entry `idx`: a [`PLAIN`] write,
+    /// or (`how` = 0) the store of an exchange. Returns true if this made
+    /// the line a [`DATA`] line for the first time.
     #[inline]
-    pub(crate) fn write_at(&mut self, idx: usize, word: usize, value: u64) -> bool {
-        let new_data_line = self.mark_data(idx);
+    pub(crate) fn write_at(&mut self, idx: usize, word: usize, value: u64, how: u8) -> bool {
+        let new_data_line = self.mark_data(idx, how);
         let slot = self.lines.slot_mut(idx);
         slot.words[word] = value;
         self.words_written += usize::from(slot.mask & (1 << word) == 0);
@@ -191,7 +203,37 @@ impl TxnScratch {
     #[inline]
     pub(crate) fn buffer_write(&mut self, addr: PAddr, value: u64) -> bool {
         let idx = self.lines.entry(addr.line().index());
-        self.write_at(idx, (addr.word() % WORDS_PER_LINE) as usize, value)
+        self.write_at(idx, (addr.word() % WORDS_PER_LINE) as usize, value, PLAIN)
+    }
+
+    /// Copies every buffered line into `image`, undoes the journalled
+    /// exchanges newest first, and **demotes** every line whose buffer that
+    /// returns to what the transaction read: a [`DATA`] line with no
+    /// [`PLAIN`] write and no [`SINK`] had each of its words first written
+    /// by an exchange whose load was served from memory under the version
+    /// check, so after the restore it holds exactly the values commit-time
+    /// validation of the read set vouches for. Such a line has nothing to
+    /// publish: it leaves the lock order, its mask is cleared, and it is
+    /// validated with the rest of the read set (it carries [`READ`]). It
+    /// keeps counting toward the write capacity and the written-word count.
+    pub(crate) fn roll_back(&mut self, image: &mut Vec<LineSlot>) {
+        image.clear();
+        self.lock_order.clear();
+        for idx in 0..self.lines.len() {
+            let slot = self.lines.slot_mut(idx);
+            if slot.mask != 0 {
+                image.push(*slot);
+            }
+            if slot.flags & (DATA | PLAIN | SINK) == DATA {
+                slot.flags = (slot.flags & !DATA) | DEMOTED;
+                slot.mask = 0;
+            } else if slot.flags & LOCKS != 0 {
+                self.lock_order.push(slot.line());
+            }
+        }
+        for j in self.journal.iter().rev() {
+            self.lines.slot_mut(j.slot as usize).words[j.word as usize] = j.old;
+        }
     }
 
     /// The distinct buffered writes as `(address, value)`: lines in
@@ -279,18 +321,61 @@ mod tests {
     }
 
     #[test]
+    fn roll_back_demotes_exactly_the_exchange_only_lines() {
+        let mut s = TxnScratch::new();
+        // An exchange = a read served from memory, then a non-PLAIN write.
+        let exchange = |s: &mut TxnScratch, addr: PAddr, old: u64, new: u64| {
+            let idx = s.lines.entry(addr.line().index());
+            let word = (addr.word() % WORDS_PER_LINE) as usize;
+            assert_eq!(s.read_at(idx, word), None);
+            s.write_at(idx, word, new, 0);
+            s.journal.push(Journalled {
+                slot: idx as u32,
+                word: word as u8,
+                old,
+            });
+        };
+        exchange(&mut s, PAddr::new(64), 10, 11); // line 8: exchanges only
+        exchange(&mut s, PAddr::new(72), 20, 21); // line 9: + a plain write
+        s.buffer_write(PAddr::new(73), 5);
+        exchange(&mut s, PAddr::new(80), 30, 31); // line 10: + a sink
+        s.flag_line(PAddr::new(81), SINK);
+        assert_eq!((s.data_count, s.words_written), (3, 4));
+
+        let mut image = Vec::new();
+        s.roll_back(&mut image);
+        assert_eq!(image.len(), 3);
+        assert_eq!((image[0].mask, image[0].words[0]), (1, 11), "redo image");
+        let slots = s.lines.slots();
+        assert_eq!((slots[0].mask, slots[0].flags), (0, READ | DEMOTED));
+        assert_eq!((slots[1].mask, slots[1].words[0]), (0b11, 20), "restored");
+        assert_eq!((slots[2].mask, slots[2].words[0]), (1, 30));
+        assert_eq!(s.lock_order, vec![9, 10], "line 8 left the lock order");
+        assert_eq!((s.data_count, s.words_written), (3, 4), "counts stay");
+
+        // A later write re-promotes line 8: locked again, not counted again.
+        assert!(!s.buffer_write(PAddr::new(65), 7), "not a new data line");
+        assert_eq!(s.data_count, 3);
+        assert_eq!(s.lock_order, vec![9, 10, 8]);
+        assert_eq!(s.lines.slots()[0].mask, 0b10);
+    }
+
+    #[test]
     fn only_reads_served_from_memory_join_the_read_set() {
         let mut s = TxnScratch::new();
         s.buffer_write(PAddr::new(64), 7);
         assert_eq!(s.read_buffered(PAddr::new(64)), Some(7));
-        assert_eq!((s.read_count, s.lines.slots()[0].flags), (0, DATA));
+        assert_eq!((s.read_count, s.lines.slots()[0].flags), (0, DATA | PLAIN));
         assert_eq!(
             s.read_buffered(PAddr::new(65)),
             None,
             "other word, same line"
         );
         assert_eq!(s.read_buffered(PAddr::new(66)), None);
-        assert_eq!((s.read_count, s.lines.slots()[0].flags), (1, DATA | READ));
+        assert_eq!(
+            (s.read_count, s.lines.slots()[0].flags),
+            (1, DATA | PLAIN | READ)
+        );
     }
 
     #[test]

@@ -24,7 +24,10 @@
 /// not for whole lines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LatencyModel {
-    /// Nanoseconds of busy-waiting charged to each drain operation.
+    /// How long a drain lasts from its issue, in nanoseconds, before the
+    /// cost of the ranged flushes it performs is added: the round trip to
+    /// the persistence domain. The simulator's own write-back work happens
+    /// within this time, not after it.
     pub drain_ns: u64,
     /// Nanoseconds charged once per ranged flush a drain issues (the
     /// per-instruction base cost adjacent lines amortize).

@@ -56,11 +56,13 @@
 //!   word index), so crash resolution is independent of mask iteration
 //!   order — which is what lets the word- and line-granular modes produce
 //!   bit-identical crash images for differential testing.
-//! * Latency follows suit: a drain charges
+//! * Latency follows suit: a drain lasts
 //!   [`crate::LatencyModel::drain_ns`] plus one
 //!   [`crate::LatencyModel::clwb_range`] per coalesced run it issues (see
 //!   "Batched drains" below), whose per-word component covers only the
-//!   words actually copied, and
+//!   words actually copied — measured from the drain's issue, so the
+//!   simulator's own claim/sort/copy bookkeeping runs inside that time,
+//!   not on top of it — and
 //!   [`PmemStats::words_persisted`] / [`PmemStats::line_words_persisted`]
 //!   report the measured write amplification
 //!   (`words_persisted / line_words_persisted`; 1.0 means every persisted
@@ -72,11 +74,12 @@
 //! write-back of the claimed lines is *batched*: the claimed line ids are
 //! snapshotted into a reusable per-thread scratch buffer, sorted, and
 //! coalesced into **maximal runs of adjacent lines**. For each run the
-//! drain first performs all of the run's masked word copies, then charges a
-//! single ranged-flush cost ([`crate::LatencyModel::clwb_range`]: a per-run
-//! base, a per-line component, and the per-word media cost) — so a
-//! transaction whose undo-log entries span four adjacent lines pays one
-//! flush base instead of four. [`PmemStats::flush_ranges`] and
+//! drain first performs all of the run's masked word copies, then adds a
+//! single ranged-flush cost to its deadline
+//! ([`crate::LatencyModel::clwb_range`]: a per-run base, a per-line
+//! component, and the per-word media cost) — so a transaction whose
+//! undo-log entries span four adjacent lines pays one flush base instead
+//! of four. [`PmemStats::flush_ranges`] and
 //! [`PmemStats::range_lines`] make the coalescing efficiency measurable
 //! (`flush_ranges < lines_persisted` means runs longer than one line were
 //! found; [`PmemStats::lines_per_range`] is the average run length).
@@ -163,7 +166,7 @@ use crafty_common::{
     mix64, LazyAtomicArray, LineId, OwnedCounter, PAddr, SplitMix64, WORDS_PER_LINE,
 };
 
-use crate::config::{CrashModel, DrainCoalescing, PersistGranularity, PmemConfig};
+use crate::config::{CrashModel, DrainCoalescing, LatencyModel, PersistGranularity, PmemConfig};
 use crate::image::PersistentImage;
 
 /// Counters describing the persist traffic a run generated.
@@ -423,6 +426,18 @@ pub struct MemorySpace {
     /// image while others (already photographed) predate it, a torn,
     /// causally impossible crash state no real power failure can produce.
     fault_capture_done: AtomicBool,
+}
+
+/// Spins until `ns` nanoseconds after `issued`: a deadline, not a sleep.
+/// Whatever the caller did since `issued` — the simulator's own write-back
+/// bookkeeping — counts toward the modelled latency, so an operation lasts
+/// exactly what [`LatencyModel`] says it costs (or, if the bookkeeping
+/// alone overran that, returns at once). `None` waits for nothing.
+fn spin_until(issued: Option<Instant>, ns: u64) {
+    let Some(issued) = issued else { return };
+    while (issued.elapsed().as_nanos() as u64) < ns {
+        std::hint::spin_loop();
+    }
 }
 
 /// Stripe count for eviction sampling; lines hash onto stripes, so
@@ -784,11 +799,12 @@ impl MemorySpace {
                 // deduplicated, and — unlike an asynchronous eviction — the
                 // issuing thread is stalled on the full buffer, so it pays the
                 // per-word media-write cost here instead of at a later drain.
+                let issued = self.issue_time();
                 let (words, line_words) = self.persist_line(line);
                 q.stats.overflow_writebacks.add(1);
                 q.stats.overflow_words.add(words);
                 q.stats.overflow_line_words.add(line_words);
-                self.busy_wait_ns(self.cfg.latency.clwb_range(1, words));
+                spin_until(issued, self.cfg.latency.clwb_range(1, words));
                 continue;
             }
             q.slot(pos).store(line.index(), Ordering::Release);
@@ -800,9 +816,15 @@ impl MemorySpace {
         requested
     }
 
-    /// Completes all of thread `tid`'s outstanding flushes (SFENCE) and
-    /// charges the configured drain latency. Returns the number of lines
-    /// this call persisted.
+    /// Completes all of thread `tid`'s outstanding flushes (SFENCE).
+    /// Returns the number of lines this call persisted.
+    ///
+    /// The call *lasts* what the latency model says a drain costs —
+    /// [`LatencyModel::drain_ns`] plus one [`LatencyModel::clwb_range`] per
+    /// run written back — measured from entry: the claim, the write-backs
+    /// and the retirement are the simulator standing in for work the
+    /// hardware does during that round trip, so they run inside the
+    /// modelled time rather than before it.
     ///
     /// Any thread may drain any queue (the Section 5.2 forcing paths drain
     /// other threads' queues). Concurrent drains of one queue claim
@@ -819,6 +841,7 @@ impl MemorySpace {
     ///
     /// Panics if `tid >= max_threads`.
     pub fn drain(&self, tid: usize) -> u64 {
+        let issued = self.issue_time();
         let q = &self.flush_queues[tid];
         let mut count = 0u64;
         let mut cost_ns = 0u64;
@@ -884,15 +907,15 @@ impl MemorySpace {
                 .fetch_add(1, Ordering::Relaxed);
         }
         self.fault_tick();
-        self.busy_wait_ns(self.cfg.latency.drain_ns + cost_ns);
+        spin_until(issued, self.cfg.latency.drain_ns + cost_ns);
         trace::record(tid, TraceEventKind::Drain, count);
         count
     }
 
     /// Reference write-back: persists the claimed positions one line at a
     /// time in enqueue order, each charged as a single-line ranged flush.
-    /// Returns what was written and its flush cost (charged by the caller
-    /// after retirement, alongside the flat drain cost).
+    /// Returns what was written and its flush cost (which the caller adds
+    /// to the flat drain cost in its deadline).
     fn persist_claimed_per_line(&self, q: &FlushQueue, claim: u64, target: u64) -> DrainSums {
         let mut sums = DrainSums {
             ranges: target - claim,
@@ -993,14 +1016,12 @@ impl MemorySpace {
         self.flush_queues[tid].pending() as usize
     }
 
-    fn busy_wait_ns(&self, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        let start = Instant::now();
-        while (start.elapsed().as_nanos() as u64) < ns {
-            std::hint::spin_loop();
-        }
+    /// The clock at the issue of a persist operation whose modelled cost
+    /// [`spin_until`] will wait out — or `None`, without reading the clock,
+    /// when the latency model charges nothing at all.
+    #[inline]
+    fn issue_time(&self) -> Option<Instant> {
+        (self.cfg.latency != LatencyModel::instant()).then(Instant::now)
     }
 
     /// Completes a write-back of `line`: atomically takes the line's
@@ -1678,6 +1699,28 @@ mod tests {
         let start = Instant::now();
         m.drain(0);
         assert!(start.elapsed().as_nanos() >= 200_000);
+    }
+
+    #[test]
+    fn spin_until_is_a_deadline_not_a_sleep() {
+        // A start that is already `ns` in the past: nothing left to wait
+        // (a sleep would take `ns` again; the margin is for a busy host).
+        const NS: u64 = 200_000_000;
+        let issued = Instant::now();
+        std::thread::sleep(std::time::Duration::from_nanos(NS));
+        let before = Instant::now();
+        spin_until(Some(issued), NS);
+        assert!(
+            (before.elapsed().as_nanos() as u64) < NS / 2,
+            "time already spent counts toward the deadline"
+        );
+        // A fresh start lasts the whole of it.
+        let issued = Instant::now();
+        spin_until(Some(issued), 200_000);
+        assert!(issued.elapsed().as_nanos() >= 200_000);
+        // No start, no wait: the instant model never reads the clock.
+        assert!(space().issue_time().is_none());
+        spin_until(None, u64::MAX);
     }
 
     #[test]

@@ -346,6 +346,40 @@ mod tests {
         assert!(a.total_steps > a.setup_steps, "the run must tick");
     }
 
+    /// The crash-point counts CI greps for at `--seed 1`, and why the two
+    /// hardware-Log routes sit where they do. While the Log commit still
+    /// published what it had rolled back, it stored every rolled-back
+    /// persistent word over itself and ticked the fault clock for it:
+    /// `bank` counted 582 points and `fallback/thread-unsafe-hw` 604. Now
+    /// a rolled-back line is validated, not published, and exactly those
+    /// ticks are gone — one per distinct account a transaction touched.
+    /// No coverage went with them: the image at such a tick was its
+    /// predecessor's (an old value stored over itself dirties nothing new).
+    #[test]
+    fn seed_1_anchors_moved_by_exactly_the_rolled_back_words() {
+        let cfg = TortureConfig::quick(1);
+        let picks = draw_picks(cfg.seed, cfg.txns);
+        let rolled_back: u64 = picks
+            .iter()
+            .map(|txn| {
+                let mut accounts: Vec<u64> = txn.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+                accounts.sort_unstable();
+                accounts.dedup();
+                accounts.len() as u64
+            })
+            .sum();
+        let points = |route| {
+            let run = run_once(route, &picks, FaultPlan::count_only());
+            run.total_steps - run.setup_steps
+        };
+        assert_eq!(582 - points(Route::Hardware), rolled_back);
+        assert_eq!(604 - points(Route::ThreadUnsafe), rolled_back);
+        // The routes that never run a hardware Log commit did not move.
+        assert_eq!(points(Route::PerLine), 578);
+        assert_eq!(points(Route::Sgl), 490);
+        assert_eq!(points(Route::ThreadUnsafeTiny), 490);
+    }
+
     #[test]
     fn a_final_step_image_recovers_to_the_full_run() {
         let picks = draw_picks(5, 6);
