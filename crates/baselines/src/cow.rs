@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use crafty_common::{
     BreakdownRecorder, BreakdownSnapshot, Clock, CompletionPath, PAddr, PersistentTm, TmThread,
-    TxAbort, TxnBody, TxnOps, TxnReport,
+    TxAbort, TxnBody, TxnOps,
 };
 use crafty_htm::{HtmConfig, HtmRuntime, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
@@ -294,8 +294,7 @@ impl ShadowPagingTm {
         writes: Vec<(PAddr, u64)>,
         ts: u64,
         path: CompletionPath,
-        attempts: u32,
-    ) -> TxnReport {
+    ) {
         self.recorder
             .record_persistent_writes(tid, writes.len() as u64);
         if !writes.is_empty() {
@@ -305,7 +304,6 @@ impl ShadowPagingTm {
         }
         self.in_flight[tid].store(0, Ordering::Release);
         self.recorder.record_completion(tid, path);
-        TxnReport::new(path, attempts)
     }
 }
 
@@ -387,7 +385,7 @@ impl TxnOps for LockedShadowOps<'_> {
 }
 
 impl TmThread for CowThread<'_> {
-    fn execute(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
+    fn execute(&mut self, body: &mut TxnBody<'_>) {
         let engine = self.engine;
         let mut attempts = 0;
         while attempts < MAX_HTM_ATTEMPTS {
@@ -436,7 +434,7 @@ impl TmThread for CowThread<'_> {
                 engine
                     .recorder
                     .record_completion(self.tid, CompletionPath::ReadOnly);
-                return TxnReport::new(CompletionPath::ReadOnly, attempts);
+                return;
             }
             return engine.complete_transaction(
                 self.tid,
@@ -444,7 +442,6 @@ impl TmThread for CowThread<'_> {
                 writes,
                 ts,
                 CompletionPath::NonCrafty,
-                attempts,
             );
         }
 
@@ -470,7 +467,6 @@ impl TmThread for CowThread<'_> {
             writes,
             ts,
             CompletionPath::Sgl,
-            attempts,
         )
     }
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crafty_common::{
     BreakdownRecorder, BreakdownSnapshot, CompletionPath, PAddr, PersistentTm, TmThread, TxAbort,
-    TxnBody, TxnOps, TxnReport,
+    TxnBody, TxnOps,
 };
 use crafty_htm::{HtmConfig, HtmRuntime, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
@@ -111,7 +111,7 @@ impl TxnOps for LockedOps<'_> {
 }
 
 impl TmThread for NonDurableThread<'_> {
-    fn execute(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
+    fn execute(&mut self, body: &mut TxnBody<'_>) {
         let engine = self.engine;
         let mut attempts = 0;
         while attempts < MAX_HTM_ATTEMPTS {
@@ -135,7 +135,7 @@ impl TmThread for NonDurableThread<'_> {
                 engine
                     .recorder
                     .record_completion(self.tid, CompletionPath::NonCrafty);
-                return TxnReport::new(CompletionPath::NonCrafty, attempts);
+                return;
             }
         }
         // Global-lock fallback: the SGL word in simulated memory *is* the
@@ -152,7 +152,6 @@ impl TmThread for NonDurableThread<'_> {
         engine
             .recorder
             .record_completion(self.tid, CompletionPath::Sgl);
-        TxnReport::new(CompletionPath::Sgl, attempts)
     }
 }
 
@@ -230,14 +229,16 @@ mod tests {
         let lines = HtmConfig::skylake().write_capacity_lines as u64 + 1;
         let base = mem.reserve_persistent(lines * WORDS_PER_LINE);
         let mut t = engine.register_thread(0);
-        let report = t.execute(&mut |ops| {
+        t.execute(&mut |ops| {
             for i in 0..lines {
                 ops.write(base.add(i * WORDS_PER_LINE), i)?;
             }
             Ok(())
         });
-        assert_eq!(report.path, CompletionPath::Sgl);
-        assert_eq!(report.hw_attempts, MAX_HTM_ATTEMPTS);
+        let b = engine.breakdown();
+        assert_eq!(b.total_persistent(), 1);
+        assert_eq!(b.completions(CompletionPath::Sgl), 1);
+        assert_eq!(b.total_hardware(), u64::from(MAX_HTM_ATTEMPTS));
         assert_eq!(mem.read(base.add((lines - 1) * WORDS_PER_LINE)), lines - 1);
     }
 

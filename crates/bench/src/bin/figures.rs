@@ -18,7 +18,7 @@
 //!                    [--drain-ns N] [--json-out PATH] [--assert-no-shed]
 //! figures torture    [--suite bank|fallback|kv|storm|recovery|service|all] [--seed N]
 //!                    [--txns N] [--steps N] [--crash-step N]
-//! figures trace      [--out trace.json] [--threads N] [--txns N] [--ring N]
+//! figures trace      [--out trace.json] [--threads N] [--txns N]
 //! figures --help
 //! ```
 //!
@@ -46,8 +46,9 @@
 //! sweep (1–16) and a larger budget; `--trace LEVEL` arms the tracer for
 //! the whole invocation. The `breakdown` subcommand is the same mechanism
 //! at trace level `counters`: bank and YCSB-A on the four KV engines, with
-//! each engine's per-phase time and abort-cause histogram on screen and
-//! (as `phase_ns` / `abort_causes`) in its artifact.
+//! each engine's per-phase time on screen and (as `phase_ns`) in its
+//! artifact, beside the completion paths and hardware outcomes every point
+//! carries.
 //!
 //! **The gate.** `compare` reads two engine artifacts and, for every
 //! workload in the baseline, checks Crafty's single-thread throughput
@@ -96,7 +97,7 @@ use crafty_bench::{
     run_kvserve_point, run_point, run_points, run_trace_dump, FlagDef, HarnessConfig,
     KvServeConfig, KvServeEngine, ParsedArgs, Point, SubcommandSpec, TraceDumpConfig, KV_ENGINES,
 };
-use crafty_common::trace::{self, TraceConfig, TraceLevel};
+use crafty_common::trace::{self, TraceLevel};
 use crafty_pmem::LatencyModel;
 use crafty_stats::{render_breakdown, render_figure, render_figure_csv, Figure, Json};
 use crafty_workloads::{
@@ -348,8 +349,7 @@ const SPECS: &[SubcommandSpec] = &[
     SubcommandSpec {
         name: "breakdown",
         positional: None,
-        summary:
-            "bank and YCSB-A on four engines at trace level counters: phase times, abort causes",
+        summary: "bank and YCSB-A on four engines at trace level counters: phase times",
         flags: &[
             FlagDef {
                 name: "--threads",
@@ -364,7 +364,7 @@ const SPECS: &[SubcommandSpec] = &[
             FlagDef {
                 name: "--json-out",
                 value: Some("PATH"),
-                help: "write the points (with phase_ns / abort_causes) as an engine artifact",
+                help: "write the points (with phase_ns) as an engine artifact",
             },
         ],
     },
@@ -387,11 +387,6 @@ const SPECS: &[SubcommandSpec] = &[
                 name: "--txns",
                 value: Some("N"),
                 help: "transactions per thread (default 200)",
-            },
-            FlagDef {
-                name: "--ring",
-                value: Some("N"),
-                help: "per-thread event-ring capacity (default 4096)",
             },
         ],
     },
@@ -433,7 +428,7 @@ fn print_usage() {
          schema: per point workload, engine, threads, ops_per_sec, writes_per_txn, the\n\
          persist-traffic counters (write_amplification = words_persisted /\n\
          line_words_persisted; flush_ranges, lines_per_range), completions, hw_outcomes,\n\
-         and phase_ns / abort_causes when traced. `compare` gates any two of them.\n\
+         and phase_ns when traced. `compare` gates any two of them.\n\
          Every artifact's config block carries nproc and the git revision.\n\
          The kvserve artifact carries p50/p99/p999 latency per (engine, rate), measured\n\
          from intended send times — or `saturated` where achieved < 0.95 x offered.\n\
@@ -481,10 +476,7 @@ fn parse_figures_args(args: &[String]) -> Options {
                 "--trace must be one of off, counters, events; got `{level}`"
             ))
         });
-        trace::configure(TraceConfig {
-            level,
-            ..TraceConfig::default()
-        });
+        trace::set_level(level);
     }
     Options {
         targets,
@@ -565,7 +557,7 @@ fn emit_figure(
 }
 
 /// Prints each point's completion-path and hardware-outcome counts — and,
-/// from a traced run, its phase times and abort causes.
+/// from a traced run, its phase times.
 fn print_breakdowns(points: &[Point]) {
     let row = |p: &Point| render_breakdown(&p.measurement.engine, &p.breakdown);
     print!("{}", render_by_workload(points, row));
@@ -751,8 +743,8 @@ fn run_torture(args: &[String]) -> ! {
 }
 
 /// The `breakdown` subcommand: the comparison mechanism at trace level
-/// `counters`, so every instrumented engine's points carry phase times
-/// and abort causes. Its own process, because the trace level is
+/// `counters`, so every instrumented engine's points carry phase times.
+/// Its own process, because the trace level is
 /// process-global and an artifact states one. Exits 0, or 2 on usage
 /// errors.
 fn run_breakdown_cmd(args: &[String]) -> ! {
@@ -760,7 +752,7 @@ fn run_breakdown_cmd(args: &[String]) -> ! {
     let threads: usize = flag(p.parsed("--threads", 4));
     let mut cfg = HarnessConfig::quick();
     cfg.txns_per_thread = flag(p.parsed("--txns", cfg.txns_per_thread));
-    trace::configure(TraceConfig::counters());
+    trace::set_level(TraceLevel::Counters);
     println!(
         "== traced phase breakdown: bank + YCSB-A on the four KV engines, \
          {threads} threads, trace level counters =="
@@ -787,7 +779,6 @@ fn run_trace_cmd(args: &[String]) -> ! {
     let mut dump = TraceDumpConfig::quick();
     dump.threads = flag(p.parsed("--threads", dump.threads));
     dump.txns_per_thread = flag(p.parsed("--txns", dump.txns_per_thread));
-    dump.ring_capacity = flag(p.parsed("--ring", dump.ring_capacity));
     let out = p.value("--out").unwrap_or("trace.json");
     let cfg = HarnessConfig::quick();
     println!(
@@ -795,7 +786,7 @@ fn run_trace_cmd(args: &[String]) -> ! {
         dump.engine.label(),
         dump.threads,
         dump.txns_per_thread,
-        dump.ring_capacity,
+        trace::DEFAULT_RING_CAPACITY,
     );
     std::fs::write(out, run_trace_dump(&dump, &cfg)).expect("write trace json");
     println!("[chrome trace written to {out} — load it in chrome://tracing or Perfetto]");

@@ -40,7 +40,7 @@ pub use tracedump::{run_trace_dump, TraceDumpConfig};
 
 use std::sync::Arc;
 
-use crafty_common::{trace, AbortCause, BreakdownSnapshot, CompletionPath, HwTxnOutcome, TxnPhase};
+use crafty_common::{trace, BreakdownSnapshot, CompletionPath, HwTxnOutcome, TxnPhase};
 use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig, PmemStats};
 use crafty_stats::{Json, Measurement};
 use crafty_workloads::{build_engine, measure, EngineKind, Workload};
@@ -191,7 +191,7 @@ pub struct Point {
     /// Engine label, thread count, transactions executed and wall time.
     pub measurement: Measurement,
     /// The engine's completion-path and hardware-outcome counters; phase
-    /// times and abort causes too when the run was traced.
+    /// times too when the run was traced.
     pub breakdown: BreakdownSnapshot,
     /// Persist traffic of the *measured run only* (setup and prefill are
     /// snapshotted away, so `words_persisted / line_words_persisted` is
@@ -286,8 +286,8 @@ pub fn render_points_table(points: &[Point]) -> String {
 
 /// Renders points as the engine artifact — the one schema behind the
 /// committed `BENCH_hotpath.json` and every `--json-out` file, and the one
-/// [`compare`] reads. `phase_ns` and `abort_causes` appear only on points
-/// that recorded any, i.e. instrumented engines in a traced run.
+/// [`compare`] reads. `phase_ns` appears only on points that recorded any,
+/// i.e. instrumented engines in a traced run.
 pub fn render_points_json(cfg: &HarnessConfig, points: &[Point]) -> String {
     fn counts<T: Copy>(all: &[T], label: fn(T) -> &'static str, count: impl Fn(T) -> u64) -> Json {
         all.iter().fold(Json::object(), |o, &x| {
@@ -327,12 +327,6 @@ pub fn render_points_json(cfg: &HarnessConfig, points: &[Point]) -> String {
                 o.set(
                     "phase_ns",
                     counts(&TxnPhase::ALL, TxnPhase::label, |x| b.phase_cycles(x)),
-                );
-            }
-            if b.total_abort_causes() > 0 {
-                o.set(
-                    "abort_causes",
-                    counts(&AbortCause::ALL, AbortCause::label, |x| b.abort_cause(x)),
                 );
             }
             o
@@ -433,7 +427,7 @@ pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crafty_common::trace::TraceConfig;
+    use crafty_common::TraceLevel;
     use crafty_stats::Figure;
     use crafty_workloads::{BankWorkload, Contention, YcsbMix, YcsbWorkload};
     use std::time::Duration;
@@ -601,19 +595,20 @@ mod tests {
             seed: 7,
             ..tiny()
         };
-        let previous = trace::level();
-        trace::configure(TraceConfig::counters());
-        let points = run_points(
-            &[
-                &BankWorkload::paper(Contention::Medium, 2),
-                &YcsbWorkload::paper(YcsbMix::A),
-            ],
-            &KV_ENGINES,
-            &[2],
-            &cfg,
-        );
-        let json = render_points_json(&cfg, &points);
-        trace::set_level(previous);
+        let (points, json) = {
+            let _counters = trace::LevelGuard::arm(TraceLevel::Counters);
+            let points = run_points(
+                &[
+                    &BankWorkload::paper(Contention::Medium, 2),
+                    &YcsbWorkload::paper(YcsbMix::A),
+                ],
+                &KV_ENGINES,
+                &[2],
+                &cfg,
+            );
+            let json = render_points_json(&cfg, &points);
+            (points, json)
+        };
         assert_eq!(points.len(), 2 * KV_ENGINES.len());
 
         let doc = Json::parse(&json).expect("artifact parses");
@@ -623,13 +618,13 @@ mod tests {
             Some("counters")
         );
         for (p, rendered) in points.iter().zip(doc.get("points").unwrap().items()) {
-            // The cause histogram is rendered whole, and only where any
-            // abort was attributed.
+            // Aborts are told apart by hardware outcome alone, rendered
+            // whole on every point.
+            assert!(rendered.get("abort_causes").is_none());
+            let outcomes = rendered.get("hw_outcomes").expect("hw_outcomes");
             assert_eq!(
-                rendered
-                    .get("abort_causes")
-                    .map(|c| c.get("persistent-doomed").is_some()),
-                (p.breakdown.total_abort_causes() > 0).then_some(true)
+                outcomes.get("zero").and_then(Json::as_u64),
+                Some(p.breakdown.hw(HwTxnOutcome::Zero))
             );
             match p.measurement.engine.as_str() {
                 // Crafty is fully instrumented: it always runs the Log phase.

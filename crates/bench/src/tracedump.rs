@@ -10,13 +10,14 @@
 //! fences dotted inside. Timestamps are the trace clock's virtual
 //! nanoseconds converted to the format's microseconds.
 //!
-//! The rings are flight recorders: a long run overwrites its oldest
-//! events, and the dump reports per-thread drop counts in the metadata
-//! rather than pretending the window was complete.
+//! The rings are flight recorders of [`trace::DEFAULT_RING_CAPACITY`]
+//! events per thread: a long run overwrites its oldest events, and the
+//! dump reports per-thread drop counts in the metadata rather than
+//! pretending the window was complete.
 
 use std::sync::Arc;
 
-use crafty_common::trace::{self, TraceConfig, TraceLevel};
+use crafty_common::trace::{self, TraceLevel};
 use crafty_common::TraceEventKind;
 use crafty_pmem::MemorySpace;
 use crafty_stats::Json;
@@ -31,11 +32,9 @@ pub struct TraceDumpConfig {
     pub engine: EngineKind,
     /// Worker threads.
     pub threads: usize,
-    /// Transactions per thread — keep this near the ring capacity so the
-    /// flight-recorder window covers the run.
+    /// Transactions per thread — keep this small enough for the ring
+    /// capacity that the flight-recorder window covers the run.
     pub txns_per_thread: u64,
-    /// Event-ring capacity per thread (rounded up to a power of two).
-    pub ring_capacity: usize,
 }
 
 impl TraceDumpConfig {
@@ -46,7 +45,6 @@ impl TraceDumpConfig {
             engine: EngineKind::Crafty,
             threads: 2,
             txns_per_thread: 200,
-            ring_capacity: 4096,
         }
     }
 }
@@ -54,11 +52,7 @@ impl TraceDumpConfig {
 /// Runs the capture and returns the Chrome trace-event JSON. The trace
 /// level is restored to its previous value before returning.
 pub fn run_trace_dump(dump: &TraceDumpConfig, cfg: &HarnessConfig) -> String {
-    let previous = trace::level();
-    trace::configure(TraceConfig {
-        level: TraceLevel::Events,
-        ring_capacity: dump.ring_capacity,
-    });
+    let events_armed = trace::LevelGuard::arm(TraceLevel::Events);
     trace::reset_rings();
 
     let mem = Arc::new(MemorySpace::new(cfg.pmem_config(dump.threads)));
@@ -122,7 +116,7 @@ pub fn run_trace_dump(dump: &TraceDumpConfig, cfg: &HarnessConfig) -> String {
             }
         }
     }
-    trace::set_level(previous);
+    drop(events_armed);
 
     Json::object()
         .with("traceEvents", Json::Array(events))
@@ -150,7 +144,6 @@ mod tests {
             engine: EngineKind::Crafty,
             threads: 2,
             txns_per_thread: 40,
-            ring_capacity: 1 << 12,
         };
         let cfg = HarnessConfig {
             thread_counts: vec![2],

@@ -28,7 +28,7 @@
 //! ```
 
 use crate::addr::PAddr;
-use crate::breakdown::{BreakdownSnapshot, CompletionPath};
+use crate::breakdown::BreakdownSnapshot;
 use crate::error::TxAbort;
 
 /// Operations available to a transaction body.
@@ -79,23 +79,6 @@ pub trait TxnOps {
 /// A transaction body: a re-executable closure over [`TxnOps`].
 pub type TxnBody<'a> = dyn FnMut(&mut dyn TxnOps) -> Result<(), TxAbort> + 'a;
 
-/// What happened while executing one persistent transaction to completion.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TxnReport {
-    /// The path by which the transaction finally committed.
-    pub path: CompletionPath,
-    /// Number of hardware transactions attempted while executing it
-    /// (including aborted attempts across all phases).
-    pub hw_attempts: u32,
-}
-
-impl TxnReport {
-    /// Convenience constructor.
-    pub const fn new(path: CompletionPath, hw_attempts: u32) -> Self {
-        TxnReport { path, hw_attempts }
-    }
-}
-
 /// A per-thread handle onto an engine.
 ///
 /// Engines keep per-thread state (undo/redo logs, retry counters); worker
@@ -104,8 +87,10 @@ impl TxnReport {
 pub trait TmThread {
     /// Executes one persistent transaction to completion, retrying and
     /// falling back internally as the engine requires. The body may be
-    /// invoked any number of times.
-    fn execute(&mut self, body: &mut TxnBody<'_>) -> TxnReport;
+    /// invoked any number of times. How it completed, and how every
+    /// hardware attempt on the way ended, is counted in the engine's
+    /// [`PersistentTm::breakdown`].
+    fn execute(&mut self, body: &mut TxnBody<'_>);
 
     /// Executes one persistent transaction whose **durability may be
     /// deferred**: the transaction commits (becomes visible, logs its undo
@@ -127,7 +112,7 @@ pub trait TmThread {
     /// The default implementation simply calls [`TmThread::execute`]:
     /// engines without a deferral fast path remain correct, just without
     /// the shared barrier.
-    fn execute_deferred(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
+    fn execute_deferred(&mut self, body: &mut TxnBody<'_>) {
         self.execute(body)
     }
 
@@ -193,7 +178,7 @@ pub trait PersistentTm: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breakdown::BreakdownRecorder;
+    use crate::breakdown::{BreakdownRecorder, CompletionPath};
     use std::collections::HashMap;
 
     /// A trivial in-memory engine used to exercise the trait object
@@ -233,7 +218,7 @@ mod tests {
     }
 
     impl TmThread for MapThread<'_> {
-        fn execute(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
+        fn execute(&mut self, body: &mut TxnBody<'_>) {
             let mut ops = MapOps {
                 store: &mut self.store,
                 next: &mut self.next,
@@ -241,7 +226,6 @@ mod tests {
             body(&mut ops).expect("map engine never aborts");
             self.recorder
                 .record_completion(self.tid, CompletionPath::NonCrafty);
-            TxnReport::new(CompletionPath::NonCrafty, 1)
         }
     }
 
@@ -272,12 +256,12 @@ mod tests {
         };
         let mut thread = tm.register_thread(0);
         let target = PAddr::new(100);
-        let report = thread.execute(&mut |ops| {
+        thread.execute(&mut |ops| {
             let v = ops.read(target)?;
             ops.write(target, v + 7)?;
             Ok(())
         });
-        assert_eq!(report.path, CompletionPath::NonCrafty);
+        assert_eq!(tm.breakdown().completions(CompletionPath::NonCrafty), 1);
         let mut read_back = 0;
         thread.execute(&mut |ops| {
             read_back = ops.read(target)?;

@@ -8,9 +8,10 @@
 //! harness snapshots it after a run.
 
 use std::fmt;
+use std::time::Instant;
 
 use crate::counter::OwnedCounter;
-use crate::trace::{AbortCause, TxnPhase};
+use crate::trace::{self, TraceEventKind, TxnPhase};
 
 /// How a persistent transaction ultimately committed.
 ///
@@ -112,7 +113,9 @@ impl HwTxnOutcome {
         }
     }
 
-    const fn index(self) -> usize {
+    /// Dense index: the outcome's position in [`HwTxnOutcome::ALL`], and
+    /// the low byte of its [`TraceEventKind::Abort`] event's argument.
+    pub const fn index(self) -> usize {
         match self {
             HwTxnOutcome::Commit => 0,
             HwTxnOutcome::Conflict => 1,
@@ -141,12 +144,11 @@ struct ThreadCells {
     /// while [`crate::trace::counters_enabled`] — the phase timers that
     /// feed it are the Counters-level cost.
     phase_cycles: [OwnedCounter; 6],
-    /// Abort-cause histogram ([`AbortCause`] taxonomy). Populated
-    /// unconditionally, like the hardware-outcome counters.
-    abort_causes: [OwnedCounter; 5],
 }
 
-/// Counters shared between an engine and the measurement harness.
+/// Counters shared between an engine and the measurement harness — the one
+/// recording API: each fact about a transaction is one call here, which
+/// counts it and, when tracing is armed, times it or pushes its ring event.
 ///
 /// Every `record_*` call names the recording thread's slot (`tid`) and
 /// bumps that slot's private, cache-line-padded cells with a plain
@@ -195,10 +197,22 @@ impl BreakdownRecorder {
         self.cells[tid].persistent[path.index()].add(1);
     }
 
-    /// Records the outcome of one hardware transaction attempt.
-    #[inline]
-    pub fn record_hw(&self, tid: usize, outcome: HwTxnOutcome) {
+    /// Records how one hardware transaction attempt ended and, at
+    /// [`trace::TraceLevel::Events`], pushes its ring event:
+    /// [`TraceEventKind::HtmCommit`] carrying `detail` (the write-set size)
+    /// for a commit, [`TraceEventKind::Abort`] carrying the outcome's
+    /// [`HwTxnOutcome::index`] with `detail` (an explicit abort's code)
+    /// in the bits above it for an abort.
+    // Forced inline: `HwTxn::commit` calls it on every hardware commit,
+    // and left out of line it cost `bank-1t` 1% of its throughput.
+    #[inline(always)]
+    pub fn record_hw(&self, tid: usize, outcome: HwTxnOutcome, detail: u64) {
         self.cells[tid].hardware[outcome.index()].add(1);
+        let (kind, arg) = match outcome {
+            HwTxnOutcome::Commit => (TraceEventKind::HtmCommit, detail),
+            _ => (TraceEventKind::Abort, outcome.index() as u64 | detail << 8),
+        };
+        trace::record(tid, kind, arg);
     }
 
     /// Records `n` program writes to persistent memory (Table 1 input).
@@ -213,10 +227,17 @@ impl BreakdownRecorder {
         self.cells[tid].phase_cycles[phase.index()].add(cycles);
     }
 
-    /// Records one abort attributed to `cause`.
+    /// Runs `f`, charging its duration to `phase` on thread `tid` when
+    /// phase timing is armed ([`trace::TraceLevel::Counters`] or above).
+    /// Disarmed, the whole cost is one relaxed load and a branch.
     #[inline]
-    pub fn record_abort_cause(&self, tid: usize, cause: AbortCause) {
-        self.cells[tid].abort_causes[cause.index()].add(1);
+    pub fn timed<R>(&self, tid: usize, phase: TxnPhase, f: impl FnOnce() -> R) -> R {
+        let start = trace::counters_enabled().then(Instant::now);
+        let result = f();
+        if let Some(start) = start {
+            self.record_phase_cycles(tid, phase, start.elapsed().as_nanos() as u64);
+        }
+        result
     }
 
     /// Takes a point-in-time copy of all counters, summed over threads.
@@ -232,7 +253,6 @@ impl BreakdownRecorder {
             sum(&mut s.hardware, &c.hardware);
             s.persistent_writes += c.persistent_writes.get();
             sum(&mut s.phase_cycles, &c.phase_cycles);
-            sum(&mut s.abort_causes, &c.abort_causes);
         }
         s
     }
@@ -246,7 +266,6 @@ pub struct BreakdownSnapshot {
     /// Total number of program writes to persistent memory.
     pub persistent_writes: u64,
     phase_cycles: [u64; 6],
-    abort_causes: [u64; 5],
 }
 
 impl BreakdownSnapshot {
@@ -286,16 +305,6 @@ impl BreakdownSnapshot {
         self.phase_cycles.iter().sum()
     }
 
-    /// Aborts attributed to `cause`.
-    pub fn abort_cause(&self, cause: AbortCause) -> u64 {
-        self.abort_causes[cause.index()]
-    }
-
-    /// Total aborts in the cause histogram.
-    pub fn total_abort_causes(&self) -> u64 {
-        self.abort_causes.iter().sum()
-    }
-
     /// Average program writes per persistent transaction (Table 1).
     pub fn writes_per_txn(&self) -> f64 {
         let txns = self.total_persistent();
@@ -313,7 +322,6 @@ impl BreakdownSnapshot {
             hardware: core::array::from_fn(|i| self.hardware[i] - earlier.hardware[i]),
             persistent_writes: self.persistent_writes - earlier.persistent_writes,
             phase_cycles: core::array::from_fn(|i| self.phase_cycles[i] - earlier.phase_cycles[i]),
-            abort_causes: core::array::from_fn(|i| self.abort_causes[i] - earlier.abort_causes[i]),
         }
     }
 }
@@ -340,12 +348,12 @@ mod tests {
     #[test]
     fn hw_counters_accumulate() {
         let r = BreakdownRecorder::new();
-        r.record_hw(0, HwTxnOutcome::Commit);
-        r.record_hw(0, HwTxnOutcome::Conflict);
-        r.record_hw(0, HwTxnOutcome::Conflict);
-        r.record_hw(0, HwTxnOutcome::Capacity);
-        r.record_hw(0, HwTxnOutcome::Explicit);
-        r.record_hw(0, HwTxnOutcome::Zero);
+        r.record_hw(0, HwTxnOutcome::Commit, 0);
+        r.record_hw(0, HwTxnOutcome::Conflict, 0);
+        r.record_hw(0, HwTxnOutcome::Conflict, 0);
+        r.record_hw(0, HwTxnOutcome::Capacity, 0);
+        r.record_hw(0, HwTxnOutcome::Explicit, 0);
+        r.record_hw(0, HwTxnOutcome::Zero, 0);
         let s = r.snapshot();
         assert_eq!(s.hw(HwTxnOutcome::Commit), 1);
         assert_eq!(s.hw(HwTxnOutcome::Conflict), 2);
@@ -373,11 +381,11 @@ mod tests {
     #[test]
     fn since_subtracts_counters() {
         let r = BreakdownRecorder::new();
-        r.record_hw(0, HwTxnOutcome::Commit);
+        r.record_hw(0, HwTxnOutcome::Commit, 0);
         r.record_persistent_writes(0, 3);
         let first = r.snapshot();
-        r.record_hw(0, HwTxnOutcome::Commit);
-        r.record_hw(0, HwTxnOutcome::Conflict);
+        r.record_hw(0, HwTxnOutcome::Commit, 0);
+        r.record_hw(0, HwTxnOutcome::Conflict, 0);
         r.record_persistent_writes(0, 2);
         let delta = r.snapshot().since(&first);
         assert_eq!(delta.hw(HwTxnOutcome::Commit), 1);
@@ -415,26 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn abort_cause_histogram_accumulates() {
-        let r = BreakdownRecorder::new();
-        r.record_abort_cause(0, AbortCause::Conflict);
-        r.record_abort_cause(0, AbortCause::Conflict);
-        r.record_abort_cause(0, AbortCause::PersistentDoomed);
-        r.record_abort_cause(0, AbortCause::SglFallback);
-        let s = r.snapshot();
-        assert_eq!(s.abort_cause(AbortCause::Conflict), 2);
-        assert_eq!(s.abort_cause(AbortCause::PersistentDoomed), 1);
-        assert_eq!(s.abort_cause(AbortCause::SglFallback), 1);
-        assert_eq!(s.abort_cause(AbortCause::Capacity), 0);
-        assert_eq!(s.total_abort_causes(), 4);
-    }
-
-    #[test]
     fn snapshot_sums_every_threads_cells() {
         let r = BreakdownRecorder::with_threads(3);
-        r.record_hw(0, HwTxnOutcome::Commit);
-        r.record_hw(2, HwTxnOutcome::Commit);
-        r.record_hw(2, HwTxnOutcome::Zero);
+        r.record_hw(0, HwTxnOutcome::Commit, 0);
+        r.record_hw(2, HwTxnOutcome::Commit, 0);
+        r.record_hw(2, HwTxnOutcome::Zero, 0);
         r.record_persistent_writes(1, 7);
         r.record_phase_cycles(1, TxnPhase::Redo, 40);
         r.record_phase_cycles(2, TxnPhase::Redo, 2);

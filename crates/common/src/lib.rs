@@ -12,17 +12,19 @@
 //!   that workloads and the figure harness are engine-generic.
 //! * [`breakdown`] — per-thread counters that record how each persistent
 //!   transaction completed and how each hardware transaction ended,
-//!   mirroring the categories of the paper's appendix figures.
+//!   mirroring the categories of the paper's appendix figures — the one
+//!   recording API, which also times phases and pushes ring events when
+//!   tracing is armed.
 //! * [`counter`] — the single-writer counter cell those (and the
 //!   persistence domain's statistics) are built from.
 //! * [`genset`] — the generation-stamped open-addressed line table with
 //!   O(1) clear that every transaction descriptor is built on.
 //! * [`shard`] — lazily-allocated sharded atomic arrays backing the
 //!   per-line metadata (versioned locks, dirty bits, dedup stamps).
-//! * [`trace`] — the runtime-leveled observability layer: per-thread
-//!   lock-free event rings, the abort-cause taxonomy, and the
-//!   virtual-cycle phase timers behind the `figures breakdown` and
-//!   `figures trace` reports.
+//! * [`trace`] — the runtime-leveled observability layer: the trace
+//!   level that arms [`BreakdownRecorder`]'s virtual-cycle phase timers,
+//!   and the per-thread lock-free event rings behind the `figures trace`
+//!   report and the torture suites' flight-recorder tails.
 //! * [`zipf`] — the YCSB-style zipfian key-popularity distribution used by
 //!   the KV-store workloads.
 //!
@@ -56,7 +58,7 @@ pub mod trace;
 pub mod zipf;
 
 pub use addr::{LineId, PAddr, WORDS_PER_LINE};
-pub use api::{PersistentTm, TmThread, TxnBody, TxnOps, TxnReport};
+pub use api::{PersistentTm, TmThread, TxnBody, TxnOps};
 pub use breakdown::{BreakdownRecorder, BreakdownSnapshot, CompletionPath, HwTxnOutcome};
 pub use clock::{Clock, Timestamp};
 pub use counter::OwnedCounter;
@@ -64,7 +66,5 @@ pub use error::{SetupError, TxAbort};
 pub use genset::{LineSlot, LineTable};
 pub use rng::{mix64, SplitMix64};
 pub use shard::LazyAtomicArray;
-pub use trace::{
-    AbortCause, EventRing, TraceConfig, TraceEvent, TraceEventKind, TraceLevel, TxnPhase,
-};
+pub use trace::{EventRing, TraceEvent, TraceEventKind, TraceLevel, TxnPhase};
 pub use zipf::{Zipfian, YCSB_THETA};

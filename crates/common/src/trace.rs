@@ -1,29 +1,32 @@
-//! Lock-free transaction-lifecycle tracing: per-thread event rings, the
-//! abort-cause taxonomy, and the runtime trace level.
+//! Lock-free transaction-lifecycle tracing: per-thread event rings and the
+//! runtime trace level.
 //!
 //! The paper's whole argument is *where the cycles go* — HTM attempts vs.
 //! aborts, logging vs. checkpointing, drains vs. fences — so the repro
 //! carries an always-available observability layer that can decompose
 //! every committed transaction into per-phase costs without perturbing
-//! the hot path it measures. Three runtime levels, selected by
-//! [`set_level`] / [`configure`]:
+//! the hot path it measures. How transactions completed and how hardware
+//! attempts ended is counted at every level, by the engine's
+//! [`crate::BreakdownRecorder`]; the level adds to that, and is selected
+//! by [`set_level`] (or for a scope, [`LevelGuard`]):
 //!
 //! - [`TraceLevel::Off`] (the default): a single relaxed atomic load and a
 //!   predictable branch per instrumentation site — the same disarmed-fast-
 //!   path discipline as `crafty-pmem`'s `fault_tick`. The hot-path perf
 //!   gate (`figures compare`) pins this as effectively zero overhead.
-//! - [`TraceLevel::Counters`]: phase timers run. Each engine phase (Log /
-//!   Redo / Validate / SGL / drain / fence) is stamped with a
-//!   virtual-cycle timer — monotonic nanoseconds that *include* the
-//!   simulated NVM latencies, since the memory-space busy-waits them in
-//!   real time — and accumulated in the engine's
-//!   [`crate::BreakdownRecorder`].
+//! - [`TraceLevel::Counters`]: phase timers run
+//!   ([`crate::BreakdownRecorder::timed`]). Each engine phase (Log / Redo
+//!   / Validate / SGL / drain / fence) is timed in virtual cycles —
+//!   monotonic nanoseconds that *include* the simulated NVM latencies,
+//!   since the memory space busy-waits them in real time — and
+//!   accumulated in the recorder. No rings are installed.
 //! - [`TraceLevel::Events`]: additionally, every lifecycle event (txn
-//!   begin/end, HTM attempt/commit/abort, undo append, redo apply, flush
-//!   enqueue, drain, ranged CLWB, persist fence) is recorded in a
-//!   per-thread [`EventRing`] — a fixed-capacity, allocation-free flight
-//!   recorder whose tail survives to a crash report or a
-//!   chrome://tracing dump.
+//!   begin/end, HTM attempt/commit/abort, software fallback, undo append,
+//!   redo apply, flush enqueue, drain, ranged CLWB, persist fence) is
+//!   recorded in a per-thread [`EventRing`] — a fixed-capacity,
+//!   allocation-free flight recorder whose tail survives to a crash report
+//!   or a chrome://tracing dump. The rings are installed by the first
+//!   `set_level(Events)`.
 //!
 //! # Ring discipline
 //!
@@ -42,14 +45,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Explicit abort code: a phase's hardware transaction observed the single
-/// global lock held and aborted (speculative lock elision).
-pub const ABORT_SGL_HELD: u32 = 1;
-/// Explicit abort code: the Redo phase's `gLastRedoTS` check failed.
-pub const ABORT_REDO_TS_CHECK: u32 = 2;
-/// Explicit abort code: a Validate-phase check failed.
-pub const ABORT_VALIDATE_MISMATCH: u32 = 3;
-
 /// How much the tracing layer records, from nothing to full event rings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
@@ -57,7 +52,7 @@ pub enum TraceLevel {
     /// No timers, no events: one atomic load per instrumentation site.
     Off = 0,
     /// Phase timers feed the [`crate::BreakdownRecorder`]'s per-phase
-    /// cycle and abort-cause accumulators.
+    /// cycle accumulators.
     Counters = 1,
     /// Counters plus per-thread lifecycle event rings.
     Events = 2,
@@ -81,115 +76,6 @@ impl TraceLevel {
             TraceLevel::Counters => "counters",
             TraceLevel::Events => "events",
         }
-    }
-}
-
-/// Tracing configuration: the level and the per-thread ring capacity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// What to record.
-    pub level: TraceLevel,
-    /// Per-thread event-ring capacity (rounded up to a power of two on
-    /// first installation; later [`configure`] calls cannot change it).
-    pub ring_capacity: usize,
-}
-
-impl TraceConfig {
-    /// The zero-cost default: tracing disarmed.
-    pub fn off() -> TraceConfig {
-        TraceConfig {
-            level: TraceLevel::Off,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-        }
-    }
-
-    /// Phase timers only.
-    pub fn counters() -> TraceConfig {
-        TraceConfig {
-            level: TraceLevel::Counters,
-            ..TraceConfig::off()
-        }
-    }
-
-    /// Full event recording with the default ring capacity.
-    pub fn events() -> TraceConfig {
-        TraceConfig {
-            level: TraceLevel::Events,
-            ..TraceConfig::off()
-        }
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::off()
-    }
-}
-
-/// Why a hardware transaction (or a whole phase attempt) gave up — the
-/// structured taxonomy the breakdown histogram and the future adaptive
-/// phased engine branch on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AbortCause {
-    /// Read/write-set conflict with a concurrent transaction.
-    Conflict,
-    /// Speculative state overflowed the simulated HTM capacity.
-    Capacity,
-    /// Software-requested abort (SGL subscription, spurious/zero codes).
-    Explicit,
-    /// The persistence protocol doomed the attempt: the Redo phase's
-    /// `gLastRedoTS` check or a Validate-phase comparison failed, so the
-    /// hardware transaction was correct but its persistent context was
-    /// already stale.
-    PersistentDoomed,
-    /// The phase-restart budget ran out and the transaction entered the
-    /// software fallback — per-line or SGL, whichever policy is configured
-    /// (counted once per fallback entry).
-    SglFallback,
-}
-
-impl AbortCause {
-    /// Every cause, in display order.
-    pub const ALL: [AbortCause; 5] = [
-        AbortCause::Conflict,
-        AbortCause::Capacity,
-        AbortCause::Explicit,
-        AbortCause::PersistentDoomed,
-        AbortCause::SglFallback,
-    ];
-
-    /// Stable human-readable label.
-    pub const fn label(self) -> &'static str {
-        match self {
-            AbortCause::Conflict => "conflict",
-            AbortCause::Capacity => "capacity",
-            AbortCause::Explicit => "explicit",
-            AbortCause::PersistentDoomed => "persistent-doomed",
-            AbortCause::SglFallback => "software-fallback",
-        }
-    }
-
-    /// Dense array index (also the event-ring argument encoding used by
-    /// [`TraceEventKind::Abort`] events).
-    pub const fn index(self) -> usize {
-        match self {
-            AbortCause::Conflict => 0,
-            AbortCause::Capacity => 1,
-            AbortCause::Explicit => 2,
-            AbortCause::PersistentDoomed => 3,
-            AbortCause::SglFallback => 4,
-        }
-    }
-
-    /// The cause encoded at `index`, if in range.
-    pub fn from_index(index: u64) -> Option<AbortCause> {
-        AbortCause::ALL.get(index as usize).copied()
-    }
-}
-
-impl std::fmt::Display for AbortCause {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
     }
 }
 
@@ -263,7 +149,9 @@ pub enum TraceEventKind {
     HtmAttempt = 1,
     /// A hardware transaction committed (argument: its write-set size).
     HtmCommit = 2,
-    /// An attempt aborted (argument: the [`AbortCause`] index).
+    /// A hardware transaction aborted (argument: the
+    /// [`crate::HwTxnOutcome::index`] of how, in the low 8 bits, and an
+    /// explicit abort's code in the bits above them).
     Abort = 3,
     /// An undo-log sequence was appended (argument: entry count).
     UndoAppend = 4,
@@ -281,11 +169,14 @@ pub enum TraceEventKind {
     PersistFence = 9,
     /// A persistent transaction finished (argument: 0).
     TxnEnd = 10,
+    /// A persistent transaction gave up on its hardware phases and entered
+    /// the software commit (argument: 0).
+    Fallback = 11,
 }
 
 impl TraceEventKind {
     /// Every event kind, in numeric order.
-    pub const ALL: [TraceEventKind; 11] = [
+    pub const ALL: [TraceEventKind; 12] = [
         TraceEventKind::TxnBegin,
         TraceEventKind::HtmAttempt,
         TraceEventKind::HtmCommit,
@@ -297,6 +188,7 @@ impl TraceEventKind {
         TraceEventKind::RangedClwb,
         TraceEventKind::PersistFence,
         TraceEventKind::TxnEnd,
+        TraceEventKind::Fallback,
     ];
 
     /// Stable human-readable label.
@@ -313,6 +205,7 @@ impl TraceEventKind {
             TraceEventKind::RangedClwb => "ranged-clwb",
             TraceEventKind::PersistFence => "persist-fence",
             TraceEventKind::TxnEnd => "txn-end",
+            TraceEventKind::Fallback => "fallback",
         }
     }
 
@@ -440,7 +333,7 @@ impl EventRing {
     }
 }
 
-/// The process-wide tracer: the level switch plus the per-thread rings.
+/// The process-wide rings and the epoch their timestamps count from.
 struct GlobalTracer {
     epoch: Instant,
     rings: Vec<EventRing>,
@@ -453,34 +346,45 @@ static LEVEL: AtomicU8 = AtomicU8::new(TraceLevel::Off as u8);
 /// `forbid(unsafe_code)`-clean; install happens off the hot path.
 static TRACER: OnceLock<GlobalTracer> = OnceLock::new();
 
-fn tracer_with_capacity(capacity: usize) -> &'static GlobalTracer {
-    TRACER.get_or_init(|| GlobalTracer {
-        epoch: Instant::now(),
-        rings: (0..MAX_TRACE_THREADS)
-            .map(|_| EventRing::new(capacity))
-            .collect(),
-    })
-}
-
-/// Sets the trace level (rings keep whatever capacity their first
-/// installation chose).
+/// Sets the trace level. The first `Events` installs the rings (with
+/// [`DEFAULT_RING_CAPACITY`] events per thread); lower levels never do.
 pub fn set_level(level: TraceLevel) {
     if level >= TraceLevel::Events {
         // Arm the rings *before* publishing the level, so no recording
         // site can observe Events with the rings still uninstalled.
-        let _ = tracer_with_capacity(DEFAULT_RING_CAPACITY);
+        TRACER.get_or_init(|| GlobalTracer {
+            epoch: Instant::now(),
+            rings: (0..MAX_TRACE_THREADS)
+                .map(|_| EventRing::new(DEFAULT_RING_CAPACITY))
+                .collect(),
+        });
     }
     LEVEL.store(level as u8, Ordering::Release);
 }
 
-/// Applies a full configuration: installs the rings (first call wins the
-/// capacity), clears them, and sets the level.
-pub fn configure(cfg: TraceConfig) {
-    let tracer = tracer_with_capacity(cfg.ring_capacity.max(2).next_power_of_two());
-    for ring in &tracer.rings {
-        ring.clear();
+/// Arms a trace level for a scope: saves the current level, sets the new
+/// one, and restores the saved one when dropped — on unwind too, so a
+/// panicking test or suite cannot leave the process-global level armed
+/// for whatever runs next in the process.
+#[must_use = "the previous level is restored when the guard drops"]
+#[derive(Debug)]
+pub struct LevelGuard {
+    previous: TraceLevel,
+}
+
+impl LevelGuard {
+    /// Saves the current level and arms `level`.
+    pub fn arm(level: TraceLevel) -> LevelGuard {
+        let previous = self::level();
+        set_level(level);
+        LevelGuard { previous }
     }
-    LEVEL.store(cfg.level as u8, Ordering::Release);
+}
+
+impl Drop for LevelGuard {
+    fn drop(&mut self) {
+        set_level(self.previous);
+    }
 }
 
 /// The currently armed level.
@@ -492,7 +396,7 @@ pub fn level() -> TraceLevel {
     }
 }
 
-/// Whether phase timers (and abort-cause attribution) should run.
+/// Whether phase timers should run.
 #[inline]
 pub fn counters_enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) >= TraceLevel::Counters as u8
@@ -502,34 +406,6 @@ pub fn counters_enabled() -> bool {
 #[inline]
 pub fn events_enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) >= TraceLevel::Events as u8
-}
-
-/// Nanoseconds since the tracer epoch — the virtual-cycle clock. Includes
-/// the simulated NVM latencies because the memory space busy-waits them
-/// in real time.
-#[inline]
-pub fn now_ns() -> u64 {
-    tracer_with_capacity(DEFAULT_RING_CAPACITY)
-        .epoch
-        .elapsed()
-        .as_nanos() as u64
-}
-
-/// Starts a phase timer: the current virtual-cycle stamp, or `None` when
-/// counters are disarmed (the `None` branch is the entire Off-level cost).
-#[inline]
-pub fn phase_start() -> Option<u64> {
-    if counters_enabled() {
-        Some(now_ns())
-    } else {
-        None
-    }
-}
-
-/// Elapsed virtual cycles since a [`phase_start`] stamp.
-#[inline]
-pub fn phase_elapsed(start: u64) -> u64 {
-    now_ns().saturating_sub(start)
 }
 
 /// Records one event on thread `tid`'s ring, if [`TraceLevel::Events`] is
@@ -635,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_capacity_rounds_up_to_power_of_two() {
+    fn ring_rounds_its_capacity_up_to_a_power_of_two() {
         assert_eq!(EventRing::new(0).capacity(), 2);
         assert_eq!(EventRing::new(3).capacity(), 4);
         assert_eq!(EventRing::new(1000).capacity(), 1024);
@@ -652,9 +528,6 @@ mod tests {
 
     #[test]
     fn taxonomy_labels_are_unique() {
-        let causes: std::collections::HashSet<_> =
-            AbortCause::ALL.iter().map(|c| c.label()).collect();
-        assert_eq!(causes.len(), AbortCause::ALL.len());
         let phases: std::collections::HashSet<_> =
             TxnPhase::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(phases.len(), TxnPhase::ALL.len());
@@ -665,37 +538,30 @@ mod tests {
             assert_eq!(*kind as u8 as usize, i);
             assert_eq!(TraceEventKind::from_u8(*kind as u8), Some(*kind));
         }
-        for (i, cause) in AbortCause::ALL.iter().enumerate() {
-            assert_eq!(cause.index(), i);
-            assert_eq!(AbortCause::from_index(i as u64), Some(*cause));
-        }
-        assert_eq!(AbortCause::from_index(99), None);
     }
 
     #[test]
     fn global_recording_respects_level() {
-        // Serialise against other tests that might arm the globals.
-        configure(TraceConfig::off());
+        set_level(TraceLevel::Off);
         record(63, TraceEventKind::TxnBegin, 7);
         assert!(!events_enabled());
-        configure(TraceConfig {
-            level: TraceLevel::Events,
-            ring_capacity: 64,
-        });
-        assert!(counters_enabled());
-        assert!(events_enabled());
-        record(63, TraceEventKind::TxnBegin, 7);
-        record(63, TraceEventKind::TxnEnd, 0);
-        let snap = ring_snapshot(63);
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].kind, TraceEventKind::TxnBegin);
-        assert_eq!(snap[0].arg, 7);
-        assert_eq!(ring_dropped(63), 0);
-        // Out-of-range tids are ignored, not a panic.
-        record(MAX_TRACE_THREADS + 1, TraceEventKind::TxnBegin, 0);
-        assert!(ring_snapshot(MAX_TRACE_THREADS + 1).is_empty());
-        configure(TraceConfig::off());
-        assert_eq!(level(), TraceLevel::Off);
-        assert!(phase_start().is_none());
+        {
+            let _events = LevelGuard::arm(TraceLevel::Events);
+            reset_rings();
+            assert!(counters_enabled());
+            assert!(events_enabled());
+            record(63, TraceEventKind::TxnBegin, 7);
+            record(63, TraceEventKind::TxnEnd, 0);
+            let snap = ring_snapshot(63);
+            assert_eq!(snap.len(), 2);
+            assert_eq!(snap[0].kind, TraceEventKind::TxnBegin);
+            assert_eq!(snap[0].arg, 7);
+            assert_eq!(ring_dropped(63), 0);
+            // Out-of-range tids are ignored, not a panic.
+            record(MAX_TRACE_THREADS + 1, TraceEventKind::TxnBegin, 0);
+            assert!(ring_snapshot(MAX_TRACE_THREADS + 1).is_empty());
+        }
+        assert_eq!(level(), TraceLevel::Off, "the guard restores the level");
+        assert!(!counters_enabled());
     }
 }

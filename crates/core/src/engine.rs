@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crafty_common::{
-    BreakdownRecorder, BreakdownSnapshot, Clock, PAddr, PersistentTm, Timestamp, TmThread,
+    trace, BreakdownRecorder, BreakdownSnapshot, Clock, PAddr, PersistentTm, Timestamp, TmThread,
+    TraceEventKind, TxnPhase,
 };
 use crafty_htm::{HtmConfig, HtmRuntime};
 use crafty_pmem::{MemorySpace, PmemAllocator};
@@ -21,12 +22,13 @@ use crate::config::CraftyConfig;
 use crate::thread::CraftyThread;
 use crate::undo_log::{LogDirectory, LogGeometry, MarkerKind, UndoLog};
 
-// The explicit abort codes live in `crafty_common::trace` so the HTM layer
-// can classify them into the abort-cause taxonomy (failed Redo/Validate
-// checks are `persistent-doomed`, not plain explicit aborts).
-pub(crate) use crafty_common::trace::{
-    ABORT_REDO_TS_CHECK, ABORT_SGL_HELD, ABORT_VALIDATE_MISMATCH,
-};
+/// Explicit abort code: a phase's hardware transaction observed the single
+/// global lock held and aborted (speculative lock elision).
+pub(crate) const ABORT_SGL_HELD: u32 = 1;
+/// Explicit abort code: the Redo phase's `gLastRedoTS` check failed.
+pub(crate) const ABORT_REDO_TS_CHECK: u32 = 2;
+/// Explicit abort code: a Validate-phase check failed.
+pub(crate) const ABORT_VALIDATE_MISMATCH: u32 = 3;
 
 /// Per-thread state shared between the owning worker and other threads
 /// (other threads read the undo log handle and the last sequence timestamp
@@ -362,16 +364,10 @@ impl PersistentTm for Crafty {
     }
 
     fn persist_fence(&self, calling_tid: usize) {
-        let t0 = crafty_common::trace::phase_start();
-        self.persist_now(calling_tid);
-        if let Some(t0) = t0 {
-            self.recorder.record_phase_cycles(
-                calling_tid,
-                crafty_common::TxnPhase::Fence,
-                crafty_common::trace::phase_elapsed(t0),
-            );
-        }
-        crafty_common::trace::record(calling_tid, crafty_common::TraceEventKind::PersistFence, 0);
+        self.recorder.timed(calling_tid, TxnPhase::Fence, || {
+            self.persist_now(calling_tid)
+        });
+        trace::record(calling_tid, TraceEventKind::PersistFence, 0);
     }
 }
 

@@ -37,9 +37,9 @@
 
 use std::sync::atomic::Ordering;
 
-use crafty_common::trace::{self, AbortCause, TraceEventKind, TxnPhase};
+use crafty_common::trace::{self, TraceEventKind, TxnPhase};
 use crafty_common::{
-    CompletionPath, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps, TxnReport,
+    CompletionPath, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps,
 };
 use crafty_htm::{AbortCode, Exclusion, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
@@ -161,19 +161,6 @@ impl<'c> CraftyThread<'c> {
         self.tid
     }
 
-    /// Runs `f`, charging its duration to `phase` when phase timing is on.
-    #[inline]
-    fn timed<R>(&mut self, phase: TxnPhase, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = trace::phase_start();
-        let result = f(self);
-        if let Some(t0) = t0 {
-            self.engine
-                .recorder
-                .record_phase_cycles(self.tid, phase, trace::phase_elapsed(t0));
-        }
-        result
-    }
-
     fn drain(&self) {
         self.engine.mem.drain(self.tid);
     }
@@ -182,50 +169,47 @@ impl<'c> CraftyThread<'c> {
     // Control flow (Figures 3 and 4)
     // ------------------------------------------------------------------
 
-    fn execute_thread_safe(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
-        let cfg = &self.engine.cfg;
-        let mut hw_attempts = 0u32;
+    fn execute_thread_safe(&mut self, body: &mut TxnBody<'_>) {
+        let (cfg, rec, tid) = (&self.engine.cfg, &self.engine.recorder, self.tid);
         if cfg.force_fallback {
-            return self.execute_software(body, hw_attempts);
+            return self.execute_software(body);
         }
         for _ in 0..=MAX_PHASE_RESTARTS {
             if cfg.fallback == FallbackPolicy::Sgl {
                 self.wait_for_sgl_free();
             }
-            let seq = match self.timed(TxnPhase::Log, |t| t.log_phase(body, &mut hw_attempts)) {
-                LogOutcome::ReadOnly => return self.finish_read_only(hw_attempts),
+            let seq = match rec.timed(tid, TxnPhase::Log, || self.log_phase(body)) {
+                LogOutcome::ReadOnly => return self.finish_read_only(),
                 LogOutcome::Aborted => continue,
                 LogOutcome::Logged(seq) => seq,
             };
             if cfg.variant != CraftyVariant::NoRedo {
-                let redo = |t: &mut Self| t.commit_phase(&seq, None, &mut hw_attempts);
-                if self.timed(TxnPhase::Redo, redo) {
-                    return self.finish(CompletionPath::Redo, seq.persistent_writes, hw_attempts);
+                if rec.timed(tid, TxnPhase::Redo, || self.commit_phase(&seq, None)) {
+                    return self.finish(CompletionPath::Redo, seq.persistent_writes);
                 }
                 if cfg.variant == CraftyVariant::NoValidate {
                     continue;
                 }
             }
-            let validate = |t: &mut Self| t.commit_phase(&seq, Some(&mut *body), &mut hw_attempts);
-            if self.timed(TxnPhase::Validate, validate) {
-                let path = CompletionPath::Validate;
-                return self.finish(path, seq.persistent_writes, hw_attempts);
+            let validate = || self.commit_phase(&seq, Some(&mut *body));
+            if rec.timed(tid, TxnPhase::Validate, validate) {
+                return self.finish(CompletionPath::Validate, seq.persistent_writes);
             }
         }
-        self.execute_software(body, hw_attempts)
+        self.execute_software(body)
     }
 
-    fn execute_thread_unsafe(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
-        let mut hw_attempts = 0u32;
-        match self.timed(TxnPhase::Log, |t| t.log_phase(body, &mut hw_attempts)) {
-            LogOutcome::ReadOnly => self.finish_read_only(hw_attempts),
+    fn execute_thread_unsafe(&mut self, body: &mut TxnBody<'_>) {
+        let (rec, tid) = (&self.engine.recorder, self.tid);
+        match rec.timed(tid, TxnPhase::Log, || self.log_phase(body)) {
+            LogOutcome::ReadOnly => self.finish_read_only(),
             LogOutcome::Logged(seq) => {
-                self.timed(TxnPhase::Redo, |t| t.redo_thread_unsafe(&seq));
-                self.finish(CompletionPath::Redo, seq.persistent_writes, hw_attempts)
+                rec.timed(tid, TxnPhase::Redo, || self.redo_thread_unsafe(&seq));
+                self.finish(CompletionPath::Redo, seq.persistent_writes)
             }
             // HTM keeps failing (capacity, spurious aborts): commit in
             // software — the program already keeps other threads out.
-            LogOutcome::Aborted => self.execute_software(body, hw_attempts),
+            LogOutcome::Aborted => self.execute_software(body),
         }
     }
 
@@ -235,57 +219,43 @@ impl<'c> CraftyThread<'c> {
     /// placed among the hardware phases it cost read-only transactions 2%.
     #[cold]
     #[inline(never)]
-    fn execute_software(&mut self, body: &mut TxnBody<'_>, hw_attempts: u32) -> TxnReport {
+    fn execute_software(&mut self, body: &mut TxnBody<'_>) {
         let engine = self.engine;
         let (htm, tid) = (&engine.htm, self.tid);
-        // Entering the fallback is itself a taxonomy entry, whichever
-        // strategy follows: the phase machinery gave up, which is the
-        // signal an adaptive mode switcher would act on.
-        engine
-            .recorder
-            .record_abort_cause(tid, AbortCause::SglFallback);
-        trace::record(
-            tid,
-            TraceEventKind::Abort,
-            AbortCause::SglFallback.index() as u64,
-        );
+        // Entering the fallback is an event of its own, whichever strategy
+        // follows: the phase machinery gave up, which is the signal an
+        // adaptive mode switcher would act on.
+        trace::record(tid, TraceEventKind::Fallback, 0);
         let thread_safe = engine.cfg.mode == ThreadingMode::ThreadSafe;
-        self.timed(TxnPhase::Sgl, |t| {
+        engine.recorder.timed(tid, TxnPhase::Sgl, || {
             if thread_safe && engine.cfg.fallback == FallbackPolicy::PerLine {
-                t.software_commit(body, hw_attempts, || htm.begin_fallback(tid))
+                self.software_commit(body, || htm.begin_fallback(tid))
             } else {
                 // Exclusion is the caller's: the SGL every hardware phase
                 // subscribes to, or (thread-unsafe mode) the program's own
                 // synchronization.
                 let _sgl = thread_safe.then(|| engine.acquire_sgl());
-                t.software_commit(body, hw_attempts, || htm.begin_exclusive())
+                self.software_commit(body, || htm.begin_exclusive())
             }
         })
     }
 
-    fn finish(
-        &mut self,
-        path: CompletionPath,
-        persistent_writes: u64,
-        hw_attempts: u32,
-    ) -> TxnReport {
+    fn finish(&mut self, path: CompletionPath, persistent_writes: u64) {
         let engine = self.engine;
         self.alloc_log.apply_frees(&engine.allocator);
         engine
             .recorder
             .record_persistent_writes(self.tid, persistent_writes);
         engine.recorder.record_completion(self.tid, path);
-        TxnReport::new(path, hw_attempts)
     }
 
     /// Read-only transactions skip logging, persisting, and the commit
     /// phases entirely (Section 4.1).
-    fn finish_read_only(&mut self, hw_attempts: u32) -> TxnReport {
+    fn finish_read_only(&mut self) {
         self.alloc_log.clear();
         self.engine
             .recorder
             .record_completion(self.tid, CompletionPath::ReadOnly);
-        TxnReport::new(CompletionPath::ReadOnly, hw_attempts)
     }
 
     // ------------------------------------------------------------------
@@ -335,11 +305,10 @@ impl<'c> CraftyThread<'c> {
     /// `log_commit_version` is drawn *before* those lines are validated
     /// ([`HwTxn::commit`]'s order): a Redo the validation did not see drew
     /// a larger version, so `redo_check` catches it.
-    fn log_phase(&mut self, body: &mut TxnBody<'_>, hw_attempts: &mut u32) -> LogOutcome {
+    fn log_phase(&mut self, body: &mut TxnBody<'_>) -> LogOutcome {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
         for _ in 0..=HTM_RETRIES_PER_PHASE {
-            *hw_attempts += 1;
             // Allocations recorded by a previous failed attempt would leak;
             // hand them back before re-executing the body.
             self.alloc_log.release_allocations(&engine.allocator);
@@ -451,14 +420,8 @@ impl<'c> CraftyThread<'c> {
     /// Validate each run a copy specialised for their `body`: one shared
     /// out-of-line copy costs every write transaction a few nanoseconds.
     #[inline(always)]
-    fn commit_phase(
-        &mut self,
-        seq: &LoggedSeq,
-        mut body: Option<&mut TxnBody<'_>>,
-        hw_attempts: &mut u32,
-    ) -> bool {
+    fn commit_phase(&mut self, seq: &LoggedSeq, mut body: Option<&mut TxnBody<'_>>) -> bool {
         for _ in 0..=HTM_RETRIES_PER_PHASE {
-            *hw_attempts += 1;
             match self.commit_attempt(seq, body.as_deref_mut()) {
                 Ok(()) => return true,
                 Err(Stop::Fail) => return false,
@@ -648,9 +611,8 @@ impl<'c> CraftyThread<'c> {
     fn software_commit<X: Exclusion>(
         &mut self,
         body: &mut TxnBody<'_>,
-        hw_attempts: u32,
         mut begin: impl FnMut() -> X,
-    ) -> TxnReport {
+    ) {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
         let mut body_failures = 0u32;
@@ -682,7 +644,7 @@ impl<'c> CraftyThread<'c> {
             if !x.has_writes() && self.alloc_log.is_empty() {
                 // Every value handed to the body was consistent at the
                 // begin snapshot; nothing to lock or persist.
-                return self.finish_read_only(hw_attempts);
+                return self.finish_read_only();
             }
 
             x.lock_write_set();
@@ -716,7 +678,7 @@ impl<'c> CraftyThread<'c> {
             self.stamp_committed(info.marker_abs);
             x.commit_release();
             drop(x);
-            return self.finish(CompletionPath::Sgl, info.data_entries, hw_attempts);
+            return self.finish(CompletionPath::Sgl, info.data_entries);
         }
     }
 
@@ -746,14 +708,14 @@ impl<'c> CraftyThread<'c> {
 }
 
 impl TmThread for CraftyThread<'_> {
-    fn execute(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
+    fn execute(&mut self, body: &mut TxnBody<'_>) {
         match self.engine.cfg.mode {
             ThreadingMode::ThreadSafe => self.execute_thread_safe(body),
             ThreadingMode::ThreadUnsafe => self.execute_thread_unsafe(body),
         }
     }
 
-    fn execute_deferred(&mut self, body: &mut TxnBody<'_>) -> TxnReport {
+    fn execute_deferred(&mut self, body: &mut TxnBody<'_>) {
         // Group commit: run the transaction with the begin/commit SFENCE
         // drains relaxed. The transaction still logs, persists its undo
         // entries before any in-place write (the pre-Redo drain is
@@ -763,11 +725,10 @@ impl TmThread for CraftyThread<'_> {
         // reusing the handle would silently keep deferring), so the reset
         // sits on the unwind path too.
         self.deferred_mode = true;
-        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute(body)));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute(body)));
         self.deferred_mode = false;
-        match report {
-            Ok(report) => report,
-            Err(panic) => std::panic::resume_unwind(panic),
+        if let Err(panic) = run {
+            std::panic::resume_unwind(panic);
         }
     }
 
@@ -776,7 +737,8 @@ impl TmThread for CraftyThread<'_> {
         // every deferred transaction's data write-backs and COMMITTED
         // markers — all were enqueued atomically with their commits.
         if self.engine.mem.pending_flushes(self.tid) > 0 {
-            self.timed(TxnPhase::Drain, |t| t.drain());
+            let recorder = &self.engine.recorder;
+            recorder.timed(self.tid, TxnPhase::Drain, || self.drain());
         }
     }
 }

@@ -31,7 +31,7 @@ fn body(line: PAddr, volatile: PAddr) -> impl FnMut(&mut dyn TxnOps) -> Result<(
 }
 
 fn logged(thread: &mut CraftyThread<'_>, body: &mut TxnBody<'_>) -> LoggedSeq {
-    match thread.log_phase(body, &mut 0) {
+    match thread.log_phase(body) {
         LogOutcome::Logged(seq) => seq,
         _ => panic!("an undisturbed Log phase logs"),
     }
@@ -67,7 +67,7 @@ fn log_phase_hands_redo_one_image_per_written_line() {
     assert_eq!(found, [10, 20, 30], "the Log phase rolled everything back");
 
     let flushes = mem.stats().flushes;
-    assert!(thread.commit_phase(&seq, None, &mut 0));
+    assert!(thread.commit_phase(&seq, None));
     let found = [mem.read(line), mem.read(line.add(1)), mem.read(volatile)];
     assert_eq!(found, [12, 21, 31]);
     assert_eq!(
@@ -91,12 +91,12 @@ fn validate_commits_through_the_exchange_and_flushes_the_entries_lines() {
     crafty
         .htm
         .nontx_bump_commit_version(crafty.g_last_redo_ts_addr);
-    assert!(!thread.commit_phase(&seq, None, &mut 0), "Redo must fail");
+    assert!(!thread.commit_phase(&seq, None), "Redo must fail");
     let explicit = crafty.breakdown().hw(HwTxnOutcome::Explicit);
     assert_eq!(explicit, 1, "by its own check, once");
 
     let flushes = mem.stats().flushes;
-    assert!(thread.commit_phase(&seq, Some(&mut body), &mut 0));
+    assert!(thread.commit_phase(&seq, Some(&mut body)));
     let found = [mem.read(line), mem.read(line.add(1)), mem.read(volatile)];
     assert_eq!(found, [12, 21, 31]);
     assert_eq!(mem.stats().flushes - flushes, 2, "data line and marker");
@@ -107,6 +107,6 @@ fn validate_commits_through_the_exchange_and_flushes_the_entries_lines() {
     // A write that no longer matches its undo entry fails the phase.
     let seq = logged(&mut thread, &mut body);
     crafty.htm.nontx_write(line.add(1), 99);
-    assert!(!thread.commit_phase(&seq, Some(&mut body), &mut 0));
+    assert!(!thread.commit_phase(&seq, Some(&mut body)));
     assert_eq!(mem.read(line), 12, "nothing of the failed Validate lands");
 }

@@ -1,10 +1,11 @@
 //! Allocation check for the trace subsystem: with tracing armed — first
-//! at `Counters` (phase timers + abort causes), then at `Events` (full
-//! event-ring recording) — a committed steady-state transaction still
-//! performs **zero heap allocations**. The rings are preallocated at
-//! [`crafty_common::trace::configure`] time and pushes only store into
-//! them; timers are two `Instant` reads and a relaxed `fetch_add`. This
-//! test is the enforcement of that contract.
+//! at `Counters` (phase timers only), then at `Events` (full event-ring
+//! recording) — a committed steady-state transaction still performs
+//! **zero heap allocations**. `Counters` is measured before `Events` is
+//! ever armed, because arming it must install nothing: its timers are two
+//! `Instant` reads and a per-thread counter add. The rings are
+//! preallocated by the first `set_level(Events)` and pushes only store
+//! into them. This test is the enforcement of that contract.
 //!
 //! This file intentionally holds a single `#[test]` so no concurrent test
 //! thread can pollute the allocation counters, and lives in its own
@@ -13,7 +14,7 @@
 
 use std::sync::Arc;
 
-use crafty_common::trace::{self, TraceConfig, TraceLevel};
+use crafty_common::trace::{self, TraceLevel};
 use crafty_common::{PersistentTm, SplitMix64, TraceEventKind, TxAbort, TxnOps};
 use crafty_core::{Crafty, CraftyConfig};
 use crafty_pmem::{MemorySpace, PmemConfig};
@@ -39,10 +40,6 @@ fn transfer(
 
 #[test]
 fn steady_state_traced_transactions_do_not_allocate() {
-    // Arm the tracer before the engine exists: the rings are the only
-    // allocation the subsystem ever makes, and they happen here.
-    trace::configure(TraceConfig::events());
-
     let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
     let crafty = Crafty::new(
         Arc::clone(&mem),
@@ -58,28 +55,26 @@ fn steady_state_traced_transactions_do_not_allocate() {
     }
     let mut thread = crafty.register_thread(0);
     let mut rng = SplitMix64::new(41);
-
-    // Warmup at full Events level: grows every reusable engine buffer to
-    // its steady-state footprint while the rings wrap at least once.
-    for i in 0..2_000 {
-        trace::record(0, TraceEventKind::TxnBegin, i);
-        let from = accounts.add(rng.next_below(accounts_n) * 8);
-        let to = accounts.add(rng.next_below(accounts_n) * 8);
-        thread.execute(&mut |ops| transfer(ops, from, to));
-        trace::record(0, TraceEventKind::TxnEnd, i);
-    }
-
-    // Measure at each armed level; Off is covered by alloc_free_engine.rs.
-    for level in [TraceLevel::Counters, TraceLevel::Events] {
-        trace::set_level(level);
-        let before = thread_allocations();
-        for i in 0..10_000u64 {
+    let mut run = |n: u64| {
+        for i in 0..n {
             trace::record(0, TraceEventKind::TxnBegin, i);
             let from = accounts.add(rng.next_below(accounts_n) * 8);
             let to = accounts.add(rng.next_below(accounts_n) * 8);
             thread.execute(&mut |ops| transfer(ops, from, to));
             trace::record(0, TraceEventKind::TxnEnd, i);
         }
+    };
+
+    // Warmup untraced: grows every reusable engine buffer to its
+    // steady-state footprint.
+    run(2_000);
+
+    // Measure at each armed level, Counters first: nothing may have
+    // installed the rings for it. Off is covered by alloc_free_engine.rs.
+    for level in [TraceLevel::Counters, TraceLevel::Events] {
+        trace::set_level(level);
+        let before = thread_allocations();
+        run(10_000);
         let after = thread_allocations();
         assert_eq!(
             after - before,
@@ -89,12 +84,13 @@ fn steady_state_traced_transactions_do_not_allocate() {
             after - before
         );
     }
+    trace::set_level(TraceLevel::Off);
 
     // The tracer actually observed the run: events were recorded (and the
     // flight recorder wrapped), phases accumulated cycles.
     assert!(
         trace::ring_dropped(0) > 0,
-        "30k traced transactions must have wrapped a {}-event ring",
+        "10k traced transactions must have wrapped a {}-event ring",
         trace::ring_snapshot(0).len()
     );
     assert!(

@@ -24,12 +24,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crafty_common::trace::{
-    self, AbortCause, TraceEventKind, ABORT_REDO_TS_CHECK, ABORT_VALIDATE_MISMATCH,
-};
+use crafty_common::trace::{self, TraceEventKind};
 use crafty_common::{
     BreakdownRecorder, HwTxnOutcome, LazyAtomicArray, LineId, LineSlot, PAddr, SplitMix64,
-    WORDS_PER_LINE,
+    TxnPhase, WORDS_PER_LINE,
 };
 use crafty_pmem::MemorySpace;
 use crossbeam::utils::Backoff;
@@ -63,26 +61,6 @@ impl AbortCode {
             AbortCode::Capacity => HwTxnOutcome::Capacity,
             AbortCode::Explicit(_) => HwTxnOutcome::Explicit,
             AbortCode::Zero => HwTxnOutcome::Zero,
-        }
-    }
-
-    /// The structured abort-cause taxonomy entry this abort falls into.
-    ///
-    /// Unlike [`AbortCode::outcome`] (which mirrors the raw RTM status
-    /// word), this classifies the two protocol-level explicit codes —
-    /// failed `gLastRedoTS` and Validate checks — as
-    /// [`AbortCause::PersistentDoomed`]: the hardware transaction itself
-    /// was fine, its persistent context was stale. SGL subscriptions,
-    /// abandoned transactions, and spurious zero aborts all fold into
-    /// [`AbortCause::Explicit`] (the event ring's argument still carries
-    /// the raw code for anyone who needs the distinction).
-    pub fn cause(self) -> AbortCause {
-        match self {
-            AbortCode::Conflict => AbortCause::Conflict,
-            AbortCode::Capacity => AbortCause::Capacity,
-            AbortCode::Explicit(ABORT_REDO_TS_CHECK)
-            | AbortCode::Explicit(ABORT_VALIDATE_MISMATCH) => AbortCause::PersistentDoomed,
-            AbortCode::Explicit(_) | AbortCode::Zero => AbortCause::Explicit,
         }
     }
 }
@@ -215,15 +193,8 @@ impl HtmRuntime {
     /// before the transaction starts.
     pub fn begin(&self, tid: usize) -> HwTxn<'_> {
         if self.mem.pending_flushes(tid) > 0 {
-            let t0 = trace::phase_start();
-            self.mem.drain(tid);
-            if let Some(t0) = t0 {
-                self.recorder.record_phase_cycles(
-                    tid,
-                    crafty_common::TxnPhase::Drain,
-                    trace::phase_elapsed(t0),
-                );
-            }
+            self.recorder
+                .timed(tid, TxnPhase::Drain, || self.mem.drain(tid));
         }
         self.begin_inner(tid, false)
     }
@@ -505,9 +476,13 @@ impl<'rt> HwTxn<'rt> {
         if self.failed.is_none() {
             self.failed = Some(code);
             self.finished = true;
-            self.rt.recorder.record_hw(self.tid, code.outcome());
-            self.rt.recorder.record_abort_cause(self.tid, code.cause());
-            trace::record(self.tid, TraceEventKind::Abort, code.cause().index() as u64);
+            let explicit = match code {
+                AbortCode::Explicit(c) => u64::from(c),
+                _ => 0,
+            };
+            self.rt
+                .recorder
+                .record_hw(self.tid, code.outcome(), explicit);
         }
         code
     }
@@ -789,8 +764,8 @@ impl<'rt> HwTxn<'rt> {
         release(&s.lock_order, Some(wv));
 
         self.finished = true;
-        rt.recorder.record_hw(self.tid, HwTxnOutcome::Commit);
-        trace::record(self.tid, TraceEventKind::HtmCommit, s.words_written as u64);
+        rt.recorder
+            .record_hw(self.tid, HwTxnOutcome::Commit, s.words_written as u64);
         Ok(wv)
     }
 }
@@ -1026,16 +1001,7 @@ impl Drop for HwTxn<'_> {
         // A transaction abandoned without commit or explicit abort counts
         // as an explicit abort: the program chose not to finish it.
         if !self.finished {
-            self.failed = Some(AbortCode::Explicit(0));
-            self.rt.recorder.record_hw(self.tid, HwTxnOutcome::Explicit);
-            self.rt
-                .recorder
-                .record_abort_cause(self.tid, AbortCause::Explicit);
-            trace::record(
-                self.tid,
-                TraceEventKind::Abort,
-                AbortCause::Explicit.index() as u64,
-            );
+            self.fail(AbortCode::Explicit(0));
         }
         // Hand the descriptor back for the thread's next transaction.
         if let Some(scratch) = self.scratch.take() {

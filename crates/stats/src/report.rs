@@ -5,7 +5,7 @@
 //! per engine, values normalized exactly as in the paper. The breakdowns of
 //! Figures 9–21 are rendered the same way.
 
-use crafty_common::{AbortCause, BreakdownSnapshot, CompletionPath, HwTxnOutcome, TxnPhase};
+use crafty_common::{BreakdownSnapshot, CompletionPath, HwTxnOutcome, TxnPhase};
 
 use crate::throughput::Figure;
 
@@ -75,16 +75,6 @@ pub fn render_breakdown(engine: &str, snapshot: &BreakdownSnapshot) -> String {
             outcome.label(),
             snapshot.hw(outcome)
         ));
-    }
-    if snapshot.total_abort_causes() > 0 {
-        out.push_str(&format!("{engine}: abort causes\n"));
-        for cause in AbortCause::ALL {
-            out.push_str(&format!(
-                "  {:>17}: {}\n",
-                cause.label(),
-                snapshot.abort_cause(cause)
-            ));
-        }
     }
     if snapshot.total_phase_cycles() > 0 {
         // Phase-cycle decomposition (needs a Counters-level traced run).
@@ -168,22 +158,16 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_renders_phase_and_cause_sections_when_present() {
+    fn breakdown_renders_phase_section_when_present() {
         let r = crafty_common::BreakdownRecorder::new();
         r.record_phase_cycles(0, TxnPhase::Log, 600);
         r.record_phase_cycles(0, TxnPhase::Drain, 400);
-        r.record_abort_cause(0, AbortCause::PersistentDoomed);
-        r.record_abort_cause(0, AbortCause::SglFallback);
         let s = render_breakdown("Crafty", &r.snapshot());
-        assert!(s.contains("abort causes"));
-        assert!(s.contains("persistent-doomed: 1"));
-        assert!(s.contains("software-fallback: 1"));
         assert!(s.contains("phase cycles"));
         assert!(s.contains("(60.0%)"));
         assert!(s.contains("(40.0%)"));
-        // An untraced run renders neither optional section.
+        // An untraced run renders no phase section.
         let bare = render_breakdown("Crafty", &BreakdownSnapshot::default());
         assert!(!bare.contains("phase cycles"));
-        assert!(!bare.contains("abort causes"));
     }
 }

@@ -19,13 +19,13 @@
 
 use std::sync::Arc;
 
-use crafty_common::trace::{self, ThreadTrace};
+use crafty_common::trace::{self, ThreadTrace, TraceLevel};
 use crafty_common::{BreakdownSnapshot, PAddr, PersistentTm, SplitMix64, TxAbort, TxnOps};
 use crafty_core::{logs_are_clean, recover, Crafty, CraftyConfig, FallbackPolicy, ThreadingMode};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
 
-use crate::{enumerate, EventTraceArm, Replay, TortureConfig, TortureFailure, TortureReport};
+use crate::{enumerate, Replay, TortureConfig, TortureFailure, TortureReport};
 
 /// Accounts in the bank (each on its own cache line).
 pub const ACCOUNTS: u64 = 16;
@@ -307,7 +307,7 @@ pub fn run_bank_torture(cfg: &TortureConfig) -> TortureReport {
 /// it. Returns the failure the auditor produced (proving an injected
 /// violation is caught and reported), or an error if it slipped through.
 pub fn injected_violation_is_caught(cfg: &TortureConfig) -> Result<TortureFailure, String> {
-    let _trace = EventTraceArm::arm();
+    let _events = trace::LevelGuard::arm(TraceLevel::Events);
     let picks = draw_picks(cfg.seed, cfg.txns);
     let count = run_once(Route::Hardware, &picks, FaultPlan::count_only());
     let step = count.setup_steps + (count.total_steps - count.setup_steps) / 2;

@@ -66,7 +66,7 @@
 
 use std::fmt;
 
-use crafty_common::trace::{self, ThreadTrace, TraceConfig, TraceLevel};
+use crafty_common::trace::{self, ThreadTrace, TraceLevel};
 use crafty_common::SplitMix64;
 use crafty_pmem::{CrashModel, FaultPlan};
 
@@ -173,28 +173,6 @@ fn format_tails(trace: &[ThreadTrace]) -> Vec<String> {
     lines
 }
 
-/// Arms the trace subsystem at [`TraceLevel::Events`] for the duration of
-/// a suite run and restores the previous level on drop, so every failure
-/// report can carry the flight-recorder tail of its failing replay.
-pub(crate) struct EventTraceArm {
-    previous: TraceLevel,
-}
-
-impl EventTraceArm {
-    /// Saves the current level and arms full event recording.
-    pub(crate) fn arm() -> Self {
-        let previous = trace::level();
-        trace::configure(TraceConfig::events());
-        EventTraceArm { previous }
-    }
-}
-
-impl Drop for EventTraceArm {
-    fn drop(&mut self) {
-        trace::set_level(self.previous);
-    }
-}
-
 impl fmt::Display for TortureFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -284,7 +262,7 @@ pub fn enumerate<R: Replay>(
     run: impl Fn(FaultPlan) -> R,
     audit: impl Fn(&mut R, u64) -> Result<(), String>,
 ) -> TortureReport {
-    let _trace = EventTraceArm::arm();
+    let _events = trace::LevelGuard::arm(TraceLevel::Events);
     let mut count = run(FaultPlan::count_only());
     let (setup_steps, total_steps) = (count.setup_steps(), count.total_steps());
     let mut points = crash_points(

@@ -11,13 +11,13 @@
 
 use std::sync::Arc;
 
-use crafty_common::trace;
+use crafty_common::trace::{self, TraceLevel};
 use crafty_common::{CompletionPath, PersistentTm};
 use crafty_core::{recover, Crafty, CraftyConfig};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, LatencyModel, MemorySpace, PmemConfig};
 
-use crate::{EventTraceArm, TortureConfig, TortureFailure, TortureReport};
+use crate::{TortureConfig, TortureFailure, TortureReport};
 
 /// Consecutive doomed hardware transactions per storm cycle: far beyond
 /// the engine's retry budget (9 phase rounds × 5 hardware attempts, fixed
@@ -32,7 +32,7 @@ const PERIOD: u32 = 128;
 /// under storms; crash-point fields are unused (storms exercise the HTM
 /// layer, not the fault clock).
 pub fn run_storm_torture(cfg: &TortureConfig) -> TortureReport {
-    let _trace = EventTraceArm::arm();
+    let _events = trace::LevelGuard::arm(TraceLevel::Events);
     trace::reset_rings();
     let mut failures = Vec::new();
     let mem = Arc::new(MemorySpace::new(PmemConfig {
