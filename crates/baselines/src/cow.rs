@@ -556,10 +556,10 @@ mod tests {
             for i in 0..accounts {
                 mem.write(base.add(i), 100);
             }
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for tid in 0..3 {
                     let engine = Arc::clone(&engine);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut t = engine.register_thread(tid);
                         let mut rng = crafty_common::SplitMix64::new(tid as u64 + 7);
                         for _ in 0..200 {
@@ -575,8 +575,7 @@ mod tests {
                         }
                     });
                 }
-            })
-            .expect("threads");
+            });
             engine.quiesce();
             let total: u64 = (0..accounts).map(|i| mem.read(base.add(i))).sum();
             assert_eq!(

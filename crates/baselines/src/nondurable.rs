@@ -181,10 +181,10 @@ mod tests {
         let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
         let engine = Arc::new(NonDurable::new(Arc::clone(&mem), 1 << 12));
         let cell = mem.reserve_persistent(1);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for tid in 0..4 {
                 let engine = Arc::clone(&engine);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut t = engine.register_thread(tid);
                     for _ in 0..250 {
                         t.execute(&mut |ops| {
@@ -195,8 +195,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("threads");
+        });
         assert_eq!(mem.read(cell), 1000);
         assert!(!engine.is_durable());
         assert_eq!(engine.breakdown().total_persistent(), 1000);

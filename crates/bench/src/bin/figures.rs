@@ -8,17 +8,13 @@
 //! targets: fig6 fig7 fig8 table1 breakdowns fig22 fig23 fig24 hotpath kv all
 //!          (default: fig6 fig7 table1)
 //!
-//! figures breakdown  [--threads N] [--txns N] [--json-out PATH]
-//! figures compare    --candidate PATH [--baseline BENCH_hotpath.json] [--tolerance 0.40]
-//! figures flushbound [--threads a,b,c] [--txns N] [--json-out PATH]
-//! figures contention [--threads a,b,c] [--txns N] [--accounts N] [--theta F]
-//!                    [--seed N] [--json-out PATH]
-//! figures kvserve    [--rates a,b,c] [--ops N] [--engines e,e] [--connections N]
-//!                    [--workers N] [--records N] [--read-pct N] [--fixed] [--seed N]
-//!                    [--drain-ns N] [--json-out PATH] [--assert-no-shed]
-//! figures torture    [--suite bank|fallback|kv|storm|recovery|service|all] [--seed N]
-//!                    [--txns N] [--steps N] [--crash-step N]
-//! figures trace      [--out trace.json] [--threads N] [--txns N]
+//! figures compare --candidate PATH [--baseline BENCH_hotpath.json] [--tolerance 0.40]
+//! figures torture [--suite bank|fallback|kv|storm|recovery|service|all] [--seed N]
+//!                 [--txns N] [--steps N] [--crash-step N]
+//! figures kvserve [--rates a,b,c] [--ops N] [--engines e,e] [--connections N]
+//!                 [--workers N] [--records N] [--read-pct N] [--fixed] [--seed N]
+//!                 [--drain-ns N] [--json-out PATH] [--assert-no-shed]
+//! figures trace   [--out trace.json] [--threads N] [--txns N]
 //! figures --help
 //! ```
 //!
@@ -44,11 +40,10 @@
 //! latency model than the artifact's config block states and are left out
 //! (`--latency-100 fig6` captures them). `--paper` uses the full thread
 //! sweep (1–16) and a larger budget; `--trace LEVEL` arms the tracer for
-//! the whole invocation. The `breakdown` subcommand is the same mechanism
-//! at trace level `counters`: bank and YCSB-A on the four KV engines, with
-//! each engine's per-phase time on screen and (as `phase_ns`) in its
-//! artifact, beside the completion paths and hardware outcomes every point
-//! carries.
+//! the whole invocation. Under `--trace counters` every instrumented
+//! engine's points also carry per-phase times, on screen (`breakdowns`)
+//! and as `phase_ns` in the artifact, beside the completion paths and
+//! hardware outcomes every point carries.
 //!
 //! **The gate.** `compare` reads two engine artifacts and, for every
 //! workload in the baseline, checks Crafty's single-thread throughput
@@ -62,18 +57,13 @@
 //! shifted performance. The gate runs untraced, so it is also what pins the
 //! `off` trace level's overhead at zero.
 //!
-//! **The drivers.** `flushbound` stresses the persistence domain
-//! (clwb/drain) with no transactions ([`crafty_bench::flushbound`]);
-//! `contention` forces every transaction through the software fallback and
-//! sweeps the SGL against the per-line locks under zipfian skew, with a
-//! conservation-of-money audit per point that gates the artifact
-//! ([`crafty_bench::contention`]); `kvserve` boots the networked KV
-//! front-end on loopback and drives it open-loop, reporting p50/p99/p999
-//! from intended send times per engine per rate — and `saturated` instead
-//! wherever the server fell behind the schedule
-//! ([`crafty_bench::kvserve`]); `trace` dumps one run's event rings as
-//! chrome://tracing JSON ([`crafty_bench::tracedump`]). The first three
-//! write a local `BENCH_<name>.json` (`--json-out` overrides the path).
+//! **The drivers.** `kvserve` boots the networked KV front-end on loopback
+//! and drives it open-loop, reporting p50/p99/p999 from intended send
+//! times per engine per rate — and `saturated` instead wherever the server
+//! fell behind the schedule ([`crafty_bench::kvserve`]); it writes a local
+//! `BENCH_kvserve.json` (`--json-out` overrides the path). `trace` dumps
+//! one run's event rings as chrome://tracing JSON
+//! ([`crafty_bench::tracedump`]).
 //!
 //! `torture` drives the deterministic fault-injection harness
 //! (`crafty-torture`): it enumerates crash points over the suites'
@@ -92,10 +82,10 @@
 use std::collections::BTreeSet;
 
 use crafty_bench::{
-    cli, compare, render_by_workload, render_flushbound_json, render_kvserve_json,
-    render_kvserve_table, render_points_json, render_points_table, run_flushbound,
-    run_kvserve_point, run_point, run_points, run_trace_dump, FlagDef, HarnessConfig,
-    KvServeConfig, KvServeEngine, ParsedArgs, Point, SubcommandSpec, TraceDumpConfig, KV_ENGINES,
+    cli, compare, render_by_workload, render_kvserve_json, render_kvserve_table,
+    render_points_json, render_points_table, run_kvserve_point, run_point, run_points,
+    run_trace_dump, FlagDef, HarnessConfig, KvServeConfig, KvServeEngine, ParsedArgs, Point,
+    SubcommandSpec, TraceDumpConfig, KV_ENGINES,
 };
 use crafty_common::trace::{self, TraceLevel};
 use crafty_pmem::LatencyModel;
@@ -221,65 +211,6 @@ const SPECS: &[SubcommandSpec] = &[
         ],
     },
     SubcommandSpec {
-        name: "flushbound",
-        positional: None,
-        summary: "persistence-domain microbenchmark: clwb/drain batches, no transactions",
-        flags: &[
-            FlagDef {
-                name: "--threads",
-                value: Some("a,b,c"),
-                help: "thread counts to sweep (default 1,2,4)",
-            },
-            FlagDef {
-                name: "--txns",
-                value: Some("N"),
-                help: "batches (drains) per thread per point (default 2000)",
-            },
-            FlagDef {
-                name: "--json-out",
-                value: Some("PATH"),
-                help: "artifact path (default BENCH_flushbound.json)",
-            },
-        ],
-    },
-    SubcommandSpec {
-        name: "contention",
-        positional: None,
-        summary: "forced-fallback zipfian sweep: SGL vs per-line lock policies",
-        flags: &[
-            FlagDef {
-                name: "--threads",
-                value: Some("a,b,c"),
-                help: "thread counts to sweep (default 2,4,8)",
-            },
-            FlagDef {
-                name: "--txns",
-                value: Some("N"),
-                help: "transfer transactions per thread per point (default 2000)",
-            },
-            FlagDef {
-                name: "--accounts",
-                value: Some("N"),
-                help: "accounts in the shared array (default 256)",
-            },
-            FlagDef {
-                name: "--theta",
-                value: Some("F"),
-                help: "zipfian skew of the account picks (default 0.9)",
-            },
-            FlagDef {
-                name: "--seed",
-                value: Some("N"),
-                help: "workload seed, fixed across both policies",
-            },
-            FlagDef {
-                name: "--json-out",
-                value: Some("PATH"),
-                help: "artifact path (default BENCH_contention.json)",
-            },
-        ],
-    },
-    SubcommandSpec {
         name: "kvserve",
         positional: None,
         summary: "open-loop latency sweep of the networked KV service front-end",
@@ -347,28 +278,6 @@ const SPECS: &[SubcommandSpec] = &[
         ],
     },
     SubcommandSpec {
-        name: "breakdown",
-        positional: None,
-        summary: "bank and YCSB-A on four engines at trace level counters: phase times",
-        flags: &[
-            FlagDef {
-                name: "--threads",
-                value: Some("N"),
-                help: "worker threads of every point (default 4)",
-            },
-            FlagDef {
-                name: "--txns",
-                value: Some("N"),
-                help: "transactions per thread per point (default 2000)",
-            },
-            FlagDef {
-                name: "--json-out",
-                value: Some("PATH"),
-                help: "write the points (with phase_ns) as an engine artifact",
-            },
-        ],
-    },
-    SubcommandSpec {
         name: "trace",
         positional: None,
         summary: "dump a traced run's event rings as chrome://tracing JSON",
@@ -424,11 +333,12 @@ fn print_usage() {
     );
     println!(
         "\nNOTES:\n\
-         Engine artifacts (--json-out of the default command and of breakdown) share one\n\
-         schema: per point workload, engine, threads, ops_per_sec, writes_per_txn, the\n\
-         persist-traffic counters (write_amplification = words_persisted /\n\
-         line_words_persisted; flush_ranges, lines_per_range), completions, hw_outcomes,\n\
-         and phase_ns when traced. `compare` gates any two of them.\n\
+         Engine artifacts (--json-out of the default command) share one schema: per\n\
+         point workload, engine, threads, ops_per_sec, writes_per_txn, the persist-traffic\n\
+         counters (write_amplification = words_persisted / line_words_persisted;\n\
+         flush_ranges, lines_per_range), completions, hw_outcomes, and phase_ns under\n\
+         --trace counters (e.g. `figures --trace counters breakdowns`). `compare` gates\n\
+         any two of them.\n\
          Every artifact's config block carries nproc and the git revision.\n\
          The kvserve artifact carries p50/p99/p999 latency per (engine, rate), measured\n\
          from intended send times — or `saturated` where achieved < 0.95 x offered.\n\
@@ -455,8 +365,8 @@ fn parse_figures_args(args: &[String]) -> Options {
     }
     if let Some(unknown) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
         fail(&format!(
-            "unknown target `{unknown}` (targets: {}, all; breakdown, flushbound and the \
-             other drivers are subcommands — see --help)",
+            "unknown target `{unknown}` (targets: {}, all; compare, torture, kvserve and \
+             trace are subcommands — see --help)",
             TARGETS.join(" ")
         ));
     }
@@ -742,35 +652,6 @@ fn run_torture(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The `breakdown` subcommand: the comparison mechanism at trace level
-/// `counters`, so every instrumented engine's points carry phase times.
-/// Its own process, because the trace level is
-/// process-global and an artifact states one. Exits 0, or 2 on usage
-/// errors.
-fn run_breakdown_cmd(args: &[String]) -> ! {
-    let p = parse_or_fail(spec("breakdown"), args);
-    let threads: usize = flag(p.parsed("--threads", 4));
-    let mut cfg = HarnessConfig::quick();
-    cfg.txns_per_thread = flag(p.parsed("--txns", cfg.txns_per_thread));
-    trace::set_level(TraceLevel::Counters);
-    println!(
-        "== traced phase breakdown: bank + YCSB-A on the four KV engines, \
-         {threads} threads, trace level counters =="
-    );
-    let points = run_points(
-        &[
-            &BankWorkload::paper(Contention::Medium, threads),
-            &YcsbWorkload::paper(YcsbMix::A),
-        ],
-        &KV_ENGINES,
-        &[threads],
-        &cfg,
-    );
-    print_breakdowns(&points);
-    write_points_json(p.value("--json-out"), &cfg, &points);
-    std::process::exit(0);
-}
-
 /// The `trace` subcommand: capture one traced run's event rings and dump
 /// them as chrome://tracing JSON. Exits 0 after writing, 2 on usage
 /// errors.
@@ -790,95 +671,6 @@ fn run_trace_cmd(args: &[String]) -> ! {
     );
     std::fs::write(out, run_trace_dump(&dump, &cfg)).expect("write trace json");
     println!("[chrome trace written to {out} — load it in chrome://tracing or Perfetto]");
-    std::process::exit(0);
-}
-
-/// The `flushbound` subcommand: the persistence-domain microbenchmark.
-/// Exits 0 after writing the artifact, 2 on usage errors.
-fn run_flushbound_cmd(args: &[String]) -> ! {
-    let p = parse_or_fail(spec("flushbound"), args);
-    let mut cfg = HarnessConfig::quick();
-    cfg.thread_counts = flag(p.parsed_list("--threads", cfg.thread_counts));
-    cfg.txns_per_thread = flag(p.parsed("--txns", cfg.txns_per_thread));
-    let json_path = p.value("--json-out").unwrap_or("BENCH_flushbound.json");
-
-    println!(
-        "flushbound — {} batches/thread of adjacent-line clwb + drain, {} ns drain latency",
-        cfg.txns_per_thread, cfg.latency.drain_ns
-    );
-    println!(
-        "{:>3}  {:>14}  {:>14}  {:>12}  {:>12}  {:>6}  {:>10}  {:>9}",
-        "thr", "lines/s", "drains/s", "lines total", "words total", "w-amp", "ranges", "lines/rng"
-    );
-    let points = run_flushbound(&cfg);
-    for p in &points {
-        println!(
-            "{:>3}  {:>14.0}  {:>14.0}  {:>12}  {:>12}  {:>6.3}  {:>10}  {:>9.2}",
-            p.threads,
-            p.lines_per_sec,
-            p.drains_per_sec,
-            p.lines_persisted,
-            p.words_persisted,
-            p.write_amplification,
-            p.flush_ranges,
-            p.lines_per_range
-        );
-    }
-    std::fs::write(json_path, render_flushbound_json(&cfg, &points))
-        .expect("write flushbound json");
-    println!("[json written to {json_path}]");
-    std::process::exit(0);
-}
-
-/// The `contention` subcommand: the forced-fallback zipfian sweep that
-/// compares the SGL and per-line fallback policies head to head. Exits 0
-/// after writing `BENCH_contention.json`, 1 if any point fails its
-/// conservation audit, 2 on usage errors.
-fn run_contention_cmd(args: &[String]) -> ! {
-    use crafty_bench::{render_contention_json, run_contention_point, ContentionConfig};
-    use crafty_core::FallbackPolicy;
-
-    let p = parse_or_fail(spec("contention"), args);
-    let mut cfg = ContentionConfig::quick();
-    cfg.thread_counts = flag(p.parsed_list("--threads", cfg.thread_counts));
-    cfg.txns_per_thread = flag(p.parsed("--txns", cfg.txns_per_thread));
-    cfg.accounts = flag(p.parsed("--accounts", cfg.accounts));
-    cfg.theta = flag(p.parsed("--theta", cfg.theta));
-    cfg.seed = flag(p.parsed("--seed", cfg.seed));
-    let json_path = p.value("--json-out").unwrap_or("BENCH_contention.json");
-
-    println!(
-        "contention — forced-fallback zipfian transfers, {} accounts, theta {}, \
-         {} txns/thread, threads {:?}",
-        cfg.accounts, cfg.theta, cfg.txns_per_thread, cfg.thread_counts,
-    );
-    let mut points = Vec::new();
-    let mut audits_clean = true;
-    for policy in [FallbackPolicy::Sgl, FallbackPolicy::PerLine] {
-        for &threads in &cfg.thread_counts.clone() {
-            let point = run_contention_point(&cfg, policy, threads);
-            println!(
-                "  {:<8} @ {:>2} threads: {:>10.0} txns/s{}",
-                point.policy,
-                point.threads,
-                point.ops_per_sec,
-                if point.conserved {
-                    ""
-                } else {
-                    "  AUDIT FAILED (lost updates)"
-                },
-            );
-            audits_clean &= point.conserved;
-            points.push(point);
-        }
-    }
-    if !audits_clean {
-        println!("\nFAIL: a contention point lost updates; no artifact written.");
-        std::process::exit(1);
-    }
-    std::fs::write(json_path, render_contention_json(&cfg, &points))
-        .expect("write contention json");
-    println!("[json written to {json_path}]");
     std::process::exit(0);
 }
 
@@ -954,10 +746,7 @@ fn main() {
     match argv.first().map(String::as_str) {
         Some("compare") => run_compare(&argv[1..]),
         Some("torture") => run_torture(&argv[1..]),
-        Some("flushbound") => run_flushbound_cmd(&argv[1..]),
-        Some("contention") => run_contention_cmd(&argv[1..]),
         Some("kvserve") => run_kvserve_cmd(&argv[1..]),
-        Some("breakdown") => run_breakdown_cmd(&argv[1..]),
         Some("trace") => run_trace_cmd(&argv[1..]),
         _ => {}
     }

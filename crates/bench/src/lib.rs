@@ -11,27 +11,20 @@
 //! simulated memory space and a fresh engine, exactly as each point in the
 //! paper is a separate process run.
 //!
-//! The remaining modules are drivers that are not engine comparisons:
-//! [`flushbound`] (the persistence domain alone), [`contention`] (the two
-//! fallback policies, audited), [`kvserve`] (the networked service,
-//! open-loop) and [`tracedump`] (event rings as a Chrome trace). Their
-//! artifacts leave through the same envelope as the engine artifact, which
-//! stamps where the numbers came from (`nproc`, git `revision`).
+//! The remaining modules are the two drivers that are not engine
+//! comparisons: [`kvserve`] (the networked service, open-loop) and
+//! [`tracedump`] (event rings as a Chrome trace). The kvserve artifact
+//! leaves through the same envelope as the engine artifact, which stamps
+//! where the numbers came from (`nproc`, git `revision`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod contention;
-pub mod flushbound;
 pub mod kvserve;
 pub mod tracedump;
 
 pub use cli::{parse, render_help, FlagDef, ParsedArgs, SubcommandSpec};
-pub use contention::{
-    render_contention_json, run_contention, run_contention_point, ContentionConfig, ContentionPoint,
-};
-pub use flushbound::{render_flushbound_json, run_flushbound, FlushboundPoint};
 pub use kvserve::{
     render_kvserve_json, render_kvserve_table, run_kvserve, run_kvserve_point, KvServeConfig,
     KvServeEngine, KvServePoint,
@@ -120,8 +113,8 @@ pub(crate) fn artifact(benchmark: &str, config: Json, points: Vec<Json>) -> Stri
         .render_pretty()
 }
 
-/// Engines the KV and traced-breakdown comparisons run (legend order): the
-/// paper's headline four.
+/// Engines the KV comparison runs (legend order): the paper's headline
+/// four.
 pub const KV_ENGINES: [EngineKind; 4] = [
     EngineKind::NonDurable,
     EngineKind::DudeTm,

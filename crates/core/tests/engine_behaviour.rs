@@ -80,10 +80,10 @@ fn concurrent_transfers_preserve_the_total_balance() {
     }
     let threads = 4;
     let txns_per_thread = 300;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let crafty = Arc::clone(&crafty);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut handle = crafty.register_thread(tid);
                 let mut rng = crafty_common::SplitMix64::new(tid as u64 + 1);
                 for _ in 0..txns_per_thread {
@@ -93,8 +93,7 @@ fn concurrent_transfers_preserve_the_total_balance() {
                 }
             });
         }
-    })
-    .expect("worker threads");
+    });
     crafty.quiesce();
     let total: u64 = (0..accounts).map(|i| mem.read(base.add(i))).sum();
     assert_eq!(total, accounts * 1000, "transfers must conserve the total");
@@ -129,10 +128,10 @@ fn contention_exercises_the_validate_path() {
     // (the scenario of Figure 6(c) in the paper).
     let threads = 4;
     let cells = mem.reserve_persistent(threads as u64 * crafty_common::WORDS_PER_LINE);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let crafty = Arc::clone(&crafty);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut handle = crafty.register_thread(tid);
                 let cell = cells.add(tid as u64 * crafty_common::WORDS_PER_LINE);
                 for _ in 0..200 {
@@ -144,8 +143,7 @@ fn contention_exercises_the_validate_path() {
                 }
             });
         }
-    })
-    .expect("worker threads");
+    });
     for tid in 0..threads {
         assert_eq!(
             mem.read(cells.add(tid as u64 * crafty_common::WORDS_PER_LINE)),
@@ -190,10 +188,10 @@ fn no_validate_variant_still_completes_under_contention() {
     let counter = mem.reserve_persistent(1);
     let threads = 3;
     let per_thread = 150;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let crafty = Arc::clone(&crafty);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut handle = crafty.register_thread(tid);
                 for _ in 0..per_thread {
                     handle.execute(&mut |ops| {
@@ -204,8 +202,7 @@ fn no_validate_variant_still_completes_under_contention() {
                 }
             });
         }
-    })
-    .expect("worker threads");
+    });
     assert_eq!(mem.read(counter), (threads * per_thread) as u64);
     assert_eq!(crafty.breakdown().completions(CompletionPath::Validate), 0);
 }
@@ -217,11 +214,11 @@ fn thread_unsafe_mode_provides_durability_under_external_locking() {
     let crafty = Arc::new(Crafty::new(Arc::clone(&mem), cfg));
     let counter = mem.reserve_persistent(1);
     let lock = Arc::new(parking_lot::Mutex::new(()));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..3 {
             let crafty = Arc::clone(&crafty);
             let lock = Arc::clone(&lock);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut handle = crafty.register_thread(tid);
                 for _ in 0..100 {
                     // The program's own lock provides thread atomicity.
@@ -234,8 +231,7 @@ fn thread_unsafe_mode_provides_durability_under_external_locking() {
                 }
             });
         }
-    })
-    .expect("worker threads");
+    });
     assert_eq!(mem.read(counter), 300);
 }
 
@@ -370,10 +366,10 @@ fn adversarial_concurrent_crash_preserves_the_bank_invariant() {
             mem.persist(0, base.add(i));
         }
         let threads = 3;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for tid in 0..threads {
                 let crafty = Arc::clone(&crafty);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut handle = crafty.register_thread(tid);
                     let mut rng = crafty_common::SplitMix64::new(seed * 31 + tid as u64);
                     for _ in 0..120 {
@@ -383,8 +379,7 @@ fn adversarial_concurrent_crash_preserves_the_bank_invariant() {
                     }
                 });
             }
-        })
-        .expect("worker threads");
+        });
         // Crash *without* quiescing.
         let mut image = mem.crash();
         recover(&mut image, crafty.directory_addr()).expect("recovery");

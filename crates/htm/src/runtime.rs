@@ -1310,10 +1310,10 @@ mod tests {
         let counter = PAddr::new(64);
         let threads = 4;
         let increments_per_thread = 500;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for tid in 0..threads {
                 let rt = Arc::clone(&rt);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..increments_per_thread {
                         loop {
                             let mut t = rt.begin(tid);
@@ -1329,8 +1329,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("scoped threads");
+        });
         assert_eq!(mem.read(counter), (threads * increments_per_thread) as u64);
     }
 }

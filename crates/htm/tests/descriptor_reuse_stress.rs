@@ -24,10 +24,10 @@ fn isolation_holds_across_descriptor_reuse() {
     let threads = 4;
     let txns_per_thread = 2_000;
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let rt = Arc::clone(&rt);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = SplitMix64::new(tid as u64 + 99);
                 for _ in 0..txns_per_thread {
                     loop {
@@ -52,8 +52,7 @@ fn isolation_holds_across_descriptor_reuse() {
                 }
             });
         }
-    })
-    .expect("stress workers");
+    });
 
     // Atomicity: the hot counter saw every increment exactly once, and the
     // per-cell counters sum to the same transaction count.

@@ -147,10 +147,10 @@ fn mixed_fallback_and_hardware_stress_keeps_counts_exact() {
     let threads = 4;
     let txns_per_thread = 1_000;
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let rt = Arc::clone(&rt);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = SplitMix64::new(0xBEA7 + tid as u64);
                 for i in 0..txns_per_thread {
                     let cell = cells.add(rng.next_below(4) * 8);
@@ -188,8 +188,7 @@ fn mixed_fallback_and_hardware_stress_keeps_counts_exact() {
                 }
             });
         }
-    })
-    .expect("stress workers");
+    });
 
     let total: u64 = (0..4).map(|i| mem.read(cells.add(i * 8))).sum();
     assert_eq!(

@@ -306,10 +306,10 @@ fn concurrent_crafty_threads_keep_map_semantics() {
     let kv = ShardedKv::create(&mem, &KvConfig::small_for_tests().with_shards(8));
     let threads = 4usize;
     let per_thread = 300u64;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let engine = Arc::clone(&engine);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut t = engine.register_thread(tid);
                 // Disjoint key ranges: every thread owns keys
                 // tid*10_000 .. tid*10_000+per_thread.
@@ -319,8 +319,7 @@ fn concurrent_crafty_threads_keep_map_semantics() {
                 }
             });
         }
-    })
-    .expect("kv workers");
+    });
     engine.quiesce();
     let stats = kv.stats(&mem);
     assert_eq!(stats.len, threads as u64 * per_thread);

@@ -190,10 +190,10 @@ fn concurrent_clwb_drain_cycles_lose_nothing_and_double_persist_nothing() {
     let batches = 200u64;
     let lines_per_batch = 8u64;
     let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let mem = Arc::clone(&mem);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let first_line = 16 + tid as u64 * 64;
                 for batch in 0..batches {
                     for l in 0..lines_per_batch {
@@ -214,8 +214,7 @@ fn concurrent_clwb_drain_cycles_lose_nothing_and_double_persist_nothing() {
                 }
             });
         }
-    })
-    .expect("stress threads");
+    });
     let stats = mem.stats();
     assert_eq!(
         stats.lines_persisted,
@@ -246,11 +245,11 @@ fn foreign_drains_race_owner_drains_exactly() {
     let rounds = 300u64;
     let lines = 6u64;
     let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         // The owner enqueues `lines` lines per round, then drains.
         {
             let mem = Arc::clone(&mem);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for round in 0..rounds {
                     for l in 0..lines {
                         let addr = line_addr(16 + l);
@@ -270,15 +269,14 @@ fn foreign_drains_race_owner_drains_exactly() {
         // A forcing thread repeatedly completes the owner's queue.
         {
             let mem = Arc::clone(&mem);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..rounds {
                     mem.drain(0);
                     std::thread::yield_now();
                 }
             });
         }
-    })
-    .expect("racing drains");
+    });
     let stats = mem.stats();
     // Dedup and disjoint claim ranges mean the total persisted count can
     // never exceed the enqueued count, and nothing pending remains.

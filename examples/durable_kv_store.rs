@@ -30,11 +30,11 @@ fn main() {
     // Four "client" threads insert disjoint key ranges; the store grows
     // through incremental, crash-consistent rehashes while they run.
     let per_client = 5_000u64;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..4usize {
             let crafty = &crafty;
             let kv = &kv;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut thread = crafty.register_thread(tid);
                 for i in 0..per_client {
                     let key = (tid as u64) << 32 | i;
@@ -42,8 +42,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("client threads");
+    });
     crafty.quiesce();
 
     let stats = kv.stats(&mem);

@@ -19,10 +19,10 @@ fn main() {
     let history = mem.reserve_persistent(16);
 
     // 3. Run persistent transactions from a few threads.
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..4 {
             let crafty = &crafty;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut thread = crafty.register_thread(tid);
                 for _ in 0..1_000 {
                     thread.execute(&mut |ops| {
@@ -34,8 +34,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("worker threads");
+    });
 
     println!(
         "counter after 4 threads x 1000 transactions: {}",

@@ -159,11 +159,11 @@ fn crafty_thread_unsafe_mode_composes_with_program_locks() {
     );
     let cell = mem.reserve_persistent(1);
     let lock = std::sync::Mutex::new(());
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let crafty = &crafty;
             let lock = &lock;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut t = crafty.register_thread(tid);
                 for _ in 0..100 {
                     let _guard = lock.lock().unwrap();
@@ -175,7 +175,6 @@ fn crafty_thread_unsafe_mode_composes_with_program_locks() {
                 }
             });
         }
-    })
-    .expect("threads");
+    });
     assert_eq!(mem.read(cell), 300);
 }

@@ -2,10 +2,18 @@
 //! under real multi-thread contention.
 //!
 //! Every transaction is forced through the configured fallback
-//! ([`CraftyConfig::with_force_fallback`]), the write sets overlap heavily
-//! (zipfian-skewed account picks over a small shared array, plus one hot
-//! global counter every transaction updates), and several threads run
-//! concurrently. What must hold, under both [`FallbackPolicy::Sgl`] and
+//! ([`CraftyConfig::with_force_fallback`]) while several threads run
+//! zipfian-skewed transfers over a shared account array, and some
+//! transactions also bump one hot global counter. Two inputs:
+//!
+//! * **Hot spot** — 16 accounts and every transaction bumps the counter,
+//!   so every lock set overlaps every other one.
+//! * **Mostly disjoint** — 256 accounts and one transaction in 16 bumps
+//!   the counter, so most per-line lock sets are disjoint and per-line
+//!   fallbacks really commit concurrently, with a guaranteed-overlapping
+//!   line still in the mix.
+//!
+//! What must hold on both, under both [`FallbackPolicy::Sgl`] and
 //! [`FallbackPolicy::PerLine`]:
 //!
 //! * **Liveness** — every thread completes its bounded transaction count.
@@ -13,8 +21,9 @@
 //!   other fallbacks, and its validation-failure retries always have a
 //!   committed conflictor; the test finishing at all is the assertion (a
 //!   deadlock or livelock hangs it).
-//! * **Zero lost updates** — the hot counter equals the total transaction
-//!   count exactly, and conservation of money holds over the accounts.
+//! * **Zero lost updates** — the hot counter equals the number of
+//!   transactions that bumped it exactly, and conservation of money holds
+//!   over the accounts.
 //! * **Durability** — the same invariants hold in the recovered image of a
 //!   post-quiesce crash.
 
@@ -24,12 +33,14 @@ use crafty_common::{PersistentTm, SplitMix64, Zipfian};
 use crafty_core::{recover, Crafty, CraftyConfig, FallbackPolicy};
 use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
 
-const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 1_000;
 const THREADS: usize = 4;
 const TXNS_PER_THREAD: u64 = 150;
 
-fn run_contention(policy: FallbackPolicy) {
+/// Runs the forced-fallback transfer mix over `accounts` accounts, every
+/// `hot_every`-th transaction of a thread also bumping the hot counter,
+/// and audits the live state and the recovered crash image.
+fn run_contention(policy: FallbackPolicy, accounts: u64, hot_every: u64) {
     let mem = Arc::new(MemorySpace::new(PmemConfig {
         persistent_words: 1 << 16,
         volatile_words: 1 << 14,
@@ -43,8 +54,8 @@ fn run_contention(policy: FallbackPolicy) {
             .with_fallback(policy)
             .with_force_fallback(true),
     ));
-    let base = mem.reserve_persistent(ACCOUNTS * 8);
-    for i in 0..ACCOUNTS {
+    let base = mem.reserve_persistent(accounts * 8);
+    for i in 0..accounts {
         mem.write(base.add(i * 8), INITIAL);
         mem.clwb(0, base.add(i * 8));
     }
@@ -53,20 +64,21 @@ fn run_contention(policy: FallbackPolicy) {
     mem.clwb(0, hot);
     mem.drain(0);
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..THREADS {
             let engine = Arc::clone(&engine);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // Zipfian-skewed picks concentrate the write sets on a few
-                // hot accounts, so overlapping lock sets are the common
-                // case, not a coincidence.
-                let zipf = Zipfian::new(ACCOUNTS, 0.9);
+                // hot accounts, so overlapping lock sets happen by design,
+                // not by coincidence.
+                let zipf = Zipfian::new(accounts, 0.9);
                 let mut rng = SplitMix64::new(0xC0_47E4_7104 ^ tid as u64);
                 let mut thread = engine.register_thread(tid);
-                for _ in 0..TXNS_PER_THREAD {
+                for i in 0..TXNS_PER_THREAD {
                     let from = zipf.sample(&mut rng);
                     let to = zipf.sample(&mut rng);
                     let amount = rng.next_below(9) + 1;
+                    let bump_hot = i % hot_every == 0;
                     thread.execute(&mut |ops| {
                         let a = base.add(from * 8);
                         let b = base.add(to * 8);
@@ -74,30 +86,31 @@ fn run_contention(policy: FallbackPolicy) {
                         ops.write(a, va.wrapping_sub(amount))?;
                         let vb = ops.read(b)?;
                         ops.write(b, vb.wrapping_add(amount))?;
-                        let h = ops.read(hot)?;
-                        ops.write(hot, h + 1)?;
+                        if bump_hot {
+                            let h = ops.read(hot)?;
+                            ops.write(hot, h + 1)?;
+                        }
                         Ok(())
                     });
                 }
             });
         }
-    })
-    .expect("contention workers");
+    });
     engine.quiesce();
 
-    let expected_txns = (THREADS as u64) * TXNS_PER_THREAD;
+    let expected_hot = THREADS as u64 * TXNS_PER_THREAD.div_ceil(hot_every);
     assert_eq!(
         mem.read(hot),
-        expected_txns,
+        expected_hot,
         "[{}] lost or duplicated hot-counter updates",
         policy.label()
     );
-    let total: u64 = (0..ACCOUNTS)
+    let total: u64 = (0..accounts)
         .map(|i| mem.read(base.add(i * 8)))
         .fold(0u64, |s, v| s.wrapping_add(v));
     assert_eq!(
         total,
-        ACCOUNTS * INITIAL,
+        accounts * INITIAL,
         "[{}] conservation of money violated",
         policy.label()
     );
@@ -108,16 +121,16 @@ fn run_contention(policy: FallbackPolicy) {
     recover(&mut image, engine.directory_addr()).expect("recovery succeeds");
     assert_eq!(
         image.read(hot),
-        expected_txns,
+        expected_hot,
         "[{}] recovered hot counter diverged",
         policy.label()
     );
-    let recovered_total: u64 = (0..ACCOUNTS)
+    let recovered_total: u64 = (0..accounts)
         .map(|i| image.read(base.add(i * 8)))
         .fold(0u64, |s, v| s.wrapping_add(v));
     assert_eq!(
         recovered_total,
-        ACCOUNTS * INITIAL,
+        accounts * INITIAL,
         "[{}] recovered image broke conservation",
         policy.label()
     );
@@ -127,12 +140,25 @@ fn run_contention(policy: FallbackPolicy) {
 /// threads must neither deadlock nor lose an update.
 #[test]
 fn per_line_fallback_contention_is_live_and_exact() {
-    run_contention(FallbackPolicy::PerLine);
+    run_contention(FallbackPolicy::PerLine, 16, 1);
 }
 
 /// The SGL reference fallback under the identical load, pinning the
 /// differential baseline the per-line policy is tested against.
 #[test]
 fn sgl_fallback_contention_is_live_and_exact() {
-    run_contention(FallbackPolicy::Sgl);
+    run_contention(FallbackPolicy::Sgl, 16, 1);
+}
+
+/// The per-line fallback where its lock sets are mostly disjoint, so
+/// fallbacks overlap in time instead of queueing on one line.
+#[test]
+fn per_line_fallback_mostly_disjoint_is_live_and_exact() {
+    run_contention(FallbackPolicy::PerLine, 256, 16);
+}
+
+/// The SGL reference fallback under the mostly-disjoint load.
+#[test]
+fn sgl_fallback_mostly_disjoint_is_live_and_exact() {
+    run_contention(FallbackPolicy::Sgl, 256, 16);
 }

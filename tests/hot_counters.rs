@@ -44,10 +44,10 @@ fn hammer(label: &str, cfg: CraftyConfig, htm: HtmConfig) {
     let base = mem.reserve_persistent(WORDS * 8);
     let word = |i: u64| -> PAddr { base.add((i % WORDS) * 8) };
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..THREADS {
             let engine = &engine;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut thread = engine.register_thread(tid);
                 for n in 0..TXNS_PER_THREAD {
                     // Rotating order, opposite phase per thread, so lock
@@ -64,8 +64,7 @@ fn hammer(label: &str, cfg: CraftyConfig, htm: HtmConfig) {
                 }
             });
         }
-    })
-    .expect("workers");
+    });
     engine.quiesce();
 
     let expected = THREADS as u64 * TXNS_PER_THREAD;
