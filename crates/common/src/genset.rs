@@ -9,11 +9,12 @@
 //! footprint).
 //!
 //! The index is keyed by cache *line*, and each entry carries the line's
-//! buffered words, written-word mask and flags, so one lookup per access
-//! answers every question a hardware, fallback or exclusive transaction
-//! asks about a line (read? written? to be locked? to be flushed?). The
-//! persistence domain's flush-queue dedup stamps apply the same idea with
-//! the queue's claim cursor as the generation.
+//! buffered words, written-word mask and flags, so one lookup answers
+//! every question a hardware, fallback or exclusive transaction asks about
+//! a line it wrote (written? to be locked? to be flushed?). Lines a
+//! transaction only reads stay out of it: the descriptor logs them
+//! instead. The persistence domain's flush-queue dedup stamps apply the
+//! same idea with the queue's claim cursor as the generation.
 
 use crate::WORDS_PER_LINE;
 
@@ -69,7 +70,10 @@ struct IndexSlot {
 /// clearing is a generation bump plus a length reset. A one-entry cache
 /// of the last line looked up makes runs of accesses to one line
 /// (sequential log appends, read-then-write of one word) skip the probe
-/// entirely.
+/// entirely, and a [`LineTable::find`] that misses keeps the empty
+/// position it stopped at, so the [`LineTable::entry`] that usually
+/// follows (a read of a line, then a write to it) inserts without probing
+/// again.
 #[derive(Clone)]
 pub struct LineTable {
     /// Entry storage; only `..len` is live. Entries past `len` are kept
@@ -80,6 +84,9 @@ pub struct LineTable {
     gen: u64,
     /// Dense index of the most recently looked-up entry.
     last: usize,
+    /// The line the last [`LineTable::find`] missed and the empty index
+    /// position its probe ended at; valid until the index next changes.
+    vacant: Option<(u64, usize)>,
 }
 
 impl std::fmt::Debug for LineTable {
@@ -105,6 +112,7 @@ impl LineTable {
             index: vec![IndexSlot { gen: 0, idx: 0 }; index_slots],
             gen: 1,
             last: 0,
+            vacant: None,
         }
     }
 
@@ -131,6 +139,7 @@ impl LineTable {
     pub fn clear(&mut self) {
         self.gen += 1;
         self.len = 0;
+        self.vacant = None;
     }
 
     /// The live entries, in first-touch order.
@@ -165,24 +174,55 @@ impl LineTable {
         }
     }
 
-    /// The dense index of `line`'s entry, inserting a fresh one (`mask` and
-    /// `flags` zero) if the line is new. At most one probe, none when
-    /// `line` is the line looked up last.
+    /// True if `line` is the line looked up last (its index is `last`).
     #[inline]
-    pub fn entry(&mut self, line: u64) -> usize {
-        if let Some(slot) = self.slots().get(self.last) {
-            if slot.line == line {
-                return self.last;
+    fn is_last(&self, line: u64) -> bool {
+        self.slots()
+            .get(self.last)
+            .is_some_and(|slot| slot.line == line)
+    }
+
+    /// The dense index of `line`'s entry, if the table has one. Never
+    /// inserts; a miss remembers where `line` would go, for an
+    /// [`LineTable::entry`] of the same line right after.
+    #[inline]
+    pub fn find(&mut self, line: u64) -> Option<usize> {
+        if self.is_last(line) {
+            return Some(self.last);
+        }
+        match self.probe(line) {
+            Ok(idx) => {
+                self.last = idx;
+                Some(idx)
+            }
+            Err(pos) => {
+                self.vacant = Some((line, pos));
+                None
             }
         }
-        self.last = match self.probe(line) {
-            Ok(idx) => idx,
-            Err(pos) => self.insert_at(pos, line),
+    }
+
+    /// The dense index of `line`'s entry, inserting a fresh one (`mask` and
+    /// `flags` zero) if the line is new. At most one probe, none when
+    /// `line` is the line looked up last or the one a [`LineTable::find`]
+    /// just missed.
+    #[inline]
+    pub fn entry(&mut self, line: u64) -> usize {
+        if self.is_last(line) {
+            return self.last;
+        }
+        self.last = match self.vacant {
+            Some((missed, pos)) if missed == line => self.insert_at(pos, line),
+            _ => match self.probe(line) {
+                Ok(idx) => idx,
+                Err(pos) => self.insert_at(pos, line),
+            },
         };
         self.last
     }
 
     fn insert_at(&mut self, mut pos: usize, line: u64) -> usize {
+        self.vacant = None;
         if (self.len + 1) * LOAD_DEN >= self.index.len() * LOAD_NUM {
             self.grow_index();
             pos = self.probe(line).expect_err("line is new");
@@ -257,6 +297,31 @@ mod tests {
             (0, 0),
             "a reused entry starts unmasked and unflagged"
         );
+    }
+
+    #[test]
+    fn find_never_inserts_and_its_miss_feeds_the_next_entry() {
+        let mut t = LineTable::with_capacity(4);
+        assert_eq!(t.find(7), None);
+        assert!(t.is_empty(), "a miss inserts nothing");
+        let a = t.entry(7);
+        assert_eq!((t.find(7), t.len()), (Some(a), 1));
+        // A miss, then an entry of another line: the kept position is
+        // not the other line's, and is spent by the insert anyway.
+        assert_eq!(t.find(9), None);
+        assert_eq!(t.entry(3), a + 1);
+        assert_eq!(t.find(9), None);
+        t.clear();
+        assert_eq!(t.entry(9), 0, "a clear forgets the kept position");
+        assert_eq!(t.find(9), Some(0));
+        // Misses followed by inserts that grow the index mid-run.
+        for k in 0..100u64 {
+            assert_eq!(t.find(k * 5 + 1), None);
+            t.entry(k * 5 + 1);
+        }
+        for k in 0..100u64 {
+            assert_eq!(t.find(k * 5 + 1), Some(k as usize + 1));
+        }
     }
 
     #[test]

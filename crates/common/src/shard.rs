@@ -16,7 +16,12 @@
 //!
 //! Steady-state accesses to an already-allocated segment cost one extra
 //! atomic load (the `OnceLock` check) over a dense array, and perform no
-//! heap allocation — the property the counting-allocator tests assert.
+//! heap allocation — the property the counting-allocator tests assert. A
+//! caller that loads one slot repeatedly (the HTM's versioned read checks
+//! a line's lock word before and after the data load) pays that load once
+//! by holding on to the `&AtomicU64` that [`LazyAtomicArray::peek`]
+//! returns. Segments are fixed-size arrays, so the offset within one
+//! needs no bounds check.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -24,10 +29,13 @@ use std::sync::OnceLock;
 /// Number of `u64` slots per lazily-allocated segment (32 KiB segments).
 pub const SEGMENT_SLOTS: u64 = 4096;
 
+/// One lazily-allocated segment.
+type Segment = [AtomicU64; SEGMENT_SLOTS as usize];
+
 /// A fixed-length array of `AtomicU64` whose backing storage is allocated
 /// in [`SEGMENT_SLOTS`]-sized segments on first write access.
 pub struct LazyAtomicArray {
-    segments: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    segments: Box<[OnceLock<Box<Segment>>]>,
     len: u64,
 }
 
@@ -80,8 +88,13 @@ impl LazyAtomicArray {
             "index {idx} out of bounds (len {})",
             self.len
         );
-        let seg = self.segments[(idx / SEGMENT_SLOTS) as usize]
-            .get_or_init(|| (0..SEGMENT_SLOTS).map(|_| AtomicU64::new(0)).collect());
+        let seg = self.segments[(idx / SEGMENT_SLOTS) as usize].get_or_init(|| {
+            (0..SEGMENT_SLOTS)
+                .map(|_| AtomicU64::new(0))
+                .collect::<Box<[AtomicU64]>>()
+                .try_into()
+                .expect("SEGMENT_SLOTS slots")
+        });
         &seg[(idx % SEGMENT_SLOTS) as usize]
     }
 

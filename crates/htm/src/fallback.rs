@@ -71,7 +71,7 @@ use crafty_common::{LineId, PAddr};
 use crossbeam::utils::Backoff;
 
 use crate::runtime::{AbortCode, HtmRuntime, FALLBACK_BIT, LOCKED_MASK, VERSION_MASK};
-use crate::scratch::{self, TxnScratch, DATA, READ};
+use crate::scratch::{self, TxnScratch, HELD};
 
 impl HtmRuntime {
     /// Begins a software fallback transaction for thread `tid`.
@@ -181,7 +181,7 @@ impl std::fmt::Debug for FallbackTxn<'_> {
         f.debug_struct("FallbackTxn")
             .field("tid", &self.tid)
             .field("rv", &self.rv)
-            .field("read_lines", &s.read_count)
+            .field("read_log", &s.reads.len())
             .field("writes", &s.words_written)
             .field("locked", &s.locked)
             .finish()
@@ -212,16 +212,9 @@ impl Exclusion for FallbackTxn<'_> {
         if let Some(value) = self.s().read_buffered(addr) {
             return Ok(value);
         }
-        let line = addr.line();
-        let v1 = self.rt.version_of(line);
-        if v1 & LOCKED_MASK != 0 || (v1 & VERSION_MASK) > self.rv {
-            return Err(AbortCode::Conflict);
-        }
-        let value = self.rt.mem.read(addr);
-        if self.rt.version_of(line) != v1 {
-            return Err(AbortCode::Conflict);
-        }
-        Ok(value)
+        self.rt
+            .versioned_read(addr, self.rv, u64::MAX)
+            .ok_or(AbortCode::Conflict)
     }
 
     fn write(&mut self, addr: PAddr, value: u64) {
@@ -262,33 +255,33 @@ impl Exclusion for FallbackTxn<'_> {
         }
     }
 
-    /// Validates the read set while the write locks are held: every line
+    /// Validates the read log while the write locks are held: every line
     /// this transaction read must be unchanged since the begin snapshot,
     /// and unlocked unless this transaction itself holds its write lock.
     ///
     /// Lines both read and written get the version check too — acquisition
     /// preserves the version bits under `FALLBACK_BIT`, so a commit that
     /// slipped in between our read and our lock is still visible here.
-    /// Skipping them would publish values derived from a stale read.
+    /// Skipping them would publish values derived from a stale read. Only
+    /// a line whose sole lock bit is `FALLBACK_BIT` is looked up among the
+    /// held lines; a `LOCK_BIT` is always foreign (impossible on a line we
+    /// hold, but checked for robustness).
     /// A conflict releases every held write lock first, versions unchanged.
     fn validate_reads(&mut self) -> Result<(), AbortCode> {
         let rt = self.rt;
         let rv = self.rv;
         let s = self.s();
-        let stale = s.lines.slots().iter().any(|slot| {
-            if slot.flags & READ == 0 {
-                return false;
-            }
-            let v = rt.version_of(LineId::new(slot.line()));
-            let foreign_lock = if slot.flags & DATA != 0 {
-                // We hold this line's FALLBACK_BIT; only a concurrent
-                // LOCK_BIT holder (impossible while we hold the line, but
-                // checked for robustness) would be foreign.
-                v & LOCKED_MASK & !FALLBACK_BIT != 0
-            } else {
-                v & LOCKED_MASK != 0
-            };
-            foreign_lock || (v & VERSION_MASK) > rv
+        let stale = s.reads.iter().any(|&entry| {
+            // Its lock acquisition checks no version: a HELD line is
+            // validated like any other.
+            let line = entry & !HELD;
+            let v = rt.version_of(LineId::new(line));
+            (v & VERSION_MASK) > rv
+                || match v & LOCKED_MASK {
+                    0 => false,
+                    FALLBACK_BIT => !s.holds(line),
+                    _ => true,
+                }
         });
         if stale {
             release_locked(rt, s);
@@ -385,10 +378,10 @@ impl ExclusiveTxn<'_> {
 }
 
 impl Exclusion for ExclusiveTxn<'_> {
+    /// Nothing to validate, so nothing is logged.
     fn read(&mut self, addr: PAddr) -> Result<u64, AbortCode> {
         let s = self.scratch.as_mut().expect("descriptor present");
-        Ok(s.read_buffered(addr)
-            .unwrap_or_else(|| self.rt.nontx_read(addr)))
+        Ok(s.buffered(addr).unwrap_or_else(|| self.rt.nontx_read(addr)))
     }
 
     fn write(&mut self, addr: PAddr, value: u64) {
@@ -425,6 +418,62 @@ impl Drop for ExclusiveTxn<'_> {
     fn drop(&mut self) {
         if let Some(scratch) = self.scratch.take() {
             scratch::give_back(scratch);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use crafty_common::BreakdownRecorder;
+    use crafty_pmem::{MemorySpace, PmemConfig};
+
+    use super::*;
+    use crate::HtmConfig;
+
+    /// "Lines both read and written get the version check too": a line
+    /// the fallback read and a hardware commit then bumped fails
+    /// validation whether or not the fallback also writes — and so holds —
+    /// it, and the failed validation releases every lock at the version
+    /// it had.
+    #[test]
+    fn a_read_line_bumped_by_a_hardware_commit_fails_validation_held_or_not() {
+        for also_write in [false, true] {
+            let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
+            let rt = HtmRuntime::new(
+                mem,
+                HtmConfig::skylake(),
+                Arc::new(BreakdownRecorder::new()),
+            );
+            let (read, other) = (PAddr::new(64), PAddr::new(128));
+            let mut fallback = rt.begin_fallback(0);
+            assert_eq!(fallback.read(read), Ok(0));
+            fallback.write(other, 1);
+            if also_write {
+                fallback.write(read.add(1), 2);
+            }
+            let mut hw = rt.begin(1);
+            hw.write(read.add(2), 3).unwrap();
+            hw.commit().unwrap();
+
+            fallback.lock_write_set();
+            let held = [read.line(), other.line()];
+            let locked: Vec<u64> = held.iter().map(|&l| rt.version_of(l)).collect();
+            assert_eq!(
+                locked[1] & FALLBACK_BIT,
+                FALLBACK_BIT,
+                "the written line is held"
+            );
+            assert_eq!(locked[0] & FALLBACK_BIT != 0, also_write);
+            assert_eq!(
+                fallback.validate_reads(),
+                Err(AbortCode::Conflict),
+                "also_write: {also_write}"
+            );
+            let released: Vec<u64> = held.iter().map(|&l| rt.version_of(l)).collect();
+            let unlocked: Vec<u64> = locked.iter().map(|v| v & !FALLBACK_BIT).collect();
+            assert_eq!(released, unlocked, "versions unchanged, locks gone");
         }
     }
 }

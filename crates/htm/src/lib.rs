@@ -16,13 +16,16 @@
 //! descriptor (cf. phasedTM's `__thread`-local descriptor state) and how
 //! real RTM tracks its footprint per cache line:
 //!
-//! * **One line table** — a [`TxnScratch`] holds one
-//!   [`crafty_common::LineTable`] entry per touched *line*: the line's
-//!   buffered words, a written-word mask, and read / data / sink / flush
-//!   flags. A read or write is one O(1) lookup (none at all when it hits
-//!   the line looked up last: sequential undo-log appends,
-//!   read-then-write of one account); capacity checks are counters;
-//!   commit walks the lines — lock, publish the line's written words with
+//! * **A read log and a write table** — a [`TxnScratch`] logs the line of
+//!   every read served from memory (TL2's read set: appended, never
+//!   indexed, compacted in place only past the read capacity) and holds
+//!   one [`crafty_common::LineTable`] entry per line it writes, sinks or
+//!   flushes: the line's buffered words, a written-word mask, and data /
+//!   sink / flush flags. A read of a transaction that has written nothing
+//!   is one version check and one log append; a write is one O(1) lookup
+//!   (none at all when it hits the line looked up last: sequential
+//!   undo-log appends); capacity checks are counters; commit validates the
+//!   log and walks the table — lock, publish the line's written words with
 //!   one dirty-mask update ([`crafty_pmem::MemorySpace::write_line`]),
 //!   enqueue one CLWB per flagged line as a single batch
 //!   ([`crafty_pmem::MemorySpace::clwb_lines`]).
@@ -34,8 +37,9 @@
 //!   and every tick of the injected-abort countdown where the word-wise
 //!   run had it — `tests/batch_entry_points.rs` holds the two interfaces
 //!   to the same abort at the same access.
-//! * **O(1) epoch clear** — the table clears by generation bump and only
-//!   allocates when it grows past the workload's observed footprint, so a
+//! * **O(1) epoch clear** — the table clears by generation bump, the log
+//!   by a length reset, and both only allocate when they grow past the
+//!   workload's observed footprint, so a
 //!   warmed-up transaction allocates nothing — a property asserted by the
 //!   `alloc_free_hot_path` integration test with a counting global
 //!   allocator.

@@ -33,7 +33,7 @@ use crafty_pmem::MemorySpace;
 use crossbeam::utils::Backoff;
 
 use crate::config::HtmConfig;
-use crate::scratch::{self, Journalled, TxnScratch, DATA, FLUSH, LOCKS, READ, SINK};
+use crate::scratch::{self, Journalled, TxnScratch, DATA, FLUSH, HELD, SINK};
 
 /// Why a hardware transaction aborted.
 ///
@@ -419,6 +419,28 @@ impl HtmRuntime {
     fn subscribed_version_of(&self, line: LineId) -> u64 {
         self.version_of(line) & SUBSCRIBE_VIEW
     }
+
+    /// Loads the word at `addr` for a transaction with snapshot `rv` that
+    /// sees lock words through `view`: `None` (a conflict) if the line is
+    /// locked, versioned past the snapshot, or changes under the load.
+    /// One `peek` serves both loads of the lock word; only a segment that
+    /// was unallocated at the first is looked up again, since a commit may
+    /// have allocated it since.
+    #[inline]
+    pub(crate) fn versioned_read(&self, addr: PAddr, rv: u64, view: u64) -> Option<u64> {
+        let line = addr.line().index();
+        let slot = self.line_versions.peek(line);
+        let v1 = slot.map_or(0, |slot| slot.load(Ordering::Acquire)) & view;
+        if v1 & LOCKED_MASK != 0 || (v1 & VERSION_MASK) > rv {
+            return None;
+        }
+        let value = self.mem.read(addr);
+        let v2 = match slot {
+            Some(slot) => slot.load(Ordering::Acquire),
+            None => self.line_versions.load_or_zero(line),
+        } & view;
+        (v2 == v1).then_some(value)
+    }
 }
 
 /// Holds a lock word in simulated memory acquired through
@@ -464,7 +486,7 @@ impl std::fmt::Debug for HwTxn<'_> {
         let s = self.scratch.as_ref().expect("descriptor present");
         f.debug_struct("HwTxn")
             .field("tid", &self.tid)
-            .field("read_lines", &s.read_count)
+            .field("read_log", &s.reads.len())
             .field("writes", &s.words_written)
             .field("failed", &self.failed)
             .finish()
@@ -528,26 +550,19 @@ impl<'rt> HwTxn<'rt> {
         if let Some(code) = self.tick_doom() {
             return Err(self.fail(code));
         }
-        let read_capacity = self.rt.cfg.read_capacity_lines;
+        let (rt, rv) = (self.rt, self.rv);
         let s = self.s();
         if let Some(value) = s.read_buffered(addr) {
             return Ok(value);
         }
-        let over_capacity = s.read_count > read_capacity;
-        let line = addr.line();
+        let over_capacity = s.reads_exceed(rt.cfg.read_capacity_lines);
         // Per-line subscription: the fast path watches exactly this line's
         // lock word — both the transient commit lock and the fallback
         // write lock — instead of any global fallback indicator. A line
         // locked either way, or versioned past the snapshot, aborts.
-        let v1 = self.rt.subscribed_version_of(line);
-        if v1 & LOCKED_MASK != 0 || (v1 & VERSION_MASK) > self.rv {
+        let Some(value) = rt.versioned_read(addr, rv, SUBSCRIBE_VIEW) else {
             return Err(self.fail(AbortCode::Conflict));
-        }
-        let value = self.rt.mem.read(addr);
-        let v2 = self.rt.subscribed_version_of(line);
-        if v2 != v1 {
-            return Err(self.fail(AbortCode::Conflict));
-        }
+        };
         if over_capacity {
             return Err(self.fail(AbortCode::Capacity));
         }
@@ -720,15 +735,17 @@ impl<'rt> HwTxn<'rt> {
             rt.version_clock.fetch_add(1, Ordering::AcqRel) + 1
         };
 
-        // Validate the read set: lines we only read must not have advanced
-        // (the ones we hold were checked when they were locked).
+        // Validate the read log: a line tagged HELD was checked when it was
+        // locked; any other gets the version check, and only one that fails
+        // it is looked up among the lines this commit holds (checked when
+        // they were locked, too).
         conflict = conflict
-            || s.lines.slots().iter().any(|slot| {
-                if slot.flags & READ == 0 || slot.flags & LOCKS != 0 {
+            || s.reads.iter().any(|&line| {
+                if line & HELD != 0 {
                     return false;
                 }
-                let v = rt.subscribed_version_of(LineId::new(slot.line()));
-                v & LOCKED_MASK != 0 || (v & VERSION_MASK) > rv
+                let v = rt.subscribed_version_of(LineId::new(line));
+                (v & LOCKED_MASK != 0 || (v & VERSION_MASK) > rv) && !s.holds(line)
             });
         if conflict {
             release(&s.lock_order[..s.locked], None);
@@ -773,10 +790,11 @@ impl<'rt> HwTxn<'rt> {
 /// The batch entry points Crafty's Log → Redo hand-off uses: each does the
 /// work of a run of [`HwTxn::read`]/[`HwTxn::write`] calls with one
 /// descriptor lookup per *line*, and is indistinguishable from that run to
-/// everything that counts — version checks, capacity checks, flags, and
-/// the injected-abort countdown, which still ticks once per word access. A
-/// batch that ticked once would let doomed transactions survive
-/// (`doomed_after` is at most 24) and move every abort-dependent count.
+/// everything that counts — version checks, capacity checks, the read log,
+/// flags, and the injected-abort countdown, which still ticks once per
+/// word access. A batch that ticked once would let doomed transactions
+/// survive (`doomed_after` is at most 24) and move every abort-dependent
+/// count.
 ///
 /// Kept in an `impl` of their own, out of line, so the text of
 /// `read`/`write`/`commit` — all a read-only transaction runs — stays as
@@ -806,23 +824,19 @@ impl HwTxn<'_> {
             return Err(code);
         }
         self.tick(1)?;
-        let rt = self.rt;
-        let line = addr.line();
+        let (rt, rv) = (self.rt, self.rv);
+        let line = addr.line().index();
         let word = (addr.word() % WORDS_PER_LINE) as usize;
         let s = self.s();
-        let idx = s.lines.entry(line.index());
-        let old = match s.read_at(idx, word) {
+        let idx = s.lines.entry(line);
+        let old = match s.buffered_at(idx, word) {
             Some(buffered) => buffered,
             None => {
-                let over_capacity = s.read_count > rt.cfg.read_capacity_lines;
-                let v1 = rt.subscribed_version_of(line);
-                if v1 & LOCKED_MASK != 0 || (v1 & VERSION_MASK) > self.rv {
+                s.log_read(line);
+                let over_capacity = s.reads_exceed(rt.cfg.read_capacity_lines);
+                let Some(current) = rt.versioned_read(addr, rv, SUBSCRIBE_VIEW) else {
                     return Err(self.fail(AbortCode::Conflict));
-                }
-                let current = rt.mem.read(addr);
-                if rt.subscribed_version_of(line) != v1 {
-                    return Err(self.fail(AbortCode::Conflict));
-                }
+                };
                 if over_capacity {
                     return Err(self.fail(AbortCode::Capacity));
                 }

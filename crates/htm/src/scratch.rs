@@ -4,14 +4,20 @@
 //! reuse it across transactions (cf. phasedTM's `__thread`-local descriptor
 //! state); allocating a fresh read set and write buffer per `xbegin` would
 //! dwarf the cost of the transaction itself. Real RTM also tracks its
-//! footprint per *cache line*, for free. This module provides the same
-//! discipline for the simulated RTM:
+//! footprint per *cache line*, for free — the read set rides in the L1 at
+//! no cost per access. This module provides the same discipline for the
+//! simulated RTM:
 //!
 //! * [`TxnScratch`] — everything a hardware, fallback or exclusive
-//!   transaction needs to remember: one [`LineTable`] entry per touched
-//!   line (buffered words, written-word mask, and the
-//!   `READ`/`DATA`/`SINK`/`FLUSH` flags), the lock order, the version
-//!   sinks, and the journal of exchanged words' old values.
+//!   transaction needs to remember: the **read log** (TL2's read set: the
+//!   line of every read served from memory, appended, never indexed, and
+//!   walked once at commit), one [`LineTable`] entry per line the
+//!   transaction writes, sinks or flushes (buffered words, written-word
+//!   mask, and the `DATA`/`SINK`/`FLUSH`/`PLAIN`/`DEMOTED` flags), the
+//!   lock order, the version sinks, and the journal of exchanged words'
+//!   old values. A read consults the table only once the transaction has
+//!   written something, so a read-only transaction's read is one version
+//!   check and one log append.
 //! * A thread-local spare — `checkout` takes the calling thread's
 //!   descriptor and `give_back` returns it: a `Cell` swap, no atomic
 //!   instruction. A descriptor has no identity (per-thread-slot state such
@@ -25,28 +31,34 @@ use std::cell::Cell;
 
 use crafty_common::{LineId, LineSlot, LineTable, PAddr, WORDS_PER_LINE};
 
-/// [`LineSlot::flags`](crafty_common::LineSlot::flags) bit: the
-/// transaction read the line from memory (it is in the read set).
-pub(crate) const READ: u8 = 1;
-/// Flags bit: a data write is buffered for the line (it counts toward the
-/// write capacity and is locked at commit).
-pub(crate) const DATA: u8 = 1 << 1;
+/// [`LineSlot::flags`](crafty_common::LineSlot::flags) bit: a data write
+/// is buffered for the line (it counts toward the write capacity and is
+/// locked at commit).
+pub(crate) const DATA: u8 = 1;
 /// Flags bit: a version sink lives on the line (locked at commit, but not
 /// HTM write footprint).
-pub(crate) const SINK: u8 = 1 << 2;
+pub(crate) const SINK: u8 = 1 << 1;
 /// Flags bit: a commit-time CLWB was requested for the line.
-pub(crate) const FLUSH: u8 = 1 << 3;
+pub(crate) const FLUSH: u8 = 1 << 2;
 /// Flags bit: a plain write (anything but an [`crate::HwTxn::exchange`])
 /// is buffered for the line, so rolling the exchanges back does not return
 /// its buffer to what the transaction read.
-pub(crate) const PLAIN: u8 = 1 << 4;
+pub(crate) const PLAIN: u8 = 1 << 3;
 /// Flags bit: the line was a [`DATA`] line until
 /// [`TxnScratch::roll_back`] demoted it. It stays counted in
 /// [`TxnScratch::data_count`] — the footprint was real — but is neither
 /// locked nor published unless a later write makes it a data line again.
-pub(crate) const DEMOTED: u8 = 1 << 5;
+pub(crate) const DEMOTED: u8 = 1 << 4;
 /// Lines carrying either of these flags are locked at commit.
 pub(crate) const LOCKS: u8 = DATA | SINK;
+
+/// Read-log tag on a line that entered the lock set right after it was
+/// read — the read-then-write of one line. Locking it checks its version
+/// against the snapshot, which is all its validation would, so the
+/// hardware commit skips the entry instead of finding it among the lines
+/// it holds. A roll-back (which can demote the line out of the lock set)
+/// and a compaction strip every tag; line ids never reach this bit.
+pub(crate) const HELD: u64 = 1 << 63;
 
 const INITIAL_CAPACITY: usize = 64;
 
@@ -67,10 +79,14 @@ pub(crate) struct Journalled {
 /// nothing.
 #[derive(Debug)]
 pub struct TxnScratch {
-    /// One entry per touched line, in first-touch order.
+    /// The line of every read served from memory, in program order except
+    /// that a run of reads of one line is logged once — until the log
+    /// outgrows the read capacity or its allocation, when it is sorted and
+    /// deduplicated in place ([`TxnScratch::reads_exceed`],
+    /// [`TxnScratch::log_read`]). An entry may carry the [`HELD`] tag.
+    pub(crate) reads: Vec<u64>,
+    /// One entry per line written, sunk or flushed, in first-touch order.
     pub(crate) lines: LineTable,
-    /// Number of lines flagged [`READ`] (the read-capacity count).
-    pub(crate) read_count: usize,
     /// Number of lines flagged [`DATA`] (the write-capacity count; sink
     /// lines never count toward capacity).
     pub(crate) data_count: usize,
@@ -90,8 +106,8 @@ pub struct TxnScratch {
 impl TxnScratch {
     fn new() -> Self {
         TxnScratch {
+            reads: Vec::with_capacity(INITIAL_CAPACITY),
             lines: LineTable::new(),
-            read_count: 0,
             data_count: 0,
             words_written: 0,
             lock_order: Vec::with_capacity(INITIAL_CAPACITY),
@@ -104,8 +120,8 @@ impl TxnScratch {
     /// Readies the descriptor for a fresh transaction. O(1): the line
     /// table clears by generation bump and the `Vec`s keep their capacity.
     fn reset(&mut self) {
+        self.reads.clear();
         self.lines.clear();
-        self.read_count = 0;
         self.data_count = 0;
         self.words_written = 0;
         self.lock_order.clear();
@@ -115,14 +131,19 @@ impl TxnScratch {
     }
 
     /// Sets `flag` on entry `idx`; the first [`LOCKS`] flag a line gets
-    /// also enters it in the lock order. Returns the flags from before.
+    /// also enters it in the lock order, and tags it [`HELD`] if it is the
+    /// line read last. Returns the flags from before.
     #[inline]
     fn flag_at(&mut self, idx: usize, flag: u8) -> u8 {
         let slot = self.lines.slot_mut(idx);
         let before = slot.flags;
         slot.flags |= flag;
         if flag & LOCKS != 0 && before & LOCKS == 0 {
-            self.lock_order.push(slot.line());
+            let line = slot.line();
+            self.lock_order.push(line);
+            if let Some(last) = self.reads.last_mut().filter(|last| **last == line) {
+                *last |= HELD;
+            }
         }
         before
     }
@@ -146,27 +167,95 @@ impl TxnScratch {
         self.flag_at(idx, flag);
     }
 
-    /// Starts a read of word `word` of entry `idx`: the buffered value if
-    /// the transaction wrote the word; otherwise `None` — the caller reads
-    /// memory — with the line now in the read set (`read_count` says
-    /// whether that exceeded a capacity; a caller whose memory read then
-    /// fails abandons the transaction, footprint and all).
+    /// The buffered value of word `word` of entry `idx`, if the
+    /// transaction wrote it.
     #[inline]
-    pub(crate) fn read_at(&mut self, idx: usize, word: usize) -> Option<u64> {
-        let slot = self.lines.slot_mut(idx);
-        if slot.mask & (1 << word) != 0 {
-            return Some(slot.words[word]);
-        }
-        self.read_count += usize::from(slot.flags & READ == 0);
-        slot.flags |= READ;
-        None
+    pub(crate) fn buffered_at(&self, idx: usize, word: usize) -> Option<u64> {
+        let slot = &self.lines.slots()[idx];
+        (slot.mask & (1 << word) != 0).then_some(slot.words[word])
     }
 
-    /// [`TxnScratch::read_at`] for `addr`, looking its line up.
+    /// The buffered value of `addr`, if the transaction wrote it. Looks
+    /// the line up only if the transaction has written anything, and then
+    /// without inserting it.
+    #[inline]
+    pub(crate) fn buffered(&mut self, addr: PAddr) -> Option<u64> {
+        if self.words_written == 0 {
+            return None;
+        }
+        let idx = self.lines.find(addr.line().index())?;
+        self.buffered_at(idx, (addr.word() % WORDS_PER_LINE) as usize)
+    }
+
+    /// Logs a read of `line` served from memory (a caller whose memory
+    /// read then fails abandons the transaction, log and all). A full log
+    /// is compacted before it grows, so a software transaction's — which
+    /// has no read capacity to trigger compaction — stays within twice its
+    /// distinct lines however often it re-reads them.
+    #[inline]
+    pub(crate) fn log_read(&mut self, line: u64) {
+        if self.reads.last().map(|last| last & !HELD) != Some(line) {
+            if self.reads.len() == self.reads.capacity() {
+                self.make_room();
+            }
+            self.reads.push(line);
+        }
+    }
+
+    /// Compacts the full read log, and lets it grow (by doubling) only if
+    /// that freed less than half of it: amortised O(log n) per read.
+    #[cold]
+    fn make_room(&mut self) {
+        let capacity = self.reads.capacity();
+        if self.compact_reads() * 2 > capacity {
+            self.reads.reserve(capacity);
+        }
+    }
+
+    /// Starts a transactional read of `addr`: the buffered value if the
+    /// transaction wrote the word; otherwise `None` — the caller reads
+    /// memory — with the line logged.
     #[inline]
     pub(crate) fn read_buffered(&mut self, addr: PAddr) -> Option<u64> {
-        let idx = self.lines.entry(addr.line().index());
-        self.read_at(idx, (addr.word() % WORDS_PER_LINE) as usize)
+        let buffered = self.buffered(addr);
+        if buffered.is_none() {
+            self.log_read(addr.line().index());
+        }
+        buffered
+    }
+
+    /// True if the read log holds more than `capacity` distinct lines.
+    /// Its length bounds that count from above, so only a log longer than
+    /// `capacity` is compacted and counted — the check fires at the very
+    /// read that brings the distinct count past `capacity`.
+    #[inline]
+    pub(crate) fn reads_exceed(&mut self, capacity: usize) -> bool {
+        self.reads.len() > capacity && self.compact_reads() > capacity
+    }
+
+    /// Drops every [`HELD`] tag: the entries are validated like any read.
+    fn strip_held(&mut self) {
+        for entry in &mut self.reads {
+            *entry &= !HELD;
+        }
+    }
+
+    /// True if the transaction holds `line`'s lock: a binary search of the
+    /// locked prefix of the (by then sorted) lock order. Validation asks
+    /// it of a logged read that failed its version check.
+    #[inline]
+    pub(crate) fn holds(&self, line: u64) -> bool {
+        self.lock_order[..self.locked].binary_search(&line).is_ok()
+    }
+
+    /// Sorts and deduplicates the read log in place (no allocation) and
+    /// returns its distinct line count.
+    #[cold]
+    fn compact_reads(&mut self) -> usize {
+        self.strip_held();
+        self.reads.sort_unstable();
+        self.reads.dedup();
+        self.reads.len()
     }
 
     /// The batch form of [`TxnScratch::buffer_write`]: marks the words
@@ -214,10 +303,12 @@ impl TxnScratch {
     /// check, so after the restore it holds exactly the values commit-time
     /// validation of the read set vouches for. Such a line has nothing to
     /// publish: it leaves the lock order, its mask is cleared, and it is
-    /// validated with the rest of the read set (it carries [`READ`]). It
-    /// keeps counting toward the write capacity and the written-word count.
+    /// validated with the rest of the read log (that first exchange logged
+    /// it; the roll-back strips the [`HELD`] tags). It keeps counting
+    /// toward the write capacity and the written-word count.
     pub(crate) fn roll_back(&mut self, image: &mut Vec<LineSlot>) {
         image.clear();
+        self.strip_held();
         self.lock_order.clear();
         for idx in 0..self.lines.len() {
             let slot = self.lines.slot_mut(idx);
@@ -245,7 +336,8 @@ impl TxnScratch {
     /// Total capacity across the descriptor's table and buffers. Stable
     /// across transactions once the workload's footprint has been seen.
     pub fn capacity_signature(&self) -> usize {
-        self.lines.slot_capacity()
+        self.reads.capacity()
+            + self.lines.slot_capacity()
             + self.lock_order.capacity()
             + self.version_sinks.capacity()
             + self.journal.capacity()
@@ -327,7 +419,8 @@ mod tests {
         let exchange = |s: &mut TxnScratch, addr: PAddr, old: u64, new: u64| {
             let idx = s.lines.entry(addr.line().index());
             let word = (addr.word() % WORDS_PER_LINE) as usize;
-            assert_eq!(s.read_at(idx, word), None);
+            assert_eq!(s.buffered_at(idx, word), None);
+            s.log_read(addr.line().index());
             s.write_at(idx, word, new, 0);
             s.journal.push(Journalled {
                 slot: idx as u32,
@@ -347,7 +440,8 @@ mod tests {
         assert_eq!(image.len(), 3);
         assert_eq!((image[0].mask, image[0].words[0]), (1, 11), "redo image");
         let slots = s.lines.slots();
-        assert_eq!((slots[0].mask, slots[0].flags), (0, READ | DEMOTED));
+        assert_eq!((slots[0].mask, slots[0].flags), (0, DEMOTED));
+        assert_eq!(s.reads, vec![8, 9, 10], "validated as reads");
         assert_eq!((slots[1].mask, slots[1].words[0]), (0b11, 20), "restored");
         assert_eq!((slots[2].mask, slots[2].words[0]), (1, 30));
         assert_eq!(s.lock_order, vec![9, 10], "line 8 left the lock order");
@@ -361,21 +455,51 @@ mod tests {
     }
 
     #[test]
-    fn only_reads_served_from_memory_join_the_read_set() {
+    fn only_reads_served_from_memory_join_the_read_log() {
         let mut s = TxnScratch::new();
+        assert_eq!(s.read_buffered(PAddr::new(128)), None);
+        assert!(s.lines.is_empty(), "nothing written: the table is skipped");
         s.buffer_write(PAddr::new(64), 7);
         assert_eq!(s.read_buffered(PAddr::new(64)), Some(7));
-        assert_eq!((s.read_count, s.lines.slots()[0].flags), (0, DATA | PLAIN));
+        assert_eq!(s.reads, vec![16], "a buffered read is not logged");
         assert_eq!(
             s.read_buffered(PAddr::new(65)),
             None,
             "other word, same line"
         );
         assert_eq!(s.read_buffered(PAddr::new(66)), None);
-        assert_eq!(
-            (s.read_count, s.lines.slots()[0].flags),
-            (1, DATA | PLAIN | READ)
-        );
+        assert_eq!(s.reads, vec![16, 8], "a run of one line is logged once");
+        assert_eq!(s.read_buffered(PAddr::new(136)), None);
+        assert_eq!(s.read_buffered(PAddr::new(67)), None);
+        assert_eq!(s.reads, vec![16, 8, 17, 8]);
+        assert_eq!(s.lines.len(), 1, "a read never inserts");
+        assert_eq!(s.lines.slots()[0].flags, DATA | PLAIN);
+    }
+
+    #[test]
+    fn the_read_log_is_compacted_past_capacity_and_before_growing() {
+        let mut s = TxnScratch::new();
+        for line in [1, 2, 1, 2, 1] {
+            s.log_read(line);
+            assert!(!s.reads_exceed(2), "two distinct lines fit");
+        }
+        assert_eq!(s.reads, vec![1, 2], "every third entry compacts");
+        s.log_read(3);
+        assert!(s.reads_exceed(2), "the third distinct line does not");
+        assert_eq!(s.reads, vec![1, 2, 3]);
+
+        // No capacity check at all (a software transaction): re-reads of
+        // 20 lines never grow the log; 200 distinct lines do.
+        s.reset();
+        let allocated = s.reads.capacity();
+        for i in 0..10_000u64 {
+            s.log_read(i % 20);
+        }
+        assert_eq!(s.reads.capacity(), allocated);
+        for line in 0..10_000u64 {
+            s.log_read(line % 200);
+        }
+        assert!((200..=4 * 200).contains(&s.reads.capacity()));
     }
 
     #[test]

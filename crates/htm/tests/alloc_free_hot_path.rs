@@ -2,7 +2,8 @@
 //! steady state, a committed hardware transaction performs **zero heap
 //! allocations**. A counting global allocator observes the begin → read →
 //! write → commit cycle after a warmup phase that lets every scratch
-//! structure reach its steady-state capacity.
+//! structure reach its steady-state capacity — the read log included, past
+//! its initial capacity and through its in-place compaction.
 
 use std::sync::Arc;
 
@@ -80,4 +81,55 @@ fn steady_state_transactions_do_not_allocate() {
     mem.drain(0);
     let total: u64 = (0..64).map(|i| mem.read(accounts.add(i * 8))).sum();
     assert_eq!(total, 64 * 1_000);
+}
+
+/// One read-only transaction over `lines` distinct lines from `base` —
+/// more than the read log's initial capacity of 64 — then interleaved
+/// re-reads of two of them, which keep appending to the log until it
+/// outgrows the read capacity and is compacted in place.
+fn scan(rt: &HtmRuntime, base: PAddr, lines: u64, rereads: u64) -> u64 {
+    let mut txn = rt.begin(0);
+    let mut sum = 0u64;
+    for line in 0..lines {
+        sum = sum.wrapping_add(txn.read(base.add(line * 8)).expect("uncontended"));
+    }
+    for i in 0..rereads {
+        let line = i % 2 * (lines - 1);
+        sum = sum.wrapping_add(txn.read(base.add(line * 8 + 1)).expect("uncontended"));
+    }
+    txn.commit().expect("read-only, within capacity");
+    sum
+}
+
+#[test]
+fn steady_state_read_only_transactions_do_not_allocate() {
+    let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
+    // A read capacity the re-reads overrun many times over: the log is
+    // sorted and deduplicated in place each time it passes 128 entries.
+    let cfg = HtmConfig {
+        read_capacity_lines: 128,
+        ..HtmConfig::skylake()
+    };
+    let rt = HtmRuntime::new(Arc::clone(&mem), cfg, Arc::new(BreakdownRecorder::new()));
+    let base = mem.reserve_persistent(100 * 8);
+    for line in 0..100 {
+        mem.write(base.add(line * 8), line);
+    }
+
+    for _ in 0..100 {
+        scan(&rt, base, 100, 1_000);
+    }
+    let before = thread_allocations();
+    let mut sum = 0u64;
+    for _ in 0..1_000 {
+        sum = sum.wrapping_add(scan(&rt, base, 100, 1_000));
+    }
+    let after = thread_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "read-only path allocated {} times over 1k steady-state transactions",
+        after - before
+    );
+    assert_eq!(sum, 1_000 * (0..100).sum::<u64>(), "the scans read memory");
 }

@@ -42,7 +42,7 @@ proptest! {
 
     /// The line table behaves exactly like a `HashMap` from line id to
     /// (words, mask, flags) plus a first-touch order list, under arbitrary
-    /// sequences of entry / word store / flag set / generation clear, with
+    /// sequences of find / entry / word store / flag set / generation clear, with
     /// a tiny initial capacity so that the index grows mid-generation.
     #[test]
     fn line_table_agrees_with_hashmap_model(seed: u64, ops in 1usize..400) {
@@ -54,6 +54,13 @@ proptest! {
             let value = rng.next_u64();
             match decode_op(rng.next_u64(), value) {
                 Op::Insert(line, value) => {
+                    // Half the inserts come after a `find` of the same line
+                    // (a read, then a write): a miss there hands `entry`
+                    // its probe position.
+                    if value & 1 == 1 {
+                        let pos = order.iter().position(|&l| l == line);
+                        prop_assert_eq!(ours.find(line), pos, "step {}", step);
+                    }
                     let idx = ours.entry(line);
                     if !model.contains_key(&line) {
                         prop_assert_eq!(idx, order.len(), "step {}: new lines append", step);
@@ -73,10 +80,13 @@ proptest! {
                     slot.flags |= flag;
                 }
                 Op::Lookup(line) => {
-                    // `entry` is find-or-insert: a hit must return the
-                    // line's existing index with its contents intact, twice
-                    // in a row (the second time through the last-line cache).
-                    if let Some(pos) = order.iter().position(|&l| l == line) {
+                    // `find` never inserts; `entry` is find-or-insert: a hit
+                    // must return the line's existing index with its
+                    // contents intact, twice in a row (the second time
+                    // through the last-line cache).
+                    let pos = order.iter().position(|&l| l == line);
+                    prop_assert_eq!(ours.find(line), pos, "step {}", step);
+                    if let Some(pos) = pos {
                         prop_assert_eq!(ours.entry(line), pos, "step {}", step);
                         prop_assert_eq!(ours.entry(line), pos, "step {}", step);
                     }

@@ -524,22 +524,32 @@ impl MemorySpace {
     }
 
     fn check_bounds(&self, addr: PAddr) {
-        assert!(
-            addr.word() < self.cfg.total_words(),
+        if addr.word() >= self.cfg.total_words() {
+            self.out_of_bounds(addr);
+        }
+    }
+
+    #[cold]
+    fn out_of_bounds(&self, addr: PAddr) -> ! {
+        panic!(
             "address {addr} out of bounds (total {} words)",
             self.cfg.total_words()
-        );
+        )
     }
 
     /// Reads the word at `addr` from the volatile view (what the CPU sees).
+    /// The view spans the whole space, so its own bounds check is the only
+    /// one.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of bounds.
     #[inline]
     pub fn read(&self, addr: PAddr) -> u64 {
-        self.check_bounds(addr);
-        self.volatile_view[addr.word() as usize].load(Ordering::Acquire)
+        match self.volatile_view.get(addr.word() as usize) {
+            Some(word) => word.load(Ordering::Acquire),
+            None => self.out_of_bounds(addr),
+        }
     }
 
     /// The dirty-mask contribution of a store to `addr`: its word's bit in
