@@ -736,19 +736,80 @@ mod tests {
         assert!(verdicts.iter().all(|v| v.ok));
     }
 
+    fn committed_baseline() -> Json {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
+        let text = std::fs::read_to_string(path).expect("read BENCH_hotpath.json");
+        Json::parse(&text).expect("BENCH_hotpath.json parses")
+    }
+
     /// The schema and the committed baseline cannot drift apart silently:
     /// the gate's own lookup must find Crafty and Non-durable at one
     /// thread in the repository's `BENCH_hotpath.json`.
     #[test]
     fn committed_baseline_is_gateable() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_hotpath.json");
-        let doc = Json::parse(&text).expect("BENCH_hotpath.json parses");
+        let doc = committed_baseline();
         let verdicts = compare(&doc, &doc, 0.4).expect("committed baseline gates itself");
         assert_eq!(verdicts.len(), 1);
         assert_eq!(
             verdicts[0].workload,
             BankWorkload::paper(Contention::Medium, 1).name()
         );
+    }
+
+    /// At one thread every engine is deterministic, so a fresh run of the
+    /// committed baseline's one-thread points repeats its counts exactly: a
+    /// change that moves one must regenerate `BENCH_hotpath.json`. Left out:
+    /// NV-HTM's and DudeTM's `words_persisted`, which follows their
+    /// background checkpointer's timing (how many words of a line later
+    /// transactions have dirtied by the time it writes the line back).
+    #[test]
+    fn committed_baseline_counts_repeat_at_one_thread() {
+        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _off = trace::LevelGuard::arm(TraceLevel::Off);
+        let committed = committed_baseline();
+        let cfg = HarnessConfig {
+            thread_counts: vec![1],
+            ..HarnessConfig::quick()
+        };
+        let config = committed.get("config").expect("config block");
+        for (key, value) in [("txns_per_thread", cfg.txns_per_thread), ("seed", cfg.seed)] {
+            assert_eq!(config.get(key).and_then(Json::as_u64), Some(value), "{key}");
+        }
+        let points = run_points(
+            &[&BankWorkload::paper(Contention::Medium, 1)],
+            &EngineKind::ALL,
+            &[1],
+            &cfg,
+        );
+        let fresh = Json::parse(&render_points_json(&cfg, &points)).expect("artifact parses");
+        for point in fresh.get("points").expect("points").items() {
+            let engine = point.get("engine").and_then(Json::as_str).expect("engine");
+            let baseline = committed
+                .get("points")
+                .map(Json::items)
+                .unwrap_or(&[])
+                .iter()
+                .find(|p| {
+                    p.get("engine").and_then(Json::as_str) == Some(engine)
+                        && p.get("threads").and_then(Json::as_u64) == Some(1)
+                })
+                .unwrap_or_else(|| panic!("no one-thread {engine} point in the baseline"));
+            let mut keys = vec![
+                "completions",
+                "hw_outcomes",
+                "writes_per_txn",
+                "lines_persisted",
+                "flush_ranges",
+            ];
+            if ![EngineKind::NvHtm, EngineKind::DudeTm]
+                .iter()
+                .any(|k| k.label() == engine)
+            {
+                keys.push("words_persisted");
+            }
+            for key in keys {
+                assert_eq!(point.get(key), baseline.get(key), "{engine}: {key}");
+            }
+        }
     }
 }

@@ -23,8 +23,6 @@ pub enum TxAbortKind {
     Hardware,
     /// The engine detected an inconsistency (e.g. a failed Validate check).
     Inconsistent,
-    /// The body itself requested an abort (programmatic abort).
-    User,
 }
 
 impl TxAbort {
@@ -42,13 +40,6 @@ impl TxAbort {
         }
     }
 
-    /// An abort requested by the transaction body itself.
-    pub const fn user() -> Self {
-        TxAbort {
-            kind: TxAbortKind::User,
-        }
-    }
-
     /// Returns the broad reason for the abort.
     pub const fn kind(self) -> TxAbortKind {
         self.kind
@@ -60,36 +51,11 @@ impl fmt::Display for TxAbort {
         match self.kind {
             TxAbortKind::Hardware => write!(f, "hardware transaction aborted"),
             TxAbortKind::Inconsistent => write!(f, "transaction failed a consistency check"),
-            TxAbortKind::User => write!(f, "transaction aborted by request"),
         }
     }
 }
 
 impl Error for TxAbort {}
-
-/// Error raised while configuring or laying out an engine or workload
-/// (e.g. a persistent heap too small for the requested logs).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SetupError {
-    message: String,
-}
-
-impl SetupError {
-    /// Creates a setup error with the given message.
-    pub fn new(message: impl Into<String>) -> Self {
-        SetupError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for SetupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "setup failed: {}", self.message)
-    }
-}
-
-impl Error for SetupError {}
 
 #[cfg(test)]
 mod tests {
@@ -99,7 +65,6 @@ mod tests {
     fn abort_kinds_round_trip() {
         assert_eq!(TxAbort::hardware().kind(), TxAbortKind::Hardware);
         assert_eq!(TxAbort::inconsistent().kind(), TxAbortKind::Inconsistent);
-        assert_eq!(TxAbort::user().kind(), TxAbortKind::User);
     }
 
     #[test]
@@ -107,8 +72,6 @@ mod tests {
         let msgs = [
             TxAbort::hardware().to_string(),
             TxAbort::inconsistent().to_string(),
-            TxAbort::user().to_string(),
-            SetupError::new("log too small").to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());
@@ -121,6 +84,5 @@ mod tests {
     fn errors_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TxAbort>();
-        assert_send_sync::<SetupError>();
     }
 }

@@ -62,7 +62,7 @@ pub use api::{PersistentTm, TmThread, TxnBody, TxnOps};
 pub use breakdown::{BreakdownRecorder, BreakdownSnapshot, CompletionPath, HwTxnOutcome};
 pub use clock::{Clock, Timestamp};
 pub use counter::OwnedCounter;
-pub use error::{SetupError, TxAbort};
+pub use error::TxAbort;
 pub use genset::{LineSlot, LineTable};
 pub use rng::{mix64, SplitMix64};
 pub use shard::LazyAtomicArray;

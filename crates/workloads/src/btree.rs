@@ -317,12 +317,12 @@ impl TxnMix for BtreeMix {
 mod tests {
     use super::*;
     use crate::driver::run_mix;
-    use crafty_baselines::NonDurable;
+    use crafty_baselines::{BaselineTm, NonDurable};
     use crafty_common::PersistentTm;
     use crafty_core::{Crafty, CraftyConfig};
     use crafty_pmem::PmemConfig;
 
-    fn mix_and_engine() -> (Arc<MemorySpace>, BtreeMix, NonDurable) {
+    fn mix_and_engine() -> (Arc<MemorySpace>, BtreeMix, BaselineTm) {
         let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
         let engine = NonDurable::new(Arc::clone(&mem), 1 << 15);
         let root_ptr = mem.reserve_persistent(1);

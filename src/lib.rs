@@ -7,7 +7,8 @@
 //!   undo logging, Log/Redo/Validate phases, recovery).
 //! * [`pmem`] / [`htm`] — the simulated persistent memory and the simulated
 //!   RTM the engines run on.
-//! * [`baselines`] — Non-durable, NV-HTM, and DudeTM.
+//! * [`baselines`] — Non-durable, NV-HTM, and DudeTM: three configurations
+//!   of one engine, differing only in what a commit persists.
 //! * [`kv`] ([`crafty_kv`]) — the durable, sharded key-value store built on
 //!   the persistent-transaction interface (the workspace's application
 //!   layer).
@@ -62,7 +63,7 @@ pub use crafty_workloads as workloads;
 
 /// The most commonly used types, importable with a single `use`.
 pub mod prelude {
-    pub use crafty_baselines::{DudeTm, NonDurable, NvHtm};
+    pub use crafty_baselines::{BaselineTm, DudeTm, NonDurable, NvHtm};
     pub use crafty_common::{
         BreakdownSnapshot, CompletionPath, PAddr, PersistentTm, TmThread, TxAbort, TxnOps, Zipfian,
     };
