@@ -5,7 +5,7 @@
 //! figures [targets...] [--paper] [--latency-100] [--threads a,b,c] [--txns N]
 //!         [--trace off|counters|events] [--csv DIR] [--json-out PATH]
 //!
-//! targets: fig6 fig7 fig8 table1 breakdowns fig22 fig23 fig24 hotpath kv all
+//! targets: fig6 fig7 fig8 table1 breakdowns hotpath kv all
 //!          (default: fig6 fig7 table1)
 //!
 //! figures compare --candidate PATH [--baseline BENCH_hotpath.json] [--tolerance 0.40]
@@ -26,9 +26,10 @@
 //! [`Point`]s from [`run_points`], shown one way or another. `fig6`–`fig8`
 //! print the table of normalized throughputs behind the paper's plots (one
 //! row per thread count, one column per engine, normalized to single-thread
-//! Non-durable; `--csv DIR` also writes one CSV per figure) and
-//! `fig22`–`fig24` repeat them under the appendix's 100 ns drain latency;
-//! `table1` prints Crafty's writes per transaction next to the paper's;
+//! Non-durable; `--csv DIR` also writes one CSV per figure), and under
+//! `--latency-100` — the appendix's 100 ns drain latency — they are the
+//! appendix's Figures 22–24; `table1` prints Crafty's writes per
+//! transaction next to the paper's;
 //! `breakdowns` prints the completion-path and hardware-outcome counts of
 //! Figures 9–21; `hotpath` (the medium-contention bank benchmark, all six
 //! engines) and `kv` (the YCSB mixes A/B/C/E and the group-commit `A+gc`
@@ -36,11 +37,10 @@
 //! throughput, write amplification and drain coalescing. `--json-out PATH`
 //! writes every point the invocation measured under its own config —
 //! whatever the targets — as one engine artifact
-//! ([`render_points_json`]); the appendix targets run under a different
-//! latency model than the artifact's config block states and are left out
-//! (`--latency-100 fig6` captures them). `--paper` uses the full thread
-//! sweep (1–16) and a larger budget; `--trace LEVEL` arms the tracer for
-//! the whole invocation. Under `--trace counters` every instrumented
+//! ([`render_points_json`]), whose config block names the drain latency
+//! the points ran under. `--paper` uses the full thread sweep (1–16) and a
+//! larger budget; `--trace LEVEL` arms the tracer for the whole
+//! invocation. Under `--trace counters` every instrumented
 //! engine's points also carry per-phase times, on screen (`breakdowns`)
 //! and as `phase_ns` in the artifact, beside the completion paths and
 //! hardware outcomes every point carries.
@@ -96,15 +96,12 @@ use crafty_workloads::{
 };
 
 /// Every target of the default command; `all` expands to this list.
-const TARGETS: [&str; 10] = [
+const TARGETS: [&str; 7] = [
     "fig6",
     "fig7",
     "fig8",
     "table1",
     "breakdowns",
-    "fig22",
-    "fig23",
-    "fig24",
     "hotpath",
     "kv",
 ];
@@ -116,7 +113,7 @@ const SPECS: &[SubcommandSpec] = &[
         name: "",
         positional: Some("targets..."),
         summary: "engine x workload x threads comparisons (fig6 fig7 fig8 table1 \
-                  breakdowns fig22 fig23 fig24 hotpath kv all; default: fig6 fig7 table1)",
+                  breakdowns hotpath kv all; default: fig6 fig7 table1)",
         flags: &[
             FlagDef {
                 name: "--trace",
@@ -131,7 +128,7 @@ const SPECS: &[SubcommandSpec] = &[
             FlagDef {
                 name: "--latency-100",
                 value: None,
-                help: "use the appendix's 100 ns drain latency model",
+                help: "use the appendix's 100 ns drain latency model (fig6-8 = Figures 22-24)",
             },
             FlagDef {
                 name: "--threads",
@@ -151,7 +148,7 @@ const SPECS: &[SubcommandSpec] = &[
             FlagDef {
                 name: "--json-out",
                 value: Some("PATH"),
-                help: "write every point measured (fig22-24 excepted) as one engine artifact",
+                help: "write every point measured as one engine artifact",
             },
         ],
     },
@@ -400,24 +397,21 @@ fn parse_figures_args(args: &[String]) -> Options {
 /// for it.
 type PaperWorkload = (Box<dyn Workload>, f64);
 
-/// The paper's three benchmark families in figure order: the main figure,
-/// its 100 ns appendix twin, and the workloads both plot (sub-figures a, b,
-/// c… in this order).
-fn families(max_threads: usize) -> [(&'static str, &'static str, Vec<PaperWorkload>); 3] {
+/// The paper's three benchmark families in figure order: the figure and
+/// the workloads it plots (sub-figures a, b, c… in this order).
+fn families(max_threads: usize) -> [(&'static str, Vec<PaperWorkload>); 3] {
     fn boxed(w: impl Workload + 'static, writes: f64) -> PaperWorkload {
         (Box::new(w), writes)
     }
     [
         (
             "fig6",
-            "fig22",
             [Contention::High, Contention::Medium, Contention::None]
                 .map(|c| boxed(BankWorkload::paper(c, max_threads), 10.0))
                 .into(),
         ),
         (
             "fig7",
-            "fig23",
             vec![
                 boxed(BtreeWorkload::paper(BtreeVariant::InsertOnly), 14.0),
                 boxed(BtreeWorkload::paper(BtreeVariant::Mixed), 13.3),
@@ -425,7 +419,6 @@ fn families(max_threads: usize) -> [(&'static str, &'static str, Vec<PaperWorklo
         ),
         (
             "fig8",
-            "fig24",
             StampKernel::ALL
                 .map(|k| boxed(StampWorkload::new(k), k.paper_writes_per_txn()))
                 .into(),
@@ -765,11 +758,11 @@ fn main() {
 
     let has = |t: &str| options.targets.contains(t);
     let families = families(max_threads);
-    let paper_workloads = || families.iter().flat_map(|(_, _, workloads)| workloads);
+    let paper_workloads = || families.iter().flat_map(|(_, workloads)| workloads);
     // Every point measured under `cfg`, for `--json-out`.
     let mut measured: Vec<Point> = Vec::new();
 
-    for (figure, _, workloads) in &families {
+    for (figure, workloads) in &families {
         if has(figure) {
             measured.extend(emit_figure(figure, workloads, cfg, csv_dir));
         }
@@ -816,17 +809,5 @@ fn main() {
         measured.extend(points);
     }
     write_points_json(options.json_out.as_deref(), cfg, &measured);
-
-    // Appendix figures: the same benchmarks at 100 ns drain latency — not
-    // `cfg`'s model, so their points stay out of the artifact above.
-    let appendix = HarnessConfig {
-        latency: LatencyModel::nvm_100ns(),
-        ..cfg.clone()
-    };
-    for (_, figure, workloads) in &families {
-        if has(figure) {
-            emit_figure(figure, workloads, &appendix, csv_dir);
-        }
-    }
     println!("\ndone.");
 }

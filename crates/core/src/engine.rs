@@ -283,13 +283,11 @@ impl Crafty {
         while still_wanted() {
             let ts = self.clock.now();
             let mut txn = self.htm.begin(via_tid);
-            let appended = shared
-                .undo_log
-                .append_sequence(&mut txn, &[], ts, &mut Vec::new())
+            let log = &shared.undo_log;
+            let appended = log
+                .append_sequence(&mut txn, &[], MarkerKind::Logged, ts, &mut Vec::new())
                 .and_then(|info| {
-                    shared
-                        .undo_log
-                        .commit_marker_txn(&mut txn, info.marker_abs, 0, ts)?;
+                    log.commit_marker(&mut txn, info.marker_abs, 0, ts)?;
                     Ok(info)
                 });
             let info = match appended {
@@ -319,9 +317,13 @@ impl Crafty {
     fn persist_now_quiesced(&self, tid: usize) {
         let shared = &self.threads[tid];
         let ts = self.clock.now();
-        let info = shared
-            .undo_log
-            .append_sequence_nontx(&self.htm, &[], MarkerKind::Committed, ts);
+        let Ok(info) = shared.undo_log.append_sequence(
+            &self.htm,
+            &[],
+            MarkerKind::Committed,
+            ts,
+            &mut Vec::new(),
+        );
         shared
             .undo_log
             .flush_marker(&self.mem, tid, info.marker_abs);

@@ -412,11 +412,12 @@ mod tests {
     /// Appends a fully persisted sequence non-transactionally and persists
     /// it, emulating a completed Log (+Redo) for the given writes.
     fn persist_sequence(f: &Fixture, tid: usize, entries: &[(PAddr, u64)], ts: u64) {
-        let info = f.logs[tid].append_sequence_nontx(
+        let Ok(info) = f.logs[tid].append_sequence(
             &f.htm,
             entries,
             MarkerKind::Committed,
             Timestamp::from_raw(ts),
+            &mut Vec::new(),
         );
         f.logs[tid].flush_entries(&f.mem, 0, info.first_abs, info.marker_abs);
         f.mem.drain(0);
@@ -541,11 +542,12 @@ mod tests {
         let data_slot = g.slot_addr(2);
         let marker_slot = g.slot_addr(3);
         // Data entry for x with old value 1, parity 0, encoded by the crate.
-        let info = f.logs[0].append_sequence_nontx(
+        let Ok(info) = f.logs[0].append_sequence(
             &f.htm,
             &[(x, 1)],
             MarkerKind::Logged,
             Timestamp::from_raw(9),
+            &mut Vec::new(),
         );
         assert_eq!(info.marker_abs, 3);
         f.logs[0].flush_entries(&f.mem, 0, info.first_abs, info.marker_abs);

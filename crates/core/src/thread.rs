@@ -21,8 +21,10 @@
 //! then `commit_phase` for Redo and Validate alike), from per-line locks,
 //! from the SGL, or from the program. The last three share
 //! `software_commit`, generic over a [`crafty_htm::Exclusion`] strategy.
-//! Every undo append is followed by `after_undo_append`, and every commit
-//! outside a hardware transaction ends in `stamp_committed`.
+//! Every route appends through the one undo-log writer, and everything
+//! written outside a hardware transaction goes by the line. Every undo
+//! append is followed by `after_undo_append`, and every commit outside a
+//! hardware transaction ends in `stamp_committed`.
 //!
 //! One deliberate implementation difference from the paper: the software
 //! commit buffers the body's writes instead of re-running chunked hardware
@@ -130,8 +132,8 @@ pub struct CraftyThread<'c> {
     /// CLWBs. Reused across transactions.
     entries_buf: Vec<(PAddr, u64)>,
     /// `entries_buf` and its marker as encoded log words, between
-    /// [`crate::undo_log::UndoLog::append_sequence`] encoding them and the
-    /// Log transaction buffering them.
+    /// [`crate::undo_log::UndoLog::append_sequence`] encoding them and its
+    /// store (hardware or not) taking them.
     log_words: Vec<u64>,
 }
 
@@ -358,8 +360,13 @@ impl<'c> CraftyThread<'c> {
                 continue;
             };
             let log_ts = engine.timestamp();
-            let appended =
-                undo_log.append_sequence(&mut txn, &self.entries_buf, log_ts, &mut self.log_words);
+            let appended = undo_log.append_sequence(
+                &mut txn,
+                &self.entries_buf,
+                MarkerKind::Logged,
+                log_ts,
+                &mut self.log_words,
+            );
             let Ok(info) = appended else {
                 continue;
             };
@@ -454,7 +461,7 @@ impl<'c> CraftyThread<'c> {
             txn.write_lines(&self.redo_buf, seq.writes)?;
         }
         txn.publish_commit_version(engine.g_last_redo_ts_addr)?;
-        engine.threads[self.tid].undo_log.commit_marker_txn(
+        engine.threads[self.tid].undo_log.commit_marker(
             &mut txn,
             seq.marker_abs,
             seq.persistent_writes,
@@ -665,11 +672,12 @@ impl<'c> CraftyThread<'c> {
                     .map(|addr| (addr, x.read_locked(addr))),
             );
             let log_ts = engine.timestamp();
-            let info = undo_log.append_sequence_nontx(
+            let Ok(info) = undo_log.append_sequence(
                 &engine.htm,
                 &self.entries_buf,
                 MarkerKind::Logged,
                 log_ts,
+                &mut self.log_words,
             );
             self.after_undo_append(&info, log_ts);
             self.drain();
@@ -683,18 +691,17 @@ impl<'c> CraftyThread<'c> {
     }
 
     /// The tail of every commit published outside a hardware transaction:
-    /// CLWB the persistent words written (the addresses of the sequence's
-    /// undo entries, still in `entries_buf`), turn its marker into
-    /// COMMITTED, and flush it.
+    /// CLWB the lines of the persistent words written (the addresses of
+    /// the sequence's undo entries, still in `entries_buf`) in one batch,
+    /// turn its marker into COMMITTED, and flush it.
     fn stamp_committed(&self, marker_abs: u64) {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
-        for &(addr, _) in &self.entries_buf {
-            engine.mem.clwb(self.tid, addr);
-        }
+        let lines = self.entries_buf.iter().map(|(addr, _)| addr.line());
+        engine.mem.clwb_lines(self.tid, lines);
         let commit_ts = engine.timestamp();
         let data_entries = self.entries_buf.len() as u64;
-        undo_log.commit_marker_nontx(&engine.htm, marker_abs, data_entries, commit_ts);
+        let Ok(()) = undo_log.commit_marker(&engine.htm, marker_abs, data_entries, commit_ts);
         undo_log.flush_marker(&engine.mem, self.tid, marker_abs);
         // Outside hardware transactions there is no later fence to
         // piggyback on, so complete the write-backs here — unless the

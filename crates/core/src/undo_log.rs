@@ -9,6 +9,12 @@
 //! `COMMITTED` and the commit timestamp (the paper's merged
 //! LOGGED/COMMITTED optimization, Section 6).
 //!
+//! One writer serves every route: [`UndoLog::append_sequence`] encodes a
+//! sequence once and stores it as at most two contiguous runs, and
+//! [`UndoLog::commit_marker`] overwrites a marker, both through a
+//! [`LogStore`] — a hardware transaction, or the runtime's line-granular
+//! non-transactional store (software commits, quiesce).
+//!
 //! # Entry encoding (Section 5.2 + Section 6)
 //!
 //! Every entry is two 64-bit words. Persistence is only guaranteed at word
@@ -69,6 +75,8 @@
 //! field within one word makes every word-granular persistence mix decode
 //! to a legitimate `(kind, ts)` pair whose timestamp is one of the
 //! sequence's real clock draws, either of which orders correctly.
+
+use std::convert::Infallible;
 
 use crafty_common::{PAddr, Timestamp, WORDS_PER_LINE};
 use crafty_htm::{AbortCode, HtmRuntime, HwTxn};
@@ -303,6 +311,44 @@ pub struct AppendInfo {
     pub data_entries: u64,
 }
 
+/// Where [`UndoLog`] reads its head and stores encoded log words: a
+/// hardware transaction (`&mut HwTxn`), or the runtime's non-transactional
+/// store (`&HtmRuntime`, which cannot fail), which locks each line once
+/// and so still dooms hardware transactions that read it.
+pub trait LogStore {
+    /// What a failed access reports.
+    type Error;
+    /// Reads the word at `addr`.
+    fn load(&mut self, addr: PAddr) -> Result<u64, Self::Error>;
+    /// Stores `words` contiguously from `addr`, by the line.
+    fn store(&mut self, addr: PAddr, words: &[u64]) -> Result<(), Self::Error>;
+}
+
+impl LogStore for &mut HwTxn<'_> {
+    type Error = AbortCode;
+
+    fn load(&mut self, addr: PAddr) -> Result<u64, AbortCode> {
+        self.read(addr)
+    }
+
+    fn store(&mut self, addr: PAddr, words: &[u64]) -> Result<(), AbortCode> {
+        self.write_words(addr, words)
+    }
+}
+
+impl LogStore for &HtmRuntime {
+    type Error = Infallible;
+
+    fn load(&mut self, addr: PAddr) -> Result<u64, Infallible> {
+        Ok(self.nontx_read(addr))
+    }
+
+    fn store(&mut self, addr: PAddr, words: &[u64]) -> Result<(), Infallible> {
+        self.nontx_write_words(addr, words);
+        Ok(())
+    }
+}
+
 /// A per-thread handle to its circular persistent undo log.
 ///
 /// The log head (an absolute, monotonically increasing entry count) lives
@@ -342,35 +388,36 @@ impl UndoLog {
         mem.read(self.head_addr)
     }
 
-    /// Appends `entries` (in order) followed by a `LOGGED` marker carrying
-    /// `ts`, all inside the given hardware transaction. Nothing becomes
-    /// visible or persistent unless the transaction commits.
+    /// Appends `entries` (in order) followed by a `kind` marker carrying
+    /// `ts`, through `store`: inside a hardware transaction (nothing
+    /// becomes visible or persistent unless it commits) or through the
+    /// runtime's non-transactional store.
     ///
     /// The sequence is encoded into `words` (scratch the caller reuses, so
-    /// steady-state appends allocate nothing) and buffered as at most two
+    /// steady-state appends allocate nothing) and stored as at most two
     /// contiguous runs — up to the end of the region and, on wrap-around,
-    /// from its start — costing the transaction one descriptor lookup per
-    /// line instead of one per word.
+    /// from its start — so either store pays once per line, not per word.
     ///
     /// # Errors
     ///
     /// Propagates any hardware-transaction abort.
-    pub fn append_sequence(
+    pub fn append_sequence<S: LogStore>(
         &self,
-        txn: &mut HwTxn<'_>,
+        mut store: S,
         entries: &[(PAddr, u64)],
+        kind: MarkerKind,
         ts: Timestamp,
         words: &mut Vec<u64>,
-    ) -> Result<AppendInfo, AbortCode> {
+    ) -> Result<AppendInfo, S::Error> {
         let data_entries = entries.len() as u64;
         assert!(
             data_entries < self.geometry.capacity,
             "a sequence must fit in the log region"
         );
-        let head = txn.read(self.head_addr)?;
+        let head = store.load(self.head_addr)?;
         let marker_abs = head + data_entries;
         let marker = Entry::Marker {
-            kind: MarkerKind::Logged,
+            kind,
             ts,
             data_entries,
         };
@@ -387,9 +434,9 @@ impl UndoLog {
             .len()
             .min(((self.geometry.capacity - first_slot) * 2) as usize);
         let (tail, wrapped) = words.split_at(before_wrap);
-        txn.write_words(self.geometry.slot_addr(head), tail)?;
-        txn.write_words(self.geometry.start, wrapped)?;
-        txn.write(self.head_addr, marker_abs + 1)?;
+        store.store(self.geometry.slot_addr(head), tail)?;
+        store.store(self.geometry.start, wrapped)?;
+        store.store(self.head_addr, &[marker_abs + 1])?;
         Ok(AppendInfo {
             first_abs: head,
             marker_abs,
@@ -398,83 +445,27 @@ impl UndoLog {
     }
 
     /// Overwrites the marker at `marker_abs` with a `COMMITTED` entry
-    /// carrying `ts`, inside the given hardware transaction.
-    /// `data_entries` must repeat the sequence's entry count so the
-    /// overwritten marker stays self-describing.
+    /// carrying `ts`, through `store`. `data_entries` must repeat the
+    /// sequence's entry count so the overwritten marker stays
+    /// self-describing.
     ///
     /// # Errors
     ///
     /// Propagates any hardware-transaction abort.
-    pub fn commit_marker_txn(
+    pub fn commit_marker<S: LogStore>(
         &self,
-        txn: &mut HwTxn<'_>,
+        mut store: S,
         marker_abs: u64,
         data_entries: u64,
         ts: Timestamp,
-    ) -> Result<(), AbortCode> {
+    ) -> Result<(), S::Error> {
         let marker = Entry::Marker {
             kind: MarkerKind::Committed,
             ts,
             data_entries,
         };
         let (meta, value) = encode(marker, self.geometry.parity(marker_abs));
-        txn.write_words(self.geometry.slot_addr(marker_abs), &[meta, value])
-    }
-
-    /// Non-transactional variant used by every software commit (line locks
-    /// held, SGL held, or thread-unsafe mode) and by quiesce: writes go
-    /// through the HTM runtime's non-transactional store so that doomed
-    /// concurrent transactions still detect them.
-    pub fn append_sequence_nontx(
-        &self,
-        htm: &HtmRuntime,
-        entries: &[(PAddr, u64)],
-        kind: MarkerKind,
-        ts: Timestamp,
-    ) -> AppendInfo {
-        let head = htm.nontx_read(self.head_addr);
-        let mut abs = head;
-        for &(addr, old_value) in entries {
-            self.write_entry_nontx(htm, abs, Entry::Data { addr, old_value });
-            abs += 1;
-        }
-        let marker_abs = abs;
-        self.write_entry_nontx(
-            htm,
-            marker_abs,
-            Entry::Marker {
-                kind,
-                ts,
-                data_entries: entries.len() as u64,
-            },
-        );
-        htm.nontx_write(self.head_addr, marker_abs + 1);
-        AppendInfo {
-            first_abs: head,
-            marker_abs,
-            data_entries: entries.len() as u64,
-        }
-    }
-
-    /// Overwrites a marker non-transactionally (software commits and the
-    /// thread-unsafe Redo). `data_entries` must repeat the sequence's entry
-    /// count.
-    pub fn commit_marker_nontx(
-        &self,
-        htm: &HtmRuntime,
-        marker_abs: u64,
-        data_entries: u64,
-        ts: Timestamp,
-    ) {
-        self.write_entry_nontx(
-            htm,
-            marker_abs,
-            Entry::Marker {
-                kind: MarkerKind::Committed,
-                ts,
-                data_entries,
-            },
-        );
+        store.store(self.geometry.slot_addr(marker_abs), &[meta, value])
     }
 
     /// Issues CLWBs (no drain) for every line holding entries
@@ -524,13 +515,6 @@ impl UndoLog {
             return false;
         }
         (head / half) != ((head + extra) / half)
-    }
-
-    fn write_entry_nontx(&self, htm: &HtmRuntime, abs: u64, entry: Entry) {
-        let (meta, value) = encode(entry, self.geometry.parity(abs));
-        let addr = self.geometry.slot_addr(abs);
-        htm.nontx_write(addr, meta);
-        htm.nontx_write(addr.add(1), value);
     }
 }
 
@@ -764,6 +748,7 @@ mod tests {
             .append_sequence(
                 &mut txn,
                 &[(PAddr::new(64), 9)],
+                MarkerKind::Logged,
                 Timestamp::from_raw(3),
                 &mut Vec::new(),
             )
@@ -780,7 +765,13 @@ mod tests {
         let data = [(PAddr::new(64), 11u64), (PAddr::new(72), 22u64)];
         let mut txn = htm.begin(0);
         let info = log
-            .append_sequence(&mut txn, &data, Timestamp::from_raw(5), &mut Vec::new())
+            .append_sequence(
+                &mut txn,
+                &data,
+                MarkerKind::Logged,
+                Timestamp::from_raw(5),
+                &mut Vec::new(),
+            )
             .expect("append");
         txn.commit().expect("commit");
         log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
@@ -817,13 +808,14 @@ mod tests {
             .append_sequence(
                 &mut txn,
                 &[(PAddr::new(64), 1)],
+                MarkerKind::Logged,
                 Timestamp::from_raw(7),
                 &mut Vec::new(),
             )
             .expect("append");
         txn.commit().expect("commit");
         let mut txn2 = htm.begin(0);
-        log.commit_marker_txn(
+        log.commit_marker(
             &mut txn2,
             info.marker_abs,
             info.data_entries,
@@ -858,7 +850,13 @@ mod tests {
         for round in 0..3 {
             let mut txn = htm.begin(0);
             let info = log
-                .append_sequence(&mut txn, &data, Timestamp::from_raw(round + 1), &mut words)
+                .append_sequence(
+                    &mut txn,
+                    &data,
+                    MarkerKind::Logged,
+                    Timestamp::from_raw(round + 1),
+                    &mut words,
+                )
                 .expect("append");
             assert_eq!(
                 (info.first_abs, info.marker_abs),
@@ -910,14 +908,15 @@ mod tests {
     #[test]
     fn nontx_append_is_immediately_visible() {
         let (mem, htm, log) = setup();
-        let info = log.append_sequence_nontx(
+        let Ok(info) = log.append_sequence(
             &htm,
             &[(PAddr::new(64), 4)],
             MarkerKind::Committed,
             Timestamp::from_raw(2),
+            &mut Vec::new(),
         );
         assert_eq!(log.head(&mem), 2);
-        log.commit_marker_nontx(
+        let Ok(()) = log.commit_marker(
             &htm,
             info.marker_abs,
             info.data_entries,
@@ -935,6 +934,43 @@ mod tests {
             }
             other => panic!("marker: {other:?}"),
         }
+    }
+
+    /// The one writer, two stores: the same sequence appended and
+    /// committed through a hardware transaction and non-transactionally,
+    /// from a head whose run wraps the region end, leaves the same log
+    /// words and head.
+    #[test]
+    fn hardware_and_nontx_appends_leave_identical_log_words() {
+        let data: Vec<(PAddr, u64)> = (0..5).map(|i| (PAddr::new(64 + i), 3 * i + 1)).collect();
+        let ts = Timestamp::from_raw(11);
+        let run = |hardware: bool| {
+            let (mem, htm, log) = setup();
+            htm.nontx_write(log.head_addr(), 29); // slot 13 of lap 1
+            let info = if hardware {
+                let mut txn = htm.begin(0);
+                let info = log
+                    .append_sequence(&mut txn, &data, MarkerKind::Logged, ts, &mut Vec::new())
+                    .expect("append");
+                log.commit_marker(&mut txn, info.marker_abs, info.data_entries, ts)
+                    .expect("commit marker");
+                txn.commit().expect("commit");
+                info
+            } else {
+                let Ok(info) =
+                    log.append_sequence(&htm, &data, MarkerKind::Logged, ts, &mut Vec::new());
+                let Ok(()) = log.commit_marker(&htm, info.marker_abs, info.data_entries, ts);
+                info
+            };
+            assert_eq!((info.first_abs, info.marker_abs), (29, 34));
+            let g = log.geometry();
+            let words: Vec<u64> = (0..g.words()).map(|w| mem.read(g.start.add(w))).collect();
+            (words, log.head(&mem))
+        };
+        let (hardware, nontx) = (run(true), run(false));
+        assert_eq!(hardware.1, 35);
+        assert!(hardware.0[..6].iter().all(|&w| w != 0), "the run wrapped");
+        assert_eq!(hardware, nontx);
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl Exclusion for FallbackTxn<'_> {
     }
 
     fn written_words(&self) -> impl Iterator<Item = PAddr> + '_ {
-        self.scratch().written().map(|(addr, _)| addr)
+        self.scratch().written()
     }
 
     /// Acquires the fallback write lock on every distinct write-set line,
@@ -358,8 +358,8 @@ impl Drop for FallbackTxn<'_> {
 /// The [`Exclusion`] strategy of a caller that already keeps every other
 /// *transaction* out — it holds the single global lock every hardware
 /// phase subscribes to, or the program serializes its transactions itself
-/// (thread-unsafe mode). Loads and stores go through
-/// [`HtmRuntime::nontx_read`] / [`HtmRuntime::nontx_write`], so hardware
+/// (thread-unsafe mode). Loads go through [`HtmRuntime::nontx_read`] and
+/// the publish through [`HtmRuntime::nontx_write_lines`], so hardware
 /// transactions doomed by the lock acquisition still observe them as
 /// conflicts; there is nothing to lock and nothing to validate. Obtain one
 /// from [`HtmRuntime::begin_exclusive`].
@@ -390,7 +390,7 @@ impl Exclusion for ExclusiveTxn<'_> {
     }
 
     fn written_words(&self) -> impl Iterator<Item = PAddr> + '_ {
-        self.scratch().written().map(|(addr, _)| addr)
+        self.scratch().written()
     }
 
     fn lock_write_set(&mut self) {}
@@ -403,12 +403,10 @@ impl Exclusion for ExclusiveTxn<'_> {
         self.rt.nontx_read(addr)
     }
 
-    /// Word by word through [`HtmRuntime::nontx_write`]: each store takes
-    /// and releases its line's lock, bumping the line's version.
+    /// Line by line through [`HtmRuntime::nontx_write_lines`]: each written
+    /// line is locked once and released at one fresh version.
     fn publish(&mut self) {
-        for (addr, value) in self.scratch().written() {
-            self.rt.nontx_write(addr, value);
-        }
+        self.rt.nontx_write_lines(self.scratch().lines.slots());
     }
 
     fn commit_release(&mut self) {}

@@ -21,6 +21,7 @@
 //! "zero" aborts. It is *not* a high-performance STM — it is a faithful
 //! stand-in for the hardware interface on machines without working TSX.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -96,6 +97,27 @@ pub(crate) const SUBSCRIBE_VIEW: u64 = u64::MAX;
 /// hardware transactions (see the non-feature doc above).
 #[cfg(feature = "no-fallback-subscription")]
 pub(crate) const SUBSCRIBE_VIEW: u64 = !FALLBACK_BIT;
+
+/// Splits `words`, stored contiguously from `addr`, at line boundaries and
+/// hands `f` each line, the mask of the words its run covers, and the run;
+/// stops at the first error.
+#[inline]
+fn for_each_line_run<E>(
+    addr: PAddr,
+    mut words: &[u64],
+    mut f: impl FnMut(LineId, u8, &[u64]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut at = addr.word();
+    while !words.is_empty() {
+        let first = (at % WORDS_PER_LINE) as usize;
+        let (run, rest) = words.split_at(words.len().min(WORDS_PER_LINE as usize - first));
+        let bits = (((1u16 << run.len()) - 1) << first) as u8;
+        f(LineId::new(at / WORDS_PER_LINE), bits, run)?;
+        at += run.len() as u64;
+        words = rest;
+    }
+    Ok(())
+}
 
 /// The shared state of the simulated HTM: one versioned lock per cache line
 /// plus a global version clock.
@@ -272,31 +294,53 @@ impl HtmRuntime {
     /// hardware transactions subscribed to the line abort the moment it is
     /// taken, exactly as with `nontx_write`.
     pub fn nontx_bump_commit_version(&self, addr: PAddr) -> u64 {
-        let slot = self.lock_line(addr.line());
-        let wv = self.version_clock.fetch_add(1, Ordering::AcqRel) + 1;
-        self.mem.write(addr, wv);
-        slot.store(wv, Ordering::Release);
-        wv
+        self.nontx_store(addr.line(), |wv| {
+            self.mem.write(addr, wv);
+            wv
+        })
     }
 
     /// Performs a non-transactional store that is still visible to the
     /// conflict-detection machinery (running transactions that have the
     /// line in their footprint will abort, as they would under RTM's strong
-    /// atomicity). Crafty's SGL acquisition/release and its thread-unsafe
-    /// mode use this for writes performed outside hardware transactions.
+    /// atomicity): the one-word case of [`HtmRuntime::nontx_write_words`].
     pub fn nontx_write(&self, addr: PAddr, value: u64) {
-        let slot = self.lock_line(addr.line());
-        self.mem.write(addr, value);
-        let wv = self.version_clock.fetch_add(1, Ordering::AcqRel) + 1;
-        slot.store(wv, Ordering::Release);
+        self.nontx_store(addr.line(), |_| self.mem.write(addr, value));
     }
 
-    /// [`HtmRuntime::nontx_write`] for every written word of a line image
-    /// taken by [`HwTxn::roll_back`] (Crafty's thread-unsafe Redo).
+    /// Stores `words` contiguously from `addr` outside any transaction, by
+    /// the line as [`HwTxn::commit`] publishes: each line locked once, its
+    /// words stored by one [`MemorySpace::write_line`], one fresh version.
+    pub fn nontx_write_words(&self, addr: PAddr, words: &[u64]) {
+        let Ok(()) = for_each_line_run(addr, words, |line, bits, run| {
+            let mut image = [0; WORDS_PER_LINE as usize];
+            let first = bits.trailing_zeros() as usize;
+            image[first..first + run.len()].copy_from_slice(run);
+            self.nontx_store(line, |_| self.mem.write_line(line, &image, bits));
+            Ok::<_, Infallible>(())
+        });
+    }
+
+    /// [`HtmRuntime::nontx_write_words`] for every line of a line image —
+    /// an [`ExclusiveTxn`](crate::ExclusiveTxn)'s write buffer, or the redo
+    /// image [`HwTxn::roll_back`] took (Crafty's thread-unsafe Redo).
     pub fn nontx_write_lines(&self, image: &[LineSlot]) {
-        for (addr, value) in image.iter().flat_map(scratch::slot_writes) {
-            self.nontx_write(addr, value);
+        for slot in image {
+            let line = LineId::new(slot.line());
+            self.nontx_store(line, |_| self.mem.write_line(line, &slot.words, slot.mask));
         }
+    }
+
+    /// The locked-line section of every non-transactional store: lock
+    /// `line`, draw a fresh version while it is held, run `store` (handed
+    /// that version, so a store that publishes it stays monotonic), and
+    /// release the line at it.
+    fn nontx_store<T>(&self, line: LineId, store: impl FnOnce(u64) -> T) -> T {
+        let slot = self.lock_line(line);
+        let wv = self.version_clock.fetch_add(1, Ordering::AcqRel) + 1;
+        let stored = store(wv);
+        slot.store(wv, Ordering::Release);
+        stored
     }
 
     /// Performs a non-transactional compare-and-swap that participates in
@@ -927,22 +971,16 @@ impl HwTxn<'_> {
     ///
     /// Returns the abort code the word-wise writes would have.
     #[inline(never)]
-    pub fn write_words(&mut self, addr: PAddr, mut words: &[u64]) -> Result<(), AbortCode> {
+    pub fn write_words(&mut self, addr: PAddr, words: &[u64]) -> Result<(), AbortCode> {
         if let Some(code) = self.failed {
             return Err(code);
         }
-        let mut at = addr.word();
-        while !words.is_empty() {
-            let first = (at % WORDS_PER_LINE) as usize;
-            let (run, rest) = words.split_at(words.len().min(WORDS_PER_LINE as usize - first));
-            let bits = (((1u16 << run.len()) - 1) << first) as u8;
-            self.write_line_words(at / WORDS_PER_LINE, bits, |buffer| {
+        for_each_line_run(addr, words, |line, bits, run| {
+            let first = bits.trailing_zeros() as usize;
+            self.write_line_words(line.index(), bits, |buffer| {
                 buffer[first..first + run.len()].copy_from_slice(run);
-            })?;
-            at += run.len() as u64;
-            words = rest;
-        }
-        Ok(())
+            })
+        })
     }
 
     /// Buffers the written words of every line of `image` (taken by

@@ -327,10 +327,13 @@ impl TxnScratch {
         }
     }
 
-    /// The distinct buffered writes as `(address, value)`: lines in
-    /// first-write order, the words of a line in address order.
-    pub(crate) fn written(&self) -> impl Iterator<Item = (PAddr, u64)> + '_ {
-        self.lines.slots().iter().flat_map(slot_writes)
+    /// The addresses of the distinct buffered writes: lines in first-write
+    /// order, the words of a line in address order.
+    pub(crate) fn written(&self) -> impl Iterator<Item = PAddr> + '_ {
+        self.lines.slots().iter().flat_map(|slot| {
+            let words = LineId::new(slot.line()).words().enumerate();
+            words.filter_map(|(i, addr)| (slot.mask & (1 << i) != 0).then_some(addr))
+        })
     }
 
     /// Total capacity across the descriptor's table and buffers. Stable
@@ -342,17 +345,6 @@ impl TxnScratch {
             + self.version_sinks.capacity()
             + self.journal.capacity()
     }
-}
-
-/// The written words of one line entry as `(address, value)`, in address
-/// order.
-pub(crate) fn slot_writes(slot: &LineSlot) -> impl Iterator<Item = (PAddr, u64)> + '_ {
-    LineId::new(slot.line())
-        .words()
-        .zip(slot.words)
-        .enumerate()
-        .filter(move |(i, _)| slot.mask & (1 << i) != 0)
-        .map(|(_, write)| write)
 }
 
 thread_local! {

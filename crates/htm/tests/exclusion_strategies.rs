@@ -83,8 +83,9 @@ fn only_the_per_line_strategy_ticks_lock_transitions() {
     assert_eq!(per_line_steps, exclusive_steps + 2 + 2, "two lines locked");
 }
 
-/// An exclusive publish goes through `nontx_write`, so a hardware
-/// transaction that slipped past the caller's lock still sees a conflict.
+/// An exclusive publish goes through the non-transactional store, so a
+/// hardware transaction that slipped past the caller's lock still sees a
+/// conflict.
 #[test]
 fn exclusive_publish_dooms_a_hardware_reader_of_the_line() {
     let (mem, rt) = runtime();
@@ -95,4 +96,33 @@ fn exclusive_publish_dooms_a_hardware_reader_of_the_line() {
     increment_all(rt.begin_exclusive(), &cells[..1]);
     assert!(txn.commit().is_err(), "the read line changed under it");
     assert_eq!(mem.read(cells[1]), 0, "the doomed write never landed");
+}
+
+/// An exclusive publish stores by the line: however many words of a line
+/// the body wrote, the line is locked once and released at one fresh
+/// version — and a hardware transaction that read either line before the
+/// publish still aborts.
+#[test]
+fn exclusive_publish_advances_the_version_clock_once_per_line() {
+    let (mem, rt) = runtime();
+    // Reservations are line-aligned: three words on each of two lines.
+    let base = mem.reserve_persistent(16);
+    let written = [0, 1, 2, 8, 9, 10].map(|w| base.add(w));
+    let clock = mem.reserve_volatile(1);
+    for read in [written[0], written[3]] {
+        let mut reader = rt.begin(1);
+        reader.read(read).expect("uncontended read");
+        let before = rt.nontx_bump_commit_version(clock);
+        let mut x = rt.begin_exclusive();
+        for &cell in &written {
+            x.write(cell, 7);
+        }
+        x.lock_write_set();
+        x.validate_reads().expect("nothing to validate");
+        x.publish();
+        x.commit_release();
+        let after = rt.nontx_bump_commit_version(clock);
+        assert_eq!(after - before, 1 + 2, "one version per line, one bump");
+        assert!(reader.commit().is_err(), "a reader of {read} must abort");
+    }
 }

@@ -34,11 +34,12 @@
 //! persistent line** (bit *i* = word *i* of the line was stored since the
 //! line's last write-back):
 //!
-//! * Every store ([`MemorySpace::write`], [`MemorySpace::compare_exchange`],
-//!   [`MemorySpace::fetch_add`] — and through them every `nontx` write in
-//!   the stack) ORs exactly its word's bit into the mask; a transactional
-//!   publish ([`MemorySpace::write_line`]) ORs the bits of all the words
-//!   it stored to a line at once, after the last of them. The mask
+//! * A one-word store ([`MemorySpace::write`],
+//!   [`MemorySpace::compare_exchange`]) ORs exactly its word's bit into the
+//!   mask; a line-granular publish ([`MemorySpace::write_line`] — every
+//!   commit, and the stack's non-transactional stores of several words)
+//!   ORs the bits of all the words it stored to a line at once, after the
+//!   last of them. The mask
 //!   doubles as the dirty flag: mask ≠ 0 ⇔ dirty.
 //! * A write-back (`persist_line`) atomically takes the mask (`swap(0)`)
 //!   and copies only the masked words into the persistent image. Unmasked
@@ -710,20 +711,6 @@ impl MemorySpace {
             self.mark_written(addr);
         }
         r
-    }
-
-    /// Atomic fetch-add on the word at `addr` in the volatile view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of bounds.
-    pub fn fetch_add(&self, addr: PAddr, delta: u64) -> u64 {
-        self.check_bounds(addr);
-        let old = self.volatile_view[addr.word() as usize].fetch_add(delta, Ordering::AcqRel);
-        if self.is_persistent(addr) {
-            self.mark_written(addr);
-        }
-        old
     }
 
     /// Requests a write-back (CLWB) of the line containing `addr`. The line
@@ -1640,13 +1627,12 @@ mod tests {
     }
 
     #[test]
-    fn compare_exchange_and_fetch_add_work() {
+    fn compare_exchange_swaps_only_on_a_match() {
         let m = space();
         let a = PAddr::new(64);
         assert_eq!(m.compare_exchange(a, 0, 5), Ok(0));
         assert_eq!(m.compare_exchange(a, 0, 9), Err(5));
-        assert_eq!(m.fetch_add(a, 3), 5);
-        assert_eq!(m.read(a), 8);
+        assert_eq!(m.read(a), 5);
     }
 
     #[test]

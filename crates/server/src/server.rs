@@ -92,7 +92,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crafty_common::{PersistentTm, TmThread};
+use crafty_common::{PersistentTm, TmThread, TxnBody};
 use crafty_kv::{CachedReply, SeqCheck, SessionTable, ShardedKv};
 use crafty_pmem::MemorySpace;
 use crafty_stats::LatencyHistogram;
@@ -596,6 +596,23 @@ fn dedup_check(
     Ok(SeqCheck::Fresh)
 }
 
+/// Executes one write transaction: durability-deferred under group commit,
+/// setting `deferred` so the caller runs the batch's shared drain barrier
+/// before acking; with its own drains otherwise.
+fn execute_write(
+    handle: &mut dyn TmThread,
+    group_commit: bool,
+    deferred: &mut bool,
+    body: &mut TxnBody<'_>,
+) {
+    if group_commit {
+        handle.execute_deferred(body);
+        *deferred = true;
+    } else {
+        handle.execute(body);
+    }
+}
+
 /// Executes one sequenced write under session dedup: check, apply, and
 /// record in **one** transaction. `apply` runs only on a `Fresh`
 /// classification and returns the reply to cache; replays return the
@@ -627,12 +644,7 @@ fn execute_sequenced(
         }
         Ok(())
     };
-    if group_commit {
-        handle.execute_deferred(&mut body);
-        *deferred = true;
-    } else {
-        handle.execute(&mut body);
-    }
+    execute_write(handle, group_commit, deferred, &mut body);
     match verdict {
         SeqCheck::Fresh | SeqCheck::Replay(_) => Some(if reply.found {
             Response::Found { value: reply.value }
@@ -670,16 +682,10 @@ fn execute_request(
         }
         Request::Put { key, value } => {
             let mut prev = None;
-            let mut body = |ops: &mut dyn crafty_common::TxnOps| {
+            execute_write(handle, group_commit, deferred, &mut |ops| {
                 prev = kv.put(ops, key, value)?;
                 Ok(())
-            };
-            if group_commit {
-                handle.execute_deferred(&mut body);
-                *deferred = true;
-            } else {
-                handle.execute(&mut body);
-            }
+            });
             Some(match prev {
                 Some(value) => Response::Found { value },
                 None => Response::Missing,
@@ -687,16 +693,10 @@ fn execute_request(
         }
         Request::Delete { key } => {
             let mut prev = None;
-            let mut body = |ops: &mut dyn crafty_common::TxnOps| {
+            execute_write(handle, group_commit, deferred, &mut |ops| {
                 prev = kv.remove(ops, key)?;
                 Ok(())
-            };
-            if group_commit {
-                handle.execute_deferred(&mut body);
-                *deferred = true;
-            } else {
-                handle.execute(&mut body);
-            }
+            });
             Some(match prev {
                 Some(value) => Response::Found { value },
                 None => Response::Missing,
