@@ -32,8 +32,8 @@
 //! transaction next to the paper's;
 //! `breakdowns` prints the completion-path and hardware-outcome counts of
 //! Figures 9–21; `hotpath` (the medium-contention bank benchmark, all six
-//! engines) and `kv` (the YCSB mixes A/B/C/E and the group-commit `A+gc`
-//! over `crafty-kv`, four engines) print one line per point with
+//! engines) and `kv` (the YCSB mixes A/B/C/E over `crafty-kv`, four
+//! engines) print one line per point with
 //! throughput, write amplification and drain coalescing. `--json-out PATH`
 //! writes every point the invocation measured under its own config —
 //! whatever the targets — as one engine artifact
@@ -587,8 +587,9 @@ fn run_torture(args: &[String]) -> ! {
         } else {
             for f in &report.failures {
                 println!("  VIOLATION {f}");
-                // A route of the fallback suite (`fallback/<route>`) replays
-                // through the suite it belongs to.
+                // A route of the bank or fallback suite (`bank/fenced`,
+                // `fallback/<route>`) replays through the suite it
+                // belongs to.
                 let suite = report.suite.split('/').next().unwrap_or(report.suite);
                 println!(
                     "    replay: figures -- torture --suite {suite} --seed {} --txns {} \
@@ -601,7 +602,9 @@ fn run_torture(args: &[String]) -> ! {
     };
 
     if wants("bank") {
-        failed |= show(&run_bank_torture(&cfg));
+        for report in run_bank_torture(&cfg) {
+            failed |= show(&report);
+        }
         match injected_violation_is_caught(&cfg) {
             Ok(f) => println!("  self-test: injected violation was caught — {f}"),
             Err(e) => {

@@ -16,11 +16,12 @@
 //! Three engine configurations bound the durability trade:
 //!
 //! * **Non-durable** — the floor: no persistence work at all.
-//! * **Crafty** — per-transaction durability: every write drains before
-//!   its ack, putting the full fence on every write's critical path.
+//! * **Crafty** — per-request acknowledgement: every write is fenced and
+//!   acked alone, putting the full fence on every write's critical path.
 //! * **Crafty+gc** — the server's group-commit window: a batch of
-//!   pipelined writes shares one drain, issued before any of the batch's
-//!   acks. Same durability statement per ack, amortized fence cost.
+//!   pipelined requests shares one fence, issued before any of the
+//!   batch's acks. Same durability statement per ack, amortized fence
+//!   cost.
 //!
 //! The drain dominates the service time by construction (the default
 //! [`KvServeConfig`] uses a deliberately expensive fence,
@@ -46,10 +47,10 @@ use crate::{artifact, round2, round4};
 pub enum KvServeEngine {
     /// No durability at all (the latency floor).
     NonDurable,
-    /// Crafty with per-transaction durability: each write drains before
-    /// its ack.
+    /// Crafty with per-request acknowledgement: each write is fenced and
+    /// acked alone.
     Crafty,
-    /// Crafty behind the server's group-commit window: one drain per
+    /// Crafty behind the server's group-commit window: one fence per
     /// pipelined batch.
     CraftyGc,
 }

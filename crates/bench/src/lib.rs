@@ -565,19 +565,6 @@ mod tests {
             "YCSB-A write amplification {} should be below 0.5",
             a.pmem.write_amplification()
         );
-        // Coalescing is measurably active on the batched mode: deferral
-        // accumulates several transactions' undo sequences and markers —
-        // consecutive lines of the circular log — into one claimed range,
-        // so drains must find runs longer than one line. (Plain A's
-        // single-update sequences often fit one line each, drained alone.)
-        let gc = crafty_on(YcsbMix::BatchedA);
-        assert!(
-            gc.pmem.flush_ranges < gc.pmem.lines_persisted,
-            "coalescing inactive under group commit: {} ranges for {} lines",
-            gc.pmem.flush_ranges,
-            gc.pmem.lines_persisted
-        );
-        assert!(gc.pmem.lines_per_range() > 1.0);
     }
 
     #[test]

@@ -90,39 +90,15 @@ pub trait TmThread {
     /// invoked any number of times. How it completed, and how every
     /// hardware attempt on the way ended, is counted in the engine's
     /// [`PersistentTm::breakdown`].
+    ///
+    /// A transaction that has returned is atomic under a crash, not yet
+    /// guaranteed durable: recovery may roll back each thread's latest
+    /// sequence. Group commit amortises the step that pins it — run a batch
+    /// through `execute`, then one [`PersistentTm::persist_fence`] before
+    /// acknowledging any of them — and never the drains inside `execute`,
+    /// which order one transaction's in-place writes before the next one's
+    /// undo entries.
     fn execute(&mut self, body: &mut TxnBody<'_>);
-
-    /// Executes one persistent transaction whose **durability may be
-    /// deferred**: the transaction commits (becomes visible, logs its undo
-    /// entries, marks its sequence COMMITTED) exactly as
-    /// [`TmThread::execute`] does, but the engine may postpone the drain
-    /// that makes the commit durable until a later transaction on this
-    /// thread needs one anyway — or until [`TmThread::flush_deferred`] is
-    /// called. This is the group-commit primitive: K logically independent
-    /// transactions executed this way share one drain barrier instead of
-    /// paying one each.
-    ///
-    /// Crash semantics: a crash before the covering drain may lose any of
-    /// the deferred transactions, but each one atomically — recovery rolls
-    /// a lost transaction back whole, never partially. (This is the same
-    /// window [`TmThread::execute`] already has on engines that defer the
-    /// final drain to the next transaction's fence; deferral only widens
-    /// it from one transaction to the group.)
-    ///
-    /// The default implementation simply calls [`TmThread::execute`]:
-    /// engines without a deferral fast path remain correct, just without
-    /// the shared barrier.
-    fn execute_deferred(&mut self, body: &mut TxnBody<'_>) {
-        self.execute(body)
-    }
-
-    /// Completes the durability of every transaction previously run with
-    /// [`TmThread::execute_deferred`] on this thread: after it returns, all
-    /// of them survive a crash (up to the engine's usual latest-sequence
-    /// rollback rule). The shared drain barrier of a group commit. The
-    /// default implementation is a no-op, matching the default
-    /// `execute_deferred` (which never defers anything).
-    fn flush_deferred(&mut self) {}
 }
 
 /// A persistent-transaction engine.

@@ -21,13 +21,10 @@
 //!   leaves unimplemented;
 //! * the ablation variants **Crafty-NoRedo** and **Crafty-NoValidate**
 //!   used in the evaluation;
-//! * **group commit**: durability-deferred execution
-//!   ([`crafty_common::TmThread::execute_deferred`]) that lets a group of
-//!   transactions share one drain barrier
-//!   ([`crafty_common::TmThread::flush_deferred`]) — each transaction
-//!   still logs, persists its undo entries before any in-place write, and
-//!   marks COMMITTED individually; only the durability *acknowledgement*
-//!   is batched.
+//! * **on-demand persistence** (Section 5.2) through
+//!   [`crafty_common::PersistentTm::persist_fence`], the one step a group
+//!   commit batches: every transaction still runs the fenced pipeline, and
+//!   one fence pins the batch before any of it is acknowledged.
 //!
 //! The engine runs on the simulated substrates in [`crafty_pmem`]
 //! (DRAM-emulated NVM with an explicit crash model) and [`crafty_htm`]

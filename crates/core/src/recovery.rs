@@ -34,7 +34,7 @@ use std::fmt;
 use crafty_common::{PAddr, Timestamp};
 use crafty_pmem::PersistentImage;
 
-use crate::undo_log::{decode, Entry, LogDirectory, LogGeometry, SlotState, RECOVERY_FLAG_WORD};
+use crate::undo_log::{Entry, LogDirectory, LogGeometry, SlotState, RECOVERY_FLAG_WORD};
 
 /// Value of the directory's recovery phase word while log zeroing is in
 /// flight. Set only after a recovery pass has applied its *entire*
@@ -362,15 +362,10 @@ pub fn logs_are_clean(image: &PersistentImage, directory_addr: PAddr) -> bool {
         .all(|g| (0..g.capacity).all(|s| matches!(g.read_slot(image, s), SlotState::Absent)))
 }
 
-/// Decodes a raw slot (two words) — re-exported for diagnostic tools.
-pub fn decode_slot(meta: u64, value: u64) -> SlotState {
-    decode(meta, value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::undo_log::{LogGeometry, MarkerKind, UndoLog};
+    use crate::undo_log::{decode, LogGeometry, MarkerKind, UndoLog};
     use crafty_common::BreakdownRecorder;
     use crafty_htm::{HtmConfig, HtmRuntime};
     use crafty_pmem::{MemorySpace, PmemConfig};
@@ -558,11 +553,11 @@ mod tests {
         let torn_value = image.read(marker_slot.add(1)) ^ 1;
         image.write(marker_slot.add(1), torn_value);
         assert!(matches!(
-            decode_slot(image.read(marker_slot), image.read(marker_slot.add(1))),
+            decode(image.read(marker_slot), image.read(marker_slot.add(1))),
             SlotState::Torn
         ));
         assert!(matches!(
-            decode_slot(image.read(data_slot), image.read(data_slot.add(1))),
+            decode(image.read(data_slot), image.read(data_slot.add(1))),
             SlotState::Valid { .. }
         ));
         let report = recover(&mut image, f.dir_addr).expect("recover");

@@ -31,9 +31,12 @@
 //! transactions. The guarantee (undo log persisted before any program
 //! write reaches persistent memory) and the cost profile (two drains per
 //! transaction — the one before `publish` that makes the undo entries
-//! durable, and `stamp_committed`'s after the marker unless the
-//! transaction is durability-deferred — the same 2.0 `drains_per_op` the
-//! hardware path shows) are the same; only the mechanism differs, because
+//! durable, and `stamp_committed`'s after the marker — the same 2.0
+//! `drains_per_op` the hardware path shows) are the same, and so is the
+//! ordering recovery relies on: a transaction's in-place writes are
+//! durable before the thread's next undo sequence can be, because every
+//! route drains (or begins a hardware transaction, whose SFENCE drains)
+//! before it appends again. Only the mechanism differs, because
 //! closure-based bodies cannot be resumed from a mid-transaction point the
 //! way the paper's compiler-instrumented transactions can.
 
@@ -111,13 +114,6 @@ impl From<AbortCode> for Stop {
 pub struct CraftyThread<'c> {
     engine: &'c Crafty,
     tid: usize,
-    /// True while executing a durability-deferred transaction
-    /// ([`TmThread::execute_deferred`]): the begin/commit SFENCE drains
-    /// that would make the *previous* transaction's commit durable are
-    /// skipped, so a group of transactions shares one drain barrier. The
-    /// mandatory drains — undo entries durable before any in-place write —
-    /// are unaffected.
-    deferred_mode: bool,
     alloc_log: AllocLog,
     /// The redo log: the Log transaction's write buffer as it stood before
     /// roll-back, one entry per written line (persistent or volatile) with
@@ -150,7 +146,6 @@ impl<'c> CraftyThread<'c> {
         CraftyThread {
             engine,
             tid,
-            deferred_mode: false,
             alloc_log: AllocLog::new(),
             redo_buf: Vec::new(),
             entries_buf: Vec::new(),
@@ -314,17 +309,11 @@ impl<'c> CraftyThread<'c> {
             // Allocations recorded by a previous failed attempt would leak;
             // hand them back before re-executing the body.
             self.alloc_log.release_allocations(&engine.allocator);
-            // Deferred mode: the previous transaction's commit write-backs
-            // stay pending here and ride this transaction's pre-Redo drain
-            // (or the group's flush_deferred barrier) instead of paying
-            // their own fence at begin. The Log phase publishes no new
-            // in-place values (its writes are rolled back before commit),
-            // so nothing that needs a durable undo entry can persist early.
-            let mut txn = if self.deferred_mode {
-                engine.htm.begin_deferred(self.tid)
-            } else {
-                engine.htm.begin(self.tid)
-            };
+            // `begin`'s SFENCE drains the previous transaction's commit
+            // write-backs before this sequence's undo entries can reach
+            // the log: recovery rolls back only the latest sequence, so the
+            // one before it must be whole in persistent memory.
+            let mut txn = engine.htm.begin(self.tid);
             match self.subscribe_sgl(&mut txn) {
                 Ok(()) => {}
                 Err(Stop::Retry) => continue,
@@ -704,12 +693,8 @@ impl<'c> CraftyThread<'c> {
         let Ok(()) = undo_log.commit_marker(&engine.htm, marker_abs, data_entries, commit_ts);
         undo_log.flush_marker(&engine.mem, self.tid, marker_abs);
         // Outside hardware transactions there is no later fence to
-        // piggyback on, so complete the write-backs here — unless the
-        // transaction is durability-deferred, in which case the group's
-        // shared drain barrier covers them.
-        if !self.deferred_mode {
-            self.drain();
-        }
+        // piggyback on, so complete the write-backs here.
+        self.drain();
         engine.note_sequence(self.tid, commit_ts);
     }
 }
@@ -719,33 +704,6 @@ impl TmThread for CraftyThread<'_> {
         match self.engine.cfg.mode {
             ThreadingMode::ThreadSafe => self.execute_thread_safe(body),
             ThreadingMode::ThreadUnsafe => self.execute_thread_unsafe(body),
-        }
-    }
-
-    fn execute_deferred(&mut self, body: &mut TxnBody<'_>) {
-        // Group commit: run the transaction with the begin/commit SFENCE
-        // drains relaxed. The transaction still logs, persists its undo
-        // entries before any in-place write (the pre-Redo drain is
-        // unconditional), and marks COMMITTED; only the drain that would
-        // ack *durability* is left to the shared barrier. The flag must
-        // not survive a panicking body (a caller catching the unwind and
-        // reusing the handle would silently keep deferring), so the reset
-        // sits on the unwind path too.
-        self.deferred_mode = true;
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute(body)));
-        self.deferred_mode = false;
-        if let Err(panic) = run {
-            std::panic::resume_unwind(panic);
-        }
-    }
-
-    fn flush_deferred(&mut self) {
-        // The shared drain barrier: one drain of this thread's queue covers
-        // every deferred transaction's data write-backs and COMMITTED
-        // markers — all were enqueued atomically with their commits.
-        if self.engine.mem.pending_flushes(self.tid) > 0 {
-            let recorder = &self.engine.recorder;
-            recorder.timed(self.tid, TxnPhase::Drain, || self.drain());
         }
     }
 }

@@ -218,29 +218,6 @@ impl HtmRuntime {
             self.recorder
                 .timed(tid, TxnPhase::Drain, || self.mem.drain(tid));
         }
-        self.begin_inner(tid, false)
-    }
-
-    /// Begins a hardware transaction **without** the begin/commit SFENCE
-    /// drains: the issuing thread's outstanding CLWBs stay pending across
-    /// the whole transaction.
-    ///
-    /// This is the group-commit relaxation. The engine's durability drains
-    /// are deliberately deferred — Crafty's Log phase uses it for a
-    /// durability-deferred transaction, so the previous transaction's
-    /// commit write-backs are drained by this transaction's mandatory
-    /// pre-Redo drain (or by the group's final
-    /// [`crafty_common::TmThread::flush_deferred`] barrier) instead of
-    /// paying their own fence here. It is only a *latency* relaxation:
-    /// everything enqueued stays pending and is covered by the next drain
-    /// of this thread's queue, from whichever thread issues it. Callers
-    /// that need a transaction's undo entries durable before acting on
-    /// them must still drain explicitly before doing so.
-    pub fn begin_deferred(&self, tid: usize) -> HwTxn<'_> {
-        self.begin_inner(tid, true)
-    }
-
-    fn begin_inner(&self, tid: usize, deferred_fence: bool) -> HwTxn<'_> {
         let schedule = &self.abort_schedules[tid];
         let storm_doomed = {
             let burst = self.cfg.storm_burst;
@@ -275,7 +252,6 @@ impl HtmRuntime {
             failed: None,
             finished: false,
             doomed_after,
-            deferred_fence,
         }
     }
 
@@ -519,10 +495,6 @@ pub struct HwTxn<'rt> {
     failed: Option<AbortCode>,
     finished: bool,
     doomed_after: Option<u32>,
-    /// True for transactions begun with [`HtmRuntime::begin_deferred`]:
-    /// neither begin nor commit drains the thread's pending flushes (the
-    /// group-commit relaxation).
-    deferred_fence: bool,
 }
 
 impl std::fmt::Debug for HwTxn<'_> {
@@ -809,9 +781,7 @@ impl<'rt> HwTxn<'rt> {
         // were normally already drained at begin), then enqueue the
         // commit-time flush requests — still inside the critical section so
         // that the enqueue is atomic with the publication of the writes.
-        // Durability-deferred transactions skip the fence: their pending
-        // flushes are covered by the group's shared drain barrier instead.
-        if !self.deferred_fence && rt.mem.pending_flushes(self.tid) > 0 {
+        if rt.mem.pending_flushes(self.tid) > 0 {
             rt.mem.drain(self.tid);
         }
         rt.mem.clwb_lines(

@@ -60,15 +60,14 @@
 //! `TxnOps` interface for setup-time prefill and post-recovery inspection.
 //!
 //! **Group commit.** K logically independent store transactions can share
-//! one drain barrier: run each through
-//! [`TmThread::execute_deferred`](crafty_common::TmThread::execute_deferred)
-//! — it commits, logs, and marks COMMITTED individually — and acknowledge
-//! durability once with
-//! [`TmThread::flush_deferred`](crafty_common::TmThread::flush_deferred),
-//! when the shared drain covers their write-backs. The server's pipelined
-//! batches and the YCSB `A+gc` benchmark mix do exactly that. A crash
-//! before the barrier may lose transactions — each one atomically, never
-//! partially (`tests/kv_crash_recovery.rs` pins the contract).
+//! one acknowledgement: run each through
+//! [`TmThread::execute`](crafty_common::TmThread::execute) and pin them all
+//! with one
+//! [`PersistentTm::persist_fence`](crafty_common::PersistentTm::persist_fence)
+//! before acknowledging any. The server's pipelined batches do exactly
+//! that. A crash before the fence may lose the batch's latest transaction
+//! — atomically, never partially (`tests/kv_crash_recovery.rs` pins the
+//! contract).
 //!
 //! # Example
 //!

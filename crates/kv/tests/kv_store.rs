@@ -44,13 +44,18 @@ fn put_get_remove_round_trip_on_nondurable() {
     assert!(kv.check_integrity(&mem).is_ok());
 }
 
-/// Group commit, spelled out: each update is its own transaction with its
-/// durability deferred, and one barrier acknowledges them all.
-fn put_batch(kv: &ShardedKv, thread: &mut dyn TmThread, updates: &[(u64, u64)]) {
+/// Group commit, spelled out: each update is its own transaction, and one
+/// fence pins them all before any is acknowledged.
+fn put_batch(
+    engine: &dyn PersistentTm,
+    kv: &ShardedKv,
+    thread: &mut dyn TmThread,
+    updates: &[(u64, u64)],
+) {
     for &(key, value) in updates {
-        thread.execute_deferred(&mut |ops| kv.put(ops, key, value).map(drop));
+        thread.execute(&mut |ops| kv.put(ops, key, value).map(drop));
     }
-    thread.flush_deferred();
+    engine.persist_fence(0);
 }
 
 /// What a power cut right now would leave of `key`: the store as the
@@ -63,7 +68,7 @@ fn persisted(mem: &MemorySpace, key: u64) -> Option<u64> {
 }
 
 #[test]
-fn apply_batch_group_commits_and_is_durable_after_the_barrier() {
+fn batch_is_not_persisted_before_persist_fence_and_is_after() {
     let mem = small_space();
     let crafty = Crafty::new(Arc::clone(&mem), CraftyConfig::small_for_tests());
     let kv = ShardedKv::create(&mem, &KvConfig::small_for_tests());
@@ -71,61 +76,32 @@ fn apply_batch_group_commits_and_is_durable_after_the_barrier() {
 
     let updates: Vec<(u64, u64)> = (0..24).map(|k| (k, k * 100 + 1)).collect();
     for &(key, value) in &updates {
-        t.execute_deferred(&mut |ops| kv.put(ops, key, value).map(drop));
+        t.execute(&mut |ops| kv.put(ops, key, value).map(drop));
     }
     let (last_key, last_value) = updates[23];
-    // Committed and visible, but its drain is still owed...
+    // Committed and visible, but its write-backs are still owed...
     assert_eq!(kv.get_direct(&mem, last_key), Some(last_value));
-    assert_eq!(
-        persisted(&mem, last_key),
-        None,
-        "durable before the barrier"
-    );
-    // ...and the barrier pays it for the whole batch at once.
-    t.flush_deferred();
+    assert_eq!(persisted(&mem, last_key), None, "durable before the fence");
+    // ...and the fence pins the whole batch at once.
+    crafty.persist_fence(0);
     for &(key, value) in &updates {
         assert_eq!(kv.get_direct(&mem, key), Some(value));
         assert_eq!(persisted(&mem, key), Some(value), "key {key} not durable");
     }
-    let grouped_drains = mem.stats().drains;
     assert!(kv.check_integrity(&mem).is_ok());
 
     // Re-batching over existing keys updates in place.
     let overwrite: Vec<(u64, u64)> = (0..24).map(|k| (k, k + 7)).collect();
-    put_batch(&kv, &mut *t, &overwrite);
+    put_batch(&crafty, &kv, &mut *t, &overwrite);
     assert_eq!(kv.get_direct(&mem, 3), Some(10));
+    assert_eq!(persisted(&mem, 3), Some(10));
 
-    // The same updates executed one durable transaction at a time drain
-    // once each: the group shared its drains.
-    let mem1 = small_space();
-    let crafty1 = Crafty::new(Arc::clone(&mem1), CraftyConfig::small_for_tests());
-    let kv1 = ShardedKv::create(&mem1, &KvConfig::small_for_tests());
-    let mut t1 = crafty1.register_thread(0);
-    for &(key, value) in &updates {
-        t1.execute(&mut |ops| kv1.put(ops, key, value).map(drop));
-    }
-    let per_txn_drains = mem1.stats().drains;
-    assert!(
-        grouped_drains < per_txn_drains,
-        "group commit must share drains: {grouped_drains} grouped vs {per_txn_drains} per-txn"
-    );
-
-    // A body that panics mid-group unwinds out and leaves the handle
-    // working.
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        t.execute_deferred(&mut |_| panic!("boom mid-batch"))
-    }));
-    assert!(caught.is_err(), "the body's panic must unwind out");
-    t.execute(&mut |ops| kv.put(ops, 99, 9).map(drop));
-    crafty.quiesce();
-    assert_eq!(persisted(&mem, 99), Some(9));
-
-    // The two calls degrade gracefully on engines without a deferral path.
+    // The same batch on an engine whose fence has nothing to pin.
     let mem2 = small_space();
     let nd = NonDurable::new(Arc::clone(&mem2), 1 << 12);
     let kv2 = ShardedKv::create(&mem2, &KvConfig::small_for_tests());
     let mut t2 = nd.register_thread(0);
-    put_batch(&kv2, &mut *t2, &updates);
+    put_batch(&nd, &kv2, &mut *t2, &updates);
     assert_eq!(kv2.get_direct(&mem2, 5), Some(501));
 }
 

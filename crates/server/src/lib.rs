@@ -19,9 +19,9 @@
 //! every drain barrier shows up in some request's tail latency. The
 //! `kvserve` benchmark (in `crafty-bench`) drives this server open-loop
 //! and reports p50/p99/p999, making the group-commit trade visible: per-
-//! transaction durability pays a drain on every write's critical path,
-//! while the server's batch-wide durability window
-//! ([`server`] module docs) amortizes one drain across a pipelined batch
+//! request acknowledgement pays a durability fence on every write's
+//! critical path, while the server's batch-wide acknowledgement window
+//! ([`server`] module docs) amortizes one fence across a pipelined batch
 //! — lower tails at the same offered load.
 //!
 //! # Durability contract

@@ -29,7 +29,7 @@
 //! `max_attempts` reconnects. Exactly-once is retry + dedup; when either
 //! half is gone, the client fails loudly rather than guessing.
 
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use crafty_common::SplitMix64;
@@ -112,13 +112,6 @@ pub struct SessionClient<S: NetStream = TcpStream> {
     /// Replayed in full after every reconnect; the server's dedup table
     /// makes the replay at-most-once.
     pending: Vec<Request>,
-}
-
-impl SessionClient<TcpStream> {
-    /// A client that dials `addr` over plain TCP on every (re)connect.
-    pub fn tcp(addr: impl ToSocketAddrs + Send + Clone + 'static, policy: RetryPolicy) -> Self {
-        SessionClient::new(move || TcpStream::connect(addr.clone()), policy)
-    }
 }
 
 impl<S: NetStream> SessionClient<S> {
@@ -328,17 +321,6 @@ impl<S: NetStream> SessionClient<S> {
     /// As [`SessionClient::write_batch`].
     pub fn get(&mut self, key: u64) -> Result<Option<u64>, ClientError> {
         self.with_retries(move |_sid, client| client.get(key))
-    }
-
-    /// `key += delta`, exactly once; returns the post-increment value.
-    ///
-    /// # Errors
-    ///
-    /// As [`SessionClient::write_batch`].
-    pub fn incr(&mut self, key: u64, delta: u64) -> Result<u64, ClientError> {
-        let acks = self.write_batch(&[WriteOp::Incr { key, delta }])?;
-        acks[0]
-            .ok_or_else(|| ClientError::Unexpected("increment acked without a value".to_string()))
     }
 }
 

@@ -10,28 +10,32 @@
 //! connection — the thread-per-core shape, with no cross-thread handoff
 //! per request.
 //!
-//! # Batches are durability windows
+//! # Batches are acknowledgement windows
 //!
-//! A worker reads whatever bytes have arrived, decodes **every complete
-//! frame** in them, and treats that run of pipelined requests as one
-//! batch. Under [`ServerConfig::group_commit`] the batch's writes execute
-//! via [`TmThread::execute_deferred`] and share a single
-//! [`TmThread::flush_deferred`] drain barrier, issued after the last
-//! request. With `group_commit` off every write drains individually
-//! ([`TmThread::execute`]), which is the per-transaction baseline the
-//! latency benchmark compares against.
+//! Every request runs as one persistent transaction through
+//! [`TmThread::execute`], the engine's one fenced pipeline. What a batch
+//! shares is the acknowledgement: a batch that contained any write ends
+//! with one [`PersistentTm::persist_fence`] *before any of its response
+//! bytes are written*. A returned transaction is not yet an ackable one:
+//! the paper's recovery is prefix-consistent — it rolls back each thread's
+//! latest logged sequence (and the timestamp cut can take
+//! committed-but-unpinned work of *other* threads with it), so an acked
+//! write could still be undone after a crash. The fence pins everything
+//! completed so far (Section 5.2's on-demand persistence), making the ack
+//! mean what a client thinks it means: this write survives any crash from
+//! now on.
 //!
-//! In both modes, a batch that contained any write ends with one
-//! [`PersistentTm::persist_fence`] *before any response byte is written*.
-//! The drain alone is not enough to ack: the paper's recovery is
-//! prefix-consistent — it rolls back each thread's latest logged sequence
-//! (and the timestamp cut can take committed-but-unpinned work of *other*
-//! threads with it), so an acked write could still be undone after a
-//! crash. The fence pins everything completed so far (Section 5.2's
-//! on-demand persistence), making the ack mean what a client thinks it
-//! means: this write survives any crash from now on. Its cost, like the
-//! drain's, amortizes over the batch — the deeper clients pipeline, the
-//! cheaper acknowledged durability gets per write.
+//! Under [`ServerConfig::group_commit`] a worker decodes **every complete
+//! frame** buffered from the socket and serves that run of pipelined
+//! requests as one batch, so the fence amortizes over it — the deeper
+//! clients pipeline, the cheaper acknowledged durability gets per write.
+//! With `group_commit` off a batch is one request: fenced and acked alone,
+//! the per-request baseline the latency benchmark compares against (frames
+//! already buffered are served, one at a time, before the next socket
+//! read). Group commit batches the fence, never the drains inside a
+//! transaction: those order one transaction's in-place writes before the
+//! next one's undo entries, which recovery's latest-sequence rollback
+//! depends on.
 //!
 //! Batching is *emergent*: nothing waits to fill a window. An idle server
 //! sees one-request batches and behaves like a per-request server; a
@@ -73,8 +77,8 @@
 //! the fault clock, so a trap during or before the fence is visible by
 //! the time we poll; a clean poll means the fence fully preceded the
 //! cut and its effects are in the image.) Graceful [`KvServer::shutdown`]
-//! ends every worker with a final deferred drain + fence, so nothing
-//! acknowledged is left unpinned when the sockets close.
+//! ends every worker with a final fence, so nothing it executed is left
+//! unpinned when the sockets close.
 //!
 //! # Live metrics
 //!
@@ -92,7 +96,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crafty_common::{PersistentTm, TmThread, TxnBody};
+use crafty_common::{PersistentTm, TmThread};
 use crafty_kv::{CachedReply, SeqCheck, SessionTable, ShardedKv};
 use crafty_pmem::MemorySpace;
 use crafty_stats::LatencyHistogram;
@@ -109,8 +113,9 @@ pub struct ServerConfig {
     /// so this must not exceed the engine's configured thread limit, and
     /// the server owns tids `0..workers` while it runs.
     pub workers: usize,
-    /// Whether a batch of pipelined writes shares one durability barrier
-    /// (group commit) or each write drains individually before its ack.
+    /// Whether a batch is every complete buffered frame, acked after one
+    /// shared durability fence (group commit), or one request, fenced and
+    /// acked alone.
     pub group_commit: bool,
     /// In-flight pipelined-batch budget; batches beyond it are shed with
     /// `Busy` before any engine work. `0` disables shedding.
@@ -238,9 +243,10 @@ pub struct ServerStats {
     pub connections: u64,
     /// Requests executed.
     pub requests: u64,
-    /// Pipelined batches served (each at most one durability barrier).
+    /// Pipelined batches served (each at most one durability fence).
     pub batches: u64,
-    /// Durability barriers actually issued for batches containing writes.
+    /// Durability fences issued, one per batch containing a write or a
+    /// `Flush`.
     pub flushes: u64,
     /// Connections dropped for malformed frames or sequence violations.
     pub protocol_errors: u64,
@@ -334,8 +340,8 @@ impl KvServer {
 
     /// Stops accepting, drains the workers, and returns the final
     /// counters. In-flight batches finish (their acks stay honest), each
-    /// worker issues a final deferred drain + durability fence before its
-    /// socket closes, and idle connections are dropped.
+    /// worker issues a final durability fence before it exits, and idle
+    /// connections are dropped.
     pub fn shutdown(self) -> ServerStats {
         self.stop.store(true, Ordering::SeqCst);
         // Wake every worker that is blocked in accept(): one dummy
@@ -392,11 +398,9 @@ fn worker_loop(
             cfg,
         );
     }
-    // Graceful exit: whatever this worker deferred and never fenced (a
-    // connection dropped mid-batch, a final Flush-less pipeline) gets one
-    // last drain + fence before the thread dies. Shutdown must never
-    // leave acknowledged-adjacent state unpinned.
-    handle.flush_deferred();
+    // Graceful exit: whatever this worker executed and never fenced (a
+    // connection dropped mid-batch) gets one last fence before the thread
+    // dies. Shutdown must never leave acknowledged-adjacent state unpinned.
     engine.persist_fence(tid);
 }
 
@@ -422,23 +426,11 @@ fn serve_connection(
     let mut batch: Vec<Request> = Vec::new();
     let mut outbox: Vec<u8> = Vec::with_capacity(4096);
     loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // client closed
-            Ok(n) => inbox.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-        // Decode every complete frame already buffered: the pipelined
-        // batch, which is this iteration's durability window.
+        // Decode the next batch from the frames already buffered: every
+        // complete one under group commit, else the first.
         batch.clear();
         let mut consumed = 0;
-        loop {
+        while cfg.group_commit || batch.is_empty() {
             match frame_payload_len(&inbox[consumed..]) {
                 Ok(Some(len)) => {
                     let payload = &inbox[consumed + HEADER_LEN..consumed + HEADER_LEN + len];
@@ -460,6 +452,17 @@ fn serve_connection(
         }
         inbox.drain(..consumed);
         if batch.is_empty() {
+            match stream.read(&mut chunk) {
+                Ok(0) => return, // client closed
+                Ok(n) => inbox.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    if stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
             continue;
         }
 
@@ -483,7 +486,6 @@ fn serve_connection(
         }
 
         outbox.clear();
-        let mut deferred = false;
         // An explicit Flush requests the fence even in a read-only batch.
         let wrote = batch
             .iter()
@@ -497,15 +499,7 @@ fn serve_connection(
                 Request::Stats => Response::Stats {
                     report: counters.report(),
                 },
-                req => match execute_request(
-                    kv,
-                    sessions,
-                    handle,
-                    req,
-                    cfg.group_commit,
-                    &mut deferred,
-                    counters,
-                ) {
+                req => match execute_request(kv, sessions, handle, req, counters) {
                     Some(resp) => resp,
                     None => {
                         // Sequence violation: a correct client never sends
@@ -520,17 +514,12 @@ fn serve_connection(
             };
             response.encode(&mut outbox);
         }
-        // The ack-after-fence rule: if any write in this batch deferred
-        // its durability, issue the shared drain barrier now, and pin the
-        // whole window against recovery's latest-sequence rollback — no
-        // response byte leaves before every acked write survives any
-        // future crash.
-        if deferred {
-            handle.flush_deferred();
-            counters.flushes.fetch_add(1, Ordering::Relaxed);
-        }
+        // The ack-after-fence rule: pin the whole batch against recovery's
+        // latest-sequence rollback — no response byte leaves before every
+        // acked write survives any future crash.
         if wrote {
             engine.persist_fence(tid);
+            counters.flushes.fetch_add(1, Ordering::Relaxed);
         }
         if cfg.max_inflight_batches > 0 {
             counters.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -596,23 +585,6 @@ fn dedup_check(
     Ok(SeqCheck::Fresh)
 }
 
-/// Executes one write transaction: durability-deferred under group commit,
-/// setting `deferred` so the caller runs the batch's shared drain barrier
-/// before acking; with its own drains otherwise.
-fn execute_write(
-    handle: &mut dyn TmThread,
-    group_commit: bool,
-    deferred: &mut bool,
-    body: &mut TxnBody<'_>,
-) {
-    if group_commit {
-        handle.execute_deferred(body);
-        *deferred = true;
-    } else {
-        handle.execute(body);
-    }
-}
-
 /// Executes one sequenced write under session dedup: check, apply, and
 /// record in **one** transaction. `apply` runs only on a `Fresh`
 /// classification and returns the reply to cache; replays return the
@@ -623,8 +595,6 @@ fn execute_sequenced(
     handle: &mut dyn TmThread,
     session: u64,
     seq: u64,
-    group_commit: bool,
-    deferred: &mut bool,
     apply: &mut dyn FnMut(
         &mut dyn crafty_common::TxnOps,
     ) -> Result<CachedReply, crafty_common::TxAbort>,
@@ -644,7 +614,7 @@ fn execute_sequenced(
         }
         Ok(())
     };
-    execute_write(handle, group_commit, deferred, &mut body);
+    handle.execute(&mut body);
     match verdict {
         SeqCheck::Fresh | SeqCheck::Replay(_) => Some(if reply.found {
             Response::Found { value: reply.value }
@@ -656,16 +626,13 @@ fn execute_sequenced(
 }
 
 /// Executes one request as one persistent transaction and forms its
-/// response. Under group commit, writes run deferred and set `deferred`
-/// so the caller fences the batch before acking. `None` means a sequence
-/// violation: the caller drops the connection.
+/// response; the caller fences the batch before acking. `None` means a
+/// sequence violation: the caller drops the connection.
 fn execute_request(
     kv: &ShardedKv,
     sessions: &SessionTable,
     handle: &mut dyn TmThread,
     req: Request,
-    group_commit: bool,
-    deferred: &mut bool,
     counters: &Counters,
 ) -> Option<Response> {
     match req {
@@ -682,7 +649,7 @@ fn execute_request(
         }
         Request::Put { key, value } => {
             let mut prev = None;
-            execute_write(handle, group_commit, deferred, &mut |ops| {
+            handle.execute(&mut |ops| {
                 prev = kv.put(ops, key, value)?;
                 Ok(())
             });
@@ -693,7 +660,7 @@ fn execute_request(
         }
         Request::Delete { key } => {
             let mut prev = None;
-            execute_write(handle, group_commit, deferred, &mut |ops| {
+            handle.execute(&mut |ops| {
                 prev = kv.remove(ops, key)?;
                 Ok(())
             });
@@ -744,60 +711,35 @@ fn execute_request(
             delta,
             session,
             seq,
-        } => execute_sequenced(
-            sessions,
-            handle,
-            session,
-            seq,
-            group_commit,
-            deferred,
-            &mut |ops| {
-                // Read-modify-write in the guarded transaction: exactly
-                // the shape that makes a double-applied replay visible.
-                let current = kv.get(ops, key)?.unwrap_or(0);
-                let next = current.wrapping_add(delta);
-                kv.put(ops, key, next)?;
-                Ok(CachedReply::found(next))
-            },
-        ),
+        } => execute_sequenced(sessions, handle, session, seq, &mut |ops| {
+            // Read-modify-write in the guarded transaction: exactly the
+            // shape that makes a double-applied replay visible.
+            let current = kv.get(ops, key)?.unwrap_or(0);
+            let next = current.wrapping_add(delta);
+            kv.put(ops, key, next)?;
+            Ok(CachedReply::found(next))
+        }),
         Request::SeqPut {
             key,
             value,
             session,
             seq,
-        } => execute_sequenced(
-            sessions,
-            handle,
-            session,
-            seq,
-            group_commit,
-            deferred,
-            &mut |ops| {
-                Ok(match kv.put(ops, key, value)? {
-                    Some(prev) => CachedReply::found(prev),
-                    None => CachedReply::missing(),
-                })
-            },
-        ),
-        Request::SeqDelete { key, session, seq } => execute_sequenced(
-            sessions,
-            handle,
-            session,
-            seq,
-            group_commit,
-            deferred,
-            &mut |ops| {
+        } => execute_sequenced(sessions, handle, session, seq, &mut |ops| {
+            Ok(match kv.put(ops, key, value)? {
+                Some(prev) => CachedReply::found(prev),
+                None => CachedReply::missing(),
+            })
+        }),
+        Request::SeqDelete { key, session, seq } => {
+            execute_sequenced(sessions, handle, session, seq, &mut |ops| {
                 Ok(match kv.remove(ops, key)? {
                     Some(prev) => CachedReply::found(prev),
                     None => CachedReply::missing(),
                 })
-            },
-        ),
-        Request::Flush => {
-            handle.flush_deferred();
-            *deferred = false;
-            Some(Response::Flushed)
+            })
         }
+        // The batch's fence, which a Flush always requests, is the barrier.
+        Request::Flush => Some(Response::Flushed),
         // Unreachable: serve_connection answers Stats from shared state
         // before dispatching to the engine.
         Request::Stats => Some(Response::Stats {

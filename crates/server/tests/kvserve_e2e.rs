@@ -12,7 +12,7 @@ use crafty_kv::{DirectOps, KvConfig, SessionTable, ShardedKv};
 use crafty_pmem::{MemorySpace, PmemConfig};
 #[cfg(not(feature = "no-session-dedup"))]
 use crafty_server::ClientError;
-use crafty_server::{KvClient, KvServer, Request, Response, ServerConfig};
+use crafty_server::{KvClient, KvServer, Request, Response, ServerConfig, ServerStats};
 
 const RECORDS: u64 = 256;
 const WORKERS: usize = 2;
@@ -20,6 +20,10 @@ const WORKERS: usize = 2;
 /// Boots a prefilled store behind a loopback server, Crafty engine,
 /// group commit on.
 fn boot() -> (Arc<MemorySpace>, Arc<Crafty>, KvServer) {
+    boot_with(true)
+}
+
+fn boot_with(group_commit: bool) -> (Arc<MemorySpace>, Arc<Crafty>, KvServer) {
     let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
     let engine = Arc::new(Crafty::new(
         Arc::clone(&mem),
@@ -38,10 +42,52 @@ fn boot() -> (Arc<MemorySpace>, Arc<Crafty>, KvServer) {
         Arc::clone(&engine) as Arc<dyn crafty_common::PersistentTm>,
         kv,
         sessions,
-        ServerConfig::loopback(WORKERS, true),
+        ServerConfig::loopback(WORKERS, group_commit),
     )
     .expect("bind loopback server");
     (mem, engine, server)
+}
+
+/// Sends `bursts` pipelined bursts of `per_burst` puts and waits for every
+/// ack; returns the server's final counters.
+fn serve_put_bursts(group_commit: bool, bursts: u64, per_burst: u64) -> ServerStats {
+    let (_mem, engine, server) = boot_with(group_commit);
+    let mut client = KvClient::connect(server.local_addr()).expect("connect");
+    for b in 0..bursts {
+        let reqs: Vec<Request> = (0..per_burst)
+            .map(|i| Request::Put {
+                key: (b * per_burst + i) % RECORDS,
+                value: b,
+            })
+            .collect();
+        client.send(&reqs).expect("send burst");
+        let responses = client.recv(reqs.len()).expect("recv burst");
+        assert!(responses
+            .iter()
+            .all(|r| matches!(r, Response::Found { .. })));
+    }
+    drop(client);
+    let stats = server.shutdown();
+    engine.quiesce();
+    assert_eq!(stats.requests, bursts * per_burst);
+    stats
+}
+
+/// The server's two batchings. Under group commit a pipelined burst is
+/// acked after one fence per batch; without it a batch is one request,
+/// fenced and acked alone.
+#[test]
+fn group_commit_fences_once_per_batch_and_per_request_without_it() {
+    let grouped = serve_put_bursts(true, 16, 32);
+    assert!(grouped.flushes >= 1);
+    assert!(
+        grouped.flushes <= grouped.batches,
+        "more than one fence per batch: {grouped:?}"
+    );
+
+    let single = serve_put_bursts(false, 4, 32);
+    assert_eq!(single.mean_batch(), 1.0, "{single:?}");
+    assert_eq!(single.flushes, single.requests, "one fence per write");
 }
 
 #[test]

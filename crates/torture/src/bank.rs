@@ -9,8 +9,12 @@
 //! harness is deterministic end to end.
 //!
 //! The engine the workload runs on is picked by a [`Route`]: the hardware
-//! phases (this suite), or one of the routes through the software commit
-//! that [`crate::fallback`] audits with the same run and audit code.
+//! phases (this suite's `bank` report), the same phases with a
+//! `persist_fence` closing every [`FENCED_BATCH`]th transaction (its
+//! `bank/fenced` report: the server's group commit, which batches the
+//! acknowledgement and never a transaction's own drains), or one of the
+//! routes through the software commit that [`crate::fallback`] audits
+//! with the same run and audit code.
 //!
 //! The rig is public — [`Route`], [`draw_picks`], [`run_once`] /
 //! [`BankRun`], [`recover_checked`], [`prefix_check`] — so a test that
@@ -33,6 +37,8 @@ pub const ACCOUNTS: u64 = 16;
 pub const INITIAL: u64 = 1_000;
 /// Transfers per transaction.
 pub const TRANSFERS_PER_TXN: usize = 4;
+/// Transactions per fenced batch on [`Route::Fenced`].
+pub const FENCED_BATCH: usize = 4;
 
 /// One transfer: `(from, to, amount)`.
 pub type Transfer = (u64, u64, u64);
@@ -83,6 +89,9 @@ fn apply_shadow(shadow: &mut [u64], txn: &[Transfer]) {
 pub enum Route {
     /// The hardware phases (Log, then Redo or Validate): the `bank` suite.
     Hardware,
+    /// The hardware phases with `persist_fence(0)` after every
+    /// [`FENCED_BATCH`]th transaction: a group-committing server's batch.
+    Fenced,
     /// Forced through the (default) per-line fallback.
     PerLine,
     /// Forced through the single-global-lock reference.
@@ -102,6 +111,7 @@ impl Route {
     pub const fn suite(self) -> &'static str {
         match self {
             Route::Hardware => "bank",
+            Route::Fenced => "bank/fenced",
             Route::PerLine => "fallback",
             Route::Sgl => "fallback/sgl",
             Route::ThreadUnsafeTiny => "fallback/thread-unsafe",
@@ -118,7 +128,7 @@ impl Route {
         let forced = cfg.with_force_fallback(true);
         let unlocked = cfg.with_mode(ThreadingMode::ThreadUnsafe);
         let (cfg, htm) = match self {
-            Route::Hardware => (cfg, HtmConfig::skylake()),
+            Route::Hardware | Route::Fenced => (cfg, HtmConfig::skylake()),
             Route::PerLine => (forced, HtmConfig::skylake()),
             Route::Sgl => (
                 forced.with_fallback(FallbackPolicy::Sgl),
@@ -221,8 +231,11 @@ pub fn run_once(route: Route, picks: &[Vec<Transfer>], plan: FaultPlan) -> BankR
     mem.drain(0);
     let mut thread = engine.register_thread(0);
     let setup_steps = mem.fault_steps();
-    for txn in picks {
+    for (i, txn) in picks.iter().enumerate() {
         thread.execute(&mut |ops| txn.iter().try_for_each(|&t| transfer(ops, base, t)));
+        if route == Route::Fenced && (i + 1) % FENCED_BATCH == 0 {
+            engine.persist_fence(0);
+        }
     }
     drop(thread);
     BankRun {
@@ -288,18 +301,26 @@ pub fn prefix_check(
     ))
 }
 
-/// Runs the bank torture suite: counts the workload's persistence steps,
-/// replays it crashing at every enumerated step, and audits each crash
-/// image. See the crate docs for the invariants.
-pub fn run_bank_torture(cfg: &TortureConfig) -> TortureReport {
+/// The routes of the bank suite, in report order: `bank` stays first.
+pub const BANK_ROUTES: [Route; 2] = [Route::Hardware, Route::Fenced];
+
+/// Runs the bank torture suite, one report per route of [`BANK_ROUTES`]:
+/// counts the workload's persistence steps, replays it crashing at every
+/// enumerated step, and audits each crash image. See the crate docs for
+/// the invariants.
+pub fn run_bank_torture(cfg: &TortureConfig) -> Vec<TortureReport> {
     let picks = draw_picks(cfg.seed, cfg.txns);
-    enumerate(
-        Route::Hardware.suite(),
-        cfg,
-        |step| cfg.adversary(step),
-        |plan| run_once(Route::Hardware, &picks, plan),
-        |run, _| run.recover_to_prefix(&picks).map(drop),
-    )
+    BANK_ROUTES
+        .map(|route| {
+            enumerate(
+                route.suite(),
+                cfg,
+                |step| cfg.adversary(step),
+                |plan| run_once(route, &picks, plan),
+                |run, _| run.recover_to_prefix(&picks).map(drop),
+            )
+        })
+        .into()
 }
 
 /// Self-test of the auditor: traps a mid-run image, corrupts one account
@@ -378,6 +399,9 @@ mod tests {
         assert_eq!(points(Route::PerLine), 578);
         assert_eq!(points(Route::Sgl), 490);
         assert_eq!(points(Route::ThreadUnsafeTiny), 490);
+        // The fenced batch adds its two fences and nothing else: each is
+        // one empty sequence appended, flushed and drained.
+        assert_eq!(points(Route::Fenced), points(Route::Hardware) + 2 * 7);
     }
 
     #[test]

@@ -32,18 +32,6 @@ pub trait TxnMix: Send + Sync {
     fn verify(&self, _mem: &MemorySpace) -> Result<(), String> {
         Ok(())
     }
-
-    /// Size of the durability groups the driver should run this mix in.
-    /// `1` (the default) executes every transaction immediately durable
-    /// via [`TmThread::execute`](crafty_common::TmThread::execute); `G > 1`
-    /// runs each consecutive window of `G` transactions under group commit
-    /// ([`TmThread::execute_deferred`](crafty_common::TmThread::execute_deferred)
-    /// plus one
-    /// [`TmThread::flush_deferred`](crafty_common::TmThread::flush_deferred)
-    /// barrier per window), so the window shares one drain.
-    fn durability_group(&self) -> u64 {
-        1
-    }
 }
 
 /// A benchmark: prepares persistent state and produces its transaction mix.
@@ -64,11 +52,6 @@ pub trait Workload {
 /// `SplitMix64::new(that seed)`: a re-execution (a hardware retry, the
 /// Validate phase of Algorithm 3) makes the picks its Log phase made, so it
 /// can match the undo entries that phase persisted.
-///
-/// Honors the mix's [`TxnMix::durability_group`]: with a group size above
-/// one, each window of that many consecutive transactions runs under group
-/// commit (deferred durability, one shared drain barrier per window, plus
-/// a final barrier for a trailing partial window).
 pub fn drive(
     engine: &dyn PersistentTm,
     mix: &dyn TxnMix,
@@ -76,7 +59,6 @@ pub fn drive(
     txns_per_thread: u64,
     seed: u64,
 ) {
-    let group = mix.durability_group().max(1);
     crossbeam::scope(|s| {
         for tid in 0..threads {
             s.spawn(move |_| {
@@ -91,18 +73,8 @@ pub fn drive(
                     // transactions show up as begin/end pairs in a trace
                     // dump, whatever the engine does in between.
                     trace::record(tid, TraceEventKind::TxnBegin, i);
-                    if group <= 1 {
-                        handle.execute(&mut body);
-                    } else {
-                        handle.execute_deferred(&mut body);
-                        if (i + 1) % group == 0 {
-                            handle.flush_deferred();
-                        }
-                    }
+                    handle.execute(&mut body);
                     trace::record(tid, TraceEventKind::TxnEnd, i);
-                }
-                if group > 1 {
-                    handle.flush_deferred();
                 }
             });
         }

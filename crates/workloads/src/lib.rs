@@ -37,4 +37,4 @@ pub use driver::{drive, measure, run_mix, TxnMix, Workload};
 pub use engines::{build_engine, EngineKind};
 pub use openloop::{ArrivalProcess, OpKind, OpenLoopConfig, ScheduledOp};
 pub use stamp::{StampKernel, StampWorkload};
-pub use ycsb::{YcsbKvMix, YcsbMix, YcsbWorkload, YCSB_BATCH_GROUP};
+pub use ycsb::{YcsbKvMix, YcsbMix, YcsbWorkload};

@@ -12,13 +12,11 @@
 //! | B    | 95% read, 5% update                 | workload B           |
 //! | C    | 100% read                           | workload C           |
 //! | E    | 95% short scan, 5% insert           | workload E           |
-//! | A+gc | A under 8-txn group commit          | batched ingestion    |
 //!
-//! The `A+gc` row is the batched-update mode: identical traffic to A, but
-//! every [`YCSB_BATCH_GROUP`] consecutive transactions share one drain
-//! barrier through the engine's group-commit path
-//! (`TmThread::execute_deferred` / `flush_deferred`), so the A → A+gc gap
-//! directly measures the per-transaction durability-ack cost.
+//! Group commit is not a mix: it batches the durability acknowledgement,
+//! which only a server has (`crafty-server`'s `group_commit`, one
+//! `persist_fence` per pipelined batch); every transaction here runs the
+//! engine's one fenced pipeline.
 //!
 //! Keys are drawn zipfian ([`crafty_common::Zipfian`], θ = 0.99) and
 //! scattered across the key space by hashing the rank (YCSB's "scrambled
@@ -35,11 +33,6 @@ use crafty_pmem::MemorySpace;
 
 use crate::driver::{TxnMix, Workload};
 
-/// Transactions per durability group in the batched-update mix
-/// ([`YcsbMix::BatchedA`]): how many consecutive store transactions share
-/// one drain barrier.
-pub const YCSB_BATCH_GROUP: u64 = 8;
-
 /// Which YCSB core mix to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum YcsbMix {
@@ -51,34 +44,19 @@ pub enum YcsbMix {
     C,
     /// 95% short scans, 5% inserts (scan heavy).
     E,
-    /// The batched-update mode: workload A's 50/50 blend executed under
-    /// **group commit** — every [`YCSB_BATCH_GROUP`] consecutive
-    /// transactions share one drain barrier
-    /// ([`crate::TxnMix::durability_group`]), the pattern of a store fed
-    /// by a message queue or replication window that acks durability per
-    /// batch. Comparing this row against mix A isolates the group-commit
-    /// saving on otherwise identical traffic.
-    BatchedA,
 }
 
 impl YcsbMix {
     /// Every mix, in evaluation order.
-    pub const ALL: [YcsbMix; 5] = [
-        YcsbMix::A,
-        YcsbMix::B,
-        YcsbMix::C,
-        YcsbMix::E,
-        YcsbMix::BatchedA,
-    ];
+    pub const ALL: [YcsbMix; 4] = [YcsbMix::A, YcsbMix::B, YcsbMix::C, YcsbMix::E];
 
-    /// Short mix label (`"A"`, `"B"`, ...; `"A+gc"` for the batched mode).
+    /// Short mix label (`"A"`, `"B"`, ...).
     pub fn label(self) -> &'static str {
         match self {
             YcsbMix::A => "A",
             YcsbMix::B => "B",
             YcsbMix::C => "C",
             YcsbMix::E => "E",
-            YcsbMix::BatchedA => "A+gc",
         }
     }
 
@@ -89,16 +67,6 @@ impl YcsbMix {
             YcsbMix::B => "95% read / 5% update",
             YcsbMix::C => "100% read",
             YcsbMix::E => "95% scan / 5% insert",
-            YcsbMix::BatchedA => "50% read / 50% update, 8-txn group commit",
-        }
-    }
-
-    /// Durability-group size the driver runs this mix in (1 = every
-    /// transaction immediately durable).
-    pub fn durability_group(self) -> u64 {
-        match self {
-            YcsbMix::BatchedA => YCSB_BATCH_GROUP,
-            _ => 1,
         }
     }
 }
@@ -213,7 +181,7 @@ impl TxnMix for YcsbKvMix {
         let dice = rng.next_below(100);
         let key = w.scramble(self.zipf.sample(&mut rng));
         match w.mix {
-            YcsbMix::A | YcsbMix::B | YcsbMix::BatchedA => {
+            YcsbMix::A | YcsbMix::B => {
                 let read_pct = if w.mix == YcsbMix::B { 95 } else { 50 };
                 if dice < read_pct {
                     self.kv.get(ops, key)?;
@@ -241,10 +209,6 @@ impl TxnMix for YcsbKvMix {
 
     fn verify(&self, mem: &MemorySpace) -> Result<(), String> {
         self.kv.check_integrity(mem)
-    }
-
-    fn durability_group(&self) -> u64 {
-        self.workload.mix.durability_group()
     }
 }
 
@@ -317,11 +281,8 @@ mod tests {
             YcsbWorkload::paper(YcsbMix::A).name(),
             "YCSB-A (50% read / 50% update)"
         );
-        assert_eq!(YcsbMix::ALL.len(), 5);
+        assert_eq!(YcsbMix::ALL.len(), 4);
         assert_eq!(YcsbMix::E.blend(), "95% scan / 5% insert");
-        assert_eq!(YcsbMix::BatchedA.label(), "A+gc");
-        assert_eq!(YcsbMix::BatchedA.durability_group(), YCSB_BATCH_GROUP);
-        assert_eq!(YcsbMix::A.durability_group(), 1);
     }
 
     #[test]

@@ -164,36 +164,32 @@ fn crash_mid_rehash_and_recover(model: CrashModel, seed: u64) {
     }
 }
 
-/// Group commit's crash contract: a batch of deferred transactions
-/// (`execute_deferred`) whose shared drain barrier (`flush_deferred`) *has*
-/// run survives a crash in full (up to the engine's latest-sequence
-/// rollback, pinned by a trailing quiesce); a batch whose barrier has NOT
-/// run may lose transactions, but each one atomically — every
-/// recovered value is either the pre-batch or the post-batch value, never
-/// torn, and the store stays structurally intact.
+/// Group commit's crash contract, as the server runs it: a batch of
+/// transactions closed by one `persist_fence` survives a crash in full;
+/// transactions after it, with no fence, may be lost, but each one
+/// atomically — every recovered value is either the pre-batch or the
+/// post-batch value, never torn, and the store stays structurally intact.
 fn group_commit_batch_crash(model: CrashModel, seed: u64) {
     let mem = Arc::new(MemorySpace::new(pmem_cfg(model)));
     let crafty = Crafty::new(Arc::clone(&mem), crafty_cfg());
     let kv = ShardedKv::create(&mem, &kv_cfg());
     let mut thread = crafty.register_thread(0);
 
-    // Acked batch: flush_deferred is the barrier; quiesce then pins the
-    // thread's latest sequence so recovery cannot roll the tail back.
+    // Acked batch: the fence pins the thread's latest sequence so
+    // recovery cannot roll the batch's tail back.
     let acked: Vec<(u64, u64)> = (0..32).map(|i| (seed * 977 + i, i * 3 + 1)).collect();
     for &(k, v) in &acked {
-        thread.execute_deferred(&mut |ops| kv.put(ops, k, v).map(|_| ()));
+        thread.execute(&mut |ops| kv.put(ops, k, v).map(|_| ()));
     }
-    thread.flush_deferred();
-    crafty.quiesce();
+    crafty.persist_fence(0);
 
-    // Unacked batch: deferred transactions with no barrier — overwrite
-    // half the acked keys and add fresh ones, then pull the plug.
+    // Unacked trailing puts, no fence — overwrite half the acked keys and
+    // add fresh ones, then pull the plug.
     let overwritten: Vec<(u64, u64)> = acked.iter().take(16).map(|&(k, v)| (k, v + 500)).collect();
     let fresh: Vec<(u64, u64)> = (0..8).map(|i| ((1 << 23) + seed * 31 + i, i + 9)).collect();
     for &(k, v) in overwritten.iter().chain(&fresh) {
-        thread.execute_deferred(&mut |ops| kv.put(ops, k, v).map(|_| ()));
+        thread.execute(&mut |ops| kv.put(ops, k, v).map(|_| ()));
     }
-    // No flush_deferred: crash with the group's durability unacked.
     let mut image = mem.crash_with(model);
     recover(&mut image, crafty.directory_addr()).expect("recovery");
 

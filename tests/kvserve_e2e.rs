@@ -100,9 +100,9 @@ fn round_trips_and_pipelining_over_loopback() {
 /// ack has arrived; mid-load we pull the plug (snapshot a crash image with
 /// the server still running), recover it, and require every pair acked
 /// *before* the snapshot to be present with its exact value. Ack-after-
-/// fence makes this sound: the ack is written only after the batch's drain
-/// barrier and its `persist_fence` pin, so an acked write can never be
-/// taken back by recovery's latest-sequence rollback.
+/// fence makes this sound: the ack is written only after the batch's
+/// `persist_fence` pin, so an acked write can never be taken back by
+/// recovery's latest-sequence rollback.
 fn acked_writes_survive_mid_load_crash(model: CrashModel) {
     const OPS_PER_LOADER: u64 = 250;
     const CRASH_AFTER_ACKS: usize = 100;

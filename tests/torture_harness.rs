@@ -9,19 +9,32 @@ use crafty_torture::{
     run_recovery_torture, run_service_torture, run_storm_torture, TortureConfig,
 };
 
-/// Exhaustive enumeration of a small bank run: every persistence step of
-/// the workload is a crash point, and every crash image must recover to a
-/// prefix of the committed-transaction order with clean, idempotent logs.
+/// Exhaustive enumeration of a small bank run, once through the hardware
+/// phases and once with a `persist_fence` closing every 4th transaction
+/// (the server's group commit): every persistence step of the workload is
+/// a crash point, and every crash image must recover to a prefix of the
+/// committed-transaction order with clean, idempotent logs.
 #[test]
 fn bank_exhaustive_enumeration_is_violation_free() {
-    let report = run_bank_torture(&TortureConfig::quick(21));
-    assert!(report.ok(), "violations: {:?}", report.failures);
-    assert_eq!(
-        report.crash_points_tested,
-        report.total_steps - report.setup_steps,
-        "exhaustive mode must audit every post-setup step"
-    );
-    assert!(report.crash_points_tested > 100, "run too small to matter");
+    for seed in [21, 1] {
+        let reports = run_bank_torture(&TortureConfig::quick(seed));
+        let suites: Vec<&str> = reports.iter().map(|r| r.suite).collect();
+        assert_eq!(suites, ["bank", "bank/fenced"]);
+        for report in &reports {
+            assert!(
+                report.ok(),
+                "{} violations at seed {seed}: {:?}",
+                report.suite,
+                report.failures
+            );
+            assert_eq!(
+                report.crash_points_tested,
+                report.total_steps - report.setup_steps,
+                "exhaustive mode must audit every post-setup step"
+            );
+            assert!(report.crash_points_tested > 100, "run too small to matter");
+        }
+    }
 }
 
 /// Exhaustive enumeration of the bank run committed outside a Redo/Validate
