@@ -8,7 +8,6 @@
 //! targets: fig6 fig7 fig8 table1 breakdowns hotpath kv all
 //!          (default: fig6 fig7 table1)
 //!
-//! figures compare --candidate PATH [--baseline BENCH_hotpath.json] [--tolerance 0.40]
 //! figures torture [--suite bank|fallback|kv|storm|recovery|service|all] [--seed N]
 //!                 [--txns N] [--steps N] [--crash-step N]
 //! figures kvserve [--rates a,b,c] [--ops N] [--engines e,e] [--connections N]
@@ -45,17 +44,9 @@
 //! and as `phase_ns` in the artifact, beside the completion paths and
 //! hardware outcomes every point carries.
 //!
-//! **The gate.** `compare` reads two engine artifacts and, for every
-//! workload in the baseline, checks Crafty's single-thread throughput
-//! *normalized to Non-durable in the same artifact* (which cancels
-//! machine-speed differences between the baseline host and the CI runner)
-//! against the baseline's ratio; exit 1 if any workload fell more than the
-//! tolerance below it, 2 if a point is missing ([`compare`] is the tested
-//! decision). One baseline is committed and gated, `BENCH_hotpath.json`;
-//! to move it intentionally, regenerate it with `figures -- hotpath
-//! --json-out BENCH_hotpath.json` and commit it with the change that
-//! shifted performance. The gate runs untraced, so it is also what pins the
-//! `off` trace level's overhead at zero.
+//! The one committed artifact, `BENCH_hotpath.json`, is `hotpath
+//! --json-out BENCH_hotpath.json`: a crafty-bench test pins its one-thread
+//! counts exactly, and nothing gates its throughput.
 //!
 //! **The drivers.** `kvserve` boots the networked KV front-end on loopback
 //! and drives it open-loop, reporting p50/p99/p999 from intended send
@@ -82,14 +73,14 @@
 use std::collections::BTreeSet;
 
 use crafty_bench::{
-    cli, compare, render_by_workload, render_kvserve_json, render_kvserve_table,
-    render_points_json, render_points_table, run_kvserve_point, run_point, run_points,
-    run_trace_dump, FlagDef, HarnessConfig, KvServeConfig, KvServeEngine, ParsedArgs, Point,
-    SubcommandSpec, TraceDumpConfig, KV_ENGINES,
+    cli, render_by_workload, render_kvserve_json, render_kvserve_table, render_points_json,
+    render_points_table, run_kvserve_point, run_point, run_points, run_trace_dump, FlagDef,
+    HarnessConfig, KvServeConfig, KvServeEngine, ParsedArgs, Point, SubcommandSpec,
+    TraceDumpConfig, KV_ENGINES,
 };
 use crafty_common::trace::{self, TraceLevel};
 use crafty_pmem::LatencyModel;
-use crafty_stats::{render_breakdown, render_figure, render_figure_csv, Figure, Json};
+use crafty_stats::{render_breakdown, render_figure, render_figure_csv, Figure};
 use crafty_workloads::{
     ArrivalProcess, BankWorkload, BtreeVariant, BtreeWorkload, Contention, EngineKind, StampKernel,
     StampWorkload, Workload, YcsbMix, YcsbWorkload,
@@ -149,29 +140,6 @@ const SPECS: &[SubcommandSpec] = &[
                 name: "--json-out",
                 value: Some("PATH"),
                 help: "write every point measured as one engine artifact",
-            },
-        ],
-    },
-    SubcommandSpec {
-        name: "compare",
-        positional: None,
-        summary:
-            "perf-regression gate: Crafty/Non-durable ratio at 1 thread, per baseline workload",
-        flags: &[
-            FlagDef {
-                name: "--candidate",
-                value: Some("PATH"),
-                help: "fresh engine artifact to check (required)",
-            },
-            FlagDef {
-                name: "--baseline",
-                value: Some("PATH"),
-                help: "engine artifact to hold it to (default BENCH_hotpath.json)",
-            },
-            FlagDef {
-                name: "--tolerance",
-                value: Some("F"),
-                help: "allowed fractional regression (default 0.40)",
             },
         ],
     },
@@ -320,11 +288,19 @@ fn flag<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|e| fail(&e))
 }
 
+/// Exits with the usage status if any of `counts` is zero: every engine
+/// divides its work among that many threads.
+fn at_least_one(name: &str, counts: &[usize]) {
+    if counts.contains(&0) {
+        fail(&format!("{name} must be at least 1"));
+    }
+}
+
 fn print_usage() {
     print!(
         "{}",
         cli::render_help(
-            "figures — the paper's engine comparisons, the perf gate, and the bench drivers",
+            "figures — the paper's engine comparisons and the bench drivers",
             SPECS,
         )
     );
@@ -334,8 +310,7 @@ fn print_usage() {
          point workload, engine, threads, ops_per_sec, writes_per_txn, the persist-traffic\n\
          counters (write_amplification = words_persisted / line_words_persisted;\n\
          flush_ranges, lines_per_range), completions, hw_outcomes, and phase_ns under\n\
-         --trace counters (e.g. `figures --trace counters breakdowns`). `compare` gates\n\
-         any two of them.\n\
+         --trace counters (e.g. `figures --trace counters breakdowns`).\n\
          Every artifact's config block carries nproc and the git revision.\n\
          The kvserve artifact carries p50/p99/p999 latency per (engine, rate), measured\n\
          from intended send times — or `saturated` where achieved < 0.95 x offered.\n\
@@ -362,8 +337,8 @@ fn parse_figures_args(args: &[String]) -> Options {
     }
     if let Some(unknown) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
         fail(&format!(
-            "unknown target `{unknown}` (targets: {}, all; compare, torture, kvserve and \
-             trace are subcommands — see --help)",
+            "unknown target `{unknown}` (targets: {}, all; torture, kvserve and trace are \
+             subcommands — see --help)",
             TARGETS.join(" ")
         ));
     }
@@ -376,6 +351,7 @@ fn parse_figures_args(args: &[String]) -> Options {
         cfg.latency = LatencyModel::nvm_100ns();
     }
     cfg.thread_counts = flag(p.parsed_list("--threads", cfg.thread_counts));
+    at_least_one("--threads", &cfg.thread_counts);
     cfg.txns_per_thread = flag(p.parsed("--txns", cfg.txns_per_thread));
     if let Some(level) = p.value("--trace") {
         let level = TraceLevel::parse(level).unwrap_or_else(|| {
@@ -472,55 +448,6 @@ fn write_points_json(path: Option<&str>, cfg: &HarnessConfig, points: &[Point]) 
         std::fs::write(path, render_points_json(cfg, points)).expect("write engine artifact");
         println!("[json written to {path}: {} points]", points.len());
     }
-}
-
-/// The `compare` subcommand: the perf-regression gate over two engine
-/// artifacts (the decision itself is [`compare`]). Exits the process — 0
-/// when every baseline workload is within tolerance, 1 on a regression,
-/// 2 on usage or artifact errors.
-fn run_compare(args: &[String]) -> ! {
-    let p = parse_or_fail(spec("compare"), args);
-    let tolerance: f64 = flag(p.parsed("--tolerance", 0.40));
-    let baseline = p.value("--baseline").unwrap_or("BENCH_hotpath.json");
-    let candidate = p
-        .value("--candidate")
-        .unwrap_or_else(|| fail("compare requires --candidate PATH (a fresh engine artifact)"));
-    let load = |path: &str| -> Json {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        Json::parse(&text).unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")))
-    };
-    let verdicts = compare(&load(baseline), &load(candidate), tolerance).unwrap_or_else(|e| {
-        fail(&format!(
-            "{e}\n  (baseline {baseline}, candidate {candidate})"
-        ))
-    });
-
-    println!("perf-regression gate: Crafty/Non-durable throughput ratio at 1 thread");
-    for v in &verdicts {
-        println!(
-            "  {:<54} baseline {:>7.4}  candidate {:>7.4}  floor {:>7.4}  {}",
-            v.workload,
-            v.baseline,
-            v.candidate,
-            v.floor,
-            if v.ok { "ok" } else { "REGRESSED" }
-        );
-    }
-    if verdicts.iter().all(|v| v.ok) {
-        println!("PASS: candidate is within tolerance of {baseline}.");
-        std::process::exit(0);
-    }
-    println!(
-        "FAIL: candidate regressed more than {:.0}% below {baseline}.\n\
-         If this shift is intentional, regenerate the baseline the way it was produced — \
-         the committed one with\n  \
-         cargo run --release -p crafty-bench --bin figures -- hotpath --json-out \
-         BENCH_hotpath.json\n\
-         and commit it with your change.",
-        tolerance * 100.0
-    );
-    std::process::exit(1);
 }
 
 /// The `torture` subcommand: the deterministic fault-injection harness.
@@ -655,6 +582,7 @@ fn run_trace_cmd(args: &[String]) -> ! {
     let p = parse_or_fail(spec("trace"), args);
     let mut dump = TraceDumpConfig::quick();
     dump.threads = flag(p.parsed("--threads", dump.threads));
+    at_least_one("--threads", &[dump.threads]);
     dump.txns_per_thread = flag(p.parsed("--txns", dump.txns_per_thread));
     let out = p.value("--out").unwrap_or("trace.json");
     let cfg = HarnessConfig::quick();
@@ -680,6 +608,7 @@ fn run_kvserve_cmd(args: &[String]) -> ! {
     cfg.records = flag(p.parsed("--records", cfg.records));
     cfg.connections = flag(p.parsed("--connections", cfg.connections));
     cfg.workers = flag(p.parsed("--workers", cfg.workers));
+    at_least_one("--workers", &[cfg.workers]);
     cfg.read_pct = flag(p.parsed("--read-pct", cfg.read_pct));
     cfg.seed = flag(p.parsed("--seed", cfg.seed));
     cfg.latency.drain_ns = flag(p.parsed("--drain-ns", cfg.latency.drain_ns));
@@ -740,7 +669,6 @@ fn main() {
         return;
     }
     match argv.first().map(String::as_str) {
-        Some("compare") => run_compare(&argv[1..]),
         Some("torture") => run_torture(&argv[1..]),
         Some("kvserve") => run_kvserve_cmd(&argv[1..]),
         Some("trace") => run_trace_cmd(&argv[1..]),
@@ -793,7 +721,7 @@ fn main() {
         }
     }
     if has("hotpath") {
-        println!("\n== hotpath: the gated bank benchmark ==");
+        println!("\n== hotpath: the medium-contention bank benchmark ==");
         let points = run_points(
             &[&BankWorkload::paper(Contention::Medium, max_threads)],
             &EngineKind::ALL,

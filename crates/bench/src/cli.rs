@@ -1,7 +1,7 @@
 //! The one flag parser behind every `figures` subcommand.
 //!
 //! Before this module, the `figures` binary hand-parsed flags three
-//! different ways (the default targets command, `compare`, and `torture`),
+//! different ways (the default targets command and two subcommands),
 //! each with its own error handling and its own chance to drift from the
 //! `--help` text. Here, each subcommand declares its flags once as a
 //! [`SubcommandSpec`]; [`parse`] validates any argument vector against a
@@ -29,7 +29,7 @@ pub struct FlagDef {
 /// One subcommand: its name, what it does, and every flag it accepts.
 #[derive(Clone, Copy, Debug)]
 pub struct SubcommandSpec {
-    /// Subcommand word (`"compare"`), or `""` for the default command.
+    /// Subcommand word (`"torture"`), or `""` for the default command.
     pub name: &'static str,
     /// Positional-argument metavariable (e.g. `"targets..."`), if any.
     pub positional: Option<&'static str>,
@@ -206,9 +206,9 @@ mod tests {
             help: "paper scale",
         },
         FlagDef {
-            name: "--tolerance",
+            name: "--scale",
             value: Some("F"),
-            help: "allowed regression",
+            help: "scale factor",
         },
     ];
 
@@ -220,9 +220,9 @@ mod tests {
     };
 
     const NO_POS: SubcommandSpec = SubcommandSpec {
-        name: "compare",
+        name: "trace",
         positional: None,
-        summary: "perf gate",
+        summary: "event dump",
         flags: FLAGS,
     };
 
@@ -238,20 +238,20 @@ mod tests {
         )
         .expect("parse");
         assert!(p.has("--paper"));
-        assert!(!p.has("--tolerance"));
+        assert!(!p.has("--scale"));
         assert_eq!(p.value("--threads"), Some("1,2,4"));
         assert_eq!(p.positionals(), &["fig6".to_string(), "kv".to_string()]);
         assert_eq!(
             p.parsed_list::<usize>("--threads", vec![]).unwrap(),
             vec![1, 2, 4]
         );
-        assert_eq!(p.parsed::<f64>("--tolerance", 0.4).unwrap(), 0.4);
+        assert_eq!(p.parsed::<f64>("--scale", 0.4).unwrap(), 0.4);
     }
 
     #[test]
     fn last_occurrence_of_a_repeated_flag_wins() {
-        let p = parse(&SPEC, &argv(&["--tolerance", "0.1", "--tolerance", "0.2"])).expect("parse");
-        assert_eq!(p.parsed::<f64>("--tolerance", 0.0).unwrap(), 0.2);
+        let p = parse(&SPEC, &argv(&["--scale", "0.1", "--scale", "0.2"])).expect("parse");
+        assert_eq!(p.parsed::<f64>("--scale", 0.0).unwrap(), 0.2);
     }
 
     #[test]
@@ -265,19 +265,19 @@ mod tests {
         assert!(parse(&NO_POS, &argv(&["stray"]))
             .unwrap_err()
             .contains("positional"));
-        let p = parse(&SPEC, &argv(&["--tolerance", "abc"])).expect("parse");
-        assert!(p.parsed::<f64>("--tolerance", 0.0).is_err());
-        assert!(p.parsed_list::<u64>("--tolerance", vec![]).is_err());
+        let p = parse(&SPEC, &argv(&["--scale", "abc"])).expect("parse");
+        assert!(p.parsed::<f64>("--scale", 0.0).is_err());
+        assert!(p.parsed_list::<u64>("--scale", vec![]).is_err());
     }
 
     #[test]
     fn help_lists_every_subcommand_and_flag() {
         let help = render_help("figures — harness", &[SPEC, NO_POS]);
         assert!(help.contains("figures [targets...]"));
-        assert!(help.contains("figures compare"));
-        assert!(help.contains("COMPARE — perf gate"));
+        assert!(help.contains("figures trace"));
+        assert!(help.contains("TRACE — event dump"));
         assert!(help.contains("--threads a,b,c"));
         assert!(help.contains("--paper"));
-        assert!(help.contains("allowed regression"));
+        assert!(help.contains("scale factor"));
     }
 }

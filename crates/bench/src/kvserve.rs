@@ -452,6 +452,7 @@ mod tests {
 
     #[test]
     fn one_point_serves_the_whole_schedule() {
+        let _serial = crate::TRACE_TEST_LOCK.lock().unwrap();
         let cfg = tiny();
         let p = run_kvserve_point(&cfg, KvServeEngine::NonDurable, 50_000);
         assert_eq!(p.ops, 400, "every scheduled op must be served and acked");
@@ -482,6 +483,7 @@ mod tests {
 
     #[test]
     fn json_and_table_carry_the_percentile_columns() {
+        let _serial = crate::TRACE_TEST_LOCK.lock().unwrap();
         let cfg = tiny();
         let mut points = run_kvserve(&cfg);
         assert_eq!(points.len(), 1);

@@ -1,15 +1,17 @@
 //! The harness behind the `figures` binary: the paper's engine × workload ×
 //! thread-count comparisons, measured one way.
 //!
-//! Every comparison — a figure, a Table 1 cell, a breakdown, the gated
+//! Every comparison — a figure, a Table 1 cell, a breakdown, the hotpath
 //! bank benchmark, the YCSB mixes — is a list of [`Point`]s from
 //! [`run_points`], and every view is derived from that list: the
 //! normalized-throughput tables via [`crafty_stats::Figure`], the per-point
-//! lines via [`render_points_table`], the one JSON artifact schema via
-//! [`render_points_json`], and the perf-regression verdict via [`compare`],
-//! which reads the same keys the renderer writes. Each point gets a fresh
-//! simulated memory space and a fresh engine, exactly as each point in the
-//! paper is a separate process run.
+//! lines via [`render_points_table`], and the one JSON artifact schema via
+//! [`render_points_json`]. Each point gets a fresh simulated memory space
+//! and a fresh engine, exactly as each point in the paper is a separate
+//! process run. Nothing here gates throughput: the repository benchmark
+//! (`benchmark/`) is the one performance yardstick, and a test holds the
+//! one-thread hotpath counts to the one committed artifact,
+//! `BENCH_hotpath.json`.
 //!
 //! The remaining modules are the two drivers that are not engine
 //! comparisons: [`kvserve`] (the networked service, open-loop) and
@@ -39,7 +41,9 @@ use crafty_stats::{Json, Measurement};
 use crafty_workloads::{build_engine, measure, EngineKind, Workload};
 
 /// Serializes tests that flip the process-global trace level, so their
-/// assertions about what was (or was not) recorded cannot race.
+/// assertions about what was (or was not) recorded cannot race, and every
+/// other test that runs an engine: while a trace test has the level at
+/// Events, its transactions would land in the trace test's rings.
 #[cfg(test)]
 pub(crate) static TRACE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -175,7 +179,7 @@ impl HarnessConfig {
 }
 
 /// One measured (workload, engine, thread count) run — the unit every
-/// table, figure, artifact and gate of this crate is derived from.
+/// table, figure and artifact of this crate is derived from.
 #[derive(Clone, Debug)]
 pub struct Point {
     /// The workload's name as the paper's figures caption it
@@ -278,9 +282,9 @@ pub fn render_points_table(points: &[Point]) -> String {
 }
 
 /// Renders points as the engine artifact — the one schema behind the
-/// committed `BENCH_hotpath.json` and every `--json-out` file, and the one
-/// [`compare`] reads. `phase_ns` appears only on points that recorded any,
-/// i.e. instrumented engines in a traced run.
+/// committed `BENCH_hotpath.json` and every `--json-out` file. `phase_ns`
+/// appears only on points that recorded any, i.e. instrumented engines in
+/// a traced run.
 pub fn render_points_json(cfg: &HarnessConfig, points: &[Point]) -> String {
     fn counts<T: Copy>(all: &[T], label: fn(T) -> &'static str, count: impl Fn(T) -> u64) -> Json {
         all.iter().fold(Json::object(), |o, &x| {
@@ -336,94 +340,12 @@ pub fn render_points_json(cfg: &HarnessConfig, points: &[Point]) -> String {
     )
 }
 
-/// One workload's line of the perf-regression gate.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Verdict {
-    /// The gated workload.
-    pub workload: String,
-    /// Crafty/Non-durable throughput ratio in the baseline artifact.
-    pub baseline: f64,
-    /// The same ratio in the candidate artifact.
-    pub candidate: f64,
-    /// `baseline × (1 − tolerance)`: the lowest passing candidate ratio.
-    pub floor: f64,
-    /// Whether the candidate is at or above the floor.
-    pub ok: bool,
-}
-
-/// The perf-regression gate's decision: for every workload present in the
-/// baseline artifact, Crafty's single-thread throughput **normalized to
-/// Non-durable in the same artifact** — which cancels host-speed
-/// differences between the baseline's machine and the candidate's — must
-/// not fall more than `tolerance` below the baseline's ratio.
-///
-/// # Errors
-///
-/// Names the artifact and the point when the baseline gates nothing or
-/// either side lacks a point the baseline calls for; a candidate that did
-/// not measure a gated workload is an error, never a pass.
-pub fn compare(baseline: &Json, candidate: &Json, tolerance: f64) -> Result<Vec<Verdict>, String> {
-    fn points(doc: &Json) -> &[Json] {
-        doc.get("points").map(Json::items).unwrap_or(&[])
-    }
-    fn ratio(doc: &Json, side: &str, workload: &str) -> Result<f64, String> {
-        let ops = |engine: EngineKind| {
-            points(doc)
-                .iter()
-                .find(|p| {
-                    p.get("workload").and_then(Json::as_str) == Some(workload)
-                        && p.get("engine").and_then(Json::as_str) == Some(engine.label())
-                        && p.get("threads").and_then(Json::as_u64) == Some(1)
-                })
-                .and_then(|p| p.get("ops_per_sec"))
-                .and_then(Json::as_f64)
-                .filter(|&ops| ops > 0.0)
-                .ok_or_else(|| {
-                    format!(
-                        "{side}: no `{}` point with a throughput at 1 thread for workload \
-                         `{workload}`",
-                        engine.label()
-                    )
-                })
-        };
-        Ok(ops(EngineKind::Crafty)? / ops(EngineKind::NonDurable)?)
-    }
-
-    let mut workloads: Vec<&str> = Vec::new();
-    for p in points(baseline) {
-        if let Some(w) = p.get("workload").and_then(Json::as_str) {
-            if !workloads.contains(&w) {
-                workloads.push(w);
-            }
-        }
-    }
-    if workloads.is_empty() {
-        return Err("baseline: no point carries a `workload` — not an engine artifact".to_string());
-    }
-    workloads
-        .into_iter()
-        .map(|workload| {
-            let base = ratio(baseline, "baseline", workload)?;
-            let cand = ratio(candidate, "candidate", workload)?;
-            let floor = base * (1.0 - tolerance);
-            Ok(Verdict {
-                workload: workload.to_string(),
-                baseline: base,
-                candidate: cand,
-                floor,
-                ok: cand >= floor,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crafty_common::TraceLevel;
     use crafty_stats::Figure;
     use crafty_workloads::{BankWorkload, Contention, YcsbMix, YcsbWorkload};
-    use std::time::Duration;
 
     #[test]
     fn revision_is_marked_dirty_unless_the_tree_is_known_clean() {
@@ -457,6 +379,7 @@ mod tests {
 
     #[test]
     fn figure_collects_one_point_per_engine_and_thread_count() {
+        let _serial = TRACE_TEST_LOCK.lock().unwrap();
         let points = bank_points(&tiny());
         assert_eq!(points.len(), 4);
         let mut figure = Figure::new(points[0].workload.as_str());
@@ -471,6 +394,7 @@ mod tests {
 
     #[test]
     fn breakdowns_and_table1_cells_are_produced() {
+        let _serial = TRACE_TEST_LOCK.lock().unwrap();
         for p in bank_points(&tiny()) {
             let m = &p.measurement;
             assert_eq!(m.transactions, 50 * m.threads as u64);
@@ -486,7 +410,7 @@ mod tests {
 
     /// The ablation measures the path it names: the driver re-runs a body
     /// from the seed its Log phase ran from, so at one thread every
-    /// Crafty-NoRedo transaction of the gated benchmark commits in its
+    /// Crafty-NoRedo transaction of the hotpath benchmark commits in its
     /// first Validate — no restart, no software fallback, and exactly the
     /// words Crafty persists for the same transactions.
     #[test]
@@ -537,6 +461,7 @@ mod tests {
 
     #[test]
     fn kv_points_cover_all_mixes_and_engines() {
+        let _serial = TRACE_TEST_LOCK.lock().unwrap();
         let cfg = HarnessConfig {
             thread_counts: vec![1],
             txns_per_thread: 40,
@@ -627,55 +552,9 @@ mod tests {
         }
     }
 
-    /// A hand-built point: `ops` transactions in one second.
-    fn point(workload: &str, engine: EngineKind, ops: u64) -> Point {
-        Point {
-            workload: workload.to_string(),
-            measurement: Measurement::throughput_only(
-                engine.label(),
-                1,
-                ops,
-                Duration::from_secs(1),
-            ),
-            breakdown: BreakdownSnapshot::default(),
-            pmem: PmemStats::default(),
-        }
-    }
-
-    fn doc(points: &[Point]) -> Json {
-        Json::parse(&render_points_json(&tiny(), points)).expect("artifact parses")
-    }
-
     #[test]
-    fn compare_fails_exactly_the_workload_that_regressed() {
-        let baseline = [
-            point("w1", EngineKind::NonDurable, 1000),
-            point("w1", EngineKind::Crafty, 400),
-            point("w2", EngineKind::NonDurable, 1000),
-            point("w2", EngineKind::Crafty, 800),
-        ];
-        let same = compare(&doc(&baseline), &doc(&baseline), 0.4).unwrap();
-        assert_eq!(same.len(), 2);
-        assert!(same.iter().all(|v| v.ok && v.baseline == v.candidate));
-        assert!((same[0].floor - 0.24).abs() < 1e-9);
-
-        let mut halved = baseline.clone();
-        halved[3] = point("w2", EngineKind::Crafty, 400);
-        let verdicts = compare(&doc(&baseline), &doc(&halved), 0.4).unwrap();
-        assert!(verdicts[0].ok, "w1 did not move");
-        assert!(!verdicts[1].ok, "w2 lost half of a 40% tolerance");
-        assert!((verdicts[1].candidate - 0.4).abs() < 1e-9);
-
-        // A candidate that did not measure a gated workload is an error,
-        // and the error says which side and which point.
-        let err = compare(&doc(&baseline), &doc(&baseline[..2]), 0.4).unwrap_err();
-        assert!(err.contains("candidate") && err.contains("w2"), "{err}");
-        // So is a baseline that is not an engine artifact at all.
-        assert!(compare(&Json::object(), &doc(&baseline), 0.4).is_err());
-    }
-
-    #[test]
-    fn rendered_artifact_round_trips_through_compare() {
+    fn rendered_artifact_round_trips_through_the_parser() {
+        let _serial = TRACE_TEST_LOCK.lock().unwrap();
         let cfg = HarnessConfig {
             thread_counts: vec![1],
             ..tiny()
@@ -716,31 +595,6 @@ mod tests {
             assert!(r.get("ops_per_sec").and_then(Json::as_f64) > Some(0.0));
             assert!(r.get("writes_per_txn").and_then(Json::as_f64).is_some());
         }
-        // The gate finds every workload the run produced.
-        let verdicts = compare(&doc, &doc, 0.4).expect("self-compare");
-        let gated: Vec<&str> = verdicts.iter().map(|v| v.workload.as_str()).collect();
-        assert_eq!(gated, [&*points[0].workload, &*points[2].workload]);
-        assert!(verdicts.iter().all(|v| v.ok));
-    }
-
-    fn committed_baseline() -> Json {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-        let text = std::fs::read_to_string(path).expect("read BENCH_hotpath.json");
-        Json::parse(&text).expect("BENCH_hotpath.json parses")
-    }
-
-    /// The schema and the committed baseline cannot drift apart silently:
-    /// the gate's own lookup must find Crafty and Non-durable at one
-    /// thread in the repository's `BENCH_hotpath.json`.
-    #[test]
-    fn committed_baseline_is_gateable() {
-        let doc = committed_baseline();
-        let verdicts = compare(&doc, &doc, 0.4).expect("committed baseline gates itself");
-        assert_eq!(verdicts.len(), 1);
-        assert_eq!(
-            verdicts[0].workload,
-            BankWorkload::paper(Contention::Medium, 1).name()
-        );
     }
 
     /// At one thread every engine is deterministic, so a fresh run of the
@@ -753,7 +607,9 @@ mod tests {
     fn committed_baseline_counts_repeat_at_one_thread() {
         let _serial = TRACE_TEST_LOCK.lock().unwrap();
         let _off = trace::LevelGuard::arm(TraceLevel::Off);
-        let committed = committed_baseline();
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
+        let text = std::fs::read_to_string(path).expect("read BENCH_hotpath.json");
+        let committed = Json::parse(&text).expect("BENCH_hotpath.json parses");
         let cfg = HarnessConfig {
             thread_counts: vec![1],
             ..HarnessConfig::quick()

@@ -1,0 +1,65 @@
+//! The `figures` command line refuses what it cannot run before it runs
+//! anything: a removed subcommand reads as an unknown target, and a zero
+//! thread or worker count is a usage error rather than a division by zero
+//! inside an engine.
+
+use std::process::{Command, Output};
+
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .output()
+        .expect("run figures")
+}
+
+/// Exit status 2, `message` on stderr and nothing on stdout. Every driver
+/// prints its banner before it builds an engine, so an empty stdout means
+/// the invocation was refused before any engine ran.
+fn assert_usage_error(args: &[&str], message: &str) {
+    let out = figures(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} printed {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn compare_is_an_unknown_target() {
+    assert_usage_error(&["compare"], "unknown target `compare`");
+    assert_usage_error(
+        &["compare", "--candidate", "hotpath-candidate.json"],
+        "unknown flag --candidate",
+    );
+}
+
+#[test]
+fn zero_thread_and_worker_counts_are_usage_errors() {
+    assert_usage_error(
+        &["--threads", "0", "hotpath"],
+        "--threads must be at least 1",
+    );
+    assert_usage_error(
+        &["--threads", "1,0", "fig6"],
+        "--threads must be at least 1",
+    );
+    assert_usage_error(&["trace", "--threads", "0"], "--threads must be at least 1");
+    assert_usage_error(
+        &["kvserve", "--workers", "0"],
+        "--workers must be at least 1",
+    );
+}
+
+#[test]
+fn help_lists_every_subcommand_but_compare() {
+    let out = figures(&["--help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    for subcommand in ["torture", "kvserve", "trace"] {
+        assert!(help.contains(&format!("figures {subcommand}")), "{help}");
+    }
+    assert!(!help.contains("compare"), "{help}");
+}

@@ -12,8 +12,8 @@
 //!
 //! - [`TraceLevel::Off`] (the default): a single relaxed atomic load and a
 //!   predictable branch per instrumentation site — the same disarmed-fast-
-//!   path discipline as `crafty-pmem`'s `fault_tick`. The hot-path perf
-//!   gate (`figures compare`) pins this as effectively zero overhead.
+//!   path discipline as `crafty-pmem`'s `fault_tick`. Every end-to-end
+//!   number of the repository benchmark is measured at this level.
 //! - [`TraceLevel::Counters`]: phase timers run
 //!   ([`crate::BreakdownRecorder::timed`]). Each engine phase (Log / Redo
 //!   / Validate / SGL / drain / fence) is timed in virtual cycles —

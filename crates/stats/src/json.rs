@@ -4,9 +4,9 @@
 //! machine-readable benchmark artifacts (`BENCH_hotpath.json`) are rendered
 //! through this small value type instead. It supports exactly what the
 //! artifacts need: objects with ordered keys, arrays, strings, integers,
-//! and finite floats. [`Json::parse`] reads the same documents back — the
-//! CI perf-regression gate uses it to compare a fresh benchmark run against
-//! the committed baseline artifact.
+//! and finite floats. [`Json::parse`] reads the same documents back — a
+//! crafty-bench test uses it to hold a fresh run's counts to the committed
+//! artifact.
 
 use std::fmt::Write as _;
 

@@ -191,8 +191,9 @@ impl fmt::Display for TortureFailure {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TortureReport {
     /// Which suite ran (`"bank"`, `"fallback"`, `"kv"`, `"recovery"`,
-    /// `"storm"`, `"service"`); the fallback suite's further routes report
-    /// as `"fallback/<route>"`.
+    /// `"storm"`, `"service"`); the bank suite's fenced route reports as
+    /// `"bank/fenced"` and the fallback suite's further routes as
+    /// `"fallback/<route>"`.
     pub suite: &'static str,
     /// The master seed the suite ran under.
     pub seed: u64,
