@@ -8,7 +8,7 @@
 //! targets: fig6 fig7 fig8 table1 breakdowns hotpath kv all
 //!          (default: fig6 fig7 table1)
 //!
-//! figures torture [--suite bank|fallback|kv|storm|recovery|service|all] [--seed N]
+//! figures torture [--suite bank|kv|recovery|service|all] [--seed N]
 //!                 [--txns N] [--steps N] [--crash-step N]
 //! figures kvserve [--rates a,b,c] [--ops N] [--engines e,e] [--connections N]
 //!                 [--workers N] [--records N] [--read-pct N] [--fixed] [--seed N]
@@ -63,12 +63,11 @@
 //! (recovery, clean logs, idempotence, prefix-of-commit-order state), and
 //! exits non-zero when any invariant is violated. Every reported failure
 //! carries a `(seed, step)` pair; replay it exactly with
-//! `figures -- torture --suite S --seed SEED --crash-step STEP`. The bank
-//! suite also self-tests the auditor by injecting a violation and
-//! requiring it to be caught. The `fallback` suite forces every
-//! transaction through the per-line software fallback so crash points
-//! land inside lock-hold windows, and boots each recovered image into a
-//! second life that must keep running (no stuck lock survives a reboot).
+//! `figures -- torture --suite S --seed SEED --crash-step STEP` (a step no
+//! run replays exits 1). The bank suite reports one `bank/<route>` line per
+//! commit route (`crafty_torture::bank::ROUTES`), boots each recovered
+//! image into a second life, and self-tests the auditor by injecting a
+//! violation and requiring it to be caught.
 
 use std::collections::BTreeSet;
 
@@ -151,7 +150,7 @@ const SPECS: &[SubcommandSpec] = &[
             FlagDef {
                 name: "--suite",
                 value: Some("NAME"),
-                help: "bank | fallback | kv | storm | recovery | service | all (default all)",
+                help: "bank | kv | recovery | service | all (default all)",
             },
             FlagDef {
                 name: "--seed",
@@ -171,7 +170,7 @@ const SPECS: &[SubcommandSpec] = &[
             FlagDef {
                 name: "--crash-step",
                 value: Some("N"),
-                help: "pin the crash to one step (replaying a reported failure)",
+                help: "pin the crash to one step, 1-based (replaying a reported failure)",
             },
         ],
     },
@@ -288,10 +287,10 @@ fn flag<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|e| fail(&e))
 }
 
-/// Exits with the usage status if any of `counts` is zero: every engine
-/// divides its work among that many threads.
-fn at_least_one(name: &str, counts: &[usize]) {
-    if counts.contains(&0) {
+/// Exits with the usage status if any of `counts` is zero (a thread,
+/// rate, record count or 1-based crash step).
+fn at_least_one<T: Default + PartialEq>(name: &str, counts: &[T]) {
+    if counts.contains(&T::default()) {
         fail(&format!("{name} must be at least 1"));
     }
 }
@@ -456,8 +455,8 @@ fn write_points_json(path: Option<&str>, cfg: &HarnessConfig, points: &[Point]) 
 /// 1 on any violation, 2 on usage errors.
 fn run_torture(args: &[String]) -> ! {
     use crafty_torture::{
-        injected_violation_is_caught, run_bank_torture, run_fallback_torture, run_kv_torture,
-        run_recovery_torture, run_service_torture, run_storm_torture, TortureConfig, TortureReport,
+        injected_violation_is_caught, run_bank_torture, run_kv_torture, run_recovery_torture,
+        run_service_torture, TortureConfig, TortureReport,
     };
 
     let p = parse_or_fail(spec("torture"), args);
@@ -467,12 +466,12 @@ fn run_torture(args: &[String]) -> ! {
     cfg.txns = flag(p.parsed("--txns", cfg.txns));
     cfg.max_crash_points = flag(p.parsed("--steps", cfg.max_crash_points));
     if p.has("--crash-step") {
-        cfg.crash_step = Some(flag(p.parsed("--crash-step", 0)));
+        let step: u64 = flag(p.parsed("--crash-step", 0));
+        at_least_one("--crash-step", &[step]);
+        cfg.crash_step = Some(step);
     }
 
-    let known = [
-        "bank", "fallback", "kv", "storm", "recovery", "service", "all",
-    ];
+    let known = ["bank", "kv", "recovery", "service", "all"];
     if !known.contains(&suite.as_str()) {
         fail(&format!("--suite must be one of {known:?}, got `{suite}`"));
     }
@@ -492,31 +491,24 @@ fn run_torture(args: &[String]) -> ! {
             .unwrap_or_default(),
     );
     let mut failed = false;
-    let show = |report: &TortureReport| -> bool {
-        if report.total_steps == 0 {
-            // The storm suite audits liveness + durability, not crash points.
-            println!(
-                "\n[{}] liveness + durability audit (no crash-point enumeration, seed {})",
-                report.suite, report.seed,
-            );
-        } else {
-            println!(
-                "\n[{}] {} crash points audited (steps {}..={} of the run, seed {})",
-                report.suite,
-                report.crash_points_tested,
-                report.setup_steps + 1,
-                report.total_steps,
-                report.seed,
-            );
-        }
+    let mut replayed = false;
+    let mut show = |report: &TortureReport| -> bool {
+        println!(
+            "\n[{}] {} crash points audited (steps {}..={} of the run, seed {})",
+            report.suite,
+            report.crash_points_tested,
+            report.setup_steps + 1,
+            report.total_steps,
+            report.seed,
+        );
+        replayed |= report.crash_points_tested > 0;
         if report.ok() {
             println!("  ok — every crash image satisfied every invariant");
         } else {
             for f in &report.failures {
                 println!("  VIOLATION {f}");
-                // A route of the bank or fallback suite (`bank/fenced`,
-                // `fallback/<route>`) replays through the suite it
-                // belongs to.
+                // A route of the bank suite (`bank/<route>`) replays
+                // through the suite it belongs to.
                 let suite = report.suite.split('/').next().unwrap_or(report.suite);
                 println!(
                     "    replay: figures -- torture --suite {suite} --seed {} --txns {} \
@@ -540,19 +532,11 @@ fn run_torture(args: &[String]) -> ! {
             }
         }
     }
-    if wants("fallback") {
-        for report in run_fallback_torture(&cfg) {
-            failed |= show(&report);
-        }
-    }
     if wants("kv") {
         failed |= show(&run_kv_torture(&cfg));
     }
     if wants("recovery") {
         failed |= show(&run_recovery_torture(&cfg));
-    }
-    if wants("storm") {
-        failed |= show(&run_storm_torture(&cfg));
     }
     if wants("service") {
         // The networked suite restarts a real server per crash point, and
@@ -567,6 +551,13 @@ fn run_torture(args: &[String]) -> ! {
         failed |= show(&run_service_torture(&svc));
     }
 
+    if let (Some(step), false) = (cfg.crash_step, replayed) {
+        println!(
+            "\nFAIL: no run replayed --crash-step {step}: it falls inside setup or past the \
+             end of every run."
+        );
+        std::process::exit(1);
+    }
     if failed {
         println!("\nFAIL: the torture harness found invariant violations.");
         std::process::exit(1);
@@ -604,12 +595,17 @@ fn run_kvserve_cmd(args: &[String]) -> ! {
     let p = parse_or_fail(spec("kvserve"), args);
     let mut cfg = KvServeConfig::quick();
     cfg.rates = flag(p.parsed_list("--rates", cfg.rates));
+    at_least_one("--rates", &cfg.rates);
     cfg.ops = flag(p.parsed("--ops", cfg.ops));
     cfg.records = flag(p.parsed("--records", cfg.records));
+    at_least_one("--records", &[cfg.records]);
     cfg.connections = flag(p.parsed("--connections", cfg.connections));
     cfg.workers = flag(p.parsed("--workers", cfg.workers));
     at_least_one("--workers", &[cfg.workers]);
     cfg.read_pct = flag(p.parsed("--read-pct", cfg.read_pct));
+    if cfg.read_pct > 100 {
+        fail("--read-pct must be at most 100");
+    }
     cfg.seed = flag(p.parsed("--seed", cfg.seed));
     cfg.latency.drain_ns = flag(p.parsed("--drain-ns", cfg.latency.drain_ns));
     cfg.engines = flag(p.parsed_list::<KvServeEngine>("--engines", cfg.engines));

@@ -1,7 +1,8 @@
 //! The `figures` command line refuses what it cannot run before it runs
-//! anything: a removed subcommand reads as an unknown target, and a zero
-//! thread or worker count is a usage error rather than a division by zero
-//! inside an engine.
+//! anything: a removed subcommand or torture suite reads as unknown, and a
+//! zero thread or worker count, arrival rate, record population or crash
+//! step — or a read share above 100% — is a usage error rather than a
+//! division by zero, a panic or a hang inside an engine.
 
 use std::process::{Command, Output};
 
@@ -51,6 +52,47 @@ fn zero_thread_and_worker_counts_are_usage_errors() {
         &["kvserve", "--workers", "0"],
         "--workers must be at least 1",
     );
+}
+
+#[test]
+fn zero_rates_records_and_an_impossible_read_share_are_usage_errors() {
+    assert_usage_error(&["kvserve", "--rates", "0"], "--rates must be at least 1");
+    assert_usage_error(
+        &["kvserve", "--rates", "1000,0"],
+        "--rates must be at least 1",
+    );
+    assert_usage_error(
+        &["kvserve", "--records", "0"],
+        "--records must be at least 1",
+    );
+    assert_usage_error(
+        &["kvserve", "--read-pct", "101"],
+        "--read-pct must be at most 100",
+    );
+}
+
+/// Step 0 is before the fault clock's first tick: a trap there would never
+/// fire, and every later tick would wait for its capture.
+#[test]
+fn a_crash_step_of_zero_is_a_usage_error() {
+    assert_usage_error(
+        &["torture", "--suite", "bank", "--crash-step", "0"],
+        "--crash-step must be at least 1",
+    );
+}
+
+/// Abort storms and the software-commit routes are routes of the bank
+/// suite, not suites of their own.
+#[test]
+fn removed_torture_suites_are_unknown() {
+    for suite in ["storm", "fallback"] {
+        let message = format!("got `{suite}`");
+        assert_usage_error(&["torture", "--suite", suite], &message);
+        assert_usage_error(
+            &["torture", "--suite", suite],
+            r#"one of ["bank", "kv", "recovery", "service", "all"]"#,
+        );
+    }
 }
 
 #[test]

@@ -404,7 +404,9 @@ fn sgl_fallback_is_used_when_htm_capacity_is_exceeded() {
     let base = mem.reserve_persistent(1024);
     let mut thread = crafty.register_thread(0);
     // 200 writes far exceed the tiny HTM's 4-line write capacity, so the
-    // transaction can only complete through the SGL fallback.
+    // transaction can only complete through the software fallback (the
+    // default per-line policy), which counts as a `CompletionPath::Sgl`
+    // completion.
     thread.execute(&mut |ops| {
         for i in 0..200u64 {
             ops.write(base.add(i), i)?;

@@ -21,8 +21,8 @@ pub struct HtmConfig {
     /// Abort-storm injection: dooms `storm_burst` consecutive hardware
     /// transactions out of every [`HtmConfig::storm_period`] per thread
     /// (0 disables storms). Storms model sustained interference —
-    /// interrupt floods, cache-set thrashing — and are used by the torture
-    /// harness to drive the retry→SGL fallback path.
+    /// interrupt floods, cache-set thrashing — and drive the torture harness
+    /// down the retry→software-fallback path (per-line, by default).
     pub storm_burst: u32,
     /// Length of one storm cycle in hardware-transaction begins per
     /// thread. Values ≤ `storm_burst` are clamped at use sites to

@@ -242,8 +242,7 @@ pub enum DrainCoalescing {
 /// single-threaded run is bit-for-bit reproducible for every chosen step.
 ///
 /// The default (disarmed) plan is a single untaken branch on the store and
-/// flush paths — the hot path stays unaffected, which the committed
-/// benchmark gates enforce.
+/// flush paths, so the hot path is unaffected.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct FaultPlan {
     /// Whether durability events tick the fault clock at all. Disarmed
@@ -277,9 +276,10 @@ impl FaultPlan {
         }
     }
 
-    /// Captures a crash image at fault-clock step `step` (1-based),
-    /// resolving dirty words under `model`.
+    /// Captures a crash image at fault-clock step `step`, resolving dirty
+    /// words under `model`. Panics on step 0: the clock's first tick is 1.
     pub const fn crash_at(step: u64, model: CrashModel) -> Self {
+        assert!(step >= 1, "fault-clock steps are 1-based");
         FaultPlan {
             armed: true,
             crash_at_step: Some(step),
@@ -495,6 +495,12 @@ mod tests {
         assert_eq!(trap.crash_model.seed, 7);
         let cfg = PmemConfig::small_for_tests().with_fault_plan(trap);
         assert_eq!(cfg.fault, trap);
+    }
+
+    #[test]
+    #[should_panic(expected = "1-based")]
+    fn a_trap_at_step_zero_is_refused() {
+        FaultPlan::crash_at(0, CrashModel::strict());
     }
 
     #[test]

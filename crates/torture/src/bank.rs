@@ -1,4 +1,5 @@
-//! Exhaustive crash-point torture of a miniature bank workload.
+//! Exhaustive crash-point torture of a miniature bank workload, one
+//! [`Route`] at a time.
 //!
 //! The workload is deliberately self-contained and single-threaded: one
 //! thread runs `txns` transfer transactions over a small line-aligned
@@ -8,13 +9,19 @@
 //! machine state the counting run passed through at step *s* — the whole
 //! harness is deterministic end to end.
 //!
-//! The engine the workload runs on is picked by a [`Route`]: the hardware
-//! phases (this suite's `bank` report), the same phases with a
-//! `persist_fence` closing every [`FENCED_BATCH`]th transaction (its
-//! `bank/fenced` report: the server's group commit, which batches the
-//! acknowledgement and never a transaction's own drains), or one of the
-//! routes through the software commit that [`crate::fallback`] audits
-//! with the same run and audit code.
+//! The engine the workload runs on is picked by a [`Route`], one row of
+//! [`ROUTES`] and one `bank/<route>` report each. The per-line fallback
+//! route ticks the fault clock at every lock-word transition
+//! ([`crafty_pmem::MemorySpace::fault_event`]), so its crash points land
+//! *inside* lock-hold windows: mid-acquisition, between the undo append and
+//! publication, and between publication and release.
+//!
+//! Every route's crash images pass one audit ([`run_route`]): the replay
+//! completed every transaction, the image recovers to a prefix of the
+//! commit order, and the recovered image boots into a second life that
+//! keeps running with money conserved. The lock words live in the volatile
+//! region and the runtime's version array, so a rebooted heap never sees a
+//! stuck lock; the second life shows it by construction.
 //!
 //! The rig is public — [`Route`], [`draw_picks`], [`run_once`] /
 //! [`BankRun`], [`recover_checked`], [`prefix_check`] — so a test that
@@ -39,6 +46,16 @@ pub const INITIAL: u64 = 1_000;
 pub const TRANSFERS_PER_TXN: usize = 4;
 /// Transactions per fenced batch on [`Route::Fenced`].
 pub const FENCED_BATCH: usize = 4;
+/// Consecutive doomed hardware transactions per storm cycle on
+/// [`Route::Storm`]: far beyond the engine's retry budget (9 phase rounds
+/// × 5 hardware attempts, fixed in `crafty-core`'s `thread.rs`), so a
+/// transaction starting inside a burst must fall back to software.
+pub const STORM_BURST: u32 = 96;
+/// Storm cycle length: leaves a clean window after each burst so the
+/// engine's bounded internal hardware-transaction loops stay live.
+pub const STORM_PERIOD: u32 = 128;
+/// Transfers run by the second-life audit after booting a crash image.
+const SECOND_LIFE_TXNS: u64 = 4;
 
 /// One transfer: `(from, to, amount)`.
 pub type Transfer = (u64, u64, u64);
@@ -63,7 +80,7 @@ pub fn draw_picks(seed: u64, txns: u64) -> Vec<Vec<Transfer>> {
 }
 
 /// One transfer over the account array at `base`, inside a transaction body.
-pub(crate) fn transfer(
+fn transfer(
     ops: &mut dyn TxnOps,
     base: PAddr,
     (from, to, amount): Transfer,
@@ -87,11 +104,17 @@ fn apply_shadow(shadow: &mut [u64], txn: &[Transfer]) {
 /// How the bank's transactions commit: who provides atomicity meanwhile.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Route {
-    /// The hardware phases (Log, then Redo or Validate): the `bank` suite.
+    /// The hardware phases (Log, then Redo or Validate).
     Hardware,
     /// The hardware phases with `persist_fence(0)` after every
     /// [`FENCED_BATCH`]th transaction: a group-committing server's batch.
     Fenced,
+    /// The hardware phases on an HTM that dooms [`STORM_BURST`] of every
+    /// [`STORM_PERIOD`] hardware transactions (placed by the suite seed):
+    /// a transaction caught in a burst exhausts its retry budget and
+    /// commits through the per-line software fallback, the rest in
+    /// hardware, all on one thread-safe log.
+    Storm,
     /// Forced through the (default) per-line fallback.
     PerLine,
     /// Forced through the single-global-lock reference.
@@ -112,39 +135,52 @@ impl Route {
         match self {
             Route::Hardware => "bank",
             Route::Fenced => "bank/fenced",
-            Route::PerLine => "fallback",
-            Route::Sgl => "fallback/sgl",
-            Route::ThreadUnsafeTiny => "fallback/thread-unsafe",
-            Route::ThreadUnsafe => "fallback/thread-unsafe-hw",
+            Route::Storm => "bank/storm",
+            Route::PerLine => "bank/per-line",
+            Route::Sgl => "bank/sgl",
+            Route::ThreadUnsafeTiny => "bank/thread-unsafe",
+            Route::ThreadUnsafe => "bank/thread-unsafe-hw",
         }
     }
 
     /// Lays a small single-thread engine committing through this route
-    /// out over `mem`.
-    pub(crate) fn engine(self, mem: &Arc<MemorySpace>) -> Crafty {
+    /// out over `mem`; `seed` places the storms of [`Route::Storm`].
+    fn engine(self, mem: &Arc<MemorySpace>, seed: u64) -> Crafty {
         let cfg = CraftyConfig::small_for_tests()
             .with_max_threads(1)
             .with_undo_log_entries(64);
         let forced = cfg.with_force_fallback(true);
         let unlocked = cfg.with_mode(ThreadingMode::ThreadUnsafe);
+        let skylake = HtmConfig::skylake();
         let (cfg, htm) = match self {
-            Route::Hardware | Route::Fenced => (cfg, HtmConfig::skylake()),
-            Route::PerLine => (forced, HtmConfig::skylake()),
-            Route::Sgl => (
-                forced.with_fallback(FallbackPolicy::Sgl),
-                HtmConfig::skylake(),
+            Route::Hardware | Route::Fenced => (cfg, skylake),
+            Route::Storm => (
+                cfg,
+                skylake.with_abort_storm(STORM_BURST, STORM_PERIOD, seed),
             ),
+            Route::PerLine => (forced, skylake),
+            Route::Sgl => (forced.with_fallback(FallbackPolicy::Sgl), skylake),
             Route::ThreadUnsafeTiny => (unlocked, HtmConfig::tiny()),
-            Route::ThreadUnsafe => (unlocked, HtmConfig::skylake()),
+            Route::ThreadUnsafe => (unlocked, skylake),
         };
         Crafty::with_htm_config(Arc::clone(mem), cfg, htm)
     }
 }
 
-/// The memory configuration of every run (and of the fallback suite's
-/// second lives: sizes must match so [`MemorySpace::boot`] accepts the
-/// image).
-pub(crate) fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
+/// Every route of the bank suite, in report order: `bank` stays first.
+pub const ROUTES: [Route; 7] = [
+    Route::Hardware,
+    Route::Fenced,
+    Route::Storm,
+    Route::PerLine,
+    Route::Sgl,
+    Route::ThreadUnsafeTiny,
+    Route::ThreadUnsafe,
+];
+
+/// The memory configuration of every run and every second life (sizes
+/// must match so [`MemorySpace::boot`] accepts the image).
+fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
     PmemConfig {
         persistent_words: 1 << 15,
         volatile_words: 1 << 13,
@@ -154,6 +190,20 @@ pub(crate) fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
         ..PmemConfig::small_for_tests()
     }
     .with_fault_plan(plan)
+}
+
+/// A fresh space under `plan` with a `route` engine and a drained,
+/// prefilled account array laid out over it.
+fn open_bank(route: Route, seed: u64, plan: FaultPlan) -> (Arc<MemorySpace>, Crafty, PAddr) {
+    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan)));
+    let engine = route.engine(&mem, seed);
+    let base = mem.reserve_persistent(ACCOUNTS * 8);
+    for i in 0..ACCOUNTS {
+        mem.write(base.add(i * 8), INITIAL);
+        mem.clwb(0, base.add(i * 8));
+    }
+    mem.drain(0);
+    (mem, engine, base)
 }
 
 /// Everything a completed (possibly trapped) bank run hands to the
@@ -196,9 +246,8 @@ impl Replay for BankRun {
 }
 
 impl BankRun {
-    /// The audit every route's crash image must pass: takes the trapped
-    /// image through [`recover_checked`] and [`prefix_check`] and returns
-    /// it recovered.
+    /// Takes the trapped image through [`recover_checked`] and
+    /// [`prefix_check`] and returns it recovered.
     ///
     /// # Panics
     ///
@@ -215,20 +264,14 @@ impl BankRun {
 }
 
 /// Runs the bank workload once down `route` under `plan` and returns the
-/// run record. The event rings are reset first, so a trapped run's frozen
-/// tail shows only this replay's events. The engine is not quiesced: the
-/// run's last fault-clock tick is its last commit's.
-pub fn run_once(route: Route, picks: &[Vec<Transfer>], plan: FaultPlan) -> BankRun {
+/// run record; `seed` places [`Route::Storm`]'s storms. The event rings
+/// are reset first, so a trapped run's frozen tail shows only this
+/// replay's events. The engine is not quiesced: the run's last fault-clock
+/// tick is its last commit's.
+pub fn run_once(route: Route, seed: u64, picks: &[Vec<Transfer>], plan: FaultPlan) -> BankRun {
     trace::reset_rings();
-    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan)));
-    let engine = route.engine(&mem);
+    let (mem, engine, base) = open_bank(route, seed, plan);
     let dir_addr = engine.directory_addr();
-    let base = mem.reserve_persistent(ACCOUNTS * 8);
-    for i in 0..ACCOUNTS {
-        mem.write(base.add(i * 8), INITIAL);
-        mem.clwb(0, base.add(i * 8));
-    }
-    mem.drain(0);
     let mut thread = engine.register_thread(0);
     let setup_steps = mem.fault_steps();
     for (i, txn) in picks.iter().enumerate() {
@@ -301,26 +344,87 @@ pub fn prefix_check(
     ))
 }
 
-/// The routes of the bank suite, in report order: `bank` stays first.
-pub const BANK_ROUTES: [Route; 2] = [Route::Hardware, Route::Fenced];
+/// Second-life audit: boots `recovered` into a fresh space, rebuilds the
+/// route's engine over it (reservation cursors are deterministic, so every
+/// address comes back identical), runs [`SECOND_LIFE_TXNS`] more transfer
+/// transactions, and checks conservation of money end to end. A stuck lock
+/// word would either hang the first fallback that touches its line (the
+/// sorted acquisition loop spins on `LOCKED_MASK`) or corrupt an account.
+fn second_life(
+    route: Route,
+    recovered: &PersistentImage,
+    seed: u64,
+    step: u64,
+) -> Result<(), String> {
+    let mem = Arc::new(MemorySpace::boot(
+        recovered,
+        pmem_cfg(FaultPlan::inactive()),
+    ));
+    let engine = route.engine(&mem, seed);
+    // Re-establish the layout exactly as a restarted program would; the
+    // reservation cursor hands back the same base the first life used.
+    let base = mem.reserve_persistent(ACCOUNTS * 8);
+    let total = || {
+        (0..ACCOUNTS)
+            .map(|i| mem.read(base.add(i * 8)))
+            .fold(0u64, u64::wrapping_add)
+    };
+    let before = total();
+    if before != ACCOUNTS * INITIAL {
+        return Err(format!(
+            "second life booted with a non-conserved bank: total {before} vs {}",
+            ACCOUNTS * INITIAL
+        ));
+    }
+    let mut rng = SplitMix64::new(seed ^ step ^ 0x5EC0_11D1_F300_0001);
+    let mut thread = engine.register_thread(0);
+    for _ in 0..SECOND_LIFE_TXNS {
+        let from = rng.next_below(ACCOUNTS);
+        let to = rng.next_below(ACCOUNTS);
+        let amount = rng.next_below(9) + 1;
+        thread.execute(&mut |ops| transfer(ops, base, (from, to, amount)));
+    }
+    drop(thread);
+    engine.quiesce();
+    let after = total();
+    if after != ACCOUNTS * INITIAL {
+        return Err(format!(
+            "second life broke conservation: total {after} vs {}",
+            ACCOUNTS * INITIAL
+        ));
+    }
+    Ok(())
+}
 
-/// Runs the bank torture suite, one report per route of [`BANK_ROUTES`]:
-/// counts the workload's persistence steps, replays it crashing at every
-/// enumerated step, and audits each crash image. See the crate docs for
-/// the invariants.
-pub fn run_bank_torture(cfg: &TortureConfig) -> Vec<TortureReport> {
+/// Enumerates one route: counts its persistence steps (lock-word
+/// transitions included), replays it crashing at every enumerated step,
+/// and gives each crash image the suite's one audit — every transaction
+/// completed, recovery to a commit-order prefix, then a second life.
+pub fn run_route(route: Route, cfg: &TortureConfig) -> TortureReport {
     let picks = draw_picks(cfg.seed, cfg.txns);
-    BANK_ROUTES
-        .map(|route| {
-            enumerate(
-                route.suite(),
-                cfg,
-                |step| cfg.adversary(step),
-                |plan| run_once(route, &picks, plan),
-                |run, _| run.recover_to_prefix(&picks).map(drop),
-            )
-        })
-        .into()
+    enumerate(
+        route.suite(),
+        cfg,
+        |step| cfg.adversary(step),
+        |plan| run_once(route, cfg.seed, &picks, plan),
+        |run, step| {
+            let completed = run.breakdown.total_persistent();
+            if completed != cfg.txns {
+                return Err(format!(
+                    "liveness violated: {completed} of {} transactions completed",
+                    cfg.txns
+                ));
+            }
+            second_life(route, &run.recover_to_prefix(&picks)?, cfg.seed, step)
+        },
+    )
+}
+
+/// Runs the bank torture suite, one [`run_route`] report per route of
+/// [`ROUTES`]. A pinned `crash_step` replays on every route whose run
+/// reaches that step.
+pub fn run_bank_torture(cfg: &TortureConfig) -> Vec<TortureReport> {
+    ROUTES.map(|route| run_route(route, cfg)).into()
 }
 
 /// Self-test of the auditor: traps a mid-run image, corrupts one account
@@ -330,10 +434,11 @@ pub fn run_bank_torture(cfg: &TortureConfig) -> Vec<TortureReport> {
 pub fn injected_violation_is_caught(cfg: &TortureConfig) -> Result<TortureFailure, String> {
     let _events = trace::LevelGuard::arm(TraceLevel::Events);
     let picks = draw_picks(cfg.seed, cfg.txns);
-    let count = run_once(Route::Hardware, &picks, FaultPlan::count_only());
+    let count = run_once(Route::Hardware, cfg.seed, &picks, FaultPlan::count_only());
     let step = count.setup_steps + (count.total_steps - count.setup_steps) / 2;
     let run = run_once(
         Route::Hardware,
+        cfg.seed,
         &picks,
         FaultPlan::crash_at(step, CrashModel::strict()),
     );
@@ -355,23 +460,43 @@ pub fn injected_violation_is_caught(cfg: &TortureConfig) -> Result<TortureFailur
 
 #[cfg(test)]
 mod tests {
+    use crafty_common::CompletionPath;
+
     use super::*;
 
     #[test]
     fn counting_run_is_deterministic() {
         let picks = draw_picks(3, 6);
-        let a = run_once(Route::Hardware, &picks, FaultPlan::count_only());
-        let b = run_once(Route::Hardware, &picks, FaultPlan::count_only());
-        assert_eq!(a.total_steps, b.total_steps);
-        assert_eq!(a.setup_steps, b.setup_steps);
-        assert!(a.total_steps > a.setup_steps, "the run must tick");
+        for route in ROUTES {
+            let a = run_once(route, 3, &picks, FaultPlan::count_only());
+            let b = run_once(route, 3, &picks, FaultPlan::count_only());
+            assert_eq!(a.total_steps, b.total_steps, "{route:?}");
+            assert_eq!(a.setup_steps, b.setup_steps, "{route:?}");
+            assert!(
+                a.total_steps > a.setup_steps,
+                "{route:?}: the run must tick"
+            );
+        }
+    }
+
+    #[test]
+    fn only_per_line_ticks_lock_windows() {
+        let picks = draw_picks(3, 6);
+        let points = |route| {
+            let run = run_once(route, 3, &picks, FaultPlan::count_only());
+            run.total_steps - run.setup_steps
+        };
+        assert!(
+            points(Route::PerLine) > points(Route::Sgl),
+            "per-line ticks lock transitions the SGL reference does not have"
+        );
     }
 
     /// The crash-point counts CI greps for at `--seed 1`, and why the two
     /// hardware-Log routes sit where they do. While the Log commit still
     /// published what it had rolled back, it stored every rolled-back
     /// persistent word over itself and ticked the fault clock for it:
-    /// `bank` counted 582 points and `fallback/thread-unsafe-hw` 604. Now
+    /// `bank` counted 582 points and `bank/thread-unsafe-hw` 604. Now
     /// a rolled-back line is validated, not published, and exactly those
     /// ticks are gone — one per distinct account a transaction touched.
     /// No coverage went with them: the image at such a tick was its
@@ -389,8 +514,9 @@ mod tests {
                 accounts.len() as u64
             })
             .sum();
+        let run = |route| run_once(route, cfg.seed, &picks, FaultPlan::count_only());
         let points = |route| {
-            let run = run_once(route, &picks, FaultPlan::count_only());
+            let run = run(route);
             run.total_steps - run.setup_steps
         };
         assert_eq!(582 - points(Route::Hardware), rolled_back);
@@ -402,14 +528,21 @@ mod tests {
         // The fenced batch adds its two fences and nothing else: each is
         // one empty sequence appended, flushed and drained.
         assert_eq!(points(Route::Fenced), points(Route::Hardware) + 2 * 7);
+        // The storm bites: of the ten transactions, two exhaust their
+        // hardware budget and commit in software, the rest in hardware.
+        assert_eq!(points(Route::Storm), 518);
+        let storm = run(Route::Storm).breakdown;
+        assert_eq!(storm.completions(CompletionPath::Sgl), 2);
+        assert_eq!(storm.total_persistent(), cfg.txns);
     }
 
     #[test]
     fn a_final_step_image_recovers_to_the_full_run() {
         let picks = draw_picks(5, 6);
-        let count = run_once(Route::Hardware, &picks, FaultPlan::count_only());
+        let count = run_once(Route::Hardware, 5, &picks, FaultPlan::count_only());
         let run = run_once(
             Route::Hardware,
+            5,
             &picks,
             FaultPlan::crash_at(count.total_steps, CrashModel::strict()),
         );
@@ -419,6 +552,50 @@ mod tests {
         // The final step is after every commit; at most the last (not yet
         // drained) transactions may roll back.
         assert!(k <= picks.len() as u64);
+    }
+
+    #[test]
+    fn a_final_step_image_passes_the_second_life_audit_on_every_route() {
+        let picks = draw_picks(5, 6);
+        for route in ROUTES {
+            let total = run_once(route, 5, &picks, FaultPlan::count_only()).total_steps;
+            let pinned = TortureConfig {
+                crash_step: Some(total),
+                txns: 6,
+                ..TortureConfig::quick(5)
+            };
+            let report = run_route(route, &pinned);
+            assert_eq!(report.crash_points_tested, 1, "{route:?}");
+            assert!(report.ok(), "{route:?}: {:?}", report.failures);
+        }
+    }
+
+    /// Sustained doomed-transaction bursts force the software fallback
+    /// without costing liveness or durability: every transaction
+    /// completes, some in software, and once the engine is quiesced a
+    /// crash recovers the whole run.
+    #[test]
+    fn storms_force_the_sgl_and_stay_durable() {
+        let picks = draw_picks(5, 10);
+        let (mem, engine, base) = open_bank(Route::Storm, 5, FaultPlan::inactive());
+        let mut thread = engine.register_thread(0);
+        for txn in &picks {
+            thread.execute(&mut |ops| txn.iter().try_for_each(|&t| transfer(ops, base, t)));
+        }
+        drop(thread);
+        let breakdown = engine.breakdown();
+        assert_eq!(breakdown.total_persistent(), 10, "liveness");
+        assert!(
+            breakdown.completions(CompletionPath::Sgl) > 0,
+            "storm too weak: no transaction fell back to software \
+             (burst {STORM_BURST}, period {STORM_PERIOD})"
+        );
+        engine.quiesce();
+        let recovered = recover_checked(mem.crash(), engine.directory_addr()).expect("recovery");
+        for i in 0..ACCOUNTS {
+            let addr = base.add(i * 8);
+            assert_eq!(recovered.read(addr), mem.read(addr), "account {i}");
+        }
     }
 
     #[test]

@@ -20,23 +20,24 @@
 //!   committed-transaction order replayed against a shadow oracle (plus
 //!   [`crafty_kv::ShardedKv::check_integrity`] deep structure checks for
 //!   the KV suite).
-//! * **Software-commit windows** — [`fallback::run_fallback_torture`]
-//!   commits every transaction outside a Redo/Validate hardware
-//!   transaction, one [`Route`] after another: forced through the per-line
-//!   fallback ([`crafty_core::CraftyConfig::with_force_fallback`]), whose
-//!   lock-word transitions tick the fault clock, so crash points land
-//!   while line locks are held; forced through the SGL reference; and in
-//!   thread-unsafe mode on a tiny HTM (the software commit with no lock)
-//!   and on a real-sized one (hardware Log, software Redo). Every
-//!   recovered image is additionally *booted*
-//!   into a second life that must run more transactions with conservation
-//!   intact (a rebooted heap never sees a stuck lock).
+//! * **One bank rig, seven routes** — [`bank::run_bank_torture`] runs the
+//!   same seeded bank down every [`Route`] of [`bank::ROUTES`]: the
+//!   hardware phases, with a group-commit `persist_fence` every few
+//!   transactions, and under abort storms
+//!   ([`crafty_htm::HtmConfig::with_abort_storm`]: hardware and software
+//!   commits on one thread-safe log); forced through the per-line fallback
+//!   ([`crafty_core::CraftyConfig::with_force_fallback`]), whose lock-word
+//!   transitions tick the fault clock, so crash points land while line
+//!   locks are held; forced through the SGL reference; and in thread-unsafe
+//!   mode on a tiny HTM (the software commit with no lock) and on a
+//!   real-sized one (hardware Log, software Redo). Every route gets the
+//!   same audit: every transaction completed, the prefix check, and a
+//!   *second life* — the recovered image is booted and must run more
+//!   transactions with conservation intact (a rebooted heap never sees a
+//!   stuck lock).
 //! * **Crash-during-recovery** — [`rec::run_recovery_torture`] interrupts
 //!   [`crafty_core::recover_interrupted`] at every write budget and checks
 //!   that re-running recovery converges to the uninterrupted image.
-//! * **Abort storms** — [`storm::run_storm_torture`] dooms long bursts of
-//!   hardware transactions ([`crafty_htm::HtmConfig::with_abort_storm`])
-//!   and checks the retry→SGL fallback stays live *and* durable.
 //! * **Networked exactly-once** — [`service::run_service_torture`] puts
 //!   the whole service stack on the rack: resilient sequenced clients
 //!   ([`crafty_server::SessionClient`]) issue non-idempotent increments
@@ -71,24 +72,20 @@ use crafty_common::SplitMix64;
 use crafty_pmem::{CrashModel, FaultPlan};
 
 pub mod bank;
-pub mod fallback;
 pub mod kv;
 pub mod rec;
 pub mod service;
-pub mod storm;
 
 pub use bank::{injected_violation_is_caught, run_bank_torture, Route};
-pub use fallback::run_fallback_torture;
 pub use kv::run_kv_torture;
 pub use rec::run_recovery_torture;
 pub use service::run_service_torture;
-pub use storm::run_storm_torture;
 
 /// Parameters shared by every torture suite.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TortureConfig {
     /// Master seed: workload picks, crash-image resolution, stratified
-    /// sampling, and storm placement all derive from it.
+    /// sampling, and the storm route's storm placement all derive from it.
     pub seed: u64,
     /// Transactions the driven workload executes.
     pub txns: u64,
@@ -142,9 +139,7 @@ pub struct TortureFailure {
 impl TortureFailure {
     /// Builds a failure report with the flight-recorder tail attached.
     /// `trace` is the per-thread ring state frozen by the fault clock at
-    /// the injected crash step ([`crafty_pmem::MemorySpace::take_fault_trace`]);
-    /// suites without a fault clock pass the live rings at audit time
-    /// ([`trace::ring_snapshot_all`]) instead.
+    /// the injected crash step ([`crafty_pmem::MemorySpace::take_fault_trace`]).
     pub fn capture(seed: u64, step: u64, detail: String, trace: &[ThreadTrace]) -> Self {
         TortureFailure {
             seed,
@@ -190,10 +185,9 @@ impl fmt::Display for TortureFailure {
 /// Outcome of one torture suite.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TortureReport {
-    /// Which suite ran (`"bank"`, `"fallback"`, `"kv"`, `"recovery"`,
-    /// `"storm"`, `"service"`); the bank suite's fenced route reports as
-    /// `"bank/fenced"` and the fallback suite's further routes as
-    /// `"fallback/<route>"`.
+    /// Which suite ran (`"bank"`, `"kv"`, `"recovery"`, `"service"`); the
+    /// bank suite's routes past the first report as `"bank/<route>"`
+    /// ([`bank::Route::suite`]).
     pub suite: &'static str,
     /// The master seed the suite ran under.
     pub seed: u64,
@@ -246,9 +240,9 @@ pub trait Replay {
 /// The one crash-point enumeration every suite shares. Runs
 /// `run(FaultPlan::count_only())` to measure the workload's step range,
 /// picks the crash steps `cfg` asks for (all of them, a stratified sample,
-/// or the one pinned step — which replays only on a [`Replay::REPEATABLE`]
-/// run that reaches it), replays the run once per step with the image
-/// resolved under `model(step)`, and hands each replay that repeated the
+/// or the one pinned step — which replays only past setup, and on a
+/// [`Replay::REPEATABLE`] run only if the run reaches it), replays the run
+/// once per step with the image resolved under `model(step)`, and hands each replay that repeated the
 /// counting run and trapped its image to `audit(run, step)`. Every `Err`
 /// becomes a [`TortureFailure`] carrying the replay's trace tail: event
 /// tracing is armed for the duration.
@@ -315,10 +309,12 @@ pub fn enumerate<R: Replay>(
 /// `max_points` is 0 or covers the span, otherwise one seeded draw per
 /// stratum of a `max_points`-way partition (so samples stay spread over
 /// the whole run instead of clustering). `only` short-circuits to a single
-/// step for failure reproduction.
+/// step for failure reproduction — none when it falls inside setup, where
+/// no log exists to audit yet. A pinned step past `total` is kept: only
+/// [`enumerate`] knows whether the run's count is exact enough to drop it.
 fn crash_points(seed: u64, setup: u64, total: u64, max_points: u64, only: Option<u64>) -> Vec<u64> {
     if let Some(step) = only {
-        return vec![step];
+        return if step > setup { vec![step] } else { Vec::new() };
     }
     let span = total.saturating_sub(setup);
     if span == 0 {
@@ -362,6 +358,19 @@ mod tests {
     #[test]
     fn a_single_step_short_circuits() {
         assert_eq!(crash_points(1, 0, 100, 0, Some(42)), vec![42]);
+    }
+
+    /// A pinned step inside setup replays nothing; one inside the range
+    /// replays alone; one past it is kept for [`enumerate`], which drops
+    /// it on a repeatable run and replays it on a run whose count is only
+    /// an estimate.
+    #[test]
+    fn a_pinned_step_before_inside_and_after_the_range() {
+        assert!(crash_points(1, 60, 100, 0, Some(3)).is_empty());
+        assert!(crash_points(1, 60, 100, 0, Some(60)).is_empty());
+        assert_eq!(crash_points(1, 60, 100, 0, Some(61)), vec![61]);
+        assert_eq!(crash_points(1, 60, 100, 0, Some(100)), vec![100]);
+        assert_eq!(crash_points(1, 60, 100, 0, Some(101)), vec![101]);
     }
 
     #[test]

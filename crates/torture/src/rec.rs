@@ -75,7 +75,7 @@ pub fn run_recovery_torture(cfg: &TortureConfig) -> TortureReport {
         "recovery",
         &sampled,
         |step| cfg.adversary(step),
-        |plan| run_once(Route::Hardware, &picks, plan),
+        |plan| run_once(Route::Hardware, cfg.seed, &picks, plan),
         |run, _| audit(run, &picks),
     )
 }

@@ -47,9 +47,9 @@ proptest! {
     #[test]
     fn final_state_is_route_independent(seed: u64, txns in 2u64..12) {
         let picks = draw_picks(seed, txns);
-        let reference = run_once(Route::Sgl, &picks, FaultPlan::inactive());
+        let reference = run_once(Route::Sgl, seed, &picks, FaultPlan::inactive());
         for route in ROUTES {
-            let run = run_once(route, &picks, FaultPlan::inactive());
+            let run = run_once(route, seed, &picks, FaultPlan::inactive());
             prop_assert_eq!(
                 &reference.accounts, &run.accounts,
                 "{:?} committed a different final state than the SGL reference", route
@@ -89,7 +89,7 @@ fn crash_audits_agree_across_models_and_routes() {
                     route.suite(),
                     &cfg,
                     |step| model(seed ^ step),
-                    |plan| run_once(route, &picks, plan),
+                    |plan| run_once(route, seed, &picks, plan),
                     |run, _| run.recover_to_prefix(&picks).map(drop),
                 );
                 assert_eq!(report.crash_points_tested, 4, "{route:?} ({label})");
@@ -110,8 +110,8 @@ fn crash_audits_agree_across_models_and_routes() {
 #[test]
 fn per_line_runs_tick_lock_transition_events() {
     let picks = draw_picks(7, 6);
-    let sgl = run_once(Route::Sgl, &picks, FaultPlan::count_only());
-    let per_line = run_once(Route::PerLine, &picks, FaultPlan::count_only());
+    let sgl = run_once(Route::Sgl, 7, &picks, FaultPlan::count_only());
+    let per_line = run_once(Route::PerLine, 7, &picks, FaultPlan::count_only());
     assert_eq!(sgl.accounts, per_line.accounts);
     assert!(
         per_line.total_steps - per_line.setup_steps > sgl.total_steps - sgl.setup_steps,
@@ -128,7 +128,7 @@ fn per_line_runs_tick_lock_transition_events() {
 fn every_route_is_really_taken() {
     let picks = draw_picks(7, 6);
     let commits = |route| {
-        run_once(route, &picks, FaultPlan::inactive())
+        run_once(route, 7, &picks, FaultPlan::inactive())
             .breakdown
             .completions(CompletionPath::Sgl)
     };

@@ -1,59 +1,30 @@
 //! Workspace-level drive of the fault-injection torture harness: the same
 //! suites `figures -- torture` runs, pinned here so `cargo test` exercises
-//! an exhaustive small-bank enumeration, sampled KV and crash-during-
-//! recovery runs, an abort-storm run, and the harness's own
-//! injected-violation self-check.
+//! an exhaustive enumeration of every bank route, sampled KV and
+//! crash-during-recovery runs, and the harness's own injected-violation
+//! self-check.
 
+use crafty_common::CompletionPath;
+use crafty_pmem::FaultPlan;
+use crafty_torture::bank::{draw_picks, run_once, run_route, ROUTES};
 use crafty_torture::{
-    injected_violation_is_caught, run_bank_torture, run_fallback_torture, run_kv_torture,
-    run_recovery_torture, run_service_torture, run_storm_torture, TortureConfig,
+    injected_violation_is_caught, run_kv_torture, run_recovery_torture, run_service_torture, Route,
+    TortureConfig,
 };
 
-/// Exhaustive enumeration of a small bank run, once through the hardware
-/// phases and once with a `persist_fence` closing every 4th transaction
-/// (the server's group commit): every persistence step of the workload is
-/// a crash point, and every crash image must recover to a prefix of the
-/// committed-transaction order with clean, idempotent logs.
-#[test]
-fn bank_exhaustive_enumeration_is_violation_free() {
-    for seed in [21, 1] {
-        let reports = run_bank_torture(&TortureConfig::quick(seed));
-        let suites: Vec<&str> = reports.iter().map(|r| r.suite).collect();
-        assert_eq!(suites, ["bank", "bank/fenced"]);
-        for report in &reports {
-            assert!(
-                report.ok(),
-                "{} violations at seed {seed}: {:?}",
-                report.suite,
-                report.failures
-            );
-            assert_eq!(
-                report.crash_points_tested,
-                report.total_steps - report.setup_steps,
-                "exhaustive mode must audit every post-setup step"
-            );
-            assert!(report.crash_points_tested > 100, "run too small to matter");
-        }
-    }
-}
-
-/// Exhaustive enumeration of the bank run committed outside a Redo/Validate
-/// hardware transaction, route by route (forced per-line, forced SGL,
-/// thread-unsafe on a tiny HTM and on a real-sized one): the
-/// per-line fallback's lock-word transitions tick the fault clock, so its
-/// enumerated steps include crash points strictly inside lock-hold
-/// windows. Every crash image must recover to a commit-order prefix AND
-/// boot into a second life that keeps running with conservation intact —
-/// a rebooted heap must never see a stuck lock.
-#[test]
-fn fallback_exhaustive_enumeration_is_violation_free() {
-    let reports = run_fallback_torture(&TortureConfig::quick(27));
-    assert_eq!(reports.len(), 4, "one report per software route");
-    assert_eq!(reports[0].suite, "fallback", "per-line reports first");
-    for report in &reports {
+/// Exhaustive enumeration of `routes` of the bank rig at one seed: every
+/// persistence step of the workload is a crash point, and every crash
+/// image must come from a run that completed every transaction, recover
+/// to a prefix of the committed-transaction order with clean, idempotent
+/// logs, and boot into a second life that keeps running with conservation
+/// intact.
+fn enumerate_exhaustively(routes: &[Route], seed: u64) {
+    for &route in routes {
+        let report = run_route(route, &TortureConfig::quick(seed));
+        assert_eq!(report.suite, route.suite());
         assert!(
             report.ok(),
-            "{} violations: {:?}",
+            "{} violations at seed {seed}: {:?}",
             report.suite,
             report.failures
         );
@@ -64,6 +35,27 @@ fn fallback_exhaustive_enumeration_is_violation_free() {
         );
         assert!(report.crash_points_tested > 100, "run too small to matter");
     }
+}
+
+/// The thread-safe hardware-phase routes: the hardware phases alone, with
+/// a `persist_fence` closing every 4th transaction (the server's group
+/// commit), and under abort storms (hardware and software commits on one
+/// log). `bank` reports first.
+#[test]
+fn bank_exhaustive_enumeration_is_violation_free() {
+    assert_eq!(ROUTES[0].suite(), "bank");
+    enumerate_exhaustively(&ROUTES[..3], 21);
+}
+
+/// The routes that commit outside a Redo/Validate hardware transaction
+/// (forced per-line, forced SGL, thread-unsafe on a tiny HTM and on a
+/// real-sized one): the per-line fallback's lock-word transitions tick the
+/// fault clock, so its enumerated steps include crash points strictly
+/// inside lock-hold windows, and the second life proves a rebooted heap
+/// never sees a stuck lock.
+#[test]
+fn fallback_exhaustive_enumeration_is_violation_free() {
+    enumerate_exhaustively(&ROUTES[3..], 21);
 }
 
 /// Stratified sampling of the KV suite: structural integrity, exact
@@ -88,12 +80,19 @@ fn interrupted_recovery_converges_at_sampled_crash_points() {
     assert!(report.crash_points_tested > 0);
 }
 
-/// Abort storms: sustained doomed-transaction bursts must force the SGL
-/// fallback without losing liveness or durability.
+/// Abort storms: sustained doomed-transaction bursts must force the
+/// software fallback without losing liveness — every transaction of the
+/// storm route completes, some in software. (Durability is the
+/// enumeration's audit above.)
 #[test]
 fn abort_storms_keep_the_engine_live_and_durable() {
-    let report = run_storm_torture(&TortureConfig::quick(24));
-    assert!(report.ok(), "violations: {:?}", report.failures);
+    let picks = draw_picks(24, 10);
+    let run = run_once(Route::Storm, 24, &picks, FaultPlan::inactive());
+    assert_eq!(run.breakdown.total_persistent(), 10, "liveness");
+    assert!(
+        run.breakdown.completions(CompletionPath::Sgl) > 0,
+        "storm too weak: no transaction fell back to software"
+    );
 }
 
 /// The networked service suite, sampled: resilient sequenced clients
