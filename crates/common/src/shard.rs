@@ -14,6 +14,17 @@
 //! [`LazyAtomicArray::load_or_zero`], which never allocate — the natural
 //! encoding for "version 0", "not dirty", and "never flushed".
 //!
+//! The space's own word arrays (its volatile view and persistent image)
+//! do not need segments: they are demand-zero allocations, which an
+//! optimised build leaves unwritten until a store lands on a page. The
+//! per-line metadata stays segmented because that property holds only in
+//! optimised builds, and the metadata is the part that scales with the
+//! thread count: an unoptimised build would write a dense array at
+//! construction, and the flush queues' dedup stamps alone would be
+//! 32 queues × 32 MiB on the benchmark-sized configuration, paid by every
+//! debug test that builds one. With segments, every build pays for the
+//! lines it touches.
+//!
 //! Steady-state accesses to an already-allocated segment cost one extra
 //! atomic load (the `OnceLock` check) over a dense array, and perform no
 //! heap allocation — the property the counting-allocator tests assert. A

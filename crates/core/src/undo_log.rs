@@ -78,7 +78,7 @@
 
 use std::convert::Infallible;
 
-use crafty_common::{PAddr, Timestamp, WORDS_PER_LINE};
+use crafty_common::{PAddr, Timestamp};
 use crafty_htm::{AbortCode, HtmRuntime, HwTxn};
 use crafty_pmem::{MemorySpace, PersistentImage};
 
@@ -563,11 +563,7 @@ impl LogDirectory {
         for (i, g) in self.logs.iter().enumerate() {
             mem.write(at.add(4 + i as u64), g.start.word());
         }
-        let words = Self::words_needed(self.logs.len());
-        for w in 0..words.div_ceil(WORDS_PER_LINE) {
-            mem.clwb(tid, at.add(w * WORDS_PER_LINE));
-        }
-        mem.drain(tid);
+        mem.persist_ranges(tid, &[(at, Self::words_needed(self.logs.len()))]);
     }
 
     /// Reads a directory back from a crashed image. Returns `None` if the

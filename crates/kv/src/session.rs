@@ -40,7 +40,7 @@
 //! writes per batch can always replay an unacked batch and get every
 //! response back. Anything older is reported [`SeqCheck::Stale`].
 
-use crafty_common::{PAddr, TxAbort, TxnOps, WORDS_PER_LINE};
+use crafty_common::{PAddr, TxAbort, TxnOps};
 use crafty_pmem::MemorySpace;
 
 /// Root-block magic: identifies an initialized session table when
@@ -314,13 +314,13 @@ impl SessionTable {
     /// [`SessionTable::create`], where no engine persists on the caller's
     /// behalf.
     pub fn persist_all(&self, mem: &MemorySpace, tid: usize) {
-        for off in (0..ROOT_WORDS).step_by(WORDS_PER_LINE as usize) {
-            mem.clwb(tid, self.root.add(off));
-        }
-        for off in (0..self.capacity * SLOT_WORDS).step_by(WORDS_PER_LINE as usize) {
-            mem.clwb(tid, self.slots.add(off));
-        }
-        mem.drain(tid);
+        mem.persist_ranges(
+            tid,
+            &[
+                (self.root, ROOT_WORDS),
+                (self.slots, self.capacity * SLOT_WORDS),
+            ],
+        );
     }
 
     /// Structural invariants, checked by direct reads while quiescent:

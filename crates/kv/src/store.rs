@@ -17,7 +17,7 @@
 //! is the pair `[tag, value]` at offset `2·i`. `tag = 0` is an empty slot,
 //! `tag = 1` a tombstone, and any other tag stores key `tag − 2`.
 
-use crafty_common::{mix64, PAddr, TxAbort, TxnOps, WORDS_PER_LINE};
+use crafty_common::{mix64, PAddr, TxAbort, TxnOps};
 use crafty_pmem::MemorySpace;
 
 use crate::direct::DirectOps;
@@ -673,19 +673,17 @@ impl ShardedKv {
     /// [`ShardedKv::create`] and after a [`DirectOps`] prefill, where no
     /// engine is persisting on the caller's behalf.
     pub fn persist_all(&self, mem: &MemorySpace, tid: usize) {
-        for off in (0..ROOT_WORDS).step_by(WORDS_PER_LINE as usize) {
-            mem.clwb(tid, self.root.add(off));
-        }
-        for off in (0..self.shards as u64 * HDR_WORDS).step_by(WORDS_PER_LINE as usize) {
-            mem.clwb(tid, self.headers.add(off));
-        }
         let used = mem
             .read(self.root.add(ROOT_ARENA_NEXT))
             .saturating_sub(self.arena.word());
-        for off in (0..used).step_by(WORDS_PER_LINE as usize) {
-            mem.clwb(tid, self.arena.add(off));
-        }
-        mem.drain(tid);
+        mem.persist_ranges(
+            tid,
+            &[
+                (self.root, ROOT_WORDS),
+                (self.headers, self.shards as u64 * HDR_WORDS),
+                (self.arena, used),
+            ],
+        );
         // The store-wide persist is a fence-like barrier in a trace: a
         // whole-table write-back, not part of any transaction's phases.
         crafty_common::trace::record(tid, crafty_common::TraceEventKind::PersistFence, 0);

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crafty_baselines::NonDurable;
-use crafty_common::{PersistentTm, SplitMix64, TmThread};
+use crafty_common::{PAddr, PersistentTm, SplitMix64, TmThread, WORDS_PER_LINE};
 use crafty_core::{Crafty, CraftyConfig};
 use crafty_kv::{DirectOps, KvConfig, ShardedKv, KEY_MAX};
 use crafty_pmem::{CrashModel, MemorySpace, PmemConfig};
@@ -208,6 +208,39 @@ fn scan_sees_live_entries_and_skips_dead() {
         Ok(())
     });
     assert_eq!(bounded.0, 2, "scan must honour its limit");
+}
+
+/// A store several times the flush ring persists through queued,
+/// coalesced drains — no CLWB meets a full ring and writes back
+/// synchronously — and the crash image taken right after holds every word.
+#[test]
+fn persist_all_of_a_table_larger_than_the_flush_ring_never_overflows() {
+    let mem = small_space();
+    let cfg = KvConfig::small_for_tests()
+        .with_initial_capacity(2048)
+        .with_arena_words(1 << 15);
+    let kv = ShardedKv::create(&mem, &cfg);
+    let mut ops = DirectOps::new(&mem);
+    for key in 0..2000u64 {
+        kv.put(&mut ops, key, !key).unwrap();
+    }
+    let ring = mem.config().flush_queue_capacity as u64;
+    assert!(kv.stats(&mem).arena_used > ring * WORDS_PER_LINE);
+
+    let before = mem.stats();
+    kv.persist_all(&mem, 0);
+    let persisted = mem.stats().since(&before);
+    assert!(persisted.flushes > ring, "{persisted:?}");
+    assert_eq!(persisted.overflow_writebacks, 0, "{persisted:?}");
+
+    let image = mem.crash();
+    for w in 0..mem.persistent_words() {
+        assert_eq!(
+            image.read(PAddr::new(w)),
+            mem.read(PAddr::new(w)),
+            "word {w}"
+        );
+    }
 }
 
 #[test]

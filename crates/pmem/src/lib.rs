@@ -55,10 +55,12 @@
 //!   [`PmemStats::range_lines`] measure the coalescing;
 //!   [`DrainCoalescing::PerLine`] keeps the one-line-at-a-time reference
 //!   mode the differential tests pin against.
-//! * **Line metadata is sharded and lazily allocated.** Dirty-word masks
-//!   and dedup stamps live in [`crafty_common::LazyAtomicArray`] segments
-//!   materialized on first touch, so very large simulated spaces pay
-//!   metadata proportional to the lines they *touch*, not to their size.
+//! * **A space costs what the workload touches.** Dirty-word masks and
+//!   dedup stamps live in [`crafty_common::LazyAtomicArray`] segments
+//!   materialized on first touch, and the word arrays themselves are
+//!   demand-zero memory that crashes and reboots copy sparsely, so very
+//!   large simulated spaces pay memory proportional to the lines they
+//!   *touch*, not to their size.
 //! * **The steady-state flush path performs zero heap allocations** once
 //!   the touched segments exist — the same counting-allocator-enforced
 //!   guarantee the transaction descriptors in `crafty-htm` carry.

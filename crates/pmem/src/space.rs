@@ -137,6 +137,13 @@
 //!   dedup stamps are [`crafty_common::LazyAtomicArray`] segments
 //!   materialized on first touch, so a multi-gigabyte simulated space no
 //!   longer pays dense up-front metadata proportional to its size.
+//! * **Demand-zero word arrays.** The volatile view and the persistent
+//!   image are zeroed allocations no page of which is written before a
+//!   store lands on it (in optimised builds; see `zeroed_words`), and
+//!   [`MemorySpace::crash_with`] and [`MemorySpace::boot`] copy only
+//!   non-zero words. A space, its crash image and its reboot cost the
+//!   pages the workload touched; a page's first-touch fault is paid at
+//!   its first store, not in [`MemorySpace::new`].
 //!
 //! * **Per-queue, single-writer statistics.** [`PmemStats`] is the sum of
 //!   one cache-line-aligned set of plain [`OwnedCounter`] cells per flush
@@ -441,6 +448,32 @@ fn spin_until(issued: Option<Instant>, ns: u64) {
     }
 }
 
+/// `n` zero words as demand-zero memory. `vec![0u64; n]` is a zeroed
+/// allocation (large ones come straight from the kernel's zero pages), and
+/// mapping it into `AtomicU64` — same size, same alignment — collects in
+/// place into a `Vec`: optimised builds drop the identity loop, so no page
+/// is written until a store lands on it and a space costs what the
+/// workload touches. (Collecting straight into a `Box<[_]>` writes every
+/// page.) Unoptimised builds run the loop and touch every page; nothing
+/// but the footprint depends on which happens, and the release-only
+/// `tests/demand_zero_footprint.rs` pins the optimised form.
+fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
+    vec![0u64; n]
+        .into_iter()
+        .map(AtomicU64::new)
+        .collect::<Vec<_>>()
+        .into_boxed_slice()
+}
+
+/// Whether `word`, still dirty at a crash resolved under `model`, reaches
+/// the image with its volatile value: one coin from the word's own stream,
+/// keyed by `(model.seed, word)`, so the outcome does not depend on which
+/// other words are dirty or on the order they are visited.
+fn dirty_word_persists(model: &CrashModel, word: u64) -> bool {
+    SplitMix64::new(model.seed ^ 0xC2A5_11FE ^ mix64(word))
+        .chance(model.dirty_word_persist_probability)
+}
+
 /// Stripe count for eviction sampling; lines hash onto stripes, so
 /// unrelated lines rarely contend on the same stream.
 const EVICT_STRIPES: usize = 64;
@@ -456,15 +489,17 @@ impl std::fmt::Debug for MemorySpace {
 }
 
 impl MemorySpace {
-    /// Creates a zero-initialized memory space.
+    /// Creates a zero-initialized memory space. Its word arrays are
+    /// demand-zero (see `zeroed_words`): in an optimised build no page of
+    /// them is written here, each is faulted in by its first store.
     pub fn new(cfg: PmemConfig) -> Self {
         let total = cfg.total_words() as usize;
         let persistent = cfg.persistent_words as usize;
         let lines = persistent.div_ceil(WORDS_PER_LINE as usize) as u64;
         let queue_capacity = cfg.flush_queue_capacity.next_power_of_two().max(2);
         MemorySpace {
-            volatile_view: (0..total).map(|_| AtomicU64::new(0)).collect(),
-            persistent_image: (0..persistent).map(|_| AtomicU64::new(0)).collect(),
+            volatile_view: zeroed_words(total),
+            persistent_image: zeroed_words(persistent),
             line_masks: LazyAtomicArray::new(lines),
             flush_queues: (0..cfg.max_threads)
                 .map(|_| FlushQueue::new(queue_capacity, lines))
@@ -500,10 +535,14 @@ impl MemorySpace {
             "image size must match the configured persistent region"
         );
         let space = MemorySpace::new(cfg);
-        for w in 0..image.len_words() {
-            let v = image.read(PAddr::new(w));
-            space.volatile_view[w as usize].store(v, Ordering::Relaxed);
-            space.persistent_image[w as usize].store(v, Ordering::Relaxed);
+        // The fresh space already reads zero everywhere: storing only the
+        // image's non-zero words leaves every page the image never wrote
+        // untouched (see `zeroed_words`).
+        for (w, &v) in image.as_words().iter().enumerate() {
+            if v != 0 {
+                space.volatile_view[w].store(v, Ordering::Relaxed);
+                space.persistent_image[w].store(v, Ordering::Relaxed);
+            }
         }
         space
     }
@@ -1006,6 +1045,39 @@ impl MemorySpace {
         self.drain(tid);
     }
 
+    /// Bulk persist: flushes every line overlapping the word ranges
+    /// `(start, words)` on thread `tid`'s queue and returns once all of
+    /// them are durable.
+    ///
+    /// A whole-table write-back (a store's `persist_all`) can be far longer
+    /// than the flush ring, and a CLWB into a full ring is a synchronous
+    /// early write-back (see [`MemorySpace::clwb_lines`]). So this drains
+    /// whenever the ring is full, keeping every line on the queued path
+    /// that drains coalesce into ranged flushes, and drains once more at
+    /// the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a range is out of bounds or `tid >= max_threads`.
+    pub fn persist_ranges(&self, tid: usize, ranges: &[(PAddr, u64)]) {
+        let q = &self.flush_queues[tid];
+        let capacity = q.slots.len() as u64;
+        for &(start, words) in ranges {
+            if words == 0 {
+                continue;
+            }
+            let first = start.line().index();
+            let last = start.add(words - 1).line().index();
+            for line in first..=last {
+                if q.pending() >= capacity {
+                    self.drain(tid);
+                }
+                self.clwb_lines(tid, std::iter::once(LineId::new(line)));
+            }
+        }
+        self.drain(tid);
+    }
+
     /// Number of lines queued by `tid` and not yet durably retired by a
     /// completed drain.
     #[inline]
@@ -1102,11 +1174,15 @@ impl MemorySpace {
     /// the image is complete.
     pub fn crash_with(&self, model: CrashModel) -> PersistentImage {
         let words = self.cfg.persistent_words;
+        // A zeroed allocation, like the space's own views: copying only
+        // the non-zero words keeps the image as small as what was written.
         let mut image = vec![0u64; words as usize];
-        for w in 0..words {
-            image[w as usize] = self.persistent_image[w as usize].load(Ordering::Acquire);
+        for (dst, src) in image.iter_mut().zip(self.persistent_image.iter()) {
+            let v = src.load(Ordering::Acquire);
+            if v != 0 {
+                *dst = v;
+            }
         }
-        let p = model.dirty_word_persist_probability;
         for line_idx in 0..self.line_masks.len() {
             // Unallocated metadata segments mean every line in them is
             // clean; `load_or_zero` never materializes them.
@@ -1121,8 +1197,7 @@ impl MemorySpace {
                 if mask & (1 << i) == 0 {
                     continue;
                 }
-                let mut coin = SplitMix64::new(model.seed ^ 0xC2A5_11FE ^ mix64(addr.word()));
-                if coin.chance(p) {
+                if dirty_word_persists(&model, addr.word()) {
                     image[addr.word() as usize] =
                         self.volatile_view[addr.word() as usize].load(Ordering::Acquire);
                 }
@@ -1844,5 +1919,145 @@ mod tests {
             start.elapsed().as_nanos() >= 4 * 50_000,
             "four dirty words must each be charged"
         );
+    }
+
+    #[test]
+    fn bulk_persist_drains_at_the_ring_instead_of_overflowing() {
+        let m = space();
+        let capacity = m.config().flush_queue_capacity as u64;
+        // Two ranges, the first longer than the ring and not line-aligned
+        // at either end, the second empty.
+        let lines = capacity * 5 / 2;
+        let start = PAddr::new(64 + 3);
+        let words = lines * WORDS_PER_LINE - 6;
+        for i in 0..words {
+            m.write(start.add(i), i + 1);
+        }
+        m.persist_ranges(0, &[(start, words), (PAddr::new(8), 0)]);
+        let s = m.stats();
+        assert_eq!(s.flushes, lines, "every overlapped line, once");
+        assert_eq!(s.overflow_writebacks, 0, "no CLWB met a full ring");
+        assert_eq!(s.lines_persisted, lines);
+        assert_eq!(s.drains, lines.div_ceil(capacity));
+        assert_eq!(m.pending_flushes(0), 0);
+        let image = m.crash();
+        for i in 0..words {
+            assert_eq!(image.read(start.add(i)), i + 1);
+        }
+    }
+
+    /// A big space, a few hundred scattered words, some persisted and some
+    /// still dirty: `crash_with` under every model equals an image built
+    /// word by word from the test's own record of each word's persisted
+    /// and volatile value, and booting it restores every word in both
+    /// views with nothing dirty. `crash_with` and `boot` skip zero words
+    /// (the space and the image start zeroed), so the cases that would
+    /// catch a wrong skip are pinned by name: a non-zero word in the last
+    /// persistent line, a persisted word later persisted back to 0, and a
+    /// dirty 0 over a non-zero persisted value.
+    #[test]
+    fn sparse_crash_and_boot_match_a_word_by_word_reference() {
+        use std::collections::{BTreeMap, BTreeSet};
+
+        let cfg = PmemConfig {
+            persistent_words: 1 << 20,
+            volatile_words: 1 << 12,
+            ..PmemConfig::small_for_tests()
+        };
+        let m = MemorySpace::new(cfg);
+        let relaxed = CrashModel::relaxed(11);
+        let models = [CrashModel::strict(), relaxed, CrashModel::adversarial(12)];
+        // What the test knows of every word it touched.
+        let mut persisted: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut volatile: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut dirty: BTreeSet<u64> = BTreeSet::new();
+        let mut store = |w: u64, v: u64, persist: bool| {
+            m.write(PAddr::new(w), v);
+            volatile.insert(w, v);
+            if persist {
+                m.persist(0, PAddr::new(w));
+                persisted.insert(w, v);
+                dirty.remove(&w);
+            } else {
+                dirty.insert(w);
+            }
+        };
+
+        let lines = cfg.persistent_words / WORDS_PER_LINE;
+        let last = cfg.persistent_words - 1;
+        store(last, 0xE17D, true);
+        let back_to_zero = 8 * WORDS_PER_LINE;
+        store(back_to_zero, 5, true);
+        store(back_to_zero, 0, true);
+        // A line whose word the relaxed model resolves to the volatile
+        // value, so the dirty 0 lands in that image and not in the strict
+        // one.
+        let dirty_zero = (16..lines)
+            .map(|l| l * WORDS_PER_LINE)
+            .find(|&w| dirty_word_persists(&relaxed, w))
+            .unwrap();
+        store(dirty_zero, 7, true);
+        store(dirty_zero, 0, false);
+
+        // Scattered words on lines of their own, away from the named ones:
+        // a third written twice with a drain between, a third persisted,
+        // a third left dirty.
+        let named = [last, back_to_zero, dirty_zero].map(|w| w / WORDS_PER_LINE);
+        let mut rng = SplitMix64::new(0x5EA5);
+        let mut used = BTreeSet::from(named);
+        for i in 0..300u64 {
+            let line = loop {
+                let l = 1 + rng.next_below(lines - 2);
+                if used.insert(l) {
+                    break l;
+                }
+            };
+            let w = line * WORDS_PER_LINE + rng.next_below(WORDS_PER_LINE);
+            let v = rng.next_u64() | 1;
+            match i % 3 {
+                0 => {
+                    store(w, v, true);
+                    store(w, v.rotate_left(7), false);
+                }
+                1 => store(w, v, true),
+                _ => store(w, v, false),
+            }
+        }
+        assert_eq!(m.read_persisted(PAddr::new(last)), 0xE17D);
+        assert_eq!(m.read_persisted(PAddr::new(back_to_zero)), 0);
+        assert_eq!(m.read_persisted(PAddr::new(dirty_zero)), 7);
+        assert_eq!(m.read(PAddr::new(dirty_zero)), 0);
+
+        for model in models {
+            let reference: Vec<u64> = (0..cfg.persistent_words)
+                .map(|w| {
+                    if dirty.contains(&w) && dirty_word_persists(&model, w) {
+                        volatile[&w]
+                    } else {
+                        persisted.get(&w).copied().unwrap_or(0)
+                    }
+                })
+                .collect();
+            let image = m.crash_with(model);
+            assert!(image.as_words() == reference.as_slice(), "{model:?}");
+
+            let booted = MemorySpace::boot(&image, cfg);
+            for (w, &v) in reference.iter().enumerate() {
+                let addr = PAddr::new(w as u64);
+                assert_eq!(booted.read(addr), v, "{model:?}: word {w}");
+                assert_eq!(booted.read_persisted(addr), v, "{model:?}: word {w}");
+            }
+            for w in cfg.persistent_words..cfg.total_words() {
+                assert_eq!(booted.read(PAddr::new(w)), 0, "volatile word {w}");
+            }
+            assert_eq!(
+                booted.line_masks.allocated_segments(),
+                0,
+                "a booted space starts with every line clean"
+            );
+        }
+        // The relaxed image took the dirty 0; the strict one kept the 7.
+        assert_eq!(m.crash_with(relaxed).read(PAddr::new(dirty_zero)), 0);
+        assert_eq!(m.crash().read(PAddr::new(dirty_zero)), 7);
     }
 }
