@@ -19,8 +19,6 @@
 //!   persistence domain's statistics) are built from.
 //! * [`genset`] — the generation-stamped open-addressed line table with
 //!   O(1) clear that every transaction descriptor is built on.
-//! * [`shard`] — lazily-allocated sharded atomic arrays backing the
-//!   per-line metadata (versioned locks, dirty bits, dedup stamps).
 //! * [`trace`] — the runtime-leveled observability layer: the trace
 //!   level that arms [`BreakdownRecorder`]'s virtual-cycle phase timers,
 //!   and the per-thread lock-free event rings behind the `figures trace`
@@ -53,7 +51,6 @@ pub mod counter;
 pub mod error;
 pub mod genset;
 pub mod rng;
-pub mod shard;
 pub mod trace;
 pub mod zipf;
 
@@ -65,6 +62,5 @@ pub use counter::OwnedCounter;
 pub use error::TxAbort;
 pub use genset::{LineSlot, LineTable};
 pub use rng::{mix64, SplitMix64};
-pub use shard::LazyAtomicArray;
 pub use trace::{EventRing, TraceEvent, TraceEventKind, TraceLevel, TxnPhase};
 pub use zipf::{Zipfian, YCSB_THETA};

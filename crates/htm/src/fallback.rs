@@ -234,7 +234,7 @@ impl Exclusion for FallbackTxn<'_> {
         let s = self.s();
         s.lock_order.sort_unstable();
         for (i, &line) in s.lock_order.iter().enumerate() {
-            let slot = rt.line_versions.get(line);
+            let slot = rt.lock_word(line);
             let mut backoff = Backoff::new();
             loop {
                 let v = slot.load(Ordering::Acquire);
@@ -322,7 +322,7 @@ impl Exclusion for FallbackTxn<'_> {
         let s = self.s();
         let wv = rt.version_clock.fetch_add(1, Ordering::AcqRel) + 1;
         for &line in &s.lock_order[..s.locked] {
-            rt.line_versions.get(line).store(wv, Ordering::Release);
+            rt.lock_word(line).store(wv, Ordering::Release);
         }
         s.locked = 0;
         self.committed = true;
@@ -334,7 +334,7 @@ impl Exclusion for FallbackTxn<'_> {
 /// path: nothing was published, so readers must not be invalidated).
 fn release_locked(rt: &HtmRuntime, s: &mut TxnScratch) {
     for &line in &s.lock_order[..s.locked] {
-        let slot = rt.line_versions.get(line);
+        let slot = rt.lock_word(line);
         let v = slot.load(Ordering::Acquire);
         slot.store(v & !FALLBACK_BIT, Ordering::Release);
     }

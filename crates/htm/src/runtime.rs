@@ -27,8 +27,7 @@ use std::sync::Arc;
 
 use crafty_common::trace::{self, TraceEventKind};
 use crafty_common::{
-    BreakdownRecorder, HwTxnOutcome, LazyAtomicArray, LineId, LineSlot, PAddr, SplitMix64,
-    TxnPhase, WORDS_PER_LINE,
+    BreakdownRecorder, HwTxnOutcome, LineId, LineSlot, PAddr, SplitMix64, TxnPhase, WORDS_PER_LINE,
 };
 use crafty_pmem::MemorySpace;
 use crossbeam::utils::Backoff;
@@ -121,14 +120,14 @@ fn for_each_line_run<E>(
 
 /// The shared state of the simulated HTM: one versioned lock per cache line
 /// plus a global version clock.
+///
+/// The lock words are the memory space's ([`MemorySpace::line_lock`]): a
+/// dense, demand-zero table beside the space's words, where a line never
+/// locked reads as version 0 — unlocked and older than every snapshot —
+/// and costs nothing until its page is first written.
 pub struct HtmRuntime {
     pub(crate) mem: Arc<MemorySpace>,
     cfg: HtmConfig,
-    /// One versioned lock per cache line, sharded into lazily-allocated
-    /// segments: an untouched segment reads as version 0 (unlocked, older
-    /// than every snapshot), so a 256 MiB space no longer allocates tens of
-    /// megabytes of dense lock words up front.
-    pub(crate) line_versions: LazyAtomicArray,
     pub(crate) version_clock: AtomicU64,
     recorder: Arc<BreakdownRecorder>,
     /// Per-thread-slot abort-injection state. It lives here, not in the
@@ -153,8 +152,6 @@ struct AbortSchedule {
 impl std::fmt::Debug for HtmRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HtmRuntime")
-            .field("lines", &self.line_versions.len())
-            .field("line_segments", &self.line_versions.allocated_segments())
             .field("config", &self.cfg)
             .finish()
     }
@@ -171,16 +168,13 @@ fn zero_rng_seed(seed: u64, tid: usize) -> u64 {
 
 impl HtmRuntime {
     /// Creates an HTM runtime over `mem`, recording hardware-transaction
-    /// outcomes into `recorder`.
+    /// outcomes into `recorder`. The runtime's version clock starts at 0
+    /// and versions `mem`'s lock words, so a space serves one runtime: a
+    /// second would find lines versioned past its own clock.
     pub fn new(mem: Arc<MemorySpace>, cfg: HtmConfig, recorder: Arc<BreakdownRecorder>) -> Self {
-        let lines = mem
-            .config()
-            .total_words()
-            .div_ceil(crafty_common::WORDS_PER_LINE);
         let threads = mem.config().max_threads;
         HtmRuntime {
             mem,
-            line_versions: LazyAtomicArray::new(lines),
             version_clock: AtomicU64::new(0),
             recorder,
             abort_schedules: (0..threads)
@@ -382,7 +376,7 @@ impl HtmRuntime {
     /// cores than threads it can be precisely what keeps the holder from
     /// running (the starvation pattern documented in the ROADMAP).
     fn lock_line(&self, line: LineId) -> &AtomicU64 {
-        let slot = self.line_versions.get(line.index());
+        let slot = self.mem.line_lock(line);
         let mut backoff = Backoff::new();
         loop {
             let v = slot.load(Ordering::Acquire);
@@ -425,11 +419,15 @@ impl HtmRuntime {
         }
     }
 
-    /// The line's current versioned-lock word. Lines whose metadata segment
-    /// was never touched are at version 0: unlocked and older than every
-    /// snapshot, so readers need not materialize the segment.
+    /// The versioned lock word of the line with index `line`.
+    #[inline]
+    pub(crate) fn lock_word(&self, line: u64) -> &AtomicU64 {
+        self.mem.line_lock(LineId::new(line))
+    }
+
+    /// The line's current versioned-lock word.
     pub(crate) fn version_of(&self, line: LineId) -> u64 {
-        self.line_versions.load_or_zero(line.index())
+        self.mem.line_lock(line).load(Ordering::Acquire)
     }
 
     /// The line's lock word as the HTM fast path observes it — the full
@@ -443,22 +441,16 @@ impl HtmRuntime {
     /// Loads the word at `addr` for a transaction with snapshot `rv` that
     /// sees lock words through `view`: `None` (a conflict) if the line is
     /// locked, versioned past the snapshot, or changes under the load.
-    /// One `peek` serves both loads of the lock word; only a segment that
-    /// was unallocated at the first is looked up again, since a commit may
-    /// have allocated it since.
+    /// One lookup serves both loads of the lock word.
     #[inline]
     pub(crate) fn versioned_read(&self, addr: PAddr, rv: u64, view: u64) -> Option<u64> {
-        let line = addr.line().index();
-        let slot = self.line_versions.peek(line);
-        let v1 = slot.map_or(0, |slot| slot.load(Ordering::Acquire)) & view;
+        let slot = self.mem.line_lock(addr.line());
+        let v1 = slot.load(Ordering::Acquire) & view;
         if v1 & LOCKED_MASK != 0 || (v1 & VERSION_MASK) > rv {
             return None;
         }
         let value = self.mem.read(addr);
-        let v2 = match slot {
-            Some(slot) => slot.load(Ordering::Acquire),
-            None => self.line_versions.load_or_zero(line),
-        } & view;
+        let v2 = slot.load(Ordering::Acquire) & view;
         (v2 == v1).then_some(value)
     }
 }
@@ -702,7 +694,7 @@ impl<'rt> HwTxn<'rt> {
 
         let release = |locked: &[u64], version: Option<u64>| {
             for &line in locked {
-                let slot = rt.line_versions.get(line);
+                let slot = rt.lock_word(line);
                 match version {
                     Some(wv) => slot.store(wv, Ordering::Release),
                     None => {
@@ -719,7 +711,7 @@ impl<'rt> HwTxn<'rt> {
         s.lock_order.sort_unstable();
         let mut conflict = false;
         for (i, &line) in s.lock_order.iter().enumerate() {
-            let slot = rt.line_versions.get(line);
+            let slot = rt.lock_word(line);
             let v = slot.load(Ordering::Acquire);
             let lockable = v & SUBSCRIBE_VIEW & LOCKED_MASK == 0 && (v & VERSION_MASK) <= rv;
             let acquired = lockable

@@ -395,10 +395,7 @@ impl ShardedKv {
     pub fn put(&self, ops: &mut dyn TxnOps, key: u64, value: u64) -> Result<Option<u64>, TxAbort> {
         let shard = self.shard_of(key);
         let hdr = self.header(shard);
-        if ops.read(hdr.add(HDR_RESIZE_TABLE))? != 0 {
-            self.migrate_step(ops, shard)?;
-        }
-        let resize_table = ops.read(hdr.add(HDR_RESIZE_TABLE))?;
+        let resize_table = self.step_resize(ops, shard)?;
         if resize_table != 0 {
             let resize_cap = ops.read(hdr.add(HDR_RESIZE_CAPACITY))?;
             // Update in the new table if the key already moved there; keep
@@ -468,10 +465,7 @@ impl ShardedKv {
     pub fn remove(&self, ops: &mut dyn TxnOps, key: u64) -> Result<Option<u64>, TxAbort> {
         let shard = self.shard_of(key);
         let hdr = self.header(shard);
-        if ops.read(hdr.add(HDR_RESIZE_TABLE))? != 0 {
-            self.migrate_step(ops, shard)?;
-        }
-        let resize_table = ops.read(hdr.add(HDR_RESIZE_TABLE))?;
+        let resize_table = self.step_resize(ops, shard)?;
         if resize_table != 0 {
             let resize_cap = ops.read(hdr.add(HDR_RESIZE_CAPACITY))?;
             if let Ok(slot) = self.probe(ops, resize_table, resize_cap, key)? {
@@ -625,6 +619,18 @@ impl ShardedKv {
         ops.write(hdr.add(HDR_MIGRATE_POS), 0)?;
         ops.write(hdr.add(HDR_RESIZE_TOMBS), 0)?;
         Ok(())
+    }
+
+    /// The shard's in-flight resize table (0 if none), read after one
+    /// [`ShardedKv::migrate_step`] when a resize is in flight — the step
+    /// may finish it — and read once when none is.
+    fn step_resize(&self, ops: &mut dyn TxnOps, shard: u64) -> Result<u64, TxAbort> {
+        let at = self.header(shard).add(HDR_RESIZE_TABLE);
+        if ops.read(at)? == 0 {
+            return Ok(0);
+        }
+        self.migrate_step(ops, shard)?;
+        ops.read(at)
     }
 
     /// Migrates up to [`MIGRATE_BATCH`] old-table slots into the new table,

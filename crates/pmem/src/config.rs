@@ -206,14 +206,16 @@ pub enum PersistGranularity {
 /// lines are sorted and coalesced into maximal runs of *adjacent* line ids,
 /// each run persisted as one ranged flush charged via
 /// [`LatencyModel::clwb_range`] (one base cost per run). The runs exactly
-/// partition the claimed range — no line is flushed twice and none is
-/// skipped — a property pinned by the partition property tests in
-/// `tests/flush_queue_properties.rs`.
+/// partition the claimed range's distinct lines — no line is flushed twice
+/// and none is skipped — a property pinned by the partition property tests
+/// in `tests/flush_queue_properties.rs`.
 ///
 /// [`DrainCoalescing::PerLine`] is the pre-coalescing reference mode:
 /// write-backs happen one line at a time in enqueue order, each charged as
-/// a single-line range. Differential tests assert the two modes produce
-/// bit-identical persistent and crash images under every crash model (they
+/// a single-line range — a line claimed twice (two threads flushed it in
+/// turn) is written back and charged twice, the second time clean.
+/// Differential tests assert the two modes produce bit-identical
+/// persistent and crash images under every crash model (they
 /// must: both persist exactly the claimed lines' masked words, and crash
 /// resolution is keyed per word, independent of write-back order).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]

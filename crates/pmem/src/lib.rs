@@ -22,10 +22,11 @@
 //!
 //! * **[`MemorySpace::clwb`] and [`MemorySpace::drain`] are mutex-free.**
 //!   Each thread slot owns a single-writer flush-queue ring; duplicate
-//!   flushes of a pending line are absorbed in O(1) by a generation-stamped
-//!   per-line dedup table (the generation-stamp idea of
-//!   [`crafty_common::genset`] applied to shared memory: a drain's
-//!   claim-cursor bump invalidates every stamp behind it at once). Drains —
+//!   flushes of a line still pending on a queue are absorbed in O(1) by a
+//!   per-line flush stamp tagged with that queue and its ring position (the
+//!   generation-stamp idea of [`crafty_common::genset`] applied to shared
+//!   memory: a drain's claim-cursor bump invalidates every stamp behind it
+//!   at once). Drains —
 //!   from the owner or, on the Section 5.2 forcing paths, from any other
 //!   thread — claim the pending range with a single CAS.
 //! * **A commit publishes and flushes by the line.**
@@ -55,15 +56,16 @@
 //!   [`PmemStats::range_lines`] measure the coalescing;
 //!   [`DrainCoalescing::PerLine`] keeps the one-line-at-a-time reference
 //!   mode the differential tests pin against.
-//! * **A space costs what the workload touches.** Dirty-word masks and
-//!   dedup stamps live in [`crafty_common::LazyAtomicArray`] segments
-//!   materialized on first touch, and the word arrays themselves are
-//!   demand-zero memory that crashes and reboots copy sparsely, so very
-//!   large simulated spaces pay memory proportional to the lines they
-//!   *touch*, not to their size.
-//! * **The steady-state flush path performs zero heap allocations** once
-//!   the touched segments exist — the same counting-allocator-enforced
-//!   guarantee the transaction descriptors in `crafty-htm` carry.
+//! * **A space costs what the workload touches.** The per-line metadata —
+//!   the HTM's versioned lock words ([`MemorySpace::line_lock`]), and a
+//!   dirty-word mask and flush stamp per persistent line — lives in flat
+//!   tables carved out of the volatile view's own allocation. That
+//!   allocation and the persistent image are demand-zero memory that
+//!   crashes and reboots copy sparsely, so very large simulated spaces
+//!   pay memory by the page they *touch*, not by their size.
+//! * **The flush path performs no heap allocation** — the same
+//!   counting-allocator-enforced guarantee the transaction descriptors in
+//!   `crafty-htm` carry.
 //!
 //! See the [`space`] module docs for the full design, including the ring
 //! overflow rule (a full queue completes write-backs immediately, which is

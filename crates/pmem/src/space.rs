@@ -30,9 +30,9 @@
 //! Crafty's design argument — and the reason HTPM-style systems fight
 //! write amplification at the persist boundary — is that persistence cost
 //! should follow *words written*, not *lines touched*. The pipeline
-//! therefore tracks one lazily-allocated `u64` **dirty-word mask per
-//! persistent line** (bit *i* = word *i* of the line was stored since the
-//! line's last write-back):
+//! therefore tracks one `u64` **dirty-word mask per persistent line**
+//! (bit *i* = word *i* of the line was stored since the line's last
+//! write-back):
 //!
 //! * A one-word store ([`MemorySpace::write`],
 //!   [`MemorySpace::compare_exchange`]) ORs exactly its word's bit into the
@@ -115,13 +115,17 @@
 //!   drain, which the Section 5.2 forcing paths rely on. There is no mutex
 //!   anywhere on the flush path.
 //! * **O(1) generation-stamped dedup.** Duplicate flushes of a pending line
-//!   are absorbed by a per-line *stamp table* holding the ring position of
-//!   the owner's most recent enqueue (`pos + 1`; 0 = never flushed). A line
-//!   is pending iff its stamp is at or past the queue's `claim` cursor, so
-//!   the cursor acts as the stamp generation: a drain logically invalidates
-//!   every stamp below it in O(1), exactly the generation-stamp
-//!   discipline of [`crafty_common::genset`] (the design this table
-//!   generalizes), with no `Vec::contains` scan.
+//!   are absorbed by one *flush stamp* per persistent line, tagged with the
+//!   enqueuing queue and its ring position: `(tid + 1) << 48 | (pos + 1)`
+//!   (0 = never flushed). A queue skips a CLWB only when the stamp carries
+//!   its own tag at or past its `claim` cursor, so the cursor acts as the
+//!   stamp generation: a drain logically invalidates every stamp below it
+//!   in O(1), exactly the generation-stamp discipline of
+//!   [`crafty_common::genset`] (the design this table generalizes), with
+//!   no `Vec::contains` scan. The stamp is shared by every queue: a line
+//!   last enqueued by another thread is queued again, so a line two threads
+//!   flush in turn can sit twice in one claimed range, and the drain
+//!   writes it back once.
 //! * **Lock-free drains.** [`MemorySpace::drain`] claims the pending range
 //!   `[claim, tail)` with one CAS, persists it, then retires the range in
 //!   order. Concurrent drains of one queue (owner + a Section 5.2 forcing
@@ -133,17 +137,26 @@
 //!   may complete a CLWB at any point before the fence, so persisting early
 //!   is always legal; the event is counted in
 //!   [`PmemStats::overflow_writebacks`].
-//! * **Sharded, lazily-allocated line metadata.** Dirty-word masks and
-//!   dedup stamps are [`crafty_common::LazyAtomicArray`] segments
-//!   materialized on first touch, so a multi-gigabyte simulated space no
-//!   longer pays dense up-front metadata proportional to its size.
-//! * **Demand-zero word arrays.** The volatile view and the persistent
-//!   image are zeroed allocations no page of which is written before a
-//!   store lands on it (in optimised builds; see `zeroed_words`), and
+//! * **Flat, page-granular line metadata.** Two dense tables hold the
+//!   per-line state: one versioned lock word per line of the whole space
+//!   (the HTM's, reached through [`MemorySpace::line_lock`]; packed
+//!   alone because read-only transactions validate nothing else), and
+//!   one `(dirty mask, flush stamp)` pair per persistent line (a commit's
+//!   publication and its CLWB write the two together). Both are carved
+//!   out of the volatile view's own allocation, behind its last word.
+//! * **Demand-zero word arrays.** That allocation and the persistent
+//!   image are zeroed memory no page of which is written before a store
+//!   lands on it (in optimised builds; see `zeroed_words`), and
 //!   [`MemorySpace::crash_with`] and [`MemorySpace::boot`] copy only
-//!   non-zero words. A space, its crash image and its reboot cost the
-//!   pages the workload touched; a page's first-touch fault is paid at
-//!   its first store, not in [`MemorySpace::new`].
+//!   non-zero words. A space, its metadata, its crash image and its
+//!   reboot cost the pages the workload touched; a page's first-touch
+//!   fault is paid at its first store, not in [`MemorySpace::new`]. The
+//!   tables ride in the view's allocation rather than in their own
+//!   because glibc raises its mmap threshold to the size of any freed
+//!   mapped chunk up to 32 MiB: a program that builds spaces over and
+//!   over would get each later table from the heap, which `calloc`
+//!   zeroes page by page. The view's allocation is past that ceiling on
+//!   every benchmark rig (40 MiB and up), so it is always a fresh mapping.
 //!
 //! * **Per-queue, single-writer statistics.** [`PmemStats`] is the sum of
 //!   one cache-line-aligned set of plain [`OwnedCounter`] cells per flush
@@ -170,9 +183,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crafty_common::trace::{self, TraceEventKind};
-use crafty_common::{
-    mix64, LazyAtomicArray, LineId, OwnedCounter, PAddr, SplitMix64, WORDS_PER_LINE,
-};
+use crafty_common::{mix64, LineId, OwnedCounter, PAddr, SplitMix64, WORDS_PER_LINE};
 
 use crate::config::{CrashModel, DrainCoalescing, LatencyModel, PersistGranularity, PmemConfig};
 use crate::image::PersistentImage;
@@ -313,25 +324,21 @@ struct FlushQueue {
     /// Next absolute enqueue position. Written only by the owner thread.
     tail: AtomicU64,
     /// Positions below this have been claimed by some drain. Advanced by
-    /// CAS; doubles as the dedup-stamp generation cursor.
+    /// CAS; doubles as the flush-stamp generation cursor.
     claim: AtomicU64,
     /// Positions below this have been persisted and retired (their ring
     /// slots are reusable). Advanced in order by the claiming drains.
     done: AtomicU64,
-    /// Per-line dedup stamps: `pos + 1` of the owner's latest enqueue of
-    /// that line (0 = never enqueued). Lazily sharded by line index.
-    stamps: LazyAtomicArray,
     stats: QueueStats,
 }
 
 impl FlushQueue {
-    fn new(capacity: usize, persistent_lines: u64) -> Self {
+    fn new(capacity: usize) -> Self {
         FlushQueue {
             slots: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             tail: AtomicU64::new(0),
             claim: AtomicU64::new(0),
             done: AtomicU64::new(0),
-            stamps: LazyAtomicArray::new(persistent_lines),
             stats: QueueStats::default(),
         }
     }
@@ -386,13 +393,20 @@ impl FlushQueue {
 /// ```
 pub struct MemorySpace {
     cfg: PmemConfig,
-    volatile_view: Box<[AtomicU64]>,
+    /// One demand-zero allocation of three tables, in this order:
+    /// * the volatile view, one word per word of the space;
+    /// * from `lock_base`, one versioned lock word per line of the space
+    ///   ([`MemorySpace::line_lock`]);
+    /// * from `pairs_base` to the end, one `(dirty mask, flush stamp)`
+    ///   pair per persistent line. The mask's bit `i` = word `i` stored
+    ///   since the line's last write-back (0 = clean; it doubles as the
+    ///   dirty flag; in [`PersistGranularity::Line`] reference mode every
+    ///   store sets all bits of its line). The stamp is the flush queues'
+    ///   dedup tag, `stamp_tag(tid) | (pos + 1)` of the latest enqueue.
+    words: Box<[AtomicU64]>,
+    lock_base: usize,
+    pairs_base: usize,
     persistent_image: Box<[AtomicU64]>,
-    /// Dirty-word mask per persistent line (bit `i` = word `i` stored since
-    /// the line's last write-back; 0 = clean), lazily sharded. Doubles as
-    /// the dirty flag. In [`PersistGranularity::Line`] reference mode every
-    /// store sets all bits of its line.
-    line_masks: LazyAtomicArray,
     flush_queues: Box<[FlushQueue]>,
     /// Reservation cursors (word indices). Plain atomics: reservations are
     /// rare (setup-time) but formerly shared a mutex with the store hot
@@ -448,6 +462,24 @@ fn spin_until(issued: Option<Instant>, ns: u64) {
     }
 }
 
+/// Where a flush stamp's queue tag starts: the bits below hold a ring
+/// position (`pos + 1`), the bits from here `tid + 1`.
+const STAMP_TAG_SHIFT: u32 = 48;
+
+/// The ring-position bits of a flush stamp.
+const STAMP_POS: u64 = (1 << STAMP_TAG_SHIFT) - 1;
+
+/// Thread `tid`'s queue tag, the high bits of every flush stamp it writes.
+#[inline]
+fn stamp_tag(tid: usize) -> u64 {
+    (tid as u64 + 1) << STAMP_TAG_SHIFT
+}
+
+/// Set in a line's dirty mask while a write-back copies the words it took
+/// from the mask (see `persist_line`). Above every word's bit, so the
+/// crash models, which read only those, never see it.
+const WRITING_BACK: u64 = 1 << 63;
+
 /// `n` zero words as demand-zero memory. `vec![0u64; n]` is a zeroed
 /// allocation (large ones come straight from the kernel's zero pages), and
 /// mapping it into `AtomicU64` — same size, same alignment — collects in
@@ -493,16 +525,22 @@ impl MemorySpace {
     /// demand-zero (see `zeroed_words`): in an optimised build no page of
     /// them is written here, each is faulted in by its first store.
     pub fn new(cfg: PmemConfig) -> Self {
+        assert!(
+            cfg.max_threads < 1 << (64 - STAMP_TAG_SHIFT),
+            "a flush stamp tags at most 2^16 - 1 threads"
+        );
         let total = cfg.total_words() as usize;
         let persistent = cfg.persistent_words as usize;
-        let lines = persistent.div_ceil(WORDS_PER_LINE as usize) as u64;
+        let line = WORDS_PER_LINE as usize;
+        let pairs_base = total + total.div_ceil(line);
         let queue_capacity = cfg.flush_queue_capacity.next_power_of_two().max(2);
         MemorySpace {
-            volatile_view: zeroed_words(total),
+            words: zeroed_words(pairs_base + 2 * persistent.div_ceil(line)),
+            lock_base: total,
+            pairs_base,
             persistent_image: zeroed_words(persistent),
-            line_masks: LazyAtomicArray::new(lines),
             flush_queues: (0..cfg.max_threads)
-                .map(|_| FlushQueue::new(queue_capacity, lines))
+                .map(|_| FlushQueue::new(queue_capacity))
                 .collect(),
             reserve_persistent: AtomicU64::new(WORDS_PER_LINE), // word 0 / line 0 reserved
             reserve_volatile: AtomicU64::new(cfg.persistent_words),
@@ -540,7 +578,7 @@ impl MemorySpace {
         // untouched (see `zeroed_words`).
         for (w, &v) in image.as_words().iter().enumerate() {
             if v != 0 {
-                space.volatile_view[w].store(v, Ordering::Relaxed);
+                space.words[w].store(v, Ordering::Relaxed);
                 space.persistent_image[w].store(v, Ordering::Relaxed);
             }
         }
@@ -578,18 +616,52 @@ impl MemorySpace {
     }
 
     /// Reads the word at `addr` from the volatile view (what the CPU sees).
-    /// The view spans the whole space, so its own bounds check is the only
-    /// one.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of bounds.
     #[inline]
     pub fn read(&self, addr: PAddr) -> u64 {
-        match self.volatile_view.get(addr.word() as usize) {
-            Some(word) => word.load(Ordering::Acquire),
-            None => self.out_of_bounds(addr),
+        // The line tables follow the view in its allocation, so the view's
+        // end is checked here, not the allocation's.
+        let w = addr.word();
+        if w >= self.lock_base as u64 {
+            self.out_of_bounds(addr);
         }
+        self.words[w as usize].load(Ordering::Acquire)
+    }
+
+    /// The versioned lock word of `line`, a line anywhere in the space: 0
+    /// until first written. The space only stores these words; their
+    /// encoding and protocol belong to the conflict detection built on
+    /// them (`crafty-htm`'s runtime), which must start from a space whose
+    /// lock words no other runtime has versioned. They sit densely apart
+    /// from the persistent lines' metadata, so a read-only transaction's
+    /// version checks touch only them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is past the end of the space.
+    #[inline]
+    pub fn line_lock(&self, line: LineId) -> &AtomicU64 {
+        let i = line.index();
+        if i >= (self.pairs_base - self.lock_base) as u64 {
+            self.out_of_bounds(line.first_word());
+        }
+        &self.words[self.lock_base + i as usize]
+    }
+
+    /// The dirty-word mask of persistent `line`.
+    #[inline]
+    fn dirty_mask(&self, line: LineId) -> &AtomicU64 {
+        &self.words[self.pairs_base + 2 * line.index() as usize]
+    }
+
+    /// The flush stamp of persistent `line`: `stamp_tag(tid) | (pos + 1)`
+    /// of its latest enqueue, on whichever queue; 0 if never enqueued.
+    #[inline]
+    fn stamp(&self, line: LineId) -> &AtomicU64 {
+        &self.words[self.pairs_base + 2 * line.index() as usize + 1]
     }
 
     /// The dirty-mask contribution of a store to `addr`: its word's bit in
@@ -610,8 +682,7 @@ impl MemorySpace {
     /// could persist a stale value and then drop the bit).
     #[inline]
     fn mark_written(&self, addr: PAddr) {
-        self.line_masks
-            .get(addr.line().index())
+        self.dirty_mask(addr.line())
             .fetch_or(self.store_mask(addr), Ordering::AcqRel);
     }
 
@@ -627,7 +698,7 @@ impl MemorySpace {
     #[inline]
     pub fn write(&self, addr: PAddr, value: u64) {
         self.check_bounds(addr);
-        self.volatile_view[addr.word() as usize].store(value, Ordering::Release);
+        self.words[addr.word() as usize].store(value, Ordering::Release);
         if self.is_persistent(addr) {
             self.mark_written(addr);
             let line = addr.line();
@@ -662,8 +733,7 @@ impl MemorySpace {
         self.check_bounds(base.add(u64::from(mask.ilog2())));
         for i in 0..WORDS_PER_LINE {
             if mask & (1 << i) != 0 {
-                self.volatile_view[(base.word() + i) as usize]
-                    .store(words[i as usize], Ordering::Release);
+                self.words[(base.word() + i) as usize].store(words[i as usize], Ordering::Release);
             }
         }
         // The persistent words among them (a line straddles the boundary
@@ -681,9 +751,7 @@ impl MemorySpace {
             PersistGranularity::Word => u64::from(pmask),
             PersistGranularity::Line => (1 << WORDS_PER_LINE) - 1,
         };
-        self.line_masks
-            .get(line.index())
-            .fetch_or(dirty, Ordering::AcqRel);
+        self.dirty_mask(line).fetch_or(dirty, Ordering::AcqRel);
         let stores = pmask.count_ones();
         let p = self.cfg.crash.eviction_probability;
         if p > 0.0 && (0..stores).filter(|_| self.evict_chance(line, p)).count() > 0 {
@@ -740,7 +808,7 @@ impl MemorySpace {
     /// Panics if `addr` is out of bounds.
     pub fn compare_exchange(&self, addr: PAddr, current: u64, new: u64) -> Result<u64, u64> {
         self.check_bounds(addr);
-        let r = self.volatile_view[addr.word() as usize].compare_exchange(
+        let r = self.words[addr.word() as usize].compare_exchange(
             current,
             new,
             Ordering::AcqRel,
@@ -775,11 +843,11 @@ impl MemorySpace {
     /// Returns the number of persistent lines requested.
     ///
     /// Lock-free and O(1) per line: a per-line generation stamp absorbs
-    /// flushes of a still-pending line, and an enqueue is two plain atomic
-    /// stores. The whole batch pays **one** `SeqCst` fence (see the
-    /// comment inside), so the caller must have performed the stores to
-    /// *every* line of the batch before the call — which a transaction
-    /// commit, flushing what it just published, has. Calls for one `tid`
+    /// flushes of a line still pending on this queue, and an enqueue is
+    /// three plain atomic stores. The whole batch pays **one** `SeqCst`
+    /// fence (see the comment inside), so the caller must have performed
+    /// the stores to *every* line of the batch before the call — which a
+    /// transaction commit, flushing what it just published, has. Calls for one `tid`
     /// must come from a single thread at a time (see the module docs);
     /// every `tid` may flush concurrently with every other.
     ///
@@ -788,6 +856,7 @@ impl MemorySpace {
     /// Panics if a line is out of bounds or `tid >= max_threads`.
     pub fn clwb_lines(&self, tid: usize, lines: impl IntoIterator<Item = LineId>) -> u64 {
         let q = &self.flush_queues[tid];
+        let tag = stamp_tag(tid);
         // The queue's claim cursor, read (once, lazily) behind the fence.
         let mut claim = None;
         let mut requested = 0u64;
@@ -798,13 +867,18 @@ impl MemorySpace {
             }
             requested += 1;
             self.fault_tick();
-            let stamp = q.stamps.get(line.index());
+            let stamp = self.stamp(line);
             let s = stamp.load(Ordering::Relaxed);
-            if s != 0 {
-                // The stamp holds `pos + 1` of this queue's latest enqueue of
-                // the line (0 = never enqueued). If that enqueue is still
-                // unclaimed, the write-back its drain performs covers this
-                // flush too and nothing needs to be queued.
+            if s & !STAMP_POS == tag {
+                // The stamp carries this queue's tag, so it is this queue's
+                // latest enqueue of the line: every queue writes the stamp
+                // of a line it enqueues, and once another queue has, this
+                // thread reads that stamp or a later one (coherence orders
+                // this thread's own stores before it), never its own older
+                // tag. A stamp tagged by another queue, or 0, enqueues the
+                // line here as well. If the enqueue the stamp names is
+                // still unclaimed, the write-back its drain performs covers
+                // this flush too and nothing needs to be queued.
                 //
                 // The fence pairs with the one a claiming drain issues between
                 // its claim CAS and its persist loads (store-buffering
@@ -814,16 +888,20 @@ impl MemorySpace {
                 // preceded this call. Without it, this thread's data store
                 // could still sit in its store buffer while a concurrent
                 // foreign drain claims the old enqueue and persists the stale
-                // value, losing the write. One fence serves the whole batch:
-                // it follows every line's data stores and precedes the claim
-                // load, so the argument holds line by line; a claim that
-                // advances later in the batch belongs to a drain whose fence
-                // is ordered after ours, which therefore reads those stores.
+                // value, losing the write. The pairing involves only this
+                // queue's claim cursor and its drains, so other threads
+                // writing the shared stamp do not weaken it: they can only
+                // turn a skip into an enqueue. One fence serves the whole
+                // batch: it follows every line's data stores and precedes
+                // the claim load, so the argument holds line by line; a claim
+                // that advances later in the batch belongs to a drain whose
+                // fence is ordered after ours, which therefore reads those
+                // stores.
                 let claim = *claim.get_or_insert_with(|| {
                     std::sync::atomic::fence(Ordering::SeqCst);
                     q.claim.load(Ordering::Relaxed)
                 });
-                if s > claim {
+                if s & STAMP_POS > claim {
                     continue;
                 }
             }
@@ -845,7 +923,7 @@ impl MemorySpace {
             }
             q.slot(pos).store(line.index(), Ordering::Release);
             q.tail.store(pos + 1, Ordering::Release);
-            stamp.store(pos + 1, Ordering::Release);
+            stamp.store(tag | (pos + 1), Ordering::Release);
             trace::record(tid, TraceEventKind::Enqueue, line.index());
         }
         q.stats.flushes.add(requested);
@@ -973,9 +1051,11 @@ impl MemorySpace {
     /// sorts them, and walks maximal runs of adjacent line ids — performing
     /// every run's masked word copies, then charging one
     /// [`crate::LatencyModel::clwb_range`] for the whole run. The runs
-    /// exactly partition the claimed range: each position's line is
-    /// persisted exactly once (duplicate ids, which the dedup stamps make
-    /// impossible within one claimed range, would be skipped defensively).
+    /// exactly partition the claimed range's distinct lines: each is
+    /// persisted exactly once. A line can sit twice in one range when
+    /// another thread enqueued it between this queue's two enqueues (the
+    /// flush stamp then carried the other queue's tag); its second
+    /// position is skipped, so it adds to neither the run nor its cost.
     /// Returns what was written and its accumulated flush cost.
     fn persist_claimed_ranged(
         &self,
@@ -1014,7 +1094,7 @@ impl MemorySpace {
                 while i < scratch.len() {
                     let id = scratch[i];
                     if id == prev {
-                        i += 1; // defensive: never persist a line twice
+                        i += 1; // never persist a line twice
                         continue;
                     }
                     if id != prev + 1 {
@@ -1101,18 +1181,38 @@ impl MemorySpace {
     /// queue's cells, ring overflows into the owner's, evictions into the
     /// shared ones.
     ///
-    /// Taking the mask with a `swap(0)` *before* copying means a store
-    /// racing this write-back either lands its value in time to be copied
-    /// or re-ORs its bit after the swap and stays dirty — no combination
-    /// loses a word (see `mark_written`).
+    /// Taking the mask *before* copying means a store racing this
+    /// write-back either lands its value in time to be copied or re-ORs
+    /// its bit after the take and stays dirty — no combination loses a
+    /// word (see `mark_written`). The take leaves [`WRITING_BACK`] in the
+    /// mask until the copy is done, and a write-back that finds it set
+    /// waits: otherwise a drain whose line another thread's write-back
+    /// had just taken would find it clean and return — its SFENCE
+    /// complete — before that copy reached the image. The bit's clearing
+    /// is a release that the waiter's acquire load pairs with, so the
+    /// copy is visible to a waiter that sees the bit gone.
     fn persist_line(&self, line: LineId) -> (u64, u64) {
-        let Some(slot) = self.line_masks.peek(line.index()) else {
-            return (0, 0); // untouched segment: the whole line is clean
+        let slot = self.dirty_mask(line);
+        let mut seen = slot.load(Ordering::Acquire);
+        let dirty = loop {
+            if seen & WRITING_BACK != 0 {
+                std::thread::yield_now();
+                seen = slot.load(Ordering::Acquire);
+                continue;
+            }
+            if seen == 0 {
+                return (0, 0);
+            }
+            match slot.compare_exchange_weak(
+                seen,
+                WRITING_BACK,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break seen,
+                Err(now) => seen = now,
+            }
         };
-        let dirty = slot.swap(0, Ordering::AcqRel);
-        if dirty == 0 {
-            return (0, 0);
-        }
         // Only the line straddling the end of the persistent region is
         // narrower than a full line; dirty bits past it are dropped.
         let base = line.first_word().word();
@@ -1121,10 +1221,11 @@ impl MemorySpace {
         let words = u64::from(mask.count_ones());
         while mask != 0 {
             let w = (base + u64::from(mask.trailing_zeros())) as usize;
-            let v = self.volatile_view[w].load(Ordering::Acquire);
+            let v = self.words[w].load(Ordering::Acquire);
             self.persistent_image[w].store(v, Ordering::Release);
             mask &= mask - 1;
         }
+        slot.fetch_and(!WRITING_BACK, Ordering::Release);
         self.fault_tick();
         (words, line_words)
     }
@@ -1183,14 +1284,15 @@ impl MemorySpace {
                 *dst = v;
             }
         }
-        for line_idx in 0..self.line_masks.len() {
-            // Unallocated metadata segments mean every line in them is
-            // clean; `load_or_zero` never materializes them.
-            let mask = self.line_masks.load_or_zero(line_idx);
+        // Every other word of the pair table is a line's dirty mask; loads
+        // of never-written pages write nothing.
+        let masks = self.words[self.pairs_base..].iter().step_by(2);
+        for (line_idx, mask) in masks.enumerate() {
+            let mask = mask.load(Ordering::Acquire);
             if mask == 0 {
                 continue;
             }
-            for (i, addr) in LineId::new(line_idx).words().enumerate() {
+            for (i, addr) in LineId::new(line_idx as u64).words().enumerate() {
                 if addr.word() >= words {
                     break;
                 }
@@ -1199,7 +1301,7 @@ impl MemorySpace {
                 }
                 if dirty_word_persists(&model, addr.word()) {
                     image[addr.word() as usize] =
-                        self.volatile_view[addr.word() as usize].load(Ordering::Acquire);
+                        self.words[addr.word() as usize].load(Ordering::Acquire);
                 }
             }
         }
@@ -1702,6 +1804,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn line_lock_past_the_space_panics() {
+        // The lock table is followed by the line pairs in the same
+        // allocation, so its end is checked, not the allocation's.
+        let m = space();
+        let lines = m.config().total_words().div_ceil(WORDS_PER_LINE);
+        assert_eq!(
+            m.line_lock(LineId::new(lines - 1)).load(Ordering::Relaxed),
+            0
+        );
+        m.line_lock(LineId::new(lines));
+    }
+
+    #[test]
     fn compare_exchange_swaps_only_on_a_match() {
         let m = space();
         let a = PAddr::new(64);
@@ -2050,11 +2166,13 @@ mod tests {
             for w in cfg.persistent_words..cfg.total_words() {
                 assert_eq!(booted.read(PAddr::new(w)), 0, "volatile word {w}");
             }
-            assert_eq!(
-                booted.line_masks.allocated_segments(),
-                0,
-                "a booted space starts with every line clean"
-            );
+            for line in 0..lines {
+                assert_eq!(
+                    booted.dirty_mask(LineId::new(line)).load(Ordering::Relaxed),
+                    0,
+                    "{model:?}: a booted space starts with line {line} clean"
+                );
+            }
         }
         // The relaxed image took the dirty 0; the strict one kept the 7.
         assert_eq!(m.crash_with(relaxed).read(PAddr::new(dirty_zero)), 0);

@@ -1,38 +1,110 @@
 //! A simulated space costs the memory its workload touches, not its size.
 //!
-//! `MemorySpace::new` allocates its volatile view and persistent image as
-//! demand-zero memory, and `crash` and `boot` store only non-zero words, so
-//! a gigabyte-sized space whose workload writes a few hundred pages is
-//! resident at a few megabytes. The property depends on the optimiser (an
-//! unoptimised build runs the zero-to-atomic mapping loop and touches every
-//! page), so this binary compiles to nothing outside release builds, and it
-//! reads `VmRSS`, so it is Linux-only. It holds one test: the harness runs
-//! the tests of one binary on parallel threads, whose allocations would
-//! move the same counter.
+//! `MemorySpace::new` allocates its volatile view — with the per-line
+//! lock, dirty-mask and flush-stamp tables behind it — and its persistent
+//! image as demand-zero memory, and `crash` and `boot` store only non-zero
+//! words, so a gigabyte-sized space whose workload writes a few hundred
+//! pages is resident at a few megabytes, and so is every space a program
+//! builds after dropping the one before. The property depends on the
+//! optimiser (an unoptimised build runs the zero-to-atomic mapping loop
+//! and touches every page), so this binary compiles to nothing outside
+//! release builds, and it reads `/proc/self/status`, so it is Linux-only.
+//! It holds one test: the harness runs the tests of one binary on parallel
+//! threads, whose allocations would move the same counters, and the
+//! rebuild check reads the peak (`VmHWM`), which must not have been raised
+//! by the gigabyte check first.
 #![cfg(all(not(debug_assertions), target_os = "linux"))]
 
-use crafty_common::PAddr;
+use std::sync::Arc;
+
+use crafty_common::{BreakdownRecorder, PAddr};
+use crafty_htm::{HtmConfig, HtmRuntime};
 use crafty_pmem::{MemorySpace, PmemConfig};
 
 const MIB: u64 = 1 << 20;
 const PAGE_BYTES: u64 = 4096;
 const PAGE_WORDS: u64 = PAGE_BYTES / 8;
 /// What building a space may add to the resident set, whatever its size:
-/// the flush queues' rings and the lazy metadata arrays' segment tables.
+/// the flush queues' rings.
 const BOUND: u64 = 8 * MIB;
+/// How far the peak may rise while spaces are rebuilt after the first.
+const REBUILD_BOUND: u64 = 3 * MIB;
 
-/// This process's resident set in bytes (`VmRSS`).
-fn rss_bytes() -> u64 {
+/// One `/proc/self/status` field (`VmRSS`, `VmHWM`) in bytes.
+fn status_bytes(field: &str) -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
     let kb: u64 = status
         .lines()
-        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .expect("VmRSS line");
+        .unwrap_or_else(|| panic!("{field} line"));
     kb * 1024
 }
 
+/// This process's resident set in bytes.
+fn rss_bytes() -> u64 {
+    status_bytes("VmRSS")
+}
+
 #[test]
+fn a_space_is_resident_at_the_pages_its_workload_touched() {
+    rebuilt_spaces_stay_demand_zero();
+    a_gigabyte_space_is_resident_at_the_pages_its_workload_touched();
+}
+
+/// Builds a bank rig's space (32 MiB persistent, 8 MiB volatile: a
+/// 53 MiB allocation of view and line tables, and a 32 MiB image) with
+/// its HTM runtime, commits a few hundred transactions that each write
+/// and flush a line of their own page, drains, drops both, and does it
+/// again: after the first round, the peak resident set stays where it
+/// was. Every round pays the same few hundred touched pages. Line tables
+/// allocated on their own would fail this: each is under 32 MiB, so once
+/// one is freed, glibc serves the next of that size from the heap and
+/// `calloc` zeroes every page of it.
+fn rebuilt_spaces_stay_demand_zero() {
+    let cfg = PmemConfig {
+        persistent_words: 1 << 22,
+        volatile_words: 1 << 20,
+        max_threads: 3,
+        ..PmemConfig::small_for_tests()
+    };
+    let lines = 300u64;
+    let round = || {
+        let mem = Arc::new(MemorySpace::new(cfg));
+        let htm = HtmRuntime::new(
+            Arc::clone(&mem),
+            HtmConfig::skylake(),
+            Arc::new(BreakdownRecorder::new()),
+        );
+        let base = mem.reserve_persistent(lines * PAGE_WORDS);
+        for i in 0..lines {
+            let addr = base.add(i * PAGE_WORDS);
+            let mut txn = htm.begin(0);
+            let v = txn.read(addr).expect("uncontended read");
+            txn.write(addr, v + i + 1).expect("uncontended write");
+            txn.flush_on_commit(addr).expect("live transaction");
+            txn.commit().expect("uncontended commit");
+        }
+        mem.drain(0);
+        assert_eq!(
+            mem.read_persisted(base.add((lines - 1) * PAGE_WORDS)),
+            lines
+        );
+        assert_eq!(mem.stats().lines_persisted, lines);
+    };
+    round();
+    let first = status_bytes("VmHWM");
+    for _ in 0..5 {
+        round();
+    }
+    let grew = status_bytes("VmHWM").saturating_sub(first);
+    assert!(
+        grew < REBUILD_BOUND,
+        "five rebuilds of a space raised the peak resident set by {} KiB",
+        grew / 1024
+    );
+}
+
 fn a_gigabyte_space_is_resident_at_the_pages_its_workload_touched() {
     // 512 MiB persistent + 512 MiB volatile: a 1 GiB space, and 1.5 GiB
     // of word arrays (the view spans both regions; the image the first).
@@ -63,8 +135,8 @@ fn a_gigabyte_space_is_resident_at_the_pages_its_workload_touched() {
     mem.drain(0);
     let written = rss_bytes();
     // Each write dirties one page of the volatile view and its drain one
-    // of the persistent image; the touched metadata segments (dirty masks,
-    // dedup stamps) are a few hundred KiB more.
+    // of the persistent image; the line tables' touched pages (one dirty
+    // mask and one flush stamp per line) are a few hundred KiB more.
     let touched = 2 * pages * PAGE_BYTES;
     let grew = written.saturating_sub(built);
     assert!(

@@ -12,13 +12,20 @@
 //!   through the space's `lines_persisted` counter;
 //! * foreign drains (the Section 5.2 forcing paths) complete another
 //!   thread's queue correctly;
-//! * ring overflow falls back to immediate write-back without losing data.
+//! * ring overflow falls back to immediate write-back without losing data;
+//! * the per-line flush stamp is shared by every queue and tagged with the
+//!   one that wrote it: a queue absorbs a re-flush of a line only while
+//!   its own enqueue is pending, so threads flushing one line never lose a
+//!   store, and a line two threads flush in turn may sit twice in one
+//!   claimed range, which each drain mode counts and charges as pinned
+//!   below.
 
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crafty_common::{PAddr, WORDS_PER_LINE};
-use crafty_pmem::{MemorySpace, PmemConfig};
+use crafty_pmem::{DrainCoalescing, LatencyModel, MemorySpace, PmemConfig};
 use proptest::prelude::*;
 
 fn line_addr(line: u64) -> PAddr {
@@ -368,5 +375,146 @@ fn overflowing_queue_never_loses_lines() {
     mem.drain(0);
     for l in 0..lines {
         assert_eq!(mem.read_persisted(line_addr(8 + l)), l + 7);
+    }
+}
+
+/// A thread re-flushing a line its own queue still holds is absorbed by
+/// the line's stamp, on any thread slot: one queue slot, one write-back of
+/// both written words, and both requests counted as flushes.
+#[test]
+fn a_reflush_of_a_line_the_queue_still_holds_is_absorbed() {
+    for tid in [0, 5] {
+        let mem = MemorySpace::new(PmemConfig::small_for_tests());
+        let a = line_addr(8);
+        mem.write(a, 11);
+        mem.clwb(tid, a);
+        mem.write(a.add(6), 22);
+        mem.clwb(tid, a.add(6));
+        assert_eq!(mem.pending_flushes(tid), 1, "tid {tid}: one slot");
+        assert_eq!(mem.drain(tid), 1, "tid {tid}: one write-back");
+        assert_eq!(mem.read_persisted(a), 11);
+        assert_eq!(mem.read_persisted(a.add(6)), 22);
+        let stats = mem.stats();
+        assert_eq!(stats.flushes, 2, "tid {tid}: both requests count");
+        assert_eq!(stats.lines_persisted, 1);
+        assert_eq!(stats.words_persisted, 2);
+    }
+}
+
+/// Two threads store to one line and flush it, in both orders, and then
+/// both drain, in both orders: the second flush finds the first queue's
+/// stamp and enqueues on its own queue, and whichever drain runs first,
+/// the persistent image ends with the last value, in both drain modes.
+#[test]
+fn two_threads_flushing_one_line_leave_the_last_value() {
+    for coalescing in [DrainCoalescing::Ranged, DrainCoalescing::PerLine] {
+        for (first, second) in [(1, 2), (2, 1)] {
+            for drains in [[first, second], [second, first]] {
+                let cfg = PmemConfig::small_for_tests().with_coalescing(coalescing);
+                let mem = MemorySpace::new(cfg);
+                let a = line_addr(16);
+                mem.write(a, 1);
+                mem.clwb(first, a);
+                mem.write(a, 2);
+                mem.clwb(second, a);
+                let case = format!("{coalescing:?}, flushed by {first} then {second}");
+                assert_eq!(mem.pending_flushes(first), 1, "{case}");
+                assert_eq!(mem.pending_flushes(second), 1, "{case}");
+                for tid in drains {
+                    mem.drain(tid);
+                }
+                assert_eq!(mem.read_persisted(a), 2, "{case}, drained {drains:?}");
+                assert_eq!(mem.crash().read(a), 2, "{case}, drained {drains:?}");
+                assert_eq!(mem.stats().lines_persisted, 2, "{case}");
+            }
+        }
+    }
+}
+
+/// A line queue 0 flushed, then queue 1, then queue 0 again sits twice in
+/// queue 0's ring: the stamp named queue 1 at the second flush. One drain
+/// claims both positions. Both modes count both in `lines_persisted` and
+/// copy the words once; `Ranged` skips the duplicate id — one range of one
+/// line, charged once — while `PerLine` writes back each position, the
+/// second finding the line clean, and charges a range for each.
+#[test]
+fn a_duplicate_line_in_one_claimed_range_is_counted_and_charged_per_mode() {
+    const RANGE_NS: u64 = 50_000_000;
+    for coalescing in [DrainCoalescing::Ranged, DrainCoalescing::PerLine] {
+        let cfg = PmemConfig::small_for_tests()
+            .with_coalescing(coalescing)
+            .with_latency(LatencyModel {
+                clwb_range_ns: RANGE_NS,
+                ..LatencyModel::instant()
+            });
+        let mem = MemorySpace::new(cfg);
+        let a = line_addr(16);
+        mem.write(a, 1);
+        mem.clwb(0, a);
+        mem.clwb(1, a);
+        mem.write(a.add(1), 2);
+        mem.clwb(0, a.add(1));
+        assert_eq!(mem.pending_flushes(0), 2, "{coalescing:?}");
+
+        let start = Instant::now();
+        assert_eq!(mem.drain(0), 2, "{coalescing:?}: both positions claimed");
+        let took = start.elapsed();
+        let stats = mem.stats();
+        assert_eq!(stats.lines_persisted, 2, "{coalescing:?}");
+        assert_eq!(stats.words_persisted, 2, "{coalescing:?}");
+        assert_eq!(stats.line_words_persisted, WORDS_PER_LINE, "{coalescing:?}");
+        let range = Duration::from_nanos(RANGE_NS);
+        match coalescing {
+            DrainCoalescing::Ranged => {
+                assert_eq!((stats.flush_ranges, stats.range_lines), (1, 1));
+                assert!(took >= range && took < 2 * range, "charged {took:?}");
+            }
+            DrainCoalescing::PerLine => {
+                assert_eq!((stats.flush_ranges, stats.range_lines), (2, 2));
+                assert!(took >= 2 * range, "charged {took:?}");
+            }
+        }
+        assert_eq!(mem.read_persisted(a), 1);
+        assert_eq!(mem.read_persisted(a.add(1)), 2);
+        // Queue 1's enqueue finds the line clean: a position, no words.
+        assert_eq!(mem.drain(1), 1);
+        let after = mem.stats();
+        assert_eq!(after.lines_persisted, 3, "{coalescing:?}");
+        assert_eq!(after.words_persisted, 2, "{coalescing:?}");
+    }
+}
+
+/// Threads storing to words of the same lines and flushing them through
+/// their own queues: after each thread's own drain, its stores are
+/// durable, whichever queue last stamped the lines — a queue never skips a
+/// flush on another queue's pending enqueue.
+#[test]
+fn threads_sharing_lines_make_their_own_stores_durable() {
+    let threads = 4usize;
+    let rounds = 300u64;
+    let lines = 4u64;
+    let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
+    std::thread::scope(|s| {
+        for tid in 0..threads {
+            let mem = Arc::clone(&mem);
+            s.spawn(move || {
+                for round in 1..=rounds {
+                    for l in 0..lines {
+                        let addr = line_addr(16 + l).add(tid as u64);
+                        mem.write(addr, round);
+                        mem.clwb(tid, addr);
+                        mem.clwb(tid, addr);
+                    }
+                    mem.drain(tid);
+                    for l in 0..lines {
+                        let addr = line_addr(16 + l).add(tid as u64);
+                        assert_eq!(mem.read_persisted(addr), round, "tid {tid} line {l}");
+                    }
+                }
+            });
+        }
+    });
+    for tid in 0..threads {
+        assert_eq!(mem.pending_flushes(tid), 0);
     }
 }
