@@ -30,17 +30,16 @@
 //! update transactions conflict on that counter's cache line.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crafty_common::{
-    BreakdownRecorder, BreakdownSnapshot, Clock, CompletionPath, PAddr, PersistentTm, TmThread,
-    TxAbort, TxnBody, TxnOps,
+    wait, BreakdownRecorder, BreakdownSnapshot, Clock, CompletionPath, PAddr, PersistentTm,
+    TmThread, TxAbort, TxnBody, TxnOps,
 };
 use crafty_htm::{HtmConfig, HtmRuntime, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
-use parking_lot::{Condvar, Mutex};
 
 use crate::MAX_HTM_ATTEMPTS;
 
@@ -70,32 +69,41 @@ impl CowConfig {
 /// checkpointer to write back one transaction at a time, in order.
 #[derive(Default)]
 struct CheckpointQueue {
-    jobs: Mutex<VecDeque<Vec<PAddr>>>,
+    jobs: Mutex<Jobs>,
     available: Condvar,
     submitted: AtomicU64,
     completed: AtomicU64,
-    stop: AtomicBool,
+}
+
+/// The queue and the stop request, under one lock: a stop set under it
+/// cannot land between [`CheckpointQueue::next`]'s check and its wait.
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<Vec<PAddr>>,
+    stop: bool,
 }
 
 impl CheckpointQueue {
+    /// No update of [`Jobs`] can panic halfway, so a lock poisoned by a
+    /// panic elsewhere still guards a valid queue.
+    fn lock(&self) -> MutexGuard<'_, Jobs> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn submit(&self, job: Vec<PAddr>) {
         self.submitted.fetch_add(1, Ordering::AcqRel);
-        self.jobs.lock().push_back(job);
+        self.lock().queue.push_back(job);
         self.available.notify_one();
     }
 
+    /// Blocks while the queue is empty; `None` once it is empty and
+    /// stopped.
     fn next(&self) -> Option<Vec<PAddr>> {
-        let mut jobs = self.jobs.lock();
-        loop {
-            if let Some(job) = jobs.pop_front() {
-                return Some(job);
-            }
-            if self.stop.load(Ordering::Acquire) {
-                return None;
-            }
-            self.available
-                .wait_for(&mut jobs, std::time::Duration::from_millis(1));
-        }
+        let mut jobs = self
+            .available
+            .wait_while(self.lock(), |j| j.queue.is_empty() && !j.stop)
+            .unwrap_or_else(PoisonError::into_inner);
+        jobs.queue.pop_front()
     }
 
     fn drained(&self) -> bool {
@@ -149,7 +157,7 @@ impl Durable {
                     // deep backlog starves the very workers that feed it
                     // (the multi-thread collapse seen on a single core);
                     // one yield per job costs nothing when cores are free.
-                    std::thread::yield_now();
+                    wait::yield_now();
                 }
             })
         };
@@ -166,26 +174,21 @@ impl Durable {
     }
 
     /// NV-HTM's commit-time wait: another thread may still be about to
-    /// durably commit an earlier transaction.
+    /// durably commit an earlier transaction. It yields: a spinning waiter
+    /// is what collapsed NV-HTM at more threads than cores.
     fn wait_for_earlier_commits(&self, tid: usize, ts: u64) {
-        while self.in_flight.iter().enumerate().any(|(other, slot)| {
-            other != tid && {
+        wait::until(|| {
+            self.in_flight.iter().enumerate().all(|(other, slot)| {
                 let v = slot.load(Ordering::Acquire);
-                v != 0 && v < ts
-            }
-        }) {
-            // Yield, don't spin: the thread being waited on needs a core
-            // to finish its durable commit, and on few-core hosts a
-            // spinning waiter is exactly what keeps it from getting one
-            // (the NV-HTM multi-thread collapse).
-            std::thread::yield_now();
-        }
+                other == tid || v == 0 || v >= ts
+            })
+        });
     }
 }
 
 impl Drop for Durable {
     fn drop(&mut self) {
-        self.queue.stop.store(true, Ordering::Release);
+        self.queue.lock().stop = true;
         self.queue.available.notify_one();
         if let Some(handle) = self.checkpointer.take() {
             let _ = handle.join();
@@ -429,9 +432,7 @@ impl BaselineThread<'_> {
     fn run<W: WriteSet>(&mut self, body: &mut TxnBody<'_>) {
         let engine = self.engine;
         for _ in 0..MAX_HTM_ATTEMPTS {
-            while engine.htm.nontx_read(engine.sgl_addr) != 0 {
-                std::thread::yield_now();
-            }
+            wait::until(|| engine.htm.nontx_read(engine.sgl_addr) == 0);
             let mut txn = engine.htm.begin(self.tid);
             if !matches!(txn.read(engine.sgl_addr), Ok(0)) {
                 continue;
@@ -568,9 +569,7 @@ impl PersistentTm for BaselineTm {
         let Some(d) = self.config.durable() else {
             return;
         };
-        while !d.queue.drained() {
-            std::thread::yield_now();
-        }
+        wait::until(|| d.queue.drained());
         let slots = self.mem.config().max_threads.min(d.in_flight.len() + 1);
         for tid in 0..slots {
             self.mem.drain(tid);

@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crafty_common::wait;
 use crafty_kv::{DirectOps, KvConfig, SessionTable, ShardedKv};
 use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
 use crafty_server::{KvClient, KvServer, Request, ServerConfig};
@@ -305,17 +306,13 @@ pub fn run_kvserve_point(cfg: &KvServeConfig, engine: KvServeEngine, rate: u64) 
                     // spin); a late sender just fires immediately — the
                     // lateness is charged to the op's latency, not hidden.
                     loop {
-                        let now = start.elapsed().as_nanos() as u64;
-                        if now >= op.at_ns {
+                        let ahead = op.at_ns.saturating_sub(start.elapsed().as_nanos() as u64);
+                        if ahead <= 200_000 {
                             break;
                         }
-                        let ahead = op.at_ns - now;
-                        if ahead > 200_000 {
-                            std::thread::sleep(Duration::from_nanos(ahead / 2));
-                        } else {
-                            std::hint::spin_loop();
-                        }
+                        std::thread::sleep(Duration::from_nanos(ahead / 2));
                     }
+                    wait::deadline(Some(start), op.at_ns);
                     let req = match op.kind {
                         OpKind::Get { key } => Request::Get { key },
                         OpKind::Put { key, value } => Request::Put { key, value },

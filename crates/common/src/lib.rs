@@ -23,6 +23,8 @@
 //!   level that arms [`BreakdownRecorder`]'s virtual-cycle phase timers,
 //!   and the per-thread lock-free event rings behind the `figures trace`
 //!   report and the torture suites' flight-recorder tails.
+//! * [`wait`] — the one way a thread waits for another: every spin,
+//!   yield and backoff in the workspace is a call into it.
 //! * [`zipf`] — the YCSB-style zipfian key-popularity distribution used by
 //!   the KV-store workloads.
 //!
@@ -52,6 +54,7 @@ pub mod error;
 pub mod genset;
 pub mod rng;
 pub mod trace;
+pub mod wait;
 pub mod zipf;
 
 pub use addr::{LineId, PAddr, WORDS_PER_LINE};

@@ -11,6 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crafty_common::wait::Backoff;
 use crafty_common::{
     trace, BreakdownRecorder, BreakdownSnapshot, Clock, PAddr, PersistentTm, Timestamp, TmThread,
     TraceEventKind, TxnPhase,
@@ -272,7 +273,10 @@ impl Crafty {
     /// Appends an empty committed sequence to `target_tid`'s log, executing
     /// the append on `via_tid`'s hardware-transaction context (which
     /// synchronizes with the owner). Retries until the hardware transaction
-    /// commits or `still_wanted`, asked before every attempt, says no.
+    /// commits or `still_wanted`, asked before every attempt, says no, and
+    /// backs off after each failed attempt: against a busy log-head line,
+    /// back-to-back attempts would keep the line's owner from running on a
+    /// host with fewer cores than threads.
     fn force_empty_sequence(
         &self,
         target_tid: usize,
@@ -280,6 +284,7 @@ impl Crafty {
         mut still_wanted: impl FnMut() -> bool,
     ) {
         let shared = &self.threads[target_tid];
+        let mut backoff = Backoff::new();
         while still_wanted() {
             let ts = self.clock.now();
             let mut txn = self.htm.begin(via_tid);
@@ -290,11 +295,7 @@ impl Crafty {
                     log.commit_marker(&mut txn, info.marker_abs, 0, ts)?;
                     Ok(info)
                 });
-            let info = match appended {
-                Ok(info) => info,
-                Err(_) => continue,
-            };
-            if txn.commit().is_ok() {
+            if let Ok(info) = appended.and_then(|info| txn.commit().map(|_| info)) {
                 shared
                     .undo_log
                     .flush_marker(&self.mem, via_tid, info.marker_abs);
@@ -309,6 +310,7 @@ impl Crafty {
                 shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
                 return;
             }
+            backoff.snooze();
         }
     }
 

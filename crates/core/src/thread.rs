@@ -44,7 +44,7 @@ use std::sync::atomic::Ordering;
 
 use crafty_common::trace::{self, TraceEventKind, TxnPhase};
 use crafty_common::{
-    CompletionPath, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps,
+    wait, CompletionPath, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps,
 };
 use crafty_htm::{AbortCode, Exclusion, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
@@ -261,9 +261,7 @@ impl<'c> CraftyThread<'c> {
 
     fn wait_for_sgl_free(&self) {
         let engine = self.engine;
-        while engine.htm.nontx_read(engine.sgl_addr) != 0 {
-            std::thread::yield_now();
-        }
+        wait::until(|| engine.htm.nontx_read(engine.sgl_addr) == 0);
     }
 
     /// Under the SGL policy every hardware phase subscribes to the global
@@ -634,7 +632,7 @@ impl<'c> CraftyThread<'c> {
                     body_failures < MAX_BODY_FAILURES,
                     "transaction body kept aborting in the software commit; bodies must eventually succeed when run in isolation"
                 );
-                std::thread::yield_now();
+                wait::yield_now();
                 continue;
             }
             if !x.has_writes() && self.alloc_log.is_empty() {
@@ -648,7 +646,7 @@ impl<'c> CraftyThread<'c> {
                 .htm
                 .nontx_bump_commit_version(engine.g_last_redo_ts_addr);
             if x.validate_reads().is_err() {
-                std::thread::yield_now();
+                wait::yield_now();
                 continue;
             }
 

@@ -213,7 +213,7 @@ fn thread_unsafe_mode_provides_durability_under_external_locking() {
     let cfg = CraftyConfig::small_for_tests().with_mode(ThreadingMode::ThreadUnsafe);
     let crafty = Arc::new(Crafty::new(Arc::clone(&mem), cfg));
     let counter = mem.reserve_persistent(1);
-    let lock = Arc::new(parking_lot::Mutex::new(()));
+    let lock = Arc::new(std::sync::Mutex::new(()));
     std::thread::scope(|s| {
         for tid in 0..3 {
             let crafty = Arc::clone(&crafty);
@@ -222,7 +222,7 @@ fn thread_unsafe_mode_provides_durability_under_external_locking() {
                 let mut handle = crafty.register_thread(tid);
                 for _ in 0..100 {
                     // The program's own lock provides thread atomicity.
-                    let _guard = lock.lock();
+                    let _guard = lock.lock().unwrap();
                     handle.execute(&mut |ops| {
                         let v = ops.read(counter)?;
                         ops.write(counter, v + 1)?;

@@ -68,9 +68,10 @@
 use std::sync::atomic::Ordering;
 
 use crafty_common::{LineId, PAddr};
-use crossbeam::utils::Backoff;
 
-use crate::runtime::{AbortCode, HtmRuntime, FALLBACK_BIT, LOCKED_MASK, VERSION_MASK};
+use crate::runtime::{
+    acquire_lock_bit, AbortCode, HtmRuntime, FALLBACK_BIT, LOCKED_MASK, VERSION_MASK,
+};
 use crate::scratch::{self, TxnScratch, HELD};
 
 impl HtmRuntime {
@@ -234,22 +235,7 @@ impl Exclusion for FallbackTxn<'_> {
         let s = self.s();
         s.lock_order.sort_unstable();
         for (i, &line) in s.lock_order.iter().enumerate() {
-            let slot = rt.lock_word(line);
-            let mut backoff = Backoff::new();
-            loop {
-                let v = slot.load(Ordering::Acquire);
-                if v & LOCKED_MASK != 0 {
-                    backoff.snooze();
-                    continue;
-                }
-                if slot
-                    .compare_exchange(v, v | FALLBACK_BIT, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break;
-                }
-                backoff.spin();
-            }
+            acquire_lock_bit(rt.lock_word(line), FALLBACK_BIT);
             s.locked = i + 1;
             rt.mem.fault_event();
         }

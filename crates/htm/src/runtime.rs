@@ -26,11 +26,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crafty_common::trace::{self, TraceEventKind};
+use crafty_common::wait::{self, Backoff};
 use crafty_common::{
     BreakdownRecorder, HwTxnOutcome, LineId, LineSlot, PAddr, SplitMix64, TxnPhase, WORDS_PER_LINE,
 };
 use crafty_pmem::MemorySpace;
-use crossbeam::utils::Backoff;
 
 use crate::config::HtmConfig;
 use crate::scratch::{self, Journalled, TxnScratch, DATA, FLUSH, HELD, SINK};
@@ -96,6 +96,30 @@ pub(crate) const SUBSCRIBE_VIEW: u64 = u64::MAX;
 /// hardware transactions (see the non-feature doc above).
 #[cfg(feature = "no-fallback-subscription")]
 pub(crate) const SUBSCRIBE_VIEW: u64 = !FALLBACK_BIT;
+
+/// Sets `bit` ([`LOCK_BIT`] or [`FALLBACK_BIT`]) in the lock word `slot`
+/// once neither lock bit is set there, keeping its version bits. A held
+/// line gets [`Backoff::snooze`] and a lost CAS [`Backoff::spin`]: a tight
+/// unpaced retry hammers the holder's cache line, and on a host with fewer
+/// cores than threads it can be what keeps the holder from running.
+#[inline]
+pub(crate) fn acquire_lock_bit(slot: &AtomicU64, bit: u64) {
+    let mut backoff = Backoff::new();
+    loop {
+        let v = slot.load(Ordering::Acquire);
+        if v & LOCKED_MASK != 0 {
+            backoff.snooze();
+            continue;
+        }
+        if slot
+            .compare_exchange(v, v | bit, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            return;
+        }
+        backoff.spin();
+    }
+}
 
 /// Splits `words`, stored contiguously from `addr`, at line boundaries and
 /// hands `f` each line, the mask of the words its run covers, and the run;
@@ -360,38 +384,16 @@ impl HtmRuntime {
             if self.nontx_compare_exchange(addr, 0, 1).is_ok() {
                 return LockWordGuard { rt: self, addr };
             }
-            while self.nontx_read(addr) != 0 {
-                std::thread::yield_now();
-            }
+            wait::until(|| self.nontx_read(addr) == 0);
         }
     }
 
     /// Acquires the versioned lock of `line` for a non-transactional
     /// operation and returns its slot (with the lock bit set).
-    ///
-    /// The wait between attempts uses bounded exponential backoff
-    /// ([`Backoff::snooze`]): spin-loop hints whose pause doubles per
-    /// retry up to a cap, then thread yields — a tight unpaced spin here
-    /// hammers the lock holder's cache line, and on a host with fewer
-    /// cores than threads it can be precisely what keeps the holder from
-    /// running (the starvation pattern documented in the ROADMAP).
     fn lock_line(&self, line: LineId) -> &AtomicU64 {
         let slot = self.mem.line_lock(line);
-        let mut backoff = Backoff::new();
-        loop {
-            let v = slot.load(Ordering::Acquire);
-            if v & LOCKED_MASK != 0 {
-                backoff.snooze();
-                continue;
-            }
-            if slot
-                .compare_exchange(v, v | LOCK_BIT, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return slot;
-            }
-            backoff.spin();
-        }
+        acquire_lock_bit(slot, LOCK_BIT);
+        slot
     }
 
     /// Reads a word non-transactionally. The read is atomic with respect to
@@ -400,8 +402,8 @@ impl HtmRuntime {
     /// if the containing line is locked by an in-flight commit, the read
     /// waits for the commit to finish.
     /// The wait for an in-flight commit to release the line uses the same
-    /// bounded exponential backoff as the internal line-locking path:
-    /// capped doubling spin-loop pauses, then yields.
+    /// [`Backoff`] as the line-locking path: `snooze` while the line is
+    /// locked, `spin` after a torn read.
     pub fn nontx_read(&self, addr: PAddr) -> u64 {
         let line = addr.line();
         let mut backoff = Backoff::new();

@@ -7,9 +7,9 @@
 //! replay allocation decisions (Section 6, "Memory management").
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crafty_common::{PAddr, WORDS_PER_LINE};
-use parking_lot::Mutex;
 
 /// A thread-safe bump + free-list allocator over `[start, start+words)`.
 #[derive(Debug)]
@@ -46,7 +46,7 @@ impl PmemAllocator {
     /// microbenchmarks). Returns `None` when the region is exhausted.
     pub fn alloc(&self, words: u64) -> Option<PAddr> {
         let size = Self::size_class(words);
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(addr) = inner.free_lists.get_mut(&size).and_then(Vec::pop) {
             inner.live_allocations += 1;
             return Some(addr);
@@ -64,20 +64,26 @@ impl PmemAllocator {
     /// the same `words`) to the allocator.
     pub fn free(&self, addr: PAddr, words: u64) {
         let size = Self::size_class(words);
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.free_lists.entry(size).or_default().push(addr);
         inner.live_allocations = inner.live_allocations.saturating_sub(1);
     }
 
     /// Number of allocations currently live (allocated and not freed).
     pub fn live_allocations(&self) -> u64 {
-        self.inner.lock().live_allocations
+        self.lock().live_allocations
     }
 
     /// Words already consumed from the region (monotone; freed blocks are
     /// recycled but never returned to the bump cursor).
     pub fn used_words(&self) -> u64 {
-        self.inner.lock().cursor
+        self.lock().cursor
+    }
+
+    /// No update of [`Inner`] can panic halfway, so a lock poisoned by a
+    /// panic elsewhere still guards a valid state.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn size_class(words: u64) -> u64 {

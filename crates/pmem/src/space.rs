@@ -183,6 +183,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crafty_common::trace::{self, TraceEventKind};
+use crafty_common::wait;
 use crafty_common::{mix64, LineId, OwnedCounter, PAddr, SplitMix64, WORDS_PER_LINE};
 
 use crate::config::{CrashModel, DrainCoalescing, LatencyModel, PersistGranularity, PmemConfig};
@@ -448,18 +449,6 @@ pub struct MemorySpace {
     /// image while others (already photographed) predate it, a torn,
     /// causally impossible crash state no real power failure can produce.
     fault_capture_done: AtomicBool,
-}
-
-/// Spins until `ns` nanoseconds after `issued`: a deadline, not a sleep.
-/// Whatever the caller did since `issued` — the simulator's own write-back
-/// bookkeeping — counts toward the modelled latency, so an operation lasts
-/// exactly what [`LatencyModel`] says it costs (or, if the bookkeeping
-/// alone overran that, returns at once). `None` waits for nothing.
-fn spin_until(issued: Option<Instant>, ns: u64) {
-    let Some(issued) = issued else { return };
-    while (issued.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
-    }
 }
 
 /// Where a flush stamp's queue tag starts: the bits below hold a ring
@@ -918,7 +907,7 @@ impl MemorySpace {
                 q.stats.overflow_writebacks.add(1);
                 q.stats.overflow_words.add(words);
                 q.stats.overflow_line_words.add(line_words);
-                spin_until(issued, self.cfg.latency.clwb_range(1, words));
+                wait::deadline(issued, self.cfg.latency.clwb_range(1, words));
                 continue;
             }
             q.slot(pos).store(line.index(), Ordering::Release);
@@ -990,11 +979,9 @@ impl MemorySpace {
             // being waited on needs a core to finish persisting, and on a
             // few-core host a spinning waiter is what keeps it descheduled
             // (the same starvation pattern fixed in the NV-HTM
-            // checkpointer). Uncontended drains never enter either loop
-            // body, so the hot path pays nothing.
-            while q.done.load(Ordering::Acquire) != claim {
-                std::thread::yield_now();
-            }
+            // checkpointer). Uncontended drains never yield in either
+            // wait, so the hot path pays nothing.
+            wait::until(|| q.done.load(Ordering::Acquire) == claim);
             // The retirement window: this drain is the only one of this
             // queue between observing `done == claim` and publishing
             // `done = target`, so its sums go into the queue's
@@ -1010,9 +997,7 @@ impl MemorySpace {
         }
         // SFENCE semantics: even when a concurrent drain claimed (part of)
         // the range, do not return before it is durably retired.
-        while q.done.load(Ordering::Acquire) < target {
-            std::thread::yield_now();
-        }
+        wait::until(|| q.done.load(Ordering::Acquire) >= target);
         if count == 0 {
             // Nothing left to claim (empty queue, or a concurrent drain took
             // it all): no retirement window to count in.
@@ -1021,7 +1006,7 @@ impl MemorySpace {
                 .fetch_add(1, Ordering::Relaxed);
         }
         self.fault_tick();
-        spin_until(issued, self.cfg.latency.drain_ns + cost_ns);
+        wait::deadline(issued, self.cfg.latency.drain_ns + cost_ns);
         trace::record(tid, TraceEventKind::Drain, count);
         count
     }
@@ -1166,8 +1151,11 @@ impl MemorySpace {
     }
 
     /// The clock at the issue of a persist operation whose modelled cost
-    /// [`spin_until`] will wait out — or `None`, without reading the clock,
-    /// when the latency model charges nothing at all.
+    /// [`wait::deadline`] will wait out — or `None`, without reading the
+    /// clock, when the latency model charges nothing at all. Whatever the
+    /// simulator's own write-back bookkeeping costs after the issue counts
+    /// toward the modelled latency, so an operation lasts exactly what
+    /// [`LatencyModel`] says it costs.
     #[inline]
     fn issue_time(&self) -> Option<Instant> {
         (self.cfg.latency != LatencyModel::instant()).then(Instant::now)
@@ -1196,7 +1184,7 @@ impl MemorySpace {
         let mut seen = slot.load(Ordering::Acquire);
         let dirty = loop {
             if seen & WRITING_BACK != 0 {
-                std::thread::yield_now();
+                wait::yield_now();
                 seen = slot.load(Ordering::Acquire);
                 continue;
             }
@@ -1370,11 +1358,9 @@ impl MemorySpace {
             // to at most each thread's single in-flight operation, and an
             // in-flight store is exactly a dirty word at crash — the coin
             // resolution the model already applies. Single-threaded
-            // suites never spin here: the capturing thread sets the flag
+            // suites never wait here: the capturing thread sets the flag
             // before its own next tick.
-            while !self.fault_capture_done.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
+            wait::until(|| self.fault_capture_done.load(Ordering::Acquire));
         }
     }
 
@@ -1886,28 +1872,9 @@ mod tests {
         let start = Instant::now();
         m.drain(0);
         assert!(start.elapsed().as_nanos() >= 200_000);
-    }
-
-    #[test]
-    fn spin_until_is_a_deadline_not_a_sleep() {
-        // A start that is already `ns` in the past: nothing left to wait
-        // (a sleep would take `ns` again; the margin is for a busy host).
-        const NS: u64 = 200_000_000;
-        let issued = Instant::now();
-        std::thread::sleep(std::time::Duration::from_nanos(NS));
-        let before = Instant::now();
-        spin_until(Some(issued), NS);
-        assert!(
-            (before.elapsed().as_nanos() as u64) < NS / 2,
-            "time already spent counts toward the deadline"
-        );
-        // A fresh start lasts the whole of it.
-        let issued = Instant::now();
-        spin_until(Some(issued), 200_000);
-        assert!(issued.elapsed().as_nanos() >= 200_000);
-        // No start, no wait: the instant model never reads the clock.
+        assert!(m.issue_time().is_some());
+        // The instant model waits for nothing and never reads the clock.
         assert!(space().issue_time().is_none());
-        spin_until(None, u64::MAX);
     }
 
     #[test]

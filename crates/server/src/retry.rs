@@ -32,9 +32,9 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crafty_common::wait::Backoff;
 use crafty_common::SplitMix64;
 use crafty_kv::REPLY_WINDOW;
-use crossbeam::utils::Backoff;
 
 use crate::client::{ClientError, KvClient, NetStream};
 use crate::protocol::{Request, Response};

@@ -59,9 +59,9 @@ pub fn drive(
     txns_per_thread: u64,
     seed: u64,
 ) {
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut handle = engine.register_thread(tid);
                 let mut seeds = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x9E37));
                 for i in 0..txns_per_thread {
@@ -78,8 +78,7 @@ pub fn drive(
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// [`drive`], timed and then quiesced: returns the wall-clock time of the
