@@ -182,6 +182,14 @@ impl LineTable {
             .is_some_and(|slot| slot.line == line)
     }
 
+    /// `line`'s entry, if the table has one: a read-only
+    /// [`LineTable::find`] that neither moves the last-line cache nor
+    /// remembers a miss.
+    #[inline]
+    pub fn get(&self, line: u64) -> Option<&LineSlot> {
+        self.probe(line).ok().map(|idx| &self.slots[idx])
+    }
+
     /// The dense index of `line`'s entry, if the table has one. Never
     /// inserts; a miss remembers where `line` would go, for an
     /// [`LineTable::entry`] of the same line right after.
@@ -321,7 +329,9 @@ mod tests {
         }
         for k in 0..100u64 {
             assert_eq!(t.find(k * 5 + 1), Some(k as usize + 1));
+            assert_eq!(t.get(k * 5 + 1).map(LineSlot::line), Some(k * 5 + 1));
         }
+        assert!(t.get(2).is_none(), "get misses like find");
     }
 
     #[test]

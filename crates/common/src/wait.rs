@@ -9,7 +9,7 @@
 //!   time, not for a duration;
 //! * [`yield_now`] — a yield point before a retry.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Polls `cond` until it holds, yielding the thread between polls. Yield,
 /// don't spin: the thread being waited on needs a core to make the
@@ -32,13 +32,15 @@ pub fn yield_now() {
 
 /// Spins until `ns` nanoseconds after `issued`: a deadline, not a sleep.
 /// Whatever the caller did since `issued` counts toward the wait, so an
-/// operation lasts exactly `ns` (or, if the caller's own work alone
-/// overran that, returns at once). `None` waits for nothing and reads no
-/// clock.
+/// operation lasts at least `ns`, about one clock read more (or, if the
+/// caller's own work alone overran that, returns after one clock read).
+/// The deadline is computed once; each poll is one clock read and one
+/// comparison. `None` waits for nothing and reads no clock.
 #[inline]
 pub fn deadline(issued: Option<Instant>, ns: u64) {
     let Some(issued) = issued else { return };
-    while (issued.elapsed().as_nanos() as u64) < ns {
+    let end = issued + Duration::from_nanos(ns);
+    while Instant::now() < end {
         std::hint::spin_loop();
     }
 }
@@ -146,6 +148,20 @@ mod tests {
         assert!(issued.elapsed().as_nanos() >= 200_000);
         // No start, no wait.
         deadline(None, u64::MAX);
+    }
+
+    #[test]
+    fn deadline_never_returns_early() {
+        // A lower bound only: how far past the deadline a wait ends is up
+        // to the host's scheduler and is not asserted.
+        for ns in [0, 1, 50, 299, 300, 301, 1777] {
+            for _ in 0..2000 {
+                let issued = Instant::now();
+                deadline(Some(issued), ns);
+                let waited = issued.elapsed().as_nanos();
+                assert!(waited >= u128::from(ns), "{ns} ns wait ended at {waited}");
+            }
+        }
     }
 
     #[test]

@@ -707,10 +707,10 @@ impl<'rt> HwTxn<'rt> {
             }
         };
 
-        // The lines to lock were collected as writes arrived; sorting the
-        // reused buffer in place gives the canonical lock order (avoids
-        // deadlock between concurrent committers).
-        s.lock_order.sort_unstable();
+        // Lock in first-touch order, as the lines were collected. No
+        // canonical order is needed: a hardware commit never waits on a
+        // line — one that is locked or versioned past `rv` aborts it, and
+        // it releases what it took — so no cycle of waiters can form.
         let mut conflict = false;
         for (i, &line) in s.lock_order.iter().enumerate() {
             let slot = rt.lock_word(line);
@@ -747,8 +747,8 @@ impl<'rt> HwTxn<'rt> {
 
         // Validate the read log: a line tagged HELD was checked when it was
         // locked; any other gets the version check, and only one that fails
-        // it is looked up among the lines this commit holds (checked when
-        // they were locked, too).
+        // it is looked up in the write table, whose flags say whether this
+        // commit holds it (then it was checked when it was locked, too).
         conflict = conflict
             || s.reads.iter().any(|&line| {
                 if line & HELD != 0 {

@@ -93,9 +93,11 @@ pub struct TxnScratch {
     /// Number of distinct words with a buffered write.
     pub(crate) words_written: usize,
     /// Ids of the lines to lock at commit ([`LOCKS`]), in first-touch
-    /// order; sorted in place at commit to give the canonical lock order.
+    /// order. A hardware commit locks them in that order; only
+    /// [`crate::FallbackTxn`], which waits while holding locks, sorts them
+    /// first.
     pub(crate) lock_order: Vec<u64>,
-    /// How many lines of the (sorted) `lock_order` are currently locked.
+    /// How many lines at the front of `lock_order` are currently locked.
     pub(crate) locked: usize,
     /// Addresses to receive the commit version.
     pub(crate) version_sinks: Vec<PAddr>,
@@ -240,12 +242,16 @@ impl TxnScratch {
         }
     }
 
-    /// True if the transaction holds `line`'s lock: a binary search of the
-    /// locked prefix of the (by then sorted) lock order. Validation asks
-    /// it of a logged read that failed its version check.
+    /// True if the transaction holds `line`'s lock: the line's own entry
+    /// carries a [`LOCKS`] flag (O(1), in whatever order the lines were
+    /// locked). Validation asks it of a logged read that failed its
+    /// version check, once every line of the lock order is locked.
     #[inline]
     pub(crate) fn holds(&self, line: u64) -> bool {
-        self.lock_order[..self.locked].binary_search(&line).is_ok()
+        debug_assert_eq!(self.locked, self.lock_order.len(), "lock set held");
+        self.lines
+            .get(line)
+            .is_some_and(|slot| slot.flags & LOCKS != 0)
     }
 
     /// Sorts and deduplicates the read log in place (no allocation) and

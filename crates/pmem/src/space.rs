@@ -1154,8 +1154,8 @@ impl MemorySpace {
     /// [`wait::deadline`] will wait out — or `None`, without reading the
     /// clock, when the latency model charges nothing at all. Whatever the
     /// simulator's own write-back bookkeeping costs after the issue counts
-    /// toward the modelled latency, so an operation lasts exactly what
-    /// [`LatencyModel`] says it costs.
+    /// toward the modelled latency, so an operation lasts at least what
+    /// [`LatencyModel`] says it costs, and about one clock read more.
     #[inline]
     fn issue_time(&self) -> Option<Instant> {
         (self.cfg.latency != LatencyModel::instant()).then(Instant::now)
