@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn one_point_serves_the_whole_schedule() {
-        let _serial = crate::TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = crate::trace_test_lock();
         let cfg = tiny();
         let p = run_kvserve_point(&cfg, KvServeEngine::NonDurable, 50_000);
         assert_eq!(p.ops, 400, "every scheduled op must be served and acked");
@@ -480,7 +480,7 @@ mod tests {
 
     #[test]
     fn json_and_table_carry_the_percentile_columns() {
-        let _serial = crate::TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = crate::trace_test_lock();
         let cfg = tiny();
         let mut points = run_kvserve(&cfg);
         assert_eq!(points.len(), 1);

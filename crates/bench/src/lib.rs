@@ -44,8 +44,17 @@ use crafty_workloads::{build_engine, measure, EngineKind, Workload};
 /// assertions about what was (or was not) recorded cannot race, and every
 /// other test that runs an engine: while a trace test has the level at
 /// Events, its transactions would land in the trace test's rings.
+///
+/// A test that fails while holding the lock poisons it; the guard is
+/// recovered rather than failing every later test too. That is safe: the
+/// lock guards `()`, and `trace::LevelGuard` restores the trace level
+/// while the failing test unwinds.
 #[cfg(test)]
-pub(crate) static TRACE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+pub(crate) fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Rounds to two decimals for the JSON artifacts (stable, diff-friendly
 /// files).
@@ -379,7 +388,7 @@ mod tests {
 
     #[test]
     fn figure_collects_one_point_per_engine_and_thread_count() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = trace_test_lock();
         let points = bank_points(&tiny());
         assert_eq!(points.len(), 4);
         let mut figure = Figure::new(points[0].workload.as_str());
@@ -394,7 +403,7 @@ mod tests {
 
     #[test]
     fn breakdowns_and_table1_cells_are_produced() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = trace_test_lock();
         for p in bank_points(&tiny()) {
             let m = &p.measurement;
             assert_eq!(m.transactions, 50 * m.threads as u64);
@@ -417,7 +426,7 @@ mod tests {
     fn no_redo_commits_the_hotpath_through_validate() {
         // Thousands of transactions on tid 0: while a trace test has the
         // level at Events they would flush its slices out of the ring.
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = trace_test_lock();
         let cfg = HarnessConfig {
             txns_per_thread: 2_000,
             ..tiny()
@@ -443,7 +452,7 @@ mod tests {
     /// commits in software — with the money conserved.
     #[test]
     fn a_body_that_does_not_repeat_ends_in_software_and_stays_correct() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = trace_test_lock();
         let mem = Arc::new(MemorySpace::new(tiny().pmem_config(1)));
         let engine = build_engine(EngineKind::CraftyNoRedo, &mem, 1);
         let mix = BankWorkload::paper(Contention::Medium, 1).prepare(&mem);
@@ -461,7 +470,7 @@ mod tests {
 
     #[test]
     fn kv_points_cover_all_mixes_and_engines() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = trace_test_lock();
         let cfg = HarnessConfig {
             thread_counts: vec![1],
             txns_per_thread: 40,
@@ -494,7 +503,7 @@ mod tests {
 
     #[test]
     fn breakdown_matrix_covers_both_mixes_on_all_four_engines() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = trace_test_lock();
         let cfg = HarnessConfig {
             txns_per_thread: 60,
             seed: 7,
@@ -554,7 +563,7 @@ mod tests {
 
     #[test]
     fn rendered_artifact_round_trips_through_the_parser() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = trace_test_lock();
         let cfg = HarnessConfig {
             thread_counts: vec![1],
             ..tiny()
@@ -605,7 +614,7 @@ mod tests {
     /// transactions have dirtied by the time it writes the line back).
     #[test]
     fn committed_baseline_counts_repeat_at_one_thread() {
-        let _serial = TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = trace_test_lock();
         let _off = trace::LevelGuard::arm(TraceLevel::Off);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
         let text = std::fs::read_to_string(path).expect("read BENCH_hotpath.json");

@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn dump_contains_slices_and_instants_for_every_thread() {
-        let _serial = crate::TRACE_TEST_LOCK.lock().unwrap();
+        let _serial = crate::trace_test_lock();
         let dump = TraceDumpConfig {
             engine: EngineKind::Crafty,
             threads: 2,

@@ -21,7 +21,7 @@ use crafty_pmem::{MemorySpace, PmemAllocator};
 
 use crate::config::CraftyConfig;
 use crate::thread::CraftyThread;
-use crate::undo_log::{LogDirectory, LogGeometry, MarkerKind, UndoLog};
+use crate::undo_log::{LogDirectory, LogGeometry, UndoLog};
 
 /// Explicit abort code: a phase's hardware transaction observed the single
 /// global lock held and aborted (speculative lock elision).
@@ -288,13 +288,9 @@ impl Crafty {
         while still_wanted() {
             let ts = self.clock.now();
             let mut txn = self.htm.begin(via_tid);
-            let log = &shared.undo_log;
-            let appended = log
-                .append_sequence(&mut txn, &[], MarkerKind::Logged, ts, &mut Vec::new())
-                .and_then(|info| {
-                    log.commit_marker(&mut txn, info.marker_abs, 0, ts)?;
-                    Ok(info)
-                });
+            let appended = shared
+                .undo_log
+                .append_sequence(&mut txn, &[], ts, &mut Vec::new());
             if let Ok(info) = appended.and_then(|info| txn.commit().map(|_| info)) {
                 shared
                     .undo_log
@@ -319,13 +315,9 @@ impl Crafty {
     fn persist_now_quiesced(&self, tid: usize) {
         let shared = &self.threads[tid];
         let ts = self.clock.now();
-        let Ok(info) = shared.undo_log.append_sequence(
-            &self.htm,
-            &[],
-            MarkerKind::Committed,
-            ts,
-            &mut Vec::new(),
-        );
+        let Ok(info) = shared
+            .undo_log
+            .append_sequence(&self.htm, &[], ts, &mut Vec::new());
         shared
             .undo_log
             .flush_marker(&self.mem, tid, info.marker_abs);

@@ -78,4 +78,4 @@ pub use recovery::{
     RecoveryError, RecoveryReport, Sequence,
 };
 pub use thread::CraftyThread;
-pub use undo_log::{Entry, LogDirectory, LogGeometry, MarkerKind, SlotState, UndoLog};
+pub use undo_log::{Entry, LogDirectory, LogGeometry, SlotState, UndoLog};

@@ -5,10 +5,11 @@
 //!
 //! 1. Read the persistent log directory to find every thread's circular
 //!    undo log.
-//! 2. Parse each log into *fully persisted sequences*: every
-//!    LOGGED/COMMITTED marker records its sequence's entry count, and a
-//!    sequence is accepted only when all of those slots hold current-lap
-//!    `<addr, oldValue>` entries. Wraparound parity codes distinguish the
+//! 2. Parse each log into *fully persisted sequences*: every marker
+//!    records its sequence's entry count in its meta word and its
+//!    timestamp (the Log time, or the commit time once stamped) in its
+//!    value word, and a sequence is accepted only when all of those slots
+//!    hold current-lap `<addr, oldValue>` entries. Wraparound parity codes distinguish the
 //!    current lap from stale or torn slots (Section 5.2), and the count
 //!    rejects sequences that lost entries to the crash — those were never
 //!    drained, so their in-place writes never started (see
@@ -44,7 +45,7 @@ const FLAG_ZEROING: u64 = 1;
 /// A fully persisted sequence reconstructed from a thread's log.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Sequence {
-    /// The sequence timestamp (LOGGED time, overwritten by COMMITTED time).
+    /// The sequence timestamp (Log time, stamped over with commit time).
     pub ts: Timestamp,
     /// Undo entries in append (program) order.
     pub entries: Vec<(PAddr, u64)>,
@@ -124,9 +125,7 @@ pub fn parse_sequences(image: &PersistentImage, geometry: &LogGeometry) -> Vec<S
     for (slot, state) in states.iter().enumerate() {
         let SlotState::Valid {
             parity,
-            entry: Entry::Marker {
-                ts, data_entries, ..
-            },
+            entry: Entry::Marker { ts, data_entries },
         } = *state
         else {
             continue;
@@ -365,7 +364,7 @@ pub fn logs_are_clean(image: &PersistentImage, directory_addr: PAddr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::undo_log::{decode, LogGeometry, MarkerKind, UndoLog};
+    use crate::undo_log::{decode, LogGeometry, UndoLog};
     use crafty_common::BreakdownRecorder;
     use crafty_htm::{HtmConfig, HtmRuntime};
     use crafty_pmem::{MemorySpace, PmemConfig};
@@ -407,13 +406,8 @@ mod tests {
     /// Appends a fully persisted sequence non-transactionally and persists
     /// it, emulating a completed Log (+Redo) for the given writes.
     fn persist_sequence(f: &Fixture, tid: usize, entries: &[(PAddr, u64)], ts: u64) {
-        let Ok(info) = f.logs[tid].append_sequence(
-            &f.htm,
-            entries,
-            MarkerKind::Committed,
-            Timestamp::from_raw(ts),
-            &mut Vec::new(),
-        );
+        let Ok(info) =
+            f.logs[tid].append_sequence(&f.htm, entries, Timestamp::from_raw(ts), &mut Vec::new());
         f.logs[tid].flush_entries(&f.mem, 0, info.first_abs, info.marker_abs);
         f.mem.drain(0);
     }
@@ -537,13 +531,8 @@ mod tests {
         let data_slot = g.slot_addr(2);
         let marker_slot = g.slot_addr(3);
         // Data entry for x with old value 1, parity 0, encoded by the crate.
-        let Ok(info) = f.logs[0].append_sequence(
-            &f.htm,
-            &[(x, 1)],
-            MarkerKind::Logged,
-            Timestamp::from_raw(9),
-            &mut Vec::new(),
-        );
+        let Ok(info) =
+            f.logs[0].append_sequence(&f.htm, &[(x, 1)], Timestamp::from_raw(9), &mut Vec::new());
         assert_eq!(info.marker_abs, 3);
         f.logs[0].flush_entries(&f.mem, 0, info.first_abs, info.marker_abs);
         f.mem.drain(0);

@@ -1,7 +1,7 @@
 //! Per-thread execution of persistent transactions: one commit pipeline —
 //! buffer the body's writes, make their undo entries durable, publish in
-//! place, stamp the sequence COMMITTED — parameterised by who keeps other
-//! threads out meanwhile.
+//! place, stamp the sequence's marker with the commit time — parameterised
+//! by who keeps other threads out meanwhile.
 //!
 //! The control flow follows Figures 3 and 4 of the paper:
 //!
@@ -52,7 +52,7 @@ use crafty_pmem::{MemorySpace, PmemAllocator};
 use crate::alloc_log::AllocLog;
 use crate::config::{CraftyVariant, FallbackPolicy, ThreadingMode};
 use crate::engine::{Crafty, ABORT_REDO_TS_CHECK, ABORT_SGL_HELD, ABORT_VALIDATE_MISMATCH};
-use crate::undo_log::{AppendInfo, MarkerKind};
+use crate::undo_log::AppendInfo;
 
 /// How many times an individual hardware transaction is retried within one
 /// phase attempt before the attempt counts as failed. Every configuration
@@ -286,7 +286,7 @@ impl<'c> CraftyThread<'c> {
     /// The Log phase (Algorithm 1): execute the body in a hardware
     /// transaction whose descriptor journals each write's old value; keep
     /// the write buffer as the redo log and roll every write back before
-    /// committing; append the undo entries plus a LOGGED marker to the
+    /// committing; append the undo entries plus a marker to the
     /// persistent undo log; after the hardware transaction commits, flush
     /// the entries (no drain — the next hardware transaction's fence
     /// semantics complete the persist).
@@ -347,13 +347,8 @@ impl<'c> CraftyThread<'c> {
                 continue;
             };
             let log_ts = engine.timestamp();
-            let appended = undo_log.append_sequence(
-                &mut txn,
-                &self.entries_buf,
-                MarkerKind::Logged,
-                log_ts,
-                &mut self.log_words,
-            );
+            let appended =
+                undo_log.append_sequence(&mut txn, &self.entries_buf, log_ts, &mut self.log_words);
             let Ok(info) = appended else {
                 continue;
             };
@@ -448,12 +443,9 @@ impl<'c> CraftyThread<'c> {
             txn.write_lines(&self.redo_buf, seq.writes)?;
         }
         txn.publish_commit_version(engine.g_last_redo_ts_addr)?;
-        engine.threads[self.tid].undo_log.commit_marker(
-            &mut txn,
-            seq.marker_abs,
-            seq.persistent_writes,
-            commit_ts,
-        )?;
+        engine.threads[self.tid]
+            .undo_log
+            .commit_marker(&mut txn, seq.marker_abs, commit_ts)?;
         // CLWBs (no drain) for every persistent line written — the undo
         // entries' lines plus the marker's — enqueued atomically with the
         // commit. The next hardware transaction this thread starts
@@ -479,12 +471,12 @@ impl<'c> CraftyThread<'c> {
     /// The Redo phase's check (Algorithm 2, thread-safe variant): no other
     /// thread may have committed writes since this transaction's Log
     /// phase. If so, the commit tail performs the logged writes, advances
-    /// `gLastRedoTS`, and turns the LOGGED marker into COMMITTED — all
+    /// `gLastRedoTS`, and stamps the marker with the commit time — all
     /// inside this one hardware transaction.
     ///
     /// The paper's check compares RDTSC values: `gLastRedoTS` holds the
     /// timestamp of the last committed writer and must still be below this
-    /// transaction's LOGGED timestamp. That is sound on real RTM, where
+    /// transaction's Log timestamp. That is sound on real RTM, where
     /// conflicting transactions cannot overlap. Under the simulated
     /// (commit-time-validated) HTM a transaction can publish *after*
     /// another transaction's Log phase committed while carrying an earlier
@@ -573,7 +565,7 @@ impl<'c> CraftyThread<'c> {
     /// The one software commit: run the body against buffered writes, let
     /// the exclusion strategy `X` keep other threads out of the write set,
     /// bump `gLastRedoTS`, validate the reads, persist the undo log,
-    /// publish, stamp COMMITTED, and release. Under
+    /// publish, stamp the marker, and release. Under
     /// [`crafty_htm::FallbackTxn`] that is the per-line fallback: versioned
     /// snapshot reads, exactly the write-set lines locked (sorted order),
     /// released at a fresh commit version — no global lock is taken and
@@ -662,7 +654,6 @@ impl<'c> CraftyThread<'c> {
             let Ok(info) = undo_log.append_sequence(
                 &engine.htm,
                 &self.entries_buf,
-                MarkerKind::Logged,
                 log_ts,
                 &mut self.log_words,
             );
@@ -680,15 +671,14 @@ impl<'c> CraftyThread<'c> {
     /// The tail of every commit published outside a hardware transaction:
     /// CLWB the lines of the persistent words written (the addresses of
     /// the sequence's undo entries, still in `entries_buf`) in one batch,
-    /// turn its marker into COMMITTED, and flush it.
+    /// stamp its marker with the commit timestamp, and flush it.
     fn stamp_committed(&self, marker_abs: u64) {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
         let lines = self.entries_buf.iter().map(|(addr, _)| addr.line());
         engine.mem.clwb_lines(self.tid, lines);
         let commit_ts = engine.timestamp();
-        let data_entries = self.entries_buf.len() as u64;
-        let Ok(()) = undo_log.commit_marker(&engine.htm, marker_abs, data_entries, commit_ts);
+        let Ok(()) = undo_log.commit_marker(&engine.htm, marker_abs, commit_ts);
         undo_log.flush_marker(&engine.mem, self.tid, marker_abs);
         // Outside hardware transactions there is no later fence to
         // piggyback on, so complete the write-backs here.

@@ -2,16 +2,16 @@
 //!
 //! Each thread owns a circular log in persistent memory. During the Log
 //! phase the executing hardware transaction appends one `<addr, oldValue>`
-//! entry per persistent write plus a trailing `LOGGED` marker; after the
-//! hardware transaction commits, the entries are flushed (CLWB without
-//! drain — the next hardware transaction's fence semantics complete the
-//! persist). The Redo or Validate phase later overwrites the marker with
-//! `COMMITTED` and the commit timestamp (the paper's merged
-//! LOGGED/COMMITTED optimization, Section 6).
+//! entry per persistent write plus a trailing marker carrying the Log
+//! timestamp; after the hardware transaction commits, the entries are
+//! flushed (CLWB without drain — the next hardware transaction's fence
+//! semantics complete the persist). The Redo or Validate phase later
+//! stamps the marker with the commit timestamp in place (the paper's
+//! merged LOGGED/COMMITTED optimization, Section 6).
 //!
 //! One writer serves every route: [`UndoLog::append_sequence`] encodes a
 //! sequence once and stores it as at most two contiguous runs, and
-//! [`UndoLog::commit_marker`] overwrites a marker, both through a
+//! [`UndoLog::commit_marker`] stamps a marker, both through a
 //! [`LogStore`] — a hardware transaction, or the runtime's line-granular
 //! non-transactional store (software commits, quiesce).
 //!
@@ -28,8 +28,8 @@
 //! value word: [63..2] old-value bits 63..2   [1..0] parity code (01 or 10)
 //!
 //! marker entry
-//! meta word:  [63]=1 marker?  [62] wraparound parity   [59..48] entry count
-//!             [60] present    [47..0] marker kind
+//! meta word:  [63]=1 marker?  [62] wraparound parity
+//!             [60] present    [47..0] entry count
 //! value word: [63..2] timestamp (shifted left 2)  [1..0] parity code (01 or 10)
 //! ```
 //!
@@ -49,8 +49,9 @@
 //! stale word from the previous lap carries the other code and is equally
 //! rejected.
 //!
-//! A marker also records **how many data entries its sequence appended**
-//! (meta bits 59..48, so a sequence is limited to 4095 entries). The count
+//! A marker records **how many data entries its sequence appended** (meta
+//! bits 47..0, the width of an address, so any sequence that fits in a log
+//! fits in the field). The count
 //! makes every sequence self-describing: recovery anchors at a marker and
 //! walks backward exactly `count` slots, and accepts the sequence only if
 //! every one of them holds a current-lap data entry. A sequence that lost
@@ -62,19 +63,11 @@
 //! shorter sequence, and rolling back the surviving suffix would write
 //! transient in-transaction values over live data.
 //!
-//! A marker's timestamp, by contrast, lives *entirely in the value word*
-//! (shifted past the parity bit — timestamps are clock counts, far below
-//! 2^63). This is deliberate, not cosmetic: the commit phases overwrite a
-//! LOGGED marker with a COMMITTED one **in place**, and both versions
-//! carry the same lap parity, so parity cannot detect a crash that
-//! persists one word of the overwrite but not the other. With the
-//! timestamp split across the words (as data entries do), such a mix would
-//! decode as a valid marker carrying a *frankenstein* timestamp — bits of
-//! the Log-phase timestamp spliced with a bit of the commit timestamp —
-//! which can derail the recovery cut's rollback ordering. Keeping each
-//! field within one word makes every word-granular persistence mix decode
-//! to a legitimate `(kind, ts)` pair whose timestamp is one of the
-//! sequence's real clock draws, either of which orders correctly.
+//! A marker's timestamp lives *entirely in the value word* (shifted past
+//! the parity code — timestamps are clock counts, far below 2^62), and the
+//! commit stamp rewrites that one word in place: a crash leaves either the
+//! Log timestamp or the commit timestamp, both real clock draws that order
+//! the recovery cut correctly.
 
 use std::convert::Infallible;
 
@@ -82,7 +75,7 @@ use crafty_common::{PAddr, Timestamp};
 use crafty_htm::{AbortCode, HtmRuntime, HwTxn};
 use crafty_pmem::{MemorySpace, PersistentImage};
 
-/// Bit 63 of the meta word: the entry is a LOGGED/COMMITTED marker.
+/// Bit 63 of the meta word: the entry is a sequence's marker.
 const MARKER_BIT: u64 = 1 << 63;
 /// Bit 62 of the meta word: wraparound parity.
 const META_PARITY_BIT: u64 = 1 << 62;
@@ -92,12 +85,8 @@ const STOLEN_PAYLOAD_BIT0: u64 = 1 << 61;
 const PRESENT_BIT: u64 = 1 << 60;
 /// Bit 59 of the meta word: bit 1 of a data entry's old value.
 const STOLEN_PAYLOAD_BIT1: u64 = 1 << 59;
-/// Low 48 bits of the meta word: address word index or marker kind.
+/// Low 48 bits of the meta word: address word index or marker entry count.
 const ADDR_MASK: u64 = (1 << 48) - 1;
-/// Shift of a marker's data-entry count within its meta word.
-const MARKER_COUNT_SHIFT: u64 = 48;
-/// Width mask of a marker's data-entry count (bits 59..48).
-const MARKER_COUNT_MASK: u64 = 0xFFF;
 /// Bits 1..0 of the value word: the wraparound parity code.
 const VALUE_PARITY_MASK: u64 = 0b11;
 
@@ -112,35 +101,6 @@ fn value_parity_code(parity: u64) -> u64 {
     }
 }
 
-/// Whether a marker entry was written by the Log phase or overwritten at
-/// commit time.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MarkerKind {
-    /// The sequence's undo entries are complete and persisted; its writes
-    /// may or may not have been performed.
-    Logged,
-    /// The sequence's writes were committed by a Redo or Validate phase
-    /// (or an SGL section) at the recorded timestamp.
-    Committed,
-}
-
-impl MarkerKind {
-    fn code(self) -> u64 {
-        match self {
-            MarkerKind::Logged => 1,
-            MarkerKind::Committed => 2,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<Self> {
-        match code {
-            1 => Some(MarkerKind::Logged),
-            2 => Some(MarkerKind::Committed),
-            _ => None,
-        }
-    }
-}
-
 /// A decoded, fully persisted log entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Entry {
@@ -152,15 +112,12 @@ pub enum Entry {
         /// The value the address held before the write.
         old_value: u64,
     },
-    /// A LOGGED or COMMITTED marker concluding a sequence.
+    /// The marker concluding a sequence.
     Marker {
-        /// Whether the sequence was merely logged or also committed.
-        kind: MarkerKind,
-        /// The sequence timestamp (Log time, overwritten with commit time).
+        /// The sequence timestamp (Log time, stamped with commit time).
         ts: Timestamp,
         /// How many data entries the sequence appended before this marker
-        /// (identical in the LOGGED and COMMITTED versions, so an
-        /// in-place marker overwrite can never tear it).
+        /// (in the meta word, which the commit stamp never rewrites).
         data_entries: u64,
     },
 }
@@ -202,25 +159,12 @@ fn encode(entry: Entry, parity: u64) -> (u64, u64) {
                 old_value & !VALUE_PARITY_MASK,
             )
         }
-        Entry::Marker {
-            kind,
-            ts,
-            data_entries,
-        } => {
+        Entry::Marker { ts, data_entries } => {
             debug_assert!(
                 ts.raw() < 1 << 62,
                 "timestamp exceeds the 62-bit marker field"
             );
-            debug_assert!(
-                data_entries <= MARKER_COUNT_MASK,
-                "sequence exceeds the 4095-entry marker count field"
-            );
-            (
-                MARKER_BIT
-                    | ((data_entries & MARKER_COUNT_MASK) << MARKER_COUNT_SHIFT)
-                    | kind.code(),
-                ts.raw() << 2,
-            )
+            (MARKER_BIT | (data_entries & ADDR_MASK), ts.raw() << 2)
         }
     };
     let mut meta = PRESENT_BIT | meta_fields;
@@ -241,13 +185,9 @@ pub fn decode(meta: u64, value: u64) -> SlotState {
         return SlotState::Torn;
     }
     let entry = if meta & MARKER_BIT != 0 {
-        match MarkerKind::from_code(meta & ADDR_MASK) {
-            Some(kind) => Entry::Marker {
-                kind,
-                ts: Timestamp::from_raw(value >> 2),
-                data_entries: (meta >> MARKER_COUNT_SHIFT) & MARKER_COUNT_MASK,
-            },
-            None => return SlotState::Torn,
+        Entry::Marker {
+            ts: Timestamp::from_raw(value >> 2),
+            data_entries: meta & ADDR_MASK,
         }
     } else {
         let old_value = (value & !VALUE_PARITY_MASK)
@@ -388,8 +328,8 @@ impl UndoLog {
         mem.read(self.head_addr)
     }
 
-    /// Appends `entries` (in order) followed by a `kind` marker carrying
-    /// `ts`, through `store`: inside a hardware transaction (nothing
+    /// Appends `entries` (in order) followed by a marker carrying `ts`,
+    /// through `store`: inside a hardware transaction (nothing
     /// becomes visible or persistent unless it commits) or through the
     /// runtime's non-transactional store.
     ///
@@ -405,7 +345,6 @@ impl UndoLog {
         &self,
         mut store: S,
         entries: &[(PAddr, u64)],
-        kind: MarkerKind,
         ts: Timestamp,
         words: &mut Vec<u64>,
     ) -> Result<AppendInfo, S::Error> {
@@ -416,11 +355,7 @@ impl UndoLog {
         );
         let head = store.load(self.head_addr)?;
         let marker_abs = head + data_entries;
-        let marker = Entry::Marker {
-            kind,
-            ts,
-            data_entries,
-        };
+        let marker = Entry::Marker { ts, data_entries };
         words.clear();
         let data = entries
             .iter()
@@ -444,10 +379,9 @@ impl UndoLog {
         })
     }
 
-    /// Overwrites the marker at `marker_abs` with a `COMMITTED` entry
-    /// carrying `ts`, through `store`. `data_entries` must repeat the
-    /// sequence's entry count so the overwritten marker stays
-    /// self-describing.
+    /// Stamps the marker at `marker_abs` with the commit timestamp `ts`,
+    /// through `store`: one store of the marker's value word, the only
+    /// word that carries the timestamp.
     ///
     /// # Errors
     ///
@@ -456,16 +390,14 @@ impl UndoLog {
         &self,
         mut store: S,
         marker_abs: u64,
-        data_entries: u64,
         ts: Timestamp,
     ) -> Result<(), S::Error> {
         let marker = Entry::Marker {
-            kind: MarkerKind::Committed,
             ts,
-            data_entries,
+            data_entries: 0,
         };
-        let (meta, value) = encode(marker, self.geometry.parity(marker_abs));
-        store.store(self.geometry.slot_addr(marker_abs), &[meta, value])
+        let (_, value) = encode(marker, self.geometry.parity(marker_abs));
+        store.store(self.geometry.slot_addr(marker_abs).add(1), &[value])
     }
 
     /// Issues CLWBs (no drain) for every line holding entries
@@ -631,11 +563,10 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trips_markers() {
-        for kind in [MarkerKind::Logged, MarkerKind::Committed] {
+        for data_entries in [0, 1, 0xABC, 4095, 4096, 5000, ADDR_MASK] {
             let entry = Entry::Marker {
-                kind,
                 ts: Timestamp::from_raw(0xABCD_EF01_2345),
-                data_entries: 0xABC,
+                data_entries,
             };
             let (m, v) = encode(entry, 1);
             assert!(matches!(
@@ -652,46 +583,37 @@ mod tests {
 
     #[test]
     fn torn_marker_overwrite_never_yields_a_frankenstein_timestamp() {
-        // The commit phases overwrite a LOGGED marker with a COMMITTED one
-        // in place; both versions carry the same lap parity, so a crash may
-        // persist any combination of the two words undetected. Every such
-        // combination must decode to a marker whose timestamp is one of the
-        // two real clock draws — never a splice of their bits.
+        // The commit stamp rewrites a marker's value word in place and
+        // leaves its meta word alone, so a crash persists either value
+        // word beside the one meta word. Both must decode to the
+        // sequence's marker with one of the two real clock draws — never a
+        // splice of their bits — and the count intact.
         let log_ts = Timestamp::from_raw(0x1234_5677);
         let commit_ts = Timestamp::from_raw(0x1234_5842);
-        for parity in [0, 1] {
-            let (m_logged, v_logged) = encode(
-                Entry::Marker {
-                    kind: MarkerKind::Logged,
-                    ts: log_ts,
-                    data_entries: 6,
-                },
-                parity,
+        for lap in [0, 1] {
+            let (mem, htm, log) = setup();
+            htm.nontx_write(log.head_addr(), lap * 16 + 3);
+            let Ok(info) =
+                log.append_sequence(&htm, &[(PAddr::new(64), 1); 6], log_ts, &mut Vec::new());
+            let slot = log.geometry().slot_addr(info.marker_abs);
+            let appended = [mem.read(slot), mem.read(slot.add(1))];
+            let Ok(()) = log.commit_marker(&htm, info.marker_abs, commit_ts);
+            let stamped = [mem.read(slot), mem.read(slot.add(1))];
+            assert_eq!(
+                appended[0], stamped[0],
+                "the stamp leaves the meta word alone"
             );
-            let (m_committed, v_committed) = encode(
-                Entry::Marker {
-                    kind: MarkerKind::Committed,
-                    ts: commit_ts,
-                    data_entries: 6,
-                },
-                parity,
-            );
-            for (m, v) in [
-                (m_logged, v_logged),
-                (m_logged, v_committed),
-                (m_committed, v_logged),
-                (m_committed, v_committed),
-            ] {
-                match decode(m, v) {
+            for (value, expected) in [(appended[1], log_ts), (stamped[1], commit_ts)] {
+                assert_eq!(
+                    decode(appended[0], value),
                     SlotState::Valid {
-                        entry: Entry::Marker { ts, .. },
-                        ..
-                    } => assert!(
-                        ts == log_ts || ts == commit_ts,
-                        "mixed marker words decoded to a spliced timestamp {ts:?}"
-                    ),
-                    other => panic!("mixed marker words must stay valid markers, got {other:?}"),
-                }
+                        parity: lap,
+                        entry: Entry::Marker {
+                            ts: expected,
+                            data_entries: 6
+                        }
+                    }
+                );
             }
         }
     }
@@ -725,7 +647,6 @@ mod tests {
                     old_value: 991,
                 },
                 Entry::Marker {
-                    kind: MarkerKind::Logged,
                     ts: Timestamp::from_raw(9),
                     data_entries: 1,
                 },
@@ -744,7 +665,6 @@ mod tests {
             .append_sequence(
                 &mut txn,
                 &[(PAddr::new(64), 9)],
-                MarkerKind::Logged,
                 Timestamp::from_raw(3),
                 &mut Vec::new(),
             )
@@ -761,13 +681,7 @@ mod tests {
         let data = [(PAddr::new(64), 11u64), (PAddr::new(72), 22u64)];
         let mut txn = htm.begin(0);
         let info = log
-            .append_sequence(
-                &mut txn,
-                &data,
-                MarkerKind::Logged,
-                Timestamp::from_raw(5),
-                &mut Vec::new(),
-            )
+            .append_sequence(&mut txn, &data, Timestamp::from_raw(5), &mut Vec::new())
             .expect("append");
         txn.commit().expect("commit");
         log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
@@ -786,11 +700,10 @@ mod tests {
         }
         match g.read_slot(&image, 2) {
             SlotState::Valid {
-                entry: Entry::Marker { kind, ts, .. },
+                entry: Entry::Marker { ts, data_entries },
                 ..
             } => {
-                assert_eq!(kind, MarkerKind::Logged);
-                assert_eq!(ts.raw(), 5);
+                assert_eq!((ts.raw(), data_entries), (5, 2));
             }
             other => panic!("slot 2: {other:?}"),
         }
@@ -804,31 +717,32 @@ mod tests {
             .append_sequence(
                 &mut txn,
                 &[(PAddr::new(64), 1)],
-                MarkerKind::Logged,
                 Timestamp::from_raw(7),
                 &mut Vec::new(),
             )
             .expect("append");
         txn.commit().expect("commit");
-        let mut txn2 = htm.begin(0);
-        log.commit_marker(
-            &mut txn2,
-            info.marker_abs,
-            info.data_entries,
-            Timestamp::from_raw(9),
-        )
-        .expect("commit marker");
-        txn2.commit().expect("commit");
         log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
         mem.drain(0);
+        let appended = mem.stats();
+        let mut txn2 = htm.begin(0);
+        log.commit_marker(&mut txn2, info.marker_abs, Timestamp::from_raw(9))
+            .expect("commit marker");
+        txn2.commit().expect("commit");
+        log.flush_marker(&mem, 0, info.marker_abs);
+        mem.drain(0);
+        assert_eq!(
+            mem.stats().since(&appended).words_persisted,
+            1,
+            "a commit stamp persists the marker's value word alone"
+        );
         let image = mem.crash();
         match log.geometry().read_slot(&image, info.marker_abs) {
             SlotState::Valid {
-                entry: Entry::Marker { kind, ts, .. },
+                entry: Entry::Marker { ts, data_entries },
                 ..
             } => {
-                assert_eq!(kind, MarkerKind::Committed);
-                assert_eq!(ts.raw(), 9);
+                assert_eq!((ts.raw(), data_entries), (9, 1));
             }
             other => panic!("marker slot: {other:?}"),
         }
@@ -846,13 +760,7 @@ mod tests {
         for round in 0..3 {
             let mut txn = htm.begin(0);
             let info = log
-                .append_sequence(
-                    &mut txn,
-                    &data,
-                    MarkerKind::Logged,
-                    Timestamp::from_raw(round + 1),
-                    &mut words,
-                )
+                .append_sequence(&mut txn, &data, Timestamp::from_raw(round + 1), &mut words)
                 .expect("append");
             assert_eq!(
                 (info.first_abs, info.marker_abs),
@@ -875,7 +783,6 @@ mod tests {
             let abs = if slot < 2 { slot + 16 } else { slot };
             let expected = match abs % 6 {
                 5 => Entry::Marker {
-                    kind: MarkerKind::Logged,
                     ts: Timestamp::from_raw(abs / 6 + 1),
                     data_entries: 5,
                 },
@@ -907,26 +814,19 @@ mod tests {
         let Ok(info) = log.append_sequence(
             &htm,
             &[(PAddr::new(64), 4)],
-            MarkerKind::Committed,
             Timestamp::from_raw(2),
             &mut Vec::new(),
         );
         assert_eq!(log.head(&mem), 2);
-        let Ok(()) = log.commit_marker(
-            &htm,
-            info.marker_abs,
-            info.data_entries,
-            Timestamp::from_raw(3),
-        );
+        let Ok(()) = log.commit_marker(&htm, info.marker_abs, Timestamp::from_raw(3));
         log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
         mem.drain(0);
         match log.geometry().read_slot(&mem.crash(), 1) {
             SlotState::Valid {
-                entry: Entry::Marker { kind, ts, .. },
+                entry: Entry::Marker { ts, data_entries },
                 ..
             } => {
-                assert_eq!(kind, MarkerKind::Committed);
-                assert_eq!(ts.raw(), 3);
+                assert_eq!((ts.raw(), data_entries), (3, 1));
             }
             other => panic!("marker: {other:?}"),
         }
@@ -939,23 +839,22 @@ mod tests {
     #[test]
     fn hardware_and_nontx_appends_leave_identical_log_words() {
         let data: Vec<(PAddr, u64)> = (0..5).map(|i| (PAddr::new(64 + i), 3 * i + 1)).collect();
-        let ts = Timestamp::from_raw(11);
+        let (ts, commit_ts) = (Timestamp::from_raw(11), Timestamp::from_raw(12));
         let run = |hardware: bool| {
             let (mem, htm, log) = setup();
             htm.nontx_write(log.head_addr(), 29); // slot 13 of lap 1
             let info = if hardware {
                 let mut txn = htm.begin(0);
                 let info = log
-                    .append_sequence(&mut txn, &data, MarkerKind::Logged, ts, &mut Vec::new())
+                    .append_sequence(&mut txn, &data, ts, &mut Vec::new())
                     .expect("append");
-                log.commit_marker(&mut txn, info.marker_abs, info.data_entries, ts)
+                log.commit_marker(&mut txn, info.marker_abs, commit_ts)
                     .expect("commit marker");
                 txn.commit().expect("commit");
                 info
             } else {
-                let Ok(info) =
-                    log.append_sequence(&htm, &data, MarkerKind::Logged, ts, &mut Vec::new());
-                let Ok(()) = log.commit_marker(&htm, info.marker_abs, info.data_entries, ts);
+                let Ok(info) = log.append_sequence(&htm, &data, ts, &mut Vec::new());
+                let Ok(()) = log.commit_marker(&htm, info.marker_abs, commit_ts);
                 info
             };
             assert_eq!((info.first_abs, info.marker_abs), (29, 34));

@@ -343,6 +343,37 @@ fn persist_now_makes_preceding_transactions_durable() {
     );
 }
 
+/// A sequence far past 4095 entries (the width the marker's count field
+/// once had) still rolls back whole: recovery walks back every entry of
+/// the latest sequence, not the count modulo the field.
+#[test]
+fn a_long_sequence_rolls_back_whole() {
+    let mem = Arc::new(MemorySpace::new(
+        PmemConfig::small_for_tests().with_crash(CrashModel::strict()),
+    ));
+    let cfg = CraftyConfig::small_for_tests()
+        .with_max_threads(1)
+        .with_undo_log_entries(8192);
+    let crafty = Crafty::new(Arc::clone(&mem), cfg);
+    let words = 5000u64;
+    let base = mem.reserve_persistent(words);
+    let mut thread = crafty.register_thread(0);
+    // 625 written lines overflow the hardware write capacity, so the
+    // transaction commits in software as one sequence of 5000 entries.
+    thread.execute(&mut |ops| {
+        for i in 0..words {
+            ops.write(base.add(i), i + 1)?;
+        }
+        Ok(())
+    });
+    assert_eq!(crafty.breakdown().completions(CompletionPath::Sgl), 1);
+    let mut image = mem.crash();
+    let report = recover(&mut image, crafty.directory_addr()).expect("recovery");
+    assert_eq!(report.entries_rolled_back, 5000);
+    let torn = (0..words).filter(|&i| image.read(base.add(i)) != 0).count();
+    assert_eq!(torn, 0, "words left written after recovery");
+}
+
 #[test]
 fn adversarial_concurrent_crash_preserves_the_bank_invariant() {
     // Evictions may persist arbitrary dirty lines, and at the crash every

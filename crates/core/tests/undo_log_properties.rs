@@ -4,7 +4,7 @@
 
 use crafty_common::{BreakdownRecorder, PAddr, Timestamp};
 use crafty_core::recovery::parse_sequences;
-use crafty_core::undo_log::{decode, Entry, LogGeometry, MarkerKind, UndoLog};
+use crafty_core::undo_log::{decode, Entry, LogGeometry, UndoLog};
 use crafty_htm::{HtmConfig, HtmRuntime};
 use crafty_pmem::{MemorySpace, PmemConfig};
 use proptest::prelude::*;
@@ -40,7 +40,6 @@ proptest! {
         let Ok(info) = log.append_sequence(
             &htm,
             &[(PAddr::new(addr % (1 << 20)), value)],
-            MarkerKind::Logged,
             Timestamp::from_raw(7),
             &mut Vec::new(),
         );
@@ -85,7 +84,7 @@ proptest! {
                 .map(|j| (PAddr::new(4096 + (i * 8 + j) as u64), (i * 100 + j) as u64))
                 .collect();
             let ts = Timestamp::from_raw((i as u64 + 1) * 10);
-            let Ok(info) = log.append_sequence(&htm, &entries, MarkerKind::Committed, ts, &mut Vec::new());
+            let Ok(info) = log.append_sequence(&htm, &entries, ts, &mut Vec::new());
             log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
             mem.drain(0);
             expected.push((ts, entries));
@@ -105,14 +104,14 @@ proptest! {
     fn unflushed_tail_does_not_affect_persisted_prefix(tail_size in 1usize..6) {
         let (mem, htm, log) = fixture(64);
         let first = [(PAddr::new(4096), 1u64), (PAddr::new(4104), 2u64)];
-        let Ok(info) = log.append_sequence(&htm, &first, MarkerKind::Committed, Timestamp::from_raw(5), &mut Vec::new());
+        let Ok(info) = log.append_sequence(&htm, &first, Timestamp::from_raw(5), &mut Vec::new());
         log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
         mem.drain(0);
         // Second sequence appended but never flushed.
         let tail: Vec<(PAddr, u64)> = (0..tail_size)
             .map(|j| (PAddr::new(8192 + j as u64), j as u64))
             .collect();
-        let Ok(_) = log.append_sequence(&htm, &tail, MarkerKind::Logged, Timestamp::from_raw(9), &mut Vec::new());
+        let Ok(_) = log.append_sequence(&htm, &tail, Timestamp::from_raw(9), &mut Vec::new());
         let image = mem.crash();
         let sequences = parse_sequences(&image, &log.geometry());
         prop_assert!(!sequences.is_empty());

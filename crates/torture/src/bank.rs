@@ -492,15 +492,18 @@ mod tests {
         );
     }
 
-    /// The crash-point counts CI greps for at `--seed 1`, and why the two
-    /// hardware-Log routes sit where they do. While the Log commit still
-    /// published what it had rolled back, it stored every rolled-back
-    /// persistent word over itself and ticked the fault clock for it:
-    /// `bank` counted 582 points and `bank/thread-unsafe-hw` 604. Now
-    /// a rolled-back line is validated, not published, and exactly those
-    /// ticks are gone — one per distinct account a transaction touched.
-    /// No coverage went with them: the image at such a tick was its
-    /// predecessor's (an old value stored over itself dirties nothing new).
+    /// The crash-point counts CI greps for at `--seed 1`, derived from
+    /// the counts they moved from. While the Log commit still published
+    /// what it had rolled back, it stored every rolled-back persistent
+    /// word over itself and ticked the fault clock for it: `bank` counted
+    /// 582 points and `bank/thread-unsafe-hw` 604. Now a rolled-back line
+    /// is validated, not published, and exactly those ticks are gone —
+    /// one per distinct account a transaction touched. While the commit
+    /// stamp still rewrote a marker's meta word beside its value word, it
+    /// persisted two words: now it persists one, and every route lost one
+    /// tick per committed transaction. No coverage went with either: the
+    /// image at such a tick was its predecessor's (a word stored over
+    /// itself dirties nothing new).
     #[test]
     fn seed_1_anchors_moved_by_exactly_the_rolled_back_words() {
         let cfg = TortureConfig::quick(1);
@@ -514,23 +517,25 @@ mod tests {
                 accounts.len() as u64
             })
             .sum();
+        let stamps = picks.len() as u64;
         let run = |route| run_once(route, cfg.seed, &picks, FaultPlan::count_only());
         let points = |route| {
             let run = run(route);
             run.total_steps - run.setup_steps
         };
-        assert_eq!(582 - points(Route::Hardware), rolled_back);
-        assert_eq!(604 - points(Route::ThreadUnsafe), rolled_back);
-        // The routes that never run a hardware Log commit did not move.
-        assert_eq!(points(Route::PerLine), 578);
-        assert_eq!(points(Route::Sgl), 490);
-        assert_eq!(points(Route::ThreadUnsafeTiny), 490);
+        assert_eq!(582 - points(Route::Hardware), rolled_back + stamps);
+        assert_eq!(604 - points(Route::ThreadUnsafe), rolled_back + stamps);
+        // The routes that never run a hardware Log commit moved by the
+        // stamps alone.
+        assert_eq!(points(Route::PerLine), 578 - stamps);
+        assert_eq!(points(Route::Sgl), 490 - stamps);
+        assert_eq!(points(Route::ThreadUnsafeTiny), 490 - stamps);
         // The fenced batch adds its two fences and nothing else: each is
         // one empty sequence appended, flushed and drained.
         assert_eq!(points(Route::Fenced), points(Route::Hardware) + 2 * 7);
         // The storm bites: of the ten transactions, two exhaust their
         // hardware budget and commit in software, the rest in hardware.
-        assert_eq!(points(Route::Storm), 518);
+        assert_eq!(points(Route::Storm), 518 - stamps);
         let storm = run(Route::Storm).breakdown;
         assert_eq!(storm.completions(CompletionPath::Sgl), 2);
         assert_eq!(storm.total_persistent(), cfg.txns);
