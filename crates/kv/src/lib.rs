@@ -36,9 +36,14 @@
 //! migrates a small batch of slots from the old table to the new one
 //! (tombstoning each migrated slot so a key is live in at most one table),
 //! then performs its own operation against the new table. Reads stay
-//! read-only: they probe the new table, then the old. When the migration
-//! cursor reaches the end, the same transaction that migrates the final
-//! batch atomically swings the header to the new table. Because each step —
+//! read-only: they probe the new table, then the old. From the start the
+//! new table is the shard's *insertion table*: every insert and every
+//! migrated key lands there, and the header's one tombstone counter,
+//! zeroed when the resize starts, counts that table's tombstones only.
+//! When the migration cursor reaches the end, the same transaction that
+//! migrates the final batch atomically swings the header to the new table
+//! and abandons the old one, whose tombstones were never counted, so the
+//! swing copies no counter. Because each step —
 //! start, every batch, and the final swing — is its own persistent
 //! transaction, a crash anywhere leaves the header and both tables
 //! mutually consistent, and recovery resumes the migration where it
@@ -100,5 +105,5 @@ pub mod session;
 pub mod store;
 
 pub use direct::DirectOps;
-pub use session::{CachedReply, SeqCheck, SessionTable, REPLY_WINDOW};
+pub use session::{SeqCheck, SessionTable, REPLY_WINDOW};
 pub use store::{KvConfig, KvStats, ShardedKv, KEY_MAX};

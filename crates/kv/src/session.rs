@@ -39,6 +39,13 @@
 //! so a client that never pipelines more than `REPLY_WINDOW` sequenced
 //! writes per batch can always replay an unacked batch and get every
 //! response back. Anything older is reported [`SeqCheck::Stale`].
+//!
+//! A cached reply is the write's result as the store returned it, an
+//! `Option<u64>`: the previous value for a put or a remove, the new value
+//! for an increment, `None` where there is no value. The server sends
+//! `Some(value)` as `Found { value }` and `None` as `Missing`. In a ring
+//! slot it is the pair `(FOUND, value)` or `(MISSING, 0)`; a tag of 0
+//! marks a slot no write has filled.
 
 use crafty_common::{PAddr, TxAbort, TxnOps};
 use crafty_pmem::MemorySpace;
@@ -69,41 +76,14 @@ const REPLY_NONE: u64 = 0;
 const REPLY_FOUND: u64 = 1;
 const REPLY_MISSING: u64 = 2;
 
-/// A response cached in the session table: the wire-level outcome of a
-/// sequenced write (`Found { value }` or `Missing`), engine-agnostic so
-/// the KV crate does not depend on the server's protocol types.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CachedReply {
-    /// True for a `Found`-shaped response carrying `value`, false for
-    /// `Missing` (`value` is then ignored).
-    pub found: bool,
-    /// The value of a `Found` response.
-    pub value: u64,
-}
-
-impl CachedReply {
-    /// A `Found { value }` response.
-    pub fn found(value: u64) -> Self {
-        CachedReply { found: true, value }
-    }
-
-    /// A `Missing` response.
-    pub fn missing() -> Self {
-        CachedReply {
-            found: false,
-            value: 0,
-        }
-    }
-}
-
 /// Classification of a sequenced request against its session's record.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SeqCheck {
     /// `seq == last_seq + 1`: apply the write and [`SessionTable::record`]
     /// it in the same transaction.
     Fresh,
-    /// Already applied, response still cached: return it, touch nothing.
-    Replay(CachedReply),
+    /// Already applied, reply still cached: return it, touch nothing.
+    Replay(Option<u64>),
     /// `seq` is ahead of `last_seq + 1`: the client skipped a sequence
     /// number. Protocol violation — drop the connection.
     Gap {
@@ -273,8 +253,8 @@ impl SessionTable {
         }
         let at = Self::reply_addr(slot, seq);
         let reply = match ops.read(at)? {
-            REPLY_FOUND => CachedReply::found(ops.read(at.add(1))?),
-            REPLY_MISSING => CachedReply::missing(),
+            REPLY_FOUND => Some(ops.read(at.add(1))?),
+            REPLY_MISSING => None,
             // The window slot was never written for this seq — possible
             // only for corrupted state; refuse rather than invent a reply.
             _ => return Ok(SeqCheck::Stale),
@@ -283,8 +263,8 @@ impl SessionTable {
     }
 
     /// Records an applied write: advances `last_seq` to `seq` and caches
-    /// its response. Must run in the same transaction as the write, after
-    /// a [`SeqCheck::Fresh`] classification.
+    /// its reply. Must run in the same transaction as the write, after a
+    /// [`SeqCheck::Fresh`] classification.
     ///
     /// # Errors
     ///
@@ -294,19 +274,17 @@ impl SessionTable {
         ops: &mut dyn TxnOps,
         sid: u64,
         seq: u64,
-        reply: CachedReply,
+        reply: Option<u64>,
     ) -> Result<(), TxAbort> {
         let slot = self.slot(sid);
         ops.write(slot.add(SLOT_LAST_SEQ), seq)?;
         let at = Self::reply_addr(slot, seq);
-        if reply.found {
-            ops.write(at, REPLY_FOUND)?;
-            ops.write(at.add(1), reply.value)?;
-        } else {
-            ops.write(at, REPLY_MISSING)?;
-            ops.write(at.add(1), 0)?;
-        }
-        Ok(())
+        let (tag, value) = match reply {
+            Some(value) => (REPLY_FOUND, value),
+            None => (REPLY_MISSING, 0),
+        };
+        ops.write(at, tag)?;
+        ops.write(at.add(1), value)
     }
 
     /// Flushes and drains every line the table occupies through thread
@@ -382,30 +360,26 @@ mod tests {
             t.check(&mut ops, sid, 3).unwrap(),
             SeqCheck::Gap { last_seq: 0 }
         );
-        t.record(&mut ops, sid, 1, CachedReply::found(70)).unwrap();
+        t.record(&mut ops, sid, 1, Some(70)).unwrap();
         assert_eq!(
             t.check(&mut ops, sid, 1).unwrap(),
-            SeqCheck::Replay(CachedReply::found(70))
+            SeqCheck::Replay(Some(70))
         );
         assert_eq!(t.check(&mut ops, sid, 2).unwrap(), SeqCheck::Fresh);
-        t.record(&mut ops, sid, 2, CachedReply::missing()).unwrap();
-        assert_eq!(
-            t.check(&mut ops, sid, 2).unwrap(),
-            SeqCheck::Replay(CachedReply::missing())
-        );
+        t.record(&mut ops, sid, 2, None).unwrap();
+        assert_eq!(t.check(&mut ops, sid, 2).unwrap(), SeqCheck::Replay(None));
 
         // Push the window past seq 1: the reply ring holds the last
         // REPLY_WINDOW responses, older seqs go stale.
         for seq in 3..=(2 + REPLY_WINDOW) {
             assert_eq!(t.check(&mut ops, sid, seq).unwrap(), SeqCheck::Fresh);
-            t.record(&mut ops, sid, seq, CachedReply::found(seq))
-                .unwrap();
+            t.record(&mut ops, sid, seq, Some(seq)).unwrap();
         }
         assert_eq!(t.check(&mut ops, sid, 1).unwrap(), SeqCheck::Stale);
         assert_eq!(t.check(&mut ops, sid, 2).unwrap(), SeqCheck::Stale);
         assert_eq!(
             t.check(&mut ops, sid, 3).unwrap(),
-            SeqCheck::Replay(CachedReply::found(3))
+            SeqCheck::Replay(Some(3))
         );
 
         // Session 0 and seq 0 are never legal.
@@ -422,8 +396,8 @@ mod tests {
         let t = SessionTable::create(&mem, 8);
         let mut ops = DirectOps::new(&mem);
         let (sid, _) = t.begin(&mut ops, 0).unwrap().expect("allocate");
-        t.record(&mut ops, sid, 1, CachedReply::found(7)).unwrap();
-        t.record(&mut ops, sid, 2, CachedReply::missing()).unwrap();
+        t.record(&mut ops, sid, 1, Some(7)).unwrap();
+        t.record(&mut ops, sid, 2, None).unwrap();
 
         // Resume sees the applied high-water mark.
         assert_eq!(t.begin(&mut ops, sid).unwrap(), Some((sid, 2)));
@@ -451,7 +425,7 @@ mod tests {
         let t = SessionTable::create(&mem, 16);
         let mut ops = DirectOps::new(&mem);
         let (sid, _) = t.begin(&mut ops, 0).unwrap().expect("allocate");
-        t.record(&mut ops, sid, 1, CachedReply::found(123)).unwrap();
+        t.record(&mut ops, sid, 1, Some(123)).unwrap();
         t.persist_all(&mem, 0);
 
         let image = mem.crash();
@@ -462,7 +436,7 @@ mod tests {
         assert_eq!(t2.begin(&mut ops2, sid).unwrap(), Some((sid, 1)));
         assert_eq!(
             t2.check(&mut ops2, sid, 1).unwrap(),
-            SeqCheck::Replay(CachedReply::found(123))
+            SeqCheck::Replay(Some(123))
         );
     }
 

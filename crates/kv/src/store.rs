@@ -9,13 +9,21 @@
 //!                         initial_capacity, 0, 0, 0]
 //! headers      8 words per shard (line-aligned):
 //!              [table, capacity, len, tombstones,
-//!               resize_table, resize_capacity, migrate_pos, resize_tombs]
+//!               resize_table, resize_capacity, migrate_pos, 0]
 //! arena        cfg.arena_words words; tables are bump-allocated here
 //! ```
+//!
+//! Header word 7 is retired and stays zero.
 //!
 //! A table of capacity `C` occupies `2·C` contiguous arena words: slot `i`
 //! is the pair `[tag, value]` at offset `2·i`. `tag = 0` is an empty slot,
 //! `tag = 1` a tombstone, and any other tag stores key `tag − 2`.
+//!
+//! A shard's *insertion table* is its in-flight resize table, or its main
+//! table when no resize is in flight. Every insert lands there, and
+//! `tombstones` counts that table's tombstones only: starting a resize
+//! zeroes it, the old table's tombstones are never counted, and the swing
+//! to the new table leaves it as it is.
 
 use crafty_common::{mix64, PAddr, TxAbort, TxnOps};
 use crafty_pmem::MemorySpace;
@@ -23,8 +31,10 @@ use crafty_pmem::MemorySpace;
 use crate::direct::DirectOps;
 
 /// Root-block magic ("CraftyKV" in spirit): identifies an initialized
-/// store when [`ShardedKv::open`] attaches to a rebooted space.
-const MAGIC: u64 = 0x43AF_7E6B_5653_0001;
+/// store when [`ShardedKv::open`] attaches to a rebooted space. The low
+/// digits version the layout: `0002` counts tombstones of the insertion
+/// table only, so `open` refuses a `0001` image.
+const MAGIC: u64 = 0x43AF_7E6B_5653_0002;
 
 /// Largest storable key: tags offset keys by 2 to make room for the empty
 /// and tombstone encodings.
@@ -61,8 +71,21 @@ const HDR_TOMBS: u64 = 3;
 const HDR_RESIZE_TABLE: u64 = 4;
 const HDR_RESIZE_CAPACITY: u64 = 5;
 const HDR_MIGRATE_POS: u64 = 6;
-const HDR_RESIZE_TOMBS: u64 = 7;
 const HDR_WORDS: u64 = 8;
+
+/// One open-addressed table: `capacity` slots from arena word `base`.
+#[derive(Clone, Copy)]
+struct Table {
+    base: u64,
+    capacity: u64,
+}
+
+impl Table {
+    #[inline]
+    fn slot(self, index: u64) -> PAddr {
+        PAddr::new(self.base + (index & (self.capacity - 1)) * SLOT_WORDS)
+    }
+}
 
 // The store's key-mixing hash is [`crafty_common::mix64`]: high bits pick
 // the shard, low bits pick the home slot, so the two choices are
@@ -141,9 +164,11 @@ impl KvConfig {
 pub struct KvStats {
     /// Live key count across all shards.
     pub len: u64,
-    /// Tombstones across all live tables.
+    /// Tombstones across the shards' insertion tables (an in-flight
+    /// resize's old table is not counted).
     pub tombstones: u64,
-    /// Total slot capacity across all live tables.
+    /// Total slot capacity across the shards' main tables (an in-flight
+    /// resize table is not counted).
     pub capacity: u64,
     /// Number of shards with a resize in flight.
     pub resizes_in_flight: u64,
@@ -317,14 +342,31 @@ impl ShardedKv {
     }
 
     #[inline]
-    fn slot_addr(table: u64, capacity: u64, index: u64) -> PAddr {
-        PAddr::new(table + (index & (capacity - 1)) * SLOT_WORDS)
-    }
-
-    #[inline]
     fn encode(key: u64) -> u64 {
         assert!(key <= KEY_MAX, "key {key} exceeds KEY_MAX");
         key + 2
+    }
+
+    /// Reads the shard's live tables, insertion table first: the in-flight
+    /// resize table and the main table it drains, or the main table alone.
+    #[inline]
+    fn live_tables(
+        &self,
+        ops: &mut dyn TxnOps,
+        hdr: PAddr,
+    ) -> Result<(Table, Option<Table>), TxAbort> {
+        let resize = match ops.read(hdr.add(HDR_RESIZE_TABLE))? {
+            0 => None,
+            base => Some(Table {
+                base,
+                capacity: ops.read(hdr.add(HDR_RESIZE_CAPACITY))?,
+            }),
+        };
+        let main = Table {
+            base: ops.read(hdr.add(HDR_TABLE))?,
+            capacity: ops.read(hdr.add(HDR_CAPACITY))?,
+        };
+        Ok((resize.unwrap_or(main), resize.and(Some(main))))
     }
 
     /// Probes `table` for `key`. Returns `Ok(slot_addr)` of the live entry,
@@ -333,15 +375,14 @@ impl ShardedKv {
     fn probe(
         &self,
         ops: &mut dyn TxnOps,
-        table: u64,
-        capacity: u64,
+        table: Table,
         key: u64,
     ) -> Result<Result<PAddr, PAddr>, TxAbort> {
         let tag = Self::encode(key);
-        let home = mix64(key) & (capacity - 1);
+        let home = mix64(key) & (table.capacity - 1);
         let mut reusable = None;
-        for step in 0..capacity {
-            let slot = Self::slot_addr(table, capacity, home + step);
+        for step in 0..table.capacity {
+            let slot = table.slot(home + step);
             let t = ops.read(slot)?;
             if t == tag {
                 return Ok(Ok(slot));
@@ -368,17 +409,12 @@ impl ShardedKv {
     ///
     /// Propagates [`TxAbort`] from the underlying transaction.
     pub fn get(&self, ops: &mut dyn TxnOps, key: u64) -> Result<Option<u64>, TxAbort> {
-        let hdr = self.header(self.shard_of(key));
-        let resize_table = ops.read(hdr.add(HDR_RESIZE_TABLE))?;
-        if resize_table != 0 {
-            let resize_cap = ops.read(hdr.add(HDR_RESIZE_CAPACITY))?;
-            if let Ok(slot) = self.probe(ops, resize_table, resize_cap, key)? {
-                return Ok(Some(ops.read(slot.add(1))?));
-            }
+        let (insert, old) = self.live_tables(ops, self.header(self.shard_of(key)))?;
+        let mut found = self.probe(ops, insert, key)?;
+        if let (Err(_), Some(old)) = (found, old) {
+            found = self.probe(ops, old, key)?;
         }
-        let table = ops.read(hdr.add(HDR_TABLE))?;
-        let capacity = ops.read(hdr.add(HDR_CAPACITY))?;
-        match self.probe(ops, table, capacity, key)? {
+        match found {
             Ok(slot) => Ok(Some(ops.read(slot.add(1))?)),
             Err(_) => Ok(None),
         }
@@ -393,68 +429,34 @@ impl ShardedKv {
     ///
     /// Propagates [`TxAbort`] from the underlying transaction.
     pub fn put(&self, ops: &mut dyn TxnOps, key: u64, value: u64) -> Result<Option<u64>, TxAbort> {
-        let shard = self.shard_of(key);
-        let hdr = self.header(shard);
-        let resize_table = self.step_resize(ops, shard)?;
-        if resize_table != 0 {
-            let resize_cap = ops.read(hdr.add(HDR_RESIZE_CAPACITY))?;
-            // Update in the new table if the key already moved there; keep
-            // the probe's free slot otherwise — nothing in the rest of this
-            // transaction writes to the new table, so it stays the right
-            // insertion point and no re-probe is needed.
-            let free = match self.probe(ops, resize_table, resize_cap, key)? {
-                Ok(slot) => {
-                    let old = ops.read(slot.add(1))?;
-                    ops.write(slot.add(1), value)?;
-                    return Ok(Some(old));
-                }
-                Err(free) => free,
-            };
-            let table = ops.read(hdr.add(HDR_TABLE))?;
-            let capacity = ops.read(hdr.add(HDR_CAPACITY))?;
-            let old = match self.probe(ops, table, capacity, key)? {
-                Ok(slot) => {
-                    // Still in the old table: migrate it now, carrying the
-                    // new value, so exactly one live copy exists.
-                    let old = ops.read(slot.add(1))?;
-                    ops.write(slot, TOMBSTONE)?;
-                    Some(old)
-                }
-                Err(_) => None,
-            };
-            if ops.read(free)? == TOMBSTONE {
-                let tombs = ops.read(hdr.add(HDR_RESIZE_TOMBS))?;
-                ops.write(hdr.add(HDR_RESIZE_TOMBS), tombs - 1)?;
-            }
-            ops.write(free, Self::encode(key))?;
-            ops.write(free.add(1), value)?;
-            if old.is_none() {
-                let len = ops.read(hdr.add(HDR_LEN))?;
-                ops.write(hdr.add(HDR_LEN), len + 1)?;
-            }
-            return Ok(old);
-        }
-        let table = ops.read(hdr.add(HDR_TABLE))?;
-        let capacity = ops.read(hdr.add(HDR_CAPACITY))?;
-        match self.probe(ops, table, capacity, key)? {
+        let hdr = self.header(self.shard_of(key));
+        let (insert, old_table) = self.migrate_step(ops, hdr)?;
+        // Keep the probe's free slot: nothing in the rest of this
+        // transaction writes to the insertion table before the insert, so
+        // it stays the right insertion point.
+        let free = match self.probe(ops, insert, key)? {
             Ok(slot) => {
                 let old = ops.read(slot.add(1))?;
                 ops.write(slot.add(1), value)?;
-                Ok(Some(old))
+                return Ok(Some(old));
             }
-            Err(slot) => {
-                if ops.read(slot)? == TOMBSTONE {
-                    let tombs = ops.read(hdr.add(HDR_TOMBS))?;
-                    ops.write(hdr.add(HDR_TOMBS), tombs - 1)?;
-                }
-                ops.write(slot, Self::encode(key))?;
-                ops.write(slot.add(1), value)?;
-                let len = ops.read(hdr.add(HDR_LEN))? + 1;
-                ops.write(hdr.add(HDR_LEN), len)?;
+            Err(free) => free,
+        };
+        // Mid-resize the key may still live in the old table: move it now,
+        // carrying the new value, so exactly one live copy exists.
+        let old = match old_table {
+            Some(table) => self.take(ops, table, key)?,
+            None => None,
+        };
+        self.insert_at(ops, hdr, free, key, value)?;
+        if old.is_none() {
+            let len = ops.read(hdr.add(HDR_LEN))? + 1;
+            ops.write(hdr.add(HDR_LEN), len)?;
+            if old_table.is_none() {
                 self.maybe_start_resize(ops, hdr)?;
-                Ok(None)
             }
         }
+        Ok(old)
     }
 
     /// Removes `key`; returns its value if it was present.
@@ -463,37 +465,24 @@ impl ShardedKv {
     ///
     /// Propagates [`TxAbort`] from the underlying transaction.
     pub fn remove(&self, ops: &mut dyn TxnOps, key: u64) -> Result<Option<u64>, TxAbort> {
-        let shard = self.shard_of(key);
-        let hdr = self.header(shard);
-        let resize_table = self.step_resize(ops, shard)?;
-        if resize_table != 0 {
-            let resize_cap = ops.read(hdr.add(HDR_RESIZE_CAPACITY))?;
-            if let Ok(slot) = self.probe(ops, resize_table, resize_cap, key)? {
-                let old = ops.read(slot.add(1))?;
-                ops.write(slot, TOMBSTONE)?;
-                let tombs = ops.read(hdr.add(HDR_RESIZE_TOMBS))?;
-                ops.write(hdr.add(HDR_RESIZE_TOMBS), tombs + 1)?;
-                let len = ops.read(hdr.add(HDR_LEN))?;
-                ops.write(hdr.add(HDR_LEN), len - 1)?;
-                return Ok(Some(old));
+        let hdr = self.header(self.shard_of(key));
+        let (insert, old_table) = self.migrate_step(ops, hdr)?;
+        let old = match self.take(ops, insert, key)? {
+            Some(old) => {
+                let tombs = ops.read(hdr.add(HDR_TOMBS))?;
+                ops.write(hdr.add(HDR_TOMBS), tombs + 1)?;
+                Some(old)
             }
+            None => match old_table {
+                Some(table) => self.take(ops, table, key)?,
+                None => None,
+            },
+        };
+        if old.is_some() {
+            let len = ops.read(hdr.add(HDR_LEN))?;
+            ops.write(hdr.add(HDR_LEN), len - 1)?;
         }
-        let table = ops.read(hdr.add(HDR_TABLE))?;
-        let capacity = ops.read(hdr.add(HDR_CAPACITY))?;
-        match self.probe(ops, table, capacity, key)? {
-            Ok(slot) => {
-                let old = ops.read(slot.add(1))?;
-                ops.write(slot, TOMBSTONE)?;
-                if resize_table == 0 {
-                    let tombs = ops.read(hdr.add(HDR_TOMBS))?;
-                    ops.write(hdr.add(HDR_TOMBS), tombs + 1)?;
-                }
-                let len = ops.read(hdr.add(HDR_LEN))?;
-                ops.write(hdr.add(HDR_LEN), len - 1)?;
-                Ok(Some(old))
-            }
-            Err(_) => Ok(None),
-        }
+        Ok(old)
     }
 
     /// Collects up to `limit` live entries of `key`'s shard, walking from
@@ -506,28 +495,16 @@ impl ShardedKv {
     ///
     /// Propagates [`TxAbort`] from the underlying transaction.
     pub fn scan(&self, ops: &mut dyn TxnOps, key: u64, limit: u64) -> Result<(u64, u64), TxAbort> {
-        let hdr = self.header(self.shard_of(key));
+        let (insert, old) = self.live_tables(ops, self.header(self.shard_of(key)))?;
         let mut found = 0u64;
         let mut checksum = 0u64;
-        let mut tables = [(0u64, 0u64); 2];
-        let mut n_tables = 0;
-        let resize_table = ops.read(hdr.add(HDR_RESIZE_TABLE))?;
-        if resize_table != 0 {
-            tables[n_tables] = (resize_table, ops.read(hdr.add(HDR_RESIZE_CAPACITY))?);
-            n_tables += 1;
-        }
-        tables[n_tables] = (
-            ops.read(hdr.add(HDR_TABLE))?,
-            ops.read(hdr.add(HDR_CAPACITY))?,
-        );
-        n_tables += 1;
-        for &(table, capacity) in &tables[..n_tables] {
-            let home = mix64(key) & (capacity - 1);
-            for step in 0..capacity {
+        for table in std::iter::once(insert).chain(old) {
+            let home = mix64(key) & (table.capacity - 1);
+            for step in 0..table.capacity {
                 if found >= limit {
                     return Ok((found, checksum));
                 }
-                let slot = Self::slot_addr(table, capacity, home + step);
+                let slot = table.slot(home + step);
                 let tag = ops.read(slot)?;
                 if tag != EMPTY && tag != TOMBSTONE {
                     found += 1;
@@ -561,36 +538,44 @@ impl ShardedKv {
         Ok(self.len(ops)? == 0)
     }
 
-    /// Inserts a key known to be absent into the shard's in-flight resize
-    /// table, reusing the first tombstone on its probe path (and adjusting
-    /// the resize-tombstone counter when it does).
-    fn insert_fresh(
+    /// Tombstones `key`'s live entry in `table`, if any, and returns its
+    /// value. Counts nothing: the caller owns the header.
+    fn take(&self, ops: &mut dyn TxnOps, table: Table, key: u64) -> Result<Option<u64>, TxAbort> {
+        match self.probe(ops, table, key)? {
+            Ok(slot) => {
+                let old = ops.read(slot.add(1))?;
+                ops.write(slot, TOMBSTONE)?;
+                Ok(Some(old))
+            }
+            Err(_) => Ok(None),
+        }
+    }
+
+    /// The one insertion step: stores `key → value` in `slot`, a probe's
+    /// free slot of the insertion table, un-counting the tombstone it
+    /// reuses.
+    fn insert_at(
         &self,
         ops: &mut dyn TxnOps,
         hdr: PAddr,
-        table: u64,
-        capacity: u64,
+        slot: PAddr,
         key: u64,
         value: u64,
     ) -> Result<(), TxAbort> {
-        match self.probe(ops, table, capacity, key)? {
-            Ok(_) => unreachable!("insert_fresh called with a live key"),
-            Err(slot) => {
-                if ops.read(slot)? == TOMBSTONE {
-                    let tombs = ops.read(hdr.add(HDR_RESIZE_TOMBS))?;
-                    ops.write(hdr.add(HDR_RESIZE_TOMBS), tombs - 1)?;
-                }
-                ops.write(slot, Self::encode(key))?;
-                ops.write(slot.add(1), value)?;
-                Ok(())
-            }
+        if ops.read(slot)? == TOMBSTONE {
+            let tombs = ops.read(hdr.add(HDR_TOMBS))?;
+            ops.write(hdr.add(HDR_TOMBS), tombs - 1)?;
         }
+        ops.write(slot, Self::encode(key))?;
+        ops.write(slot.add(1), value)
     }
 
     /// Starts an incremental resize when occupancy (live + tombstones)
     /// crosses ¾ of capacity: allocates the new table from the arena and
-    /// installs the resize header fields. All in the calling transaction —
-    /// a crash either keeps the whole start or none of it.
+    /// installs the resize header fields. The new table becomes the
+    /// insertion table, so the tombstone counter restarts at zero. All in
+    /// the calling transaction — a crash either keeps the whole start or
+    /// none of it.
     fn maybe_start_resize(&self, ops: &mut dyn TxnOps, hdr: PAddr) -> Result<(), TxAbort> {
         let len = ops.read(hdr.add(HDR_LEN))?;
         let tombs = ops.read(hdr.add(HDR_TOMBS))?;
@@ -617,57 +602,50 @@ impl ShardedKv {
         ops.write(hdr.add(HDR_RESIZE_TABLE), next)?;
         ops.write(hdr.add(HDR_RESIZE_CAPACITY), new_capacity)?;
         ops.write(hdr.add(HDR_MIGRATE_POS), 0)?;
-        ops.write(hdr.add(HDR_RESIZE_TOMBS), 0)?;
+        ops.write(hdr.add(HDR_TOMBS), 0)?;
         Ok(())
     }
 
-    /// The shard's in-flight resize table (0 if none), read after one
-    /// [`ShardedKv::migrate_step`] when a resize is in flight — the step
-    /// may finish it — and read once when none is.
-    fn step_resize(&self, ops: &mut dyn TxnOps, shard: u64) -> Result<u64, TxAbort> {
-        let at = self.header(shard).add(HDR_RESIZE_TABLE);
-        if ops.read(at)? == 0 {
-            return Ok(0);
-        }
-        self.migrate_step(ops, shard)?;
-        ops.read(at)
-    }
-
-    /// Migrates up to [`MIGRATE_BATCH`] old-table slots into the new table,
-    /// tombstoning each as it moves; the step that reaches the end swings
-    /// the header to the new table in the same transaction.
-    fn migrate_step(&self, ops: &mut dyn TxnOps, shard: u64) -> Result<(), TxAbort> {
-        let hdr = self.header(shard);
-        let resize_table = ops.read(hdr.add(HDR_RESIZE_TABLE))?;
-        debug_assert_ne!(resize_table, 0, "migrate_step without an active resize");
-        let resize_cap = ops.read(hdr.add(HDR_RESIZE_CAPACITY))?;
-        let table = ops.read(hdr.add(HDR_TABLE))?;
-        let capacity = ops.read(hdr.add(HDR_CAPACITY))?;
+    /// Reads the shard's live tables and, when a resize is in flight,
+    /// first migrates up to [`MIGRATE_BATCH`] old-table slots into the new
+    /// table, tombstoning each as it moves; the step that reaches the end
+    /// swings the header to the new table in the same transaction.
+    /// Returns the live tables after the step.
+    fn migrate_step(
+        &self,
+        ops: &mut dyn TxnOps,
+        hdr: PAddr,
+    ) -> Result<(Table, Option<Table>), TxAbort> {
+        let (insert, old) = self.live_tables(ops, hdr)?;
+        let Some(old) = old else {
+            return Ok((insert, None));
+        };
         let pos = ops.read(hdr.add(HDR_MIGRATE_POS))?;
-        let end = (pos + MIGRATE_BATCH).min(capacity);
+        let end = (pos + MIGRATE_BATCH).min(old.capacity);
         for i in pos..end {
-            let slot = Self::slot_addr(table, capacity, i);
+            let slot = old.slot(i);
             let tag = ops.read(slot)?;
             if tag != EMPTY && tag != TOMBSTONE {
                 let value = ops.read(slot.add(1))?;
-                self.insert_fresh(ops, hdr, resize_table, resize_cap, tag - 2, value)?;
+                let Err(free) = self.probe(ops, insert, tag - 2)? else {
+                    unreachable!("a key is live in at most one table");
+                };
+                self.insert_at(ops, hdr, free, tag - 2, value)?;
                 ops.write(slot, TOMBSTONE)?;
             }
         }
         ops.write(hdr.add(HDR_MIGRATE_POS), end)?;
-        if end == capacity {
+        if end == old.capacity {
             // Final batch: swing to the new table. The old table's words
             // are abandoned in the arena.
-            let resize_tombs = ops.read(hdr.add(HDR_RESIZE_TOMBS))?;
-            ops.write(hdr.add(HDR_TABLE), resize_table)?;
-            ops.write(hdr.add(HDR_CAPACITY), resize_cap)?;
-            ops.write(hdr.add(HDR_TOMBS), resize_tombs)?;
+            ops.write(hdr.add(HDR_TABLE), insert.base)?;
+            ops.write(hdr.add(HDR_CAPACITY), insert.capacity)?;
             ops.write(hdr.add(HDR_RESIZE_TABLE), 0)?;
             ops.write(hdr.add(HDR_RESIZE_CAPACITY), 0)?;
             ops.write(hdr.add(HDR_MIGRATE_POS), 0)?;
-            ops.write(hdr.add(HDR_RESIZE_TOMBS), 0)?;
+            return Ok((insert, None));
         }
-        Ok(())
+        Ok((insert, Some(old)))
     }
 
     // ------------------------------------------------------------------
@@ -702,20 +680,13 @@ impl ShardedKv {
         let mut ops = DirectOps::new(mem);
         let mut pairs = Vec::new();
         for s in 0..self.shards as u64 {
-            let hdr = self.header(s);
-            let mut tables = Vec::new();
-            let resize_table = mem.read(hdr.add(HDR_RESIZE_TABLE));
-            if resize_table != 0 {
-                tables.push((resize_table, mem.read(hdr.add(HDR_RESIZE_CAPACITY))));
-            }
-            tables.push((
-                mem.read(hdr.add(HDR_TABLE)),
-                mem.read(hdr.add(HDR_CAPACITY)),
-            ));
-            for (table, capacity) in tables {
-                for i in 0..capacity {
-                    let slot = Self::slot_addr(table, capacity, i);
-                    let tag = ops.read(slot).expect("direct reads cannot abort");
+            let (insert, old) = self
+                .live_tables(&mut ops, self.header(s))
+                .expect("direct reads cannot abort");
+            for table in std::iter::once(insert).chain(old) {
+                for i in 0..table.capacity {
+                    let slot = table.slot(i);
+                    let tag = mem.read(slot);
                     if tag != EMPTY && tag != TOMBSTONE {
                         pairs.push((tag - 2, mem.read(slot.add(1))));
                     }
@@ -777,50 +748,44 @@ impl ShardedKv {
                 self.arena.word()
             ));
         }
+        let mut ops = DirectOps::new(mem);
         for s in 0..self.shards as u64 {
             let hdr = self.header(s);
-            let capacity = mem.read(hdr.add(HDR_CAPACITY));
+            let (insert, old) = self
+                .live_tables(&mut ops, hdr)
+                .expect("direct reads cannot abort");
+            let capacity = old.unwrap_or(insert).capacity;
             if !capacity.is_power_of_two() || capacity < 8 {
                 return Err(format!(
                     "shard {s}: capacity {capacity} is not a power of two ≥ 8"
                 ));
             }
-            let resize_table = mem.read(hdr.add(HDR_RESIZE_TABLE));
-            let mut tables = vec![(
-                mem.read(hdr.add(HDR_TABLE)),
-                capacity,
-                mem.read(hdr.add(HDR_TOMBS)),
-            )];
-            if resize_table != 0 {
-                let resize_cap = mem.read(hdr.add(HDR_RESIZE_CAPACITY));
+            if old.is_some() {
+                let resize_cap = insert.capacity;
                 if !resize_cap.is_power_of_two() || resize_cap < capacity {
                     return Err(format!("shard {s}: bad resize capacity {resize_cap}"));
                 }
                 if mem.read(hdr.add(HDR_MIGRATE_POS)) > capacity {
                     return Err(format!("shard {s}: migrate cursor past the old table"));
                 }
-                tables.push((
-                    resize_table,
-                    resize_cap,
-                    mem.read(hdr.add(HDR_RESIZE_TOMBS)),
-                ));
             }
-            let mut live = 0u64;
+            let mut keys = 0u64;
             let mut seen: HashSet<u64> = HashSet::new();
-            for &(table, cap, expected_tombs) in &tables {
+            for (nth, table) in std::iter::once(insert).chain(old).enumerate() {
+                let (base, cap) = (table.base, table.capacity);
                 // Every table — including an in-flight resize target — must
                 // lie wholly inside the arena span the cursor has handed
                 // out, or live records sit in unallocated memory.
-                if table < self.arena.word() || table + cap * SLOT_WORDS > arena_next {
+                if base < self.arena.word() || base + cap * SLOT_WORDS > arena_next {
                     return Err(format!(
-                        "shard {s}: table [{table}, {}) outside allocated arena [{}, {arena_next})",
-                        table + cap * SLOT_WORDS,
+                        "shard {s}: table [{base}, {}) outside allocated arena [{}, {arena_next})",
+                        base + cap * SLOT_WORDS,
                         self.arena.word()
                     ));
                 }
                 let mut tombs = 0u64;
                 for i in 0..cap {
-                    let slot = Self::slot_addr(table, cap, i);
+                    let slot = table.slot(i);
                     let tag = mem.read(slot);
                     if tag == TOMBSTONE {
                         tombs += 1;
@@ -836,24 +801,130 @@ impl ShardedKv {
                     if !seen.insert(key) {
                         return Err(format!("key {key} is live twice in shard {s}"));
                     }
-                    live += 1;
+                    keys += 1;
                 }
-                // The old table's tombstone counter goes stale during a
-                // resize (migration tombstones are not counted); only check
-                // it when the shard is quiescent.
-                if resize_table == 0 && tombs != expected_tombs {
+                // The counter covers the insertion table (listed first)
+                // only: an old table's tombstones are never counted.
+                let expected_tombs = mem.read(hdr.add(HDR_TOMBS));
+                if nth == 0 && tombs != expected_tombs {
                     return Err(format!(
                         "shard {s}: {tombs} tombstones on disk, header says {expected_tombs}"
                     ));
                 }
             }
             let expected_len = mem.read(hdr.add(HDR_LEN));
-            if live != expected_len {
+            if keys != expected_len {
                 return Err(format!(
-                    "shard {s}: {live} live keys on disk, header says {expected_len}"
+                    "shard {s}: {keys} live keys on disk, header says {expected_len}"
                 ));
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crafty_pmem::PmemConfig;
+
+    /// Tombstones in shard 0's insertion table, counted slot by slot.
+    fn insertion_tombstones(kv: &ShardedKv, mem: &MemorySpace) -> u64 {
+        let (insert, _) = kv
+            .live_tables(&mut DirectOps::new(mem), kv.header(0))
+            .unwrap();
+        (0..insert.capacity)
+            .filter(|&i| mem.read(insert.slot(i)) == TOMBSTONE)
+            .count() as u64
+    }
+
+    /// Where `key` lives in shard 0: which live table (0 is the insertion
+    /// table) and which slot.
+    fn locate(kv: &ShardedKv, mem: &MemorySpace, key: u64) -> Option<(usize, PAddr)> {
+        let mut ops = DirectOps::new(mem);
+        let (insert, old) = kv.live_tables(&mut ops, kv.header(0)).unwrap();
+        std::iter::once(insert)
+            .chain(old)
+            .enumerate()
+            .find_map(|(nth, table)| Some((nth, kv.probe(&mut ops, table, key).unwrap().ok()?)))
+    }
+
+    #[test]
+    fn tombstone_counter_tracks_the_insertion_table_through_a_resize() {
+        let mem = MemorySpace::new(PmemConfig::small_for_tests());
+        // One 64-slot shard: a migration spans eight mutations.
+        let cfg = KvConfig::small_for_tests()
+            .with_shards(1)
+            .with_initial_capacity(64);
+        let kv = ShardedKv::create(&mem, &cfg);
+        let mut ops = DirectOps::new(&mem);
+        let check = |what: &str| {
+            kv.check_integrity(&mem)
+                .unwrap_or_else(|e| panic!("after {what}: {e}"));
+            assert_eq!(
+                kv.stats(&mem).tombstones,
+                insertion_tombstones(&kv, &mem),
+                "after {what}"
+            );
+        };
+        let mut filled = 0;
+        while !kv.resize_in_flight(&mem) {
+            kv.put(&mut ops, filled, filled).unwrap();
+            filled += 1;
+            check("a fill put");
+        }
+        // The next mutation migrates the first batch.
+        kv.put(&mut ops, filled, filled).unwrap();
+        check("the first mid-resize put");
+
+        let (migrated, tomb_slot) = (0..filled)
+            .find_map(|k| match locate(&kv, &mem, k) {
+                Some((0, slot)) => Some((k, slot)),
+                _ => None,
+            })
+            .expect("a migrated key");
+        assert_eq!(kv.remove(&mut ops, migrated).unwrap(), Some(migrated));
+        check("removing a migrated key");
+        assert!(kv.resize_in_flight(&mem));
+
+        // Teeth: a counter one off mid-resize is reported.
+        let tombs = kv.header(0).add(HDR_TOMBS);
+        mem.write(tombs, mem.read(tombs) + 1);
+        let err = kv.check_integrity(&mem).expect_err("a wrong counter");
+        assert!(err.contains("tombstones"), "{err}");
+        mem.write(tombs, mem.read(tombs) - 1);
+
+        // An unmigrated key beyond the next batch stays in the old table
+        // through this remove's own migration step.
+        let (_, old) = kv.live_tables(&mut ops, kv.header(0)).unwrap();
+        let old = old.expect("a resize in flight");
+        let pos = mem.read(kv.header(0).add(HDR_MIGRATE_POS));
+        let unmigrated = (0..filled)
+            .find(|&k| match locate(&kv, &mem, k) {
+                Some((1, slot)) => (slot.word() - old.base) / SLOT_WORDS >= pos + MIGRATE_BATCH,
+                _ => false,
+            })
+            .expect("an unmigrated key");
+        assert_eq!(kv.remove(&mut ops, unmigrated).unwrap(), Some(unmigrated));
+        check("removing an unmigrated key");
+        assert!(kv.resize_in_flight(&mem));
+
+        // Re-inserting the migrated key reuses its tombstone.
+        let before = kv.stats(&mem).tombstones;
+        assert_eq!(kv.put(&mut ops, migrated, 7).unwrap(), None);
+        check("re-inserting the removed key");
+        assert_eq!(locate(&kv, &mem, migrated), Some((0, tomb_slot)));
+        assert!(kv.stats(&mem).tombstones < before);
+        assert!(kv.resize_in_flight(&mem));
+
+        // Drain the resize: the swing keeps the counter.
+        let mut key = filled + 1;
+        while kv.resize_in_flight(&mem) {
+            kv.put(&mut ops, key, key).unwrap();
+            key += 1;
+            check("a draining put");
+        }
+        assert_eq!(kv.get_direct(&mem, unmigrated), None);
+        assert_eq!(kv.get_direct(&mem, migrated), Some(7));
     }
 }

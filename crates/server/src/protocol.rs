@@ -392,6 +392,20 @@ impl Request {
         }
     }
 
+    /// The key a request names, if it names one.
+    pub(crate) fn key(&self) -> Option<u64> {
+        match *self {
+            Request::Get { key }
+            | Request::Put { key, .. }
+            | Request::Delete { key }
+            | Request::Scan { key, .. }
+            | Request::Incr { key, .. }
+            | Request::SeqPut { key, .. }
+            | Request::SeqDelete { key, .. } => Some(key),
+            Request::Flush | Request::Stats | Request::Hello { .. } => None,
+        }
+    }
+
     /// Decodes a request from a complete frame payload (opcode byte
     /// included, length prefix already stripped).
     pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {

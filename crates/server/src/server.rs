@@ -56,7 +56,9 @@
 //! violations (gaps, replays older than the reply window, unknown
 //! sessions) drop the connection and count as protocol errors: a correct
 //! client never produces them, and inventing an answer would silently
-//! break the contract.
+//! break the contract. So does a request whose key exceeds [`KEY_MAX`],
+//! which the store cannot hold: nothing runs for it, and the batch goes
+//! unacked.
 //!
 //! # Degrading under overload and failure
 //!
@@ -96,8 +98,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crafty_common::{PersistentTm, TmThread};
-use crafty_kv::{CachedReply, SeqCheck, SessionTable, ShardedKv};
+use crafty_common::{PersistentTm, TmThread, TxAbort, TxnOps};
+use crafty_kv::{SeqCheck, SessionTable, ShardedKv, KEY_MAX};
 use crafty_pmem::MemorySpace;
 use crafty_stats::LatencyHistogram;
 
@@ -248,7 +250,8 @@ pub struct ServerStats {
     /// Durability fences issued, one per batch containing a write or a
     /// `Flush`.
     pub flushes: u64,
-    /// Connections dropped for malformed frames or sequence violations.
+    /// Connections dropped for malformed frames, sequence violations or
+    /// keys above [`KEY_MAX`].
     pub protocol_errors: u64,
     /// Batches answered `Busy` under the in-flight budget, untouched by
     /// the engine. Nominal-load runs must keep this at zero.
@@ -502,10 +505,11 @@ fn serve_connection(
                 req => match execute_request(kv, sessions, handle, req, counters) {
                     Some(resp) => resp,
                     None => {
-                        // Sequence violation: a correct client never sends
-                        // this. Drop the connection without acking the
-                        // batch — but finish the durability epilogue so the
-                        // worker's handle is clean for the next connection.
+                        // Sequence violation or out-of-range key: a correct
+                        // client never sends this. Drop the connection
+                        // without acking the batch — but finish the
+                        // durability epilogue so the worker's handle is
+                        // clean for the next connection.
                         counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                         doomed = true;
                         break;
@@ -568,21 +572,43 @@ fn serve_connection(
 #[cfg(not(feature = "no-session-dedup"))]
 fn dedup_check(
     sessions: &SessionTable,
-    ops: &mut dyn crafty_common::TxnOps,
+    ops: &mut dyn TxnOps,
     session: u64,
     seq: u64,
-) -> Result<SeqCheck, crafty_common::TxAbort> {
+) -> Result<SeqCheck, TxAbort> {
     sessions.check(ops, session, seq)
 }
 
 #[cfg(feature = "no-session-dedup")]
 fn dedup_check(
     _sessions: &SessionTable,
-    _ops: &mut dyn crafty_common::TxnOps,
+    _ops: &mut dyn TxnOps,
     _session: u64,
     _seq: u64,
-) -> Result<SeqCheck, crafty_common::TxAbort> {
+) -> Result<SeqCheck, TxAbort> {
     Ok(SeqCheck::Fresh)
+}
+
+/// Runs `body` as one persistent transaction and returns what its
+/// committed execution returned.
+fn run<T: Default>(
+    handle: &mut dyn TmThread,
+    mut body: impl FnMut(&mut dyn TxnOps) -> Result<T, TxAbort>,
+) -> T {
+    let mut out = T::default();
+    handle.execute(&mut |ops| {
+        out = body(ops)?;
+        Ok(())
+    });
+    out
+}
+
+/// The wire shape of a store result: `Found { value }` or `Missing`.
+fn found_or_missing(value: Option<u64>) -> Response {
+    match value {
+        Some(value) => Response::Found { value },
+        None => Response::Missing,
+    }
 }
 
 /// Executes one sequenced write under session dedup: check, apply, and
@@ -595,13 +621,11 @@ fn execute_sequenced(
     handle: &mut dyn TmThread,
     session: u64,
     seq: u64,
-    apply: &mut dyn FnMut(
-        &mut dyn crafty_common::TxnOps,
-    ) -> Result<CachedReply, crafty_common::TxAbort>,
+    mut apply: impl FnMut(&mut dyn TxnOps) -> Result<Option<u64>, TxAbort>,
 ) -> Option<Response> {
     let mut verdict = SeqCheck::Unknown;
-    let mut reply = CachedReply::missing();
-    let mut body = |ops: &mut dyn crafty_common::TxnOps| {
+    let mut reply = None;
+    let mut body = |ops: &mut dyn TxnOps| {
         verdict = dedup_check(sessions, ops, session, seq)?;
         match verdict {
             SeqCheck::Fresh => {
@@ -616,18 +640,15 @@ fn execute_sequenced(
     };
     handle.execute(&mut body);
     match verdict {
-        SeqCheck::Fresh | SeqCheck::Replay(_) => Some(if reply.found {
-            Response::Found { value: reply.value }
-        } else {
-            Response::Missing
-        }),
+        SeqCheck::Fresh | SeqCheck::Replay(_) => Some(found_or_missing(reply)),
         SeqCheck::Gap { .. } | SeqCheck::Stale | SeqCheck::Unknown => None,
     }
 }
 
 /// Executes one request as one persistent transaction and forms its
 /// response; the caller fences the batch before acking. `None` means a
-/// sequence violation: the caller drops the connection.
+/// sequence violation or a key above [`KEY_MAX`]: the caller drops the
+/// connection.
 fn execute_request(
     kv: &ShardedKv,
     sessions: &SessionTable,
@@ -635,61 +656,26 @@ fn execute_request(
     req: Request,
     counters: &Counters,
 ) -> Option<Response> {
+    // The store cannot hold such a key; executing it would panic the
+    // worker.
+    if req.key().is_some_and(|key| key > KEY_MAX) {
+        return None;
+    }
     match req {
-        Request::Get { key } => {
-            let mut got = None;
-            handle.execute(&mut |ops| {
-                got = kv.get(ops, key)?;
-                Ok(())
-            });
-            Some(match got {
-                Some(value) => Response::Found { value },
-                None => Response::Missing,
-            })
-        }
+        Request::Get { key } => Some(found_or_missing(run(handle, |ops| kv.get(ops, key)))),
         Request::Put { key, value } => {
-            let mut prev = None;
-            handle.execute(&mut |ops| {
-                prev = kv.put(ops, key, value)?;
-                Ok(())
-            });
-            Some(match prev {
-                Some(value) => Response::Found { value },
-                None => Response::Missing,
-            })
+            Some(found_or_missing(run(handle, |ops| kv.put(ops, key, value))))
         }
-        Request::Delete { key } => {
-            let mut prev = None;
-            handle.execute(&mut |ops| {
-                prev = kv.remove(ops, key)?;
-                Ok(())
-            });
-            Some(match prev {
-                Some(value) => Response::Found { value },
-                None => Response::Missing,
-            })
-        }
+        Request::Delete { key } => Some(found_or_missing(run(handle, |ops| kv.remove(ops, key)))),
         Request::Scan { key, limit } => {
-            let mut result = (0, 0);
-            handle.execute(&mut |ops| {
-                result = kv.scan(ops, key, limit)?;
-                Ok(())
-            });
-            Some(Response::Scanned {
-                count: result.0,
-                sum: result.1,
-            })
+            let (count, sum) = run(handle, |ops| kv.scan(ops, key, limit));
+            Some(Response::Scanned { count, sum })
         }
         Request::Hello { session } => {
             // Session allocation/resume is itself a persistent
             // transaction; `is_write` makes the batch fence before the
             // Welcome leaves, so an acked session id survives any crash.
-            let mut granted = None;
-            handle.execute(&mut |ops| {
-                granted = sessions.begin(ops, session)?;
-                Ok(())
-            });
-            Some(match granted {
+            Some(match run(handle, |ops| sessions.begin(ops, session)) {
                 Some((sid, last_seq)) => {
                     if session == 0 {
                         counters.sessions.fetch_add(1, Ordering::Relaxed);
@@ -711,32 +697,24 @@ fn execute_request(
             delta,
             session,
             seq,
-        } => execute_sequenced(sessions, handle, session, seq, &mut |ops| {
+        } => execute_sequenced(sessions, handle, session, seq, |ops| {
             // Read-modify-write in the guarded transaction: exactly the
             // shape that makes a double-applied replay visible.
             let current = kv.get(ops, key)?.unwrap_or(0);
             let next = current.wrapping_add(delta);
             kv.put(ops, key, next)?;
-            Ok(CachedReply::found(next))
+            Ok(Some(next))
         }),
         Request::SeqPut {
             key,
             value,
             session,
             seq,
-        } => execute_sequenced(sessions, handle, session, seq, &mut |ops| {
-            Ok(match kv.put(ops, key, value)? {
-                Some(prev) => CachedReply::found(prev),
-                None => CachedReply::missing(),
-            })
+        } => execute_sequenced(sessions, handle, session, seq, |ops| {
+            kv.put(ops, key, value)
         }),
         Request::SeqDelete { key, session, seq } => {
-            execute_sequenced(sessions, handle, session, seq, &mut |ops| {
-                Ok(match kv.remove(ops, key)? {
-                    Some(prev) => CachedReply::found(prev),
-                    None => CachedReply::missing(),
-                })
-            })
+            execute_sequenced(sessions, handle, session, seq, |ops| kv.remove(ops, key))
         }
         // The batch's fence, which a Flush always requests, is the barrier.
         Request::Flush => Some(Response::Flushed),

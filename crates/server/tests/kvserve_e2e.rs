@@ -8,11 +8,12 @@ use std::sync::Arc;
 
 use crafty_common::PersistentTm;
 use crafty_core::{Crafty, CraftyConfig};
+use crafty_kv::KEY_MAX;
 use crafty_kv::{DirectOps, KvConfig, SessionTable, ShardedKv};
 use crafty_pmem::{MemorySpace, PmemConfig};
-#[cfg(not(feature = "no-session-dedup"))]
-use crafty_server::ClientError;
-use crafty_server::{KvClient, KvServer, Request, Response, ServerConfig, ServerStats};
+use crafty_server::{
+    ClientError, KvClient, KvServer, Request, Response, ServerConfig, ServerStats,
+};
 
 const RECORDS: u64 = 256;
 const WORKERS: usize = 2;
@@ -164,6 +165,9 @@ fn stats_reports_live_percentiles_from_a_loaded_server() {
 /// The live exactly-once contract, no crash involved: a replayed
 /// sequenced batch (lost-ack simulation) must return the *cached*
 /// responses and re-apply nothing — even for a non-idempotent increment.
+/// The batch covers every reply shape a sequenced write caches: an
+/// increment's new value, a put's `Missing`, a delete's `Found` and a
+/// delete's `Missing`.
 #[cfg(not(feature = "no-session-dedup"))]
 #[test]
 fn replayed_batch_returns_cached_replies_without_reapplying() {
@@ -187,25 +191,38 @@ fn replayed_batch_returns_cached_replies_without_reapplying() {
             session: sid,
             seq: 2,
         },
+        Request::SeqDelete {
+            key: 7, // prefilled with 7 * 3
+            session: sid,
+            seq: 3,
+        },
+        Request::SeqDelete {
+            key: 9002,
+            session: sid,
+            seq: 4,
+        },
     ];
     client.send(&batch).expect("send");
-    let first = client.recv(2).expect("recv");
+    let first = client.recv(4).expect("recv");
     assert_eq!(first[0], Response::Found { value: 5 });
     assert_eq!(first[1], Response::Missing, "no previous value at 9001");
+    assert_eq!(first[2], Response::Found { value: 21 }, "7 was present");
+    assert_eq!(first[3], Response::Missing, "9002 was absent");
 
     // The client "lost the ack": replay the identical batch. The session
     // table must serve both responses from its cache.
     client.send(&batch).expect("replay");
-    let second = client.recv(2).expect("recv replay");
+    let second = client.recv(4).expect("recv replay");
     assert_eq!(second, first, "replayed batch must get the cached replies");
 
     // And the store shows exactly one application.
     assert_eq!(client.get(9000).expect("get"), Some(5), "no double-apply");
     assert_eq!(client.get(9001).expect("get"), Some(77));
+    assert_eq!(client.get(7).expect("get"), None);
 
     // A resumed session reports the applied high-water mark.
     let mut resumed = KvClient::connect(server.local_addr()).expect("reconnect");
-    assert_eq!(resumed.hello(sid).expect("resume"), (sid, 2));
+    assert_eq!(resumed.hello(sid).expect("resume"), (sid, 4));
 
     server.shutdown();
     engine.quiesce();
@@ -348,6 +365,40 @@ fn overloaded_server_sheds_whole_batches_with_busy() {
     );
     let stats = server.shutdown();
     assert!(stats.shed_batches >= 1, "shed counter must record it");
+    engine.quiesce();
+}
+
+/// A key the store cannot hold is a protocol violation, not a panic:
+/// each such request drops its own connection, unacked, and every worker
+/// stays up to serve the next client.
+#[test]
+fn out_of_range_key_drops_the_connection_not_the_worker() {
+    let (_mem, engine, server) = boot();
+    for _ in 0..WORKERS {
+        let mut hostile = KvClient::connect(server.local_addr()).expect("connect");
+        hostile
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        hostile
+            .send(&[Request::Get { key: KEY_MAX + 1 }])
+            .expect("send");
+        match hostile.recv(1) {
+            Err(ClientError::Disconnected) => {}
+            other => panic!("an out-of-range key must close the connection, got {other:?}"),
+        }
+    }
+
+    let mut client = KvClient::connect(server.local_addr()).expect("a worker is still serving");
+    client
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    assert_eq!(
+        client.stats().expect("stats").protocol_errors,
+        WORKERS as u64
+    );
+    assert_eq!(client.get(1).expect("get"), Some(3));
+
+    server.shutdown();
     engine.quiesce();
 }
 

@@ -1,8 +1,9 @@
 //! Crash-point torture of the durable sharded KV store.
 //!
 //! A single thread drives puts and removes over a small key space on a
-//! deliberately tiny [`ShardedKv`] (two shards, minimal initial capacity),
-//! so the run crosses table resizes and tombstone churn. Every crash image
+//! deliberately small [`ShardedKv`] (one shard of 16 slots), so the run
+//! crosses several table resizes, and its removes hit both tables while a
+//! migration is in flight. Every crash image
 //! is recovered, booted, deep-checked with
 //! [`ShardedKv::check_integrity`], and compared against a prefix of the
 //! shadow oracle's map states.
@@ -20,8 +21,9 @@ use crate::bank::recover_checked;
 use crate::{enumerate, Replay, TortureConfig, TortureReport};
 
 /// Key space; small enough that overwrites, removes, and rehash churn all
-/// happen within a short run.
-const KEYS: u64 = 24;
+/// happen within a short run, large enough to outgrow [`suite_cfg`]'s
+/// table three times.
+const KEYS: u64 = 48;
 
 /// One oracle operation: `(key, Some(value))` is a put, `(key, None)` a
 /// remove.
@@ -51,6 +53,15 @@ pub(crate) fn kv_cfg() -> KvConfig {
     KvConfig::small_for_tests()
         .with_shards(2)
         .with_initial_capacity(8)
+}
+
+/// This suite's store: one shard starting at 16 slots, so every
+/// migration spans two or more mutations and the operations between them
+/// reach both tables.
+fn suite_cfg() -> KvConfig {
+    KvConfig::small_for_tests()
+        .with_shards(1)
+        .with_initial_capacity(16)
 }
 
 /// Draws the deterministic operation list: mostly puts (with values unique
@@ -101,7 +112,7 @@ fn run_once(ops: &[KvOp], plan: FaultPlan) -> KvRun {
     let mem = Arc::new(MemorySpace::new(pmem_cfg(plan, 1)));
     let engine = Crafty::new(Arc::clone(&mem), crafty_cfg(1));
     let dir_addr = engine.directory_addr();
-    let kv = ShardedKv::create(&mem, &kv_cfg());
+    let kv = ShardedKv::create(&mem, &suite_cfg());
     let mut thread = engine.register_thread(0);
     let setup_steps = mem.fault_steps();
     for &(key, value) in ops {
@@ -139,7 +150,7 @@ fn audit(run: &mut KvRun, ops: &[KvOp]) -> Result<(), String> {
         pmem_cfg(FaultPlan::inactive(), 1),
     ));
     let _engine = Crafty::new(Arc::clone(&mem), crafty_cfg(1));
-    let kv = ShardedKv::open(&mem, &kv_cfg());
+    let kv = ShardedKv::open(&mem, &suite_cfg());
     kv.check_integrity(&mem)
         .map_err(|e| format!("store integrity violated: {e}"))?;
     let mut pairs = kv.collect_pairs(&mem);
@@ -187,14 +198,36 @@ pub fn run_kv_torture(cfg: &TortureConfig) -> TortureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crafty_kv::DirectOps;
 
     #[test]
     fn the_operation_mix_crosses_a_resize() {
-        // The integrity audit only bites if the run stresses the rehash
-        // machinery: with 24 keys on 8-slot shards, growth must trigger.
-        let ops = draw_ops(1, 60);
-        let puts = ops.iter().filter(|(_, v)| v.is_some()).count();
-        assert!(puts > 16, "not enough puts to outgrow the initial tables");
+        // The integrity audit only bites if the run reaches the rehash
+        // machinery: a fault-free run of the CI mix must put, and remove a
+        // present key, while a resize is in flight.
+        let ops = draw_ops(1, 80);
+        let mem = MemorySpace::new(pmem_cfg(FaultPlan::inactive(), 1));
+        let kv = ShardedKv::create(&mem, &suite_cfg());
+        let mut direct = DirectOps::new(&mem);
+        let mut shadow = BTreeMap::new();
+        let (mut puts, mut removes) = (0, 0);
+        for &(key, value) in &ops {
+            let resizing = kv.resize_in_flight(&mem);
+            match value {
+                Some(v) => {
+                    puts += u64::from(resizing);
+                    kv.put(&mut direct, key, v).unwrap();
+                    shadow.insert(key, v);
+                }
+                None => {
+                    removes += u64::from(resizing && shadow.contains_key(&key));
+                    kv.remove(&mut direct, key).unwrap();
+                    shadow.remove(&key);
+                }
+            }
+        }
+        assert!(puts >= 1, "no put while a resize was in flight");
+        assert!(removes >= 1, "no remove of a present key mid-resize");
     }
 
     #[test]
