@@ -12,7 +12,7 @@
 //!                 [--txns N] [--steps N] [--crash-step N]
 //! figures kvserve [--rates a,b,c] [--ops N] [--engines e,e] [--connections N]
 //!                 [--workers N] [--records N] [--read-pct N] [--fixed] [--seed N]
-//!                 [--drain-ns N] [--json-out PATH] [--assert-no-shed]
+//!                 [--drain-ns N] [--json-out PATH]
 //! figures trace   [--out trace.json] [--threads N] [--txns N]
 //! figures --help
 //! ```
@@ -233,11 +233,6 @@ const SPECS: &[SubcommandSpec] = &[
                 name: "--json-out",
                 value: Some("PATH"),
                 help: "artifact path (default BENCH_kvserve.json)",
-            },
-            FlagDef {
-                name: "--assert-no-shed",
-                value: None,
-                help: "exit 1 if any point sheds batches (BUSY) — keeps latency baselines honest",
             },
         ],
     },
@@ -637,21 +632,6 @@ fn run_kvserve_cmd(args: &[String]) -> ! {
     println!("\n{}", render_kvserve_table(&points));
     std::fs::write(json_path, render_kvserve_json(&cfg, &points)).expect("write kvserve json");
     println!("[json written to {json_path}]");
-    if p.has("--assert-no-shed") {
-        let shed: Vec<_> = points.iter().filter(|pt| pt.shed_batches > 0).collect();
-        if !shed.is_empty() {
-            println!("\nASSERT-NO-SHED FAILED — overload shedding fired during the sweep:");
-            for pt in &shed {
-                println!(
-                    "  {:<12} @ {:>7}/s: {} batches shed (the latencies above are \
-                     survivorship-biased)",
-                    pt.engine, pt.rate_per_sec, pt.shed_batches,
-                );
-            }
-            std::process::exit(1);
-        }
-        println!("[assert-no-shed: ok — no point shed a batch]");
-    }
     std::process::exit(0);
 }
 

@@ -207,10 +207,6 @@ pub struct KvServePoint {
     /// Mean pipelined-batch depth the server saw (its group-commit
     /// amortization factor).
     pub mean_batch: f64,
-    /// Batches the server shed with `Busy`. Nominal-load sweeps must keep
-    /// this zero, or the tail percentiles describe a degraded server —
-    /// `figures kvserve --assert-no-shed` turns that into a hard failure.
-    pub shed_batches: u64,
     /// The full latency distribution, measured from intended send times.
     pub latency: LatencyHistogram,
 }
@@ -356,7 +352,6 @@ pub fn run_kvserve_point(cfg: &KvServeConfig, engine: KvServeEngine, rate: u64) 
         ops: histogram.count(),
         achieved_rate: histogram.count() as f64 / wall_s,
         mean_batch: stats.mean_batch(),
-        shed_batches: stats.shed_batches,
         latency: histogram,
     }
 }
@@ -373,8 +368,7 @@ pub fn render_kvserve_json(cfg: &KvServeConfig, points: &[KvServePoint]) -> Stri
                 .with("rate_per_sec", Json::from(p.rate_per_sec))
                 .with("ops", Json::from(p.ops))
                 .with("achieved_rate", Json::Float(round2(p.achieved_rate)))
-                .with("mean_batch", Json::Float(round4(p.mean_batch)))
-                .with("shed_batches", Json::from(p.shed_batches));
+                .with("mean_batch", Json::Float(round4(p.mean_batch)));
             match p.percentiles() {
                 Some((p50, p99, p999)) => o
                     .with("p50_ns", Json::UInt(p50))
@@ -454,7 +448,6 @@ mod tests {
         let p = run_kvserve_point(&cfg, KvServeEngine::NonDurable, 50_000);
         assert_eq!(p.ops, 400, "every scheduled op must be served and acked");
         assert_eq!(p.engine, "Non-durable");
-        assert_eq!(p.shed_batches, 0, "nominal load must never shed");
         assert!(p.achieved_rate > 0.0);
         assert!(p.latency.percentile(0.99) >= p.latency.percentile(0.50));
         // Saturation is exactly "achieved under 95% of offered", and a
@@ -495,7 +488,6 @@ mod tests {
             "\"p99_ns\"",
             "\"p999_ns\"",
             "\"mean_batch\"",
-            "\"shed_batches\"",
             "\"arrival\"",
             "\"nproc\"",
             "\"revision\"",

@@ -18,17 +18,14 @@
 //! Failures are *typed* ([`ClientError`]) so retry layers can tell a
 //! [`ClientError::Timeout`] (server may or may not have applied the batch;
 //! replay it under session dedup) from a [`ClientError::Desync`] (the
-//! stream is garbage; reconnecting is the only option) from a
-//! [`ClientError::Busy`] (the server shed the batch untouched; back off
-//! and resend). [`ClientError::is_retryable`] encodes that split.
+//! stream is garbage; reconnecting is the only option).
+//! [`ClientError::is_retryable`] encodes that split.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::protocol::{
-    frame_payload_len, ProtocolError, Request, Response, StatsReport, HEADER_LEN,
-};
+use crate::protocol::{drain_frames, ProtocolError, Request, Response, ServerStats};
 
 /// Why a client call failed, split along the lines a retry layer cares
 /// about. See [`ClientError::is_retryable`].
@@ -44,9 +41,6 @@ pub enum ClientError {
     /// The response byte stream failed to parse. The connection is
     /// unusable; only a reconnect recovers.
     Desync(ProtocolError),
-    /// The server shed the batch under overload: nothing was applied or
-    /// recorded. Back off and resend the identical batch.
-    Busy,
     /// The server answered with a response the call did not expect
     /// (protocol misuse or version skew). Not retryable.
     Unexpected(String),
@@ -59,10 +53,7 @@ impl ClientError {
     /// succeed and — for sequenced writes under session dedup — cannot
     /// double-apply.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ClientError::Timeout | ClientError::Disconnected | ClientError::Busy
-        )
+        matches!(self, ClientError::Timeout | ClientError::Disconnected)
     }
 }
 
@@ -72,7 +63,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Timeout => write!(f, "request timed out"),
             ClientError::Disconnected => write!(f, "connection closed"),
             ClientError::Desync(e) => write!(f, "response stream desynced: {e}"),
-            ClientError::Busy => write!(f, "server shed the batch (busy)"),
             ClientError::Unexpected(what) => write!(f, "unexpected response: {what}"),
             ClientError::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -252,22 +242,8 @@ impl<S: NetStream> KvClient<S> {
         let mut responses = Vec::with_capacity(count);
         let mut chunk = [0u8; 4096];
         loop {
-            // Drain every complete frame already buffered.
-            let mut consumed = 0;
-            while responses.len() < count {
-                match frame_payload_len(&self.inbox[consumed..]) {
-                    Ok(Some(len)) => {
-                        let payload =
-                            &self.inbox[consumed + HEADER_LEN..consumed + HEADER_LEN + len];
-                        let resp = Response::decode(payload).map_err(ClientError::Desync)?;
-                        responses.push(resp);
-                        consumed += HEADER_LEN + len;
-                    }
-                    Ok(None) => break,
-                    Err(e) => return Err(ClientError::Desync(e)),
-                }
-            }
-            self.inbox.drain(..consumed);
+            drain_frames(&mut self.inbox, count, &mut responses, Response::decode)
+                .map_err(ClientError::Desync)?;
             if responses.len() == count {
                 return Ok(responses);
             }
@@ -291,15 +267,6 @@ impl<S: NetStream> KvClient<S> {
         Ok(responses.remove(0))
     }
 
-    fn expect_value(resp: Response) -> Result<Option<u64>, ClientError> {
-        match resp {
-            Response::Found { value } => Ok(Some(value)),
-            Response::Missing => Ok(None),
-            Response::Busy => Err(ClientError::Busy),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
     /// Performs the session handshake. `session == 0` asks for a fresh
     /// session; nonzero asks to resume one. Returns the server's
     /// `(session, last_seq)` — `session == 0` in the reply means the
@@ -313,7 +280,6 @@ impl<S: NetStream> KvClient<S> {
     pub fn hello(&mut self, session: u64) -> Result<(u64, u64), ClientError> {
         match self.call(Request::Hello { session })? {
             Response::Welcome { session, last_seq } => Ok((session, last_seq)),
-            Response::Busy => Err(ClientError::Busy),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
@@ -325,7 +291,7 @@ impl<S: NetStream> KvClient<S> {
     /// As [`KvClient::call`], plus [`ClientError::Unexpected`] on a
     /// mismatched response.
     pub fn get(&mut self, key: u64) -> Result<Option<u64>, ClientError> {
-        Self::expect_value(self.call(Request::Get { key })?)
+        expect_value(self.call(Request::Get { key })?)
     }
 
     /// Durably writes `key = value`; returns the previous value. When
@@ -336,7 +302,7 @@ impl<S: NetStream> KvClient<S> {
     /// As [`KvClient::call`], plus [`ClientError::Unexpected`] on a
     /// mismatched response.
     pub fn put(&mut self, key: u64, value: u64) -> Result<Option<u64>, ClientError> {
-        Self::expect_value(self.call(Request::Put { key, value })?)
+        expect_value(self.call(Request::Put { key, value })?)
     }
 
     /// Durably removes `key`; returns the removed value.
@@ -346,7 +312,7 @@ impl<S: NetStream> KvClient<S> {
     /// As [`KvClient::call`], plus [`ClientError::Unexpected`] on a
     /// mismatched response.
     pub fn delete(&mut self, key: u64) -> Result<Option<u64>, ClientError> {
-        Self::expect_value(self.call(Request::Delete { key })?)
+        expect_value(self.call(Request::Delete { key })?)
     }
 
     /// Scans up to `limit` entries from `key`'s probe position; returns
@@ -359,7 +325,6 @@ impl<S: NetStream> KvClient<S> {
     pub fn scan(&mut self, key: u64, limit: u64) -> Result<(u64, u64), ClientError> {
         match self.call(Request::Scan { key, limit })? {
             Response::Scanned { count, sum } => Ok((count, sum)),
-            Response::Busy => Err(ClientError::Busy),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
@@ -370,10 +335,9 @@ impl<S: NetStream> KvClient<S> {
     ///
     /// As [`KvClient::call`], plus [`ClientError::Unexpected`] on a
     /// mismatched response.
-    pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
+    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
         match self.call(Request::Stats)? {
             Response::Stats { report } => Ok(report),
-            Response::Busy => Err(ClientError::Busy),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
@@ -388,9 +352,17 @@ impl<S: NetStream> KvClient<S> {
     pub fn flush(&mut self) -> Result<(), ClientError> {
         match self.call(Request::Flush)? {
             Response::Flushed => Ok(()),
-            Response::Busy => Err(ClientError::Busy),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
+    }
+}
+
+/// The value a `Get`, `Put`, `Delete` or sequenced write replies with.
+pub(crate) fn expect_value(resp: Response) -> Result<Option<u64>, ClientError> {
+    match resp {
+        Response::Found { value } => Ok(Some(value)),
+        Response::Missing => Ok(None),
+        other => Err(ClientError::Unexpected(format!("{other:?}"))),
     }
 }
 

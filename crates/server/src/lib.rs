@@ -57,6 +57,6 @@ pub mod server;
 
 pub use client::{ClientError, KvClient, NetStream};
 pub use faults::{FaultConfig, FaultyStream};
-pub use protocol::{ProtocolError, Request, Response, StatsReport};
+pub use protocol::{ProtocolError, Request, Response, ServerStats};
 pub use retry::{RetryPolicy, SessionClient, WriteOp};
-pub use server::{KvServer, ServerConfig, ServerStats};
+pub use server::{KvServer, ServerConfig};

@@ -19,15 +19,18 @@
 //! amortizes across every write the batch contained (see
 //! [`crate::server`]).
 
-/// Largest legal payload: the biggest message is the stats reply — an
-/// opcode plus thirteen `u64` fields. A length prefix above this is a
-/// protocol violation, not a request to buffer 4 GiB.
-pub const MAX_PAYLOAD: usize = 105;
+/// Words in the stats reply, the longest message.
+const STATS_WORDS: usize = 13;
+
+/// Largest legal payload: the stats reply's opcode and words. A length
+/// prefix above this is a protocol violation, not a request to buffer
+/// 4 GiB.
+pub const MAX_PAYLOAD: usize = 1 + 8 * STATS_WORDS;
 
 /// Bytes of the length prefix.
 pub const HEADER_LEN: usize = 4;
 
-// Request opcodes.
+// Request opcodes, contiguous from `OP_GET` to `OP_SEQ_DELETE`.
 const OP_GET: u8 = 0x01;
 const OP_PUT: u8 = 0x02;
 const OP_DELETE: u8 = 0x03;
@@ -39,15 +42,15 @@ const OP_INCR: u8 = 0x08;
 const OP_SEQ_PUT: u8 = 0x09;
 const OP_SEQ_DELETE: u8 = 0x0A;
 
-// Response opcodes (high bit set, so a stream desynchronization that
-// feeds a response to the request decoder is caught immediately).
+// Response opcodes, contiguous from `OP_FOUND` to `OP_WELCOME` (high bit
+// set, so a stream desynchronization that feeds a response to the request
+// decoder is caught immediately).
 const OP_FOUND: u8 = 0x81;
 const OP_MISSING: u8 = 0x82;
 const OP_SCANNED: u8 = 0x83;
 const OP_FLUSHED: u8 = 0x84;
 const OP_STATS_REPLY: u8 = 0x85;
 const OP_WELCOME: u8 = 0x86;
-const OP_BUSY: u8 = 0x87;
 
 /// A client request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,7 +87,7 @@ pub enum Request {
     /// durable.
     Flush,
     /// Read the server's live counters and latency percentiles. Answered
-    /// from the serving worker's shared state without touching the engine,
+    /// from the server's shared counters without running a transaction,
     /// so it is safe to poll a loaded server.
     Stats,
     /// Session handshake. `session = 0` asks the server to allocate a
@@ -136,20 +139,23 @@ pub enum Request {
     },
 }
 
-/// The live-metrics payload of a [`Response::Stats`]: the server's
-/// lifetime counters plus a percentile summary of its per-batch service
-/// latency histogram. All durations are nanoseconds.
+/// The server's lifetime counters plus a percentile summary of its
+/// per-request service latency histogram: the payload of a
+/// [`Response::Stats`], and what [`crate::KvServer::stats`] returns in
+/// process. All durations are nanoseconds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct StatsReport {
+pub struct ServerStats {
     /// Connections accepted.
     pub connections: u64,
     /// Requests executed.
     pub requests: u64,
-    /// Pipelined batches served (each at most one durability barrier).
+    /// Pipelined batches served (each at most one durability fence).
     pub batches: u64,
-    /// Durability barriers issued for batches containing writes.
+    /// Durability fences issued, one per batch containing a write or a
+    /// `Flush`.
     pub flushes: u64,
-    /// Connections dropped for malformed frames.
+    /// Connections dropped for malformed frames, sequence violations or
+    /// keys above [`crafty_kv::KEY_MAX`].
     pub protocol_errors: u64,
     /// Latency samples recorded (one per request served).
     pub latency_count: u64,
@@ -163,17 +169,16 @@ pub struct StatsReport {
     pub latency_p999_ns: u64,
     /// Exact maximum service latency.
     pub latency_max_ns: u64,
-    /// Batches answered `BUSY` by the overload shedder without touching
-    /// the engine. Nonzero means the in-flight budget was hit; the
-    /// committed latency baselines are only meaningful when this is 0.
+    /// Retired, always 0: the server sheds no batches. The field keeps
+    /// its word on the wire and its place in the reports that print it.
     pub shed_batches: u64,
     /// Sessions allocated by `Hello` handshakes over this server's life.
     pub sessions: u64,
 }
 
-impl StatsReport {
-    /// Field order on the wire (and count: thirteen `u64`s).
-    fn fields(&self) -> [u64; 13] {
+impl ServerStats {
+    /// Field order on the wire.
+    fn fields(&self) -> [u64; STATS_WORDS] {
         [
             self.connections,
             self.requests,
@@ -191,22 +196,13 @@ impl StatsReport {
         ]
     }
 
-    fn from_payload(payload: &[u8]) -> StatsReport {
-        let f = |i: usize| read_u64(payload, 1 + 8 * i);
-        StatsReport {
-            connections: f(0),
-            requests: f(1),
-            batches: f(2),
-            flushes: f(3),
-            protocol_errors: f(4),
-            latency_count: f(5),
-            latency_mean_ns: f(6),
-            latency_p50_ns: f(7),
-            latency_p99_ns: f(8),
-            latency_p999_ns: f(9),
-            latency_max_ns: f(10),
-            shed_batches: f(11),
-            sessions: f(12),
+    /// Mean pipelined-batch depth — the amortization factor group commit
+    /// achieved. `1.0` means the server never saw a pipeline.
+    pub fn mean_batch(&self) -> f64 {
+        if self.batches == 0 {
+            0.0
+        } else {
+            self.requests as f64 / self.batches as f64
         }
     }
 }
@@ -233,7 +229,7 @@ pub enum Response {
     /// Reply to a `Stats` request.
     Stats {
         /// The live counters and latency percentiles.
-        report: StatsReport,
+        report: ServerStats,
     },
     /// Reply to a [`Request::Hello`]. `session = 0` means the requested
     /// resume was refused (the session was never allocated, or its table
@@ -248,11 +244,6 @@ pub enum Response {
         /// re-sent as new work (replays of it get cached responses).
         last_seq: u64,
     },
-    /// The server's in-flight-batch budget is exhausted: the whole batch
-    /// was shed without executing anything. Nothing was applied and
-    /// nothing was recorded in the session table — retry the identical
-    /// batch after backing off.
-    Busy,
 }
 
 /// A malformed frame or payload. Any of these on a connection is fatal to
@@ -301,12 +292,6 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-fn read_u64(payload: &[u8], at: usize) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&payload[at..at + 8]);
-    u64::from_le_bytes(bytes)
-}
-
 /// Appends one frame (`op` byte plus `fields` in order) to `out`.
 fn encode_frame(out: &mut Vec<u8>, op: u8, fields: &[u64]) {
     let len = 1 + 8 * fields.len();
@@ -314,6 +299,34 @@ fn encode_frame(out: &mut Vec<u8>, op: u8, fields: &[u64]) {
     out.push(op);
     for f in fields {
         out.extend_from_slice(&f.to_le_bytes());
+    }
+}
+
+/// Splits a payload into its opcode and its body's little-endian words,
+/// the form each decoder matches its layouts against. A body that is not
+/// whole words, or longer than any message, has no words: no layout
+/// matches it.
+fn split<'w>(
+    payload: &[u8],
+    words: &'w mut [u64; STATS_WORDS],
+) -> Result<(u8, Option<&'w [u64]>), ProtocolError> {
+    let (&op, body) = payload.split_first().ok_or(ProtocolError::Empty)?;
+    if body.len() % 8 != 0 || body.len() > 8 * STATS_WORDS {
+        return Ok((op, None));
+    }
+    for (word, bytes) in words.iter_mut().zip(body.chunks_exact(8)) {
+        *word = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+    }
+    Ok((op, Some(&words[..body.len() / 8])))
+}
+
+/// Why no layout matched a payload of `len` bytes: the wrong length for an
+/// opcode in `known`, or an opcode outside it.
+fn mismatch(op: u8, len: usize, known: std::ops::RangeInclusive<u8>) -> ProtocolError {
+    if known.contains(&op) {
+        ProtocolError::BadLength { op, len }
+    } else {
+        ProtocolError::UnknownOp { op }
     }
 }
 
@@ -335,6 +348,29 @@ pub fn frame_payload_len(buf: &[u8]) -> Result<Option<usize>, ProtocolError> {
         return Ok(None);
     }
     Ok(Some(len as usize))
+}
+
+/// Decodes complete frames from the front of `buf` into `out` until `out`
+/// holds `want` messages or no complete frame is left, then drains the
+/// bytes it decoded. On an error `buf` is left as it was: the stream has
+/// lost sync, and the connection is done.
+pub(crate) fn drain_frames<T>(
+    buf: &mut Vec<u8>,
+    want: usize,
+    out: &mut Vec<T>,
+    decode: fn(&[u8]) -> Result<T, ProtocolError>,
+) -> Result<(), ProtocolError> {
+    let mut consumed = 0;
+    while out.len() < want {
+        let Some(len) = frame_payload_len(&buf[consumed..])? else {
+            break;
+        };
+        let start = consumed + HEADER_LEN;
+        out.push(decode(&buf[start..start + len])?);
+        consumed = start + len;
+    }
+    buf.drain(..consumed);
+    Ok(())
 }
 
 impl Request {
@@ -409,87 +445,31 @@ impl Request {
     /// Decodes a request from a complete frame payload (opcode byte
     /// included, length prefix already stripped).
     pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {
-        let op = *payload.first().ok_or(ProtocolError::Empty)?;
-        let body = payload.len() - 1;
-        let expect = |fields: usize| -> Result<(), ProtocolError> {
-            if body == 8 * fields {
-                Ok(())
-            } else {
-                Err(ProtocolError::BadLength {
-                    op,
-                    len: payload.len(),
-                })
-            }
-        };
-        match op {
-            OP_GET => {
-                expect(1)?;
-                Ok(Request::Get {
-                    key: read_u64(payload, 1),
-                })
-            }
-            OP_PUT => {
-                expect(2)?;
-                Ok(Request::Put {
-                    key: read_u64(payload, 1),
-                    value: read_u64(payload, 9),
-                })
-            }
-            OP_DELETE => {
-                expect(1)?;
-                Ok(Request::Delete {
-                    key: read_u64(payload, 1),
-                })
-            }
-            OP_SCAN => {
-                expect(2)?;
-                Ok(Request::Scan {
-                    key: read_u64(payload, 1),
-                    limit: read_u64(payload, 9),
-                })
-            }
-            OP_FLUSH => {
-                expect(0)?;
-                Ok(Request::Flush)
-            }
-            OP_STATS => {
-                expect(0)?;
-                Ok(Request::Stats)
-            }
-            OP_HELLO => {
-                expect(1)?;
-                Ok(Request::Hello {
-                    session: read_u64(payload, 1),
-                })
-            }
-            OP_INCR => {
-                expect(4)?;
-                Ok(Request::Incr {
-                    key: read_u64(payload, 1),
-                    delta: read_u64(payload, 9),
-                    session: read_u64(payload, 17),
-                    seq: read_u64(payload, 25),
-                })
-            }
-            OP_SEQ_PUT => {
-                expect(4)?;
-                Ok(Request::SeqPut {
-                    key: read_u64(payload, 1),
-                    value: read_u64(payload, 9),
-                    session: read_u64(payload, 17),
-                    seq: read_u64(payload, 25),
-                })
-            }
-            OP_SEQ_DELETE => {
-                expect(3)?;
-                Ok(Request::SeqDelete {
-                    key: read_u64(payload, 1),
-                    session: read_u64(payload, 9),
-                    seq: read_u64(payload, 17),
-                })
-            }
-            op => Err(ProtocolError::UnknownOp { op }),
-        }
+        let mut words = [0; STATS_WORDS];
+        let (op, words) = split(payload, &mut words)?;
+        Ok(match (op, words) {
+            (OP_GET, Some(&[key])) => Request::Get { key },
+            (OP_PUT, Some(&[key, value])) => Request::Put { key, value },
+            (OP_DELETE, Some(&[key])) => Request::Delete { key },
+            (OP_SCAN, Some(&[key, limit])) => Request::Scan { key, limit },
+            (OP_FLUSH, Some(&[])) => Request::Flush,
+            (OP_STATS, Some(&[])) => Request::Stats,
+            (OP_HELLO, Some(&[session])) => Request::Hello { session },
+            (OP_INCR, Some(&[key, delta, session, seq])) => Request::Incr {
+                key,
+                delta,
+                session,
+                seq,
+            },
+            (OP_SEQ_PUT, Some(&[key, value, session, seq])) => Request::SeqPut {
+                key,
+                value,
+                session,
+                seq,
+            },
+            (OP_SEQ_DELETE, Some(&[key, session, seq])) => Request::SeqDelete { key, session, seq },
+            _ => return Err(mismatch(op, payload.len(), OP_GET..=OP_SEQ_DELETE)),
+        })
     }
 }
 
@@ -505,70 +485,39 @@ impl Response {
             Response::Welcome { session, last_seq } => {
                 encode_frame(out, OP_WELCOME, &[session, last_seq])
             }
-            Response::Busy => encode_frame(out, OP_BUSY, &[]),
         }
     }
 
     /// Decodes a response from a complete frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, ProtocolError> {
-        let op = *payload.first().ok_or(ProtocolError::Empty)?;
-        let body = payload.len() - 1;
-        let expect = |fields: usize| -> Result<(), ProtocolError> {
-            if body == 8 * fields {
-                Ok(())
-            } else {
-                Err(ProtocolError::BadLength {
-                    op,
-                    len: payload.len(),
-                })
-            }
-        };
-        match op {
-            OP_FOUND => {
-                expect(1)?;
-                Ok(Response::Found {
-                    value: read_u64(payload, 1),
-                })
-            }
-            OP_MISSING => {
-                expect(0)?;
-                Ok(Response::Missing)
-            }
-            OP_SCANNED => {
-                expect(2)?;
-                Ok(Response::Scanned {
-                    count: read_u64(payload, 1),
-                    sum: read_u64(payload, 9),
-                })
-            }
-            OP_FLUSHED => {
-                expect(0)?;
-                Ok(Response::Flushed)
-            }
-            OP_STATS_REPLY => {
-                expect(13)?;
-                Ok(Response::Stats {
-                    report: StatsReport::from_payload(payload),
-                })
-            }
-            OP_WELCOME => {
-                expect(2)?;
-                Ok(Response::Welcome {
-                    session: read_u64(payload, 1),
-                    last_seq: read_u64(payload, 9),
-                })
-            }
-            OP_BUSY => {
-                expect(0)?;
-                Ok(Response::Busy)
-            }
-            op => Err(ProtocolError::UnknownOp { op }),
-        }
+        let mut words = [0; STATS_WORDS];
+        let (op, words) = split(payload, &mut words)?;
+        Ok(match (op, words) {
+            (OP_FOUND, Some(&[value])) => Response::Found { value },
+            (OP_MISSING, Some(&[])) => Response::Missing,
+            (OP_SCANNED, Some(&[count, sum])) => Response::Scanned { count, sum },
+            (OP_FLUSHED, Some(&[])) => Response::Flushed,
+            // One binding per wire word, in `ServerStats::fields` order.
+            #[rustfmt::skip]
+            (OP_STATS_REPLY, Some(&[
+                connections, requests, batches, flushes, protocol_errors,
+                latency_count, latency_mean_ns, latency_p50_ns, latency_p99_ns,
+                latency_p999_ns, latency_max_ns, shed_batches, sessions,
+            ])) => Response::Stats { report: ServerStats {
+                connections, requests, batches, flushes, protocol_errors,
+                latency_count, latency_mean_ns, latency_p50_ns, latency_p99_ns,
+                latency_p999_ns, latency_max_ns, shed_batches, sessions,
+            } },
+            (OP_WELCOME, Some(&[session, last_seq])) => Response::Welcome { session, last_seq },
+            _ => return Err(mismatch(op, payload.len(), OP_FOUND..=OP_WELCOME)),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn all_requests() -> Vec<Request> {
@@ -616,7 +565,7 @@ mod tests {
             },
             Response::Flushed,
             Response::Stats {
-                report: StatsReport {
+                report: ServerStats {
                     connections: 1,
                     requests: 1000,
                     batches: 40,
@@ -636,7 +585,6 @@ mod tests {
                 session: 9,
                 last_seq: 41,
             },
-            Response::Busy,
         ]
     }
 
@@ -774,6 +722,60 @@ mod tests {
                 len: 17
             })
         );
+    }
+
+    /// Checks `decode` on one payload against the legal `(opcode, length)`
+    /// pairs of its direction: the opcode's own length decodes and
+    /// re-encodes to the same bytes, any other length of a known opcode is
+    /// `BadLength`, and any other opcode is `UnknownOp`.
+    fn check_decode<T>(
+        layouts: &HashMap<u8, usize>,
+        payload: &[u8],
+        decode: fn(&[u8]) -> Result<T, ProtocolError>,
+        encode: fn(&T, &mut Vec<u8>),
+    ) {
+        let (op, len) = (payload[0], payload.len());
+        let got = decode(payload);
+        match layouts.get(&op) {
+            Some(&legal) if legal == len => {
+                let msg = got.unwrap_or_else(|e| panic!("{op:#04x} at its length {len}: {e}"));
+                let mut wire = Vec::new();
+                encode(&msg, &mut wire);
+                assert_eq!(&wire[HEADER_LEN..], payload, "{op:#04x} re-encodes");
+            }
+            Some(_) => assert_eq!(got.err(), Some(ProtocolError::BadLength { op, len })),
+            None => assert_eq!(got.err(), Some(ProtocolError::UnknownOp { op })),
+        }
+    }
+
+    /// The whole opcode × length matrix, both decoders: every opcode byte
+    /// at every payload length up to `MAX_PAYLOAD`, whole words or not.
+    /// The legal pairs come from encoding the sample messages, so each
+    /// direction's opcodes are unknown to the other decoder.
+    #[test]
+    fn only_an_opcodes_own_layout_decodes() {
+        fn layout(encode: impl FnOnce(&mut Vec<u8>)) -> (u8, usize) {
+            let mut wire = Vec::new();
+            encode(&mut wire);
+            (wire[HEADER_LEN], wire.len() - HEADER_LEN)
+        }
+        let requests: HashMap<u8, usize> = all_requests()
+            .iter()
+            .map(|r| layout(|w| r.encode(w)))
+            .collect();
+        let responses: HashMap<u8, usize> = all_responses()
+            .iter()
+            .map(|r| layout(|w| r.encode(w)))
+            .collect();
+        for op in 0..=u8::MAX {
+            for len in 1..=MAX_PAYLOAD {
+                let payload: Vec<u8> = std::iter::once(op)
+                    .chain((1..len).map(|i| (i * 37) as u8))
+                    .collect();
+                check_decode(&requests, &payload, Request::decode, Request::encode);
+                check_decode(&responses, &payload, Response::decode, Response::encode);
+            }
+        }
     }
 
     #[test]

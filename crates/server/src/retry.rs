@@ -9,7 +9,7 @@
 //! increasing sequence counter. Every write it issues is a *sequenced*
 //! request (`SeqPut` / `SeqDelete` / `Incr`); unacknowledged requests
 //! stay in a pending list and are **replayed verbatim** after any
-//! timeout, disconnect, or `Busy` — the server's session table
+//! timeout or disconnect — the server's session table
 //! classifies each replayed sequence number as already-applied and
 //! returns the cached response instead of re-executing, so retrying is
 //! always safe, even for non-idempotent increments, even across a server
@@ -36,8 +36,8 @@ use crafty_common::wait::Backoff;
 use crafty_common::SplitMix64;
 use crafty_kv::REPLY_WINDOW;
 
-use crate::client::{ClientError, KvClient, NetStream};
-use crate::protocol::{Request, Response};
+use crate::client::{expect_value, ClientError, KvClient, NetStream};
+use crate::protocol::Request;
 
 /// How hard [`SessionClient`] tries before giving up.
 #[derive(Clone, Copy, Debug)]
@@ -188,7 +188,7 @@ impl<S: NetStream> SessionClient<S> {
     /// Durably applies `ops` as one pipelined, sequenced batch and
     /// returns each op's acked value (`Put`/`Delete`: the previous value;
     /// `Incr`: `Some(post-increment)`). Retries through timeouts,
-    /// disconnects, server restarts, and shedding; when this returns
+    /// disconnects and server restarts; when this returns
     /// `Ok`, every op was applied **exactly once** and survives any
     /// crash.
     ///
@@ -253,17 +253,7 @@ impl<S: NetStream> SessionClient<S> {
         let out = self.with_retries(|sid, client| {
             let stamped: Vec<Request> = pending.iter().map(|r| stamp_session(*r, sid)).collect();
             client.send(&stamped)?;
-            let responses = client.recv(count)?;
-            let mut acks = Vec::with_capacity(count);
-            for resp in responses {
-                match resp {
-                    Response::Found { value } => acks.push(Some(value)),
-                    Response::Missing => acks.push(None),
-                    Response::Busy => return Err(ClientError::Busy),
-                    other => return Err(ClientError::Unexpected(format!("{other:?}"))),
-                }
-            }
-            Ok(acks)
+            client.recv(count)?.into_iter().map(expect_value).collect()
         });
         self.pending = pending;
         out
@@ -272,7 +262,7 @@ impl<S: NetStream> SessionClient<S> {
     /// Runs connect + `exchange` attempts (the exchange receives the
     /// granted session id) until one succeeds or the policy is exhausted.
     /// Retryable failures drop the connection — forcing a fresh
-    /// handshake — and back off; `Busy` backs off on the same connection.
+    /// handshake — and back off.
     fn with_retries<T>(
         &mut self,
         exchange: impl Fn(u64, &mut KvClient<S>) -> Result<T, ClientError>,
@@ -296,11 +286,6 @@ impl<S: NetStream> SessionClient<S> {
             let client = self.client.as_mut().expect("just connected");
             match exchange(sid, client) {
                 Ok(out) => return Ok(out),
-                Err(ClientError::Busy) => {
-                    // The batch was shed untouched; same connection, same
-                    // bytes, later.
-                    last = ClientError::Busy;
-                }
                 Err(e) if e.is_retryable() || matches!(e, ClientError::Desync(_)) => {
                     // Ambiguous or unusable connection: reconnect and let
                     // the session table sort out what was applied.

@@ -62,12 +62,8 @@
 //!
 //! # Degrading under overload and failure
 //!
-//! Three mechanisms keep the durability pipeline honest when the world
-//! misbehaves. **Shedding**: an optional in-flight-batch budget
-//! ([`ServerConfig::max_inflight_batches`]) answers every request of an
-//! over-budget batch with `Busy` — nothing executed, nothing recorded,
-//! the client backs off and resends; the pipeline sheds load instead of
-//! queueing toward collapse. **Write deadlines**
+//! Two mechanisms keep the durability pipeline honest when the world
+//! misbehaves. **Write deadlines**
 //! ([`ServerConfig::write_timeout`]): a client that stops draining its
 //! socket cannot pin a worker forever; the connection is dropped (its
 //! unacked responses are replayable by construction). **The power rail**
@@ -86,10 +82,9 @@
 //!
 //! Workers record every batch's service time (decode → fence) into a
 //! shared [`LatencyHistogram`], one sample per request. The protocol's
-//! `Stats` request ([`crate::protocol::StatsReport`]) returns those
-//! percentiles plus the lifetime counters, answered from shared state
-//! without touching the engine — a live, remote view of the same numbers
-//! [`KvServer::stats`] exposes in-process.
+//! `Stats` request returns those percentiles plus the lifetime counters
+//! as one [`ServerStats`], answered from shared state without touching
+//! the engine — the same snapshot [`KvServer::stats`] returns in process.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -103,7 +98,7 @@ use crafty_kv::{SeqCheck, SessionTable, ShardedKv, KEY_MAX};
 use crafty_pmem::MemorySpace;
 use crafty_stats::LatencyHistogram;
 
-use crate::protocol::{frame_payload_len, Request, Response, StatsReport, HEADER_LEN};
+use crate::protocol::{drain_frames, Request, Response, ServerStats};
 
 /// How a [`KvServer`] listens, persists, and degrades.
 #[derive(Clone)]
@@ -119,9 +114,6 @@ pub struct ServerConfig {
     /// shared durability fence (group commit), or one request, fenced and
     /// acked alone.
     pub group_commit: bool,
-    /// In-flight pipelined-batch budget; batches beyond it are shed with
-    /// `Busy` before any engine work. `0` disables shedding.
-    pub max_inflight_batches: usize,
     /// Deadline for writing a batch's responses. A client that stops
     /// draining its socket is dropped instead of pinning a worker.
     /// `None` blocks forever.
@@ -135,25 +127,16 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Loopback on an ephemeral port, group commit per the flag, no
-    /// shedding budget, a 5 s write deadline, no power rail.
+    /// Loopback on an ephemeral port, group commit per the flag, a 5 s
+    /// write deadline, no power rail.
     pub fn loopback(workers: usize, group_commit: bool) -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: workers.max(1),
             group_commit,
-            max_inflight_batches: 0,
             write_timeout: Some(Duration::from_secs(5)),
             power: None,
         }
-    }
-
-    /// Sets the in-flight-batch budget (see
-    /// [`ServerConfig::max_inflight_batches`]).
-    #[must_use]
-    pub fn with_inflight_budget(mut self, batches: usize) -> Self {
-        self.max_inflight_batches = batches;
-        self
     }
 
     /// Attaches the power rail (see [`ServerConfig::power`]).
@@ -170,7 +153,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("addr", &self.addr)
             .field("workers", &self.workers)
             .field("group_commit", &self.group_commit)
-            .field("max_inflight_batches", &self.max_inflight_batches)
             .field("write_timeout", &self.write_timeout)
             .field("power", &self.power.is_some())
             .finish()
@@ -193,81 +175,32 @@ struct Counters {
     batches: AtomicU64,
     flushes: AtomicU64,
     protocol_errors: AtomicU64,
-    shed_batches: AtomicU64,
     sessions: AtomicU64,
-    /// Batches currently between decode and ack, for the shedding budget.
-    inflight: AtomicU64,
     latency: Mutex<LatencyHistogram>,
 }
 
 impl Counters {
-    /// Snapshot of counters and latency percentiles as a wire-ready
-    /// [`StatsReport`].
-    fn report(&self) -> StatsReport {
+    /// Snapshot of counters and latency percentiles, the one report both
+    /// [`KvServer::stats`] and the `Stats` request return.
+    fn report(&self) -> ServerStats {
         let lat = self
             .latency
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        StatsReport {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            shed_batches: self.shed_batches.load(Ordering::Relaxed),
-            sessions: self.sessions.load(Ordering::Relaxed),
-            latency_count: lat.count(),
-            latency_mean_ns: lat.mean() as u64,
-            latency_p50_ns: lat.percentile(0.5),
-            latency_p99_ns: lat.percentile(0.99),
-            latency_p999_ns: lat.percentile(0.999),
-            latency_max_ns: lat.max(),
-        }
-    }
-
-    fn stats(&self) -> ServerStats {
         ServerStats {
             connections: self.connections.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            shed_batches: self.shed_batches.load(Ordering::Relaxed),
+            latency_count: lat.count(),
+            latency_mean_ns: lat.mean() as u64,
+            latency_p50_ns: lat.percentile(0.5),
+            latency_p99_ns: lat.percentile(0.99),
+            latency_p999_ns: lat.percentile(0.999),
+            latency_max_ns: lat.max(),
+            shed_batches: 0,
             sessions: self.sessions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A snapshot of the server's lifetime counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Requests executed.
-    pub requests: u64,
-    /// Pipelined batches served (each at most one durability fence).
-    pub batches: u64,
-    /// Durability fences issued, one per batch containing a write or a
-    /// `Flush`.
-    pub flushes: u64,
-    /// Connections dropped for malformed frames, sequence violations or
-    /// keys above [`KEY_MAX`].
-    pub protocol_errors: u64,
-    /// Batches answered `Busy` under the in-flight budget, untouched by
-    /// the engine. Nominal-load runs must keep this at zero.
-    pub shed_batches: u64,
-    /// Client sessions allocated by `Hello` over this server's lifetime.
-    pub sessions: u64,
-}
-
-impl ServerStats {
-    /// Mean pipelined-batch depth — the amortization factor group commit
-    /// achieved. `1.0` means the server never saw a pipeline.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.batches as f64
         }
     }
 }
@@ -336,13 +269,14 @@ impl KvServer {
         self.local_addr
     }
 
-    /// Snapshot of the lifetime counters.
+    /// Snapshot of the lifetime counters and service latency: the report
+    /// a `Stats` request returns.
     pub fn stats(&self) -> ServerStats {
-        self.counters.stats()
+        self.counters.report()
     }
 
     /// Stops accepting, drains the workers, and returns the final
-    /// counters. In-flight batches finish (their acks stay honest), each
+    /// report. In-flight batches finish (their acks stay honest), each
     /// worker issues a final durability fence before it exits, and idle
     /// connections are dropped.
     pub fn shutdown(self) -> ServerStats {
@@ -355,7 +289,7 @@ impl KvServer {
         for w in self.workers {
             let _ = w.join();
         }
-        self.counters.stats()
+        self.counters.report()
     }
 }
 
@@ -432,28 +366,11 @@ fn serve_connection(
         // Decode the next batch from the frames already buffered: every
         // complete one under group commit, else the first.
         batch.clear();
-        let mut consumed = 0;
-        while cfg.group_commit || batch.is_empty() {
-            match frame_payload_len(&inbox[consumed..]) {
-                Ok(Some(len)) => {
-                    let payload = &inbox[consumed + HEADER_LEN..consumed + HEADER_LEN + len];
-                    match Request::decode(payload) {
-                        Ok(req) => batch.push(req),
-                        Err(_) => {
-                            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                    consumed += HEADER_LEN + len;
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
+        let want = if cfg.group_commit { usize::MAX } else { 1 };
+        if drain_frames(&mut inbox, want, &mut batch, Request::decode).is_err() {
+            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        inbox.drain(..consumed);
         if batch.is_empty() {
             match stream.read(&mut chunk) {
                 Ok(0) => return, // client closed
@@ -469,25 +386,6 @@ fn serve_connection(
             continue;
         }
 
-        // Overload shedding: claim a slot in the in-flight budget or
-        // answer the whole batch `Busy` — no engine work, no session
-        // record, so resending the identical batch later is safe.
-        if cfg.max_inflight_batches > 0 {
-            let claimed = counters.inflight.fetch_add(1, Ordering::AcqRel);
-            if claimed >= cfg.max_inflight_batches as u64 {
-                counters.inflight.fetch_sub(1, Ordering::AcqRel);
-                counters.shed_batches.fetch_add(1, Ordering::Relaxed);
-                outbox.clear();
-                for _ in &batch {
-                    Response::Busy.encode(&mut outbox);
-                }
-                if stream.write_all(&outbox).is_err() {
-                    return;
-                }
-                continue;
-            }
-        }
-
         outbox.clear();
         // An explicit Flush requests the fence even in a read-only batch.
         let wrote = batch
@@ -495,26 +393,15 @@ fn serve_connection(
             .any(|r| r.is_write() || matches!(r, Request::Flush));
         let batch_start = Instant::now();
         let mut doomed = false;
-        for req in &batch {
-            // Stats is answered from shared state, never from the engine:
-            // polling a loaded server must not contend on its transactions.
-            let response = match *req {
-                Request::Stats => Response::Stats {
-                    report: counters.report(),
-                },
-                req => match execute_request(kv, sessions, handle, req, counters) {
-                    Some(resp) => resp,
-                    None => {
-                        // Sequence violation or out-of-range key: a correct
-                        // client never sends this. Drop the connection
-                        // without acking the batch — but finish the
-                        // durability epilogue so the worker's handle is
-                        // clean for the next connection.
-                        counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        doomed = true;
-                        break;
-                    }
-                },
+        for &req in &batch {
+            let Some(response) = execute_request(kv, sessions, handle, req, counters) else {
+                // Sequence violation or out-of-range key: a correct client
+                // never sends this. Drop the connection without acking the
+                // batch — but finish the durability epilogue so the
+                // worker's handle is clean for the next connection.
+                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                doomed = true;
+                break;
             };
             response.encode(&mut outbox);
         }
@@ -524,9 +411,6 @@ fn serve_connection(
         if wrote {
             engine.persist_fence(tid);
             counters.flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        if cfg.max_inflight_batches > 0 {
-            counters.inflight.fetch_sub(1, Ordering::AcqRel);
         }
         if doomed {
             return;
@@ -718,10 +602,10 @@ fn execute_request(
         }
         // The batch's fence, which a Flush always requests, is the barrier.
         Request::Flush => Some(Response::Flushed),
-        // Unreachable: serve_connection answers Stats from shared state
-        // before dispatching to the engine.
+        // Answered from shared state, never from the engine: polling a
+        // loaded server must not contend on its transactions.
         Request::Stats => Some(Response::Stats {
-            report: StatsReport::default(),
+            report: counters.report(),
         }),
     }
 }
@@ -736,28 +620,16 @@ mod tests {
         assert_eq!(cfg.workers, 1, "worker count is clamped to at least one");
         assert!(cfg.group_commit);
         assert_eq!(cfg.addr, "127.0.0.1:0");
-        assert_eq!(cfg.max_inflight_batches, 0, "shedding defaults off");
         assert!(cfg.power.is_none());
-        let budgeted = cfg.with_inflight_budget(3);
-        assert_eq!(budgeted.max_inflight_batches, 3);
     }
 
     #[test]
     fn stats_mean_batch_handles_empty() {
-        let empty = ServerStats {
-            connections: 0,
-            requests: 0,
-            batches: 0,
-            flushes: 0,
-            protocol_errors: 0,
-            shed_batches: 0,
-            sessions: 0,
-        };
-        assert_eq!(empty.mean_batch(), 0.0);
+        assert_eq!(ServerStats::default().mean_batch(), 0.0);
         let busy = ServerStats {
             requests: 64,
             batches: 8,
-            ..empty
+            ..ServerStats::default()
         };
         assert_eq!(busy.mean_batch(), 8.0);
     }

@@ -150,10 +150,27 @@ fn stats_reports_live_percentiles_from_a_loaded_server() {
     assert!(loaded.latency_mean_ns > 0);
     assert_eq!(loaded.protocol_errors, 0);
 
-    // The wire report and the in-process snapshot agree on the counters.
+    // One snapshot in process and on the wire: with nothing in flight,
+    // `server.stats()` is the reply plus the `Stats` batch that carried
+    // it — one more request, batch and latency sample, which may move the
+    // latency summary by that one sample.
     let local = server.stats();
-    assert_eq!(local.connections, loaded.connections);
-    assert_eq!(local.flushes, loaded.flushes);
+    assert_eq!(
+        local,
+        ServerStats {
+            requests: loaded.requests + 1,
+            batches: loaded.batches + 1,
+            latency_count: loaded.latency_count + 1,
+            latency_mean_ns: local.latency_mean_ns,
+            latency_p50_ns: local.latency_p50_ns,
+            latency_p99_ns: local.latency_p99_ns,
+            latency_p999_ns: local.latency_p999_ns,
+            latency_max_ns: local.latency_max_ns,
+            ..loaded
+        }
+    );
+    assert!(local.latency_max_ns >= loaded.latency_max_ns);
+    assert_eq!(local.shed_batches, 0, "the retired shed counter stays 0");
 
     // The loaded writes actually took: durable reads see them.
     assert_eq!(client.get(0).expect("get"), Some(1000));
@@ -299,72 +316,6 @@ fn sequence_gap_drops_the_connection() {
     );
 
     server.shutdown();
-    engine.quiesce();
-}
-
-/// Under an in-flight budget of one, concurrent pipelined batches are
-/// shed with `Busy` — and a shed batch is *not* recorded, so resending
-/// it succeeds.
-#[test]
-fn overloaded_server_sheds_whole_batches_with_busy() {
-    let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
-    let engine = Arc::new(Crafty::new(
-        Arc::clone(&mem),
-        CraftyConfig::small_for_tests().with_max_threads(WORKERS),
-    ));
-    let kv = ShardedKv::create(&mem, &KvConfig::benchmark(RECORDS, 16));
-    let sessions = SessionTable::create(&mem, 64);
-    let server = KvServer::start(
-        Arc::clone(&engine) as Arc<dyn crafty_common::PersistentTm>,
-        kv,
-        sessions,
-        ServerConfig::loopback(WORKERS, true).with_inflight_budget(1),
-    )
-    .expect("bind loopback server");
-    let addr = server.local_addr();
-
-    // Two connections hammer wide write batches; with one budget slot and
-    // two workers, overlapping windows force the loser onto the shed
-    // path. Keep going until a Busy is observed (bounded, not timed).
-    let shed_seen = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut drivers = Vec::new();
-    for t in 0..2u64 {
-        let shed_seen = Arc::clone(&shed_seen);
-        drivers.push(std::thread::spawn(move || {
-            let mut client = KvClient::connect(addr).expect("connect");
-            let batch: Vec<Request> = (0..64)
-                .map(|i| Request::Put {
-                    key: t * 1000 + i,
-                    value: i,
-                })
-                .collect();
-            for _ in 0..200 {
-                if shed_seen.load(std::sync::atomic::Ordering::Relaxed) {
-                    return;
-                }
-                client.send(&batch).expect("send");
-                let responses = client.recv(batch.len()).expect("recv");
-                if responses.iter().any(|r| matches!(r, Response::Busy)) {
-                    // The whole batch is shed together, never partially.
-                    assert!(
-                        responses.iter().all(|r| matches!(r, Response::Busy)),
-                        "a shed batch must be Busy for every request"
-                    );
-                    shed_seen.store(true, std::sync::atomic::Ordering::Relaxed);
-                    return;
-                }
-            }
-        }));
-    }
-    for d in drivers {
-        d.join().expect("driver");
-    }
-    assert!(
-        shed_seen.load(std::sync::atomic::Ordering::Relaxed),
-        "two colliding pipelines against a budget of one never shed"
-    );
-    let stats = server.shutdown();
-    assert!(stats.shed_batches >= 1, "shed counter must record it");
     engine.quiesce();
 }
 

@@ -18,8 +18,8 @@
 //!   group-commit durability window and the ack is sent only after the
 //!   batch's drain fence. Persistent client sessions dedup replayed
 //!   sequence numbers, so the retrying [`prelude::SessionClient`] is
-//!   **exactly-once** end to end — through timeouts, `Busy` shedding,
-//!   and server crash-restart, even for non-idempotent increments.
+//!   **exactly-once** end to end — through timeouts, disconnects and
+//!   server crash-restart, even for non-idempotent increments.
 //! * [`workloads`] / [`stats`] — the paper's benchmarks, the YCSB-style KV
 //!   mixes, the open-loop arrival schedules behind the service benchmark,
 //!   and the measurement and reporting layer (including the log-bucketed
