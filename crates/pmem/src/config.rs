@@ -46,8 +46,8 @@ impl LatencyModel {
     pub const NVM_WORD_NS: u64 = 25;
 
     /// The per-ranged-flush base cost of the NVM presets. A drain that
-    /// coalesces eight adjacent lines into one range pays this once; the
-    /// per-line reference mode pays it eight times.
+    /// coalesces eight adjacent lines into one range pays this once; eight
+    /// lines that are not adjacent pay it eight times.
     pub const NVM_RANGE_NS: u64 = 60;
 
     /// The per-covered-line cost of the NVM presets.
@@ -180,55 +180,6 @@ impl Default for CrashModel {
     }
 }
 
-/// At what granularity write-backs copy data into the persistent image.
-///
-/// [`PersistGranularity::Word`] is the production pipeline: every store
-/// marks exactly its word in the containing line's dirty mask, and a
-/// write-back copies (and charges for) only the masked words.
-/// [`PersistGranularity::Line`] is the whole-line reference model the
-/// original implementation used — every store marks all words of its line —
-/// kept so differential tests can assert the two are observably identical
-/// under every crash model (they must be: a word that was never stored
-/// holds the same value in the volatile view and the persistent image, so
-/// copying it is a no-op).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PersistGranularity {
-    /// Word-granular dirty masks: persist cost follows words written.
-    #[default]
-    Word,
-    /// Whole-line reference mode: every store dirties its full line.
-    Line,
-}
-
-/// How a drain issues the write-backs of the range it claimed.
-///
-/// [`DrainCoalescing::Ranged`] is the production pipeline: the claimed
-/// lines are sorted and coalesced into maximal runs of *adjacent* line ids,
-/// each run persisted as one ranged flush charged via
-/// [`LatencyModel::clwb_range`] (one base cost per run). The runs exactly
-/// partition the claimed range's distinct lines — no line is flushed twice
-/// and none is skipped — a property pinned by the partition property tests
-/// in `tests/flush_queue_properties.rs`.
-///
-/// [`DrainCoalescing::PerLine`] is the pre-coalescing reference mode:
-/// write-backs happen one line at a time in enqueue order, each charged as
-/// a single-line range — a line claimed twice (two threads flushed it in
-/// turn) is written back and charged twice, the second time clean.
-/// Differential tests assert the two modes produce bit-identical
-/// persistent and crash images under every crash model (they
-/// must: both persist exactly the claimed lines' masked words, and crash
-/// resolution is keyed per word, independent of write-back order).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DrainCoalescing {
-    /// Sort the claimed lines and issue one ranged flush per maximal run
-    /// of adjacent lines (production).
-    #[default]
-    Ranged,
-    /// One single-line flush per claimed position, in enqueue order (the
-    /// reference mode differential tests compare against).
-    PerLine,
-}
-
 /// A deterministic fault-injection plan, threaded through [`PmemConfig`].
 ///
 /// When armed, every durability-relevant event in the space — a store to a
@@ -310,13 +261,6 @@ pub struct PmemConfig {
     pub latency: LatencyModel,
     /// Eviction and crash-resolution behaviour.
     pub crash: CrashModel,
-    /// Whether write-backs copy masked words or whole lines (the latter is
-    /// the reference model for differential testing).
-    pub granularity: PersistGranularity,
-    /// Whether drains coalesce adjacent claimed lines into ranged flushes
-    /// or write back one line at a time (the latter is the reference mode
-    /// for differential testing).
-    pub coalescing: DrainCoalescing,
     /// Fault-injection plan: disarmed by default (zero-cost); armed plans
     /// tick the fault clock at every durability event and may capture a
     /// mid-pipeline crash image (see [`FaultPlan`]).
@@ -333,8 +277,6 @@ impl PmemConfig {
             flush_queue_capacity: 1 << 10,
             latency: LatencyModel::instant(),
             crash: CrashModel::strict(),
-            granularity: PersistGranularity::Word,
-            coalescing: DrainCoalescing::Ranged,
             fault: FaultPlan::inactive(),
         }
     }
@@ -349,8 +291,6 @@ impl PmemConfig {
             flush_queue_capacity: 1 << 12,
             latency: LatencyModel::nvm_300ns(),
             crash: CrashModel::strict(),
-            granularity: PersistGranularity::Word,
-            coalescing: DrainCoalescing::Ranged,
             fault: FaultPlan::inactive(),
         }
     }
@@ -376,20 +316,6 @@ impl PmemConfig {
     /// Sets the per-thread flush-queue ring capacity (builder style).
     pub fn with_flush_queue_capacity(mut self, capacity: usize) -> Self {
         self.flush_queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the persistence granularity (builder style). `Line` selects the
-    /// whole-line reference model used by differential tests.
-    pub fn with_granularity(mut self, granularity: PersistGranularity) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
-    /// Sets the drain coalescing mode (builder style). `PerLine` selects
-    /// the one-line-at-a-time reference mode used by differential tests.
-    pub fn with_coalescing(mut self, coalescing: DrainCoalescing) -> Self {
-        self.coalescing = coalescing;
         self
     }
 
@@ -446,26 +372,6 @@ mod tests {
             m.clwb_range(1, 0),
             LatencyModel::NVM_RANGE_NS + LatencyModel::NVM_LINE_NS
         );
-    }
-
-    #[test]
-    fn granularity_defaults_to_word_masks() {
-        assert_eq!(
-            PmemConfig::small_for_tests().granularity,
-            PersistGranularity::Word
-        );
-        let reference = PmemConfig::small_for_tests().with_granularity(PersistGranularity::Line);
-        assert_eq!(reference.granularity, PersistGranularity::Line);
-    }
-
-    #[test]
-    fn coalescing_defaults_to_ranged() {
-        assert_eq!(
-            PmemConfig::small_for_tests().coalescing,
-            DrainCoalescing::Ranged
-        );
-        let reference = PmemConfig::small_for_tests().with_coalescing(DrainCoalescing::PerLine);
-        assert_eq!(reference.coalescing, DrainCoalescing::PerLine);
     }
 
     #[test]

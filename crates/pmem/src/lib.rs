@@ -45,17 +45,17 @@
 //!   [`PmemStats::line_words_persisted`] turn write amplification at the
 //!   persist boundary into a measured number. See the [`space`] module
 //!   docs for the invariant that makes this observably identical to
-//!   whole-line write-back (and [`PersistGranularity::Line`] for the
-//!   reference mode differential tests compare against).
+//!   whole-line write-back; `tests/persist_oracle.rs` checks the space
+//!   against a word-by-word model of what each store, flush and drain
+//!   must persist.
 //! * **Drains are batched: adjacent CLWBs coalesce into ranged flushes.**
 //!   A drain sorts the lines it claimed and writes them back as maximal
 //!   runs of adjacent line ids, charging one
 //!   [`LatencyModel::clwb_range`] (per-run base + per-line + per-word)
 //!   per run — consecutive undo-log lines share one flush base cost
 //!   instead of paying it per line. [`PmemStats::flush_ranges`] /
-//!   [`PmemStats::range_lines`] measure the coalescing;
-//!   [`DrainCoalescing::PerLine`] keeps the one-line-at-a-time reference
-//!   mode the differential tests pin against.
+//!   [`PmemStats::range_lines`] measure the coalescing, and the same
+//!   oracle predicts both counts exactly.
 //! * **A space costs what the workload touches.** The per-line metadata —
 //!   the HTM's versioned lock words ([`MemorySpace::line_lock`]), and a
 //!   dirty-word mask and flush stamp per persistent line — lives in flat
@@ -96,8 +96,6 @@ pub mod image;
 pub mod space;
 
 pub use alloc::PmemAllocator;
-pub use config::{
-    CrashModel, DrainCoalescing, FaultPlan, LatencyModel, PersistGranularity, PmemConfig,
-};
+pub use config::{CrashModel, FaultPlan, LatencyModel, PmemConfig};
 pub use image::PersistentImage;
 pub use space::{MemorySpace, PmemStats};

@@ -41,13 +41,15 @@
 //!   ORs the bits of all the words it stored to a line at once, after the
 //!   last of them. The mask
 //!   doubles as the dirty flag: mask ≠ 0 ⇔ dirty.
-//! * A write-back (`persist_line`) atomically takes the mask (`swap(0)`)
-//!   and copies only the masked words into the persistent image. Unmasked
-//!   words are *provably identical* in both views (they have not been
-//!   stored since the last write-back), so the result is observably
-//!   identical to copying the whole line — a property pinned by the
-//!   differential tests in `tests/masked_persistence_differential.rs`
-//!   against the [`crate::PersistGranularity::Line`] reference mode.
+//! * A write-back (`persist_line`) takes the mask by CASing it to
+//!   `WRITING_BACK`, copies only the masked words into the persistent
+//!   image, then clears that bit; a concurrent write-back of the same line
+//!   waits for the clear. Unmasked words are *provably identical* in both
+//!   views (they have not been stored since the last write-back), so the
+//!   result is observably identical to copying the whole line.
+//!   `tests/persist_oracle.rs` pins this against a word-by-word model kept
+//!   in the test: the images at every drain, the crash images, and the
+//!   exact `words_persisted` count.
 //! * Re-flushing a line that is already pending does not take a second
 //!   queue slot; the new store's bit is simply OR-merged into the line's
 //!   mask, which the eventual drain reads. Dedup therefore *merges masks*.
@@ -55,8 +57,7 @@
 //!   adversarial crash states are exact over the words actually written.
 //!   Each word's coin is drawn from its own seeded stream (keyed by the
 //!   word index), so crash resolution is independent of mask iteration
-//!   order — which is what lets the word- and line-granular modes produce
-//!   bit-identical crash images for differential testing.
+//!   order and of which other words are dirty.
 //! * Latency follows suit: a drain lasts
 //!   [`crate::LatencyModel::drain_ns`] plus one
 //!   [`crate::LatencyModel::clwb_range`] per coalesced run it issues (see
@@ -91,12 +92,10 @@
 //!   position's line is persisted exactly once; sorting changes only the
 //!   *order* of the masked copies, and crash resolution is keyed per word
 //!   (independent of write-back order), so the persistent and crash-visible
-//!   images are bit-identical to the per-line reference mode
-//!   ([`crate::DrainCoalescing::PerLine`], which preserves the
-//!   pre-coalescing one-line-at-a-time enqueue-order write-back). Both are
-//!   pinned by `tests/flush_queue_properties.rs` (partition property) and
-//!   `tests/masked_persistence_differential.rs` (image equivalence), the
-//!   same way `Word` ≡ `Line` granularity is pinned.
+//!   images are those of writing the claimed lines back one at a time in
+//!   enqueue order. `tests/flush_queue_properties.rs` pins the partition,
+//!   and `tests/persist_oracle.rs` pins the images and the exact
+//!   `flush_ranges` / `range_lines` counts against its word-by-word model.
 //! * **The scratch is allocation-free in steady state.** It is grown once
 //!   to the flush-queue capacity (the upper bound of any claimed range) on
 //!   a thread's first drain, so the commit path's zero-allocation guarantee
@@ -186,7 +185,7 @@ use crafty_common::trace::{self, TraceEventKind};
 use crafty_common::wait;
 use crafty_common::{mix64, LineId, OwnedCounter, PAddr, SplitMix64, WORDS_PER_LINE};
 
-use crate::config::{CrashModel, DrainCoalescing, LatencyModel, PersistGranularity, PmemConfig};
+use crate::config::{CrashModel, LatencyModel, PmemConfig};
 use crate::image::PersistentImage;
 
 /// Counters describing the persist traffic a run generated.
@@ -212,10 +211,9 @@ pub struct PmemStats {
     /// the denominator of the write-amplification ratio.
     pub line_words_persisted: u64,
     /// Number of ranged flushes issued by drains: one per maximal run of
-    /// adjacent claimed lines in [`crate::DrainCoalescing::Ranged`] mode,
-    /// one per claimed line in the `PerLine` reference mode. The gap
-    /// between this and [`PmemStats::lines_persisted`] is the coalescing
-    /// win — every run longer than one line saved a flush base cost.
+    /// adjacent distinct claimed lines. The gap between this and
+    /// [`PmemStats::lines_persisted`] is the coalescing win — every run
+    /// longer than one line saved a flush base cost.
     pub flush_ranges: u64,
     /// Number of distinct lines those ranged flushes covered.
     /// `range_lines / flush_ranges` is the average run length.
@@ -242,8 +240,8 @@ impl PmemStats {
 
     /// Average number of adjacent lines each of the drains' ranged flushes
     /// covered (`range_lines / flush_ranges`): the measured coalescing
-    /// efficiency. 1.0 means no two claimed lines were ever adjacent (or
-    /// the `PerLine` reference mode is active); higher is better — each
+    /// efficiency. 1.0 means no two claimed lines were ever adjacent;
+    /// higher is better — each
     /// extra line in a run rode an already-paid flush base cost. Returns
     /// 1.0 when no ranged flush was issued.
     pub fn lines_per_range(&self) -> f64 {
@@ -401,9 +399,8 @@ pub struct MemorySpace {
     /// * from `pairs_base` to the end, one `(dirty mask, flush stamp)`
     ///   pair per persistent line. The mask's bit `i` = word `i` stored
     ///   since the line's last write-back (0 = clean; it doubles as the
-    ///   dirty flag; in [`PersistGranularity::Line`] reference mode every
-    ///   store sets all bits of its line). The stamp is the flush queues'
-    ///   dedup tag, `stamp_tag(tid) | (pos + 1)` of the latest enqueue.
+    ///   dirty flag). The stamp is the flush queues' dedup tag,
+    ///   `stamp_tag(tid) | (pos + 1)` of the latest enqueue.
     words: Box<[AtomicU64]>,
     lock_base: usize,
     pairs_base: usize,
@@ -653,16 +650,6 @@ impl MemorySpace {
         &self.words[self.pairs_base + 2 * line.index() as usize + 1]
     }
 
-    /// The dirty-mask contribution of a store to `addr`: its word's bit in
-    /// word-granular mode, the full line in the whole-line reference mode.
-    #[inline]
-    fn store_mask(&self, addr: PAddr) -> u64 {
-        match self.cfg.granularity {
-            PersistGranularity::Word => 1 << (addr.word() % WORDS_PER_LINE),
-            PersistGranularity::Line => (1 << WORDS_PER_LINE) - 1,
-        }
-    }
-
     /// Marks `addr`'s word dirty in its line's mask. Must happen *after*
     /// the data store: a concurrent write-back that swaps the mask out
     /// before this OR lands re-dirties the word, so the next write-back or
@@ -672,7 +659,7 @@ impl MemorySpace {
     #[inline]
     fn mark_written(&self, addr: PAddr) {
         self.dirty_mask(addr.line())
-            .fetch_or(self.store_mask(addr), Ordering::AcqRel);
+            .fetch_or(1 << (addr.word() % WORDS_PER_LINE), Ordering::AcqRel);
     }
 
     /// Writes `value` to the word at `addr` in the volatile view.
@@ -736,11 +723,8 @@ impl MemorySpace {
         if pmask == 0 {
             return;
         }
-        let dirty = match self.cfg.granularity {
-            PersistGranularity::Word => u64::from(pmask),
-            PersistGranularity::Line => (1 << WORDS_PER_LINE) - 1,
-        };
-        self.dirty_mask(line).fetch_or(dirty, Ordering::AcqRel);
+        self.dirty_mask(line)
+            .fetch_or(u64::from(pmask), Ordering::AcqRel);
         let stores = pmask.count_ones();
         let p = self.cfg.crash.eviction_probability;
         if p > 0.0 && (0..stores).filter(|_| self.evict_chance(line, p)).count() > 0 {
@@ -936,9 +920,9 @@ impl MemorySpace {
     /// durably retired, even if a concurrent drain claimed part of the
     /// range.
     ///
-    /// In the default [`crate::DrainCoalescing::Ranged`] mode the claimed
-    /// lines are written back as coalesced ranged flushes — see the module
-    /// docs ("Batched drains") for the pipeline and the latency accounting.
+    /// The claimed lines are written back as coalesced ranged flushes —
+    /// see the module docs ("Batched drains") for the pipeline and the
+    /// latency accounting.
     ///
     /// # Panics
     ///
@@ -969,10 +953,7 @@ impl MemorySpace {
             // persist loads below.
             std::sync::atomic::fence(Ordering::SeqCst);
             self.fault_tick();
-            let sums = match self.cfg.coalescing {
-                DrainCoalescing::Ranged => self.persist_claimed_ranged(tid, q, claim, target),
-                DrainCoalescing::PerLine => self.persist_claimed_per_line(q, claim, target),
-            };
+            let sums = self.persist_claimed(tid, q, claim, target);
             count = target - claim;
             cost_ns = sums.cost_ns;
             // Both retirement waits yield rather than pure-spin: the drain
@@ -1011,27 +992,7 @@ impl MemorySpace {
         count
     }
 
-    /// Reference write-back: persists the claimed positions one line at a
-    /// time in enqueue order, each charged as a single-line ranged flush.
-    /// Returns what was written and its flush cost (which the caller adds
-    /// to the flat drain cost in its deadline).
-    fn persist_claimed_per_line(&self, q: &FlushQueue, claim: u64, target: u64) -> DrainSums {
-        let mut sums = DrainSums {
-            ranges: target - claim,
-            range_lines: target - claim,
-            ..DrainSums::default()
-        };
-        for pos in claim..target {
-            let line = LineId::new(q.slot(pos).load(Ordering::Acquire));
-            let (words, line_words) = self.persist_line(line);
-            sums.words += words;
-            sums.line_words += line_words;
-            sums.cost_ns += self.cfg.latency.clwb_range(1, words);
-        }
-        sums
-    }
-
-    /// Batched write-back (the production pipeline): snapshots the claimed
+    /// Batched write-back: snapshots the claimed
     /// positions' line ids into a reusable thread-local scratch buffer,
     /// sorts them, and walks maximal runs of adjacent line ids — performing
     /// every run's masked word copies, then charging one
@@ -1042,13 +1003,7 @@ impl MemorySpace {
     /// flush stamp then carried the other queue's tag); its second
     /// position is skipped, so it adds to neither the run nor its cost.
     /// Returns what was written and its accumulated flush cost.
-    fn persist_claimed_ranged(
-        &self,
-        tid: usize,
-        q: &FlushQueue,
-        claim: u64,
-        target: u64,
-    ) -> DrainSums {
+    fn persist_claimed(&self, tid: usize, q: &FlushQueue, claim: u64, target: u64) -> DrainSums {
         thread_local! {
             /// Per-thread drain scratch: claimed line ids awaiting the
             /// coalescing sort. Grown once to the queue capacity (the upper
@@ -1250,9 +1205,7 @@ impl MemorySpace {
     /// Each dirty word's persist coin comes from its own seeded stream,
     /// keyed by `(model.seed, word index)`: the resolution of one word is
     /// independent of how many other words are dirty or in which order the
-    /// masks are walked, so two spaces that differ only in persist
-    /// granularity resolve identical crash states for the words they both
-    /// consider dirty.
+    /// masks are walked.
     ///
     /// The copy is word by word and stops nobody: called while other
     /// threads are writing, it returns a smear of many moments (a log
@@ -1834,19 +1787,6 @@ mod tests {
     }
 
     #[test]
-    fn write_amplification_is_full_in_line_reference_mode() {
-        let cfg = PmemConfig::small_for_tests().with_granularity(PersistGranularity::Line);
-        let m = MemorySpace::new(cfg);
-        let a = PAddr::new(64);
-        m.write(a, 1);
-        m.persist(0, a);
-        let s = m.stats();
-        assert_eq!(s.words_persisted, 8);
-        assert_eq!(s.line_words_persisted, 8);
-        assert_eq!(s.write_amplification(), 1.0);
-    }
-
-    #[test]
     fn masked_writeback_covers_unflushed_words_of_the_line() {
         // The mask lives on the line, not in the queue: a word written
         // after its line was enqueued is still covered by the drain.
@@ -1942,25 +1882,6 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.flush_ranges, 1);
         assert_eq!(s.range_lines, 4);
-    }
-
-    #[test]
-    fn per_line_reference_mode_issues_one_range_per_line() {
-        let cfg = PmemConfig::small_for_tests().with_coalescing(DrainCoalescing::PerLine);
-        let m = MemorySpace::new(cfg);
-        for l in 0..4 {
-            let a = PAddr::new(64 + l * WORDS_PER_LINE);
-            m.write(a, l + 1);
-            m.clwb(0, a);
-        }
-        assert_eq!(m.drain(0), 4);
-        let s = m.stats();
-        assert_eq!(s.flush_ranges, 4, "reference mode never coalesces");
-        assert_eq!(s.range_lines, 4);
-        assert_eq!(s.lines_per_range(), 1.0);
-        for l in 0..4 {
-            assert_eq!(m.read_persisted(PAddr::new(64 + l * WORDS_PER_LINE)), l + 1);
-        }
     }
 
     #[test]

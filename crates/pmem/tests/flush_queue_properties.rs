@@ -17,15 +17,14 @@
 //!   one that wrote it: a queue absorbs a re-flush of a line only while
 //!   its own enqueue is pending, so threads flushing one line never lose a
 //!   store, and a line two threads flush in turn may sit twice in one
-//!   claimed range, which each drain mode counts and charges as pinned
-//!   below.
+//!   claimed range, which a drain counts and charges as pinned below.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crafty_common::{PAddr, WORDS_PER_LINE};
-use crafty_pmem::{DrainCoalescing, LatencyModel, MemorySpace, PmemConfig};
+use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
 use proptest::prelude::*;
 
 fn line_addr(line: u64) -> PAddr {
@@ -404,84 +403,68 @@ fn a_reflush_of_a_line_the_queue_still_holds_is_absorbed() {
 /// Two threads store to one line and flush it, in both orders, and then
 /// both drain, in both orders: the second flush finds the first queue's
 /// stamp and enqueues on its own queue, and whichever drain runs first,
-/// the persistent image ends with the last value, in both drain modes.
+/// the persistent image ends with the last value.
 #[test]
 fn two_threads_flushing_one_line_leave_the_last_value() {
-    for coalescing in [DrainCoalescing::Ranged, DrainCoalescing::PerLine] {
-        for (first, second) in [(1, 2), (2, 1)] {
-            for drains in [[first, second], [second, first]] {
-                let cfg = PmemConfig::small_for_tests().with_coalescing(coalescing);
-                let mem = MemorySpace::new(cfg);
-                let a = line_addr(16);
-                mem.write(a, 1);
-                mem.clwb(first, a);
-                mem.write(a, 2);
-                mem.clwb(second, a);
-                let case = format!("{coalescing:?}, flushed by {first} then {second}");
-                assert_eq!(mem.pending_flushes(first), 1, "{case}");
-                assert_eq!(mem.pending_flushes(second), 1, "{case}");
-                for tid in drains {
-                    mem.drain(tid);
-                }
-                assert_eq!(mem.read_persisted(a), 2, "{case}, drained {drains:?}");
-                assert_eq!(mem.crash().read(a), 2, "{case}, drained {drains:?}");
-                assert_eq!(mem.stats().lines_persisted, 2, "{case}");
+    for (first, second) in [(1, 2), (2, 1)] {
+        for drains in [[first, second], [second, first]] {
+            let mem = MemorySpace::new(PmemConfig::small_for_tests());
+            let a = line_addr(16);
+            mem.write(a, 1);
+            mem.clwb(first, a);
+            mem.write(a, 2);
+            mem.clwb(second, a);
+            let case = format!("flushed by {first} then {second}");
+            assert_eq!(mem.pending_flushes(first), 1, "{case}");
+            assert_eq!(mem.pending_flushes(second), 1, "{case}");
+            for tid in drains {
+                mem.drain(tid);
             }
+            assert_eq!(mem.read_persisted(a), 2, "{case}, drained {drains:?}");
+            assert_eq!(mem.crash().read(a), 2, "{case}, drained {drains:?}");
+            assert_eq!(mem.stats().lines_persisted, 2, "{case}");
         }
     }
 }
 
 /// A line queue 0 flushed, then queue 1, then queue 0 again sits twice in
 /// queue 0's ring: the stamp named queue 1 at the second flush. One drain
-/// claims both positions. Both modes count both in `lines_persisted` and
-/// copy the words once; `Ranged` skips the duplicate id — one range of one
-/// line, charged once — while `PerLine` writes back each position, the
-/// second finding the line clean, and charges a range for each.
+/// claims both positions, counts both in `lines_persisted`, copies the
+/// words once and skips the duplicate id — one range of one line, charged
+/// once.
 #[test]
-fn a_duplicate_line_in_one_claimed_range_is_counted_and_charged_per_mode() {
+fn a_duplicate_line_in_one_claimed_range_is_counted_and_charged() {
     const RANGE_NS: u64 = 50_000_000;
-    for coalescing in [DrainCoalescing::Ranged, DrainCoalescing::PerLine] {
-        let cfg = PmemConfig::small_for_tests()
-            .with_coalescing(coalescing)
-            .with_latency(LatencyModel {
-                clwb_range_ns: RANGE_NS,
-                ..LatencyModel::instant()
-            });
-        let mem = MemorySpace::new(cfg);
-        let a = line_addr(16);
-        mem.write(a, 1);
-        mem.clwb(0, a);
-        mem.clwb(1, a);
-        mem.write(a.add(1), 2);
-        mem.clwb(0, a.add(1));
-        assert_eq!(mem.pending_flushes(0), 2, "{coalescing:?}");
+    let cfg = PmemConfig::small_for_tests().with_latency(LatencyModel {
+        clwb_range_ns: RANGE_NS,
+        ..LatencyModel::instant()
+    });
+    let mem = MemorySpace::new(cfg);
+    let a = line_addr(16);
+    mem.write(a, 1);
+    mem.clwb(0, a);
+    mem.clwb(1, a);
+    mem.write(a.add(1), 2);
+    mem.clwb(0, a.add(1));
+    assert_eq!(mem.pending_flushes(0), 2);
 
-        let start = Instant::now();
-        assert_eq!(mem.drain(0), 2, "{coalescing:?}: both positions claimed");
-        let took = start.elapsed();
-        let stats = mem.stats();
-        assert_eq!(stats.lines_persisted, 2, "{coalescing:?}");
-        assert_eq!(stats.words_persisted, 2, "{coalescing:?}");
-        assert_eq!(stats.line_words_persisted, WORDS_PER_LINE, "{coalescing:?}");
-        let range = Duration::from_nanos(RANGE_NS);
-        match coalescing {
-            DrainCoalescing::Ranged => {
-                assert_eq!((stats.flush_ranges, stats.range_lines), (1, 1));
-                assert!(took >= range && took < 2 * range, "charged {took:?}");
-            }
-            DrainCoalescing::PerLine => {
-                assert_eq!((stats.flush_ranges, stats.range_lines), (2, 2));
-                assert!(took >= 2 * range, "charged {took:?}");
-            }
-        }
-        assert_eq!(mem.read_persisted(a), 1);
-        assert_eq!(mem.read_persisted(a.add(1)), 2);
-        // Queue 1's enqueue finds the line clean: a position, no words.
-        assert_eq!(mem.drain(1), 1);
-        let after = mem.stats();
-        assert_eq!(after.lines_persisted, 3, "{coalescing:?}");
-        assert_eq!(after.words_persisted, 2, "{coalescing:?}");
-    }
+    let start = Instant::now();
+    assert_eq!(mem.drain(0), 2, "both positions claimed");
+    let took = start.elapsed();
+    let stats = mem.stats();
+    assert_eq!(stats.lines_persisted, 2);
+    assert_eq!(stats.words_persisted, 2);
+    assert_eq!(stats.line_words_persisted, WORDS_PER_LINE);
+    assert_eq!((stats.flush_ranges, stats.range_lines), (1, 1));
+    let range = Duration::from_nanos(RANGE_NS);
+    assert!(took >= range && took < 2 * range, "charged {took:?}");
+    assert_eq!(mem.read_persisted(a), 1);
+    assert_eq!(mem.read_persisted(a.add(1)), 2);
+    // Queue 1's enqueue finds the line clean: a position, no words.
+    assert_eq!(mem.drain(1), 1);
+    let after = mem.stats();
+    assert_eq!(after.lines_persisted, 3);
+    assert_eq!(after.words_persisted, 2);
 }
 
 /// Threads storing to words of the same lines and flushing them through

@@ -1,12 +1,12 @@
-//! Crash consistency of the sharded KV store, including mid-resize: drive
-//! the store with Crafty until a shard's incremental rehash is in flight,
-//! crash under strict and relaxed (word-lossy) persistence models, run the
-//! recovery observer, reboot, reattach — every committed key/value pair
-//! must survive exactly, no aborted or post-quiesce partial write may be
-//! visible, and the half-migrated shard must finish its resize and keep
-//! serving.
+//! Crash consistency of the sharded KV store across lives: a group-commit
+//! batch closed by one `persist_fence` survives a crash in full, and a
+//! store crashed, recovered and rebooted once keeps every guarantee
+//! through a second crash. Each scenario runs under the strict, relaxed
+//! (word-lossy) and adversarial persistence models, then recovers,
+//! reboots, reattaches and checks every committed pair. A crash mid-rehash
+//! is the `kv` torture suite's job: it crashes at every persistence step
+//! of a run that crosses two resizes.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crafty_core::recover;
@@ -32,136 +32,12 @@ fn crafty_cfg() -> CraftyConfig {
 }
 
 fn kv_cfg() -> KvConfig {
-    // Small initial tables so inserts reach a resize within a few dozen
-    // transactions, but larger than one migration batch so the rehash
-    // stays in flight across several mutations (the crash lands with
-    // entries genuinely split across the old and new tables); the arena
-    // has room for the full doubling schedule.
+    // Small initial tables; the arena has room for their doubling
+    // schedule.
     KvConfig::small_for_tests()
         .with_shards(SHARDS)
         .with_initial_capacity(32)
         .with_arena_words(1 << 13)
-}
-
-/// Runs the scenario under one crash model and checks every guarantee.
-/// `seed` varies the key stream and the crash model's word lottery.
-fn crash_mid_rehash_and_recover(model: CrashModel, seed: u64) {
-    // --- First life: load the store until a rehash is mid-flight. -------
-    let mem = Arc::new(MemorySpace::new(pmem_cfg(model)));
-    let crafty = Crafty::new(Arc::clone(&mem), crafty_cfg());
-    let kv = ShardedKv::create(&mem, &kv_cfg());
-    let mut committed: HashMap<u64, u64> = HashMap::new();
-    let mut thread = crafty.register_thread(0);
-    let mut key_stream = crafty_repro::common::SplitMix64::new(seed);
-
-    // Insert until some shard has a resize in flight, then a few more so
-    // the migration cursor sits strictly inside the old table.
-    let mut after_resize_started = 0;
-    while after_resize_started < 3 {
-        let key = key_stream.next_below(1 << 20);
-        let value = key ^ 0xC0FFEE ^ seed;
-        thread.execute(&mut |ops| kv.put(ops, key, value).map(|_| ()));
-        committed.insert(key, value);
-        if kv.resize_in_flight(&mem) {
-            after_resize_started += 1;
-        }
-        assert!(
-            committed.len() < 10_000,
-            "store never started a resize; sizing bug in the test"
-        );
-    }
-    assert!(kv.resize_in_flight(&mem), "must crash mid-rehash");
-
-    // Everything committed so far must survive: quiesce pins it (Crafty's
-    // durability guarantee is prefix-consistency for unquiesced work).
-    crafty.quiesce();
-
-    // Post-quiesce, pre-crash turbulence: updates of existing keys and
-    // brand-new inserts that are *not* quiesced. Each may survive the crash
-    // atomically or be rolled back — but nothing in between.
-    let update_key = *committed.keys().next().expect("store is loaded");
-    let old_update_value = committed[&update_key];
-    let new_update_value = old_update_value ^ 0xDEAD_BEEF;
-    thread.execute(&mut |ops| kv.put(ops, update_key, new_update_value).map(|_| ()));
-    let fresh_keys: Vec<u64> = (0..4).map(|i| (1 << 21) + seed * 131 + i).collect();
-    for &k in &fresh_keys {
-        thread.execute(&mut |ops| kv.put(ops, k, k ^ 0xF00D).map(|_| ()));
-    }
-
-    // --- Power failure. -------------------------------------------------
-    let mut image = mem.crash_with(model);
-    recover(&mut image, crafty.directory_addr()).expect("recovery");
-
-    // --- Second life: reboot, replay constructors, reattach. ------------
-    // The second life runs under the strict model: the crash already
-    // happened; what matters now is exact behaviour on the recovered data.
-    let rebooted = Arc::new(MemorySpace::boot(&image, pmem_cfg(CrashModel::strict())));
-    let crafty2 = Crafty::new(Arc::clone(&rebooted), crafty_cfg());
-    let kv2 = ShardedKv::open(&rebooted, &kv_cfg());
-
-    kv2.check_integrity(&rebooted)
-        .unwrap_or_else(|e| panic!("recovered store failed integrity: {e}"));
-
-    // Every committed (quiesced) pair survives with its exact value...
-    for (&key, &value) in &committed {
-        if key == update_key {
-            continue; // checked separately below
-        }
-        assert_eq!(
-            kv2.get_direct(&rebooted, key),
-            Some(value),
-            "committed key {key} lost or corrupted"
-        );
-    }
-    // ...the unquiesced update is all-or-nothing...
-    let recovered_update = kv2.get_direct(&rebooted, update_key);
-    assert!(
-        recovered_update == Some(old_update_value) || recovered_update == Some(new_update_value),
-        "update was torn: {recovered_update:?}"
-    );
-    // ...and unquiesced inserts are present-with-correct-value or absent.
-    for &k in &fresh_keys {
-        let got = kv2.get_direct(&rebooted, k);
-        assert!(
-            got.is_none() || got == Some(k ^ 0xF00D),
-            "partial insert visible for key {k}: {got:?}"
-        );
-    }
-    // No phantom keys: everything live in the store was committed by us.
-    for (key, _) in kv2.collect_pairs(&rebooted) {
-        assert!(
-            committed.contains_key(&key) || fresh_keys.contains(&key),
-            "aborted or phantom key {key} is visible after recovery"
-        );
-    }
-
-    // --- Third life: the half-migrated shard keeps serving and finishes
-    // its rehash under new transactions.
-    let mut thread2 = crafty2.register_thread(0);
-    let mut extra = 0u64;
-    while kv2.resize_in_flight(&rebooted) {
-        let key = (1 << 22) + extra;
-        thread2.execute(&mut |ops| kv2.put(ops, key, key + 7).map(|_| ()));
-        extra += 1;
-        assert!(extra < 10_000, "post-recovery rehash never completed");
-    }
-    crafty2.quiesce();
-    kv2.check_integrity(&rebooted)
-        .unwrap_or_else(|e| panic!("post-recovery store failed integrity: {e}"));
-    for (&key, &value) in &committed {
-        if key == update_key {
-            continue;
-        }
-        assert_eq!(
-            kv2.get_direct(&rebooted, key),
-            Some(value),
-            "key {key} lost while finishing the recovered rehash"
-        );
-    }
-    for i in 0..extra {
-        let key = (1 << 22) + i;
-        assert_eq!(kv2.get_direct(&rebooted, key), Some(key + 7));
-    }
 }
 
 /// Group commit's crash contract, as the server runs it: a batch of
@@ -341,26 +217,5 @@ fn group_commit_batches_recover_under_every_model() {
     for seed in 0..3 {
         group_commit_batch_crash(CrashModel::relaxed(seed + 40), seed + 2);
         group_commit_batch_crash(CrashModel::adversarial(seed + 50), seed + 5);
-    }
-}
-
-#[test]
-fn mid_rehash_crash_recovers_under_strict_model() {
-    crash_mid_rehash_and_recover(CrashModel::strict(), 1);
-}
-
-#[test]
-fn mid_rehash_crash_recovers_under_relaxed_model() {
-    for seed in 0..4 {
-        crash_mid_rehash_and_recover(CrashModel::relaxed(seed), seed + 10);
-    }
-}
-
-#[test]
-fn mid_rehash_crash_recovers_under_adversarial_model() {
-    // Harsher than the issue asks: spontaneous evictions during the run
-    // plus the word lottery at the crash.
-    for seed in 0..2 {
-        crash_mid_rehash_and_recover(CrashModel::adversarial(seed), seed + 20);
     }
 }
