@@ -2,333 +2,35 @@
 //!
 //! Seeded random schedules of `write`, `write_line`, `clwb`, `clwb_lines`
 //! and `drain` on two thread slots drive the production [`MemorySpace`]
-//! and, step by step, a small model written here that knows nothing of
-//! masks, rings or runs. The model holds three things:
-//!
-//! * the words stored but not yet persisted (a dirty flag per word);
-//! * each queue's claimable lines, in enqueue order, and each line's
-//!   flush stamp (the queue and ring position of its latest enqueue): a
-//!   flush is absorbed only while the queue that stamped the line is the
-//!   flusher's own and that enqueue is still unclaimed; a full ring writes
-//!   the line back at once;
-//! * the persisted image.
-//!
-//! A write-back copies a line's dirty words and nothing else, so the model
-//! predicts every counter of [`PmemStats`] exactly: `words_persisted` is
-//! the number of dirty words written back, `lines_persisted` the number of
-//! claimed positions, and `flush_ranges` / `range_lines` the maximal runs
-//! of adjacent distinct claimed lines and their length. After every step
-//! the space's stats must equal the model's, and at every drain the
-//! space's persisted image and volatile view must equal the model's word
-//! for word. Spontaneous evictions (the adversarial model's coin flips)
-//! are the one thing the model cannot predict: it learns them from the
-//! step's `evictions` delta, exact because the test is single-threaded,
-//! and writes back the line that step stored to. Ring overflows it
-//! predicts from the ring rule and checks against `overflow_writebacks`.
+//! beside the exact model of `oracle/mod.rs`, which knows nothing of
+//! masks, rings or runs. After every step the space's [`PmemStats`] must
+//! equal the model's, and at every drain the space's persisted image and
+//! volatile view must equal the model's word for word.
 //!
 //! At the end the crash images are compared under [`CrashModel::strict`]
 //! (only what was written back) and under a model in which every dirty
 //! word persists; together they pin the dirty set exactly. The per-word
 //! lottery between those two extremes is pinned by the space's unit test
 //! `sparse_crash_and_boot_match_a_word_by_word_reference`.
+//!
+//! [`MemorySpace`]: crafty_pmem::MemorySpace
+//! [`PmemStats`]: crafty_pmem::PmemStats
 
-use crafty_common::{LineId, PAddr, SplitMix64, WORDS_PER_LINE};
-use crafty_pmem::{CrashModel, MemorySpace, PmemConfig, PmemStats};
+mod oracle;
+
+use crafty_pmem::CrashModel;
+use oracle::{run_against_oracle, Reference};
 use proptest::prelude::*;
-
-/// The schedules' lines: few enough that partial masks, re-flushes,
-/// adjacent runs and lines flushed by both threads are all common.
-const FIRST_LINE: u64 = 8;
-const LINES: u64 = 12;
-const THREADS: usize = 2;
-
-/// One schedule step.
-enum Op {
-    Write {
-        addr: PAddr,
-        value: u64,
-    },
-    WriteLine {
-        line: LineId,
-        words: [u64; WORDS_PER_LINE as usize],
-        mask: u8,
-    },
-    Clwb {
-        tid: usize,
-        addr: PAddr,
-    },
-    ClwbLines {
-        tid: usize,
-        lines: Vec<LineId>,
-    },
-    Drain {
-        tid: usize,
-    },
-}
-
-fn random_line(rng: &mut SplitMix64) -> LineId {
-    LineId::new(FIRST_LINE + rng.next_below(LINES))
-}
-
-fn random_addr(rng: &mut SplitMix64) -> PAddr {
-    random_line(rng)
-        .first_word()
-        .add(rng.next_below(WORDS_PER_LINE))
-}
-
-fn random_op(rng: &mut SplitMix64) -> Op {
-    let tid = rng.next_below(THREADS as u64) as usize;
-    match rng.next_below(20) {
-        0..=6 => Op::Write {
-            addr: random_addr(rng),
-            value: rng.next_u64() | 1,
-        },
-        7..=9 => Op::WriteLine {
-            line: random_line(rng),
-            words: std::array::from_fn(|_| rng.next_u64() | 1),
-            mask: rng.next_below(256) as u8,
-        },
-        10..=13 => Op::Clwb {
-            tid,
-            addr: random_addr(rng),
-        },
-        // A batch may name a line twice: the second is absorbed.
-        14..=15 => Op::ClwbLines {
-            tid,
-            lines: (0..1 + rng.next_below(5))
-                .map(|_| random_line(rng))
-                .collect(),
-        },
-        _ => Op::Drain { tid },
-    }
-}
-
-/// One flush queue as the model sees it: the lines of positions
-/// `[claim, claim + pending.len())`. Single-threaded, every drain retires
-/// what it claims before returning, so nothing is claimed but unretired.
-#[derive(Default)]
-struct Queue {
-    claim: u64,
-    pending: Vec<u64>,
-}
-
-/// The word-by-word model of the domain's lines.
-struct Model {
-    capacity: u64,
-    volatile: Vec<u64>,
-    persisted: Vec<u64>,
-    dirty: Vec<bool>,
-    /// Per line: `(tid, pos)` of its latest enqueue, on whichever queue.
-    stamps: Vec<Option<(usize, u64)>>,
-    queues: [Queue; THREADS],
-    stats: PmemStats,
-}
-
-impl Model {
-    fn new(capacity: u64) -> Self {
-        let words = (LINES * WORDS_PER_LINE) as usize;
-        Model {
-            capacity,
-            volatile: vec![0; words],
-            persisted: vec![0; words],
-            dirty: vec![false; words],
-            stamps: vec![None; LINES as usize],
-            queues: Default::default(),
-            stats: PmemStats::default(),
-        }
-    }
-
-    fn word_index(addr: PAddr) -> usize {
-        (addr.word() - FIRST_LINE * WORDS_PER_LINE) as usize
-    }
-
-    fn store(&mut self, addr: PAddr, value: u64) {
-        let w = Self::word_index(addr);
-        self.volatile[w] = value;
-        self.dirty[w] = true;
-    }
-
-    /// Copies `line`'s dirty words into the image. Returns the words
-    /// copied and the line width charged for them: 0 and 0 for a clean
-    /// line, whose write-back copies nothing.
-    fn write_back(&mut self, line: u64) -> (u64, u64) {
-        let first = ((line - FIRST_LINE) * WORDS_PER_LINE) as usize;
-        let mut words = 0;
-        for w in first..first + WORDS_PER_LINE as usize {
-            if self.dirty[w] {
-                self.persisted[w] = self.volatile[w];
-                self.dirty[w] = false;
-                words += 1;
-            }
-        }
-        (words, if words > 0 { WORDS_PER_LINE } else { 0 })
-    }
-
-    fn evict(&mut self, line: u64) {
-        let (words, line_words) = self.write_back(line);
-        self.stats.evictions += 1;
-        self.stats.words_persisted += words;
-        self.stats.line_words_persisted += line_words;
-    }
-
-    fn clwb(&mut self, tid: usize, line: u64) {
-        self.stats.flushes += 1;
-        let slot = (line - FIRST_LINE) as usize;
-        let q = &self.queues[tid];
-        if self.stamps[slot].is_some_and(|(t, pos)| t == tid && pos >= q.claim) {
-            return;
-        }
-        if q.pending.len() as u64 >= self.capacity {
-            let (words, line_words) = self.write_back(line);
-            self.stats.overflow_writebacks += 1;
-            self.stats.words_persisted += words;
-            self.stats.line_words_persisted += line_words;
-            return;
-        }
-        let q = &mut self.queues[tid];
-        self.stamps[slot] = Some((tid, q.claim + q.pending.len() as u64));
-        q.pending.push(line);
-    }
-
-    /// Claims and writes back `tid`'s queue; returns the positions claimed.
-    fn drain(&mut self, tid: usize) -> u64 {
-        let q = &mut self.queues[tid];
-        let claimed = std::mem::take(&mut q.pending);
-        q.claim += claimed.len() as u64;
-        let mut lines = claimed.clone();
-        lines.sort_unstable();
-        lines.dedup();
-        let runs = lines
-            .iter()
-            .enumerate()
-            .filter(|&(i, &l)| i == 0 || lines[i - 1] + 1 != l)
-            .count() as u64;
-        for &line in &lines {
-            let (words, line_words) = self.write_back(line);
-            self.stats.words_persisted += words;
-            self.stats.line_words_persisted += line_words;
-        }
-        self.stats.drains += 1;
-        self.stats.lines_persisted += claimed.len() as u64;
-        self.stats.flush_ranges += runs;
-        self.stats.range_lines += lines.len() as u64;
-        claimed.len() as u64
-    }
-
-    /// The whole persistent region as a crash leaves it: what was written
-    /// back, with each dirty word's volatile value on top when
-    /// `every_dirty_word` (a crash that persists them all).
-    fn crash_image(&self, words: u64, every_dirty_word: bool) -> Vec<u64> {
-        let mut image = vec![0; words as usize];
-        let first = (FIRST_LINE * WORDS_PER_LINE) as usize;
-        for (w, &v) in self.persisted.iter().enumerate() {
-            image[first + w] = if every_dirty_word && self.dirty[w] {
-                self.volatile[w]
-            } else {
-                v
-            };
-        }
-        image
-    }
-}
-
-fn assert_views_agree(mem: &MemorySpace, model: &Model, step: usize) {
-    for w in 0..model.persisted.len() {
-        let addr = PAddr::new(FIRST_LINE * WORDS_PER_LINE + w as u64);
-        assert_eq!(
-            mem.read_persisted(addr),
-            model.persisted[w],
-            "step {step}: persisted {addr}"
-        );
-        assert_eq!(
-            mem.read(addr),
-            model.volatile[w],
-            "step {step}: volatile {addr}"
-        );
-    }
-}
-
-/// Runs one seeded schedule of `ops` steps on a space running under
-/// `crash` with flush rings of `capacity` lines, checking it against the
-/// model throughout.
-fn run_against_oracle(seed: u64, ops: usize, crash: CrashModel, capacity: usize) {
-    let cfg = PmemConfig::small_for_tests()
-        .with_crash(crash)
-        .with_flush_queue_capacity(capacity);
-    let mem = MemorySpace::new(cfg);
-    let mut model = Model::new(capacity as u64);
-    let mut rng = SplitMix64::new(seed);
-    for step in 0..ops {
-        let before = mem.stats();
-        let mut drained = None;
-        // The line a store reached, which an eviction coin writes back.
-        let mut stored = None;
-        match random_op(&mut rng) {
-            Op::Write { addr, value } => {
-                mem.write(addr, value);
-                model.store(addr, value);
-                stored = Some(addr.line());
-            }
-            Op::WriteLine { line, words, mask } => {
-                mem.write_line(line, &words, mask);
-                for (i, addr) in line.words().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        model.store(addr, words[i]);
-                    }
-                }
-                stored = (mask != 0).then_some(line);
-            }
-            Op::Clwb { tid, addr } => {
-                mem.clwb(tid, addr);
-                model.clwb(tid, addr.line().index());
-            }
-            Op::ClwbLines { tid, lines } => {
-                let requested = mem.clwb_lines(tid, lines.iter().copied());
-                assert_eq!(requested, lines.len() as u64, "step {step}");
-                for line in lines {
-                    model.clwb(tid, line.index());
-                }
-            }
-            Op::Drain { tid } => {
-                drained = Some((mem.drain(tid), model.drain(tid)));
-            }
-        }
-        let after = mem.stats();
-        match after.evictions - before.evictions {
-            0 => {}
-            1 => model.evict(stored.expect("only a store evicts").index()),
-            n => panic!("step {step}: one store evicted {n} lines"),
-        }
-        assert_eq!(after, model.stats, "step {step}: persist traffic");
-        for (tid, q) in model.queues.iter().enumerate() {
-            assert_eq!(mem.pending_flushes(tid), q.pending.len(), "step {step}");
-        }
-        if let Some((space, oracle)) = drained {
-            assert_eq!(space, oracle, "step {step}: positions claimed");
-            assert_views_agree(&mem, &model, step);
-        }
-    }
-    assert_views_agree(&mem, &model, ops);
-    let every_dirty_word = CrashModel {
-        dirty_word_persist_probability: 1.0,
-        ..CrashModel::strict()
-    };
-    for (label, crash, every) in [
-        ("strict", CrashModel::strict(), false),
-        ("every dirty word", every_dirty_word, true),
-    ] {
-        let image = mem.crash_with(crash);
-        let expected = model.crash_image(cfg.persistent_words, every);
-        assert!(
-            image.as_words() == expected.as_slice(),
-            "{label} crash image diverged from the oracle"
-        );
-    }
-}
 
 /// The ring capacities every schedule runs at: one no schedule fills, and
 /// one that overflows within a few flushes.
 const CAPACITIES: [usize; 2] = [1 << 10, 4];
+
+/// The model of the production pipeline itself: no reference relaxes it.
+const EXACT: Reference = Reference {
+    whole_line: false,
+    per_line_drain: false,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -337,7 +39,7 @@ proptest! {
     #[test]
     fn the_space_follows_the_oracle_under_strict(seed: u64, ops in 1usize..400) {
         for capacity in CAPACITIES {
-            run_against_oracle(seed, ops, CrashModel::strict(), capacity);
+            run_against_oracle(seed, ops, CrashModel::strict(), capacity, EXACT);
         }
     }
 
@@ -345,7 +47,7 @@ proptest! {
     #[test]
     fn the_space_follows_the_oracle_under_relaxed(seed: u64, ops in 1usize..400) {
         for capacity in CAPACITIES {
-            run_against_oracle(seed, ops, CrashModel::relaxed(seed ^ 0x51), capacity);
+            run_against_oracle(seed, ops, CrashModel::relaxed(seed ^ 0x51), capacity, EXACT);
         }
     }
 
@@ -353,7 +55,7 @@ proptest! {
     #[test]
     fn the_space_follows_the_oracle_under_adversarial(seed: u64, ops in 1usize..400) {
         for capacity in CAPACITIES {
-            run_against_oracle(seed, ops, CrashModel::adversarial(seed ^ 0xA5), capacity);
+            run_against_oracle(seed, ops, CrashModel::adversarial(seed ^ 0xA5), capacity, EXACT);
         }
     }
 }
