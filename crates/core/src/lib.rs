@@ -74,8 +74,8 @@ pub use alloc_log::AllocLog;
 pub use config::{CraftyConfig, CraftyVariant, FallbackPolicy, ThreadingMode};
 pub use engine::Crafty;
 pub use recovery::{
-    logs_are_clean, parse_sequences, recover, recover_interrupted, InterruptedRecovery,
-    RecoveryError, RecoveryReport, Sequence,
+    logs_are_clean, parse_sequences, recover, recover_interrupted, recovery_phase_word,
+    InterruptedRecovery, RecoveryError, RecoveryReport, Sequence,
 };
 pub use thread::CraftyThread;
 pub use undo_log::{Entry, LogDirectory, LogGeometry, SlotState, UndoLog};

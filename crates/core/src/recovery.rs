@@ -349,6 +349,14 @@ pub fn recover_interrupted(
     })
 }
 
+/// The directory's recovery phase word in `image`: nonzero only while a
+/// recovery pass is zeroing the logs, so 0 after every completed pass. A
+/// word left set would make the next recovery resume zeroing instead of
+/// parsing, and roll nothing back.
+pub fn recovery_phase_word(image: &PersistentImage, directory_addr: PAddr) -> u64 {
+    image.read(directory_addr.add(RECOVERY_FLAG_WORD))
+}
+
 /// Convenience wrapper: checks whether the image still decodes every log
 /// slot as absent (i.e. [`recover`] has zeroed the logs).
 pub fn logs_are_clean(image: &PersistentImage, directory_addr: PAddr) -> bool {
@@ -629,6 +637,25 @@ mod tests {
         assert_eq!(second.entries_rolled_back, 0);
         assert_eq!(second.cutoff_ts, None);
         assert_eq!(image, once, "second recovery must not change the image");
+    }
+
+    /// Every completed pass clears the phase word: a first recovery, and a
+    /// re-run over an image whose pass died zeroing the logs (the word
+    /// still set).
+    #[test]
+    fn recovery_leaves_its_phase_word_clear() {
+        let (f, _, _, pristine) = interrupted_setup();
+        let mut image = pristine.clone();
+        let full = recover_interrupted(&mut image, f.dir_addr, u64::MAX).expect("full");
+        assert_eq!(recovery_phase_word(&image, f.dir_addr), 0);
+
+        let mut image = pristine;
+        let died_zeroing =
+            recover_interrupted(&mut image, f.dir_addr, full.writes_applied - 1).expect("bounded");
+        assert!(!died_zeroing.completed);
+        assert_eq!(recovery_phase_word(&image, f.dir_addr), FLAG_ZEROING);
+        recover(&mut image, f.dir_addr).expect("re-recovery");
+        assert_eq!(recovery_phase_word(&image, f.dir_addr), 0);
     }
 
     /// Crash *during* recovery at every possible write count: re-running

@@ -315,11 +315,12 @@ impl HtmRuntime {
         });
     }
 
-    /// [`HtmRuntime::nontx_write_words`] for every line of a line image —
-    /// an [`ExclusiveTxn`](crate::ExclusiveTxn)'s write buffer, or the redo
-    /// image [`HwTxn::roll_back`] took (Crafty's thread-unsafe Redo).
+    /// [`HtmRuntime::nontx_write_words`] for every line of a line image
+    /// that has written words — an [`ExclusiveTxn`](crate::ExclusiveTxn)'s
+    /// write buffer, or the redo image [`HwTxn::roll_back`] took (Crafty's
+    /// thread-unsafe Redo).
     pub fn nontx_write_lines(&self, image: &[LineSlot]) {
-        for slot in image {
+        for slot in image.iter().filter(|slot| slot.mask != 0) {
             let line = LineId::new(slot.line());
             self.nontx_store(line, |_| self.mem.write_line(line, &slot.words, slot.mask));
         }
@@ -874,12 +875,14 @@ impl HwTxn<'_> {
         })
     }
 
-    /// Copies every buffered line into `image` — line id, final words,
-    /// written-word mask: the write buffer *is* the redo log — and then
-    /// undoes every [`HwTxn::exchange`], newest first, so the transaction
-    /// commits the values it found. Returns how many exchanges that was.
-    /// Stands for one `read` and one `write` per exchange (the old
-    /// word-wise roll-back), so it ticks the countdown twice for each.
+    /// Copies the descriptor's lines into `image` in one block — line id,
+    /// final words, written-word mask: the write buffer *is* the redo log;
+    /// a line with no written word may come along, and
+    /// [`HwTxn::write_lines`] and [`HtmRuntime::nontx_write_lines`] skip
+    /// it — and then undoes every [`HwTxn::exchange`], newest first, so the
+    /// transaction commits the values it found. Returns how many exchanges
+    /// that was. Stands for one `read` and one `write` per exchange (the
+    /// old word-wise roll-back), so it ticks the countdown twice for each.
     ///
     /// A line that only exchanges wrote to — each served from memory under
     /// the version check, no [`HwTxn::write`] underneath, no version sink —
@@ -907,29 +910,10 @@ impl HwTxn<'_> {
         Ok(exchanges)
     }
 
-    /// Buffers the words `bits` of `line`, which `fill` copies into the
-    /// line's buffer: the first word's tick, the capacity check its
-    /// `write` would make, then the other words' ticks.
-    #[inline]
-    fn write_line_words(
-        &mut self,
-        line: u64,
-        bits: u8,
-        fill: impl FnOnce(&mut [u64; WORDS_PER_LINE as usize]),
-    ) -> Result<(), AbortCode> {
-        self.tick(1)?;
-        let write_capacity = self.rt.cfg.write_capacity_lines;
-        let s = self.s();
-        let (words, new_data_line) = s.claim_words(line, bits);
-        fill(words);
-        if new_data_line && s.data_count > write_capacity {
-            return Err(self.fail(AbortCode::Capacity));
-        }
-        self.tick(bits.count_ones() as usize - 1)
-    }
-
     /// [`HwTxn::write`] for each of `words`, stored contiguously from
-    /// `addr`: one descriptor lookup per line, one tick per word.
+    /// `addr`: one descriptor lookup per line, and per line the first
+    /// word's tick, the capacity check its `write` would make, then the
+    /// other words' ticks.
     ///
     /// # Errors
     ///
@@ -939,11 +923,17 @@ impl HwTxn<'_> {
         if let Some(code) = self.failed {
             return Err(code);
         }
+        let write_capacity = self.rt.cfg.write_capacity_lines;
         for_each_line_run(addr, words, |line, bits, run| {
+            self.tick(1)?;
+            let s = self.s();
+            let (buffer, new_data_line) = s.claim_words(line.index(), bits);
             let first = bits.trailing_zeros() as usize;
-            self.write_line_words(line.index(), bits, |buffer| {
-                buffer[first..first + run.len()].copy_from_slice(run);
-            })
+            buffer[first..first + run.len()].copy_from_slice(run);
+            if new_data_line && s.data_count > write_capacity {
+                return Err(self.fail(AbortCode::Capacity));
+            }
+            self.tick(run.len() - 1)
         })
     }
 
@@ -951,10 +941,19 @@ impl HwTxn<'_> {
     /// [`HwTxn::roll_back`], possibly in an earlier transaction): the Redo
     /// of `exchanges` logged writes, as if by [`HwTxn::write`] of each
     /// image word, line by line, and then once more for every exchange
-    /// that hit an already-written word. One lookup per line; the
+    /// that hit an already-written word.
+    ///
+    /// The image is loaded as a block
+    /// ([`LineTable::extend_lines`](crafty_common::LineTable::extend_lines)): its
+    /// lines are copied into the descriptor at once, indexed with one
+    /// probe each and enter the lock order in image order, and a line the
+    /// descriptor already holds takes the image's words on top of its own.
+    /// The checks are then settled by arithmetic, in the word-wise order:
+    /// a line that takes the write set past its capacity aborts after the
+    /// ticks of the words before it plus its first word's; otherwise the
     /// countdown ticks once per *logged write*, so a word exchanged twice
     /// still counts twice, as it did when the redo log was replayed word
-    /// by word.
+    /// by word. An abort leaves the whole image in the dead descriptor.
     ///
     /// # Errors
     ///
@@ -964,19 +963,13 @@ impl HwTxn<'_> {
         if let Some(code) = self.failed {
             return Err(code);
         }
-        let mut distinct = 0;
-        for src in image.iter().filter(|src| src.mask != 0) {
-            distinct += src.mask.count_ones() as usize;
-            self.write_line_words(src.line(), src.mask, |buffer| {
-                let mut bits = src.mask;
-                while bits != 0 {
-                    let word = bits.trailing_zeros() as usize;
-                    buffer[word] = src.words[word];
-                    bits &= bits - 1;
-                }
-            })?;
+        let write_capacity = self.rt.cfg.write_capacity_lines;
+        let (words, overflow) = self.s().buffer_image(image, write_capacity);
+        if let Some(before) = overflow {
+            self.tick(before + 1)?;
+            return Err(self.fail(AbortCode::Capacity));
         }
-        self.tick(exchanges.saturating_sub(distinct))
+        self.tick(words.max(exchanges))
     }
 
     /// [`HwTxn::flush_on_commit`] for every persistent line the

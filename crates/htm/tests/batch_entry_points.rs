@@ -298,3 +298,225 @@ proptest! {
         redo_case(cfg, script_seed);
     }
 }
+
+// ---------------------------------------------------------------------
+// Hand-offs beyond the body domain: images of a hundred lines and more
+// (the descriptor's index grows during the load), a Redo descriptor that
+// already holds an image line, and an image line that is the Redo's last
+// logged read.
+// ---------------------------------------------------------------------
+
+/// First word of the wide domain the large images are taken over
+/// (persistent, clear of the cells and the log runs).
+const WIDE_BASE: u64 = 8192;
+const WIDE_LINES: u64 = 512;
+
+fn wide(line: u64, word: u64) -> PAddr {
+    PAddr::new(WIDE_BASE + line * 8 + word)
+}
+
+/// What the Redo transaction does around the image.
+#[derive(Clone, Copy, Debug)]
+struct Handoff {
+    /// Distinct lines the Log transaction exchanges over.
+    lines: u64,
+    /// Write one of the image's lines before loading the image.
+    merge: bool,
+    /// Read one of the image's lines last before loading the image.
+    held: bool,
+    /// Store to an image line from outside after the load.
+    interfere: bool,
+}
+
+/// A Log transaction exchanging `lines` distinct wide lines (in a shuffled
+/// order, one to three exchanges each, words sometimes exchanged twice),
+/// rolled back: its image and its exchange count.
+fn wide_image(lines: u64, rng: &mut SplitMix64) -> (Vec<LineSlot>, usize) {
+    let producer = side(HtmConfig::skylake());
+    let mut txn = producer.rt.begin(0);
+    let start = rng.next_below(WIDE_LINES);
+    let stride = 2 * rng.next_below(WIDE_LINES / 2) + 1; // odd: a permutation
+    for k in 0..lines {
+        let line = (start + k * stride) % WIDE_LINES;
+        for _ in 0..1 + rng.next_below(3) {
+            txn.exchange(wide(line, rng.next_below(8)), rng.next_u64())
+                .expect("an undoomed skylake Log transaction");
+        }
+    }
+    let mut image = Vec::new();
+    let exchanges = txn.roll_back(&mut image).expect("undoomed");
+    (image, exchanges)
+}
+
+/// The Redo of a wide image on two sides, [`HwTxn::write_lines`] against
+/// the word-wise replay, with `how`'s extras; everything must agree, the
+/// wide domain included.
+fn handoff_case(cfg: HtmConfig, how: Handoff, script_seed: u64) {
+    let mut rng = SplitMix64::new(script_seed);
+    let (image, exchanges) = wide_image(how.lines, &mut rng);
+    let image_word = |rng: &mut SplitMix64| {
+        let slot = image[rng.next_below(image.len() as u64) as usize];
+        wide(slot.line() - WIDE_BASE / 8, rng.next_below(8))
+    };
+    let mut prelude = vec![Op::Read(wide(rng.next_below(WIDE_LINES), 0))];
+    if how.merge {
+        let words = (0..1 + rng.next_below(3)).map(|_| rng.next_u64()).collect();
+        prelude.push(Op::Run(image_word(&mut rng), words));
+    }
+    if how.held {
+        prelude.push(Op::Read(image_word(&mut rng)));
+    }
+    let outsider = image_word(&mut rng);
+    let (a, b) = (side(cfg), side(cfg));
+    let (mut ta, mut tb) = (a.rt.begin(0), b.rt.begin(0));
+
+    let outcome = (|| {
+        for op in &prelude {
+            let (ra, rb) = (batch(&mut ta, op), wordwise(&mut tb, op, &mut Vec::new()));
+            assert_eq!(ra, rb, "{op:?}");
+            ra?;
+        }
+        let writes = image_writes(&image);
+        let repeats = exchanges - writes.len();
+        let mut replay = writes
+            .iter()
+            .chain(writes.last().into_iter().cycle().take(repeats));
+        let redone_b = replay.try_for_each(|&(addr, value)| tb.write(addr, value));
+        assert_eq!(ta.write_lines(&image, exchanges), redone_b, "redo");
+        redone_b?;
+        assert_eq!(ta.write_set_len(), tb.write_set_len());
+        // Every written word's line: the image's and the merged run's
+        // (which may spill into a line the image does not have).
+        let run_words = prelude.iter().flat_map(|op| match op {
+            Op::Run(at, words) => (0..words.len() as u64).map(|i| at.add(i)).collect(),
+            _ => Vec::new(),
+        });
+        let flushed_b = writes
+            .iter()
+            .map(|&(addr, _)| addr)
+            .chain(run_words)
+            .try_for_each(|addr| tb.flush_on_commit(addr));
+        assert_eq!(ta.flush_writes_on_commit(), flushed_b);
+        Ok::<_, AbortCode>(())
+    })();
+    if how.interfere {
+        a.rt.nontx_write(outsider, 1);
+        b.rt.nontx_write(outsider, 1);
+    }
+    if outcome.is_ok() {
+        let (ca, cb) = (ta.commit(), tb.commit());
+        assert_eq!(ca, cb, "commit {how:?}");
+        if how.interfere {
+            assert_eq!(ca, Err(AbortCode::Conflict), "a locked line moved");
+        }
+    } else {
+        drop((ta, tb));
+    }
+    let domain = |s: &Side| {
+        let words = (0..WIDE_LINES * 8).map(|i| PAddr::new(WIDE_BASE + i));
+        let seen: Vec<_> = words
+            .map(|addr| (s.mem.read(addr), s.mem.read_persisted(addr)))
+            .collect();
+        (s.observe(), seen)
+    };
+    assert_eq!(domain(&a), domain(&b), "{how:?}, script seed {script_seed}");
+}
+
+/// The configurations a wide image meets: undoomed at full size, a write
+/// capacity that overflows before, at and after the image's last line,
+/// and the injected-abort countdowns, alone and racing an overflow at the
+/// image's first lines (which of the two strikes first decides the code).
+fn wide_configs(lines: u64, countdowns: &[u64]) -> Vec<HtmConfig> {
+    let skylake = HtmConfig::skylake();
+    let capped = |c: u64| HtmConfig {
+        write_capacity_lines: c as usize,
+        ..skylake
+    };
+    let capacities = [1, lines / 2, lines - 1, lines, lines + 1, lines + 2];
+    let doomed = countdowns.iter().flat_map(|&seed| {
+        [skylake, capped(1), capped(2), capped(3)].map(|cfg| cfg.with_zero_aborts(1.0, seed))
+    });
+    std::iter::once(skylake)
+        .chain(capacities.map(capped))
+        .chain(doomed)
+        .collect()
+}
+
+#[test]
+fn a_large_image_grows_the_index_and_hands_off_like_its_words() {
+    let countdowns = seeds_by_countdown();
+    // Each image size meets eight of the 24 countdowns.
+    for (script_seed, lines, some) in [(1, 100, 0..8), (2, 130, 8..16), (3, 257, 16..24)] {
+        for cfg in wide_configs(lines, &countdowns[some]) {
+            let how = Handoff {
+                lines,
+                merge: false,
+                held: false,
+                interfere: false,
+            };
+            handoff_case(cfg, how, script_seed);
+        }
+    }
+}
+
+#[test]
+fn an_image_line_the_redo_already_holds_keeps_its_merge() {
+    for script_seed in 0..12 {
+        for cfg in wide_configs(100, &[]) {
+            let how = Handoff {
+                lines: 100,
+                merge: true,
+                held: script_seed % 2 == 0,
+                interfere: false,
+            };
+            handoff_case(cfg, how, script_seed);
+        }
+    }
+}
+
+#[test]
+fn an_image_line_read_last_is_held_and_still_checked() {
+    for script_seed in 0..12 {
+        for interfere in [false, true] {
+            let how = Handoff {
+                lines: 100,
+                merge: false,
+                held: true,
+                interfere,
+            };
+            handoff_case(HtmConfig::skylake(), how, script_seed);
+        }
+    }
+}
+
+/// The heavy sweep of the same equivalence: images of 100 to 400 lines,
+/// every countdown, random capacities and extras, many seeds. Release
+/// only (`cargo test --release -- --include-ignored`).
+#[test]
+#[ignore = "heavy; run in release with --include-ignored"]
+fn handoff_sweep_over_large_images_and_many_seeds() {
+    let countdowns = seeds_by_countdown();
+    for script_seed in 0..20_000u64 {
+        let mut rng = SplitMix64::new(script_seed ^ 0x5EE9);
+        let lines = 100 + rng.next_below(301);
+        let capped = HtmConfig {
+            write_capacity_lines: match rng.next_below(3) {
+                0 => 1 + rng.next_below(8),
+                1 => 1 + rng.next_below(lines + 3),
+                _ => 512,
+            } as usize,
+            ..HtmConfig::skylake()
+        };
+        let cfg = match rng.chance(0.5) {
+            true => capped.with_zero_aborts(1.0, countdowns[rng.next_below(24) as usize]),
+            false => capped,
+        };
+        let how = Handoff {
+            lines,
+            merge: rng.chance(0.5),
+            held: rng.chance(0.5),
+            interfere: rng.chance(0.25),
+        };
+        handoff_case(cfg, how, script_seed);
+    }
+}

@@ -32,7 +32,10 @@ use std::sync::Arc;
 
 use crafty_common::trace::{self, ThreadTrace, TraceLevel};
 use crafty_common::{BreakdownSnapshot, PAddr, PersistentTm, SplitMix64, TxAbort, TxnOps};
-use crafty_core::{logs_are_clean, recover, Crafty, CraftyConfig, FallbackPolicy, ThreadingMode};
+use crafty_core::{
+    logs_are_clean, recover, recovery_phase_word, Crafty, CraftyConfig, FallbackPolicy,
+    ThreadingMode,
+};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
 
@@ -222,6 +225,11 @@ pub struct BankRun {
     pub accounts: Vec<u64>,
     /// The engine's counters when the run finished.
     pub breakdown: BreakdownSnapshot,
+    /// One `(step, transactions)` per `persist_fence` the run made: the
+    /// fault-clock value when the fence returned, and how many
+    /// transactions had committed before it (all of them durable from
+    /// that step on).
+    pub fences: Vec<(u64, u64)>,
     /// The image trapped at the plan's crash step, if one was armed and
     /// reached.
     pub image: Option<PersistentImage>,
@@ -247,7 +255,8 @@ impl Replay for BankRun {
 
 impl BankRun {
     /// Takes the trapped image through [`recover_checked`] and
-    /// [`prefix_check`] and returns it recovered.
+    /// [`prefix_check`] and returns it recovered, with the length of the
+    /// prefix it recovered to.
     ///
     /// # Panics
     ///
@@ -255,11 +264,21 @@ impl BankRun {
     pub fn recover_to_prefix(
         &mut self,
         picks: &[Vec<Transfer>],
-    ) -> Result<PersistentImage, String> {
+    ) -> Result<(PersistentImage, u64), String> {
         let image = self.image.take().expect("an audited run trapped its image");
         let recovered = recover_checked(image, self.dir_addr)?;
-        prefix_check(&recovered, self.base, picks)?;
-        Ok(recovered)
+        let prefix = prefix_check(&recovered, self.base, picks)?;
+        Ok((recovered, prefix))
+    }
+
+    /// How many transactions a crash at fault step `step` must keep: all
+    /// those the last fence that had returned by then covered.
+    pub fn fenced_at(&self, step: u64) -> u64 {
+        self.fences
+            .iter()
+            .take_while(|&&(returned, _)| returned <= step)
+            .last()
+            .map_or(0, |&(_, covered)| covered)
     }
 }
 
@@ -274,10 +293,12 @@ pub fn run_once(route: Route, seed: u64, picks: &[Vec<Transfer>], plan: FaultPla
     let dir_addr = engine.directory_addr();
     let mut thread = engine.register_thread(0);
     let setup_steps = mem.fault_steps();
+    let mut fences = Vec::new();
     for (i, txn) in picks.iter().enumerate() {
         thread.execute(&mut |ops| txn.iter().try_for_each(|&t| transfer(ops, base, t)));
         if route == Route::Fenced && (i + 1) % FENCED_BATCH == 0 {
             engine.persist_fence(0);
+            fences.push((mem.fault_steps(), i as u64 + 1));
         }
     }
     drop(thread);
@@ -288,14 +309,17 @@ pub fn run_once(route: Route, seed: u64, picks: &[Vec<Transfer>], plan: FaultPla
         dir_addr,
         accounts: (0..ACCOUNTS).map(|i| mem.read(base.add(i * 8))).collect(),
         breakdown: engine.breakdown(),
+        fences,
         image: mem.take_fault_image(),
         trace: mem.take_fault_trace(),
     }
 }
 
 /// Recovers `image` and checks the generic log invariants: recovery
-/// succeeds, the logs decode clean afterwards, and a second recovery is a
-/// byte-for-byte no-op. Returns the recovered image.
+/// succeeds, the logs decode clean and the recovery phase word reads 0
+/// afterwards (a word left set would make the next recovery skip its
+/// rollback), and a second recovery is a byte-for-byte no-op. Returns the
+/// recovered image.
 pub fn recover_checked(
     mut image: PersistentImage,
     dir_addr: PAddr,
@@ -303,6 +327,10 @@ pub fn recover_checked(
     recover(&mut image, dir_addr).map_err(|e| format!("recovery failed: {e}"))?;
     if !logs_are_clean(&image, dir_addr) {
         return Err("logs are not clean after recovery".to_string());
+    }
+    let phase = recovery_phase_word(&image, dir_addr);
+    if phase != 0 {
+        return Err(format!("recovery left its phase word at {phase}"));
     }
     let once = image.clone();
     let second = recover(&mut image, dir_addr).map_err(|e| format!("re-recovery failed: {e}"))?;
@@ -320,7 +348,9 @@ pub fn recover_checked(
 /// Global-cut consistency: the recovered account array must equal the
 /// shadow oracle's state after some prefix of the committed-transaction
 /// order (single-threaded, so commit order is program order). Returns the
-/// matching prefix length.
+/// longest matching prefix length: a transaction whose transfers cancel
+/// out leaves the state of the prefix before it, and a fence that covered
+/// it must still count it as kept.
 pub fn prefix_check(
     image: &PersistentImage,
     base: PAddr,
@@ -328,20 +358,23 @@ pub fn prefix_check(
 ) -> Result<u64, String> {
     let recovered: Vec<u64> = (0..ACCOUNTS).map(|i| image.read(base.add(i * 8))).collect();
     let mut shadow = vec![INITIAL; ACCOUNTS as usize];
+    let mut longest = None;
     for k in 0..=picks.len() {
         if k > 0 {
             apply_shadow(&mut shadow, &picks[k - 1]);
         }
         if recovered == shadow {
-            return Ok(k as u64);
+            longest = Some(k as u64);
         }
     }
-    Err(format!(
-        "recovered accounts match no prefix of the commit order \
-         (total {} vs expected {})",
-        recovered.iter().sum::<u64>(),
-        ACCOUNTS * INITIAL,
-    ))
+    longest.ok_or_else(|| {
+        format!(
+            "recovered accounts match no prefix of the commit order \
+             (total {} vs expected {})",
+            recovered.iter().sum::<u64>(),
+            ACCOUNTS * INITIAL,
+        )
+    })
 }
 
 /// Second-life audit: boots `recovered` into a fresh space, rebuilds the
@@ -399,7 +432,8 @@ fn second_life(
 /// Enumerates one route: counts its persistence steps (lock-word
 /// transitions included), replays it crashing at every enumerated step,
 /// and gives each crash image the suite's one audit — every transaction
-/// completed, recovery to a commit-order prefix, then a second life.
+/// completed, recovery to a commit-order prefix that keeps every
+/// transaction a returned fence covered, then a second life.
 pub fn run_route(route: Route, cfg: &TortureConfig) -> TortureReport {
     let picks = draw_picks(cfg.seed, cfg.txns);
     enumerate(
@@ -415,7 +449,15 @@ pub fn run_route(route: Route, cfg: &TortureConfig) -> TortureReport {
                     cfg.txns
                 ));
             }
-            second_life(route, &run.recover_to_prefix(&picks)?, cfg.seed, step)
+            let (recovered, prefix) = run.recover_to_prefix(&picks)?;
+            let fenced = run.fenced_at(step);
+            if prefix < fenced {
+                return Err(format!(
+                    "a returned fence covered {fenced} transactions, \
+                     recovery kept {prefix}"
+                ));
+            }
+            second_life(route, &recovered, cfg.seed, step)
         },
     )
 }
@@ -557,6 +599,24 @@ mod tests {
         // The final step is after every commit; at most the last (not yet
         // drained) transactions may roll back.
         assert!(k <= picks.len() as u64);
+    }
+
+    /// A transaction whose transfers cancel out leaves the state of the
+    /// prefix before it; the audit counts it as kept, so a fence that
+    /// covered it is not reported broken.
+    #[test]
+    fn prefix_check_reports_the_longest_matching_prefix() {
+        let picks = vec![vec![(0, 1, 5)], vec![(2, 3, 4), (3, 2, 4)]];
+        let mut run = run_once(Route::Hardware, 1, &picks, FaultPlan::count_only());
+        let total = run.total_steps;
+        run = run_once(
+            Route::Hardware,
+            1,
+            &picks,
+            FaultPlan::crash_at(total, CrashModel::strict()),
+        );
+        let (_, prefix) = run.recover_to_prefix(&picks).expect("audit");
+        assert_eq!(prefix, 2);
     }
 
     #[test]
