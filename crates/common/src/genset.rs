@@ -14,11 +14,11 @@
 //! a line it wrote (written? to be locked? to be flushed?). Lines a
 //! transaction only reads stay out of it: the descriptor logs them
 //! instead. Entries are plain `Copy` values, so one table's lines can be
-//! taken out with a slice copy and loaded into another as a block
-//! ([`LineTable::extend_lines`]): Crafty's redo image crosses from the
-//! Log transaction's descriptor to the Redo's that way. The persistence
-//! domain's flush-queue dedup stamps apply the same idea with the queue's
-//! claim cursor as the generation.
+//! taken out with a slice copy ([`LineTable::slots`]): Crafty's redo image
+//! leaves the Log transaction's descriptor that way, and the Redo's
+//! descriptor takes it back one [`LineTable::entry`] per line, the one
+//! insertion path. The persistence domain's flush-queue dedup stamps apply
+//! the same idea with the queue's claim cursor as the generation.
 
 use crate::WORDS_PER_LINE;
 
@@ -168,7 +168,20 @@ impl LineTable {
     /// empty index position where it would go.
     #[inline]
     fn probe(&self, line: u64) -> Result<usize, usize> {
-        probe(&self.index, &self.slots, self.gen, line)
+        let mask = self.index.len() - 1;
+        // The product's high bits: its low bits depend only on the line
+        // id's low bits, and line ids are often strided.
+        let mut i = (spread(line) >> (64 - self.index.len().trailing_zeros())) as usize;
+        loop {
+            let slot = self.index[i];
+            if slot.gen != self.gen {
+                return Err(i);
+            }
+            if self.slots[slot.idx as usize].line == line {
+                return Ok(slot.idx as usize);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// True if `line` is the line looked up last (its index is `last`).
@@ -226,57 +239,6 @@ impl LineTable {
         self.last
     }
 
-    /// [`LineTable::entry`] of every line of `image` that has written
-    /// words (`mask != 0`; the others are skipped), in image order, done
-    /// as a block: the whole image is copied behind the live entries at
-    /// once, the index grows once if it must, and each copy is indexed
-    /// with one probe and given `flags` — a new entry holding the image's
-    /// words and mask. A line the table already holds (one an earlier
-    /// entry of `image` added included) keeps its entry, which the copy
-    /// leaves as it was: `held` is handed the live entries, that entry's
-    /// dense index and the image entry, in image order among the copies —
-    /// the live entries end with the copies landed so far.
-    pub fn extend_lines(
-        &mut self,
-        image: &[LineSlot],
-        flags: u8,
-        mut held: impl FnMut(&mut [LineSlot], usize, &LineSlot),
-    ) {
-        let start = self.len;
-        let end = start + image.len();
-        while end * LOAD_DEN >= self.index.len() * LOAD_NUM {
-            self.grow_index();
-        }
-        let reused = self.slots.len().min(end) - start;
-        self.slots[start..start + reused].copy_from_slice(&image[..reused]);
-        self.slots.extend_from_slice(&image[reused..]);
-        self.vacant = None;
-        let (index, slots, gen) = (&mut self.index[..], &mut self.slots[..end], self.gen);
-        let mut kept = start;
-        for (i, src) in image.iter().enumerate() {
-            if src.mask == 0 {
-                continue;
-            }
-            match probe(index, slots, gen, src.line) {
-                Ok(idx) => held(&mut slots[..kept], idx, src),
-                Err(pos) => {
-                    // Only an earlier skipped or held entry moves the
-                    // copies down.
-                    if kept != start + i {
-                        slots[kept] = *src;
-                    }
-                    slots[kept].flags = flags;
-                    index[pos] = IndexSlot {
-                        gen,
-                        idx: kept as u32,
-                    };
-                    kept += 1;
-                }
-            }
-        }
-        self.len = kept;
-    }
-
     fn insert_at(&mut self, mut pos: usize, line: u64) -> usize {
         self.vacant = None;
         if (self.len + 1) * LOAD_DEN >= self.index.len() * LOAD_NUM {
@@ -320,26 +282,6 @@ impl LineTable {
                 idx: idx as u32,
             };
         }
-    }
-}
-
-/// [`LineTable::probe`] over borrowed parts, so a loop that also writes
-/// the index and the entries can keep them in registers.
-#[inline]
-fn probe(index: &[IndexSlot], slots: &[LineSlot], gen: u64, line: u64) -> Result<usize, usize> {
-    let mask = index.len() - 1;
-    // The product's high bits: its low bits depend only on the line id's
-    // low bits, and line ids are often strided.
-    let mut i = (spread(line) >> (64 - index.len().trailing_zeros())) as usize;
-    loop {
-        let slot = index[i];
-        if slot.gen != gen {
-            return Err(i);
-        }
-        if slots[slot.idx as usize].line == line {
-            return Ok(slot.idx as usize);
-        }
-        i = (i + 1) & mask;
     }
 }
 

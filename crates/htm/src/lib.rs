@@ -35,13 +35,11 @@
 //!   `read`/`write`/`flush_on_commit` calls with one lookup per line, with
 //!   every check and every tick of the injected-abort countdown where the
 //!   word-wise run had it — `tests/batch_entry_points.rs` holds the two
-//!   interfaces to the same abort at the same access. The Log → Redo
-//!   hand-off moves its image as a block both ways: the roll-back copies
-//!   the descriptor's lines out in one copy (and restores by entry index,
-//!   no lookup), and `write_lines` copies them into the Redo descriptor in
-//!   one copy ([`crafty_common::LineTable::extend_lines`]), one probe per
-//!   line, with its capacity check and countdown ticks settled by
-//!   arithmetic.
+//!   interfaces to the same abort at the same access. In the Log → Redo
+//!   hand-off the roll-back copies the descriptor's lines out in one block
+//!   (and restores by entry index, no lookup), and `write_lines` loads them
+//!   into the Redo descriptor one line at a time, each claimed with one
+//!   lookup through the rule every other write uses.
 //! * **O(1) epoch clear** — the table clears by generation bump, the log
 //!   by a length reset, and both only allocate when they grow past the
 //!   workload's observed footprint, so a

@@ -943,17 +943,14 @@ impl HwTxn<'_> {
     /// image word, line by line, and then once more for every exchange
     /// that hit an already-written word.
     ///
-    /// The image is loaded as a block
-    /// ([`LineTable::extend_lines`](crafty_common::LineTable::extend_lines)): its
-    /// lines are copied into the descriptor at once, indexed with one
-    /// probe each and enter the lock order in image order, and a line the
-    /// descriptor already holds takes the image's words on top of its own.
-    /// The checks are then settled by arithmetic, in the word-wise order:
-    /// a line that takes the write set past its capacity aborts after the
-    /// ticks of the words before it plus its first word's; otherwise the
-    /// countdown ticks once per *logged write*, so a word exchanged twice
-    /// still counts twice, as it did when the redo log was replayed word
-    /// by word. An abort leaves the whole image in the dead descriptor.
+    /// Each line with written words is claimed with one lookup, through
+    /// the rule [`HwTxn::write_words`] uses, and takes the image's words on
+    /// top of whatever the descriptor already buffered for it. The ticks
+    /// follow the word-wise order: a line that takes the write set past its
+    /// capacity aborts after the ticks of the words before it plus its
+    /// first word's; otherwise the countdown ticks once per *logged write*,
+    /// so a word exchanged twice still counts twice, as it did when the
+    /// redo log was replayed word by word.
     ///
     /// # Errors
     ///
@@ -964,10 +961,21 @@ impl HwTxn<'_> {
             return Err(code);
         }
         let write_capacity = self.rt.cfg.write_capacity_lines;
-        let (words, overflow) = self.s().buffer_image(image, write_capacity);
-        if let Some(before) = overflow {
-            self.tick(before + 1)?;
-            return Err(self.fail(AbortCode::Capacity));
+        let s = self.s();
+        let mut words = 0;
+        for src in image.iter().filter(|src| src.mask != 0) {
+            let (buffer, new_data_line) = s.claim_words(src.line(), src.mask);
+            let mut bits = src.mask;
+            while bits != 0 {
+                let word = bits.trailing_zeros() as usize;
+                buffer[word] = src.words[word];
+                bits &= bits - 1;
+            }
+            if new_data_line && s.data_count > write_capacity {
+                self.tick(words + 1)?;
+                return Err(self.fail(AbortCode::Capacity));
+            }
+            words += src.mask.count_ones() as usize;
         }
         self.tick(words.max(exchanges))
     }

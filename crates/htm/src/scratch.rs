@@ -132,22 +132,25 @@ impl TxnScratch {
         self.journal.clear();
     }
 
-    /// Marks the words `bits` of entry `idx` written ([`claim_slot`]),
-    /// also setting `how` ([`PLAIN`] or nothing). Returns true if it made
-    /// the line a [`DATA`] line for the first time (the caller's cue to
-    /// check write capacity); a [`DEMOTED`] line has been one, and
-    /// re-enters the lock order without being counted again.
+    /// Marks the words `bits` of entry `idx` written, flagging it [`DATA`]
+    /// and `how` ([`PLAIN`] or nothing): a line not in the lock order
+    /// enters it ([`enter_lock_order`]), and each newly written word counts
+    /// in [`TxnScratch::words_written`]. Returns true if it made the line a
+    /// [`DATA`] line for the first time (counted in
+    /// [`TxnScratch::data_count`]; the caller's cue to check write
+    /// capacity); a [`DEMOTED`] line has been one, and re-enters the lock
+    /// order without being counted again.
     #[inline]
     fn claim_at(&mut self, idx: usize, bits: u8, how: u8) -> bool {
-        claim_slot(
-            self.lines.slot_mut(idx),
-            bits,
-            how,
-            &mut self.lock_order,
-            &mut self.reads,
-            &mut self.data_count,
-            &mut self.words_written,
-        )
+        let slot = self.lines.slot_mut(idx);
+        let before = slot.flags;
+        slot.flags |= DATA | how;
+        self.words_written += (bits & !slot.mask).count_ones() as usize;
+        slot.mask |= bits;
+        enter_lock_order(slot.line(), before, &mut self.lock_order, &mut self.reads);
+        let new_data_line = before & (DATA | DEMOTED) == 0;
+        self.data_count += usize::from(new_data_line);
+        new_data_line
     }
 
     /// Sets `flag` on the entry of `addr`'s line (created if the line is
@@ -290,51 +293,6 @@ impl TxnScratch {
         self.write_at(idx, (addr.word() % WORDS_PER_LINE) as usize, value, PLAIN)
     }
 
-    /// The batch form of [`TxnScratch::claim_words`] for every line of
-    /// `image` that has written words, in image order: the lines are
-    /// block-copied into the table ([`LineTable::extend_lines`]), each new
-    /// one flagged [`DATA`]` | `[`PLAIN`], and a line the table already
-    /// holds takes the image's words as `claim_words` would merge them.
-    /// The new lines are booked a run at a time, by arithmetic: they enter
-    /// the lock order in image order, and add to the written-word and
-    /// data-line counts. Returns how many words the image holds and, if
-    /// one of its lines takes [`TxnScratch::data_count`] past `capacity`,
-    /// how many words the image holds before that line — the caller's
-    /// capacity abort, which a word-wise replay takes at that line's first
-    /// word.
-    #[inline]
-    pub(crate) fn buffer_image(
-        &mut self,
-        image: &[LineSlot],
-        capacity: usize,
-    ) -> (usize, Option<usize>) {
-        let TxnScratch {
-            reads,
-            lines,
-            data_count,
-            words_written,
-            lock_order,
-            ..
-        } = self;
-        let mut book = Booking {
-            reads,
-            lock_order,
-            data_count,
-            words_written,
-            capacity,
-            words: 0,
-            overflow: None,
-            booked: lines.len(),
-        };
-        lines.extend_lines(image, DATA | PLAIN, |slots, held, src| {
-            book.fresh(&slots[book.booked..]);
-            book.booked = slots.len();
-            book.held(&mut slots[held], src);
-        });
-        book.fresh(&lines.slots()[book.booked..]);
-        (book.words, book.overflow)
-    }
-
     /// Copies every live entry into `image` in one block — line id, final
     /// words, written-word mask; lines with no written word (a sink or a
     /// flush request only) come along, and every consumer of the image
@@ -386,103 +344,6 @@ impl TxnScratch {
             + self.version_sinks.capacity()
             + self.journal.capacity()
     }
-}
-
-/// The counts [`TxnScratch::buffer_image`] keeps while an image lands,
-/// line by line in image order.
-struct Booking<'s> {
-    reads: &'s mut Vec<u64>,
-    lock_order: &'s mut Vec<u64>,
-    data_count: &'s mut usize,
-    words_written: &'s mut usize,
-    capacity: usize,
-    /// Words of the image booked so far.
-    words: usize,
-    /// The image's words before the line that overflowed the capacity.
-    overflow: Option<usize>,
-    /// Dense index of the first landed copy not booked yet.
-    booked: usize,
-}
-
-impl Booking<'_> {
-    /// Books a run of new lines, each a new data line whose every word is
-    /// newly written.
-    #[inline]
-    fn fresh(&mut self, run: &[LineSlot]) {
-        let words_of = |run: &[LineSlot]| -> usize {
-            run.iter().map(|slot| slot.mask.count_ones() as usize).sum()
-        };
-        if self.overflow.is_none() && *self.data_count + run.len() > self.capacity {
-            let first_over = self.capacity.saturating_sub(*self.data_count);
-            self.overflow = Some(self.words + words_of(&run[..first_over]));
-        }
-        let words = words_of(run);
-        self.words += words;
-        *self.words_written += words;
-        *self.data_count += run.len();
-        self.lock_order.extend(run.iter().map(LineSlot::line));
-        if let Some(last) = self.reads.last_mut() {
-            if run.iter().any(|slot| slot.line() == *last) {
-                *last |= HELD;
-            }
-        }
-    }
-
-    /// Books one image line `src` merged into the entry the table already
-    /// held for it, as [`TxnScratch::claim_words`] would.
-    #[cold]
-    fn held(&mut self, entry: &mut LineSlot, src: &LineSlot) {
-        let new_data_line = claim_slot(
-            entry,
-            src.mask,
-            PLAIN,
-            self.lock_order,
-            self.reads,
-            self.data_count,
-            self.words_written,
-        );
-        let mut bits = src.mask;
-        while bits != 0 {
-            let word = bits.trailing_zeros() as usize;
-            entry.words[word] = src.words[word];
-            bits &= bits - 1;
-        }
-        if new_data_line && *self.data_count > self.capacity && self.overflow.is_none() {
-            self.overflow = Some(self.words);
-        }
-        self.words += src.mask.count_ones() as usize;
-    }
-}
-
-/// Marks the words `bits` of `slot` written, flagging it [`DATA`] and
-/// `how`: a line not in the lock order enters it ([`enter_lock_order`]),
-/// a new data line counts in `data_count` and each newly written word in
-/// `words_written`. Returns true for a new data line.
-#[inline]
-fn claim_slot(
-    slot: &mut LineSlot,
-    bits: u8,
-    how: u8,
-    lock_order: &mut Vec<u64>,
-    reads: &mut [u64],
-    data_count: &mut usize,
-    words_written: &mut usize,
-) -> bool {
-    let before = slot.flags;
-    slot.flags |= DATA | how;
-    enter_lock_order(slot.line(), before, lock_order, reads);
-    let new_data_line = is_new_data(before);
-    *data_count += usize::from(new_data_line);
-    *words_written += (bits & !slot.mask).count_ones() as usize;
-    slot.mask |= bits;
-    new_data_line
-}
-
-/// True if a line whose flags were `before` becomes a [`DATA`] line for
-/// the first time when it is written: it counts toward the write capacity.
-#[inline]
-fn is_new_data(before: u8) -> bool {
-    before & (DATA | DEMOTED) == 0
 }
 
 /// Enters `line`, whose flags were `before`, in the lock order if it is
@@ -595,90 +456,6 @@ mod tests {
         assert_eq!(s.data_count, 3);
         assert_eq!(s.lock_order, vec![9, 10, 8]);
         assert_eq!(s.lines.slots()[0].mask, 0b10);
-    }
-
-    /// Everything a descriptor holds about its lines, comparable.
-    fn footprint(s: &TxnScratch) -> impl PartialEq + std::fmt::Debug {
-        let slots: Vec<_> = s
-            .lines
-            .slots()
-            .iter()
-            .map(|slot| {
-                let words: Vec<_> = (0..8)
-                    .filter(|w| slot.mask & (1 << w) != 0)
-                    .map(|w| slot.words[w])
-                    .collect();
-                (slot.line(), slot.mask, slot.flags, words)
-            })
-            .collect();
-        (
-            slots,
-            s.lock_order.clone(),
-            s.reads.clone(),
-            s.data_count,
-            s.words_written,
-        )
-    }
-
-    /// The block load against `claim_words` line by line, over an image
-    /// of 150 lines (past the table's first growth) taken by a roll-back,
-    /// into a descriptor that already holds one of its lines (the merge)
-    /// and last read another (the [`HELD`] tag).
-    #[test]
-    fn buffer_image_is_claim_words_line_by_line() {
-        let mut log = TxnScratch::new();
-        let mut rng = crafty_common::SplitMix64::new(7);
-        for k in 0..150u64 {
-            let line = 1000 + (k * 37) % 400;
-            for _ in 0..1 + rng.next_below(3) {
-                log.buffer_write(PAddr::new(line * 8 + rng.next_below(8)), rng.next_u64());
-            }
-        }
-        log.flag_line(PAddr::new(2000 * 8), SINK);
-        let mut image = Vec::new();
-        log.roll_back(&mut image);
-        assert_eq!(image.len(), 151, "the sink-only line comes along");
-        let (merged, held) = (image[40].line(), image[90].line());
-
-        for capacity in [512, 140, 60, 1] {
-            let mut prepared = [TxnScratch::new(), TxnScratch::new()];
-            for s in &mut prepared {
-                s.buffer_write(PAddr::new(merged * 8 + 3), 5);
-                s.log_read(held);
-            }
-            let [mut block, mut wordwise] = prepared;
-            let (words, overflow) = block.buffer_image(&image, capacity);
-
-            let (mut expected_words, mut expected_overflow) = (0, None);
-            for src in image.iter().filter(|src| src.mask != 0) {
-                let (buffer, new_data_line) = wordwise.claim_words(src.line(), src.mask);
-                for (w, word) in buffer.iter_mut().enumerate() {
-                    if src.mask & (1 << w) != 0 {
-                        *word = src.words[w];
-                    }
-                }
-                if new_data_line && wordwise.data_count > capacity && expected_overflow.is_none() {
-                    expected_overflow = Some(expected_words);
-                }
-                expected_words += src.mask.count_ones() as usize;
-            }
-            assert_eq!(
-                (words, overflow),
-                (expected_words, expected_overflow),
-                "capacity {capacity}"
-            );
-            assert_eq!(
-                footprint(&block),
-                footprint(&wordwise),
-                "capacity {capacity}"
-            );
-            assert_eq!(block.reads, vec![held | HELD]);
-            assert_eq!(block.lines.len(), 150);
-            assert_eq!(
-                block.lock_order[0], merged,
-                "the merged line kept its place"
-            );
-        }
     }
 
     #[test]

@@ -71,8 +71,8 @@
 //! [`PersistentTm::persist_fence`](crafty_common::PersistentTm::persist_fence)
 //! before acknowledging any. The server's pipelined batches do exactly
 //! that. A crash before the fence may lose the batch's latest transaction
-//! — atomically, never partially (`tests/kv_crash_recovery.rs` pins the
-//! contract).
+//! — atomically, never partially (the `[bank/fenced]` torture route pins
+//! the contract at every crash point of a fenced run).
 //!
 //! # Example
 //!

@@ -1,11 +1,12 @@
-//! Crash consistency of the sharded KV store across lives: a group-commit
-//! batch closed by one `persist_fence` survives a crash in full, and a
-//! store crashed, recovered and rebooted once keeps every guarantee
-//! through a second crash. Each scenario runs under the strict, relaxed
-//! (word-lossy) and adversarial persistence models, then recovers,
-//! reboots, reattaches and checks every committed pair. A crash mid-rehash
-//! is the `kv` torture suite's job: it crashes at every persistence step
-//! of a run that crosses two resizes.
+//! Crash consistency of the sharded KV store across lives: a store
+//! crashed, recovered and rebooted once keeps every guarantee through a
+//! second crash. The scenario runs under the strict, relaxed (word-lossy)
+//! and adversarial persistence models, then recovers, reboots, reattaches
+//! and checks every committed pair. A crash mid-rehash is the `kv`
+//! torture suite's job: it crashes at every persistence step of a run
+//! that crosses two resizes. A group-commit batch's `persist_fence` is the
+//! `[bank/fenced]` torture route's: its audit requires every crash image
+//! to keep all the transactions the last returned fence covered.
 
 use std::sync::Arc;
 
@@ -38,67 +39,6 @@ fn kv_cfg() -> KvConfig {
         .with_shards(SHARDS)
         .with_initial_capacity(32)
         .with_arena_words(1 << 13)
-}
-
-/// Group commit's crash contract, as the server runs it: a batch of
-/// transactions closed by one `persist_fence` survives a crash in full;
-/// transactions after it, with no fence, may be lost, but each one
-/// atomically — every recovered value is either the pre-batch or the
-/// post-batch value, never torn, and the store stays structurally intact.
-fn group_commit_batch_crash(model: CrashModel, seed: u64) {
-    let mem = Arc::new(MemorySpace::new(pmem_cfg(model)));
-    let crafty = Crafty::new(Arc::clone(&mem), crafty_cfg());
-    let kv = ShardedKv::create(&mem, &kv_cfg());
-    let mut thread = crafty.register_thread(0);
-
-    // Acked batch: the fence pins the thread's latest sequence so
-    // recovery cannot roll the batch's tail back.
-    let acked: Vec<(u64, u64)> = (0..32).map(|i| (seed * 977 + i, i * 3 + 1)).collect();
-    for &(k, v) in &acked {
-        thread.execute(&mut |ops| kv.put(ops, k, v).map(|_| ()));
-    }
-    crafty.persist_fence(0);
-
-    // Unacked trailing puts, no fence — overwrite half the acked keys and
-    // add fresh ones, then pull the plug.
-    let overwritten: Vec<(u64, u64)> = acked.iter().take(16).map(|&(k, v)| (k, v + 500)).collect();
-    let fresh: Vec<(u64, u64)> = (0..8).map(|i| ((1 << 23) + seed * 31 + i, i + 9)).collect();
-    for &(k, v) in overwritten.iter().chain(&fresh) {
-        thread.execute(&mut |ops| kv.put(ops, k, v).map(|_| ()));
-    }
-    let mut image = mem.crash_with(model);
-    recover(&mut image, crafty.directory_addr()).expect("recovery");
-
-    let rebooted = Arc::new(MemorySpace::boot(&image, pmem_cfg(CrashModel::strict())));
-    // Replay the reservation sequence of the first life (engine first,
-    // store second) so the store attaches at the same addresses.
-    let _crafty2 = Crafty::new(Arc::clone(&rebooted), crafty_cfg());
-    let kv2 = ShardedKv::open(&rebooted, &kv_cfg());
-    kv2.check_integrity(&rebooted)
-        .unwrap_or_else(|e| panic!("recovered store failed integrity: {e}"));
-
-    // The acked batch survives in full; keys the unacked batch overwrote
-    // hold exactly one of the two committed values.
-    let overwritten_keys: Vec<u64> = overwritten.iter().map(|&(k, _)| k).collect();
-    for &(k, v) in &acked {
-        let got = kv2.get_direct(&rebooted, k);
-        if overwritten_keys.contains(&k) {
-            assert!(
-                got == Some(v) || got == Some(v + 500),
-                "unacked overwrite of key {k} tore: {got:?}"
-            );
-        } else {
-            assert_eq!(got, Some(v), "acked key {k} lost or corrupted");
-        }
-    }
-    // Unacked fresh inserts: present with the exact value, or absent.
-    for &(k, v) in &fresh {
-        let got = kv2.get_direct(&rebooted, k);
-        assert!(
-            got.is_none() || got == Some(v),
-            "partial unacked insert visible for key {k}: {got:?}"
-        );
-    }
 }
 
 /// Double-crash contract: a store that has already been crashed and
@@ -208,14 +148,5 @@ fn double_crash_recovers_under_relaxed_model() {
 fn double_crash_recovers_under_adversarial_model() {
     for seed in 0..3 {
         double_crash_and_recover(CrashModel::adversarial(seed + 80), seed + 40);
-    }
-}
-
-#[test]
-fn group_commit_batches_recover_under_every_model() {
-    group_commit_batch_crash(CrashModel::strict(), 1);
-    for seed in 0..3 {
-        group_commit_batch_crash(CrashModel::relaxed(seed + 40), seed + 2);
-        group_commit_batch_crash(CrashModel::adversarial(seed + 50), seed + 5);
     }
 }
