@@ -17,7 +17,8 @@ use crate::trace::{self, TraceEventKind, TxnPhase};
 ///
 /// Mirrors the stacked-bar categories of the paper's persistent-transaction
 /// breakdowns: `Non-Crafty` (baseline engines), `Read Only`, `Redo`,
-/// `Validate`, and `SGL`.
+/// `Validate`, and `SGL`, which here is the software commit (labelled
+/// `software`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CompletionPath {
     /// Committed by a non-Crafty engine's ordinary path (Non-durable,
@@ -29,9 +30,9 @@ pub enum CompletionPath {
     Redo,
     /// Committed by Crafty's Validate phase.
     Validate,
-    /// Committed in software under the fallback — per-line locks by
-    /// default, the single global lock under the SGL policy; the variant
-    /// name predates the per-line policy.
+    /// Committed in software: Crafty's software commit (per-line locks,
+    /// or the program's own exclusion in thread-unsafe mode), or a
+    /// baseline's single global lock. The variant name is the paper's.
     Sgl,
 }
 

@@ -16,7 +16,7 @@
 //!   number of the repository benchmark is measured at this level.
 //! - [`TraceLevel::Counters`]: phase timers run
 //!   ([`crate::BreakdownRecorder::timed`]). Each engine phase (Log / Redo
-//!   / Validate / SGL / drain / fence) is timed in virtual cycles —
+//!   / Validate / software / drain / fence) is timed in virtual cycles —
 //!   monotonic nanoseconds that *include* the simulated NVM latencies,
 //!   since the memory space busy-waits them in real time — and
 //!   accumulated in the recorder. No rings are installed.
@@ -89,7 +89,8 @@ pub enum TxnPhase {
     Redo,
     /// Crafty's Validate phase (re-execution against the persisted log).
     Validate,
-    /// The software fallback execution (per-line or SGL policy).
+    /// Crafty's software commit: per-line, or under the program's own
+    /// exclusion in thread-unsafe mode. The variant name is the paper's.
     Sgl,
     /// Flush-queue drains (SFENCE + write-backs).
     Drain,

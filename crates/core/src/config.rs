@@ -34,42 +34,18 @@ impl CraftyVariant {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ThreadingMode {
     /// Thread-safe mode (the paper's focus): persistent transactions get
-    /// all ACID properties from Crafty itself.
+    /// all ACID properties from Crafty itself. A transaction that exhausts
+    /// its hardware retry budget commits in software under write locks on
+    /// exactly the lines it writes, so a fallback conflicts only where it
+    /// touches.
     #[default]
     ThreadSafe,
     /// Thread-unsafe mode: some other mechanism (locks) already provides
     /// atomicity, so Crafty only provides failure atomicity / durability.
     /// The Redo phase runs unconditionally and Validate is never needed
-    /// (Section 4.4, Figure 4).
+    /// (Section 4.4, Figure 4). The software commit relies on the same
+    /// mechanism and takes no lock.
     ThreadUnsafe,
-}
-
-/// Which software fallback serializes transactions that exhaust their
-/// hardware retry budget.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FallbackPolicy {
-    /// The single global lock of the original design: one fallback
-    /// serializes every thread, and every hardware phase subscribes to the
-    /// SGL word. Kept as the reference mode — simple enough to trust, so
-    /// the per-line policy can be tested differentially against it.
-    Sgl,
-    /// Per-line write locking (the default): a fallback transaction
-    /// acquires write locks on exactly the lines in its write set (sorted
-    /// order, no deadlock) and validates read versions before publishing;
-    /// hardware transactions subscribe only to the lock words of lines
-    /// they actually read, so a fallback conflicts only where it touches.
-    #[default]
-    PerLine,
-}
-
-impl FallbackPolicy {
-    /// Short label for reports and benchmark artifacts.
-    pub const fn label(self) -> &'static str {
-        match self {
-            FallbackPolicy::Sgl => "sgl",
-            FallbackPolicy::PerLine => "per-line",
-        }
-    }
 }
 
 /// Tuning parameters for a [`crate::Crafty`] engine.
@@ -91,11 +67,8 @@ pub struct CraftyConfig {
     /// Size, in words, of the persistent heap served by transactional
     /// allocation ([`crafty_common::TxnOps::alloc`]).
     pub heap_words: u64,
-    /// Which software fallback serializes transactions that exhaust their
-    /// hardware retry budget.
-    pub fallback: FallbackPolicy,
     /// Testing hook: when true, every thread-safe transaction skips the
-    /// hardware phases and goes straight to the configured fallback, so
+    /// hardware phases and goes straight to the software commit, so
     /// torture and contention suites can put crash points and conflicts
     /// inside the fallback windows deterministically.
     pub force_fallback: bool,
@@ -112,7 +85,6 @@ impl CraftyConfig {
             max_lag: 1 << 20,
             max_threads: 8,
             heap_words: 1 << 14,
-            fallback: FallbackPolicy::PerLine,
             force_fallback: false,
         }
     }
@@ -126,7 +98,6 @@ impl CraftyConfig {
             max_lag: 1 << 30,
             max_threads,
             heap_words: 1 << 22,
-            fallback: FallbackPolicy::PerLine,
             force_fallback: false,
         }
     }
@@ -158,12 +129,6 @@ impl CraftyConfig {
     /// Sets the number of worker threads (builder style).
     pub fn with_max_threads(mut self, max_threads: usize) -> Self {
         self.max_threads = max_threads;
-        self
-    }
-
-    /// Sets the software fallback policy (builder style).
-    pub fn with_fallback(mut self, fallback: FallbackPolicy) -> Self {
-        self.fallback = fallback;
         self
     }
 
@@ -213,18 +178,15 @@ mod tests {
         let cfg = CraftyConfig::default();
         assert_eq!(cfg.variant, CraftyVariant::Full);
         assert_eq!(cfg.mode, ThreadingMode::ThreadSafe);
-        assert_eq!(cfg.fallback, FallbackPolicy::PerLine);
         assert!(!cfg.force_fallback);
     }
 
     #[test]
     fn fallback_builders_compose() {
-        let cfg = CraftyConfig::small_for_tests()
-            .with_fallback(FallbackPolicy::Sgl)
-            .with_force_fallback(true);
-        assert_eq!(cfg.fallback, FallbackPolicy::Sgl);
-        assert!(cfg.force_fallback);
-        assert_eq!(FallbackPolicy::Sgl.label(), "sgl");
-        assert_eq!(FallbackPolicy::PerLine.label(), "per-line");
+        assert!(
+            CraftyConfig::small_for_tests()
+                .with_force_fallback(true)
+                .force_fallback
+        );
     }
 }

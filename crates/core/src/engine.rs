@@ -2,7 +2,7 @@
 //!
 //! A [`Crafty`] instance owns the simulated HTM runtime, the per-thread
 //! circular undo logs, the global variables of the algorithm
-//! (`gLastRedoTS`, the single global lock, `tsLowerBound`), and the
+//! (`gLastRedoTS`, `tsLowerBound`), and the
 //! persistent log directory that the recovery observer starts from. Worker
 //! threads obtain a [`crate::thread::CraftyThread`] via
 //! [`PersistentTm::register_thread`] and run persistent transactions
@@ -23,9 +23,6 @@ use crate::config::CraftyConfig;
 use crate::thread::CraftyThread;
 use crate::undo_log::{LogDirectory, LogGeometry, UndoLog};
 
-/// Explicit abort code: a phase's hardware transaction observed the single
-/// global lock held and aborted (speculative lock elision).
-pub(crate) const ABORT_SGL_HELD: u32 = 1;
 /// Explicit abort code: the Redo phase's `gLastRedoTS` check failed.
 pub(crate) const ABORT_REDO_TS_CHECK: u32 = 2;
 /// Explicit abort code: a Validate-phase check failed.
@@ -70,8 +67,6 @@ pub struct Crafty {
     pub(crate) cfg: CraftyConfig,
     pub(crate) recorder: Arc<BreakdownRecorder>,
     pub(crate) allocator: PmemAllocator,
-    /// Volatile simulated word: the single global lock (0 = free, 1 = held).
-    pub(crate) sgl_addr: PAddr,
     /// Volatile simulated word: `gLastRedoTS`, the timestamp of the last
     /// writes committed by any thread (Section 4.2).
     pub(crate) g_last_redo_ts_addr: PAddr,
@@ -131,8 +126,7 @@ impl Crafty {
         let heap_start = mem.reserve_persistent(cfg.heap_words);
         let allocator = PmemAllocator::new(heap_start, cfg.heap_words);
 
-        // Volatile layout: SGL, gLastRedoTS, one log-head word per thread.
-        let sgl_addr = mem.reserve_volatile(1);
+        // Volatile layout: gLastRedoTS, one log-head word per thread.
         let g_last_redo_ts_addr = mem.reserve_volatile(1);
         let threads: Vec<ThreadShared> = geometries
             .iter()
@@ -155,7 +149,6 @@ impl Crafty {
             cfg,
             recorder,
             allocator,
-            sgl_addr,
             g_last_redo_ts_addr,
             directory_addr,
             ts_lower_bound: AtomicU64::new(0),
@@ -192,22 +185,6 @@ impl Crafty {
     /// Reads `gLastRedoTS` non-transactionally (diagnostics and tests).
     pub fn g_last_redo_ts(&self) -> u64 {
         self.mem.read(self.g_last_redo_ts_addr)
-    }
-
-    /// True while some thread holds the single global lock.
-    pub fn sgl_held(&self) -> bool {
-        self.mem.read(self.sgl_addr) != 0
-    }
-
-    /// Acquires the single global lock by CASing the simulated SGL word
-    /// through the HTM's versioned-lock machinery. There is no host-level
-    /// mutex behind the SGL any more: the word itself is the lock, mutual
-    /// exclusion comes from [`HtmRuntime::nontx_acquire_lock_word`], and
-    /// running hardware transactions that subscribed to the word abort the
-    /// moment it is taken (speculative lock elision), exactly as before.
-    /// The guard releases the word on drop, panic-safe.
-    pub(crate) fn acquire_sgl(&self) -> crafty_htm::LockWordGuard<'_> {
-        self.htm.nontx_acquire_lock_word(self.sgl_addr)
     }
 
     /// Records that thread `tid`'s latest sequence carries `ts`. Uses a
@@ -414,9 +391,8 @@ mod tests {
     }
 
     #[test]
-    fn sgl_starts_free_and_glastredots_starts_zero() {
+    fn glastredots_starts_zero() {
         let (_, crafty) = engine();
-        assert!(!crafty.sgl_held());
         assert_eq!(crafty.g_last_redo_ts(), 0);
     }
 

@@ -9,8 +9,8 @@
 //! and the full Crafty engine built on it:
 //!
 //! * the **Log**, **Redo**, and **Validate** phases of thread-safe mode
-//!   and its software fallback — one software commit under per-line locks
-//!   (the default) or the paper's single global lock (Sections 3–4,
+//!   and its software fallback — one software commit under per-line write
+//!   locks, where the paper takes a single global lock (Sections 3–4,
 //!   Figure 3);
 //! * **thread-unsafe mode** for programs that already provide atomicity
 //!   (Section 4.4, Figure 4);
@@ -71,7 +71,7 @@ pub mod thread;
 pub mod undo_log;
 
 pub use alloc_log::AllocLog;
-pub use config::{CraftyConfig, CraftyVariant, FallbackPolicy, ThreadingMode};
+pub use config::{CraftyConfig, CraftyVariant, ThreadingMode};
 pub use engine::Crafty;
 pub use recovery::{
     logs_are_clean, parse_sequences, recover, recover_interrupted, recovery_phase_word,

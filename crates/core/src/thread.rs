@@ -9,18 +9,18 @@
 //!   in a hardware transaction, flush the undo entries, then try to commit
 //!   the program's writes with the Redo phase; if its conservative
 //!   timestamp check fails, re-execute the body under the Validate phase;
-//!   after repeated failures commit in software. The default fallback
-//!   ([`FallbackPolicy::PerLine`]) locks exactly the transaction's
-//!   write-set lines through the HTM's versioned line locks, so nothing
-//!   system-wide is serialized; the paper's single global lock survives as
-//!   [`FallbackPolicy::Sgl`], the differential reference.
+//!   after repeated failures commit in software. The software commit locks
+//!   exactly the transaction's write-set lines through the HTM's versioned
+//!   line locks, so nothing system-wide is serialized and the hardware
+//!   phases subscribe to no global word (where the paper's design has one
+//!   global lock).
 //! * **Thread-unsafe mode** — the program already provides atomicity, so
 //!   the Redo phase runs unconditionally and Validate is never needed.
 //!
 //! Atomicity therefore comes from a hardware transaction (`log_phase`,
 //! then `commit_phase` for Redo and Validate alike), from per-line locks,
-//! from the SGL, or from the program. The last three share
-//! `software_commit`, generic over a [`crafty_htm::Exclusion`] strategy.
+//! or from the program. The last two share `software_commit`, generic over
+//! a [`crafty_htm::Exclusion`] strategy.
 //! Every route appends through the one undo-log writer, and everything
 //! written outside a hardware transaction goes by the line. Every undo
 //! append is followed by `after_undo_append`, and every commit outside a
@@ -50,8 +50,8 @@ use crafty_htm::{AbortCode, Exclusion, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
 
 use crate::alloc_log::AllocLog;
-use crate::config::{CraftyVariant, FallbackPolicy, ThreadingMode};
-use crate::engine::{Crafty, ABORT_REDO_TS_CHECK, ABORT_SGL_HELD, ABORT_VALIDATE_MISMATCH};
+use crate::config::{CraftyVariant, ThreadingMode};
+use crate::engine::{Crafty, ABORT_REDO_TS_CHECK, ABORT_VALIDATE_MISMATCH};
 use crate::undo_log::AppendInfo;
 
 /// How many times an individual hardware transaction is retried within one
@@ -96,8 +96,8 @@ enum Stop {
     /// The hardware transaction aborted; the phase retries within its
     /// budget.
     Retry,
-    /// The phase's own check failed (SGL held, `gLastRedoTS` moved,
-    /// validation mismatch): retrying the same phase cannot help.
+    /// The phase's own check failed (`gLastRedoTS` moved, validation
+    /// mismatch): retrying the same phase cannot help.
     Fail,
 }
 
@@ -172,9 +172,6 @@ impl<'c> CraftyThread<'c> {
             return self.execute_software(body);
         }
         for _ in 0..=MAX_PHASE_RESTARTS {
-            if cfg.fallback == FallbackPolicy::Sgl {
-                self.wait_for_sgl_free();
-            }
             let seq = match rec.timed(tid, TxnPhase::Log, || self.log_phase(body)) {
                 LogOutcome::ReadOnly => return self.finish_read_only(),
                 LogOutcome::Aborted => continue,
@@ -211,29 +208,22 @@ impl<'c> CraftyThread<'c> {
     }
 
     /// The software entry step, once the hardware phases have exhausted
-    /// their budget (or immediately, under `force_fallback`): picks the
-    /// exclusion strategy and runs the one software commit under it. Cold:
-    /// placed among the hardware phases it cost read-only transactions 2%.
+    /// their budget (or immediately, under `force_fallback`): runs the one
+    /// software commit under per-line locks (thread-safe) or under the
+    /// program's own exclusion (thread-unsafe). Cold: placed among the
+    /// hardware phases it cost read-only transactions 2%.
     #[cold]
     #[inline(never)]
     fn execute_software(&mut self, body: &mut TxnBody<'_>) {
         let engine = self.engine;
-        let (htm, tid) = (&engine.htm, self.tid);
-        // Entering the fallback is an event of its own, whichever strategy
-        // follows: the phase machinery gave up, which is the signal an
+        let (htm, rec, tid) = (&engine.htm, &engine.recorder, self.tid);
+        // Entering the fallback is an event of its own, whichever mode
+        // commits: the phase machinery gave up, which is the signal an
         // adaptive mode switcher would act on.
         trace::record(tid, TraceEventKind::Fallback, 0);
-        let thread_safe = engine.cfg.mode == ThreadingMode::ThreadSafe;
-        engine.recorder.timed(tid, TxnPhase::Sgl, || {
-            if thread_safe && engine.cfg.fallback == FallbackPolicy::PerLine {
-                self.software_commit(body, || htm.begin_fallback(tid))
-            } else {
-                // Exclusion is the caller's: the SGL every hardware phase
-                // subscribes to, or (thread-unsafe mode) the program's own
-                // synchronization.
-                let _sgl = thread_safe.then(|| engine.acquire_sgl());
-                self.software_commit(body, || htm.begin_exclusive())
-            }
+        rec.timed(tid, TxnPhase::Sgl, || match engine.cfg.mode {
+            ThreadingMode::ThreadSafe => self.software_commit(body, || htm.begin_fallback(tid)),
+            ThreadingMode::ThreadUnsafe => self.software_commit(body, || htm.begin_exclusive()),
         })
     }
 
@@ -259,30 +249,6 @@ impl<'c> CraftyThread<'c> {
     // Atomicity from a hardware transaction: Log, then Redo or Validate
     // ------------------------------------------------------------------
 
-    fn wait_for_sgl_free(&self) {
-        let engine = self.engine;
-        wait::until(|| engine.htm.nontx_read(engine.sgl_addr) == 0);
-    }
-
-    /// Under the SGL policy every hardware phase subscribes to the global
-    /// lock word. The per-line policy drops this global subscription
-    /// entirely: fallback transactions announce themselves through the
-    /// lock words of exactly the lines they write, and the hardware
-    /// phases' per-line reads already watch those.
-    ///
-    /// Takes the begun transaction by reference: handing it back by value
-    /// from a begin-and-subscribe helper measurably slows the read-only
-    /// exit of the Log phase.
-    #[inline]
-    fn subscribe_sgl(&self, txn: &mut HwTxn<'_>) -> Result<(), Stop> {
-        let engine = self.engine;
-        if engine.cfg.fallback == FallbackPolicy::Sgl && txn.read(engine.sgl_addr)? != 0 {
-            txn.abort_explicit(ABORT_SGL_HELD);
-            return Err(Stop::Fail);
-        }
-        Ok(())
-    }
-
     /// The Log phase (Algorithm 1): execute the body in a hardware
     /// transaction whose descriptor journals each write's old value; keep
     /// the write buffer as the redo log and roll every write back before
@@ -300,6 +266,10 @@ impl<'c> CraftyThread<'c> {
     /// `log_commit_version` is drawn *before* those lines are validated
     /// ([`HwTxn::commit`]'s order): a Redo the validation did not see drew
     /// a larger version, so `redo_check` catches it.
+    ///
+    /// No hardware phase subscribes to a global word: a software commit
+    /// announces itself through the lock words of exactly the lines it
+    /// writes, and the phases' per-line reads already watch those.
     fn log_phase(&mut self, body: &mut TxnBody<'_>) -> LogOutcome {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
@@ -312,16 +282,6 @@ impl<'c> CraftyThread<'c> {
             // the log: recovery rolls back only the latest sequence, so the
             // one before it must be whole in persistent memory.
             let mut txn = engine.htm.begin(self.tid);
-            match self.subscribe_sgl(&mut txn) {
-                Ok(()) => {}
-                Err(Stop::Retry) => continue,
-                Err(Stop::Fail) => {
-                    drop(txn);
-                    self.wait_for_sgl_free();
-                    continue;
-                }
-            }
-
             let mut ctx = Ctx {
                 access: LogAccess { txn: &mut txn },
                 allocator: &engine.allocator,
@@ -430,7 +390,6 @@ impl<'c> CraftyThread<'c> {
     ) -> Result<(), Stop> {
         let engine = self.engine;
         let mut txn = engine.htm.begin(self.tid);
-        self.subscribe_sgl(&mut txn)?;
         let redo = body.is_none();
         match body {
             None => self.redo_check(&mut txn, seq)?,
@@ -548,7 +507,7 @@ impl<'c> CraftyThread<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Atomicity from line locks, the SGL, or the program (Figure 4)
+    // Atomicity from line locks or the program (Figure 4)
     // ------------------------------------------------------------------
 
     /// Thread-unsafe Redo: no other thread can move `gLastRedoTS`, so the
@@ -573,8 +532,7 @@ impl<'c> CraftyThread<'c> {
     /// footprints run fully in parallel, and hardware transactions abort
     /// only if they actually touched one of the locked lines. Under
     /// [`crafty_htm::ExclusiveTxn`] locking and validation are no-ops
-    /// because the caller already holds the SGL (or the program
-    /// serializes, in thread-unsafe mode).
+    /// because the program serializes (thread-unsafe mode).
     ///
     /// The `gLastRedoTS` bump sits *after* lock acquisition and *before*
     /// read validation, and this ordering is load-bearing. A concurrent
@@ -585,8 +543,7 @@ impl<'c> CraftyThread<'c> {
     /// ([`HwTxn::commit`] locks, draws, then validates), hence below the
     /// bump (its Redo then fails the check), and any Log phase validating
     /// after sees the lock bits on every line it shares — its data lines
-    /// are validated, not locked — and aborts, or sees the held SGL it
-    /// subscribed to. A Redo that read `gLastRedoTS` before the bump and
+    /// are validated, not locked — and aborts. A Redo that read `gLastRedoTS` before the bump and
     /// commits after is aborted by its subscription to the bumped line.
     ///
     /// Durability ordering is the same as every other path: undo entries

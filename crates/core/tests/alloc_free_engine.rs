@@ -1,10 +1,10 @@
 //! End-to-end allocation check for the Crafty engine: after warmup, a
 //! committed persistent transaction on the bank-workload hot path (Log
 //! phase → undo-log append → flush → Redo phase) performs **zero heap
-//! allocations** — and so does the software commit under either exclusion
-//! strategy (forced per-line, forced SGL), which borrows the same
-//! descriptor. This is the acceptance bar for the reusable-descriptor /
-//! scratch-buffer design across the HTM → core → pmem stack.
+//! allocations** — and so does the forced per-line software commit, which
+//! borrows the same descriptor. This is the acceptance bar for the
+//! reusable-descriptor / scratch-buffer design across the HTM → core →
+//! pmem stack.
 //!
 //! This file intentionally holds a single `#[test]` so no concurrent test
 //! thread can pollute the allocation counters.
@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use crafty_common::{PersistentTm, SplitMix64, TxAbort, TxnOps};
-use crafty_core::{Crafty, CraftyConfig, FallbackPolicy};
+use crafty_core::{Crafty, CraftyConfig};
 use crafty_pmem::{MemorySpace, PmemConfig};
 
 #[path = "../../htm/tests/support/counting_alloc.rs"]
@@ -40,11 +40,6 @@ fn steady_state_bank_transactions_do_not_allocate() {
     for (route, cfg) in [
         ("hardware", base),
         ("forced per-line", base.with_force_fallback(true)),
-        (
-            "forced SGL",
-            base.with_force_fallback(true)
-                .with_fallback(FallbackPolicy::Sgl),
-        ),
     ] {
         run_route(route, cfg);
     }

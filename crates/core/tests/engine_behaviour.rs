@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crafty_common::trace::{self, TraceLevel, TxnPhase};
 use crafty_common::{CompletionPath, PAddr, PersistentTm, TxAbort, TxnOps};
-use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant, FallbackPolicy, ThreadingMode};
+use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant, ThreadingMode};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, MemorySpace, PmemConfig};
 
@@ -153,7 +153,7 @@ fn contention_exercises_the_validate_path() {
     let b = crafty.breakdown();
     assert!(
         b.completions(CompletionPath::Validate) > 0,
-        "expected some transactions to commit through Validate; breakdown: redo={} validate={} sgl={}",
+        "expected some transactions to commit through Validate; breakdown: redo={} validate={} software={}",
         b.completions(CompletionPath::Redo),
         b.completions(CompletionPath::Validate),
         b.completions(CompletionPath::Sgl)
@@ -424,7 +424,7 @@ fn adversarial_concurrent_crash_preserves_the_bank_invariant() {
 }
 
 #[test]
-fn sgl_fallback_is_used_when_htm_capacity_is_exceeded() {
+fn software_fallback_is_used_when_htm_capacity_is_exceeded() {
     use crafty_htm::HtmConfig;
     let mem = small_mem();
     let crafty = Crafty::with_htm_config(
@@ -435,9 +435,8 @@ fn sgl_fallback_is_used_when_htm_capacity_is_exceeded() {
     let base = mem.reserve_persistent(1024);
     let mut thread = crafty.register_thread(0);
     // 200 writes far exceed the tiny HTM's 4-line write capacity, so the
-    // transaction can only complete through the software fallback (the
-    // default per-line policy), which counts as a `CompletionPath::Sgl`
-    // completion.
+    // transaction can only complete through the per-line software
+    // commit, which counts as a `CompletionPath::Sgl` completion.
     thread.execute(&mut |ops| {
         for i in 0..200u64 {
             ops.write(base.add(i), i)?;
@@ -464,16 +463,12 @@ fn software_commit_routes_keep_the_same_books() {
     let _counters = trace::LevelGuard::arm(TraceLevel::Counters);
     let base = CraftyConfig::small_for_tests().with_max_threads(1);
     let unsafe_mode = base.with_mode(ThreadingMode::ThreadUnsafe);
-    let forced_sgl = base
-        .with_force_fallback(true)
-        .with_fallback(FallbackPolicy::Sgl);
     for (route, cfg, htm) in [
         (
             "forced per-line",
             base.with_force_fallback(true),
             HtmConfig::skylake(),
         ),
-        ("forced SGL", forced_sgl, HtmConfig::skylake()),
         ("thread-unsafe, tiny HTM", unsafe_mode, HtmConfig::tiny()),
     ] {
         let mem = small_mem();

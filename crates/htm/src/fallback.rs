@@ -59,11 +59,10 @@
 //! The steps above are the [`Exclusion`] trait: what an engine's software
 //! commit needs from whoever keeps other threads out while it persists
 //! and publishes. [`FallbackTxn`] provides exclusion itself, per line.
-//! [`ExclusiveTxn`] is the degenerate strategy for a caller that already
-//! has it — the single global lock is held, or the program serializes
-//! its transactions (thread-unsafe mode): the same write buffer, but
-//! non-transactional loads and stores, no line locks, no validation, and
-//! no lock-transition fault ticks.
+//! [`ExclusiveTxn`] is the degenerate strategy for a caller whose program
+//! already serializes its transactions (thread-unsafe mode): the same
+//! write buffer, but non-transactional loads and stores, no line locks, no
+//! validation, and no lock-transition fault ticks.
 
 use std::sync::atomic::Ordering;
 
@@ -342,13 +341,12 @@ impl Drop for FallbackTxn<'_> {
 }
 
 /// The [`Exclusion`] strategy of a caller that already keeps every other
-/// *transaction* out — it holds the single global lock every hardware
-/// phase subscribes to, or the program serializes its transactions itself
+/// *transaction* out: the program serializes its transactions itself
 /// (thread-unsafe mode). Loads go through [`HtmRuntime::nontx_read`] and
-/// the publish through [`HtmRuntime::nontx_write_lines`], so hardware
-/// transactions doomed by the lock acquisition still observe them as
-/// conflicts; there is nothing to lock and nothing to validate. Obtain one
-/// from [`HtmRuntime::begin_exclusive`].
+/// the publish through [`HtmRuntime::nontx_write_lines`], so any hardware
+/// transaction still running observes them as conflicts; there is nothing
+/// to lock and nothing to validate. Obtain one from
+/// [`HtmRuntime::begin_exclusive`].
 #[derive(Debug)]
 pub struct ExclusiveTxn<'rt> {
     rt: &'rt HtmRuntime,

@@ -344,10 +344,10 @@ impl HtmRuntime {
     /// transactions with the line in their footprint abort (strong
     /// atomicity), and a successful swap bumps the line's version.
     ///
-    /// This is what the engines build their single-global-lock acquisition
-    /// on: the SGL is just a word in simulated memory, and CASing it
-    /// through this method gives mutual exclusion *and* HTM subscription
-    /// without any host-level mutex.
+    /// This is what the baselines build their lock on: their single global
+    /// lock is just a word in simulated memory, and CASing it through this
+    /// method gives mutual exclusion *and* HTM subscription without any
+    /// host-level mutex.
     pub fn nontx_compare_exchange(&self, addr: PAddr, current: u64, new: u64) -> Result<u64, u64> {
         let slot = self.lock_line(addr.line());
         let result = self.mem.compare_exchange(addr, current, new);
@@ -367,7 +367,7 @@ impl HtmRuntime {
     }
 
     /// Acquires a lock *word* in simulated memory (0 = free, 1 = held) —
-    /// the engines' single-global-lock acquisition. The CAS goes through
+    /// the baselines' single-global-lock acquisition. The CAS goes through
     /// [`HtmRuntime::nontx_compare_exchange`], so subscribed hardware
     /// transactions abort the moment the word is taken; between failed
     /// attempts the waiter spins with plain versioned reads

@@ -33,8 +33,7 @@ use std::sync::Arc;
 use crafty_common::trace::{self, ThreadTrace, TraceLevel};
 use crafty_common::{BreakdownSnapshot, PAddr, PersistentTm, SplitMix64, TxAbort, TxnOps};
 use crafty_core::{
-    logs_are_clean, recover, recovery_phase_word, Crafty, CraftyConfig, FallbackPolicy,
-    ThreadingMode,
+    logs_are_clean, recover, recovery_phase_word, Crafty, CraftyConfig, ThreadingMode,
 };
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
@@ -118,10 +117,8 @@ pub enum Route {
     /// commits through the per-line software fallback, the rest in
     /// hardware, all on one thread-safe log.
     Storm,
-    /// Forced through the (default) per-line fallback.
+    /// Forced through the per-line software commit.
     PerLine,
-    /// Forced through the single-global-lock reference.
-    Sgl,
     /// Thread-unsafe mode on [`HtmConfig::tiny`]: the Log phase rarely fits
     /// a transaction's account lines plus their undo entries, so most
     /// transactions take the capacity fallback — the software commit with
@@ -140,7 +137,6 @@ impl Route {
             Route::Fenced => "bank/fenced",
             Route::Storm => "bank/storm",
             Route::PerLine => "bank/per-line",
-            Route::Sgl => "bank/sgl",
             Route::ThreadUnsafeTiny => "bank/thread-unsafe",
             Route::ThreadUnsafe => "bank/thread-unsafe-hw",
         }
@@ -162,7 +158,6 @@ impl Route {
                 skylake.with_abort_storm(STORM_BURST, STORM_PERIOD, seed),
             ),
             Route::PerLine => (forced, skylake),
-            Route::Sgl => (forced.with_fallback(FallbackPolicy::Sgl), skylake),
             Route::ThreadUnsafeTiny => (unlocked, HtmConfig::tiny()),
             Route::ThreadUnsafe => (unlocked, skylake),
         };
@@ -171,12 +166,11 @@ impl Route {
 }
 
 /// Every route of the bank suite, in report order: `bank` stays first.
-pub const ROUTES: [Route; 7] = [
+pub const ROUTES: [Route; 6] = [
     Route::Hardware,
     Route::Fenced,
     Route::Storm,
     Route::PerLine,
-    Route::Sgl,
     Route::ThreadUnsafeTiny,
     Route::ThreadUnsafe,
 ];
@@ -521,19 +515,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn only_per_line_ticks_lock_windows() {
-        let picks = draw_picks(3, 6);
-        let points = |route| {
-            let run = run_once(route, 3, &picks, FaultPlan::count_only());
-            run.total_steps - run.setup_steps
-        };
-        assert!(
-            points(Route::PerLine) > points(Route::Sgl),
-            "per-line ticks lock transitions the SGL reference does not have"
-        );
-    }
-
     /// The crash-point counts CI greps for at `--seed 1`, derived from
     /// the counts they moved from. While the Log commit still published
     /// what it had rolled back, it stored every rolled-back persistent
@@ -567,11 +548,17 @@ mod tests {
         };
         assert_eq!(582 - points(Route::Hardware), rolled_back + stamps);
         assert_eq!(604 - points(Route::ThreadUnsafe), rolled_back + stamps);
-        // The routes that never run a hardware Log commit moved by the
-        // stamps alone.
-        assert_eq!(points(Route::PerLine), 578 - stamps);
-        assert_eq!(points(Route::Sgl), 490 - stamps);
+        // The unlocked software commit never runs a hardware Log commit:
+        // it moved by the stamps alone.
         assert_eq!(points(Route::ThreadUnsafeTiny), 490 - stamps);
+        // The per-line software commit is that unlocked commit plus its
+        // lock transitions: one tick per locked line (every account on a
+        // line of its own), and two per transaction, for the read
+        // validation and the release.
+        assert_eq!(
+            points(Route::PerLine),
+            490 - stamps + rolled_back + 2 * stamps
+        );
         // The fenced batch adds its two fences and nothing else: each is
         // one empty sequence appended, flushed and drained.
         assert_eq!(points(Route::Fenced), points(Route::Hardware) + 2 * 7);
@@ -640,7 +627,7 @@ mod tests {
     /// completes, some in software, and once the engine is quiesced a
     /// crash recovers the whole run.
     #[test]
-    fn storms_force_the_sgl_and_stay_durable() {
+    fn storms_force_the_software_commit_and_stay_durable() {
         let picks = draw_picks(5, 10);
         let (mem, engine, base) = open_bank(Route::Storm, 5, FaultPlan::inactive());
         let mut thread = engine.register_thread(0);

@@ -20,7 +20,7 @@
 //!   committed-transaction order replayed against a shadow oracle (plus
 //!   [`crafty_kv::ShardedKv::check_integrity`] deep structure checks for
 //!   the KV suite).
-//! * **One bank rig, seven routes** — [`bank::run_bank_torture`] runs the
+//! * **One bank rig, six routes** — [`bank::run_bank_torture`] runs the
 //!   same seeded bank down every [`Route`] of [`bank::ROUTES`]: the
 //!   hardware phases, with a group-commit `persist_fence` every few
 //!   transactions, and under abort storms
@@ -28,9 +28,9 @@
 //!   commits on one thread-safe log); forced through the per-line fallback
 //!   ([`crafty_core::CraftyConfig::with_force_fallback`]), whose lock-word
 //!   transitions tick the fault clock, so crash points land while line
-//!   locks are held; forced through the SGL reference; and in thread-unsafe
-//!   mode on a tiny HTM (the software commit with no lock) and on a
-//!   real-sized one (hardware Log, software Redo). Every route gets the
+//!   locks are held; and in thread-unsafe mode on a tiny HTM (the
+//!   software commit with no lock) and on a real-sized one (hardware Log,
+//!   software Redo). Every route gets the
 //!   same audit: every transaction completed, the prefix check, and a
 //!   *second life* — the recovered image is booted and must run more
 //!   transactions with conservation intact (a rebooted heap never sees a

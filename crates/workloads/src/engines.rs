@@ -20,7 +20,7 @@ pub enum EngineKind {
     DudeTm,
     /// NV-HTM (shadow paging + commit-time wait + background persist).
     NvHtm,
-    /// Full Crafty (Log → Redo → Validate → SGL).
+    /// Full Crafty (Log → Redo → Validate → software commit).
     Crafty,
     /// Crafty without the Validate phase.
     CraftyNoValidate,

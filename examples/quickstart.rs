@@ -42,7 +42,7 @@ fn main() {
     );
     let breakdown = crafty.breakdown();
     println!(
-        "commit paths — redo: {}, validate: {}, sgl: {}, read-only: {}",
+        "commit paths — redo: {}, validate: {}, software: {}, read-only: {}",
         breakdown.completions(CompletionPath::Redo),
         breakdown.completions(CompletionPath::Validate),
         breakdown.completions(CompletionPath::Sgl),

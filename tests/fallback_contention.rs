@@ -1,7 +1,7 @@
-//! Deadlock-freedom and lost-update stress for the software fallbacks
-//! under real multi-thread contention.
+//! Deadlock-freedom and lost-update stress for the per-line software
+//! fallback under real multi-thread contention.
 //!
-//! Every transaction is forced through the configured fallback
+//! Every transaction is forced through the fallback
 //! ([`CraftyConfig::with_force_fallback`]) while several threads run
 //! zipfian-skewed transfers over a shared account array, and some
 //! transactions also bump one hot global counter. Two inputs:
@@ -13,11 +13,10 @@
 //!   fallbacks really commit concurrently, with a guaranteed-overlapping
 //!   line still in the mix.
 //!
-//! What must hold on both, under both [`FallbackPolicy::Sgl`] and
-//! [`FallbackPolicy::PerLine`]:
+//! What must hold on both:
 //!
 //! * **Liveness** — every thread completes its bounded transaction count.
-//!   The per-line policy's sorted lock acquisition cannot deadlock against
+//!   The fallback's sorted lock acquisition cannot deadlock against
 //!   other fallbacks, and its validation-failure retries always have a
 //!   committed conflictor; the test finishing at all is the assertion (a
 //!   deadlock or livelock hangs it).
@@ -30,7 +29,7 @@
 use std::sync::Arc;
 
 use crafty_common::{PersistentTm, SplitMix64, Zipfian};
-use crafty_core::{recover, Crafty, CraftyConfig, FallbackPolicy};
+use crafty_core::{recover, Crafty, CraftyConfig};
 use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
 
 const INITIAL: u64 = 1_000;
@@ -40,7 +39,7 @@ const TXNS_PER_THREAD: u64 = 150;
 /// Runs the forced-fallback transfer mix over `accounts` accounts, every
 /// `hot_every`-th transaction of a thread also bumping the hot counter,
 /// and audits the live state and the recovered crash image.
-fn run_contention(policy: FallbackPolicy, accounts: u64, hot_every: u64) {
+fn run_contention(accounts: u64, hot_every: u64) {
     let mem = Arc::new(MemorySpace::new(PmemConfig {
         persistent_words: 1 << 16,
         volatile_words: 1 << 14,
@@ -51,7 +50,6 @@ fn run_contention(policy: FallbackPolicy, accounts: u64, hot_every: u64) {
         Arc::clone(&mem),
         CraftyConfig::small_for_tests()
             .with_max_threads(THREADS)
-            .with_fallback(policy)
             .with_force_fallback(true),
     ));
     let base = mem.reserve_persistent(accounts * 8);
@@ -102,8 +100,7 @@ fn run_contention(policy: FallbackPolicy, accounts: u64, hot_every: u64) {
     assert_eq!(
         mem.read(hot),
         expected_hot,
-        "[{}] lost or duplicated hot-counter updates",
-        policy.label()
+        "[{accounts} accounts] lost or duplicated hot-counter updates"
     );
     let total: u64 = (0..accounts)
         .map(|i| mem.read(base.add(i * 8)))
@@ -111,8 +108,7 @@ fn run_contention(policy: FallbackPolicy, accounts: u64, hot_every: u64) {
     assert_eq!(
         total,
         accounts * INITIAL,
-        "[{}] conservation of money violated",
-        policy.label()
+        "[{accounts} accounts] conservation of money violated"
     );
 
     // The same invariants must be durable: crash after quiesce, recover,
@@ -122,8 +118,7 @@ fn run_contention(policy: FallbackPolicy, accounts: u64, hot_every: u64) {
     assert_eq!(
         image.read(hot),
         expected_hot,
-        "[{}] recovered hot counter diverged",
-        policy.label()
+        "[{accounts} accounts] recovered hot counter diverged"
     );
     let recovered_total: u64 = (0..accounts)
         .map(|i| image.read(base.add(i * 8)))
@@ -131,8 +126,7 @@ fn run_contention(policy: FallbackPolicy, accounts: u64, hot_every: u64) {
     assert_eq!(
         recovered_total,
         accounts * INITIAL,
-        "[{}] recovered image broke conservation",
-        policy.label()
+        "[{accounts} accounts] recovered image broke conservation"
     );
 }
 
@@ -140,25 +134,12 @@ fn run_contention(policy: FallbackPolicy, accounts: u64, hot_every: u64) {
 /// threads must neither deadlock nor lose an update.
 #[test]
 fn per_line_fallback_contention_is_live_and_exact() {
-    run_contention(FallbackPolicy::PerLine, 16, 1);
-}
-
-/// The SGL reference fallback under the identical load, pinning the
-/// differential baseline the per-line policy is tested against.
-#[test]
-fn sgl_fallback_contention_is_live_and_exact() {
-    run_contention(FallbackPolicy::Sgl, 16, 1);
+    run_contention(16, 1);
 }
 
 /// The per-line fallback where its lock sets are mostly disjoint, so
 /// fallbacks overlap in time instead of queueing on one line.
 #[test]
 fn per_line_fallback_mostly_disjoint_is_live_and_exact() {
-    run_contention(FallbackPolicy::PerLine, 256, 16);
-}
-
-/// The SGL reference fallback under the mostly-disjoint load.
-#[test]
-fn sgl_fallback_mostly_disjoint_is_live_and_exact() {
-    run_contention(FallbackPolicy::Sgl, 256, 16);
+    run_contention(256, 16);
 }

@@ -1,18 +1,17 @@
 //! Differential property tests: every route through the one software
-//! commit is observably identical to the single-global-lock reference.
+//! commit is observably identical to the transfers applied in order.
 //!
-//! The SGL fallback is simple enough to trust by inspection: one lock
-//! serializes every fallback transaction and every hardware phase
-//! subscribes to it. The per-line policy replaces that with write locks on
-//! exactly the fallback's write set plus read-version validation — far
-//! more concurrency, far more room for ordering bugs — and thread-unsafe
-//! mode drops the lock altogether (the program serializes), committing
-//! either through a hardware Log phase plus a software Redo or, when the
-//! HTM is too small, through the same software commit as the SGL. These
-//! tests drive the *same seeded workload* — torture's miniature bank,
+//! The reference is a sequential model in the test: every account starts
+//! at [`INITIAL`], and each transfer subtracts from one account and adds
+//! to another. The per-line software commit takes write locks on exactly
+//! the write set plus read-version validation, and thread-unsafe mode
+//! drops the lock altogether (the program serializes), committing either
+//! through a hardware Log phase plus a software Redo or, when the HTM is
+//! too small, through the software commit with no lock. These tests drive
+//! the *same seeded workload* — torture's miniature bank,
 //! [`crafty_torture::bank`] — down each [`Route`] and assert:
 //!
-//! * the committed final states are identical word-for-word, and
+//! * the committed final state equals the model's word-for-word, and
 //! * crash images trapped across each route's own run pass the identical
 //!   audit — recovery succeeds, logs decode clean, re-recovery is a
 //!   no-op, and the recovered accounts equal a prefix of the commit
@@ -26,39 +25,43 @@
 
 use crafty_common::CompletionPath;
 use crafty_pmem::{CrashModel, FaultPlan};
-use crafty_torture::bank::{draw_picks, run_once, Route, ACCOUNTS, INITIAL};
+use crafty_torture::bank::{draw_picks, run_once, Route, Transfer, ACCOUNTS, INITIAL};
 use crafty_torture::{enumerate, TortureConfig};
 use proptest::prelude::*;
 
 /// Every way for a transaction to commit outside a Redo/Validate hardware
-/// transaction, the SGL reference first.
-const ROUTES: [Route; 4] = [
-    Route::Sgl,
-    Route::PerLine,
-    Route::ThreadUnsafe,
-    Route::ThreadUnsafeTiny,
-];
+/// transaction.
+const ROUTES: [Route; 3] = [Route::PerLine, Route::ThreadUnsafe, Route::ThreadUnsafeTiny];
+
+/// The sequential reference: the picks applied in order to accounts that
+/// all start at [`INITIAL`].
+fn sequential(picks: &[Vec<Transfer>]) -> Vec<u64> {
+    let mut accounts = vec![INITIAL; ACCOUNTS as usize];
+    for &(from, to, amount) in picks.iter().flatten() {
+        accounts[from as usize] = accounts[from as usize].wrapping_sub(amount);
+        accounts[to as usize] = accounts[to as usize].wrapping_add(amount);
+    }
+    accounts
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Fault-free completion: every route commits the same seeded
-    /// workload to the identical final state, with money conserved.
+    /// workload to the sequential model's final state, with money
+    /// conserved.
     #[test]
     fn final_state_is_route_independent(seed: u64, txns in 2u64..12) {
         let picks = draw_picks(seed, txns);
-        let reference = run_once(Route::Sgl, seed, &picks, FaultPlan::inactive());
+        let reference = sequential(&picks);
         for route in ROUTES {
             let run = run_once(route, seed, &picks, FaultPlan::inactive());
             prop_assert_eq!(
-                &reference.accounts, &run.accounts,
-                "{:?} committed a different final state than the SGL reference", route
+                &reference, &run.accounts,
+                "{:?} committed a different final state than the transfers in order", route
             );
         }
-        let total: u64 = reference
-            .accounts
-            .iter()
-            .fold(0u64, |s, &v| s.wrapping_add(v));
+        let total: u64 = reference.iter().fold(0u64, |s, &v| s.wrapping_add(v));
         prop_assert_eq!(total, ACCOUNTS * INITIAL, "conservation violated");
     }
 }
@@ -103,27 +106,9 @@ fn crash_audits_agree_across_models_and_routes() {
     }
 }
 
-/// The per-line and SGL routes genuinely execute different code: per-line
-/// runs tick extra fault-clock events (lock transitions), so its step
-/// count must strictly exceed the SGL's on the same workload. Guards
-/// against the differential silently comparing one policy with itself.
-#[test]
-fn per_line_runs_tick_lock_transition_events() {
-    let picks = draw_picks(7, 6);
-    let sgl = run_once(Route::Sgl, 7, &picks, FaultPlan::count_only());
-    let per_line = run_once(Route::PerLine, 7, &picks, FaultPlan::count_only());
-    assert_eq!(sgl.accounts, per_line.accounts);
-    assert!(
-        per_line.total_steps - per_line.setup_steps > sgl.total_steps - sgl.setup_steps,
-        "per-line ({}) should tick more steps than sgl ({}) on the same workload",
-        per_line.total_steps - per_line.setup_steps,
-        sgl.total_steps - sgl.setup_steps,
-    );
-}
-
-/// Every route is really taken: the forced routes and the tiny HTM commit
-/// in software, plain thread-unsafe mode (hardware Log, software Redo)
-/// never does.
+/// Every route is really taken: the forced per-line route and the tiny
+/// HTM commit every transaction in software, plain thread-unsafe mode
+/// (hardware Log, software Redo) never does.
 #[test]
 fn every_route_is_really_taken() {
     let picks = draw_picks(7, 6);
@@ -132,15 +117,15 @@ fn every_route_is_really_taken() {
             .breakdown
             .completions(CompletionPath::Sgl)
     };
-    assert_eq!(commits(Route::Sgl), 6);
     assert_eq!(commits(Route::PerLine), 6);
     assert_eq!(
         commits(Route::ThreadUnsafe),
         0,
         "the Log phase fits a real HTM"
     );
-    assert!(
-        commits(Route::ThreadUnsafeTiny) > 0,
-        "the tiny HTM never took thread-unsafe mode's capacity fallback"
+    assert_eq!(
+        commits(Route::ThreadUnsafeTiny),
+        6,
+        "the tiny HTM fits no transaction's Log phase"
     );
 }

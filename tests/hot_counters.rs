@@ -9,14 +9,14 @@
 //! commit draws its version *before* it validates: drawn after, a
 //! concurrent Redo can publish between the two, receive the smaller
 //! version, and the check passes over a stale snapshot — a few increments
-//! in a million vanish, on every policy that runs Redo, while every other
-//! test in the workspace stays green. `CraftyVariant::NoRedo` commits
-//! through Validate (which re-reads the data) and is the control.
+//! in a million vanish, on every configuration that runs Redo, while every
+//! other test in the workspace stays green. `CraftyVariant::NoRedo`
+//! commits through Validate (which re-reads the data) and is the control.
 
 use std::sync::Arc;
 
 use crafty_common::{PAddr, PersistentTm};
-use crafty_core::{Crafty, CraftyConfig, CraftyVariant, FallbackPolicy};
+use crafty_core::{Crafty, CraftyConfig, CraftyVariant};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
 
@@ -92,24 +92,12 @@ fn default_configuration_loses_no_increment() {
 }
 
 #[test]
-fn sgl_policy_loses_no_increment() {
-    let cfg = CraftyConfig::small_for_tests().with_fallback(FallbackPolicy::Sgl);
-    hammer("sgl", cfg, HtmConfig::skylake());
-}
-
-#[test]
 fn injected_aborts_lose_no_increment_per_line() {
     hammer(
         "per-line, injected aborts",
         CraftyConfig::small_for_tests(),
         injected_aborts(),
     );
-}
-
-#[test]
-fn injected_aborts_lose_no_increment_sgl() {
-    let cfg = CraftyConfig::small_for_tests().with_fallback(FallbackPolicy::Sgl);
-    hammer("sgl, injected aborts", cfg, injected_aborts());
 }
 
 #[test]

@@ -48,11 +48,11 @@ fn bank_exhaustive_enumeration_is_violation_free() {
 }
 
 /// The routes that commit outside a Redo/Validate hardware transaction
-/// (forced per-line, forced SGL, thread-unsafe on a tiny HTM and on a
-/// real-sized one): the per-line fallback's lock-word transitions tick the
-/// fault clock, so its enumerated steps include crash points strictly
-/// inside lock-hold windows, and the second life proves a rebooted heap
-/// never sees a stuck lock.
+/// (forced per-line, thread-unsafe on a tiny HTM and on a real-sized
+/// one): the per-line fallback's lock-word transitions tick the fault
+/// clock, so its enumerated steps include crash points strictly inside
+/// lock-hold windows, and the second life proves a rebooted heap never
+/// sees a stuck lock.
 #[test]
 fn fallback_exhaustive_enumeration_is_violation_free() {
     enumerate_exhaustively(&ROUTES[3..], 21);
