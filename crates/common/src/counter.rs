@@ -13,12 +13,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// [`OwnedCounter::add`] is a relaxed load followed by a relaxed store —
 /// no locked instruction — so it is exact only if calls never overlap:
-/// either one thread owns the counter (a thread slot's cell, by the same
+/// one thread owns the counter (a thread slot's cell, by the same
 /// one-thread-per-`tid` contract the flush queues already impose), or
-/// successive writers are ordered by some other synchronization (a drain's
-/// retirement window). Overlapping writers cannot corrupt memory, only
-/// lose increments. Any thread may [`OwnedCounter::get`]; a reader racing
-/// the writer sees a value at most one update stale.
+/// successive writers are ordered by some other synchronization.
+/// Overlapping writers cannot corrupt memory, only lose increments. Any
+/// thread may [`OwnedCounter::get`]; a reader racing the writer sees a
+/// value at most one update stale.
 #[derive(Debug, Default)]
 pub struct OwnedCounter(AtomicU64);
 

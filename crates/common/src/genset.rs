@@ -18,7 +18,7 @@
 //! leaves the Log transaction's descriptor that way, and the Redo's
 //! descriptor takes it back one [`LineTable::entry`] per line, the one
 //! insertion path. The persistence domain's flush-queue dedup stamps apply
-//! the same idea with the queue's claim cursor as the generation.
+//! the same idea with the queue's drained cursor as the generation.
 
 use crate::WORDS_PER_LINE;
 

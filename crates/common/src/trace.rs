@@ -30,16 +30,14 @@
 //!
 //! # Ring discipline
 //!
-//! The rings reuse the single-writer discipline of the pmem flush queues:
-//! each thread id owns one ring, positions are absolute counters masked
-//! by a power-of-two capacity, and overflow *overwrites the oldest event*
-//! (flight-recorder semantics) while [`EventRing::dropped_events`] counts
-//! exactly how many were lost. Pushes are two relaxed stores plus one
-//! `fetch_add`; the `fetch_add` makes a racy foreign push (e.g. a foreign
-//! drain on behalf of another thread) merely overwrite a slot instead of
-//! corrupting the ring. Steady-state pushes never allocate — the
-//! counting-allocator tests enforce this across the whole traced commit
-//! path.
+//! The rings reuse the single-owner discipline of the pmem flush queues:
+//! each thread id owns one ring, which only that thread pushes to (a
+//! drain's events included: only a queue's owner drains it). Positions
+//! are absolute counters masked by a power-of-two capacity, and overflow
+//! *overwrites the oldest event* while [`EventRing::dropped_events`]
+//! counts exactly how many were lost. A push is three plain stores, and
+//! steady-state pushes never allocate — the counting-allocator tests
+//! enforce this across the whole traced commit path.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -252,10 +250,8 @@ pub const MAX_TRACE_THREADS: usize = 64;
 /// A fixed-capacity, allocation-free, overwrite-oldest event ring — the
 /// per-thread flight recorder behind [`TraceLevel::Events`].
 ///
-/// One thread owns each ring's write side (the pmem flush-queue
-/// discipline); the position counter uses `fetch_add` so that the rare
-/// foreign push (a drain performed on another thread's behalf) degrades
-/// to an overwritten slot rather than a corrupted ring. Reads
+/// One thread at a time owns each ring's write side (the pmem flush-queue
+/// discipline), so pushes are plain stores. Reads
 /// ([`EventRing::snapshot`]) are best-effort while a writer is active and
 /// exact once the writer is quiescent.
 #[derive(Debug)]
@@ -286,13 +282,15 @@ impl EventRing {
     }
 
     /// Records one event. Allocation-free; overwrites the oldest event
-    /// when the ring is full.
+    /// when the ring is full. The caller must be the ring's only writer.
     #[inline]
     pub fn push(&self, kind: TraceEventKind, arg: u64, t_ns: u64) {
-        let pos = self.head.fetch_add(1, Ordering::Relaxed);
+        let pos = self.head.load(Ordering::Relaxed);
         let i = (pos & (self.words.len() as u64 - 1)) as usize;
         self.words[i].store(kind as u64 | ((arg & ARG_MASK) << 8), Ordering::Relaxed);
         self.times[i].store(t_ns, Ordering::Relaxed);
+        // Release: `recorded`'s Acquire load then sees the event's words.
+        self.head.store(pos + 1, Ordering::Release);
     }
 
     /// Total events ever pushed.

@@ -27,6 +27,10 @@ use crate::undo_log::{LogDirectory, LogGeometry, UndoLog};
 pub(crate) const ABORT_REDO_TS_CHECK: u32 = 2;
 /// Explicit abort code: a Validate-phase check failed.
 pub(crate) const ABORT_VALIDATE_MISMATCH: u32 = 3;
+/// Explicit abort code: the log a transaction works on moved under it — a
+/// refresh was appended behind a Redo's or Validate's sequence, or a
+/// refresh found its target's head or latest marker changed.
+pub(crate) const ABORT_LOG_MOVED: u32 = 4;
 
 /// Per-thread state shared between the owning worker and other threads
 /// (other threads read the undo log handle and the last sequence timestamp
@@ -233,10 +237,11 @@ impl Crafty {
         self.ts_lower_bound.fetch_max(min_ts, Ordering::AcqRel);
     }
 
-    /// On-demand immediate persistence (Section 5.2): appends an empty,
-    /// committed sequence to *every* thread's log (using hardware
-    /// transactions to synchronize with the owners) and drains the calling
-    /// thread's flushes. After it returns, every persistent transaction
+    /// On-demand immediate persistence (Section 5.2): makes every thread's
+    /// latest sequence durable and appends an empty, committed sequence
+    /// behind it (using hardware transactions to synchronize with the
+    /// owners), all through the calling thread's own flushes and drains.
+    /// After it returns, every persistent transaction
     /// that had completed before the call is guaranteed to survive a crash:
     /// each thread's latest sequence is now empty, so the rollback recovery
     /// performs cannot undo any completed transaction. Invoke this before
@@ -247,13 +252,23 @@ impl Crafty {
         }
     }
 
-    /// Appends an empty committed sequence to `target_tid`'s log, executing
-    /// the append on `via_tid`'s hardware-transaction context (which
-    /// synchronizes with the owner). Retries until the hardware transaction
-    /// commits or `still_wanted`, asked before every attempt, says no, and
-    /// backs off after each failed attempt: against a busy log-head line,
-    /// back-to-back attempts would keep the line's owner from running on a
-    /// host with fewer cores than threads.
+    /// Appends an empty committed sequence to `target_tid`'s log through
+    /// `via_tid`'s own flush queue and hardware-transaction context, by one
+    /// rule for every target, `via_tid`'s own log included: make the
+    /// target's latest sequence durable ([`UndoLog::persist_latest`]),
+    /// then append the refresh in a hardware transaction that aborts if the
+    /// target's head or latest marker moved since
+    /// ([`UndoLog::tip_unmoved`]), then flush and drain the refresh. Once
+    /// the refresh is the target's latest sequence, recovery stops rolling
+    /// back the one before it, whose writes are then already durable; the
+    /// owner's queue, which only the owner drains (a core completes only
+    /// its own write-backs), is left alone. An owner's Redo or Validate
+    /// that commits after the refresh re-logs behind it (`touch_log_head`).
+    /// Retries until the refresh commits or `still_wanted`,
+    /// asked before every attempt, says no, and backs off after each
+    /// failed attempt: against a busy log-head line, back-to-back attempts
+    /// would keep the line's owner from running on a host with fewer cores
+    /// than threads.
     fn force_empty_sequence(
         &self,
         target_tid: usize,
@@ -261,25 +276,20 @@ impl Crafty {
         mut still_wanted: impl FnMut() -> bool,
     ) {
         let shared = &self.threads[target_tid];
+        let log = shared.undo_log;
         let mut backoff = Backoff::new();
         while still_wanted() {
+            let tip = log.persist_latest(&self.htm, via_tid);
             let ts = self.clock.now();
             let mut txn = self.htm.begin(via_tid);
-            let appended = shared
-                .undo_log
-                .append_sequence(&mut txn, &[], ts, &mut Vec::new());
+            let appended = match log.tip_unmoved(&mut txn, tip) {
+                Ok(true) => log.append_sequence(&mut txn, &[], ts, &mut Vec::new()),
+                Ok(false) => Err(txn.abort_explicit(ABORT_LOG_MOVED)),
+                Err(code) => Err(code),
+            };
             if let Ok(info) = appended.and_then(|info| txn.commit().map(|_| info)) {
-                shared
-                    .undo_log
-                    .flush_marker(&self.mem, via_tid, info.marker_abs);
+                log.flush_marker(&self.mem, via_tid, info.marker_abs);
                 self.mem.drain(via_tid);
-                // The refresh is now the target's latest sequence, so
-                // recovery stops rolling back the target's own earlier
-                // sequences. Every commit that precedes the refresh in
-                // the target's log enqueued its write-backs atomically
-                // with its commit, so completing the target's flush
-                // queue here makes all of them durable.
-                self.mem.drain(target_tid);
                 shared.last_seq_ts.fetch_max(ts.raw(), Ordering::AcqRel);
                 return;
             }

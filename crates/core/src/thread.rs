@@ -51,7 +51,7 @@ use crafty_pmem::{MemorySpace, PmemAllocator};
 
 use crate::alloc_log::AllocLog;
 use crate::config::{CraftyVariant, ThreadingMode};
-use crate::engine::{Crafty, ABORT_REDO_TS_CHECK, ABORT_VALIDATE_MISMATCH};
+use crate::engine::{Crafty, ABORT_LOG_MOVED, ABORT_REDO_TS_CHECK, ABORT_VALIDATE_MISMATCH};
 use crate::undo_log::AppendInfo;
 
 /// How many times an individual hardware transaction is retried within one
@@ -97,7 +97,8 @@ enum Stop {
     /// budget.
     Retry,
     /// The phase's own check failed (`gLastRedoTS` moved, validation
-    /// mismatch): retrying the same phase cannot help.
+    /// mismatch, a refresh appended behind the sequence): retrying the
+    /// same phase cannot help.
     Fail,
 }
 
@@ -396,7 +397,7 @@ impl<'c> CraftyThread<'c> {
             Some(body) => self.revalidate(&mut txn, body)?,
         }
 
-        let foreign_append = self.touch_log_head(&mut txn, seq)?;
+        self.touch_log_head(&mut txn, seq)?;
         let commit_ts = engine.timestamp();
         if redo {
             txn.write_lines(&self.redo_buf, seq.writes)?;
@@ -413,13 +414,6 @@ impl<'c> CraftyThread<'c> {
         // finished (Section 4.2).
         txn.flush_writes_on_commit()?;
         txn.commit()?;
-        // If another thread appended to this thread's log while the
-        // transaction was in flight, this sequence is no longer the latest
-        // one (the one recovery rolls back), so its writes must be made
-        // durable immediately.
-        if foreign_append {
-            self.drain();
-        }
         engine.note_sequence(self.tid, commit_ts);
         if redo {
             trace::record(self.tid, TraceEventKind::RedoApply, seq.writes as u64);
@@ -493,17 +487,23 @@ impl<'c> CraftyThread<'c> {
     }
 
     /// Reads the thread's own log head inside the committing transaction
-    /// and writes it back unchanged. This (a) detects whether another
-    /// thread appended a refresh sequence to this log since the Log phase
-    /// (Section 5.2 forcing), which means this sequence will no longer be
-    /// the log's latest and its writes must be drained eagerly, and (b)
-    /// orders such refresh appends with this commit so the forcing thread's
-    /// subsequent drain covers the flushes enqueued here.
-    fn touch_log_head(&self, txn: &mut HwTxn<'_>, seq: &LoggedSeq) -> Result<bool, AbortCode> {
+    /// and writes it back unchanged. If another thread appended a refresh
+    /// sequence to this log since the Log phase (Section 5.2 forcing),
+    /// this sequence is no longer the log's latest — the one recovery
+    /// rolls back — so its in-place writes must not happen: the attempt
+    /// aborts with [`ABORT_LOG_MOVED`] and the phase fails, and the
+    /// transaction re-logs behind the refresh. The write-back orders a
+    /// refresh that read the head before this commit after it: that
+    /// refresh's validation fails.
+    fn touch_log_head(&self, txn: &mut HwTxn<'_>, seq: &LoggedSeq) -> Result<(), Stop> {
         let head_addr = self.engine.threads[self.tid].undo_log.head_addr();
         let head = txn.read(head_addr)?;
+        if head != seq.marker_abs + 1 {
+            txn.abort_explicit(ABORT_LOG_MOVED);
+            return Err(Stop::Fail);
+        }
         txn.write(head_addr, head)?;
-        Ok(head != seq.marker_abs + 1)
+        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -251,6 +251,16 @@ pub struct AppendInfo {
     pub data_entries: u64,
 }
 
+/// What a fence saw of a log when it persisted the log's latest sequence
+/// ([`UndoLog::persist_latest`]): the head, and the value word of the
+/// marker before it. A refresh appended behind that sequence must find
+/// both unchanged ([`UndoLog::tip_unmoved`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct LogTip {
+    head: u64,
+    marker_value: u64,
+}
+
 /// Where [`UndoLog`] reads its head and stores encoded log words: a
 /// hardware transaction (`&mut HwTxn`), or the runtime's non-transactional
 /// store (`&HtmRuntime`, which cannot fail), which locks each line once
@@ -401,8 +411,8 @@ impl UndoLog {
     }
 
     /// Issues CLWBs (no drain) for every line holding entries
-    /// `[first_abs, last_abs]`, one queue interaction per touched line and
-    /// one fence for the lot ([`MemorySpace::clwb_lines`]).
+    /// `[first_abs, last_abs]`, one queue interaction per touched line, in
+    /// one batch ([`MemorySpace::clwb_lines`]).
     ///
     /// Entry slots are laid out contiguously, so the touched words form at
     /// most two contiguous ranges (the tail of the region and, after a
@@ -436,6 +446,63 @@ impl UndoLog {
     /// Issues a CLWB for the marker entry at `marker_abs`.
     pub fn flush_marker(&self, mem: &MemorySpace, tid: usize, marker_abs: u64) {
         mem.clwb(tid, self.geometry.slot_addr(marker_abs));
+    }
+
+    /// Makes this log's latest sequence durable through thread `tid`'s
+    /// own flush queue, whichever thread owns the log, and returns what it
+    /// saw: reads the head and the marker before it, walks back the
+    /// marker's entry count decoding each slot with [`decode`] (as
+    /// recovery does), CLWBs every data line the entries name plus the
+    /// marker's line, and drains — allocating nothing.
+    ///
+    /// [`HtmRuntime::nontx_read`] waits out a commit holding the head's or
+    /// the marker's line, so a marker read as stamped belongs to a commit
+    /// that had published every data line before releasing the marker's,
+    /// and the drain writes those values back. A commit after these reads
+    /// moves the head or the marker, which [`UndoLog::tip_unmoved`]
+    /// catches.
+    pub(crate) fn persist_latest(&self, htm: &HtmRuntime, tid: usize) -> LogTip {
+        let mem = htm.mem();
+        let head = htm.nontx_read(self.head_addr);
+        // The slot before the head; the region's never-written last slot
+        // for an empty log, which decodes as absent.
+        let marker_abs = head + self.geometry.capacity - 1;
+        let slot = self.geometry.slot_addr(marker_abs);
+        let marker_value = htm.nontx_read(slot.add(1));
+        if let SlotState::Valid {
+            entry: Entry::Marker { data_entries, .. },
+            ..
+        } = decode(mem.read(slot), marker_value)
+        {
+            let data_lines = (marker_abs - data_entries..marker_abs).filter_map(|abs| {
+                let at = self.geometry.slot_addr(abs);
+                match decode(mem.read(at), mem.read(at.add(1))) {
+                    SlotState::Valid {
+                        entry: Entry::Data { addr, .. },
+                        ..
+                    } => Some(addr.line()),
+                    _ => None,
+                }
+            });
+            mem.clwb_lines(tid, data_lines.chain([slot.line()]));
+        }
+        mem.drain(tid);
+        LogTip { head, marker_value }
+    }
+
+    /// Re-reads, inside `txn`, the head and the marker value word that
+    /// `tip` recorded and says whether both are unchanged: a refresh
+    /// appended in the same transaction then lands right behind the
+    /// sequence [`UndoLog::persist_latest`] made durable.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any hardware-transaction abort.
+    pub(crate) fn tip_unmoved(&self, txn: &mut HwTxn<'_>, tip: LogTip) -> Result<bool, AbortCode> {
+        let marker = self
+            .geometry
+            .slot_addr(tip.head + self.geometry.capacity - 1);
+        Ok(txn.read(self.head_addr)? == tip.head && txn.read(marker.add(1))? == tip.marker_value)
     }
 
     /// True if appending `extra` more entries would cross into the half of

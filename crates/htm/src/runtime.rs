@@ -638,10 +638,8 @@ impl<'rt> HwTxn<'rt> {
     /// of a successful commit (after the buffered writes are published,
     /// while the commit is still atomic with respect to other
     /// transactions). The flush is *not* drained — exactly the
-    /// flush-without-drain pattern Crafty's Redo/Validate phases use — but
-    /// because it is enqueued atomically with the commit, any other thread
-    /// that later drains this thread's flush queue is guaranteed to cover
-    /// it if it observed the commit.
+    /// flush-without-drain pattern Crafty's Redo/Validate phases use; this
+    /// thread's next drain completes it.
     ///
     /// A request is a flag on the line's descriptor entry, so a
     /// transaction that writes several words of one line issues a single

@@ -1,13 +1,12 @@
 //! The statistics counters are per-thread cells bumped without a locked
 //! instruction ([`crafty_common::OwnedCounter`]): `BreakdownRecorder` keeps
-//! one set per thread id, `MemorySpace` one per flush queue, with a drain's
-//! sums published inside its retirement window. This test runs four
-//! committing threads against a fifth that keeps draining *their* queues
-//! (the Section 5.2 forcing pattern), and demands that every total is
-//! exact and that the two layers' counts reconcile with each other and
-//! with what the threads counted themselves.
+//! one set per thread id, `MemorySpace` one per flush queue, all bumped
+//! by the queue's owner. This test runs four committing threads that also
+//! drain their own queues between commits, all flushing one shared line,
+//! and demands that every total is exact and that the two layers' counts
+//! reconcile with each other and with what the threads counted
+//! themselves.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use crafty_common::{BreakdownRecorder, HwTxnOutcome, WORDS_PER_LINE};
@@ -16,6 +15,8 @@ use crafty_pmem::{MemorySpace, PmemConfig};
 
 const WORKERS: usize = 4;
 const TXNS_PER_WORKER: u64 = 20_000;
+/// A worker drains its own queue itself after every this many commits.
+const DRAIN_EVERY: u64 = 3;
 
 #[test]
 fn per_thread_cells_lose_nothing_and_layers_reconcile() {
@@ -30,16 +31,15 @@ fn per_thread_cells_lose_nothing_and_layers_reconcile() {
     // lines per worker.
     let hot = mem.reserve_persistent(1);
     let cells = mem.reserve_persistent(2 * WORKERS as u64 * WORDS_PER_LINE);
-    let start = Barrier::new(WORKERS + 1);
-    let done = AtomicBool::new(false);
+    let start = Barrier::new(WORKERS);
 
-    let (attempts, foreign_drains) = std::thread::scope(|s| {
+    let (attempts, own_drains) = std::thread::scope(|s| {
         let workers: Vec<_> = (0..WORKERS)
             .map(|tid| {
-                let (rt, start) = (&rt, &start);
+                let (rt, mem, start) = (&rt, &mem, &start);
                 s.spawn(move || {
                     let mine = cells.add(2 * tid as u64 * WORDS_PER_LINE);
-                    let mut attempts = 0u64;
+                    let (mut attempts, mut drains) = (0u64, 0u64);
                     start.wait();
                     for n in 0..TXNS_PER_WORKER {
                         loop {
@@ -59,25 +59,19 @@ fn per_thread_cells_lose_nothing_and_layers_reconcile() {
                                 break;
                             }
                         }
+                        if n % DRAIN_EVERY == 0 {
+                            mem.drain(tid);
+                            drains += 1;
+                        }
                     }
-                    attempts
+                    (attempts, drains)
                 })
             })
             .collect();
-        let drainer = s.spawn(|| {
-            let mut drains = 0u64;
-            start.wait();
-            while !done.load(Ordering::Acquire) {
-                for tid in 0..WORKERS {
-                    mem.drain(tid);
-                    drains += 1;
-                }
-            }
-            drains
-        });
-        let attempts: u64 = workers.into_iter().map(|w| w.join().expect("worker")).sum();
-        done.store(true, Ordering::Release);
-        (attempts, drainer.join().expect("drainer"))
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker"))
+            .fold((0, 0), |(a, d), (wa, wd)| (a + wa, d + wd))
     });
     for tid in 0..WORKERS {
         mem.drain(tid);
@@ -99,13 +93,19 @@ fn per_thread_cells_lose_nothing_and_layers_reconcile() {
 
     let pm = mem.stats();
     assert_eq!(pm.flushes, 3 * commits, "a flush count was lost");
-    // Every drain is one this test issued or a transaction's begin fence,
-    // and `begin` fences only behind flushes its thread's last commit left
-    // queued: at most one per commit.
-    let issued = foreign_drains + WORKERS as u64;
+    // Every drain is one this test issued (each worker's own, then one
+    // per queue after the workers are done) or a transaction's begin
+    // fence, and `begin` fences only behind flushes its thread's last
+    // commit left queued: at most one per commit, and none behind a commit
+    // its worker drained itself.
+    let issued = own_drains + WORKERS as u64;
     assert!(pm.drains >= issued, "a drain count was lost");
+    assert_eq!(
+        own_drains,
+        WORKERS as u64 * TXNS_PER_WORKER.div_ceil(DRAIN_EVERY)
+    );
     assert!(
-        pm.drains - issued <= commits,
+        pm.drains - issued <= commits - own_drains,
         "more fences than commits to fence"
     );
     assert_eq!(pm.overflow_writebacks, 0);

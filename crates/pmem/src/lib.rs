@@ -21,23 +21,21 @@
 //! domain is built the same way:
 //!
 //! * **[`MemorySpace::clwb`] and [`MemorySpace::drain`] are mutex-free.**
-//!   Each thread slot owns a single-writer flush-queue ring; duplicate
-//!   flushes of a line still pending on a queue are absorbed in O(1) by a
-//!   per-line flush stamp tagged with that queue and its ring position (the
-//!   generation-stamp idea of [`crafty_common::genset`] applied to shared
-//!   memory: a drain's claim-cursor bump invalidates every stamp behind it
-//!   at once). Drains —
-//!   from the owner or, on the Section 5.2 forcing paths, from any other
-//!   thread — claim the pending range with a single CAS.
+//!   Each thread slot owns a flush-queue ring that only its owner fills
+//!   and drains, as only a core's own SFENCE completes its CLWBs;
+//!   duplicate flushes of a line still pending on a queue are absorbed in
+//!   O(1) by a per-line flush stamp tagged with that queue and its ring
+//!   position (the generation-stamp idea of [`crafty_common::genset`]
+//!   applied to shared memory: a drain's cursor bump invalidates every
+//!   stamp behind it at once).
 //! * **A commit publishes and flushes by the line.**
 //!   [`MemorySpace::write_line`] stores a line's written words and ORs its
 //!   dirty mask once; [`MemorySpace::clwb_lines`] enqueues a batch of
-//!   lines behind a single fence. Both are pinned observably identical to
-//!   their word-by-word / line-by-line counterparts.
+//!   lines. Both are pinned observably identical to their word-by-word /
+//!   line-by-line counterparts.
 //! * **Counting is free of locked instructions.** [`PmemStats`] is summed
-//!   from per-queue single-writer cells: the owner bumps its flush counts
-//!   with plain stores, and a drain publishes its sums once, inside its
-//!   retirement window (see the [`space`] module docs).
+//!   from per-queue single-writer cells: the owner bumps its flush and
+//!   drain counts with plain stores (see the [`space`] module docs).
 //! * **Persistence is word-granular.** Every store marks exactly its word
 //!   in a per-line dirty-word mask; write-backs copy (and the latency
 //!   model charges for) only the masked words, and the crash models

@@ -63,7 +63,7 @@
 //!   [`crate::LatencyModel::clwb_range`] per coalesced run it issues (see
 //!   "Batched drains" below), whose per-word component covers only the
 //!   words actually copied — measured from the drain's issue, so the
-//!   simulator's own claim/sort/copy bookkeeping runs inside that time,
+//!   simulator's own sort/copy bookkeeping runs inside that time,
 //!   not on top of it — and
 //!   [`PmemStats::words_persisted`] / [`PmemStats::line_words_persisted`]
 //!   report the measured write amplification
@@ -72,8 +72,8 @@
 //!
 //! # Batched drains: ranged CLWB coalescing
 //!
-//! A drain claims its pending range with one CAS exactly as before, but the
-//! write-back of the claimed lines is *batched*: the claimed line ids are
+//! A drain takes its queue's whole pending range, and the write-back of
+//! those lines is *batched*: the pending line ids are
 //! snapshotted into a reusable per-thread scratch buffer, sorted, and
 //! coalesced into **maximal runs of adjacent lines**. For each run the
 //! drain first performs all of the run's masked word copies, then adds a
@@ -88,16 +88,16 @@
 //!
 //! Two properties keep this a pure optimization:
 //!
-//! * **The runs exactly partition the claimed range.** Every claimed
+//! * **The runs exactly partition the drained range.** Every drained
 //!   position's line is persisted exactly once; sorting changes only the
 //!   *order* of the masked copies, and crash resolution is keyed per word
 //!   (independent of write-back order), so the persistent and crash-visible
-//!   images are those of writing the claimed lines back one at a time in
+//!   images are those of writing the drained lines back one at a time in
 //!   enqueue order. `tests/flush_queue_properties.rs` pins the partition,
 //!   and `tests/persist_oracle.rs` pins the images and the exact
 //!   `flush_ranges` / `range_lines` counts against its word-by-word model.
 //! * **The scratch is allocation-free in steady state.** It is grown once
-//!   to the flush-queue capacity (the upper bound of any claimed range) on
+//!   to the flush-queue capacity (the upper bound of any drained range) on
 //!   a thread's first drain, so the commit path's zero-allocation guarantee
 //!   holds through the batched pipeline.
 //!
@@ -107,30 +107,34 @@
 //! HTM fast path, so the persist operations here are engineered the same
 //! way:
 //!
-//! * **Per-thread single-writer flush queues.** Each thread slot owns a
+//! * **Per-thread single-owner flush queues.** Each thread slot owns a
 //!   fixed-capacity ring of pending line ids ([`PmemConfig::flush_queue_capacity`]
 //!   entries, allocated once at construction). Only the owning thread
-//!   enqueues ([`MemorySpace::clwb`] with its own `tid`); *any* thread may
-//!   drain, which the Section 5.2 forcing paths rely on. There is no mutex
-//!   anywhere on the flush path.
+//!   enqueues ([`MemorySpace::clwb`] with its own `tid`) and only the
+//!   owning thread drains ([`MemorySpace::drain`] with its own `tid`), as
+//!   on x86, where a CLWB is completed by the SFENCE of the core that
+//!   issued it and by no other. The ring has two cursors, both written by
+//!   the owner alone: `tail` (next enqueue) and `drained` (everything
+//!   below it is durable). There is no mutex, CAS or wait on the flush
+//!   path.
 //! * **O(1) generation-stamped dedup.** Duplicate flushes of a pending line
 //!   are absorbed by one *flush stamp* per persistent line, tagged with the
 //!   enqueuing queue and its ring position: `(tid + 1) << 48 | (pos + 1)`
 //!   (0 = never flushed). A queue skips a CLWB only when the stamp carries
-//!   its own tag at or past its `claim` cursor, so the cursor acts as the
+//!   its own tag at or past its `drained` cursor, so the cursor acts as the
 //!   stamp generation: a drain logically invalidates every stamp below it
 //!   in O(1), exactly the generation-stamp discipline of
 //!   [`crafty_common::genset`] (the design this table generalizes), with
-//!   no `Vec::contains` scan. The stamp is shared by every queue: a line
-//!   last enqueued by another thread is queued again, so a line two threads
-//!   flush in turn can sit twice in one claimed range, and the drain
-//!   writes it back once.
-//! * **Lock-free drains.** [`MemorySpace::drain`] claims the pending range
-//!   `[claim, tail)` with one CAS, persists it, then retires the range in
-//!   order. Concurrent drains of one queue (owner + a Section 5.2 forcing
-//!   thread) claim disjoint ranges, so every queued line is persisted
-//!   exactly once; a drain does not return until everything up to the tail
-//!   it observed is durably retired.
+//!   no `Vec::contains` scan. The skip needs no fence: the pending enqueue
+//!   it relies on is drained by the same thread, after the stores that
+//!   preceded the skipped flush in program order. The stamp is shared by
+//!   every queue: a line last enqueued by another thread is queued again,
+//!   so a line two threads flush in turn can sit twice in one drained
+//!   range, and the drain writes it back once.
+//! * **Drains.** [`MemorySpace::drain`] persists the pending range
+//!   `[drained, tail)` and moves `drained` to the tail. Two queues' drains
+//!   may write the same line back at once (a line both flushed); the
+//!   line's dirty mask arbitrates that (see `persist_line`).
 //! * **Ring overflow = early write-back.** If a queue is full, `clwb`
 //!   writes the line back immediately instead of queueing it. Real hardware
 //!   may complete a CLWB at any point before the fence, so persisting early
@@ -159,23 +163,21 @@
 //!
 //! * **Per-queue, single-writer statistics.** [`PmemStats`] is the sum of
 //!   one cache-line-aligned set of plain [`OwnedCounter`] cells per flush
-//!   queue (plus a few shared cells for evictions and empty drains, which
-//!   are off the commit path). Flush counts are bumped by the queue's
-//!   owner; a drain — the owner's or a foreign one — adds up what it wrote
-//!   back locally and publishes the sums once, between observing
-//!   `done == claim` and storing `done = target`. Drains of one queue
-//!   retire strictly in claim order, so that window is a critical section
-//!   ordered by the acquire/release pair on `done`: no locked instruction
-//!   is needed to count, and no increment can be lost
-//!   (`crates/htm/tests/per_thread_counters.rs` runs four committers
-//!   against a foreign drainer and checks every total exactly).
+//!   queue, all bumped by the queue's owner (flushes, overflows and
+//!   drains alike), plus a few shared cells for spontaneous evictions,
+//!   which any thread may cause. No locked instruction counts a flush or
+//!   a drain, and no increment can be lost
+//!   (`crates/htm/tests/per_thread_counters.rs` runs four committing and
+//!   draining threads and checks every total exactly).
 //!
-//! Concurrency contract: all methods are safe to call from any thread, but
-//! `clwb(tid, ..)` / `clwb_lines(tid, ..)` calls for one `tid` must come
-//! from a single thread at a time (the queues are single-writer; every engine in the workspace
-//! already follows this discipline — a thread only flushes through its own
-//! slot, and the NV-HTM checkpointer owns a dedicated slot). `drain(tid)`
-//! carries no such restriction.
+//! Concurrency contract: all methods are safe to call from any thread,
+//! but the persist operations on one `tid` — `clwb(tid, ..)`,
+//! `clwb_lines(tid, ..)`, `drain(tid)`, `persist(tid, ..)` and
+//! `persist_ranges(tid, ..)` — must come from a single thread at a time:
+//! the queue's owner. Every engine in the workspace follows this
+//! discipline — a thread flushes and drains only its own slot, and the
+//! NV-HTM checkpointer owns a dedicated slot. Setup code and the engines'
+//! `quiesce` may drain any slot while no owner runs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -211,7 +213,7 @@ pub struct PmemStats {
     /// the denominator of the write-amplification ratio.
     pub line_words_persisted: u64,
     /// Number of ranged flushes issued by drains: one per maximal run of
-    /// adjacent distinct claimed lines. The gap between this and
+    /// adjacent distinct drained lines. The gap between this and
     /// [`PmemStats::lines_persisted`] is the coalescing win — every run
     /// longer than one line saved a flush base cost.
     pub flush_ranges: u64,
@@ -240,7 +242,7 @@ impl PmemStats {
 
     /// Average number of adjacent lines each of the drains' ranged flushes
     /// covered (`range_lines / flush_ranges`): the measured coalescing
-    /// efficiency. 1.0 means no two claimed lines were ever adjacent;
+    /// efficiency. 1.0 means no two drained lines were ever adjacent;
     /// higher is better — each
     /// extra line in a run rode an already-paid flush base cost. Returns
     /// 1.0 when no ranged flush was issued.
@@ -266,21 +268,16 @@ impl PmemStats {
 }
 
 /// One flush queue's share of the [`PmemStats`] counters. Plain
-/// single-writer cells ([`OwnedCounter`]): the persist path executes no
-/// locked instruction to count, and [`MemorySpace::stats`] sums the queues.
+/// single-writer cells ([`OwnedCounter`]), all written by the queue's
+/// owner (see the module docs for the one-thread-per-`tid` contract): the
+/// persist path executes no locked instruction to count, and
+/// [`MemorySpace::stats`] sums the queues.
 #[derive(Default)]
 struct QueueStats {
-    // Written by the queue's owner thread only (the `clwb` path; see the
-    // module docs for the one-thread-per-`tid` contract).
     flushes: OwnedCounter,
     overflow_writebacks: OwnedCounter,
     overflow_words: OwnedCounter,
     overflow_line_words: OwnedCounter,
-    // Written inside a claiming drain's *retirement window* only: drains
-    // of one queue retire strictly in claim order (`done == claim` →
-    // `done = target`), so the window is a critical section whichever
-    // thread drains, ordered by the acquire/release pair on `done`. Each
-    // drain sums locally and publishes here once.
     drains: OwnedCounter,
     lines_persisted: OwnedCounter,
     words_persisted: OwnedCounter,
@@ -289,18 +286,17 @@ struct QueueStats {
     range_lines: OwnedCounter,
 }
 
-/// Counters for the events that have no exclusive writer: spontaneous
-/// evictions (any thread, any line) and drains that found nothing left to
-/// claim. Both are off the commit path, so a shared RMW is affordable.
+/// Counters for the one event that has no exclusive writer: spontaneous
+/// evictions (any thread, any line). They are off the commit path, so a
+/// shared RMW is affordable.
 #[derive(Default)]
 struct SharedStats {
     evictions: AtomicU64,
     evicted_words: AtomicU64,
     evicted_line_words: AtomicU64,
-    idle_drains: AtomicU64,
 }
 
-/// What one drain's write-back of its claimed range amounted to.
+/// What one drain's write-back of its pending range amounted to.
 #[derive(Default)]
 struct DrainSums {
     cost_ns: u64,
@@ -311,23 +307,21 @@ struct DrainSums {
 }
 
 /// One thread slot's pending-flush state. See the module docs for the
-/// design; all fields are plain atomics — the queue takes no lock on either
-/// the enqueue or the drain path. Aligned so that neighbouring queues'
-/// cursors and counters never share a cache line.
+/// design: the owner thread alone writes every field, and other threads
+/// only read the cursors (e.g. [`MemorySpace::pending_flushes`]). Aligned
+/// so that neighbouring queues' cursors and counters never share a cache
+/// line.
 #[repr(align(128))]
 struct FlushQueue {
     /// Ring of pending line ids; absolute position `p` lives in slot
     /// `p & (capacity - 1)`. Allocated eagerly (it is small and hot) so the
     /// steady-state flush path never allocates.
     slots: Box<[AtomicU64]>,
-    /// Next absolute enqueue position. Written only by the owner thread.
+    /// Next absolute enqueue position.
     tail: AtomicU64,
-    /// Positions below this have been claimed by some drain. Advanced by
-    /// CAS; doubles as the flush-stamp generation cursor.
-    claim: AtomicU64,
-    /// Positions below this have been persisted and retired (their ring
-    /// slots are reusable). Advanced in order by the claiming drains.
-    done: AtomicU64,
+    /// Positions below this have been persisted by a drain (their ring
+    /// slots are reusable). Doubles as the flush-stamp generation cursor.
+    drained: AtomicU64,
     stats: QueueStats,
 }
 
@@ -336,8 +330,7 @@ impl FlushQueue {
         FlushQueue {
             slots: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             tail: AtomicU64::new(0),
-            claim: AtomicU64::new(0),
-            done: AtomicU64::new(0),
+            drained: AtomicU64::new(0),
             stats: QueueStats::default(),
         }
     }
@@ -347,16 +340,12 @@ impl FlushQueue {
         &self.slots[(pos & (self.slots.len() as u64 - 1)) as usize]
     }
 
-    /// Lines enqueued but not yet durably retired. Counted against `done`,
-    /// not `claim`: a range a concurrent drain has claimed but not finished
-    /// persisting is still pending from the caller's point of view — the
-    /// SFENCE paths (`HtmRuntime::begin`) use this to decide whether a
-    /// drain (which waits for retirement) is needed.
+    /// Lines enqueued but not yet drained — what the SFENCE paths
+    /// (`HtmRuntime::begin`) check to decide whether a drain is needed.
     #[inline]
     fn pending(&self) -> u64 {
         let tail = self.tail.load(Ordering::Acquire);
-        let done = self.done.load(Ordering::Acquire);
-        tail.saturating_sub(done)
+        tail.saturating_sub(self.drained.load(Ordering::Acquire))
     }
 }
 
@@ -364,8 +353,8 @@ impl FlushQueue {
 ///
 /// See the module documentation for the model and for the lock-free
 /// persistence-domain design. Flush queues are indexed by the
-/// caller-supplied thread id; enqueues are single-writer per id, drains may
-/// come from any thread.
+/// caller-supplied thread id; each id's enqueues and drains come from one
+/// thread at a time, its owner.
 ///
 /// # Example: reserve → write → drain
 ///
@@ -417,7 +406,7 @@ pub struct MemorySpace {
     evict_stripes: Box<[AtomicU64]>,
     shared_stats: SharedStats,
     /// Persistence-step counter for deterministic fault injection: every
-    /// durability-relevant event (store to pmem, CLWB enqueue, drain claim,
+    /// durability-relevant event (store to pmem, CLWB enqueue, drain start,
     /// per-line persist, SFENCE) ticks this clock when the configured
     /// [`FaultPlan`](crate::FaultPlan) is armed. Disarmed plans cost one
     /// predictable branch per event.
@@ -817,12 +806,9 @@ impl MemorySpace {
     ///
     /// Lock-free and O(1) per line: a per-line generation stamp absorbs
     /// flushes of a line still pending on this queue, and an enqueue is
-    /// three plain atomic stores. The whole batch pays **one** `SeqCst`
-    /// fence (see the comment inside), so the caller must have performed
-    /// the stores to *every* line of the batch before the call — which a
-    /// transaction commit, flushing what it just published, has. Calls for one `tid`
-    /// must come from a single thread at a time (see the module docs);
-    /// every `tid` may flush concurrently with every other.
+    /// three plain atomic stores. Calls for one `tid` must come from its
+    /// owner (see the module docs); every `tid` may flush concurrently
+    /// with every other.
     ///
     /// # Panics
     ///
@@ -830,8 +816,7 @@ impl MemorySpace {
     pub fn clwb_lines(&self, tid: usize, lines: impl IntoIterator<Item = LineId>) -> u64 {
         let q = &self.flush_queues[tid];
         let tag = stamp_tag(tid);
-        // The queue's claim cursor, read (once, lazily) behind the fence.
-        let mut claim = None;
+        let drained = q.drained.load(Ordering::Relaxed);
         let mut requested = 0u64;
         for line in lines {
             self.check_bounds(line.first_word());
@@ -842,44 +827,21 @@ impl MemorySpace {
             self.fault_tick();
             let stamp = self.stamp(line);
             let s = stamp.load(Ordering::Relaxed);
-            if s & !STAMP_POS == tag {
+            if s & !STAMP_POS == tag && s & STAMP_POS > drained {
                 // The stamp carries this queue's tag, so it is this queue's
                 // latest enqueue of the line: every queue writes the stamp
                 // of a line it enqueues, and once another queue has, this
                 // thread reads that stamp or a later one (coherence orders
                 // this thread's own stores before it), never its own older
                 // tag. A stamp tagged by another queue, or 0, enqueues the
-                // line here as well. If the enqueue the stamp names is
-                // still unclaimed, the write-back its drain performs covers
-                // this flush too and nothing needs to be queued.
-                //
-                // The fence pairs with the one a claiming drain issues between
-                // its claim CAS and its persist loads (store-buffering
-                // pattern): either the load below observes the claim — the
-                // skip is not taken and the line is re-enqueued — or the
-                // drain's persist is guaranteed to read the data stores that
-                // preceded this call. Without it, this thread's data store
-                // could still sit in its store buffer while a concurrent
-                // foreign drain claims the old enqueue and persists the stale
-                // value, losing the write. The pairing involves only this
-                // queue's claim cursor and its drains, so other threads
-                // writing the shared stamp do not weaken it: they can only
-                // turn a skip into an enqueue. One fence serves the whole
-                // batch: it follows every line's data stores and precedes
-                // the claim load, so the argument holds line by line; a claim
-                // that advances later in the batch belongs to a drain whose
-                // fence is ordered after ours, which therefore reads those
-                // stores.
-                let claim = *claim.get_or_insert_with(|| {
-                    std::sync::atomic::fence(Ordering::SeqCst);
-                    q.claim.load(Ordering::Relaxed)
-                });
-                if s & STAMP_POS > claim {
-                    continue;
-                }
+                // line here as well. That enqueue is not drained yet, and
+                // the drain that will persist it is this thread's, after
+                // every store that preceded this flush: it covers this
+                // flush too.
+                continue;
             }
             let pos = q.tail.load(Ordering::Relaxed);
-            if pos - q.done.load(Ordering::Acquire) >= q.slots.len() as u64 {
+            if pos - drained >= q.slots.len() as u64 {
                 // Ring full: complete the write-back immediately. CLWB may
                 // finish at any point before the fence on real hardware, so an
                 // early write-back is always legal; it is just not
@@ -894,9 +856,11 @@ impl MemorySpace {
                 wait::deadline(issued, self.cfg.latency.clwb_range(1, words));
                 continue;
             }
-            q.slot(pos).store(line.index(), Ordering::Release);
+            q.slot(pos).store(line.index(), Ordering::Relaxed);
+            // Release: a drain on another thread (setup, `quiesce`) reads
+            // the slot after its Acquire load of the tail.
             q.tail.store(pos + 1, Ordering::Release);
-            stamp.store(tag | (pos + 1), Ordering::Release);
+            stamp.store(tag | (pos + 1), Ordering::Relaxed);
             trace::record(tid, TraceEventKind::Enqueue, line.index());
         }
         q.stats.flushes.add(requested);
@@ -908,19 +872,15 @@ impl MemorySpace {
     ///
     /// The call *lasts* what the latency model says a drain costs —
     /// [`LatencyModel::drain_ns`] plus one [`LatencyModel::clwb_range`] per
-    /// run written back — measured from entry: the claim, the write-backs
-    /// and the retirement are the simulator standing in for work the
-    /// hardware does during that round trip, so they run inside the
-    /// modelled time rather than before it.
+    /// run written back — measured from entry: the write-backs are the
+    /// simulator standing in for work the hardware does during that round
+    /// trip, so they run inside the modelled time rather than before it.
     ///
-    /// Any thread may drain any queue (the Section 5.2 forcing paths drain
-    /// other threads' queues). Concurrent drains of one queue claim
-    /// disjoint ranges, so no line is persisted twice; the call returns
-    /// only after every position up to the tail it observed has been
-    /// durably retired, even if a concurrent drain claimed part of the
-    /// range.
+    /// Only `tid`'s owner drains its queue, as only a core's own SFENCE
+    /// completes its CLWBs; setup code and `quiesce` may drain any slot
+    /// while no owner runs (see the module docs).
     ///
-    /// The claimed lines are written back as coalesced ranged flushes —
+    /// The pending lines are written back as coalesced ranged flushes —
     /// see the module docs ("Batched drains") for the pipeline and the
     /// latency accounting.
     ///
@@ -930,84 +890,44 @@ impl MemorySpace {
     pub fn drain(&self, tid: usize) -> u64 {
         let issued = self.issue_time();
         let q = &self.flush_queues[tid];
-        let mut count = 0u64;
-        let mut cost_ns = 0u64;
+        let drained = q.drained.load(Ordering::Relaxed);
         let target = q.tail.load(Ordering::Acquire);
-        loop {
-            let claim = q.claim.load(Ordering::Acquire);
-            if claim >= target {
-                break;
-            }
-            if q.claim
-                .compare_exchange(claim, target, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            // This call owns positions [claim, target): persist them, then
-            // retire the range in order so ring slots are never reused
-            // while a drain is still reading them. The fence pairs with
-            // the one in `clwb_lines`' dedup skip (see there): it
-            // guarantees that any flusher whose skip check did not observe
-            // this claim has its preceding data stores visible to the
-            // persist loads below.
-            std::sync::atomic::fence(Ordering::SeqCst);
+        let count = target - drained;
+        let mut cost_ns = 0u64;
+        if count > 0 {
             self.fault_tick();
-            let sums = self.persist_claimed(tid, q, claim, target);
-            count = target - claim;
+            let sums = self.persist_pending(tid, q, drained, target);
             cost_ns = sums.cost_ns;
-            // Both retirement waits yield rather than pure-spin: the drain
-            // being waited on needs a core to finish persisting, and on a
-            // few-core host a spinning waiter is what keeps it descheduled
-            // (the same starvation pattern fixed in the NV-HTM
-            // checkpointer). Uncontended drains never yield in either
-            // wait, so the hot path pays nothing.
-            wait::until(|| q.done.load(Ordering::Acquire) == claim);
-            // The retirement window: this drain is the only one of this
-            // queue between observing `done == claim` and publishing
-            // `done = target`, so its sums go into the queue's
-            // single-writer cells here, once.
-            q.stats.drains.add(1);
             q.stats.lines_persisted.add(count);
             q.stats.words_persisted.add(sums.words);
             q.stats.line_words_persisted.add(sums.line_words);
             q.stats.flush_ranges.add(sums.ranges);
             q.stats.range_lines.add(sums.range_lines);
-            q.done.store(target, Ordering::Release);
-            break;
+            q.drained.store(target, Ordering::Release);
         }
-        // SFENCE semantics: even when a concurrent drain claimed (part of)
-        // the range, do not return before it is durably retired.
-        wait::until(|| q.done.load(Ordering::Acquire) >= target);
-        if count == 0 {
-            // Nothing left to claim (empty queue, or a concurrent drain took
-            // it all): no retirement window to count in.
-            self.shared_stats
-                .idle_drains
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        q.stats.drains.add(1);
         self.fault_tick();
         wait::deadline(issued, self.cfg.latency.drain_ns + cost_ns);
         trace::record(tid, TraceEventKind::Drain, count);
         count
     }
 
-    /// Batched write-back: snapshots the claimed
+    /// Batched write-back: snapshots the pending
     /// positions' line ids into a reusable thread-local scratch buffer,
     /// sorts them, and walks maximal runs of adjacent line ids — performing
     /// every run's masked word copies, then charging one
     /// [`crate::LatencyModel::clwb_range`] for the whole run. The runs
-    /// exactly partition the claimed range's distinct lines: each is
+    /// exactly partition the drained range's distinct lines: each is
     /// persisted exactly once. A line can sit twice in one range when
     /// another thread enqueued it between this queue's two enqueues (the
     /// flush stamp then carried the other queue's tag); its second
     /// position is skipped, so it adds to neither the run nor its cost.
     /// Returns what was written and its accumulated flush cost.
-    fn persist_claimed(&self, tid: usize, q: &FlushQueue, claim: u64, target: u64) -> DrainSums {
+    fn persist_pending(&self, tid: usize, q: &FlushQueue, from: u64, target: u64) -> DrainSums {
         thread_local! {
-            /// Per-thread drain scratch: claimed line ids awaiting the
+            /// Per-thread drain scratch: pending line ids awaiting the
             /// coalescing sort. Grown once to the queue capacity (the upper
-            /// bound of any claimed range), so steady-state drains stay
+            /// bound of any drained range), so steady-state drains stay
             /// allocation-free — the guarantee the counting-allocator tests
             /// enforce across the whole commit path.
             static DRAIN_SCRATCH: std::cell::RefCell<Vec<u64>> =
@@ -1020,8 +940,8 @@ impl MemorySpace {
             if scratch.capacity() < want {
                 scratch.reserve_exact(want);
             }
-            for pos in claim..target {
-                scratch.push(q.slot(pos).load(Ordering::Acquire));
+            for pos in from..target {
+                scratch.push(q.slot(pos).load(Ordering::Relaxed));
             }
             scratch.sort_unstable();
             let mut sums = DrainSums::default();
@@ -1098,8 +1018,7 @@ impl MemorySpace {
         self.drain(tid);
     }
 
-    /// Number of lines queued by `tid` and not yet durably retired by a
-    /// completed drain.
+    /// Number of lines queued by `tid` and not yet persisted by a drain.
     #[inline]
     pub fn pending_flushes(&self, tid: usize) -> usize {
         self.flush_queues[tid].pending() as usize
@@ -1120,18 +1039,18 @@ impl MemorySpace {
     /// dirty-word mask and copies exactly the masked words from the
     /// volatile view into the persistent image. Returns `(words copied,
     /// in-bounds line width)` — `(0, 0)` for a clean line, whose views are
-    /// already identical — for the caller to account: drains into their
-    /// queue's cells, ring overflows into the owner's, evictions into the
-    /// shared ones.
+    /// already identical — for the caller to account: drains and ring
+    /// overflows into their queue's cells, evictions into the shared ones.
     ///
     /// Taking the mask *before* copying means a store racing this
     /// write-back either lands its value in time to be copied or re-ORs
     /// its bit after the take and stays dirty — no combination loses a
     /// word (see `mark_written`). The take leaves [`WRITING_BACK`] in the
     /// mask until the copy is done, and a write-back that finds it set
-    /// waits: otherwise a drain whose line another thread's write-back
-    /// had just taken would find it clean and return — its SFENCE
-    /// complete — before that copy reached the image. The bit's clearing
+    /// waits: otherwise a drain whose line another thread's write-back (an
+    /// eviction, or another queue's drain of a line both flushed) had
+    /// just taken would find it clean and return — its SFENCE complete —
+    /// before that copy reached the image. The bit's clearing
     /// is a release that the waiter's acquire load pairs with, so the
     /// copy is visible to a waiter that sees the bit gone.
     fn persist_line(&self, line: LineId) -> (u64, u64) {
@@ -1422,13 +1341,11 @@ impl MemorySpace {
     }
 
     /// Returns the persist-traffic counters accumulated so far: the sum of
-    /// every flush queue's cells plus the shared (eviction, idle-drain)
-    /// ones. Exact once the persisting threads are quiescent, or when the
+    /// every flush queue's cells plus the shared eviction ones. Exact once the persisting threads are quiescent, or when the
     /// caller is the only one persisting.
     pub fn stats(&self) -> PmemStats {
         let shared = &self.shared_stats;
         let mut s = PmemStats {
-            drains: shared.idle_drains.load(Ordering::Relaxed),
             evictions: shared.evictions.load(Ordering::Relaxed),
             words_persisted: shared.evicted_words.load(Ordering::Relaxed),
             line_words_persisted: shared.evicted_line_words.load(Ordering::Relaxed),
@@ -1496,7 +1413,7 @@ mod tests {
         let (_, a) = counted_run(crate::FaultPlan::count_only(), 5);
         let (_, b) = counted_run(crate::FaultPlan::count_only(), 5);
         assert_eq!(a, b, "same single-threaded run, same step count");
-        // 5 writes + 5 clwbs + claim + 5 persists + sfence = 17 ticks.
+        // 5 writes + 5 clwbs + drain start + 5 persists + sfence = 17 ticks.
         assert_eq!(a, 17);
     }
 
@@ -1588,7 +1505,7 @@ mod tests {
         m.write(a, 1);
         m.clwb(0, a);
         assert_eq!(m.drain(0), 1);
-        // The stamp from the first enqueue is now below the claim cursor,
+        // The stamp from the first enqueue is now below the drained cursor,
         // so a fresh flush of the same line must re-enqueue it.
         m.write(a, 2);
         m.clwb(0, a);
@@ -1624,16 +1541,26 @@ mod tests {
     }
 
     #[test]
-    fn foreign_thread_can_drain_another_queue() {
+    fn owner_threads_drain_their_own_queues() {
         let m = space();
         let a = PAddr::new(64);
-        m.write(a, 5);
-        m.clwb(2, a);
-        // A different caller completes thread 2's flushes (the Section 5.2
-        // forcing path).
-        assert_eq!(m.drain(2), 1);
+        let b = PAddr::new(128);
+        // Thread 2's owner runs on its own OS thread, beside thread 1's:
+        // each completes only the flushes it issued.
+        std::thread::scope(|s| {
+            for (tid, addr, value) in [(2, a, 5), (1, b, 6)] {
+                let m = &m;
+                s.spawn(move || {
+                    m.write(addr, value);
+                    m.clwb(tid, addr);
+                    assert_eq!(m.drain(tid), 1);
+                });
+            }
+        });
         assert_eq!(m.read_persisted(a), 5);
+        assert_eq!(m.read_persisted(b), 6);
         assert_eq!(m.pending_flushes(2), 0);
+        assert_eq!(m.pending_flushes(1), 0);
     }
 
     #[test]

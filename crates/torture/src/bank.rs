@@ -559,9 +559,24 @@ mod tests {
             points(Route::PerLine),
             490 - stamps + rolled_back + 2 * stamps
         );
-        // The fenced batch adds its two fences and nothing else: each is
-        // one empty sequence appended, flushed and drained.
-        assert_eq!(points(Route::Fenced), points(Route::Hardware) + 2 * 7);
+        // The fenced batch adds its two fences and nothing else. A fence
+        // first re-flushes the fenced transaction's lines — one tick per
+        // undo entry (each transfer logs its two writes, a repeated
+        // account too) and one for the marker, all still queued and
+        // absorbed by the dedup — and drains them: the drain the next
+        // transaction's begin would have issued. Then it appends one empty
+        // sequence (two stored words), flushes and drains it (1 + 3
+        // ticks). Until the fence stopped draining the target's queue,
+        // each fence took 7 ticks: the same append, flush and drain, and
+        // an empty drain of the target's queue — the fencing thread's own
+        // here — instead of the re-flushes.
+        let fenced: u64 = picks
+            .iter()
+            .skip(FENCED_BATCH - 1)
+            .step_by(FENCED_BATCH)
+            .map(|txn| 2 * txn.len() as u64 + 1 + 2 + 1 + 3)
+            .sum();
+        assert_eq!(points(Route::Fenced), points(Route::Hardware) + fenced);
         // The storm bites: of the ten transactions, two exhaust their
         // hardware budget and commit in software, the rest in hardware.
         assert_eq!(points(Route::Storm), 518 - stamps);
