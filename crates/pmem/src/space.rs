@@ -1126,13 +1126,13 @@ impl MemorySpace {
     /// independent of how many other words are dirty or in which order the
     /// masks are walked.
     ///
-    /// The copy is word by word and stops nobody: called while other
-    /// threads are writing, it returns a smear of many moments (a log
-    /// region copied before a transaction's undo entry, a data region
-    /// after its write-back), which no power failure produces. To crash a
-    /// space under load, arm [`FaultPlan::crash_at`](crate::FaultPlan::crash_at):
-    /// its capture parks every other thread's next persistence step until
-    /// the image is complete.
+    /// The copy is word by word and stops nobody: on a space that other
+    /// threads are writing it returns a smear no power failure produces
+    /// (the logs copied before the data: a KV migration step's in-place
+    /// writes without their undo entries). Call it on a quiet space. To
+    /// crash a space under load, arm [`FaultPlan::crash_at`](crate::FaultPlan::crash_at),
+    /// as the `service` torture suite does: its capture parks every other
+    /// thread's next persistence step until the image is complete.
     pub fn crash_with(&self, model: CrashModel) -> PersistentImage {
         let words = self.cfg.persistent_words;
         // A zeroed allocation, like the space's own views: copying only

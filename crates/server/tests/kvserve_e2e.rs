@@ -91,6 +91,58 @@ fn group_commit_fences_once_per_batch_and_per_request_without_it() {
     assert_eq!(single.flushes, single.requests, "one fence per write");
 }
 
+/// Every opcode round-trips over a real loopback socket, and a pipelined
+/// burst is answered in order. The keys sit above the prefilled range.
+#[test]
+fn round_trips_and_pipelining_over_loopback() {
+    let (_mem, engine, server) = boot();
+    let mut client = KvClient::connect(server.local_addr()).expect("connect");
+
+    // Single-request round trips of every opcode.
+    let key = RECORDS + 7;
+    assert_eq!(client.put(key, 700).expect("put"), None);
+    assert_eq!(client.put(key, 701).expect("put"), Some(700));
+    assert_eq!(client.get(key).expect("get"), Some(701));
+    assert_eq!(client.get(key + 1).expect("get"), None);
+    assert_eq!(client.delete(key).expect("delete"), Some(701));
+    assert_eq!(client.get(key).expect("get"), None);
+    client.flush().expect("flush");
+
+    // A pipelined batch: 32 puts sent in one burst, responses read in
+    // order. Acks arrive only after the batch's durability fence.
+    let keys: Vec<u64> = (0..32).map(|i| 1_000 + i).collect();
+    let requests: Vec<Request> = keys
+        .iter()
+        .map(|&k| Request::Put {
+            key: k,
+            value: k * 3,
+        })
+        .collect();
+    client.send(&requests).expect("pipelined send");
+    let responses = client.recv(requests.len()).expect("pipelined recv");
+    assert_eq!(responses.len(), 32);
+    assert!(
+        responses.iter().all(|r| *r == Response::Missing),
+        "all pipelined keys were fresh"
+    );
+    for &k in &keys {
+        assert_eq!(client.get(k).expect("get"), Some(k * 3));
+    }
+    // The key's shard holds entries, so a bounded scan finds at least one.
+    let (count, _sum) = client.scan(1_000, 8).expect("scan");
+    assert!((1..=8).contains(&count), "scan found {count} entries");
+
+    let stats = server.shutdown();
+    engine.quiesce();
+    assert!(stats.connections >= 1);
+    // 6 singles + flush + 32 pipelined + 32 gets + scan.
+    assert!(stats.requests >= 72, "served {} requests", stats.requests);
+    assert!(stats.batches >= 1 && stats.batches <= stats.requests);
+    assert!(stats.flushes >= 1, "write batches must fence");
+    assert_eq!(stats.protocol_errors, 0);
+    assert!(stats.mean_batch() >= 1.0);
+}
+
 #[test]
 fn stats_reports_live_percentiles_from_a_loaded_server() {
     let (_mem, engine, server) = boot();

@@ -41,10 +41,13 @@
 //! * **Networked exactly-once** — [`service::run_service_torture`] puts
 //!   the whole service stack on the rack: resilient sequenced clients
 //!   ([`crafty_server::SessionClient`]) issue non-idempotent increments
-//!   over fault-injected connections while the fault clock kills the
-//!   server mid-load; a supervisor recovers the crash image and restarts
+//!   and puts of fresh keys over fault-injected connections while the
+//!   fault clock kills the server mid-load, often mid-migration of a
+//!   growing store; a supervisor recovers the crash image and restarts
 //!   the server over it, and the audit demands every counter equal the
-//!   sum of *acked* increments exactly — no loss, no double-apply.
+//!   sum of *acked* increments exactly — no loss, no double-apply — and
+//!   every *acked* put be present with its value. It is the one check
+//!   that crashes a live server.
 //!
 //! Every failure carries a `(seed, step)` pair; replaying the same suite
 //! with that seed and `crash_step = Some(step)` reproduces it exactly —
@@ -247,9 +250,9 @@ pub trait Replay {
 /// becomes a [`TortureFailure`] carrying the replay's trace tail: event
 /// tracing is armed for the duration.
 ///
-/// A suite supplies `run` and `audit` and nothing else; the cut-based
-/// `kvserve_e2e` crash test and the schedule explorer (ROADMAP) are this
-/// function's next customers.
+/// A suite supplies `run` and `audit` and nothing else; the `service`
+/// suite's cut is the one way the repository crashes a live server, and
+/// the schedule explorer (ROADMAP) is this function's next customer.
 pub fn enumerate<R: Replay>(
     suite: &'static str,
     cfg: &TortureConfig,

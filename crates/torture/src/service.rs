@@ -8,7 +8,14 @@
 //! reconnects must never get it applied twice. The workload is built to
 //! make both failures visible: non-idempotent counter increments
 //! (`Incr`), where a lost acked write shows up as a low counter and a
-//! double-applied replay as a high one. Nothing masks; sums are exact.
+//! double-applied replay as a high one, beside puts of fresh keys, one
+//! per increment, which grow the store through its incremental resizes
+//! so the crash lands on migrations under load. Nothing masks; sums are
+//! exact.
+//!
+//! This is the repository's one check that crashes a live server: the
+//! image is the fault clock's cut, taken at one step of the run, never a
+//! copy of a space that threads are still writing.
 //!
 //! One run:
 //!
@@ -20,8 +27,8 @@
 //! 2. Drive client threads through the full resilience stack:
 //!    [`SessionClient`] (sessions, sequencing, replay, backoff) over
 //!    seeded [`FaultyStream`] transports (partial frames, stalls,
-//!    mid-frame disconnects). Each client tallies the increments it got
-//!    **acked**.
+//!    mid-frame disconnects). Each client tallies the increments and
+//!    records the fresh-key puts it got **acked**.
 //! 3. A supervisor polls [`MemorySpace::fault_tripped`]; when the trap
 //!    fires it shuts the first server down, runs the audited recovery
 //!    pipeline (`recover_checked`: recovery + clean logs + idempotent
@@ -31,9 +38,11 @@
 //!    port**, publishing the new address to the clients' connectors.
 //!    Clients ride their backoff loops through the outage.
 //! 4. When every client finishes, audit: store and session-table
-//!    integrity, and for every key the final counter must equal the sum
-//!    of acked deltas *exactly* — no loss (an acked increment vanished),
-//!    no excess (a replayed increment applied twice).
+//!    integrity; for every counter key the final counter must equal the
+//!    sum of acked deltas *exactly* — no loss (an acked increment
+//!    vanished), no excess (a replayed increment applied twice); every
+//!    acked put must be present with its exact value; and the store must
+//!    hold no key beyond those.
 //!
 //! Unlike the single-threaded suites, a networked run is not
 //! step-deterministic (thread interleaving moves the fault clock), so
@@ -65,12 +74,14 @@ use crate::kv::{crafty_cfg, kv_cfg, pmem_cfg};
 use crate::{enumerate, Replay, TortureConfig, TortureReport};
 
 /// Key space: a handful of hot counters, so every key accumulates many
-/// increments and any duplicate or loss moves a sum.
+/// increments and any duplicate or loss moves a sum. Fresh-key puts use
+/// the keys above it.
 const KEYS: u64 = 8;
 /// Concurrent resilient clients.
 const CLIENTS: u64 = 2;
-/// Max increments per pipelined sequenced batch (must stay within
-/// [`crafty_kv::REPLY_WINDOW`]).
+/// Max increments per pipelined sequenced batch. Each one travels with a
+/// fresh-key put, so a batch holds up to twice this many writes (must
+/// stay within [`crafty_kv::REPLY_WINDOW`]).
 const BATCH: usize = 4;
 /// Server accept-and-serve workers.
 const WORKERS: usize = 2;
@@ -89,12 +100,23 @@ type ServerLife = (
     KvServer,
 );
 
+/// Every write the clients got acked: the per-key sums of the acked
+/// increments and the acked fresh-key puts.
+#[derive(Default)]
+struct Oracle {
+    sums: BTreeMap<u64, u64>,
+    puts: Vec<(u64, u64)>,
+}
+
 /// Record of one service run (and possibly its crash-restart).
 struct ServiceRun {
     setup_steps: u64,
     total_steps: u64,
     /// True when the fault trap fired and a second life was booted.
     restarted: bool,
+    /// True when the recovered image held a store that had started a
+    /// resize: the trap fired after a migration began.
+    trapped_after_resize: bool,
     /// Everything that went wrong: give-ups, recovery errors, audit
     /// violations.
     failures: Vec<String>,
@@ -120,17 +142,18 @@ impl Replay for ServiceRun {
     }
 }
 
-/// One client thread: `txns` exactly-once increments in pipelined batches
-/// of up to [`BATCH`], through session resume, replay, and backoff, over
-/// a fault-injected transport whose adversary reseeds per dial (so a
+/// One client thread: `txns` exactly-once increments, each paired with a
+/// put of a fresh key (unique per client and op), in pipelined batches of
+/// up to [`BATCH`] pairs, through session resume, replay, and backoff,
+/// over a fault-injected transport whose adversary reseeds per dial (so a
 /// reconnect never replays the previous connection's doom schedule).
-/// Tallies each *acked* delta into `expected`.
+/// Tallies each *acked* delta and records each acked put in `oracle`.
 fn drive_client(
     cid: u64,
     seed: u64,
     txns: u64,
     addr: Arc<Mutex<SocketAddr>>,
-    expected: Arc<Mutex<BTreeMap<u64, u64>>>,
+    oracle: Arc<Mutex<Oracle>>,
 ) -> Result<(), String> {
     let mut dials = 0u64;
     let fault_base = seed ^ (cid + 1).wrapping_mul(0x00FA_B715);
@@ -147,24 +170,42 @@ fn drive_client(
     let mut rng = SplitMix64::new(seed ^ (cid + 1).wrapping_mul(0x5E55_10C1));
     let mut issued = 0u64;
     while issued < txns {
-        let n = BATCH.min((txns - issued) as usize);
-        let ops: Vec<WriteOp> = (0..n)
-            .map(|_| WriteOp::Incr {
-                key: rng.next_below(KEYS),
-                delta: 1 + rng.next_below(9),
+        let n = (BATCH as u64).min(txns - issued);
+        let ops: Vec<WriteOp> = (issued..issued + n)
+            .flat_map(|op| {
+                [
+                    WriteOp::Incr {
+                        key: rng.next_below(KEYS),
+                        delta: 1 + rng.next_below(9),
+                    },
+                    WriteOp::Put {
+                        key: KEYS + cid * txns + op,
+                        value: rng.next_u64(),
+                    },
+                ]
             })
             .collect();
-        client
+        let acks = client
             .write_batch(&ops)
             .map_err(|e| format!("client {cid} gave up after retries: {e}"))?;
-        // Acked ⇒ exactly once ⇒ it belongs in the oracle sum.
-        let mut exp = expected.lock().expect("oracle lock");
-        for op in &ops {
-            if let WriteOp::Incr { key, delta } = *op {
-                *exp.entry(key).or_insert(0) += delta;
+        // Acked ⇒ exactly once ⇒ it belongs in the oracle.
+        let mut oracle = oracle.lock().expect("oracle lock");
+        for (op, ack) in ops.iter().zip(acks) {
+            match *op {
+                WriteOp::Incr { key, delta } => *oracle.sums.entry(key).or_insert(0) += delta,
+                WriteOp::Put { key, value } => {
+                    if let Some(prev) = ack {
+                        return Err(format!(
+                            "client {cid}: the put of fresh key {key} acked a previous \
+                             value {prev} — a replay applied it twice"
+                        ));
+                    }
+                    oracle.puts.push((key, value));
+                }
+                WriteOp::Delete { .. } => unreachable!("the workload sends no deletes"),
             }
         }
-        issued += n as u64;
+        issued += n;
     }
     Ok(())
 }
@@ -179,6 +220,7 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
     let kv = ShardedKv::create(&mem, &kv_cfg());
     let sessions = SessionTable::create(&mem, SESSION_SLOTS);
     let setup_steps = mem.fault_steps();
+    let initial_capacity = kv.stats(&mem).capacity;
     let server = KvServer::start(
         Arc::clone(&engine) as Arc<dyn PersistentTm>,
         kv,
@@ -188,19 +230,19 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
     .expect("bind first-life server");
 
     let addr = Arc::new(Mutex::new(server.local_addr()));
-    let expected: Arc<Mutex<BTreeMap<u64, u64>>> = Arc::new(Mutex::new(BTreeMap::new()));
+    let oracle = Arc::new(Mutex::new(Oracle::default()));
     let done = Arc::new(AtomicU64::new(0));
     let mut failures: Vec<String> = Vec::new();
 
     let clients: Vec<_> = (0..CLIENTS)
         .map(|cid| {
             let addr = Arc::clone(&addr);
-            let expected = Arc::clone(&expected);
+            let oracle = Arc::clone(&oracle);
             let done = Arc::clone(&done);
             std::thread::Builder::new()
                 .name(format!("svc-client-{cid}"))
                 .spawn(move || {
-                    let verdict = drive_client(cid, seed, txns, addr, expected);
+                    let verdict = drive_client(cid, seed, txns, addr, oracle);
                     done.fetch_add(1, Ordering::SeqCst);
                     verdict
                 })
@@ -213,6 +255,7 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
     let mut life1 = Some(server);
     let mut life2: Option<ServerLife> = None;
     let mut trace_tail: Vec<ThreadTrace> = Vec::new();
+    let mut trapped_after_resize = false;
     while done.load(Ordering::SeqCst) < CLIENTS {
         if life2.is_none() && mem.fault_tripped() {
             if let Some(first) = life1.take() {
@@ -242,6 +285,9 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
                         let engine2 = Arc::new(Crafty::new(Arc::clone(&mem2), crafty_cfg(WORKERS)));
                         let kv2 = ShardedKv::open(&mem2, &kv_cfg());
                         let sessions2 = SessionTable::open(&mem2, SESSION_SLOTS);
+                        let grown = kv2.stats(&mem2);
+                        trapped_after_resize =
+                            grown.capacity > initial_capacity || grown.resizes_in_flight > 0;
                         if let Err(e) = kv2.check_integrity(&mem2) {
                             failures.push(format!("recovered store integrity: {e}"));
                         }
@@ -292,9 +338,10 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
         };
     let total_steps = mem.fault_steps();
 
-    // The exactly-once verdict: every counter equals its acked sum.
-    // Skipped when a client gave up — the oracle is then incomplete and
-    // the give-up is already the failure.
+    // The exactly-once verdict: every counter equals its acked sum, every
+    // acked put reads back, and nothing else is live. Skipped when a
+    // client gave up — the oracle is then incomplete and the give-up is
+    // already the failure.
     if failures.is_empty() {
         if let Err(e) = final_kv.check_integrity(&final_mem) {
             failures.push(format!("final store integrity: {e}"));
@@ -302,9 +349,9 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
         if let Err(e) = final_sessions.check_integrity(&final_mem) {
             failures.push(format!("final session table integrity: {e}"));
         }
-        let oracle = expected.lock().expect("oracle lock");
+        let oracle = oracle.lock().expect("oracle lock");
         for key in 0..KEYS {
-            let want = oracle.get(&key).copied();
+            let want = oracle.sums.get(&key).copied();
             let got = final_kv.get_direct(&final_mem, key);
             if got != want {
                 failures.push(format!(
@@ -313,12 +360,29 @@ fn run_service_once(seed: u64, txns: u64, plan: FaultPlan) -> ServiceRun {
                 ));
             }
         }
+        for &(key, value) in &oracle.puts {
+            let got = final_kv.get_direct(&final_mem, key);
+            if got != Some(value) {
+                failures.push(format!(
+                    "fresh key {key}: reads {got:?} but its put of {value} was acked — \
+                     an acked put was lost or corrupted"
+                ));
+            }
+        }
+        let live = final_kv.stats(&final_mem).len;
+        let acked = (oracle.sums.len() + oracle.puts.len()) as u64;
+        if live != acked {
+            failures.push(format!(
+                "the store holds {live} live keys but the clients got {acked} keys acked"
+            ));
+        }
     }
 
     ServiceRun {
         setup_steps,
         total_steps,
         restarted,
+        trapped_after_resize,
         failures,
         trace: trace_tail,
     }
@@ -340,10 +404,10 @@ pub fn run_service_torture(cfg: &TortureConfig) -> TortureReport {
             if run.failures.is_empty() {
                 return Ok(());
             }
-            let phase = if run.restarted {
-                "crash-restart"
-            } else {
-                "pre-crash life"
+            let phase = match (run.restarted, run.trapped_after_resize) {
+                (true, true) => "crash-restart after a resize began",
+                (true, false) => "crash-restart",
+                (false, _) => "pre-crash life",
             };
             Err(format!("{phase}: {}", run.failures.join("; ")))
         },
@@ -383,8 +447,11 @@ mod tests {
         // supervisor that silently never restarts cannot pass. (Late
         // placements can drift past the drifted run's client phase and
         // audit a crash-free life instead; the suite samples those too,
-        // but this test pins the restart.)
+        // but this test pins the restart.) The fresh-key puts grow the
+        // store, and the test also requires a trap after a resize began,
+        // so the crash provably lands on the migration path.
         let mut restarted_any = false;
+        let mut after_resize_any = false;
         for eighth in [1u64, 2, 3] {
             let step = count.setup_steps + span * eighth / 8;
             let run = run_service_once(
@@ -398,10 +465,15 @@ mod tests {
                 run.failures
             );
             restarted_any |= run.restarted;
+            after_resize_any |= run.trapped_after_resize;
         }
         assert!(
             restarted_any,
             "no trap placement tripped — the crash-restart path was never exercised"
+        );
+        assert!(
+            after_resize_any,
+            "no trap fired after a resize began — the crash never reached a migration"
         );
     }
 }
