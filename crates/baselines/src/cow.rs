@@ -373,6 +373,11 @@ impl<W: WriteSet> TxnOps for HtmOps<'_, '_, W> {
     fn read(&mut self, addr: PAddr) -> Result<u64, TxAbort> {
         self.txn.read(addr).map_err(|_| TxAbort::hardware())
     }
+    fn read_words(&mut self, addr: PAddr, out: &mut [u64]) -> Result<(), TxAbort> {
+        self.txn
+            .read_words(addr, out)
+            .map_err(|_| TxAbort::hardware())
+    }
     fn write(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {
         self.writes.record(&self.engine.mem, addr, value);
         self.txn.write(addr, value).map_err(|_| TxAbort::hardware())

@@ -48,6 +48,22 @@ pub trait TxnOps {
     /// propagate the error immediately.
     fn read(&mut self, addr: PAddr) -> Result<u64, TxAbort>;
 
+    /// Reads `out.len()` consecutive words from `addr` into `out`: what
+    /// that many [`TxnOps::read`] calls, in address order, would return.
+    /// Engines that track reads per cache line serve a run with one check
+    /// per line; the default makes the word-wise calls.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TxAbort`] under the same conditions as [`TxnOps::read`];
+    /// `out` is then unspecified.
+    fn read_words(&mut self, addr: PAddr, out: &mut [u64]) -> Result<(), TxAbort> {
+        for (i, word) in out.iter_mut().enumerate() {
+            *word = self.read(addr.add(i as u64))?;
+        }
+        Ok(())
+    }
+
     /// Writes `value` to the word at `addr`.
     ///
     /// # Errors

@@ -203,7 +203,11 @@ impl LineTable {
     /// The dense index of `line`'s entry, if the table has one. Never
     /// inserts; a miss remembers where `line` would go, for an
     /// [`LineTable::entry`] of the same line right after.
-    #[inline]
+    ///
+    /// Always inlined: with a second caller in the read path
+    /// (`HwTxn::read_words`) the compiler outlined it, and every word
+    /// `HwTxn::read` takes from a written transaction's buffer paid a call.
+    #[inline(always)]
     pub fn find(&mut self, line: u64) -> Option<usize> {
         if self.is_last(line) {
             return Some(self.last);

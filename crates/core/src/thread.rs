@@ -661,6 +661,13 @@ impl TmThread for CraftyThread<'_> {
 /// How a [`Ctx`] serves the body's loads and stores in one phase.
 trait Access {
     fn load(&mut self, addr: PAddr) -> Result<u64, TxAbort>;
+    /// [`Access::load`] of each of the `out.len()` words from `addr`.
+    fn load_words(&mut self, addr: PAddr, out: &mut [u64]) -> Result<(), TxAbort> {
+        for (i, word) in out.iter_mut().enumerate() {
+            *word = self.load(addr.add(i as u64))?;
+        }
+        Ok(())
+    }
     fn store(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort>;
     /// The re-executed body asked for an allocation the Log phase did not
     /// make (only possible while the allocation log replays).
@@ -681,6 +688,10 @@ struct Ctx<'a, A> {
 impl<A: Access> TxnOps for Ctx<'_, A> {
     fn read(&mut self, addr: PAddr) -> Result<u64, TxAbort> {
         self.access.load(addr)
+    }
+
+    fn read_words(&mut self, addr: PAddr, out: &mut [u64]) -> Result<(), TxAbort> {
+        self.access.load_words(addr, out)
     }
 
     fn write(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {
@@ -711,6 +722,12 @@ impl Access for LogAccess<'_, '_> {
         self.txn.read(addr).map_err(|_| TxAbort::hardware())
     }
 
+    fn load_words(&mut self, addr: PAddr, out: &mut [u64]) -> Result<(), TxAbort> {
+        self.txn
+            .read_words(addr, out)
+            .map_err(|_| TxAbort::hardware())
+    }
+
     fn store(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {
         let exchanged = self.txn.exchange(addr, value);
         exchanged.map(drop).map_err(|_| TxAbort::hardware())
@@ -731,6 +748,12 @@ struct ValidateAccess<'a, 'rt> {
 impl Access for ValidateAccess<'_, '_> {
     fn load(&mut self, addr: PAddr) -> Result<u64, TxAbort> {
         self.txn.read(addr).map_err(|_| TxAbort::hardware())
+    }
+
+    fn load_words(&mut self, addr: PAddr, out: &mut [u64]) -> Result<(), TxAbort> {
+        self.txn
+            .read_words(addr, out)
+            .map_err(|_| TxAbort::hardware())
     }
 
     fn store(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {

@@ -20,6 +20,13 @@
 //! read-set validation, plus configurable capacity limits and probabilistic
 //! "zero" aborts. It is *not* a high-performance STM — it is a faithful
 //! stand-in for the hardware interface on machines without working TSX.
+//!
+//! RTM tracks the footprint per cache line, so the [`HwTxn`] serves runs
+//! of word accesses by the line as well: [`HwTxn::read_words`] reads a run
+//! with one read-log entry and one versioned read per line, and the write
+//! batches (`write_words`, `write_lines`, ...) buffer by the line. Each is
+//! indistinguishable from its word-wise run to every check and count, the
+//! injected-abort countdown included, which still ticks once per word.
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,6 +128,16 @@ pub(crate) fn acquire_lock_bit(slot: &AtomicU64, bit: u64) {
     }
 }
 
+/// The first line run of `len` words stored contiguously from word `at`:
+/// the line, the mask of the words the run covers, and their count.
+#[inline]
+fn line_run(at: u64, len: usize) -> (LineId, u8, usize) {
+    let first = (at % WORDS_PER_LINE) as usize;
+    let n = len.min(WORDS_PER_LINE as usize - first);
+    let bits = (((1u16 << n) - 1) << first) as u8;
+    (LineId::new(at / WORDS_PER_LINE), bits, n)
+}
+
 /// Splits `words`, stored contiguously from `addr`, at line boundaries and
 /// hands `f` each line, the mask of the words its run covers, and the run;
 /// stops at the first error.
@@ -132,11 +149,10 @@ fn for_each_line_run<E>(
 ) -> Result<(), E> {
     let mut at = addr.word();
     while !words.is_empty() {
-        let first = (at % WORDS_PER_LINE) as usize;
-        let (run, rest) = words.split_at(words.len().min(WORDS_PER_LINE as usize - first));
-        let bits = (((1u16 << run.len()) - 1) << first) as u8;
-        f(LineId::new(at / WORDS_PER_LINE), bits, run)?;
-        at += run.len() as u64;
+        let (line, bits, n) = line_run(at, words.len());
+        let (run, rest) = words.split_at(n);
+        f(line, bits, run)?;
+        at += n as u64;
         words = rest;
     }
     Ok(())
@@ -455,6 +471,22 @@ impl HtmRuntime {
         let value = self.mem.read(addr);
         let v2 = slot.load(Ordering::Acquire) & view;
         (v2 == v1).then_some(value)
+    }
+
+    /// [`HtmRuntime::versioned_read`] of the `out.len()` words from `addr`,
+    /// all of one line: the two loads of the lock word bracket every word,
+    /// so the run is one snapshot of the line. False is a conflict.
+    #[inline]
+    fn versioned_read_run(&self, addr: PAddr, out: &mut [u64], rv: u64, view: u64) -> bool {
+        let slot = self.mem.line_lock(addr.line());
+        let v1 = slot.load(Ordering::Acquire) & view;
+        if v1 & LOCKED_MASK != 0 || (v1 & VERSION_MASK) > rv {
+            return false;
+        }
+        for (i, word) in out.iter_mut().enumerate() {
+            *word = self.mem.read(addr.add(i as u64));
+        }
+        slot.load(Ordering::Acquire) & view == v1
     }
 }
 
@@ -794,10 +826,11 @@ impl<'rt> HwTxn<'rt> {
     }
 }
 
-/// The batch entry points Crafty's Log → Redo hand-off uses: each does the
-/// work of a run of [`HwTxn::read`]/[`HwTxn::write`] calls with one
-/// descriptor lookup per *line*, and is indistinguishable from that run to
-/// everything that counts — version checks, capacity checks, the read log,
+/// The batch entry points — the line reads a body makes through
+/// [`HwTxn::read_words`], and those Crafty's Log → Redo hand-off uses:
+/// each does the work of a run of [`HwTxn::read`]/[`HwTxn::write`] calls
+/// with one descriptor lookup per *line*, and is indistinguishable from
+/// that run to everything that counts — version checks, capacity checks, the read log,
 /// flags, and the injected-abort countdown, which still ticks once per
 /// word access. A batch that ticked once would let doomed transactions
 /// survive (`doomed_after` is at most 24) and move every abort-dependent
@@ -814,6 +847,63 @@ impl HwTxn<'_> {
                 Some(rest) => *left = rest as u32,
                 None => return Err(self.fail(AbortCode::Zero)),
             }
+        }
+        Ok(())
+    }
+
+    /// [`HwTxn::read`] for each of the `out.len()` words from `addr`, one
+    /// line at a time. Per line: one `failed` check, one buffered-word
+    /// lookup (only once the transaction has written something), and — for
+    /// a run with a word not served from the buffer — one read-log entry,
+    /// one capacity check and one versioned read of the run. The countdown
+    /// still ticks once per word, and a line's checks fall where the
+    /// word-wise run makes them: at its first word not served from the
+    /// buffer. An empty run does nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the abort code the word-wise reads would have; `out` is
+    /// then unspecified.
+    #[inline(never)]
+    pub fn read_words(&mut self, addr: PAddr, mut out: &mut [u64]) -> Result<(), AbortCode> {
+        let (rt, rv) = (self.rt, self.rv);
+        let mut at = addr.word();
+        while !out.is_empty() {
+            if let Some(code) = self.failed {
+                return Err(code);
+            }
+            let (line, bits, n) = line_run(at, out.len());
+            let (run, rest) = std::mem::take(&mut out).split_at_mut(n);
+            let first = bits.trailing_zeros() as usize;
+            let (idx, buffered) = self.s().buffered_words(line.index(), bits);
+            match bits & !buffered {
+                0 => self.tick(n)?,
+                from_memory => {
+                    let before = from_memory.trailing_zeros() as usize - first;
+                    self.tick(before + 1)?;
+                    let s = self.s();
+                    s.log_read(line.index());
+                    let over_capacity = s.reads_exceed(rt.cfg.read_capacity_lines);
+                    if !rt.versioned_read_run(PAddr::new(at), run, rv, SUBSCRIBE_VIEW) {
+                        return Err(self.fail(AbortCode::Conflict));
+                    }
+                    if over_capacity {
+                        return Err(self.fail(AbortCode::Capacity));
+                    }
+                    self.tick(n - before - 1)?;
+                }
+            }
+            if buffered != 0 {
+                let words = &self.s().lines.slots()[idx].words;
+                let mut bits = buffered;
+                while bits != 0 {
+                    let word = bits.trailing_zeros() as usize;
+                    run[word - first] = words[word];
+                    bits &= bits - 1;
+                }
+            }
+            at += n as u64;
+            out = rest;
         }
         Ok(())
     }

@@ -17,7 +17,9 @@
 //!   lock order, the version sinks, and the journal of exchanged words'
 //!   old values. A read consults the table only once the transaction has
 //!   written something, so a read-only transaction's read is one version
-//!   check and one log append.
+//!   check and one log append — and a run of reads of one line
+//!   ([`crate::HwTxn::read_words`]) is one lookup, one version check and
+//!   one log append for the whole line.
 //! * A thread-local spare — `checkout` takes the calling thread's
 //!   descriptor and `give_back` returns it: a `Cell` swap, no atomic
 //!   instruction. A descriptor has no identity (per-thread-slot state such
@@ -185,6 +187,20 @@ impl TxnScratch {
         }
         let idx = self.lines.find(addr.line().index())?;
         self.buffered_at(idx, (addr.word() % WORDS_PER_LINE) as usize)
+    }
+
+    /// Which of the words `bits` of `line` the transaction wrote, as a
+    /// mask, with the line's entry index (meaningful only if the mask is
+    /// not empty). Like [`TxnScratch::buffered`], it looks the line up only
+    /// if the transaction has written anything, and never inserts it.
+    #[inline]
+    pub(crate) fn buffered_words(&mut self, line: u64, bits: u8) -> (usize, u8) {
+        if self.words_written == 0 {
+            return (0, 0);
+        }
+        self.lines
+            .find(line)
+            .map_or((0, 0), |idx| (idx, self.lines.slots()[idx].mask & bits))
     }
 
     /// Logs a read of `line` served from memory (a caller whose memory

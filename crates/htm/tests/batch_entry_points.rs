@@ -1,13 +1,15 @@
-//! The batch entry points of [`HwTxn`] — `exchange`, `roll_back`,
-//! `write_words`, `write_lines`, `flush_writes_on_commit` — against the
-//! `read` / `write` / `flush_on_commit` calls they replace: two runtimes
-//! over identical memory run the same script, one through each interface,
-//! and must agree on every result, on the abort code and the access it
-//! strikes at, and after commit on memory, persist traffic and queued
-//! flushes — under every injected-abort countdown and under capacities
-//! small enough to overflow.
+//! The batch entry points of [`HwTxn`] — `read_words`, `exchange`,
+//! `roll_back`, `write_words`, `write_lines`, `flush_writes_on_commit` —
+//! against the `read` / `write` / `flush_on_commit` calls they replace: two
+//! runtimes over identical memory run the same script, one through each
+//! interface, and must agree on every result, on the abort code and the
+//! access it strikes at, and after commit on memory, persist traffic and
+//! queued flushes — under every injected-abort countdown and under
+//! capacities small enough to overflow.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crafty_common::{BreakdownRecorder, HwTxnOutcome, LineSlot, PAddr, SplitMix64};
 use crafty_htm::{AbortCode, HtmConfig, HtmRuntime, HwTxn};
@@ -69,8 +71,15 @@ impl Side {
 #[derive(Clone, Debug)]
 enum Op {
     Read(PAddr),
+    /// `n` consecutive words from the address: up to three lines, or none.
+    ReadRun(PAddr, u64),
     Exchange(PAddr, u64),
     Run(PAddr, Vec<u64>),
+}
+
+/// A read run of 0 to 17 words from `addr`.
+fn read_run(rng: &mut SplitMix64, addr: PAddr) -> Op {
+    Op::ReadRun(addr, rng.next_below(18))
 }
 
 fn run_of(rng: &mut SplitMix64, max_words: u64) -> Op {
@@ -80,45 +89,55 @@ fn run_of(rng: &mut SplitMix64, max_words: u64) -> Op {
     Op::Run(PAddr::new(LOG_BASE + rng.next_below(24)), words)
 }
 
-/// A Log-phase-shaped body: loads and stores over a domain small enough
-/// that words repeat and lines fill.
+/// A Log-phase-shaped body: loads, read runs and stores over a domain
+/// small enough that words repeat and lines fill, so a run crosses lines
+/// and meets words the body already wrote.
 fn body(rng: &mut SplitMix64) -> Vec<Op> {
     (0..rng.next_below(9))
         .map(|_| {
             let addr = cell(rng.next_below(CELLS));
-            match rng.next_below(3) {
+            match rng.next_below(4) {
                 0 => Op::Read(addr),
+                1 => read_run(rng, addr),
                 _ => Op::Exchange(addr, rng.next_u64()),
             }
         })
         .collect()
 }
 
-fn batch(txn: &mut HwTxn<'_>, op: &Op) -> Result<u64, AbortCode> {
+/// What an access read: one word, a run's words, or nothing.
+type Read = Result<Vec<u64>, AbortCode>;
+
+fn batch(txn: &mut HwTxn<'_>, op: &Op) -> Read {
     match op {
-        Op::Read(addr) => txn.read(*addr),
-        Op::Exchange(addr, value) => txn.exchange(*addr, *value),
-        Op::Run(addr, words) => txn.write_words(*addr, words).map(|()| 0),
+        Op::Read(addr) => txn.read(*addr).map(|v| vec![v]),
+        Op::ReadRun(addr, n) => {
+            let mut out = vec![0; *n as usize];
+            txn.read_words(*addr, &mut out).map(|()| out)
+        }
+        Op::Exchange(addr, value) => txn.exchange(*addr, *value).map(|v| vec![v]),
+        Op::Run(addr, words) => txn.write_words(*addr, words).map(|()| Vec::new()),
     }
 }
 
 /// The same access through the calls the batch entry points replace;
 /// exchanges are recorded as `(address, old value)` the way the Log phase
 /// used to.
-fn wordwise(txn: &mut HwTxn<'_>, op: &Op, undo: &mut Vec<(PAddr, u64)>) -> Result<u64, AbortCode> {
+fn wordwise(txn: &mut HwTxn<'_>, op: &Op, undo: &mut Vec<(PAddr, u64)>) -> Read {
     match op {
-        Op::Read(addr) => txn.read(*addr),
+        Op::Read(addr) => txn.read(*addr).map(|v| vec![v]),
+        Op::ReadRun(addr, n) => (0..*n).map(|i| txn.read(addr.add(i))).collect(),
         Op::Exchange(addr, value) => {
             let old = txn.read(*addr)?;
             undo.push((*addr, old));
             txn.write(*addr, *value)?;
-            Ok(old)
+            Ok(vec![old])
         }
         Op::Run(addr, words) => {
             for (i, &word) in words.iter().enumerate() {
                 txn.write(addr.add(i as u64), word)?;
             }
-            Ok(0)
+            Ok(Vec::new())
         }
     }
 }
@@ -134,12 +153,15 @@ fn image_writes(image: &[LineSlot]) -> Vec<(PAddr, u64)> {
     image.iter().flat_map(words).collect()
 }
 
-/// The Log transaction: a body, the roll-back, a log-style append, commit.
-/// Returns the batch side's redo image if both sides committed.
+/// The Log transaction: a body, the roll-back, a log-style append, a read
+/// run over the appended words, commit. Returns the batch side's redo
+/// image if both sides committed.
 fn log_case(cfg: HtmConfig, script_seed: u64) -> Option<(Vec<LineSlot>, usize)> {
     let mut rng = SplitMix64::new(script_seed);
     let body = body(&mut rng);
     let append = run_of(&mut rng, 24);
+    let read_at = PAddr::new(LOG_BASE + rng.next_below(24));
+    let read_back = read_run(&mut rng, read_at);
     let (a, b) = (side(cfg), side(cfg));
     let (mut ta, mut tb) = (a.rt.begin(0), b.rt.begin(0));
     let mut undo = Vec::new();
@@ -184,6 +206,12 @@ fn log_case(cfg: HtmConfig, script_seed: u64) -> Option<(Vec<LineSlot>, usize)> 
         assert_eq!(ra, rb, "append");
         ra?;
         assert_eq!(ta.write_set_len(), tb.write_set_len());
+        let (ra, rb) = (
+            batch(&mut ta, &read_back),
+            wordwise(&mut tb, &read_back, &mut undo),
+        );
+        assert_eq!(ra, rb, "{read_back:?}");
+        ra?;
         Ok::<_, AbortCode>(exchanges)
     })();
     let committed = outcome.and_then(|exchanges| {
@@ -196,8 +224,8 @@ fn log_case(cfg: HtmConfig, script_seed: u64) -> Option<(Vec<LineSlot>, usize)> 
 }
 
 /// The Redo transaction over an image taken by an undisturbed Log
-/// transaction: a subscription read, the image, a marker, the flush
-/// requests, commit.
+/// transaction: a subscription read, the image, a marker, a read run over
+/// the data (the image's words among them), the flush requests, commit.
 fn redo_case(cfg: HtmConfig, script_seed: u64) {
     let producer = (script_seed..)
         .find_map(|seed| log_case(HtmConfig::skylake(), seed))
@@ -206,6 +234,8 @@ fn redo_case(cfg: HtmConfig, script_seed: u64) {
     let mut rng = SplitMix64::new(script_seed ^ 0xD0);
     let marker = run_of(&mut rng, 2);
     let subscribed = cell(rng.next_below(CELLS));
+    let read_at = cell(rng.next_below(CELLS));
+    let read_back = read_run(&mut rng, read_at);
     let (a, b) = (side(cfg), side(cfg));
     let (mut ta, mut tb) = (a.rt.begin(0), b.rt.begin(0));
 
@@ -231,6 +261,12 @@ fn redo_case(cfg: HtmConfig, script_seed: u64) {
             wordwise(&mut tb, &marker, &mut Vec::new()),
         );
         assert_eq!(ra, rb, "marker");
+        ra?;
+        let (ra, rb) = (
+            batch(&mut ta, &read_back),
+            wordwise(&mut tb, &read_back, &mut Vec::new()),
+        );
+        assert_eq!(ra, rb, "{read_back:?}");
         ra?;
         let Op::Run(marker_at, marker_words) = &marker else {
             unreachable!()
@@ -297,6 +333,72 @@ proptest! {
         log_case(cfg, script_seed);
         redo_case(cfg, script_seed);
     }
+}
+
+/// The heavy sweep of the read runs: the Log and Redo scripts over many
+/// seeds, with every countdown and read capacities of one to seven lines.
+/// Release only (`cargo test --release -- --include-ignored`).
+#[test]
+#[ignore = "heavy; run in release with --include-ignored"]
+fn read_run_sweep_over_many_seeds() {
+    let countdowns = seeds_by_countdown();
+    for script_seed in 0..20_000u64 {
+        let mut rng = SplitMix64::new(script_seed ^ 0x2EAD);
+        let capped = HtmConfig {
+            read_capacity_lines: 1 + rng.next_below(7) as usize,
+            write_capacity_lines: 1 + rng.next_below(8) as usize,
+            ..HtmConfig::skylake()
+        };
+        let cfg = match rng.chance(0.5) {
+            true => capped.with_zero_aborts(1.0, countdowns[rng.next_below(24) as usize]),
+            false => capped,
+        };
+        log_case(cfg, script_seed);
+        redo_case(cfg, script_seed);
+    }
+}
+
+/// A read run is one snapshot of its line: for a quarter of a second a writer
+/// keeps storing whole lines of one value outside any transaction, and
+/// every run a reader's `read_words` returns must hold one value
+/// throughout. A run checked against the lock word only before its words
+/// could straddle a store.
+#[test]
+fn a_read_run_is_one_snapshot_of_its_line() {
+    let s = side(HtmConfig::skylake());
+    let line = wide(0, 0);
+    let stop = AtomicBool::new(false);
+    let (served, torn) = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for k in 1.. {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                s.rt.nontx_write_words(line, &[k; 8]);
+            }
+        });
+        let (mut served, mut torn) = (0, Vec::new());
+        let deadline = Instant::now() + Duration::from_millis(250);
+        while Instant::now() < deadline {
+            let mut txn = s.rt.begin(0);
+            let mut out = [0; 8];
+            if txn.read_words(line, &mut out).is_ok() {
+                served += 1;
+                if out.iter().any(|&w| w != out[0]) {
+                    torn.push(out);
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        (served, torn)
+    });
+    assert!(served > 0, "no run was served");
+    assert!(
+        torn.is_empty(),
+        "{} torn runs, e.g. {:?}",
+        torn.len(),
+        torn[0]
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -36,6 +36,13 @@ impl TxnOps for DirectOps<'_> {
         Ok(self.mem.read(addr))
     }
 
+    fn read_words(&mut self, addr: PAddr, out: &mut [u64]) -> Result<(), TxAbort> {
+        for (i, word) in out.iter_mut().enumerate() {
+            *word = self.mem.read(addr.add(i as u64));
+        }
+        Ok(())
+    }
+
     fn write(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {
         self.mem.write(addr, value);
         Ok(())

@@ -19,6 +19,14 @@
 //! is the pair `[tag, value]` at offset `2·i`. `tag = 0` is an empty slot,
 //! `tag = 1` a tombstone, and any other tag stores key `tag − 2`.
 //!
+//! Every line an operation reads is read with one
+//! [`TxnOps::read_words`] call: the header's `table..=resize_capacity`
+//! words, and each probed slot as its `[tag, value]` pair (tables are
+//! line-aligned, so a pair never straddles a line). A hit therefore needs
+//! no second read. Under Crafty a call is one read-set check per line.
+//! A `get` of a present key reads its value word last: tools that locate
+//! a key's value word rely on it.
+//!
 //! A shard's *insertion table* is its in-flight resize table, or its main
 //! table when no resize is in flight. Every insert lands there, and
 //! `tombstones` counts that table's tombstones only: starting a resize
@@ -72,6 +80,9 @@ const HDR_RESIZE_TABLE: u64 = 4;
 const HDR_RESIZE_CAPACITY: u64 = 5;
 const HDR_MIGRATE_POS: u64 = 6;
 const HDR_WORDS: u64 = 8;
+/// The header words [`ShardedKv::live_tables`] reads in one call:
+/// `HDR_TABLE..=HDR_RESIZE_CAPACITY`.
+const HDR_LIVE_WORDS: usize = HDR_RESIZE_CAPACITY as usize + 1;
 
 /// One open-addressed table: `capacity` slots from arena word `base`.
 #[derive(Clone, Copy)]
@@ -87,9 +98,17 @@ impl Table {
     }
 }
 
+/// Reads the `[tag, value]` pair of the slot at `slot` in one call.
+#[inline]
+fn read_slot(ops: &mut dyn TxnOps, slot: PAddr) -> Result<[u64; SLOT_WORDS as usize], TxAbort> {
+    let mut pair = [0; SLOT_WORDS as usize];
+    ops.read_words(slot, &mut pair)?;
+    Ok(pair)
+}
+
 // The store's key-mixing hash is [`crafty_common::mix64`]: high bits pick
 // the shard, low bits pick the home slot, so the two choices are
-// decorrelated.
+// decorrelated. Each operation hashes its key once.
 
 /// Construction parameters for a [`ShardedKv`].
 #[derive(Clone, Copy, Debug)]
@@ -334,11 +353,11 @@ impl ShardedKv {
         self.headers.add(shard * HDR_WORDS)
     }
 
-    /// The shard owning `key`: high hash bits, so it is independent of the
-    /// in-table home slot (low bits).
+    /// The shard owning the key whose hash is `hash`: high hash bits, so it
+    /// is independent of the in-table home slot (low bits).
     #[inline]
-    fn shard_of(&self, key: u64) -> u64 {
-        (mix64(key) >> 32) & (self.shards as u64 - 1)
+    fn shard_of(&self, hash: u64) -> u64 {
+        (hash >> 32) & (self.shards as u64 - 1)
     }
 
     #[inline]
@@ -349,43 +368,48 @@ impl ShardedKv {
 
     /// Reads the shard's live tables, insertion table first: the in-flight
     /// resize table and the main table it drains, or the main table alone.
+    /// One call reads the header words they come from.
     #[inline]
     fn live_tables(
         &self,
         ops: &mut dyn TxnOps,
         hdr: PAddr,
     ) -> Result<(Table, Option<Table>), TxAbort> {
-        let resize = match ops.read(hdr.add(HDR_RESIZE_TABLE))? {
-            0 => None,
-            base => Some(Table {
-                base,
-                capacity: ops.read(hdr.add(HDR_RESIZE_CAPACITY))?,
-            }),
-        };
+        let mut words = [0; HDR_LIVE_WORDS];
+        ops.read_words(hdr.add(HDR_TABLE), &mut words)?;
         let main = Table {
-            base: ops.read(hdr.add(HDR_TABLE))?,
-            capacity: ops.read(hdr.add(HDR_CAPACITY))?,
+            base: words[HDR_TABLE as usize],
+            capacity: words[HDR_CAPACITY as usize],
         };
-        Ok((resize.unwrap_or(main), resize.and(Some(main))))
+        Ok(match words[HDR_RESIZE_TABLE as usize] {
+            0 => (main, None),
+            base => {
+                let capacity = words[HDR_RESIZE_CAPACITY as usize];
+                (Table { base, capacity }, Some(main))
+            }
+        })
     }
 
-    /// Probes `table` for `key`. Returns `Ok(slot_addr)` of the live entry,
-    /// or `Err(first_reusable)` — the first tombstone on the probe path if
-    /// any, else the terminating empty slot — when the key is absent.
+    /// Probes `table` for `key`, whose hash is `hash`, reading each slot
+    /// as its `[tag, value]` pair. Returns `Ok((slot_addr, value))` of the
+    /// live entry, or `Err(first_reusable)` — the first tombstone on the
+    /// probe path if any, else the terminating empty slot — when the key is
+    /// absent.
     fn probe(
         &self,
         ops: &mut dyn TxnOps,
         table: Table,
         key: u64,
-    ) -> Result<Result<PAddr, PAddr>, TxAbort> {
+        hash: u64,
+    ) -> Result<Result<(PAddr, u64), PAddr>, TxAbort> {
         let tag = Self::encode(key);
-        let home = mix64(key) & (table.capacity - 1);
+        let home = hash & (table.capacity - 1);
         let mut reusable = None;
         for step in 0..table.capacity {
             let slot = table.slot(home + step);
-            let t = ops.read(slot)?;
+            let [t, value] = read_slot(ops, slot)?;
             if t == tag {
-                return Ok(Ok(slot));
+                return Ok(Ok((slot, value)));
             }
             if t == EMPTY {
                 return Ok(Err(reusable.unwrap_or(slot)));
@@ -409,15 +433,13 @@ impl ShardedKv {
     ///
     /// Propagates [`TxAbort`] from the underlying transaction.
     pub fn get(&self, ops: &mut dyn TxnOps, key: u64) -> Result<Option<u64>, TxAbort> {
-        let (insert, old) = self.live_tables(ops, self.header(self.shard_of(key)))?;
-        let mut found = self.probe(ops, insert, key)?;
+        let hash = mix64(key);
+        let (insert, old) = self.live_tables(ops, self.header(self.shard_of(hash)))?;
+        let mut found = self.probe(ops, insert, key, hash)?;
         if let (Err(_), Some(old)) = (found, old) {
-            found = self.probe(ops, old, key)?;
+            found = self.probe(ops, old, key, hash)?;
         }
-        match found {
-            Ok(slot) => Ok(Some(ops.read(slot.add(1))?)),
-            Err(_) => Ok(None),
-        }
+        Ok(found.ok().map(|(_, value)| value))
     }
 
     /// Inserts or updates `key → value`; returns the previous value if the
@@ -429,14 +451,14 @@ impl ShardedKv {
     ///
     /// Propagates [`TxAbort`] from the underlying transaction.
     pub fn put(&self, ops: &mut dyn TxnOps, key: u64, value: u64) -> Result<Option<u64>, TxAbort> {
-        let hdr = self.header(self.shard_of(key));
+        let hash = mix64(key);
+        let hdr = self.header(self.shard_of(hash));
         let (insert, old_table) = self.migrate_step(ops, hdr)?;
         // Keep the probe's free slot: nothing in the rest of this
         // transaction writes to the insertion table before the insert, so
         // it stays the right insertion point.
-        let free = match self.probe(ops, insert, key)? {
-            Ok(slot) => {
-                let old = ops.read(slot.add(1))?;
+        let free = match self.probe(ops, insert, key, hash)? {
+            Ok((slot, old)) => {
                 ops.write(slot.add(1), value)?;
                 return Ok(Some(old));
             }
@@ -445,7 +467,7 @@ impl ShardedKv {
         // Mid-resize the key may still live in the old table: move it now,
         // carrying the new value, so exactly one live copy exists.
         let old = match old_table {
-            Some(table) => self.take(ops, table, key)?,
+            Some(table) => self.take(ops, table, key, hash)?,
             None => None,
         };
         self.insert_at(ops, hdr, free, key, value)?;
@@ -465,16 +487,17 @@ impl ShardedKv {
     ///
     /// Propagates [`TxAbort`] from the underlying transaction.
     pub fn remove(&self, ops: &mut dyn TxnOps, key: u64) -> Result<Option<u64>, TxAbort> {
-        let hdr = self.header(self.shard_of(key));
+        let hash = mix64(key);
+        let hdr = self.header(self.shard_of(hash));
         let (insert, old_table) = self.migrate_step(ops, hdr)?;
-        let old = match self.take(ops, insert, key)? {
+        let old = match self.take(ops, insert, key, hash)? {
             Some(old) => {
                 let tombs = ops.read(hdr.add(HDR_TOMBS))?;
                 ops.write(hdr.add(HDR_TOMBS), tombs + 1)?;
                 Some(old)
             }
             None => match old_table {
-                Some(table) => self.take(ops, table, key)?,
+                Some(table) => self.take(ops, table, key, hash)?,
                 None => None,
             },
         };
@@ -495,21 +518,20 @@ impl ShardedKv {
     ///
     /// Propagates [`TxAbort`] from the underlying transaction.
     pub fn scan(&self, ops: &mut dyn TxnOps, key: u64, limit: u64) -> Result<(u64, u64), TxAbort> {
-        let (insert, old) = self.live_tables(ops, self.header(self.shard_of(key)))?;
+        let hash = mix64(key);
+        let (insert, old) = self.live_tables(ops, self.header(self.shard_of(hash)))?;
         let mut found = 0u64;
         let mut checksum = 0u64;
         for table in std::iter::once(insert).chain(old) {
-            let home = mix64(key) & (table.capacity - 1);
+            let home = hash & (table.capacity - 1);
             for step in 0..table.capacity {
                 if found >= limit {
                     return Ok((found, checksum));
                 }
-                let slot = table.slot(home + step);
-                let tag = ops.read(slot)?;
+                let [tag, value] = read_slot(ops, table.slot(home + step))?;
                 if tag != EMPTY && tag != TOMBSTONE {
                     found += 1;
-                    checksum =
-                        checksum.wrapping_add(mix64(tag - 2).wrapping_add(ops.read(slot.add(1))?));
+                    checksum = checksum.wrapping_add(mix64(tag - 2).wrapping_add(value));
                 }
             }
         }
@@ -540,10 +562,15 @@ impl ShardedKv {
 
     /// Tombstones `key`'s live entry in `table`, if any, and returns its
     /// value. Counts nothing: the caller owns the header.
-    fn take(&self, ops: &mut dyn TxnOps, table: Table, key: u64) -> Result<Option<u64>, TxAbort> {
-        match self.probe(ops, table, key)? {
-            Ok(slot) => {
-                let old = ops.read(slot.add(1))?;
+    fn take(
+        &self,
+        ops: &mut dyn TxnOps,
+        table: Table,
+        key: u64,
+        hash: u64,
+    ) -> Result<Option<u64>, TxAbort> {
+        match self.probe(ops, table, key, hash)? {
+            Ok((slot, old)) => {
                 ops.write(slot, TOMBSTONE)?;
                 Ok(Some(old))
             }
@@ -624,13 +651,13 @@ impl ShardedKv {
         let end = (pos + MIGRATE_BATCH).min(old.capacity);
         for i in pos..end {
             let slot = old.slot(i);
-            let tag = ops.read(slot)?;
+            let [tag, value] = read_slot(ops, slot)?;
             if tag != EMPTY && tag != TOMBSTONE {
-                let value = ops.read(slot.add(1))?;
-                let Err(free) = self.probe(ops, insert, tag - 2)? else {
+                let key = tag - 2;
+                let Err(free) = self.probe(ops, insert, key, mix64(key))? else {
                     unreachable!("a key is live in at most one table");
                 };
-                self.insert_at(ops, hdr, free, tag - 2, value)?;
+                self.insert_at(ops, hdr, free, key, value)?;
                 ops.write(slot, TOMBSTONE)?;
             }
         }
@@ -795,7 +822,7 @@ impl ShardedKv {
                         continue;
                     }
                     let key = tag - 2;
-                    if self.shard_of(key) != s {
+                    if self.shard_of(mix64(key)) != s {
                         return Err(format!("key {key} stored in shard {s}, hashes elsewhere"));
                     }
                     if !seen.insert(key) {
@@ -846,7 +873,10 @@ mod tests {
         std::iter::once(insert)
             .chain(old)
             .enumerate()
-            .find_map(|(nth, table)| Some((nth, kv.probe(&mut ops, table, key).unwrap().ok()?)))
+            .find_map(|(nth, table)| {
+                let found = kv.probe(&mut ops, table, key, mix64(key)).unwrap();
+                Some((nth, found.ok()?.0))
+            })
     }
 
     #[test]

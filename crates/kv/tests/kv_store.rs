@@ -7,7 +7,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crafty_baselines::NonDurable;
-use crafty_common::{PAddr, PersistentTm, SplitMix64, TmThread, WORDS_PER_LINE};
+use crafty_common::{
+    mix64, CompletionPath, PAddr, PersistentTm, SplitMix64, TmThread, TxAbort, TxnOps,
+    WORDS_PER_LINE,
+};
 use crafty_core::{Crafty, CraftyConfig};
 use crafty_kv::{DirectOps, KvConfig, ShardedKv, KEY_MAX};
 use crafty_pmem::{CrashModel, MemorySpace, PmemConfig};
@@ -343,6 +346,155 @@ fn concurrent_crafty_threads_keep_map_semantics() {
         "{:?}",
         kv.check_integrity(&mem)
     );
+}
+
+/// A put and a get of the same key in one Crafty transaction: the get's
+/// line reads meet the words the put wrote (an updated value, a fresh
+/// pair, a raised counter) and must return them from the write buffer.
+#[test]
+fn a_get_after_a_put_in_one_crafty_transaction_reads_the_new_value() {
+    let mem = small_space();
+    let crafty = Crafty::new(Arc::clone(&mem), CraftyConfig::small_for_tests());
+    let kv = ShardedKv::create(&mem, &KvConfig::small_for_tests());
+    let mut t = crafty.register_thread(0);
+    t.execute(&mut |ops| kv.put(ops, 1, 10).map(drop));
+    let mut seen = (None, None, None);
+    t.execute(&mut |ops| {
+        kv.put(ops, 1, 11)?;
+        kv.put(ops, 2, 20)?;
+        seen = (kv.get(ops, 1)?, kv.get(ops, 2)?, kv.get(ops, 3)?);
+        Ok(())
+    });
+    assert_eq!(seen, (Some(11), Some(20), None));
+    let breakdown = crafty.breakdown();
+    assert_eq!(
+        breakdown.completions(CompletionPath::Redo),
+        2,
+        "both committed in hardware: {breakdown:?}"
+    );
+    assert_eq!(kv.get_direct(&mem, 1), Some(11));
+    assert_eq!(kv.get_direct(&mem, 2), Some(20));
+}
+
+/// Gets, puts and scans under Crafty, checked against a model at every
+/// step while one shard migrates to its new table.
+#[test]
+fn get_put_and_scan_agree_with_a_model_while_a_resize_is_in_flight() {
+    let mem = small_space();
+    let crafty = Crafty::new(Arc::clone(&mem), CraftyConfig::small_for_tests());
+    // One 64-slot shard: a migration spans eight mutations.
+    let cfg = KvConfig::small_for_tests()
+        .with_shards(1)
+        .with_initial_capacity(64);
+    let kv = ShardedKv::create(&mem, &cfg);
+    let mut t = crafty.register_thread(0);
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut key = 0;
+    while !kv.resize_in_flight(&mem) {
+        t.execute(&mut |ops| kv.put(ops, key, key).map(drop));
+        model.insert(key, key);
+        key += 1;
+    }
+    let mut rng = SplitMix64::new(5);
+    let mut mid_resize = 0;
+    while kv.resize_in_flight(&mem) {
+        mid_resize += 1;
+        let key = rng.next_below(2 * key);
+        match rng.next_below(3) {
+            0 => {
+                let value = rng.next_u64();
+                let mut old = None;
+                t.execute(&mut |ops| {
+                    old = kv.put(ops, key, value)?;
+                    Ok(())
+                });
+                assert_eq!(old, model.insert(key, value), "put {key}");
+            }
+            1 => {
+                let mut got = None;
+                t.execute(&mut |ops| {
+                    got = kv.get(ops, key)?;
+                    Ok(())
+                });
+                assert_eq!(got, model.get(&key).copied(), "get {key}");
+            }
+            _ => {
+                let mut scanned = (0, 0);
+                t.execute(&mut |ops| {
+                    scanned = kv.scan(ops, key, u64::MAX)?;
+                    Ok(())
+                });
+                let checksum = model.iter().fold(0u64, |sum, (&k, &v)| {
+                    sum.wrapping_add(mix64(k).wrapping_add(v))
+                });
+                assert_eq!(scanned, (model.len() as u64, checksum), "scan");
+            }
+        }
+    }
+    assert!(mid_resize >= 8, "{mid_resize} operations met the resize");
+    let mut pairs = kv.collect_pairs(&mem);
+    pairs.sort_unstable();
+    let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
+    expected.sort_unstable();
+    assert_eq!(pairs, expected);
+    assert!(kv.check_integrity(&mem).is_ok());
+}
+
+/// Direct reads that remember every address read, one word at a time.
+struct Recording<'a> {
+    mem: &'a MemorySpace,
+    reads: Vec<PAddr>,
+}
+
+impl TxnOps for Recording<'_> {
+    fn read(&mut self, addr: PAddr) -> Result<u64, TxAbort> {
+        self.reads.push(addr);
+        Ok(self.mem.read(addr))
+    }
+    fn write(&mut self, _: PAddr, _: u64) -> Result<(), TxAbort> {
+        unreachable!("a get writes nothing")
+    }
+    fn alloc(&mut self, _: u64) -> Result<PAddr, TxAbort> {
+        unreachable!("a get allocates nothing")
+    }
+    fn dealloc(&mut self, _: PAddr, _: u64) -> Result<(), TxAbort> {
+        unreachable!("a get frees nothing")
+    }
+}
+
+/// A get of a present key reads the key's value word last, in either live
+/// table: tools locate a key's value word that way (through the default,
+/// word-by-word `read_words`) to corrupt it in a crash image.
+#[test]
+fn a_get_of_a_present_key_reads_its_value_word_last() {
+    let mem = small_space();
+    let cfg = KvConfig::small_for_tests()
+        .with_shards(1)
+        .with_initial_capacity(64);
+    let kv = ShardedKv::create(&mem, &cfg);
+    let mut ops = DirectOps::new(&mem);
+    let mut keys = 0;
+    // Past the resize trigger, and one put more: it migrates a batch, so
+    // the keys live in both tables.
+    while !kv.resize_in_flight(&mem) {
+        kv.put(&mut ops, keys, 1000 + keys).unwrap();
+        keys += 1;
+    }
+    kv.put(&mut ops, keys, 1000 + keys).unwrap();
+    keys += 1;
+    assert!(kv.resize_in_flight(&mem));
+    for key in 0..keys {
+        let mut rec = Recording {
+            mem: &mem,
+            reads: Vec::new(),
+        };
+        assert_eq!(kv.get(&mut rec, key).unwrap(), Some(1000 + key));
+        let last = *rec.reads.last().expect("a get reads");
+        assert_eq!(mem.read(last), 1000 + key, "key {key}");
+        mem.write(last, 7);
+        assert_eq!(kv.get_direct(&mem, key), Some(7), "key {key}");
+        mem.write(last, 1000 + key);
+    }
 }
 
 proptest! {
