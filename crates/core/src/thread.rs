@@ -44,7 +44,7 @@ use std::sync::atomic::Ordering;
 
 use crafty_common::trace::{self, TraceEventKind, TxnPhase};
 use crafty_common::{
-    wait, CompletionPath, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps,
+    wait, CompletionPath, LineId, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps,
 };
 use crafty_htm::{AbortCode, Exclusion, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
@@ -157,10 +157,6 @@ impl<'c> CraftyThread<'c> {
     /// The worker thread id this handle belongs to.
     pub fn tid(&self) -> usize {
         self.tid
-    }
-
-    fn drain(&self) {
-        self.engine.mem.drain(self.tid);
     }
 
     // ------------------------------------------------------------------
@@ -390,7 +386,10 @@ impl<'c> CraftyThread<'c> {
         body: Option<&mut TxnBody<'_>>,
     ) -> Result<(), Stop> {
         let engine = self.engine;
-        let mut txn = engine.htm.begin(self.tid);
+        // The first attempt's begin drains the Log phase's undo entries;
+        // that fence warms the lines this commit publishes to.
+        let mut lines = self.redo_buf.iter().map(|slot| LineId::new(slot.line()));
+        let mut txn = engine.htm.begin_warming(self.tid, &mut lines);
         let redo = body.is_none();
         match body {
             None => self.redo_check(&mut txn, seq)?,
@@ -515,7 +514,8 @@ impl<'c> CraftyThread<'c> {
     /// (Section 4.4).
     fn redo_thread_unsafe(&mut self, seq: &LoggedSeq) {
         // The undo entries must be durable before the in-place writes.
-        self.drain();
+        let mut lines = self.redo_buf.iter().map(|slot| LineId::new(slot.line()));
+        self.engine.mem.drain_warming(self.tid, &mut lines);
         self.engine.htm.nontx_write_lines(&self.redo_buf);
         self.stamp_committed(seq.marker_abs);
         trace::record(self.tid, TraceEventKind::RedoApply, seq.writes as u64);
@@ -615,7 +615,8 @@ impl<'c> CraftyThread<'c> {
                 &mut self.log_words,
             );
             self.after_undo_append(&info, log_ts);
-            self.drain();
+            let mut lines = self.entries_buf.iter().map(|(addr, _)| addr.line());
+            engine.mem.drain_warming(self.tid, &mut lines);
 
             x.publish();
             self.stamp_committed(info.marker_abs);
@@ -639,7 +640,7 @@ impl<'c> CraftyThread<'c> {
         undo_log.flush_marker(&engine.mem, self.tid, marker_abs);
         // Outside hardware transactions there is no later fence to
         // piggyback on, so complete the write-backs here.
-        self.drain();
+        engine.mem.drain(self.tid);
         engine.note_sequence(self.tid, commit_ts);
     }
 }

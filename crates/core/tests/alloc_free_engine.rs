@@ -6,14 +6,19 @@
 //! reusable-descriptor / scratch-buffer design across the HTM → core →
 //! pmem stack.
 //!
+//! Each route runs twice: with instant drains, and with
+//! [`LatencyModel::nvm_100ns`], under which every drain before a
+//! publication also warms the lines it will publish to — a path the
+//! instant model, having no wait to fill, never takes.
+//!
 //! This file intentionally holds a single `#[test]` so no concurrent test
 //! thread can pollute the allocation counters.
 
 use std::sync::Arc;
 
 use crafty_common::{PersistentTm, SplitMix64, TxAbort, TxnOps};
-use crafty_core::{Crafty, CraftyConfig};
-use crafty_pmem::{MemorySpace, PmemConfig};
+use crafty_core::{Crafty, CraftyConfig, ThreadingMode};
+use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
 
 #[path = "../../htm/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -37,16 +42,21 @@ fn transfer(
 #[test]
 fn steady_state_bank_transactions_do_not_allocate() {
     let base = CraftyConfig::small_for_tests().with_max_threads(1);
-    for (route, cfg) in [
-        ("hardware", base),
-        ("forced per-line", base.with_force_fallback(true)),
-    ] {
-        run_route(route, cfg);
+    for latency in [LatencyModel::instant(), LatencyModel::nvm_100ns()] {
+        for (route, cfg) in [
+            ("hardware", base),
+            ("forced per-line", base.with_force_fallback(true)),
+            ("thread-unsafe", base.with_mode(ThreadingMode::ThreadUnsafe)),
+        ] {
+            run_route(route, cfg, latency);
+        }
     }
 }
 
-fn run_route(route: &str, cfg: CraftyConfig) {
-    let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
+fn run_route(route: &str, cfg: CraftyConfig, latency: LatencyModel) {
+    let mem = Arc::new(MemorySpace::new(
+        PmemConfig::small_for_tests().with_latency(latency),
+    ));
     // A roomy undo log postpones half-crossing maintenance; the test spans
     // several crossings anyway, which must also be allocation-free.
     let crafty = Crafty::new(
@@ -84,7 +94,7 @@ fn run_route(route: &str, cfg: CraftyConfig) {
     assert_eq!(
         after - before,
         0,
-        "{route}: engine hot path allocated {} times over 10k steady-state transactions",
+        "{route}, {latency:?}: engine hot path allocated {} times over 10k steady-state transactions",
         after - before
     );
 

@@ -247,10 +247,20 @@ impl HtmRuntime {
     /// Like `xbegin`, this has SFENCE semantics for the issuing thread: any
     /// CLWBs it issued earlier are drained (completing their persistence)
     /// before the transaction starts.
+    #[inline]
     pub fn begin(&self, tid: usize) -> HwTxn<'_> {
+        self.begin_warming(tid, &mut std::iter::empty())
+    }
+
+    /// [`HtmRuntime::begin`] for a transaction that will publish to
+    /// `lines`: the fence, if this begin drains, warms their dirty masks
+    /// inside its modelled time ([`MemorySpace::drain_warming`]). The
+    /// lines are a hint; the transaction may write others, and a begin
+    /// with nothing to drain does not walk them.
+    pub fn begin_warming(&self, tid: usize, lines: &mut dyn Iterator<Item = LineId>) -> HwTxn<'_> {
         if self.mem.pending_flushes(tid) > 0 {
             self.recorder
-                .timed(tid, TxnPhase::Drain, || self.mem.drain(tid));
+                .timed(tid, TxnPhase::Drain, || self.mem.drain_warming(tid, lines));
         }
         let schedule = &self.abort_schedules[tid];
         let storm_doomed = {

@@ -98,6 +98,10 @@ impl Table {
     }
 }
 
+/// A probe's insertion point for an absent key: the slot's address and the
+/// tag the probe read there, `EMPTY` or `TOMBSTONE`.
+type FreeSlot = (PAddr, u64);
+
 /// Reads the `[tag, value]` pair of the slot at `slot` in one call.
 #[inline]
 fn read_slot(ops: &mut dyn TxnOps, slot: PAddr) -> Result<[u64; SLOT_WORDS as usize], TxAbort> {
@@ -392,16 +396,16 @@ impl ShardedKv {
 
     /// Probes `table` for `key`, whose hash is `hash`, reading each slot
     /// as its `[tag, value]` pair. Returns `Ok((slot_addr, value))` of the
-    /// live entry, or `Err(first_reusable)` — the first tombstone on the
-    /// probe path if any, else the terminating empty slot — when the key is
-    /// absent.
+    /// live entry, or `Err((first_reusable, tag))` — the first tombstone on
+    /// the probe path if any, else the terminating empty slot, with the
+    /// tag read there — when the key is absent.
     fn probe(
         &self,
         ops: &mut dyn TxnOps,
         table: Table,
         key: u64,
         hash: u64,
-    ) -> Result<Result<(PAddr, u64), PAddr>, TxAbort> {
+    ) -> Result<Result<(PAddr, u64), FreeSlot>, TxAbort> {
         let tag = Self::encode(key);
         let home = hash & (table.capacity - 1);
         let mut reusable = None;
@@ -412,10 +416,10 @@ impl ShardedKv {
                 return Ok(Ok((slot, value)));
             }
             if t == EMPTY {
-                return Ok(Err(reusable.unwrap_or(slot)));
+                return Ok(Err(reusable.unwrap_or((slot, EMPTY))));
             }
             if t == TOMBSTONE && reusable.is_none() {
-                reusable = Some(slot);
+                reusable = Some((slot, TOMBSTONE));
             }
         }
         // A full table with no empty slot: the resize policy guarantees
@@ -579,17 +583,17 @@ impl ShardedKv {
     }
 
     /// The one insertion step: stores `key → value` in `slot`, a probe's
-    /// free slot of the insertion table, un-counting the tombstone it
-    /// reuses.
+    /// free slot of the insertion table, and `tag` the probe read there,
+    /// un-counting the tombstone it reuses.
     fn insert_at(
         &self,
         ops: &mut dyn TxnOps,
         hdr: PAddr,
-        slot: PAddr,
+        (slot, tag): FreeSlot,
         key: u64,
         value: u64,
     ) -> Result<(), TxAbort> {
-        if ops.read(slot)? == TOMBSTONE {
+        if tag == TOMBSTONE {
             let tombs = ops.read(hdr.add(HDR_TOMBS))?;
             ops.write(hdr.add(HDR_TOMBS), tombs - 1)?;
         }
@@ -604,9 +608,9 @@ impl ShardedKv {
     /// the calling transaction — a crash either keeps the whole start or
     /// none of it.
     fn maybe_start_resize(&self, ops: &mut dyn TxnOps, hdr: PAddr) -> Result<(), TxAbort> {
-        let len = ops.read(hdr.add(HDR_LEN))?;
-        let tombs = ops.read(hdr.add(HDR_TOMBS))?;
-        let capacity = ops.read(hdr.add(HDR_CAPACITY))?;
+        let mut counts = [0; (HDR_TOMBS - HDR_CAPACITY + 1) as usize];
+        ops.read_words(hdr.add(HDR_CAPACITY), &mut counts)?;
+        let [capacity, len, tombs] = counts;
         if 4 * (len + tombs) < 3 * capacity {
             return Ok(());
         }

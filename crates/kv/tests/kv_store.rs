@@ -497,6 +497,64 @@ fn a_get_of_a_present_key_reads_its_value_word_last() {
     }
 }
 
+/// Direct access that counts its `TxnOps` calls by kind: `[read,
+/// read_words, write]`.
+struct Counting<'a> {
+    direct: DirectOps<'a>,
+    calls: [u32; 3],
+}
+
+impl TxnOps for Counting<'_> {
+    fn read(&mut self, addr: PAddr) -> Result<u64, TxAbort> {
+        self.calls[0] += 1;
+        self.direct.read(addr)
+    }
+    fn read_words(&mut self, addr: PAddr, out: &mut [u64]) -> Result<(), TxAbort> {
+        self.calls[1] += 1;
+        self.direct.read_words(addr, out)
+    }
+    fn write(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {
+        self.calls[2] += 1;
+        self.direct.write(addr, value)
+    }
+    fn alloc(&mut self, _: u64) -> Result<PAddr, TxAbort> {
+        unreachable!("a put that starts no resize allocates nothing")
+    }
+    fn dealloc(&mut self, _: PAddr, _: u64) -> Result<(), TxAbort> {
+        unreachable!("a put frees nothing")
+    }
+}
+
+/// An insert reads the free slot's tag once, in the probe, and the
+/// header's capacity, length and tombstone count with one call. A
+/// fresh-key put: the live tables, the home slot (empty), the length, and
+/// the resize check's header words; the tag, the value and the length
+/// written. Reusing a tombstone adds the next slot (empty, ending the
+/// probe) and the tombstone count, read and written back.
+#[test]
+fn an_insert_reads_the_free_slot_and_the_header_counts_once() {
+    let mem = small_space();
+    let cfg = KvConfig::small_for_tests()
+        .with_shards(1)
+        .with_initial_capacity(1 << 10);
+    let kv = ShardedKv::create(&mem, &cfg);
+    let put = |key: u64| {
+        let mut ops = Counting {
+            direct: DirectOps::new(&mem),
+            calls: [0; 3],
+        };
+        assert_eq!(kv.put(&mut ops, key, key + 1).unwrap(), None);
+        ops.calls
+    };
+    assert_eq!(put(7), [1, 3, 3], "fresh key into an empty home slot");
+    assert_eq!(kv.remove(&mut DirectOps::new(&mem), 7).unwrap(), Some(8));
+    assert_eq!(kv.stats(&mem).tombstones, 1);
+    assert_eq!(put(7), [2, 4, 4], "fresh key into its home's tombstone");
+    assert_eq!(kv.stats(&mem).tombstones, 0);
+    assert_eq!(kv.get_direct(&mem, 7), Some(8));
+    assert!(kv.check_integrity(&mem).is_ok());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

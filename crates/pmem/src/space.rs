@@ -69,6 +69,14 @@
 //!   report the measured write amplification
 //!   (`words_persisted / line_words_persisted`; 1.0 means every persisted
 //!   line was fully dirty).
+//! * The drain before a publication fills its wait with that
+//!   publication's cache misses: [`MemorySpace::drain_warming`] loads the
+//!   dirty mask of each line the caller names, after the write-backs and
+//!   before the deadline, so the commit's mask OR that follows finds the
+//!   line's `(dirty mask, flush stamp)` pair in the cache. The loads
+//!   change nothing anyone can observe — no count, fault tick, trace
+//!   event or view moves — and under the `instant` model, which has no
+//!   wait, they are skipped.
 //!
 //! # Batched drains: ranged CLWB coalescing
 //!
@@ -884,10 +892,33 @@ impl MemorySpace {
     /// see the module docs ("Batched drains") for the pipeline and the
     /// latency accounting.
     ///
+    /// A [`MemorySpace::drain_warming`] with no lines to warm.
+    ///
     /// # Panics
     ///
     /// Panics if `tid >= max_threads`.
+    #[inline]
     pub fn drain(&self, tid: usize) -> u64 {
+        self.drain_warming(tid, &mut std::iter::empty())
+    }
+
+    /// [`MemorySpace::drain`], which also loads the dirty mask of each
+    /// persistent line in `lines` after its write-backs and before its
+    /// modelled time runs out: a commit that publishes to those lines
+    /// right after this fence then ORs into masks already in the cache,
+    /// and the miss it would have paid there is paid inside the wait.
+    ///
+    /// The warm is plain loads and nothing else: no count, fault-clock
+    /// tick or trace event; volatile lines, lines past the space and
+    /// repeats are skipped or harmless. Under the `instant` latency model
+    /// there is no wait to fill, and `lines` is not walked. The lines come
+    /// as a trait object so that every drain runs one copy of this code:
+    /// the iterator's calls are made inside the wait.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid >= max_threads`.
+    pub fn drain_warming(&self, tid: usize, lines: &mut dyn Iterator<Item = LineId>) -> u64 {
         let issued = self.issue_time();
         let q = &self.flush_queues[tid];
         let drained = q.drained.load(Ordering::Relaxed);
@@ -907,9 +938,24 @@ impl MemorySpace {
         }
         q.stats.drains.add(1);
         self.fault_tick();
+        if issued.is_some() {
+            self.warm_masks(lines);
+        }
         wait::deadline(issued, self.cfg.latency.drain_ns + cost_ns);
         trace::record(tid, TraceEventKind::Drain, count);
         count
+    }
+
+    /// Loads the dirty mask of every persistent line in `lines` and drops
+    /// the value: the line's `(dirty mask, flush stamp)` pair is then in
+    /// this core's cache for the publication that ORs into it next. The
+    /// load is `Relaxed` and orders nothing; `black_box` keeps it.
+    fn warm_masks(&self, lines: &mut dyn Iterator<Item = LineId>) {
+        for line in lines {
+            if self.is_persistent(line.first_word()) {
+                std::hint::black_box(self.dirty_mask(line).load(Ordering::Relaxed));
+            }
+        }
     }
 
     /// Batched write-back: snapshots the pending
