@@ -30,9 +30,9 @@ pub enum CompletionPath {
     Redo,
     /// Committed by Crafty's Validate phase.
     Validate,
-    /// Committed in software: Crafty's software commit (per-line locks,
-    /// or the program's own exclusion in thread-unsafe mode), or a
-    /// baseline's single global lock. The variant name is the paper's.
+    /// Committed in software: Crafty's software commit under per-line
+    /// locks, or a baseline's single global lock. The variant name is the
+    /// paper's.
     Sgl,
 }
 

@@ -10,8 +10,8 @@
 //!
 //! The index is keyed by cache *line*, and each entry carries the line's
 //! buffered words, written-word mask and flags, so one lookup answers
-//! every question a hardware, fallback or exclusive transaction asks about
-//! a line it wrote (written? to be locked? to be flushed?). Lines a
+//! every question a hardware or fallback transaction asks about a line it
+//! wrote (written? to be locked? to be flushed?). Lines a
 //! transaction only reads stay out of it: the descriptor logs them
 //! instead. Entries are plain `Copy` values, so one table's lines can be
 //! taken out with a slice copy ([`LineTable::slots`]): Crafty's redo image

@@ -87,8 +87,8 @@ pub enum TxnPhase {
     Redo,
     /// Crafty's Validate phase (re-execution against the persisted log).
     Validate,
-    /// Crafty's software commit: per-line, or under the program's own
-    /// exclusion in thread-unsafe mode. The variant name is the paper's.
+    /// Crafty's software commit under per-line locks. The variant name is
+    /// the paper's.
     Sgl,
     /// Flush-queue drains (SFENCE + write-backs).
     Drain,

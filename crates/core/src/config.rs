@@ -30,31 +30,11 @@ impl CraftyVariant {
     }
 }
 
-/// Whether Crafty itself provides thread atomicity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ThreadingMode {
-    /// Thread-safe mode (the paper's focus): persistent transactions get
-    /// all ACID properties from Crafty itself. A transaction that exhausts
-    /// its hardware retry budget commits in software under write locks on
-    /// exactly the lines it writes, so a fallback conflicts only where it
-    /// touches.
-    #[default]
-    ThreadSafe,
-    /// Thread-unsafe mode: some other mechanism (locks) already provides
-    /// atomicity, so Crafty only provides failure atomicity / durability.
-    /// The Redo phase runs unconditionally and Validate is never needed
-    /// (Section 4.4, Figure 4). The software commit relies on the same
-    /// mechanism and takes no lock.
-    ThreadUnsafe,
-}
-
 /// Tuning parameters for a [`crate::Crafty`] engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CraftyConfig {
     /// Which Crafty configuration to run.
     pub variant: CraftyVariant,
-    /// Whether Crafty provides thread atomicity or only durability.
-    pub mode: ThreadingMode,
     /// Capacity, in entries, of each thread's circular persistent undo log.
     /// Each entry occupies two 64-bit words. Must hold at least two
     /// maximal transactions (Section 5.2).
@@ -67,10 +47,10 @@ pub struct CraftyConfig {
     /// Size, in words, of the persistent heap served by transactional
     /// allocation ([`crafty_common::TxnOps::alloc`]).
     pub heap_words: u64,
-    /// Testing hook: when true, every thread-safe transaction skips the
-    /// hardware phases and goes straight to the software commit, so
-    /// torture and contention suites can put crash points and conflicts
-    /// inside the fallback windows deterministically.
+    /// Testing hook: when true, every transaction skips the hardware
+    /// phases and goes straight to the software commit, so torture and
+    /// contention suites can put crash points and conflicts inside the
+    /// fallback windows deterministically.
     pub force_fallback: bool,
 }
 
@@ -80,7 +60,6 @@ impl CraftyConfig {
     pub fn small_for_tests() -> Self {
         CraftyConfig {
             variant: CraftyVariant::Full,
-            mode: ThreadingMode::ThreadSafe,
             undo_log_entries: 256,
             max_lag: 1 << 20,
             max_threads: 8,
@@ -93,7 +72,6 @@ impl CraftyConfig {
     pub fn benchmark(max_threads: usize) -> Self {
         CraftyConfig {
             variant: CraftyVariant::Full,
-            mode: ThreadingMode::ThreadSafe,
             undo_log_entries: 1 << 14,
             max_lag: 1 << 30,
             max_threads,
@@ -105,12 +83,6 @@ impl CraftyConfig {
     /// Sets the variant (builder style).
     pub fn with_variant(mut self, variant: CraftyVariant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Sets the threading mode (builder style).
-    pub fn with_mode(mut self, mode: ThreadingMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -132,7 +104,7 @@ impl CraftyConfig {
         self
     }
 
-    /// Forces every thread-safe transaction through the software fallback
+    /// Forces every transaction through the software fallback
     /// (builder style). A testing hook — see [`CraftyConfig::force_fallback`].
     pub fn with_force_fallback(mut self, force: bool) -> Self {
         self.force_fallback = force;
@@ -162,12 +134,10 @@ mod tests {
     fn builders_compose() {
         let cfg = CraftyConfig::small_for_tests()
             .with_variant(CraftyVariant::NoRedo)
-            .with_mode(ThreadingMode::ThreadUnsafe)
             .with_undo_log_entries(64)
             .with_heap_words(1024)
             .with_max_threads(2);
         assert_eq!(cfg.variant, CraftyVariant::NoRedo);
-        assert_eq!(cfg.mode, ThreadingMode::ThreadUnsafe);
         assert_eq!(cfg.undo_log_entries, 64);
         assert_eq!(cfg.heap_words, 1024);
         assert_eq!(cfg.max_threads, 2);
@@ -177,7 +147,6 @@ mod tests {
     fn default_is_thread_safe_full() {
         let cfg = CraftyConfig::default();
         assert_eq!(cfg.variant, CraftyVariant::Full);
-        assert_eq!(cfg.mode, ThreadingMode::ThreadSafe);
         assert!(!cfg.force_fallback);
     }
 

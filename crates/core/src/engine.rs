@@ -86,7 +86,6 @@ impl std::fmt::Debug for Crafty {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Crafty")
             .field("variant", &self.cfg.variant)
-            .field("mode", &self.cfg.mode)
             .field("threads", &self.threads.len())
             .finish()
     }

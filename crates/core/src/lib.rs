@@ -11,9 +11,8 @@
 //! * the **Log**, **Redo**, and **Validate** phases of thread-safe mode
 //!   and its software fallback — one software commit under per-line write
 //!   locks, where the paper takes a single global lock (Sections 3–4,
-//!   Figure 3);
-//! * **thread-unsafe mode** for programs that already provide atomicity
-//!   (Section 4.4, Figure 4);
+//!   Figure 3). Thread-safe mode is the only mode: the paper's
+//!   thread-unsafe mode (Section 4.4, Figure 4) is not built;
 //! * per-thread **circular persistent undo logs** with wraparound bits,
 //!   merged LOGGED/COMMITTED markers, and the `tsLowerBound`/`MAX_LAG`
 //!   bookkeeping (Sections 5.2 and 6);
@@ -71,7 +70,7 @@ pub mod thread;
 pub mod undo_log;
 
 pub use alloc_log::AllocLog;
-pub use config::{CraftyConfig, CraftyVariant, ThreadingMode};
+pub use config::{CraftyConfig, CraftyVariant};
 pub use engine::Crafty;
 pub use recovery::{
     logs_are_clean, parse_sequences, recover, recover_interrupted, recovery_phase_word,

@@ -1,30 +1,23 @@
 //! Per-thread execution of persistent transactions: one commit pipeline —
 //! buffer the body's writes, make their undo entries durable, publish in
-//! place, stamp the sequence's marker with the commit time — parameterised
-//! by who keeps other threads out meanwhile.
+//! place, stamp the sequence's marker with the commit time.
 //!
-//! The control flow follows Figures 3 and 4 of the paper:
-//!
-//! * **Thread-safe mode** — run the Log phase (nondestructive undo logging)
-//!   in a hardware transaction, flush the undo entries, then try to commit
-//!   the program's writes with the Redo phase; if its conservative
-//!   timestamp check fails, re-execute the body under the Validate phase;
-//!   after repeated failures commit in software. The software commit locks
-//!   exactly the transaction's write-set lines through the HTM's versioned
-//!   line locks, so nothing system-wide is serialized and the hardware
-//!   phases subscribe to no global word (where the paper's design has one
-//!   global lock).
-//! * **Thread-unsafe mode** — the program already provides atomicity, so
-//!   the Redo phase runs unconditionally and Validate is never needed.
+//! The control flow follows Figure 3 of the paper (its thread-safe mode):
+//! run the Log phase (nondestructive undo logging) in a hardware
+//! transaction, flush the undo entries, then try to commit the program's
+//! writes with the Redo phase; if its conservative timestamp check fails,
+//! re-execute the body under the Validate phase; after repeated failures
+//! commit in software. The software commit locks exactly the
+//! transaction's write-set lines through the HTM's versioned line locks,
+//! so nothing system-wide is serialized and the hardware phases subscribe
+//! to no global word (where the paper's design has one global lock).
 //!
 //! Atomicity therefore comes from a hardware transaction (`log_phase`,
-//! then `commit_phase` for Redo and Validate alike), from per-line locks,
-//! or from the program. The last two share `software_commit`, generic over
-//! a [`crafty_htm::Exclusion`] strategy.
-//! Every route appends through the one undo-log writer, and everything
-//! written outside a hardware transaction goes by the line. Every undo
-//! append is followed by `after_undo_append`, and every commit outside a
-//! hardware transaction ends in `stamp_committed`.
+//! then `commit_phase` for Redo and Validate alike) or from per-line locks
+//! (`software_commit`, over a [`crafty_htm::FallbackTxn`]). Both append
+//! through the one undo-log writer, and the software commit publishes by
+//! the line. Every undo append is followed by `after_undo_append`, and the
+//! software commit ends in `stamp_committed`.
 //!
 //! One deliberate implementation difference from the paper: the software
 //! commit buffers the body's writes instead of re-running chunked hardware
@@ -46,11 +39,11 @@ use crafty_common::trace::{self, TraceEventKind, TxnPhase};
 use crafty_common::{
     wait, CompletionPath, LineId, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps,
 };
-use crafty_htm::{AbortCode, Exclusion, HwTxn};
+use crafty_htm::{AbortCode, FallbackTxn, HwTxn};
 use crafty_pmem::{MemorySpace, PmemAllocator};
 
 use crate::alloc_log::AllocLog;
-use crate::config::{CraftyVariant, ThreadingMode};
+use crate::config::CraftyVariant;
 use crate::engine::{Crafty, ABORT_LOG_MOVED, ABORT_REDO_TS_CHECK, ABORT_VALIDATE_MISMATCH};
 use crate::undo_log::AppendInfo;
 
@@ -160,7 +153,7 @@ impl<'c> CraftyThread<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Control flow (Figures 3 and 4)
+    // Control flow (Figure 3)
     // ------------------------------------------------------------------
 
     fn execute_thread_safe(&mut self, body: &mut TxnBody<'_>) {
@@ -190,38 +183,19 @@ impl<'c> CraftyThread<'c> {
         self.execute_software(body)
     }
 
-    fn execute_thread_unsafe(&mut self, body: &mut TxnBody<'_>) {
-        let (rec, tid) = (&self.engine.recorder, self.tid);
-        match rec.timed(tid, TxnPhase::Log, || self.log_phase(body)) {
-            LogOutcome::ReadOnly => self.finish_read_only(),
-            LogOutcome::Logged(seq) => {
-                rec.timed(tid, TxnPhase::Redo, || self.redo_thread_unsafe(&seq));
-                self.finish(CompletionPath::Redo, seq.persistent_writes)
-            }
-            // HTM keeps failing (capacity, spurious aborts): commit in
-            // software — the program already keeps other threads out.
-            LogOutcome::Aborted => self.execute_software(body),
-        }
-    }
-
     /// The software entry step, once the hardware phases have exhausted
     /// their budget (or immediately, under `force_fallback`): runs the one
-    /// software commit under per-line locks (thread-safe) or under the
-    /// program's own exclusion (thread-unsafe). Cold: placed among the
+    /// software commit under per-line locks. Cold: placed among the
     /// hardware phases it cost read-only transactions 2%.
     #[cold]
     #[inline(never)]
     fn execute_software(&mut self, body: &mut TxnBody<'_>) {
-        let engine = self.engine;
-        let (htm, rec, tid) = (&engine.htm, &engine.recorder, self.tid);
-        // Entering the fallback is an event of its own, whichever mode
-        // commits: the phase machinery gave up, which is the signal an
-        // adaptive mode switcher would act on.
+        let (rec, tid) = (&self.engine.recorder, self.tid);
+        // Entering the fallback is an event of its own: the phase
+        // machinery gave up, which is the signal an adaptive mode switcher
+        // would act on.
         trace::record(tid, TraceEventKind::Fallback, 0);
-        rec.timed(tid, TxnPhase::Sgl, || match engine.cfg.mode {
-            ThreadingMode::ThreadSafe => self.software_commit(body, || htm.begin_fallback(tid)),
-            ThreadingMode::ThreadUnsafe => self.software_commit(body, || htm.begin_exclusive()),
-        })
+        rec.timed(tid, TxnPhase::Sgl, || self.software_commit(body))
     }
 
     fn finish(&mut self, path: CompletionPath, persistent_writes: u64) {
@@ -506,33 +480,18 @@ impl<'c> CraftyThread<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Atomicity from line locks or the program (Figure 4)
+    // Atomicity from line locks
     // ------------------------------------------------------------------
 
-    /// Thread-unsafe Redo: no other thread can move `gLastRedoTS`, so the
-    /// phase always succeeds and needs no hardware transaction
-    /// (Section 4.4).
-    fn redo_thread_unsafe(&mut self, seq: &LoggedSeq) {
-        // The undo entries must be durable before the in-place writes.
-        let mut lines = self.redo_buf.iter().map(|slot| LineId::new(slot.line()));
-        self.engine.mem.drain_warming(self.tid, &mut lines);
-        self.engine.htm.nontx_write_lines(&self.redo_buf);
-        self.stamp_committed(seq.marker_abs);
-        trace::record(self.tid, TraceEventKind::RedoApply, seq.writes as u64);
-    }
-
-    /// The one software commit: run the body against buffered writes, let
-    /// the exclusion strategy `X` keep other threads out of the write set,
+    /// The one software commit, the per-line fallback: run the body
+    /// against buffered writes and versioned snapshot reads in a
+    /// [`FallbackTxn`], lock exactly the write-set lines (sorted order),
     /// bump `gLastRedoTS`, validate the reads, persist the undo log,
-    /// publish, stamp the marker, and release. Under
-    /// [`crafty_htm::FallbackTxn`] that is the per-line fallback: versioned
-    /// snapshot reads, exactly the write-set lines locked (sorted order),
-    /// released at a fresh commit version — no global lock is taken and
-    /// nothing system-wide is serialized: two fallbacks with disjoint
-    /// footprints run fully in parallel, and hardware transactions abort
-    /// only if they actually touched one of the locked lines. Under
-    /// [`crafty_htm::ExclusiveTxn`] locking and validation are no-ops
-    /// because the program serializes (thread-unsafe mode).
+    /// publish, stamp the marker, and release the lines at a fresh commit
+    /// version. No global lock is taken and nothing system-wide is
+    /// serialized: two fallbacks with disjoint footprints run fully in
+    /// parallel, and hardware transactions abort only if they actually
+    /// touched one of the locked lines.
     ///
     /// The `gLastRedoTS` bump sits *after* lock acquisition and *before*
     /// read validation, and this ordering is load-bearing. A concurrent
@@ -548,23 +507,19 @@ impl<'c> CraftyThread<'c> {
     ///
     /// Durability ordering is the same as every other path: undo entries
     /// appended, flushed, and **drained** strictly before the first
-    /// in-place write — under line locks the whole sequence happens inside
-    /// the lock-hold window, which is why the fault clock ticks at each
-    /// lock transition (crash points land inside the window).
-    fn software_commit<X: Exclusion>(
-        &mut self,
-        body: &mut TxnBody<'_>,
-        mut begin: impl FnMut() -> X,
-    ) {
+    /// in-place write — the whole sequence happens inside the lock-hold
+    /// window, which is why the fault clock ticks at each lock transition
+    /// (crash points land inside the window).
+    fn software_commit(&mut self, body: &mut TxnBody<'_>) {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
         let mut body_failures = 0u32;
         loop {
             self.alloc_log.release_allocations(&engine.allocator);
-            let mut x = begin();
+            let mut fb = engine.htm.begin_fallback(self.tid);
             let mut ctx = Ctx {
                 access: Buffered {
-                    x: &mut x,
+                    fb: &mut fb,
                     conflicted: false,
                 },
                 allocator: &engine.allocator,
@@ -584,17 +539,17 @@ impl<'c> CraftyThread<'c> {
                 wait::yield_now();
                 continue;
             }
-            if !x.has_writes() && self.alloc_log.is_empty() {
+            if !fb.has_writes() && self.alloc_log.is_empty() {
                 // Every value handed to the body was consistent at the
                 // begin snapshot; nothing to lock or persist.
                 return self.finish_read_only();
             }
 
-            x.lock_write_set();
+            fb.lock_write_set();
             engine
                 .htm
                 .nontx_bump_commit_version(engine.g_last_redo_ts_addr);
-            if x.validate_reads().is_err() {
+            if fb.validate_reads().is_err() {
                 wait::yield_now();
                 continue;
             }
@@ -603,9 +558,9 @@ impl<'c> CraftyThread<'c> {
             // write-set words, read with exclusion complete.
             self.entries_buf.clear();
             self.entries_buf.extend(
-                x.written_words()
+                fb.written_words()
                     .filter(|addr| engine.mem.is_persistent(*addr))
-                    .map(|addr| (addr, x.read_locked(addr))),
+                    .map(|addr| (addr, fb.read_locked(addr))),
             );
             let log_ts = engine.timestamp();
             let Ok(info) = undo_log.append_sequence(
@@ -618,16 +573,16 @@ impl<'c> CraftyThread<'c> {
             let mut lines = self.entries_buf.iter().map(|(addr, _)| addr.line());
             engine.mem.drain_warming(self.tid, &mut lines);
 
-            x.publish();
+            fb.publish();
             self.stamp_committed(info.marker_abs);
-            x.commit_release();
-            drop(x);
+            fb.commit_release();
+            drop(fb);
             return self.finish(CompletionPath::Sgl, info.data_entries);
         }
     }
 
-    /// The tail of every commit published outside a hardware transaction:
-    /// CLWB the lines of the persistent words written (the addresses of
+    /// The tail of the software commit, published outside a hardware
+    /// transaction: CLWB the lines of the persistent words written (the addresses of
     /// the sequence's undo entries, still in `entries_buf`) in one batch,
     /// stamp its marker with the commit timestamp, and flush it.
     fn stamp_committed(&self, marker_abs: u64) {
@@ -647,10 +602,7 @@ impl<'c> CraftyThread<'c> {
 
 impl TmThread for CraftyThread<'_> {
     fn execute(&mut self, body: &mut TxnBody<'_>) {
-        match self.engine.cfg.mode {
-            ThreadingMode::ThreadSafe => self.execute_thread_safe(body),
-            ThreadingMode::ThreadUnsafe => self.execute_thread_unsafe(body),
-        }
+        self.execute_thread_safe(body)
     }
 }
 
@@ -781,27 +733,27 @@ impl Access for ValidateAccess<'_, '_> {
     }
 }
 
-/// Software commit: loads are served by the exclusion strategy (own
+/// Software commit: loads are served by the fallback transaction (own
 /// buffered writes first), stores stay buffered in it until the undo log
 /// has been persisted.
-struct Buffered<'a, X> {
-    x: &'a mut X,
+struct Buffered<'a, 'rt> {
+    fb: &'a mut FallbackTxn<'rt>,
     /// Set when a load lost a version race: the body's failure is then a
     /// snapshot conflict (retried without limit — some other transaction
     /// made progress), not a program abort (bounded patience).
     conflicted: bool,
 }
 
-impl<X: Exclusion> Access for Buffered<'_, X> {
+impl Access for Buffered<'_, '_> {
     fn load(&mut self, addr: PAddr) -> Result<u64, TxAbort> {
-        self.x.read(addr).map_err(|_| {
+        self.fb.read(addr).map_err(|_| {
             self.conflicted = true;
             TxAbort::hardware()
         })
     }
 
     fn store(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort> {
-        self.x.write(addr, value);
+        self.fb.write(addr, value);
         Ok(())
     }
 }

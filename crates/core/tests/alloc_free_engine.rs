@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use crafty_common::{PersistentTm, SplitMix64, TxAbort, TxnOps};
-use crafty_core::{Crafty, CraftyConfig, ThreadingMode};
+use crafty_core::{Crafty, CraftyConfig};
 use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
 
 #[path = "../../htm/tests/support/counting_alloc.rs"]
@@ -46,7 +46,6 @@ fn steady_state_bank_transactions_do_not_allocate() {
         for (route, cfg) in [
             ("hardware", base),
             ("forced per-line", base.with_force_fallback(true)),
-            ("thread-unsafe", base.with_mode(ThreadingMode::ThreadUnsafe)),
         ] {
             run_route(route, cfg, latency);
         }

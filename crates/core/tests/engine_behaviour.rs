@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crafty_common::trace::{self, TraceLevel, TxnPhase};
 use crafty_common::{CompletionPath, PAddr, PersistentTm, TxAbort, TxnOps};
-use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant, ThreadingMode};
+use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, MemorySpace, PmemConfig};
 
@@ -205,34 +205,6 @@ fn no_validate_variant_still_completes_under_contention() {
     });
     assert_eq!(mem.read(counter), (threads * per_thread) as u64);
     assert_eq!(crafty.breakdown().completions(CompletionPath::Validate), 0);
-}
-
-#[test]
-fn thread_unsafe_mode_provides_durability_under_external_locking() {
-    let mem = small_mem();
-    let cfg = CraftyConfig::small_for_tests().with_mode(ThreadingMode::ThreadUnsafe);
-    let crafty = Arc::new(Crafty::new(Arc::clone(&mem), cfg));
-    let counter = mem.reserve_persistent(1);
-    let lock = Arc::new(std::sync::Mutex::new(()));
-    std::thread::scope(|s| {
-        for tid in 0..3 {
-            let crafty = Arc::clone(&crafty);
-            let lock = Arc::clone(&lock);
-            s.spawn(move || {
-                let mut handle = crafty.register_thread(tid);
-                for _ in 0..100 {
-                    // The program's own lock provides thread atomicity.
-                    let _guard = lock.lock().unwrap();
-                    handle.execute(&mut |ops| {
-                        let v = ops.read(counter)?;
-                        ops.write(counter, v + 1)?;
-                        Ok(())
-                    });
-                }
-            });
-        }
-    });
-    assert_eq!(mem.read(counter), 300);
 }
 
 #[test]
@@ -451,25 +423,33 @@ fn software_fallback_is_used_when_htm_capacity_is_exceeded() {
     assert_eq!(b.completions(CompletionPath::Sgl), 1);
 }
 
-/// Every route through the one software commit keeps the same books as
-/// the hardware path: flushed undo-log lines are counted, every
-/// transaction is a software completion timed as a phase, thread-unsafe
-/// mode times its Log and Redo phases, and a body that never succeeds is
-/// given the same patience everywhere.
+/// Every route into the one software commit keeps the same books as the
+/// hardware path: flushed undo-log lines are counted, every transaction is
+/// a software completion timed as a phase, and a body that never succeeds
+/// is given the same software patience on both. The capacity fallback
+/// first spends the hardware budget: every Log attempt of every phase
+/// round, `(MAX_PHASE_RESTARTS + 1) × (HTM_RETRIES_PER_PHASE + 1)` runs
+/// (8 and 4 in `thread.rs`).
 #[test]
 fn software_commit_routes_keep_the_same_books() {
     // Phase timing is process-wide; other tests in this binary merely
     // record a few cycles more.
     let _counters = trace::LevelGuard::arm(TraceLevel::Counters);
     let base = CraftyConfig::small_for_tests().with_max_threads(1);
-    let unsafe_mode = base.with_mode(ThreadingMode::ThreadUnsafe);
-    for (route, cfg, htm) in [
+    let capacity_hw_runs = (8 + 1) * (4 + 1);
+    for (route, cfg, htm, hw_runs) in [
         (
             "forced per-line",
             base.with_force_fallback(true),
             HtmConfig::skylake(),
+            0,
         ),
-        ("thread-unsafe, tiny HTM", unsafe_mode, HtmConfig::tiny()),
+        (
+            "capacity, tiny HTM",
+            base,
+            HtmConfig::tiny(),
+            capacity_hw_runs,
+        ),
     ] {
         let mem = small_mem();
         let crafty = Crafty::with_htm_config(Arc::clone(&mem), cfg, htm);
@@ -501,24 +481,6 @@ fn software_commit_routes_keep_the_same_books() {
             })
         }));
         assert!(gave_up.is_err(), "{route}: a hopeless body must panic");
-        let hw_runs = if cfg.mode == ThreadingMode::ThreadUnsafe {
-            5
-        } else {
-            0
-        };
         assert_eq!(runs, hw_runs + 16, "{route}: software patience differs");
     }
-
-    // Thread-unsafe mode on a real HTM: hardware Log, software Redo.
-    let mem = small_mem();
-    let crafty = Crafty::new(Arc::clone(&mem), unsafe_mode);
-    let cell = mem.reserve_persistent(1);
-    let mut thread = crafty.register_thread(0);
-    thread.execute(&mut |ops| ops.write(cell, 7));
-    let b = crafty.breakdown();
-    assert_eq!(b.total_persistent(), 1);
-    assert_eq!(b.completions(CompletionPath::Redo), 1);
-    assert!(b.phase_cycles(TxnPhase::Log) > 0, "Log phase not timed");
-    assert!(b.phase_cycles(TxnPhase::Redo) > 0, "Redo phase not timed");
-    assert!(mem.stats().flushes > 0);
 }

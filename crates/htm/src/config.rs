@@ -22,7 +22,7 @@ pub struct HtmConfig {
     /// transactions out of every [`HtmConfig::storm_period`] per thread
     /// (0 disables storms). Storms model sustained interference —
     /// interrupt floods, cache-set thrashing — and drive the torture harness
-    /// down the retry→software-fallback path (per-line, by default).
+    /// down the retry→software-fallback path.
     pub storm_burst: u32,
     /// Length of one storm cycle in hardware-transaction begins per
     /// thread. Values ≤ `storm_burst` are clamped at use sites to

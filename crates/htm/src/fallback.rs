@@ -31,7 +31,7 @@
 //!    body with a fresh snapshot (opacity: every value handed to the body
 //!    is consistent at `rv`).
 //! 3. **Write** — buffered in the descriptor, invisible until publish.
-//! 4. **Lock** — [`Exclusion::lock_write_set`] acquires `FALLBACK_BIT`
+//! 4. **Lock** — [`FallbackTxn::lock_write_set`] acquires `FALLBACK_BIT`
 //!    on the distinct write-set lines in **sorted line order** with
 //!    bounded-exponential backoff. Sorted acquisition cannot deadlock
 //!    against other fallbacks (they sort too), and the only other holders
@@ -42,8 +42,8 @@
 //!    the transaction now write-locks itself) and free of foreign locks.
 //! 6. **Publish / release** — the caller interleaves its durability
 //!    actions (undo-log append, flush, drain) with
-//!    [`Exclusion::publish`] while the locks are held, then
-//!    [`Exclusion::commit_release`] stamps every held line with a fresh
+//!    [`FallbackTxn::publish`] while the locks are held, then
+//!    [`FallbackTxn::commit_release`] stamps every held line with a fresh
 //!    commit version.
 //!
 //! Each lock acquire, the validation pass, and the release advance the
@@ -54,15 +54,11 @@
 //! every line unlocked by construction — the torture suites audit this by
 //! running a second engine life over recovered images.
 //!
-//! # One commit protocol, two exclusion strategies
-//!
-//! The steps above are the [`Exclusion`] trait: what an engine's software
-//! commit needs from whoever keeps other threads out while it persists
-//! and publishes. [`FallbackTxn`] provides exclusion itself, per line.
-//! [`ExclusiveTxn`] is the degenerate strategy for a caller whose program
-//! already serializes its transactions (thread-unsafe mode): the same
-//! write buffer, but non-transactional loads and stores, no line locks, no
-//! validation, and no lock-transition fault ticks.
+//! The steps are [`FallbackTxn`]'s methods, in the order an engine's
+//! software commit calls them; it interleaves its durability actions —
+//! undo-log append, flush, drain — between
+//! [`FallbackTxn::validate_reads`] and [`FallbackTxn::publish`], while
+//! every written line is held.
 
 use std::sync::atomic::Ordering;
 
@@ -92,78 +88,11 @@ impl HtmRuntime {
             committed: false,
         }
     }
-
-    /// Begins a buffered software transaction for a caller that already
-    /// keeps every other thread out (see [`ExclusiveTxn`]). Allocation-free
-    /// like [`HtmRuntime::begin_fallback`]: it borrows the same descriptor.
-    pub fn begin_exclusive(&self) -> ExclusiveTxn<'_> {
-        ExclusiveTxn {
-            rt: self,
-            scratch: Some(scratch::checkout()),
-        }
-    }
-}
-
-/// The steps of a software commit that depend on *who keeps other threads
-/// out* (module docs, steps 2–6), in the order an engine calls them. The
-/// engine interleaves its durability actions — undo-log append, flush,
-/// drain — between [`Exclusion::validate_reads`] and
-/// [`Exclusion::publish`], while exclusion is complete.
-pub trait Exclusion {
-    /// Reads the word at `addr` for the transaction body: the body's own
-    /// buffered write if there is one, memory otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`AbortCode::Conflict`] when the value cannot be served consistently
-    /// with the reads so far; the caller retries the whole body under a
-    /// fresh transaction. No lock is held at read time, so a conflicting
-    /// retry never blocks anyone.
-    fn read(&mut self, addr: PAddr) -> Result<u64, AbortCode>;
-
-    /// Buffers a write of `value` to `addr`; it becomes visible only at
-    /// [`Exclusion::publish`]. The software path has no capacity limit —
-    /// that is the point of a fallback.
-    fn write(&mut self, addr: PAddr, value: u64);
-
-    /// The distinct written words: lines in first-write order, the words
-    /// of a line in address order.
-    fn written_words(&self) -> impl Iterator<Item = PAddr> + '_;
-
-    /// True if the body buffered at least one write.
-    fn has_writes(&self) -> bool {
-        self.written_words().next().is_some()
-    }
-
-    /// Completes exclusion over the write set. Returns once no other
-    /// thread can read or write a written line until
-    /// [`Exclusion::commit_release`].
-    fn lock_write_set(&mut self);
-
-    /// Checks, with exclusion complete, that every value the body read is
-    /// still current.
-    ///
-    /// # Errors
-    ///
-    /// [`AbortCode::Conflict`] after giving up exclusion again (nothing
-    /// was published); the caller retries the whole body.
-    fn validate_reads(&mut self) -> Result<(), AbortCode>;
-
-    /// The pre-publish ("old") value of a write-set word, for undo-log
-    /// entries. Sound only between [`Exclusion::lock_write_set`] and
-    /// [`Exclusion::publish`].
-    fn read_locked(&self, addr: PAddr) -> u64;
-
-    /// Publishes every buffered write in place.
-    fn publish(&mut self);
-
-    /// Ends the transaction, letting other threads at the written lines.
-    fn commit_release(&mut self);
 }
 
 /// An in-flight software fallback transaction (see the module docs for the
 /// protocol). Obtain one from [`HtmRuntime::begin_fallback`]; dropping it
-/// before [`Exclusion::commit_release`] releases any held line locks
+/// before [`FallbackTxn::commit_release`] releases any held line locks
 /// without bumping versions (abort), panic-safe.
 pub struct FallbackTxn<'rt> {
     rt: &'rt HtmRuntime,
@@ -203,12 +132,17 @@ impl FallbackTxn<'_> {
     pub fn tid(&self) -> usize {
         self.tid
     }
-}
 
-impl Exclusion for FallbackTxn<'_> {
-    /// Snapshot-consistent at the begin snapshot: a line that is locked
-    /// or has been committed past the snapshot is a conflict.
-    fn read(&mut self, addr: PAddr) -> Result<u64, AbortCode> {
+    /// Reads the word at `addr` for the transaction body: the body's own
+    /// buffered write if there is one, memory otherwise (step 2).
+    ///
+    /// # Errors
+    ///
+    /// [`AbortCode::Conflict`] when the line is locked or has been
+    /// committed past the begin snapshot; the caller retries the whole
+    /// body under a fresh transaction. No lock is held at read time, so a
+    /// conflicting retry never blocks anyone.
+    pub fn read(&mut self, addr: PAddr) -> Result<u64, AbortCode> {
         if let Some(value) = self.s().read_buffered(addr) {
             return Ok(value);
         }
@@ -217,19 +151,31 @@ impl Exclusion for FallbackTxn<'_> {
             .ok_or(AbortCode::Conflict)
     }
 
-    fn write(&mut self, addr: PAddr, value: u64) {
+    /// Buffers a write of `value` to `addr` (step 3); it becomes visible
+    /// only at [`FallbackTxn::publish`]. The software path has no capacity
+    /// limit — that is the point of a fallback.
+    pub fn write(&mut self, addr: PAddr, value: u64) {
         self.s().buffer_write(addr, value);
     }
 
-    fn written_words(&self) -> impl Iterator<Item = PAddr> + '_ {
+    /// The distinct written words: lines in first-write order, the words
+    /// of a line in address order.
+    pub fn written_words(&self) -> impl Iterator<Item = PAddr> + '_ {
         self.scratch().written()
     }
 
-    /// Acquires the fallback write lock on every distinct write-set line,
-    /// in sorted line order (deadlock avoidance) with bounded-exponential
-    /// backoff per line. Blocks until every lock is held; ticks the fault
-    /// clock once per acquired line.
-    fn lock_write_set(&mut self) {
+    /// True if the body buffered at least one write.
+    pub fn has_writes(&self) -> bool {
+        self.written_words().next().is_some()
+    }
+
+    /// Acquires the fallback write lock on every distinct write-set line
+    /// (step 4), in sorted line order (deadlock avoidance) with
+    /// bounded-exponential backoff per line. Returns once every lock is
+    /// held: no other thread can read or write a written line until
+    /// [`FallbackTxn::commit_release`]. Ticks the fault clock once per
+    /// acquired line.
+    pub fn lock_write_set(&mut self) {
         let rt = self.rt;
         let s = self.s();
         s.lock_order.sort_unstable();
@@ -240,9 +186,10 @@ impl Exclusion for FallbackTxn<'_> {
         }
     }
 
-    /// Validates the read log while the write locks are held: every line
-    /// this transaction read must be unchanged since the begin snapshot,
-    /// and unlocked unless this transaction itself holds its write lock.
+    /// Validates the read log while the write locks are held (step 5):
+    /// every line this transaction read must be unchanged since the begin
+    /// snapshot, and unlocked unless this transaction itself holds its
+    /// write lock.
     ///
     /// Lines both read and written get the version check too — acquisition
     /// preserves the version bits under `FALLBACK_BIT`, so a commit that
@@ -251,8 +198,15 @@ impl Exclusion for FallbackTxn<'_> {
     /// a line whose sole lock bit is `FALLBACK_BIT` is looked up among the
     /// held lines; a `LOCK_BIT` is always foreign (impossible on a line we
     /// hold, but checked for robustness).
-    /// A conflict releases every held write lock first, versions unchanged.
-    fn validate_reads(&mut self) -> Result<(), AbortCode> {
+    ///
+    /// Ticks the fault clock once.
+    ///
+    /// # Errors
+    ///
+    /// [`AbortCode::Conflict`] after releasing every held write lock,
+    /// versions unchanged (nothing was published); the caller retries the
+    /// whole body.
+    pub fn validate_reads(&mut self) -> Result<(), AbortCode> {
         let rt = self.rt;
         let rv = self.rv;
         let s = self.s();
@@ -279,19 +233,22 @@ impl Exclusion for FallbackTxn<'_> {
         }
     }
 
-    /// A plain load: the held `FALLBACK_BIT` excludes every writer
-    /// (hardware commits abort, non-transactional stores wait).
-    fn read_locked(&self, addr: PAddr) -> u64 {
+    /// The pre-publish ("old") value of a write-set word, for undo-log
+    /// entries. Sound only between [`FallbackTxn::lock_write_set`] and
+    /// [`FallbackTxn::publish`]: a plain load, because the held
+    /// `FALLBACK_BIT` excludes every writer (hardware commits abort,
+    /// non-transactional stores wait).
+    pub fn read_locked(&self, addr: PAddr) -> u64 {
         self.rt.mem.read(addr)
     }
 
     /// Publishes every buffered write in place, line by line, while the
-    /// write locks are held. Deliberately plain stores — taking the line
-    /// locks here (as `nontx_write` would) would self-deadlock on our own
-    /// held `FALLBACK_BIT`; exclusion is already guaranteed by the held
-    /// locks, and concurrent readers see either the lock bit (abort/wait)
-    /// or, after release, the new commit version.
-    fn publish(&mut self) {
+    /// write locks are held (step 6). Deliberately plain stores — taking
+    /// the line locks here (as `nontx_write` would) would self-deadlock on
+    /// our own held `FALLBACK_BIT`; exclusion is already guaranteed by the
+    /// held locks, and concurrent readers see either the lock bit
+    /// (abort/wait) or, after release, the new commit version.
+    pub fn publish(&mut self) {
         for slot in self.scratch().lines.slots() {
             self.rt
                 .mem
@@ -299,10 +256,10 @@ impl Exclusion for FallbackTxn<'_> {
         }
     }
 
-    /// Draws a fresh commit version and stamps every held line with it
-    /// (releasing the locks). Ticks the fault clock once — the last crash
-    /// point of the lock-hold window.
-    fn commit_release(&mut self) {
+    /// Ends the transaction: draws a fresh commit version and stamps every
+    /// held line with it, releasing the locks. Ticks the fault clock once —
+    /// the last crash point of the lock-hold window.
+    pub fn commit_release(&mut self) {
         let rt = self.rt;
         let s = self.s();
         let wv = rt.version_clock.fetch_add(1, Ordering::AcqRel) + 1;
@@ -335,70 +292,6 @@ impl Drop for FallbackTxn<'_> {
                 release_locked(self.rt, &mut scratch);
                 self.rt.mem.fault_event();
             }
-            scratch::give_back(scratch);
-        }
-    }
-}
-
-/// The [`Exclusion`] strategy of a caller that already keeps every other
-/// *transaction* out: the program serializes its transactions itself
-/// (thread-unsafe mode). Loads go through [`HtmRuntime::nontx_read`] and
-/// the publish through [`HtmRuntime::nontx_write_lines`], so any hardware
-/// transaction still running observes them as conflicts; there is nothing
-/// to lock and nothing to validate. Obtain one from
-/// [`HtmRuntime::begin_exclusive`].
-#[derive(Debug)]
-pub struct ExclusiveTxn<'rt> {
-    rt: &'rt HtmRuntime,
-    /// Lent by the calling thread like [`FallbackTxn`]'s descriptor.
-    scratch: Option<Box<TxnScratch>>,
-}
-
-impl ExclusiveTxn<'_> {
-    #[inline]
-    fn scratch(&self) -> &TxnScratch {
-        self.scratch.as_ref().expect("descriptor present")
-    }
-}
-
-impl Exclusion for ExclusiveTxn<'_> {
-    /// Nothing to validate, so nothing is logged.
-    fn read(&mut self, addr: PAddr) -> Result<u64, AbortCode> {
-        let s = self.scratch.as_mut().expect("descriptor present");
-        Ok(s.buffered(addr).unwrap_or_else(|| self.rt.nontx_read(addr)))
-    }
-
-    fn write(&mut self, addr: PAddr, value: u64) {
-        let s = self.scratch.as_mut().expect("descriptor present");
-        s.buffer_write(addr, value);
-    }
-
-    fn written_words(&self) -> impl Iterator<Item = PAddr> + '_ {
-        self.scratch().written()
-    }
-
-    fn lock_write_set(&mut self) {}
-
-    fn validate_reads(&mut self) -> Result<(), AbortCode> {
-        Ok(())
-    }
-
-    fn read_locked(&self, addr: PAddr) -> u64 {
-        self.rt.nontx_read(addr)
-    }
-
-    /// Line by line through [`HtmRuntime::nontx_write_lines`]: each written
-    /// line is locked once and released at one fresh version.
-    fn publish(&mut self) {
-        self.rt.nontx_write_lines(self.scratch().lines.slots());
-    }
-
-    fn commit_release(&mut self) {}
-}
-
-impl Drop for ExclusiveTxn<'_> {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
             scratch::give_back(scratch);
         }
     }

@@ -97,6 +97,6 @@ pub mod runtime;
 pub mod scratch;
 
 pub use config::HtmConfig;
-pub use fallback::{Exclusion, ExclusiveTxn, FallbackTxn};
+pub use fallback::FallbackTxn;
 pub use runtime::{AbortCode, HtmRuntime, HwTxn, LockWordGuard};
 pub use scratch::TxnScratch;

@@ -341,17 +341,6 @@ impl HtmRuntime {
         });
     }
 
-    /// [`HtmRuntime::nontx_write_words`] for every line of a line image
-    /// that has written words — an [`ExclusiveTxn`](crate::ExclusiveTxn)'s
-    /// write buffer, or the redo image [`HwTxn::roll_back`] took (Crafty's
-    /// thread-unsafe Redo).
-    pub fn nontx_write_lines(&self, image: &[LineSlot]) {
-        for slot in image.iter().filter(|slot| slot.mask != 0) {
-            let line = LineId::new(slot.line());
-            self.nontx_store(line, |_| self.mem.write_line(line, &slot.words, slot.mask));
-        }
-    }
-
     /// The locked-line section of every non-transactional store: lock
     /// `line`, draw a fresh version while it is held, run `store` (handed
     /// that version, so a store that publishes it stays monotonic), and
@@ -976,8 +965,7 @@ impl HwTxn<'_> {
     /// Copies the descriptor's lines into `image` in one block — line id,
     /// final words, written-word mask: the write buffer *is* the redo log;
     /// a line with no written word may come along, and
-    /// [`HwTxn::write_lines`] and [`HtmRuntime::nontx_write_lines`] skip
-    /// it — and then undoes every [`HwTxn::exchange`], newest first, so the
+    /// [`HwTxn::write_lines`] skips it — and then undoes every [`HwTxn::exchange`], newest first, so the
     /// transaction commits the values it found. Returns how many exchanges
     /// that was. Stands for one `read` and one `write` per exchange (the
     /// old word-wise roll-back), so it ticks the countdown twice for each.

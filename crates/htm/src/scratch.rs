@@ -8,8 +8,8 @@
 //! no cost per access. This module provides the same discipline for the
 //! simulated RTM:
 //!
-//! * [`TxnScratch`] — everything a hardware, fallback or exclusive
-//!   transaction needs to remember: the **read log** (TL2's read set: the
+//! * [`TxnScratch`] — everything a hardware or fallback transaction
+//!   needs to remember: the **read log** (TL2's read set: the
 //!   line of every read served from memory, appended, never indexed, and
 //!   walked once at commit), one [`LineTable`] entry per line the
 //!   transaction writes, sinks or flushes (buffered words, written-word
@@ -181,7 +181,7 @@ impl TxnScratch {
     /// the line up only if the transaction has written anything, and then
     /// without inserting it.
     #[inline]
-    pub(crate) fn buffered(&mut self, addr: PAddr) -> Option<u64> {
+    fn buffered(&mut self, addr: PAddr) -> Option<u64> {
         if self.words_written == 0 {
             return None;
         }

@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use crafty_common::BreakdownRecorder;
-use crafty_htm::{Exclusion, HtmConfig, HtmRuntime};
+use crafty_htm::{HtmConfig, HtmRuntime};
 use crafty_pmem::{MemorySpace, PmemConfig};
 
 fn runtime() -> (Arc<MemorySpace>, HtmRuntime) {

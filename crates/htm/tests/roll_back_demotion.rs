@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use crafty_common::{BreakdownRecorder, PAddr};
-use crafty_htm::{AbortCode, Exclusion, HtmConfig, HtmRuntime, HwTxn};
+use crafty_htm::{AbortCode, HtmConfig, HtmRuntime, HwTxn};
 use crafty_pmem::{FaultPlan, MemorySpace, PmemConfig};
 
 /// Word 0 of data line `i` (persistent).

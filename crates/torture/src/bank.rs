@@ -32,9 +32,7 @@ use std::sync::Arc;
 
 use crafty_common::trace::{self, ThreadTrace, TraceLevel};
 use crafty_common::{BreakdownSnapshot, PAddr, PersistentTm, SplitMix64, TxAbort, TxnOps};
-use crafty_core::{
-    logs_are_clean, recover, recovery_phase_word, Crafty, CraftyConfig, ThreadingMode,
-};
+use crafty_core::{logs_are_clean, recover, recovery_phase_word, Crafty, CraftyConfig};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
 
@@ -115,18 +113,10 @@ pub enum Route {
     /// [`STORM_PERIOD`] hardware transactions (placed by the suite seed):
     /// a transaction caught in a burst exhausts its retry budget and
     /// commits through the per-line software fallback, the rest in
-    /// hardware, all on one thread-safe log.
+    /// hardware, all on one log.
     Storm,
     /// Forced through the per-line software commit.
     PerLine,
-    /// Thread-unsafe mode on [`HtmConfig::tiny`]: the Log phase rarely fits
-    /// a transaction's account lines plus their undo entries, so most
-    /// transactions take the capacity fallback — the software commit with
-    /// no lock at all — and the rest a hardware Log plus a software Redo.
-    ThreadUnsafeTiny,
-    /// Thread-unsafe mode on a real-sized HTM: every transaction is a
-    /// hardware Log plus a software Redo, none takes the software commit.
-    ThreadUnsafe,
 }
 
 impl Route {
@@ -137,8 +127,6 @@ impl Route {
             Route::Fenced => "bank/fenced",
             Route::Storm => "bank/storm",
             Route::PerLine => "bank/per-line",
-            Route::ThreadUnsafeTiny => "bank/thread-unsafe",
-            Route::ThreadUnsafe => "bank/thread-unsafe-hw",
         }
     }
 
@@ -149,7 +137,6 @@ impl Route {
             .with_max_threads(1)
             .with_undo_log_entries(64);
         let forced = cfg.with_force_fallback(true);
-        let unlocked = cfg.with_mode(ThreadingMode::ThreadUnsafe);
         let skylake = HtmConfig::skylake();
         let (cfg, htm) = match self {
             Route::Hardware | Route::Fenced => (cfg, skylake),
@@ -158,22 +145,13 @@ impl Route {
                 skylake.with_abort_storm(STORM_BURST, STORM_PERIOD, seed),
             ),
             Route::PerLine => (forced, skylake),
-            Route::ThreadUnsafeTiny => (unlocked, HtmConfig::tiny()),
-            Route::ThreadUnsafe => (unlocked, skylake),
         };
         Crafty::with_htm_config(Arc::clone(mem), cfg, htm)
     }
 }
 
 /// Every route of the bank suite, in report order: `bank` stays first.
-pub const ROUTES: [Route; 6] = [
-    Route::Hardware,
-    Route::Fenced,
-    Route::Storm,
-    Route::PerLine,
-    Route::ThreadUnsafeTiny,
-    Route::ThreadUnsafe,
-];
+pub const ROUTES: [Route; 4] = [Route::Hardware, Route::Fenced, Route::Storm, Route::PerLine];
 
 /// The memory configuration of every run and every second life (sizes
 /// must match so [`MemorySpace::boot`] accepts the image).
@@ -519,7 +497,7 @@ mod tests {
     /// the counts they moved from. While the Log commit still published
     /// what it had rolled back, it stored every rolled-back persistent
     /// word over itself and ticked the fault clock for it: `bank` counted
-    /// 582 points and `bank/thread-unsafe-hw` 604. Now a rolled-back line
+    /// 582 points. Now a rolled-back line
     /// is validated, not published, and exactly those ticks are gone —
     /// one per distinct account a transaction touched. While the commit
     /// stamp still rewrote a marker's meta word beside its value word, it
@@ -547,14 +525,13 @@ mod tests {
             run.total_steps - run.setup_steps
         };
         assert_eq!(582 - points(Route::Hardware), rolled_back + stamps);
-        assert_eq!(604 - points(Route::ThreadUnsafe), rolled_back + stamps);
-        // The unlocked software commit never runs a hardware Log commit:
-        // it moved by the stamps alone.
-        assert_eq!(points(Route::ThreadUnsafeTiny), 490 - stamps);
-        // The per-line software commit is that unlocked commit plus its
-        // lock transitions: one tick per locked line (every account on a
-        // line of its own), and two per transaction, for the read
-        // validation and the release.
+        // The per-line software commit is the unlocked commit's count plus
+        // its lock transitions. The unlocked commit's count, 490 − stamps,
+        // is the same buffered commit with no lock taken (thread-unsafe
+        // mode's, since removed): it ran no hardware Log commit, so it
+        // moved by the stamps alone. The lock transitions are one tick per
+        // locked line (every account on a line of its own), and two per
+        // transaction, for the read validation and the release.
         assert_eq!(
             points(Route::PerLine),
             490 - stamps + rolled_back + 2 * stamps

@@ -20,21 +20,18 @@
 //!   committed-transaction order replayed against a shadow oracle (plus
 //!   [`crafty_kv::ShardedKv::check_integrity`] deep structure checks for
 //!   the KV suite).
-//! * **One bank rig, six routes** — [`bank::run_bank_torture`] runs the
+//! * **One bank rig, four routes** — [`bank::run_bank_torture`] runs the
 //!   same seeded bank down every [`Route`] of [`bank::ROUTES`]: the
 //!   hardware phases, with a group-commit `persist_fence` every few
 //!   transactions, and under abort storms
 //!   ([`crafty_htm::HtmConfig::with_abort_storm`]: hardware and software
-//!   commits on one thread-safe log); forced through the per-line fallback
+//!   commits on one log); and forced through the per-line fallback
 //!   ([`crafty_core::CraftyConfig::with_force_fallback`]), whose lock-word
 //!   transitions tick the fault clock, so crash points land while line
-//!   locks are held; and in thread-unsafe mode on a tiny HTM (the
-//!   software commit with no lock) and on a real-sized one (hardware Log,
-//!   software Redo). Every route gets the
-//!   same audit: every transaction completed, the prefix check, and a
-//!   *second life* — the recovered image is booted and must run more
-//!   transactions with conservation intact (a rebooted heap never sees a
-//!   stuck lock).
+//!   locks are held. Every route gets the same audit: every transaction
+//!   completed, the prefix check, and a *second life* — the recovered
+//!   image is booted and must run more transactions with conservation
+//!   intact (a rebooted heap never sees a stuck lock).
 //! * **Crash-during-recovery** — [`rec::run_recovery_torture`] interrupts
 //!   [`crafty_core::recover_interrupted`] at every write budget and checks
 //!   that re-running recovery converges to the uninterrupted image.

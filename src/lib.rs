@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crafty_common::{
         BreakdownSnapshot, CompletionPath, PAddr, PersistentTm, TmThread, TxAbort, TxnOps, Zipfian,
     };
-    pub use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant, ThreadingMode};
+    pub use crafty_core::{recover, Crafty, CraftyConfig, CraftyVariant};
     pub use crafty_kv::{DirectOps, KvConfig, SeqCheck, SessionTable, ShardedKv};
     pub use crafty_pmem::{CrashModel, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
     pub use crafty_server::{

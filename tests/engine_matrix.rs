@@ -146,35 +146,3 @@ fn crafty_breakdown_distinguishes_commit_paths_under_contention() {
         "non-Redo completions require hardware aborts"
     );
 }
-
-#[test]
-fn crafty_thread_unsafe_mode_composes_with_program_locks() {
-    let threads = 3;
-    let mem = small_space(threads);
-    let crafty = Crafty::new(
-        Arc::clone(&mem),
-        CraftyConfig::small_for_tests()
-            .with_mode(ThreadingMode::ThreadUnsafe)
-            .with_max_threads(threads),
-    );
-    let cell = mem.reserve_persistent(1);
-    let lock = std::sync::Mutex::new(());
-    std::thread::scope(|s| {
-        for tid in 0..threads {
-            let crafty = &crafty;
-            let lock = &lock;
-            s.spawn(move || {
-                let mut t = crafty.register_thread(tid);
-                for _ in 0..100 {
-                    let _guard = lock.lock().unwrap();
-                    t.execute(&mut |ops| {
-                        let v = ops.read(cell)?;
-                        ops.write(cell, v + 1)?;
-                        Ok(())
-                    });
-                }
-            });
-        }
-    });
-    assert_eq!(mem.read(cell), 300);
-}

@@ -37,8 +37,8 @@ fn enumerate_exhaustively(routes: &[Route], seed: u64) {
     }
 }
 
-/// The thread-safe hardware-phase routes: the hardware phases alone, with
-/// a `persist_fence` closing every 4th transaction (the server's group
+/// The hardware-phase routes: the hardware phases alone, with a
+/// `persist_fence` closing every 4th transaction (the server's group
 /// commit), and under abort storms (hardware and software commits on one
 /// log). `bank` reports first.
 #[test]
@@ -47,12 +47,11 @@ fn bank_exhaustive_enumeration_is_violation_free() {
     enumerate_exhaustively(&ROUTES[..3], 21);
 }
 
-/// The routes that commit outside a Redo/Validate hardware transaction
-/// (forced per-line, thread-unsafe on a tiny HTM and on a real-sized
-/// one): the per-line fallback's lock-word transitions tick the fault
-/// clock, so its enumerated steps include crash points strictly inside
-/// lock-hold windows, and the second life proves a rebooted heap never
-/// sees a stuck lock.
+/// The forced per-line route, which commits every transaction outside a
+/// Redo/Validate hardware transaction: the per-line fallback's lock-word
+/// transitions tick the fault clock, so its enumerated steps include
+/// crash points strictly inside lock-hold windows, and the second life
+/// proves a rebooted heap never sees a stuck lock.
 #[test]
 fn fallback_exhaustive_enumeration_is_violation_free() {
     enumerate_exhaustively(&ROUTES[3..], 21);
