@@ -35,14 +35,15 @@ pub fn yield_now() {
 /// operation lasts at least `ns`, about one clock read more (or, if the
 /// caller's own work alone overran that, returns after one clock read).
 /// The deadline is computed once; each poll is one clock read and one
-/// comparison. `None` waits for nothing and reads no clock.
+/// comparison, back to back with no processor hint between polls: the
+/// waits are sub-microsecond, and a PAUSE there only adds to how far
+/// past its deadline a wait ends. `None` waits for nothing and reads no
+/// clock.
 #[inline]
 pub fn deadline(issued: Option<Instant>, ns: u64) {
     let Some(issued) = issued else { return };
     let end = issued + Duration::from_nanos(ns);
-    while Instant::now() < end {
-        std::hint::spin_loop();
-    }
+    while Instant::now() < end {}
 }
 
 /// Exponential backoff for a contended lock word.

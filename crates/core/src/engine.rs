@@ -261,8 +261,12 @@ impl Crafty {
     /// the refresh is the target's latest sequence, recovery stops rolling
     /// back the one before it, whose writes are then already durable; the
     /// owner's queue, which only the owner drains (a core completes only
-    /// its own write-backs), is left alone. An owner's Redo or Validate
-    /// that commits after the refresh re-logs behind it (`touch_log_head`).
+    /// its own write-backs), is left alone. The refresh and an owner's
+    /// Redo or Validate are ordered whichever commits first, with no
+    /// line written by both: the owner's commit stamps the marker this
+    /// refresh read, which fails its validation, and an owner's commit
+    /// after the refresh reads the moved head and re-logs behind it
+    /// (`touch_log_head`).
     /// Retries until the refresh commits or `still_wanted`,
     /// asked before every attempt, says no, and backs off after each
     /// failed attempt: against a busy log-head line, back-to-back attempts

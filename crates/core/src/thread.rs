@@ -459,23 +459,33 @@ impl<'c> CraftyThread<'c> {
         Ok(())
     }
 
-    /// Reads the thread's own log head inside the committing transaction
-    /// and writes it back unchanged. If another thread appended a refresh
-    /// sequence to this log since the Log phase (Section 5.2 forcing),
-    /// this sequence is no longer the log's latest — the one recovery
-    /// rolls back — so its in-place writes must not happen: the attempt
-    /// aborts with [`ABORT_LOG_MOVED`] and the phase fails, and the
-    /// transaction re-logs behind the refresh. The write-back orders a
-    /// refresh that read the head before this commit after it: that
-    /// refresh's validation fails.
+    /// Reads the thread's own log head inside the committing transaction.
+    /// If another thread appended a refresh sequence to this log since the
+    /// Log phase (Section 5.2 forcing), this sequence is no longer the
+    /// log's latest — the one recovery rolls back — so its in-place writes
+    /// must not happen: the attempt aborts with [`ABORT_LOG_MOVED`] and
+    /// the phase fails, and the transaction re-logs behind the refresh.
+    ///
+    /// The head is read, not written: the commit locks no line for it.
+    /// A refresh and this commit are still ordered, whichever commits
+    /// first, because every refresh checks the tip through
+    /// [`crate::undo_log::UndoLog::tip_unmoved`], which reads the head
+    /// *and* the marker's value word that this commit stamps
+    /// (`commit_marker`):
+    ///
+    /// * a refresh that read the tip before this commit holds the marker
+    ///   line in its read set; the stamp locks and re-versions that line,
+    ///   so the refresh fails its validation (or, reading it while this
+    ///   commit holds it, aborts at once);
+    /// * a refresh that committed first moved the head: this commit holds
+    ///   the head line in its read set and fails validation, or reads the
+    ///   moved head here and aborts with [`ABORT_LOG_MOVED`].
     fn touch_log_head(&self, txn: &mut HwTxn<'_>, seq: &LoggedSeq) -> Result<(), Stop> {
         let head_addr = self.engine.threads[self.tid].undo_log.head_addr();
-        let head = txn.read(head_addr)?;
-        if head != seq.marker_abs + 1 {
+        if txn.read(head_addr)? != seq.marker_abs + 1 {
             txn.abort_explicit(ABORT_LOG_MOVED);
             return Err(Stop::Fail);
         }
-        txn.write(head_addr, head)?;
         Ok(())
     }
 

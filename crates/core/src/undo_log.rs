@@ -777,6 +777,31 @@ mod tests {
     }
 
     #[test]
+    fn tip_unmoved_needs_the_head_and_the_marker_value_word_unchanged() {
+        let (_mem, htm, log) = setup();
+        let Ok(info) = log.append_sequence(
+            &htm,
+            &[(PAddr::new(64), 1)],
+            Timestamp::from_raw(5),
+            &mut Vec::new(),
+        );
+        let unmoved = |tip| {
+            let mut txn = htm.begin(0);
+            log.tip_unmoved(&mut txn, tip).expect("no conflict")
+        };
+        let tip = log.persist_latest(&htm, 0);
+        assert!(unmoved(tip), "head and marker unchanged");
+        // The owner's commit stamps the marker: the head stays put.
+        let Ok(()) = log.commit_marker(&htm, info.marker_abs, Timestamp::from_raw(9));
+        assert!(!unmoved(tip), "head unchanged, marker stamped");
+        let tip = log.persist_latest(&htm, 0);
+        assert!(unmoved(tip), "the stamp is the new tip");
+        // Another sequence moves the head and leaves the old marker alone.
+        let Ok(_) = log.append_sequence(&htm, &[], Timestamp::from_raw(11), &mut Vec::new());
+        assert!(!unmoved(tip), "head moved");
+    }
+
+    #[test]
     fn commit_marker_overwrites_logged_entry() {
         let (mem, htm, log) = setup();
         let mut txn = htm.begin(0);

@@ -792,14 +792,21 @@ impl<'rt> HwTxn<'rt> {
             return Err(self.fail(AbortCode::Conflict));
         }
 
-        // Publish the buffered writes, line by line (and the commit version
-        // itself into any registered sinks).
-        for slot in s.lines.slots().iter().filter(|slot| slot.mask != 0) {
-            rt.mem
-                .write_line(LineId::new(slot.line()), &slot.words, slot.mask);
-        }
-        for addr in &s.version_sinks {
-            rt.mem.write(*addr, wv);
+        // A descriptor that holds no line — nothing written, no version
+        // sink, no flush request — has nothing to publish, flush or
+        // release: TL2's read-only commit ends at its validation (and the
+        // fence below).
+        let publishes = !s.lines.is_empty();
+        if publishes {
+            // Publish the buffered writes, line by line (and the commit
+            // version itself into any registered sinks).
+            for slot in s.lines.slots().iter().filter(|slot| slot.mask != 0) {
+                rt.mem
+                    .write_line(LineId::new(slot.line()), &slot.words, slot.mask);
+            }
+            for addr in &s.version_sinks {
+                rt.mem.write(*addr, wv);
+            }
         }
         // Fence semantics for flushes issued before the transaction (they
         // were normally already drained at begin), then enqueue the
@@ -808,15 +815,17 @@ impl<'rt> HwTxn<'rt> {
         if rt.mem.pending_flushes(self.tid) > 0 {
             rt.mem.drain(self.tid);
         }
-        rt.mem.clwb_lines(
-            self.tid,
-            s.lines
-                .slots()
-                .iter()
-                .filter(|slot| slot.flags & FLUSH != 0)
-                .map(|slot| LineId::new(slot.line())),
-        );
-        release(&s.lock_order, Some(wv));
+        if publishes {
+            rt.mem.clwb_lines(
+                self.tid,
+                s.lines
+                    .slots()
+                    .iter()
+                    .filter(|slot| slot.flags & FLUSH != 0)
+                    .map(|slot| LineId::new(slot.line())),
+            );
+            release(&s.lock_order, Some(wv));
+        }
 
         self.finished = true;
         rt.recorder

@@ -22,6 +22,12 @@ path move `rss_mb` and placement):
     scripts/bench_pairs.py --parent /path/parent-bin --change /path/change-bin \\
         --workload kv-update --pairs 10 --seconds 22 --seed 101
 
+`--control BIN` adds a third side to every pair: the parent with a no-op
+edit to a cold path (a dropped `Debug` field, say), built the same way. It
+runs in the same alternation, and beside each verdict the report prints
+how far the control's median sits from the parent's: the placement floor,
+what a change that does nothing moves the metric by.
+
 Every run's output is appended to `--log` (JSON lines) as it finishes.
 Exits 1 if a run fails or reports a failed operation.
 """
@@ -83,10 +89,15 @@ def verdict(metric, parent, change):
     return wins, losses, iqr, word
 
 
+def relative(median, parent_median):
+    return (median / parent_median - 1) * 100 if parent_median else float("nan")
+
+
 def report(workload, metrics, runs):
     print(f"\n{workload}: {len(runs)} pairs")
     print(f"{'metric':<10} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
           f" {'change':>8} {'won':>6} {'verdict':>10}")
+    control = "control" in runs[0]
     for m in metrics:
         name = m["name"]
         parent = [r["parent"][name] for r in runs]
@@ -94,17 +105,22 @@ def report(workload, metrics, runs):
         pq1, pmed, pq3 = quartiles(parent)
         cq1, cmed, cq3 = quartiles(change)
         wins, losses, iqr, word = verdict(m, parent, change)
-        rel = (cmed / pmed - 1) * 100 if pmed else float("nan")
+        floor = ""
+        if control:
+            kmed = statistics.median(r["control"][name] for r in runs)
+            floor = f", control {relative(kmed, pmed):+.2f}%"
         print(f"{name:<10} {pmed:>12.5g} [{pq1:.5g}, {pq3:.5g}]".ljust(45)
               + f" {cmed:>12.5g} [{cq1:.5g}, {cq3:.5g}]".ljust(35)
-              + f" {rel:>+7.2f}% {wins:>2}/{len(runs):<3} {word:>10}"
-              + f"  (parent IQR {iqr:.4g}, {losses} lost)")
+              + f" {relative(cmed, pmed):>+7.2f}% {wins:>2}/{len(runs):<3} {word:>10}"
+              + f"  (parent IQR {iqr:.4g}, {losses} lost{floor})")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="parent benchmark binary")
     ap.add_argument("--change", required=True, help="change benchmark binary")
+    ap.add_argument("--control",
+                    help="parent binary with a no-op cold-path edit: the placement floor")
     ap.add_argument("--workload", required=True,
                     help="workload name, or a comma-separated list")
     ap.add_argument("--pairs", type=int, default=10)
@@ -115,21 +131,25 @@ def main():
     args = ap.parse_args()
 
     metrics = load_metrics(args.spec)
+    binaries = {"parent": args.parent, "change": args.change}
+    if args.control:
+        binaries["control"] = args.control
+    sides = list(binaries)
     for workload in args.workload.split(","):
         runs = []
         for i in range(args.pairs):
             seed = args.seed + i
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            # Two sides swap every pair; three take turns at going first.
+            order = sides[i % len(sides):] + sides[:i % len(sides)]
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                binary = args.parent if side == "parent" else args.change
-                pair[side] = run_once(binary, workload, seed, args.seconds)
+                pair[side] = run_once(binaries[side], workload, seed, args.seconds)
             runs.append(pair)
             if args.log:
                 with open(args.log, "a") as f:
                     f.write(json.dumps(pair) + "\n")
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-                f"{m['name']} {pair['parent'][m['name']]:.5g} -> {pair['change'][m['name']]:.5g}"
+                f"{m['name']} " + " -> ".join(f"{pair[side][m['name']]:.5g}" for side in sides)
                 for m in metrics), flush=True)
         report(workload, metrics, runs)
 
