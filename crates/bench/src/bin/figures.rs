@@ -72,14 +72,14 @@
 use std::collections::BTreeSet;
 
 use crafty_bench::{
-    cli, render_by_workload, render_kvserve_json, render_kvserve_table, render_points_json,
-    render_points_table, run_kvserve_point, run_point, run_points, run_trace_dump, FlagDef,
-    HarnessConfig, KvServeConfig, KvServeEngine, ParsedArgs, Point, SubcommandSpec,
-    TraceDumpConfig, KV_ENGINES,
+    cli, render_by_workload, render_figure, render_kvserve_json, render_kvserve_table,
+    render_points_json, render_points_table, run_kvserve_point, run_point, run_points,
+    run_trace_dump, FlagDef, HarnessConfig, KvServeConfig, KvServeEngine, ParsedArgs, Point,
+    SubcommandSpec, TraceDumpConfig, KV_ENGINES,
 };
 use crafty_common::trace::{self, TraceLevel};
 use crafty_pmem::LatencyModel;
-use crafty_stats::{render_breakdown, render_figure, render_figure_csv, Figure};
+use crafty_stats::render_breakdown;
 use crafty_workloads::{
     ArrivalProcess, BankWorkload, BtreeVariant, BtreeWorkload, Contention, EngineKind, StampKernel,
     StampWorkload, Workload, YcsbMix, YcsbWorkload,
@@ -412,16 +412,14 @@ fn emit_figure(
             &cfg.thread_counts,
             cfg,
         );
-        let mut fig = Figure::new(workload.name());
-        for p in &points {
-            fig.push(p.measurement.clone());
-        }
-        println!("\n== {figure}{letter}: {} ==", fig.title);
-        print!("{}", render_figure(&fig, "Non-durable"));
+        let title = workload.name();
+        let (table, csv) = render_figure(&title, &points);
+        println!("\n== {figure}{letter}: {title} ==");
+        print!("{table}");
         if let Some(dir) = csv_dir {
             std::fs::create_dir_all(dir).expect("create csv directory");
             let path = format!("{dir}/{figure}{letter}.csv");
-            std::fs::write(&path, render_figure_csv(&fig, "Non-durable")).expect("write csv");
+            std::fs::write(&path, csv).expect("write csv");
             println!("[csv written to {path}]");
         }
         measured.extend(points);
@@ -432,7 +430,7 @@ fn emit_figure(
 /// Prints each point's completion-path and hardware-outcome counts — and,
 /// from a traced run, its phase times.
 fn print_breakdowns(points: &[Point]) {
-    let row = |p: &Point| render_breakdown(&p.measurement.engine, &p.breakdown);
+    let row = |p: &Point| render_breakdown(&p.engine, &p.breakdown);
     print!("{}", render_by_workload(points, row));
 }
 

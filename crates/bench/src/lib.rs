@@ -3,18 +3,19 @@
 //!
 //! Every comparison — a figure, a Table 1 cell, a breakdown, the hotpath
 //! bank benchmark, the YCSB mixes — is a list of [`Point`]s from
-//! [`run_points`], and every view is derived from that list: the
-//! normalized-throughput tables via [`crafty_stats::Figure`], the per-point
-//! lines via [`render_points_table`], and the one JSON artifact schema via
-//! [`render_points_json`]. Each point gets a fresh simulated memory space
-//! and a fresh engine, exactly as each point in the paper is a separate
-//! process run. Nothing here gates throughput: the repository benchmark
-//! (`benchmark/`) is the one performance yardstick, and a test holds the
-//! one-thread hotpath counts to the one committed artifact,
-//! `BENCH_hotpath.json`.
+//! [`run_points`], one record per measured run, and every view is derived
+//! from that list: the normalized-throughput tables and their CSV via
+//! [`render_figure`], the per-point lines via [`render_points_table`], and
+//! the one JSON artifact schema via [`render_points_json`]. Each point
+//! gets a fresh simulated memory space and a fresh engine, exactly as each
+//! point in the paper is a separate process run. Nothing here gates
+//! throughput: the repository benchmark (`benchmark/`) is the one
+//! performance yardstick, and a test holds the one-thread hotpath counts
+//! to the one committed artifact, `BENCH_hotpath.json`.
 //!
-//! The remaining modules are the two drivers that are not engine
-//! comparisons: [`kvserve`] (the networked service, open-loop) and
+//! [`Point`] and the normalization live in [`throughput`], the text
+//! views in [`report`]. The remaining modules are the two drivers that are
+//! not engine comparisons: [`kvserve`] (the networked service, open-loop) and
 //! [`tracedump`] (event rings as a Chrome trace). The kvserve artifact
 //! leaves through the same envelope as the engine artifact, which stamps
 //! where the numbers came from (`nproc`, git `revision`).
@@ -24,6 +25,8 @@
 
 pub mod cli;
 pub mod kvserve;
+pub mod report;
+pub mod throughput;
 pub mod tracedump;
 
 pub use cli::{parse, render_help, FlagDef, ParsedArgs, SubcommandSpec};
@@ -31,14 +34,16 @@ pub use kvserve::{
     render_kvserve_json, render_kvserve_table, run_kvserve, run_kvserve_point, KvServeConfig,
     KvServeEngine, KvServePoint,
 };
+pub use report::{render_by_workload, render_figure, render_points_table};
+pub use throughput::Point;
 pub use tracedump::{run_trace_dump, TraceDumpConfig};
 
 use std::sync::Arc;
 
-use crafty_common::{trace, BreakdownSnapshot, CompletionPath, HwTxnOutcome, TxnPhase};
-use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig, PmemStats};
-use crafty_stats::{Json, Measurement};
-use crafty_workloads::{build_engine, measure, EngineKind, Workload};
+use crafty_common::{trace, CompletionPath, HwTxnOutcome, TxnPhase};
+use crafty_pmem::{LatencyModel, MemorySpace, PmemConfig};
+use crafty_stats::Json;
+use crafty_workloads::{build_engine, run_mix, EngineKind, Workload};
 
 /// Serializes tests that flip the process-global trace level, so their
 /// assertions about what was (or was not) recorded cannot race, and every
@@ -135,6 +140,9 @@ pub const KV_ENGINES: [EngineKind; 4] = [
     EngineKind::Crafty,
 ];
 
+/// The thread counts every figure in the paper sweeps.
+const PAPER_THREAD_COUNTS: [usize; 7] = [1, 2, 4, 8, 12, 15, 16];
+
 /// Parameters shared by every point of one `figures` invocation.
 #[derive(Clone, Debug)]
 pub struct HarnessConfig {
@@ -167,7 +175,7 @@ impl HarnessConfig {
     /// transaction budget. Expect minutes per figure.
     pub fn paper() -> Self {
         HarnessConfig {
-            thread_counts: crafty_stats::PAPER_THREAD_COUNTS.to_vec(),
+            thread_counts: PAPER_THREAD_COUNTS.to_vec(),
             txns_per_thread: 20_000,
             latency: LatencyModel::nvm_300ns(),
             persistent_words: 1 << 24,
@@ -187,24 +195,6 @@ impl HarnessConfig {
     }
 }
 
-/// One measured (workload, engine, thread count) run — the unit every
-/// table, figure and artifact of this crate is derived from.
-#[derive(Clone, Debug)]
-pub struct Point {
-    /// The workload's name as the paper's figures caption it
-    /// (`"bank (medium contention)"`, `"YCSB-A (…)"`).
-    pub workload: String,
-    /// Engine label, thread count, transactions executed and wall time.
-    pub measurement: Measurement,
-    /// The engine's completion-path and hardware-outcome counters; phase
-    /// times too when the run was traced.
-    pub breakdown: BreakdownSnapshot,
-    /// Persist traffic of the *measured run only* (setup and prefill are
-    /// snapshotted away, so `words_persisted / line_words_persisted` is
-    /// the steady-state write amplification of the point).
-    pub pmem: PmemStats,
-}
-
 /// Runs one (workload, engine, thread count) point on a fresh memory space
 /// and a fresh engine.
 pub fn run_point(
@@ -217,7 +207,7 @@ pub fn run_point(
     let engine = build_engine(kind, &mem, threads);
     let mix = workload.prepare(&mem);
     let before = mem.stats();
-    let measurement = measure(
+    let elapsed = run_mix(
         engine.as_ref(),
         mix.as_ref(),
         threads,
@@ -226,7 +216,10 @@ pub fn run_point(
     );
     Point {
         workload: workload.name(),
-        measurement,
+        engine: engine.name().to_string(),
+        threads,
+        transactions: threads as u64 * cfg.txns_per_thread,
+        elapsed,
         breakdown: engine.breakdown(),
         pmem: mem.stats().since(&before),
     }
@@ -251,45 +244,6 @@ pub fn run_points(
     points
 }
 
-/// Renders `row` for every point, under one `-- workload --` header per
-/// workload — the layout of every per-point listing `figures` prints.
-pub fn render_by_workload(points: &[Point], row: impl Fn(&Point) -> String) -> String {
-    let mut out = String::new();
-    let mut workload = "";
-    for p in points {
-        if p.workload != workload {
-            workload = &p.workload;
-            out.push_str(&format!("\n-- {workload} --\n"));
-        }
-        out.push_str(&row(p));
-    }
-    out
-}
-
-/// Renders one line per point: throughput, hardware aborts, and the
-/// persist pipeline's write amplification and drain coalescing.
-pub fn render_points_table(points: &[Point]) -> String {
-    render_by_workload(points, |p| {
-        let aborts = HwTxnOutcome::ALL
-            .iter()
-            .filter(|&&o| o != HwTxnOutcome::Commit)
-            .map(|&o| p.breakdown.hw(o))
-            .sum::<u64>();
-        format!(
-            "{:<20} {:>2} thr {:>12.0} ops/s  {:>8} hw aborts  w-amp {:.3}  \
-             {:>7} ranges / {:>7} lines ({:.2}/rng)\n",
-            p.measurement.engine,
-            p.measurement.threads,
-            p.measurement.throughput(),
-            aborts,
-            p.pmem.write_amplification(),
-            p.pmem.flush_ranges,
-            p.pmem.lines_persisted,
-            p.pmem.lines_per_range(),
-        )
-    })
-}
-
 /// Renders points as the engine artifact — the one schema behind the
 /// committed `BENCH_hotpath.json` and every `--json-out` file. `phase_ns`
 /// appears only on points that recorded any, i.e. instrumented engines in
@@ -303,13 +257,13 @@ pub fn render_points_json(cfg: &HarnessConfig, points: &[Point]) -> String {
     let arr = points
         .iter()
         .map(|p| {
-            let (m, b, pm) = (&p.measurement, &p.breakdown, &p.pmem);
+            let (b, pm) = (&p.breakdown, &p.pmem);
             let mut o = Json::object()
                 .with("workload", Json::from(p.workload.as_str()))
-                .with("engine", Json::from(m.engine.as_str()))
-                .with("threads", Json::from(m.threads))
-                .with("transactions", Json::from(m.transactions))
-                .with("ops_per_sec", Json::Float(round2(m.throughput())))
+                .with("engine", Json::from(p.engine.as_str()))
+                .with("threads", Json::from(p.threads))
+                .with("transactions", Json::from(p.transactions))
+                .with("ops_per_sec", Json::Float(round2(p.throughput())))
                 .with("writes_per_txn", Json::Float(round2(b.writes_per_txn())))
                 .with("words_persisted", Json::UInt(pm.words_persisted))
                 .with(
@@ -352,8 +306,8 @@ pub fn render_points_json(cfg: &HarnessConfig, points: &[Point]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::throughput::{baseline, engines};
     use crafty_common::TraceLevel;
-    use crafty_stats::Figure;
     use crafty_workloads::{BankWorkload, Contention, YcsbMix, YcsbWorkload};
 
     #[test]
@@ -387,30 +341,38 @@ mod tests {
     }
 
     #[test]
+    fn paper_thread_counts_match_figures() {
+        assert_eq!(
+            HarnessConfig::paper().thread_counts,
+            [1, 2, 4, 8, 12, 15, 16]
+        );
+    }
+
+    #[test]
     fn figure_collects_one_point_per_engine_and_thread_count() {
         let _serial = trace_test_lock();
         let points = bank_points(&tiny());
         assert_eq!(points.len(), 4);
-        let mut figure = Figure::new(points[0].workload.as_str());
-        for p in &points {
-            figure.push(p.measurement.clone());
-        }
-        assert_eq!(figure.engines().len(), 2);
-        let series = figure.normalized_series("Crafty", "Non-durable");
-        assert_eq!(series.len(), 2);
-        assert!(series.iter().all(|&(_, v)| v > 0.0));
+        assert_eq!(engines(&points), ["Non-durable", "Crafty"]);
+        let base = baseline(&points);
+        let crafty: Vec<(usize, f64)> = points
+            .iter()
+            .filter(|p| p.engine == "Crafty")
+            .map(|p| (p.threads, p.throughput() / base))
+            .collect();
+        assert_eq!(crafty.iter().map(|&(t, _)| t).collect::<Vec<_>>(), [1, 2]);
+        assert!(crafty.iter().all(|&(_, v)| v > 0.0));
     }
 
     #[test]
     fn breakdowns_and_table1_cells_are_produced() {
         let _serial = trace_test_lock();
         for p in bank_points(&tiny()) {
-            let m = &p.measurement;
-            assert_eq!(m.transactions, 50 * m.threads as u64);
-            assert!(m.throughput() > 0.0);
+            assert_eq!(p.transactions, 50 * p.threads as u64);
+            assert!(p.throughput() > 0.0);
             // Every transaction is accounted for by a completion path.
-            assert_eq!(p.breakdown.total_persistent(), m.transactions);
-            if m.engine == "Crafty" {
+            assert_eq!(p.breakdown.total_persistent(), p.transactions);
+            if p.engine == "Crafty" {
                 let w = p.breakdown.writes_per_txn();
                 assert!((w - 10.0).abs() < 0.5, "bank writes/txn ≈ 10, got {w}");
             }
@@ -480,13 +442,13 @@ mod tests {
         let workloads: Vec<&dyn Workload> = mixes.iter().map(|w| w as &dyn Workload).collect();
         let points = run_points(&workloads, &KV_ENGINES, &cfg.thread_counts, &cfg);
         assert_eq!(points.len(), YcsbMix::ALL.len() * KV_ENGINES.len());
-        assert!(points.iter().all(|p| p.measurement.transactions == 40));
-        assert!(points.iter().all(|p| p.measurement.throughput() > 0.0));
+        assert!(points.iter().all(|p| p.transactions == 40));
+        assert!(points.iter().all(|p| p.throughput() > 0.0));
         let crafty_on = |mix: YcsbMix| {
             let name = YcsbWorkload::paper(mix).name();
             points
                 .iter()
-                .find(|p| p.workload == name && p.measurement.engine == "Crafty")
+                .find(|p| p.workload == name && p.engine == "Crafty")
                 .unwrap_or_else(|| panic!("no Crafty point on {name}"))
         };
         // The headline claim of the word-granular pipeline: KV updates
@@ -540,7 +502,7 @@ mod tests {
                 outcomes.get("zero").and_then(Json::as_u64),
                 Some(p.breakdown.hw(HwTxnOutcome::Zero))
             );
-            match p.measurement.engine.as_str() {
+            match p.engine.as_str() {
                 // Crafty is fully instrumented: it always runs the Log phase.
                 "Crafty" => {
                     assert!(

@@ -122,11 +122,11 @@ fn validate_commits_through_the_exchange_and_flushes_the_entries_lines() {
 // Window (a): a forced refresh against the owner's Redo, in both orders
 // ----------------------------------------------------------------------
 
-/// Crashes `mem` under the strict model and eight adversarial seeds and
+/// Crashes `mem` under the strict model and eight relaxed seeds and
 /// requires every recovered image to hold the body's line whole: the
 /// values before the transaction, or the ones it commits.
 fn assert_recovers_whole(mem: &MemorySpace, crafty: &Crafty, line: PAddr, step: &str) {
-    let models = (0..8).map(CrashModel::adversarial);
+    let models = (0..8).map(CrashModel::relaxed);
     for model in [CrashModel::strict()].into_iter().chain(models) {
         let mut image = mem.crash_with(model);
         recover(&mut image, crafty.directory_addr()).expect("recovery");

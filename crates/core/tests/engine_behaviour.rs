@@ -125,7 +125,10 @@ fn contention_exercises_the_validate_path() {
     // Each thread hammers its own cell on its own cache line: no true data
     // conflicts (and no HTM line conflicts), but gLastRedoTS advances
     // constantly, so Redo's conservative check fails and Validate succeeds
-    // (the scenario of Figure 6(c) in the paper).
+    // (the scenario of Figure 6(c) in the paper). A thousand transactions
+    // per thread: at two hundred, on two cores shared with the binary's
+    // other tests, the four runs sometimes never overlapped and about one
+    // run in ten saw no Validate at all.
     let threads = 4;
     let cells = mem.reserve_persistent(threads as u64 * crafty_common::WORDS_PER_LINE);
     std::thread::scope(|s| {
@@ -134,7 +137,7 @@ fn contention_exercises_the_validate_path() {
             s.spawn(move || {
                 let mut handle = crafty.register_thread(tid);
                 let cell = cells.add(tid as u64 * crafty_common::WORDS_PER_LINE);
-                for _ in 0..200 {
+                for _ in 0..1000 {
                     handle.execute(&mut |ops| {
                         let v = ops.read(cell)?;
                         ops.write(cell, v + 1)?;
@@ -147,7 +150,7 @@ fn contention_exercises_the_validate_path() {
     for tid in 0..threads {
         assert_eq!(
             mem.read(cells.add(tid as u64 * crafty_common::WORDS_PER_LINE)),
-            200
+            1000
         );
     }
     let b = crafty.breakdown();

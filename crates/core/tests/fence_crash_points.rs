@@ -10,7 +10,7 @@
 //! The rig is deterministic on one OS thread: logical threads 1.. each
 //! commit one transfer (100/0 → 90/10) on two accounts of their own, then
 //! thread 0 fences. A crash at every fault-clock step of the fence, under
-//! the strict model and sixteen adversarial seeds, must recover every pair
+//! the strict model and sixteen relaxed seeds, must recover every pair
 //! of accounts to 100/0 or 90/10, and to 90/10 once the fence is done.
 
 use std::sync::Arc;
@@ -88,7 +88,7 @@ fn run(threads: usize, plan: FaultPlan) -> FenceRun {
 fn torn_images(threads: usize) -> usize {
     let count = run(threads, FaultPlan::count_only());
     assert!(count.fence_to > count.fence_from, "the fence persists");
-    let models = std::iter::once(CrashModel::strict()).chain((0..16).map(CrashModel::adversarial));
+    let models = std::iter::once(CrashModel::strict()).chain((0..16).map(CrashModel::relaxed));
     let mut torn = 0;
     for model in models {
         for step in count.fence_from + 1..=count.fence_to {

@@ -180,6 +180,13 @@ impl Default for CrashModel {
     }
 }
 
+/// Why an image may not be resolved under a model that evicts: an image
+/// reads only the dirty-word lottery, and evictions happen during a run,
+/// under the space's own model.
+pub(crate) const NO_EVICTING_IMAGE: &str = "a crash image resolves dirty words only: \
+     evictions belong to the space's PmemConfig::crash, so resolve the image under \
+     CrashModel::relaxed (same seed, same lottery)";
+
 /// A deterministic fault-injection plan, threaded through [`PmemConfig`].
 ///
 /// When armed, every durability-relevant event in the space — a store to a
@@ -231,8 +238,12 @@ impl FaultPlan {
 
     /// Captures a crash image at fault-clock step `step`, resolving dirty
     /// words under `model`. Panics on step 0: the clock's first tick is 1.
+    /// Panics on a model that evicts: the trap resolves its image like
+    /// [`crate::MemorySpace::crash_with`], which reads only the dirty-word
+    /// lottery; evictions belong to the space's own [`PmemConfig::crash`].
     pub const fn crash_at(step: u64, model: CrashModel) -> Self {
         assert!(step >= 1, "fault-clock steps are 1-based");
+        assert!(model.eviction_probability == 0.0, "{}", NO_EVICTING_IMAGE);
         FaultPlan {
             armed: true,
             crash_at_step: Some(step),
@@ -409,6 +420,12 @@ mod tests {
     #[should_panic(expected = "1-based")]
     fn a_trap_at_step_zero_is_refused() {
         FaultPlan::crash_at(0, CrashModel::strict());
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty words only")]
+    fn a_trap_resolved_under_a_model_that_evicts_is_refused() {
+        FaultPlan::crash_at(1, CrashModel::adversarial(3));
     }
 
     #[test]

@@ -195,7 +195,7 @@ use crafty_common::trace::{self, TraceEventKind};
 use crafty_common::wait;
 use crafty_common::{mix64, LineId, OwnedCounter, PAddr, SplitMix64, WORDS_PER_LINE};
 
-use crate::config::{CrashModel, LatencyModel, PmemConfig};
+use crate::config::{CrashModel, LatencyModel, PmemConfig, NO_EVICTING_IMAGE};
 use crate::image::PersistentImage;
 
 /// Counters describing the persist traffic a run generated.
@@ -1161,11 +1161,16 @@ impl MemorySpace {
     /// the crash state is exact over the words actually written. The
     /// volatile region is lost entirely.
     pub fn crash(&self) -> PersistentImage {
-        self.crash_with(self.cfg.crash)
+        self.resolve_crash(&self.cfg.crash)
     }
 
     /// Like [`MemorySpace::crash`], with an explicit crash model (e.g. to
     /// sweep the persist probability in property tests).
+    ///
+    /// The image reads only the model's dirty-word lottery. Evictions
+    /// happen during a run, under the space's own model, so a model that
+    /// evicts is refused here rather than silently resolved as
+    /// [`CrashModel::relaxed`] with the same seed.
     ///
     /// Each dirty word's persist coin comes from its own seeded stream,
     /// keyed by `(model.seed, word index)`: the resolution of one word is
@@ -1180,6 +1185,13 @@ impl MemorySpace {
     /// as the `service` torture suite does: its capture parks every other
     /// thread's next persistence step until the image is complete.
     pub fn crash_with(&self, model: CrashModel) -> PersistentImage {
+        assert!(model.eviction_probability == 0.0, "{NO_EVICTING_IMAGE}");
+        self.resolve_crash(&model)
+    }
+
+    /// The image a crash resolved under `model`'s dirty-word lottery
+    /// leaves (see [`MemorySpace::crash_with`]).
+    fn resolve_crash(&self, model: &CrashModel) -> PersistentImage {
         let words = self.cfg.persistent_words;
         // A zeroed allocation, like the space's own views: copying only
         // the non-zero words keeps the image as small as what was written.
@@ -1205,7 +1217,7 @@ impl MemorySpace {
                 if mask & (1 << i) == 0 {
                     continue;
                 }
-                if dirty_word_persists(&model, addr.word()) {
+                if dirty_word_persists(model, addr.word()) {
                     image[addr.word() as usize] =
                         self.words[addr.word() as usize].load(Ordering::Acquire);
                 }
@@ -1680,6 +1692,18 @@ mod tests {
         assert!(m.stats().evictions >= 1);
     }
 
+    /// A space that evicts still crashes under its own model; an explicit
+    /// image model may not evict, since the image reads only its lottery.
+    #[test]
+    #[should_panic(expected = "dirty words only")]
+    fn crash_with_refuses_a_model_that_evicts() {
+        let cfg = PmemConfig::small_for_tests().with_crash(CrashModel::adversarial(5));
+        let m = MemorySpace::new(cfg);
+        m.write(PAddr::new(64), 3);
+        m.crash();
+        m.crash_with(cfg.crash);
+    }
+
     #[test]
     fn boot_restores_persistent_region_and_clears_volatile() {
         let m = space();
@@ -1943,7 +1967,7 @@ mod tests {
         };
         let m = MemorySpace::new(cfg);
         let relaxed = CrashModel::relaxed(11);
-        let models = [CrashModel::strict(), relaxed, CrashModel::adversarial(12)];
+        let models = [CrashModel::strict(), relaxed, CrashModel::relaxed(12)];
         // What the test knows of every word it touched.
         let mut persisted: BTreeMap<u64, u64> = BTreeMap::new();
         let mut volatile: BTreeMap<u64, u64> = BTreeMap::new();

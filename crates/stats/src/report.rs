@@ -1,60 +1,9 @@
-//! Rendering figures and tables as text and CSV.
+//! Rendering the transaction breakdowns as text.
 //!
-//! The harness cannot draw the paper's plots, so every figure is rendered
-//! as the table of numbers behind it: one row per thread count, one column
-//! per engine, values normalized exactly as in the paper. The breakdowns of
-//! Figures 9–21 are rendered the same way.
+//! The harness cannot draw the paper's stacked bars, so the breakdowns of
+//! Figures 9–21 are rendered as the numbers behind them.
 
 use crafty_common::{BreakdownSnapshot, CompletionPath, HwTxnOutcome, TxnPhase};
-
-use crate::throughput::Figure;
-
-/// Renders a figure as an aligned text table of normalized throughputs.
-pub fn render_figure(figure: &Figure, baseline_engine: &str) -> String {
-    let engines = figure.engines();
-    let threads = figure.thread_counts();
-    let mut out = String::new();
-    out.push_str(&format!("# {}\n", figure.title));
-    out.push_str(&format!("{:>8}", "threads"));
-    for e in &engines {
-        out.push_str(&format!("{e:>20}"));
-    }
-    out.push('\n');
-    for &t in &threads {
-        out.push_str(&format!("{t:>8}"));
-        for e in &engines {
-            let v = figure
-                .normalized_series(e, baseline_engine)
-                .into_iter()
-                .find(|(threads, _)| *threads == t)
-                .map(|(_, v)| v);
-            match v {
-                Some(v) => out.push_str(&format!("{v:>20.3}")),
-                None => out.push_str(&format!("{:>20}", "-")),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders a figure as CSV (`benchmark,threads,engine,normalized_throughput,raw_tps`).
-pub fn render_figure_csv(figure: &Figure, baseline_engine: &str) -> String {
-    let mut out = String::from("benchmark,threads,engine,normalized_throughput,raw_tps\n");
-    let base = figure.baseline_throughput(baseline_engine).unwrap_or(1.0);
-    let base = if base > 0.0 { base } else { 1.0 };
-    for p in &figure.points {
-        out.push_str(&format!(
-            "{},{},{},{:.6},{:.3}\n",
-            figure.title,
-            p.threads,
-            p.engine,
-            p.throughput() / base,
-            p.throughput()
-        ));
-    }
-    out
-}
 
 /// Renders the persistent-transaction and hardware-transaction breakdowns
 /// of one engine run (the stacked bars of Figures 9–21, as numbers).
@@ -101,45 +50,6 @@ pub fn render_breakdown(engine: &str, snapshot: &BreakdownSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::throughput::Measurement;
-    use std::time::Duration;
-
-    fn figure() -> Figure {
-        let mut fig = Figure::new("bank (high contention)");
-        for (engine, threads, txns) in [
-            ("Non-durable", 1, 1000u64),
-            ("Crafty", 1, 700),
-            ("Crafty", 2, 1200),
-            ("NV-HTM", 1, 500),
-        ] {
-            fig.push(Measurement::throughput_only(
-                engine,
-                threads,
-                txns,
-                Duration::from_secs(1),
-            ));
-        }
-        fig
-    }
-
-    #[test]
-    fn text_table_contains_all_engines_and_thread_counts() {
-        let s = render_figure(&figure(), "Non-durable");
-        assert!(s.contains("bank (high contention)"));
-        assert!(s.contains("Crafty"));
-        assert!(s.contains("NV-HTM"));
-        assert!(s.contains("0.700"));
-        assert!(s.contains("1.200"));
-        assert!(s.lines().count() >= 4);
-    }
-
-    #[test]
-    fn csv_has_one_row_per_point_plus_header() {
-        let fig = figure();
-        let csv = render_figure_csv(&fig, "Non-durable");
-        assert_eq!(csv.lines().count(), fig.points.len() + 1);
-        assert!(csv.starts_with("benchmark,threads,engine"));
-    }
 
     #[test]
     fn breakdown_lists_every_category() {

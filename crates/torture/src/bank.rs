@@ -153,24 +153,35 @@ impl Route {
 /// Every route of the bank suite, in report order: `bank` stays first.
 pub const ROUTES: [Route; 4] = [Route::Hardware, Route::Fenced, Route::Storm, Route::PerLine];
 
+/// The model the suite's spaces run under: strict, so no line is evicted
+/// mid-run and each crash image faces only the word lottery of
+/// [`TortureConfig::adversary`](crate::TortureConfig::adversary).
+pub(crate) const SPACE_MODEL: CrashModel = CrashModel::strict();
+
 /// The memory configuration of every run and every second life (sizes
-/// must match so [`MemorySpace::boot`] accepts the image).
-fn pmem_cfg(plan: FaultPlan) -> PmemConfig {
+/// must match so [`MemorySpace::boot`] accepts the image), with the space
+/// running under `crash`.
+fn pmem_cfg(crash: CrashModel, plan: FaultPlan) -> PmemConfig {
     PmemConfig {
         persistent_words: 1 << 15,
         volatile_words: 1 << 13,
         max_threads: 3,
         latency: LatencyModel::instant(),
-        crash: CrashModel::strict(),
+        crash,
         ..PmemConfig::small_for_tests()
     }
     .with_fault_plan(plan)
 }
 
-/// A fresh space under `plan` with a `route` engine and a drained,
-/// prefilled account array laid out over it.
-fn open_bank(route: Route, seed: u64, plan: FaultPlan) -> (Arc<MemorySpace>, Crafty, PAddr) {
-    let mem = Arc::new(MemorySpace::new(pmem_cfg(plan)));
+/// A fresh space under `crash` and `plan` with a `route` engine and a
+/// drained, prefilled account array laid out over it.
+fn open_bank(
+    route: Route,
+    seed: u64,
+    crash: CrashModel,
+    plan: FaultPlan,
+) -> (Arc<MemorySpace>, Crafty, PAddr) {
+    let mem = Arc::new(MemorySpace::new(pmem_cfg(crash, plan)));
     let engine = route.engine(&mem, seed);
     let base = mem.reserve_persistent(ACCOUNTS * 8);
     for i in 0..ACCOUNTS {
@@ -254,14 +265,22 @@ impl BankRun {
     }
 }
 
-/// Runs the bank workload once down `route` under `plan` and returns the
-/// run record; `seed` places [`Route::Storm`]'s storms. The event rings
+/// Runs the bank workload once down `route` on a space running under
+/// `crash` (strict in the suite; a model that evicts lines mid-run evicts
+/// the same ones in every run of one seed) and `plan`, and returns the run
+/// record; `seed` places [`Route::Storm`]'s storms. The event rings
 /// are reset first, so a trapped run's frozen tail shows only this
 /// replay's events. The engine is not quiesced: the run's last fault-clock
 /// tick is its last commit's.
-pub fn run_once(route: Route, seed: u64, picks: &[Vec<Transfer>], plan: FaultPlan) -> BankRun {
+pub fn run_once(
+    route: Route,
+    seed: u64,
+    picks: &[Vec<Transfer>],
+    crash: CrashModel,
+    plan: FaultPlan,
+) -> BankRun {
     trace::reset_rings();
-    let (mem, engine, base) = open_bank(route, seed, plan);
+    let (mem, engine, base) = open_bank(route, seed, crash, plan);
     let dir_addr = engine.directory_addr();
     let mut thread = engine.register_thread(0);
     let setup_steps = mem.fault_steps();
@@ -363,7 +382,7 @@ fn second_life(
 ) -> Result<(), String> {
     let mem = Arc::new(MemorySpace::boot(
         recovered,
-        pmem_cfg(FaultPlan::inactive()),
+        pmem_cfg(SPACE_MODEL, FaultPlan::inactive()),
     ));
     let engine = route.engine(&mem, seed);
     // Re-establish the layout exactly as a restarted program would; the
@@ -412,7 +431,7 @@ pub fn run_route(route: Route, cfg: &TortureConfig) -> TortureReport {
         route.suite(),
         cfg,
         |step| cfg.adversary(step),
-        |plan| run_once(route, cfg.seed, &picks, plan),
+        |plan| run_once(route, cfg.seed, &picks, SPACE_MODEL, plan),
         |run, step| {
             let completed = run.breakdown.total_persistent();
             if completed != cfg.txns {
@@ -448,12 +467,19 @@ pub fn run_bank_torture(cfg: &TortureConfig) -> Vec<TortureReport> {
 pub fn injected_violation_is_caught(cfg: &TortureConfig) -> Result<TortureFailure, String> {
     let _events = trace::LevelGuard::arm(TraceLevel::Events);
     let picks = draw_picks(cfg.seed, cfg.txns);
-    let count = run_once(Route::Hardware, cfg.seed, &picks, FaultPlan::count_only());
+    let count = run_once(
+        Route::Hardware,
+        cfg.seed,
+        &picks,
+        SPACE_MODEL,
+        FaultPlan::count_only(),
+    );
     let step = count.setup_steps + (count.total_steps - count.setup_steps) / 2;
     let run = run_once(
         Route::Hardware,
         cfg.seed,
         &picks,
+        SPACE_MODEL,
         FaultPlan::crash_at(step, CrashModel::strict()),
     );
     let image = run
@@ -482,8 +508,8 @@ mod tests {
     fn counting_run_is_deterministic() {
         let picks = draw_picks(3, 6);
         for route in ROUTES {
-            let a = run_once(route, 3, &picks, FaultPlan::count_only());
-            let b = run_once(route, 3, &picks, FaultPlan::count_only());
+            let a = run_once(route, 3, &picks, SPACE_MODEL, FaultPlan::count_only());
+            let b = run_once(route, 3, &picks, SPACE_MODEL, FaultPlan::count_only());
             assert_eq!(a.total_steps, b.total_steps, "{route:?}");
             assert_eq!(a.setup_steps, b.setup_steps, "{route:?}");
             assert!(
@@ -519,7 +545,15 @@ mod tests {
             })
             .sum();
         let stamps = picks.len() as u64;
-        let run = |route| run_once(route, cfg.seed, &picks, FaultPlan::count_only());
+        let run = |route| {
+            run_once(
+                route,
+                cfg.seed,
+                &picks,
+                SPACE_MODEL,
+                FaultPlan::count_only(),
+            )
+        };
         let points = |route| {
             let run = run(route);
             run.total_steps - run.setup_steps
@@ -565,11 +599,18 @@ mod tests {
     #[test]
     fn a_final_step_image_recovers_to_the_full_run() {
         let picks = draw_picks(5, 6);
-        let count = run_once(Route::Hardware, 5, &picks, FaultPlan::count_only());
+        let count = run_once(
+            Route::Hardware,
+            5,
+            &picks,
+            SPACE_MODEL,
+            FaultPlan::count_only(),
+        );
         let run = run_once(
             Route::Hardware,
             5,
             &picks,
+            SPACE_MODEL,
             FaultPlan::crash_at(count.total_steps, CrashModel::strict()),
         );
         let image = run.image.expect("final step is reached");
@@ -586,12 +627,19 @@ mod tests {
     #[test]
     fn prefix_check_reports_the_longest_matching_prefix() {
         let picks = vec![vec![(0, 1, 5)], vec![(2, 3, 4), (3, 2, 4)]];
-        let mut run = run_once(Route::Hardware, 1, &picks, FaultPlan::count_only());
+        let mut run = run_once(
+            Route::Hardware,
+            1,
+            &picks,
+            SPACE_MODEL,
+            FaultPlan::count_only(),
+        );
         let total = run.total_steps;
         run = run_once(
             Route::Hardware,
             1,
             &picks,
+            SPACE_MODEL,
             FaultPlan::crash_at(total, CrashModel::strict()),
         );
         let (_, prefix) = run.recover_to_prefix(&picks).expect("audit");
@@ -602,7 +650,8 @@ mod tests {
     fn a_final_step_image_passes_the_second_life_audit_on_every_route() {
         let picks = draw_picks(5, 6);
         for route in ROUTES {
-            let total = run_once(route, 5, &picks, FaultPlan::count_only()).total_steps;
+            let total =
+                run_once(route, 5, &picks, SPACE_MODEL, FaultPlan::count_only()).total_steps;
             let pinned = TortureConfig {
                 crash_step: Some(total),
                 txns: 6,
@@ -621,7 +670,7 @@ mod tests {
     #[test]
     fn storms_force_the_software_commit_and_stay_durable() {
         let picks = draw_picks(5, 10);
-        let (mem, engine, base) = open_bank(Route::Storm, 5, FaultPlan::inactive());
+        let (mem, engine, base) = open_bank(Route::Storm, 5, SPACE_MODEL, FaultPlan::inactive());
         let mut thread = engine.register_thread(0);
         for txn in &picks {
             thread.execute(&mut |ops| txn.iter().try_for_each(|&t| transfer(ops, base, t)));

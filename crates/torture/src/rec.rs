@@ -15,7 +15,7 @@
 
 use crafty_core::{logs_are_clean, recover, recover_interrupted};
 
-use crate::bank::{draw_picks, prefix_check, run_once, BankRun, Route, Transfer};
+use crate::bank::{draw_picks, prefix_check, run_once, BankRun, Route, Transfer, SPACE_MODEL};
 use crate::{enumerate, TortureConfig, TortureReport};
 
 /// Trap points per run: each spawns a full budget sweep, so a few spread
@@ -75,7 +75,7 @@ pub fn run_recovery_torture(cfg: &TortureConfig) -> TortureReport {
         "recovery",
         &sampled,
         |step| cfg.adversary(step),
-        |plan| run_once(Route::Hardware, cfg.seed, &picks, plan),
+        |plan| run_once(Route::Hardware, cfg.seed, &picks, SPACE_MODEL, plan),
         |run, _| audit(run, &picks),
     )
 }

@@ -457,7 +457,7 @@ mod tests {
             let run = run_service_once(
                 5,
                 12,
-                FaultPlan::crash_at(step, CrashModel::adversarial(5 ^ eighth)),
+                FaultPlan::crash_at(step, CrashModel::relaxed(5 ^ eighth)),
             );
             assert!(
                 run.failures.is_empty(),

@@ -170,7 +170,7 @@ impl TxnMix for BankMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{measure, run_mix};
+    use crate::driver::run_mix;
     use crafty_baselines::NonDurable;
     use crafty_common::PersistentTm;
     use crafty_core::{Crafty, CraftyConfig};
@@ -213,10 +213,10 @@ mod tests {
         let engine = NonDurable::new(Arc::clone(&mem), 1 << 12);
         let workload = BankWorkload::paper(Contention::None, 4);
         let mix = workload.prepare(&mem);
-        let m = measure(&engine, mix.as_ref(), 4, 50, 3);
-        assert_eq!(m.transactions, 200);
+        run_mix(&engine, mix.as_ref(), 4, 50, 3);
         mix.verify(&mem).expect("bank invariant");
         let b = engine.breakdown();
+        assert_eq!(b.total_persistent(), 200);
         assert_eq!(
             b.hw(crafty_common::HwTxnOutcome::Conflict),
             0,

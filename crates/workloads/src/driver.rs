@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 use crafty_common::trace::{self, TraceEventKind};
 use crafty_common::{PersistentTm, SplitMix64, TxAbort, TxnOps};
 use crafty_pmem::MemorySpace;
-use crafty_stats::Measurement;
 
 /// A benchmark's transaction mix over already-prepared persistent state.
 pub trait TxnMix: Send + Sync {
@@ -97,24 +96,6 @@ pub fn run_mix(
     elapsed
 }
 
-/// Runs a workload on an engine and packages the result as a
-/// [`Measurement`] for the figure harness.
-pub fn measure(
-    engine: &dyn PersistentTm,
-    mix: &dyn TxnMix,
-    threads: usize,
-    txns_per_thread: u64,
-    seed: u64,
-) -> Measurement {
-    let elapsed = run_mix(engine, mix, threads, txns_per_thread, seed);
-    Measurement::throughput_only(
-        engine.name(),
-        threads,
-        threads as u64 * txns_per_thread,
-        elapsed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,11 +133,10 @@ mod tests {
         let engine = NonDurable::new(Arc::clone(&mem), 1 << 12);
         let cell = mem.reserve_persistent(1);
         let mix = CounterMix { cell };
-        let m = measure(&engine, &mix, 4, 100, 1);
-        assert_eq!(m.transactions, 400);
+        let elapsed = run_mix(&engine, &mix, 4, 100, 1);
         assert_eq!(mem.read(cell), 400);
-        assert_eq!(m.engine, "Non-durable");
+        assert_eq!(engine.breakdown().total_persistent(), 400);
         assert!(mix.verify(&mem).is_ok());
-        assert!(m.throughput() > 0.0);
+        assert!(elapsed > Duration::ZERO);
     }
 }

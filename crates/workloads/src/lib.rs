@@ -15,8 +15,8 @@
 //! * [`openloop`] — deterministic open-loop arrival schedules (fixed-rate
 //!   and Poisson) for the service benchmarks, where latency is measured
 //!   from intended send times so coordinated omission stays visible.
-//! * [`driver`] — the engine-generic runner that measures wall-clock
-//!   throughput and feeds the figure harness.
+//! * [`driver`] — the engine-generic runner that times a mix's
+//!   transactions on any engine, for the figure harness and the examples.
 //! * [`engines`] — constructors for every engine configuration evaluated
 //!   in the paper, by name.
 
@@ -33,7 +33,7 @@ pub mod ycsb;
 
 pub use bank::{BankWorkload, Contention};
 pub use btree::{BtreeVariant, BtreeWorkload};
-pub use driver::{drive, measure, run_mix, TxnMix, Workload};
+pub use driver::{drive, run_mix, TxnMix, Workload};
 pub use engines::{build_engine, EngineKind};
 pub use openloop::{ArrivalProcess, OpKind, OpenLoopConfig, ScheduledOp};
 pub use stamp::{StampKernel, StampWorkload};

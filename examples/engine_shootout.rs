@@ -6,10 +6,8 @@
 //! cargo run --release --example engine_shootout [threads...]
 //! ```
 
-use std::sync::Arc;
-
+use crafty_bench::{render_figure, run_point, HarnessConfig};
 use crafty_repro::prelude::*;
-use crafty_repro::stats::{render_figure, Figure};
 use crafty_repro::workloads::{BankWorkload, Contention};
 
 fn main() {
@@ -24,27 +22,29 @@ fn main() {
             args
         }
     };
-    let txns_per_thread = 2_000u64;
-    let workload = BankWorkload::paper(Contention::Medium, *thread_counts.iter().max().unwrap());
+    let cfg = HarnessConfig {
+        thread_counts,
+        ..HarnessConfig::quick()
+    };
+    let workload =
+        BankWorkload::paper(Contention::Medium, *cfg.thread_counts.iter().max().unwrap());
 
-    let mut figure = Figure::new(workload.contention.label().to_string());
+    let mut points = Vec::new();
     for kind in EngineKind::ALL {
-        for &threads in &thread_counts {
-            let mem = Arc::new(MemorySpace::new(PmemConfig::benchmark()));
-            let engine = build_engine(kind, &mem, threads);
-            let mix = crafty_repro::workloads::Workload::prepare(&workload, &mem);
-            let m = measure(engine.as_ref(), mix.as_ref(), threads, txns_per_thread, 7);
+        for &threads in &cfg.thread_counts {
+            let p = run_point(&workload, kind, threads, &cfg);
             println!(
                 "{:<18} {:>2} threads: {:>10.0} txn/s",
                 kind.label(),
                 threads,
-                m.throughput()
+                p.throughput()
             );
-            figure.push(m);
+            points.push(p);
         }
     }
 
+    let (table, _csv) = render_figure(workload.contention.label(), &points);
     println!();
-    println!("{}", render_figure(&figure, "Non-durable"));
+    println!("{table}");
     println!("(values normalized to single-thread Non-durable, as in the paper)");
 }

@@ -22,8 +22,10 @@
 //!   server crash-restart, even for non-idempotent increments.
 //! * [`workloads`] / [`stats`] — the paper's benchmarks, the YCSB-style KV
 //!   mixes, the open-loop arrival schedules behind the service benchmark,
-//!   and the measurement and reporting layer (including the log-bucketed
-//!   latency histogram behind the p50/p99/p999 columns).
+//!   and the reporting blocks (JSON artifacts, the transaction-breakdown
+//!   text, and the log-bucketed latency histogram behind the p50/p99/p999
+//!   columns). The figure harness that measures and normalizes the
+//!   paper's points is `crafty-bench`.
 //!
 //! See `README.md` for the quickstart and benchmark guide, and
 //! `ARCHITECTURE.md` for the crate layers, the life of a transaction, and
@@ -76,7 +78,7 @@ pub mod prelude {
     };
     pub use crafty_stats::LatencyHistogram;
     pub use crafty_workloads::{
-        build_engine, measure, ArrivalProcess, EngineKind, OpKind, OpenLoopConfig, ScheduledOp,
-        Workload, YcsbMix, YcsbWorkload,
+        build_engine, ArrivalProcess, EngineKind, OpKind, OpenLoopConfig, ScheduledOp, Workload,
+        YcsbMix, YcsbWorkload,
     };
 }

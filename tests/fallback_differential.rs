@@ -15,7 +15,8 @@
 //! * crash images trapped across each route's own run pass the identical
 //!   audit — recovery succeeds, logs decode clean, re-recovery is a
 //!   no-op, and the recovered accounts equal a prefix of the commit
-//!   order — under the strict, relaxed, and adversarial crash models.
+//!   order — under the strict, relaxed, and adversarial crash models
+//!   (the last on a space that evicts lines mid-run).
 //!
 //! The routes tick the fault clock differently (per-line adds
 //! lock-transition events), so crash *steps* are sampled per route over
@@ -54,7 +55,7 @@ proptest! {
         let picks = draw_picks(seed, txns);
         let reference = sequential(&picks);
         for route in ROUTES {
-            let run = run_once(route, seed, &picks, FaultPlan::inactive());
+            let run = run_once(route, seed, &picks, CrashModel::strict(), FaultPlan::inactive());
             prop_assert_eq!(
                 &reference, &run.accounts,
                 "{:?} committed a different final state than the transfers in order", route
@@ -70,13 +71,20 @@ proptest! {
 /// verdict be identical — a clean pass everywhere. A route-specific
 /// durability-ordering bug (undo log not persisted before publication,
 /// say) would fail its side only.
+///
+/// Each model is a pair: the one the route's space runs under, and the
+/// one its images are resolved under. The adversarial case runs the space
+/// under [`CrashModel::adversarial`] — one eviction stream per run, so the
+/// counting run and every replay evict the same lines — and resolves its
+/// images under the same word lottery as the relaxed case.
 #[test]
 fn crash_audits_agree_across_models_and_routes() {
     type Model = fn(u64) -> CrashModel;
-    let models: [(&str, Model); 3] = [
-        ("strict", |_| CrashModel::strict()),
-        ("relaxed", CrashModel::relaxed),
-        ("adversarial", CrashModel::adversarial),
+    let strict: Model = |_| CrashModel::strict();
+    let models: [(&str, Model, Model); 3] = [
+        ("strict", strict, strict),
+        ("relaxed", strict, CrashModel::relaxed),
+        ("adversarial", CrashModel::adversarial, CrashModel::relaxed),
     ];
     for seed in [41u64, 42, 43] {
         let cfg = TortureConfig {
@@ -86,12 +94,12 @@ fn crash_audits_agree_across_models_and_routes() {
         };
         let picks = draw_picks(seed, cfg.txns);
         for route in ROUTES {
-            for (label, model) in models {
+            for (label, space, image) in models {
                 let report = enumerate(
                     route.suite(),
                     &cfg,
-                    |step| model(seed ^ step),
-                    |plan| run_once(route, seed, &picks, plan),
+                    |step| image(seed ^ step),
+                    |plan| run_once(route, seed, &picks, space(seed), plan),
                     |run, _| run.recover_to_prefix(&picks).map(drop),
                 );
                 assert_eq!(report.crash_points_tested, 4, "{route:?} ({label})");
@@ -113,9 +121,15 @@ fn crash_audits_agree_across_models_and_routes() {
 fn every_route_is_really_taken() {
     let picks = draw_picks(7, 6);
     let commits = |route| {
-        run_once(route, 7, &picks, FaultPlan::inactive())
-            .breakdown
-            .completions(CompletionPath::Sgl)
+        run_once(
+            route,
+            7,
+            &picks,
+            CrashModel::strict(),
+            FaultPlan::inactive(),
+        )
+        .breakdown
+        .completions(CompletionPath::Sgl)
     };
     assert_eq!(commits(Route::PerLine), 6);
     assert_eq!(commits(Route::Storm), 2, "the bursts catch two");

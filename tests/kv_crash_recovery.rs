@@ -63,7 +63,7 @@ fn double_crash_and_recover(model: CrashModel, seed: u64) {
         thread.execute(&mut |ops| kv.put(ops, k, k ^ 0xAAAA).map(|_| ()));
     }
     drop(thread);
-    let mut image = mem.crash_with(model);
+    let mut image = mem.crash();
     recover(&mut image, crafty.directory_addr()).expect("first recovery");
 
     // --- Second life: reboot, verify, more committed work, crash again. -
@@ -97,7 +97,7 @@ fn double_crash_and_recover(model: CrashModel, seed: u64) {
         thread2.execute(&mut |ops| kv2.put(ops, k, k ^ 0xBBBB).map(|_| ()));
     }
     drop(thread2);
-    let mut image2 = mem2.crash_with(model);
+    let mut image2 = mem2.crash();
     recover(&mut image2, crafty2.directory_addr()).expect("second recovery");
 
     // --- Third life: everything quiesced in either life survives. -------

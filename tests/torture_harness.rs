@@ -5,7 +5,7 @@
 //! self-check.
 
 use crafty_common::CompletionPath;
-use crafty_pmem::FaultPlan;
+use crafty_pmem::{CrashModel, FaultPlan};
 use crafty_torture::bank::{draw_picks, run_once, run_route, ROUTES};
 use crafty_torture::{
     injected_violation_is_caught, run_kv_torture, run_recovery_torture, run_service_torture, Route,
@@ -89,7 +89,13 @@ fn interrupted_recovery_converges_at_sampled_crash_points() {
 #[test]
 fn abort_storms_keep_the_engine_live_and_durable() {
     let picks = draw_picks(24, 10);
-    let run = run_once(Route::Storm, 24, &picks, FaultPlan::inactive());
+    let run = run_once(
+        Route::Storm,
+        24,
+        &picks,
+        CrashModel::strict(),
+        FaultPlan::inactive(),
+    );
     assert_eq!(run.breakdown.total_persistent(), 10, "liveness");
     assert!(
         run.breakdown.completions(CompletionPath::Sgl) > 0,
