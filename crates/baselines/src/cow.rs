@@ -39,7 +39,7 @@ use crafty_common::{
     TmThread, TxAbort, TxnBody, TxnOps,
 };
 use crafty_htm::{HtmConfig, HtmRuntime, HwTxn};
-use crafty_pmem::{MemorySpace, PmemAllocator};
+use crafty_pmem::{Heap, MemorySpace};
 
 use crate::MAX_HTM_ATTEMPTS;
 
@@ -48,7 +48,8 @@ use crate::MAX_HTM_ATTEMPTS;
 pub struct CowConfig {
     /// Number of worker threads the engine will serve.
     pub max_threads: usize,
-    /// Persistent heap size in words for transactional allocation.
+    /// Persistent heap size in words for transactional allocation, its
+    /// header line included.
     pub heap_words: u64,
     /// Per-thread redo log capacity in words.
     pub redo_log_words: u64,
@@ -222,7 +223,7 @@ pub struct BaselineTm {
     mem: Arc<MemorySpace>,
     htm: HtmRuntime,
     recorder: Arc<BreakdownRecorder>,
-    allocator: PmemAllocator,
+    heap: Heap,
     sgl_addr: PAddr,
     config: Config,
 }
@@ -287,14 +288,14 @@ impl BaselineTm {
             HtmConfig::skylake(),
             Arc::clone(&recorder),
         );
-        let heap = mem.reserve_persistent(heap_words);
+        let heap = Heap::new(mem.reserve_persistent(heap_words), heap_words);
         let config = config(&mem);
         let sgl_addr = mem.reserve_volatile(1);
         BaselineTm {
             mem,
             htm,
             recorder,
-            allocator: PmemAllocator::new(heap, heap_words),
+            heap,
             sgl_addr,
             config,
         }
@@ -303,12 +304,6 @@ impl BaselineTm {
     /// The memory space the engine operates on.
     pub fn mem(&self) -> &Arc<MemorySpace> {
         &self.mem
-    }
-
-    fn alloc(&self, words: u64) -> PAddr {
-        self.allocator
-            .alloc(words)
-            .expect("persistent heap exhausted")
     }
 
     /// Draws the transaction's position in the commit order — inside `txn`
@@ -383,11 +378,10 @@ impl<W: WriteSet> TxnOps for HtmOps<'_, '_, W> {
         self.txn.write(addr, value).map_err(|_| TxAbort::hardware())
     }
     fn alloc(&mut self, words: u64) -> Result<PAddr, TxAbort> {
-        Ok(self.engine.alloc(words))
+        self.engine.heap.alloc(self, words)
     }
     fn dealloc(&mut self, addr: PAddr, words: u64) -> Result<(), TxAbort> {
-        self.engine.allocator.free(addr, words);
-        Ok(())
+        self.engine.heap.dealloc(self, addr, words)
     }
 }
 
@@ -407,11 +401,10 @@ impl<W: WriteSet> TxnOps for LockedOps<'_, W> {
         Ok(())
     }
     fn alloc(&mut self, words: u64) -> Result<PAddr, TxAbort> {
-        Ok(self.engine.alloc(words))
+        self.engine.heap.alloc(self, words)
     }
     fn dealloc(&mut self, addr: PAddr, words: u64) -> Result<(), TxAbort> {
-        self.engine.allocator.free(addr, words);
-        Ok(())
+        self.engine.heap.dealloc(self, addr, words)
     }
 }
 
@@ -746,18 +739,29 @@ mod tests {
         }
     }
 
+    /// A committed `dealloc` makes its block the next `alloc` of its size:
+    /// after 20 frees, 20 allocations return exactly the freed blocks and
+    /// bump nothing.
     #[test]
     fn alloc_and_dealloc_are_immediate() {
-        let mem = fresh_space();
-        let engine = NonDurable::new(Arc::clone(&mem), 1 << 12);
-        let mut t = engine.register_thread(0);
-        t.execute(&mut |ops| {
-            let a = ops.alloc(4)?;
-            ops.write(a, 1)?;
-            ops.dealloc(a, 4)?;
-            Ok(())
-        });
-        assert_eq!(engine.allocator.live_allocations(), 0);
+        for engine in each_config() {
+            let (mem, cursor) = (engine.mem(), engine.heap.header());
+            let mut t = engine.register_thread(0);
+            let alloc = |t: &mut Box<dyn TmThread + '_>| {
+                let mut blocks = Vec::new();
+                t.execute(&mut |ops| {
+                    blocks = (0..20).map(|_| ops.alloc(4)).collect::<Result<_, _>>()?;
+                    Ok(())
+                });
+                blocks.sort_unstable();
+                blocks
+            };
+            let blocks = alloc(&mut t);
+            let used = mem.read(cursor);
+            t.execute(&mut |ops| blocks.iter().try_for_each(|&b| ops.dealloc(b, 4)));
+            assert_eq!(alloc(&mut t), blocks, "{}", engine.name());
+            assert_eq!(mem.read(cursor), used, "{}", engine.name());
+        }
     }
 
     #[test]

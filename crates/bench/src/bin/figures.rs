@@ -8,7 +8,7 @@
 //! targets: fig6 fig7 fig8 table1 breakdowns hotpath kv all
 //!          (default: fig6 fig7 table1)
 //!
-//! figures torture [--suite bank|kv|recovery|service|all] [--seed N]
+//! figures torture [--suite bank|heap|kv|recovery|service|all] [--seed N]
 //!                 [--txns N] [--steps N] [--crash-step N]
 //! figures kvserve [--rates a,b,c] [--ops N] [--engines e,e] [--connections N]
 //!                 [--workers N] [--records N] [--read-pct N] [--fixed] [--seed N]
@@ -150,7 +150,7 @@ const SPECS: &[SubcommandSpec] = &[
             FlagDef {
                 name: "--suite",
                 value: Some("NAME"),
-                help: "bank | kv | recovery | service | all (default all)",
+                help: "bank | heap | kv | recovery | service | all (default all)",
             },
             FlagDef {
                 name: "--seed",
@@ -448,8 +448,8 @@ fn write_points_json(path: Option<&str>, cfg: &HarnessConfig, points: &[Point]) 
 /// 1 on any violation, 2 on usage errors.
 fn run_torture(args: &[String]) -> ! {
     use crafty_torture::{
-        injected_violation_is_caught, run_bank_torture, run_kv_torture, run_recovery_torture,
-        run_service_torture, TortureConfig, TortureReport,
+        injected_violation_is_caught, run_bank_torture, run_heap_torture, run_kv_torture,
+        run_recovery_torture, run_service_torture, TortureConfig, TortureReport,
     };
 
     let p = parse_or_fail(spec("torture"), args);
@@ -464,7 +464,7 @@ fn run_torture(args: &[String]) -> ! {
         cfg.crash_step = Some(step);
     }
 
-    let known = ["bank", "kv", "recovery", "service", "all"];
+    let known = ["bank", "heap", "kv", "recovery", "service", "all"];
     if !known.contains(&suite.as_str()) {
         fail(&format!("--suite must be one of {known:?}, got `{suite}`"));
     }
@@ -524,6 +524,9 @@ fn run_torture(args: &[String]) -> ! {
                 println!("  SELF-TEST FAILED: {e}");
             }
         }
+    }
+    if wants("heap") {
+        failed |= show(&run_heap_torture(&cfg));
     }
     if wants("kv") {
         failed |= show(&run_kv_torture(&cfg));

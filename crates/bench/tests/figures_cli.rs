@@ -90,7 +90,7 @@ fn removed_torture_suites_are_unknown() {
         assert_usage_error(&["torture", "--suite", suite], &message);
         assert_usage_error(
             &["torture", "--suite", suite],
-            r#"one of ["bank", "kv", "recovery", "service", "all"]"#,
+            r#"one of ["bank", "heap", "kv", "recovery", "service", "all"]"#,
         );
     }
 }

@@ -72,19 +72,22 @@ pub trait TxnOps {
     fn write(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort>;
 
     /// Allocates `words` consecutive words of persistent memory and returns
-    /// the address of the first. Engines that re-execute bodies guarantee
-    /// that the same call site observes the same address on re-execution
-    /// (Section 6, "Memory management").
+    /// the address of the first. The engines' heap keeps its state in
+    /// persistent words that this call reads and writes like the body's own,
+    /// so the allocation commits, aborts and survives a crash with the
+    /// transaction, and a re-executed body that finds the heap unchanged
+    /// gets the same address. It panics when the heap is exhausted or the
+    /// block would span more than seven cache lines.
     ///
     /// # Errors
     ///
-    /// Returns [`TxAbort`] under the same conditions as [`TxnOps::read`],
-    /// or if the persistent heap is exhausted.
+    /// Returns [`TxAbort`] under the same conditions as [`TxnOps::read`].
     fn alloc(&mut self, words: u64) -> Result<PAddr, TxAbort>;
 
-    /// Frees `words` consecutive words starting at `addr`. The release is
-    /// deferred until the persistent transaction commits so that aborted or
-    /// re-executed bodies do not leak or double-free.
+    /// Frees `words` consecutive words starting at `addr`, which an
+    /// [`TxnOps::alloc`] of the same size returned. Like `alloc`, it is a
+    /// write of the transaction: an aborted attempt frees nothing, and the
+    /// block is reusable once the transaction commits.
     ///
     /// # Errors
     ///

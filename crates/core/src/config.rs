@@ -45,7 +45,8 @@ pub struct CraftyConfig {
     /// Number of worker threads the engine will serve.
     pub max_threads: usize,
     /// Size, in words, of the persistent heap served by transactional
-    /// allocation ([`crafty_common::TxnOps::alloc`]).
+    /// allocation ([`crafty_common::TxnOps::alloc`]), its header line (the
+    /// cursor and free lists of [`crafty_pmem::Heap`]) included.
     pub heap_words: u64,
     /// Testing hook: when true, every transaction skips the hardware
     /// phases and goes straight to the software commit, so torture and

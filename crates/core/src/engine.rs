@@ -17,7 +17,7 @@ use crafty_common::{
     TraceEventKind, TxnPhase,
 };
 use crafty_htm::{HtmConfig, HtmRuntime};
-use crafty_pmem::{MemorySpace, PmemAllocator};
+use crafty_pmem::{Heap, MemorySpace};
 
 use crate::config::CraftyConfig;
 use crate::thread::CraftyThread;
@@ -70,7 +70,8 @@ pub struct Crafty {
     pub(crate) clock: Clock,
     pub(crate) cfg: CraftyConfig,
     pub(crate) recorder: Arc<BreakdownRecorder>,
-    pub(crate) allocator: PmemAllocator,
+    /// The persistent heap serving [`crafty_common::TxnOps::alloc`].
+    pub(crate) heap: Heap,
     /// Volatile simulated word: `gLastRedoTS`, the timestamp of the last
     /// writes committed by any thread (Section 4.2).
     pub(crate) g_last_redo_ts_addr: PAddr,
@@ -126,8 +127,7 @@ impl Crafty {
                 capacity: cfg.undo_log_entries,
             });
         }
-        let heap_start = mem.reserve_persistent(cfg.heap_words);
-        let allocator = PmemAllocator::new(heap_start, cfg.heap_words);
+        let heap = Heap::new(mem.reserve_persistent(cfg.heap_words), cfg.heap_words);
 
         // Volatile layout: gLastRedoTS, one log-head word per thread.
         let g_last_redo_ts_addr = mem.reserve_volatile(1);
@@ -151,7 +151,7 @@ impl Crafty {
             clock: Clock::new(),
             cfg,
             recorder,
-            allocator,
+            heap,
             g_last_redo_ts_addr,
             directory_addr,
             ts_lower_bound: AtomicU64::new(0),
@@ -175,9 +175,10 @@ impl Crafty {
         self.directory_addr
     }
 
-    /// The transactional allocator serving [`crafty_common::TxnOps::alloc`].
-    pub fn allocator(&self) -> &PmemAllocator {
-        &self.allocator
+    /// The persistent heap serving [`crafty_common::TxnOps::alloc`]: its
+    /// state is in the heap's header line, which a booted image keeps.
+    pub fn heap(&self) -> Heap {
+        self.heap
     }
 
     /// Issues a fresh timestamp (`getTimestamp()`).

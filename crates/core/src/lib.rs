@@ -62,14 +62,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc_log;
 pub mod config;
 pub mod engine;
 pub mod recovery;
 pub mod thread;
 pub mod undo_log;
 
-pub use alloc_log::AllocLog;
 pub use config::{CraftyConfig, CraftyVariant};
 pub use engine::Crafty;
 pub use recovery::{

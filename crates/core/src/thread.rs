@@ -40,9 +40,8 @@ use crafty_common::{
     wait, CompletionPath, LineId, LineSlot, PAddr, Timestamp, TmThread, TxAbort, TxnBody, TxnOps,
 };
 use crafty_htm::{AbortCode, FallbackTxn, HwTxn};
-use crafty_pmem::{MemorySpace, PmemAllocator};
+use crafty_pmem::{Heap, MemorySpace};
 
-use crate::alloc_log::AllocLog;
 use crate::config::CraftyVariant;
 use crate::engine::{Crafty, ABORT_LOG_MOVED, ABORT_REDO_TS_CHECK, ABORT_VALIDATE_MISMATCH};
 use crate::undo_log::AppendInfo;
@@ -108,7 +107,6 @@ impl From<AbortCode> for Stop {
 pub struct CraftyThread<'c> {
     engine: &'c Crafty,
     tid: usize,
-    alloc_log: AllocLog,
     /// The redo log: the Log transaction's write buffer as it stood before
     /// roll-back, one entry per written line (persistent or volatile) with
     /// the final words and their mask. The Redo phase buffers it back by
@@ -140,7 +138,6 @@ impl<'c> CraftyThread<'c> {
         CraftyThread {
             engine,
             tid,
-            alloc_log: AllocLog::new(),
             redo_buf: Vec::new(),
             entries_buf: Vec::new(),
             log_words: Vec::new(),
@@ -200,7 +197,6 @@ impl<'c> CraftyThread<'c> {
 
     fn finish(&mut self, path: CompletionPath, persistent_writes: u64) {
         let engine = self.engine;
-        self.alloc_log.apply_frees(&engine.allocator);
         engine
             .recorder
             .record_persistent_writes(self.tid, persistent_writes);
@@ -210,7 +206,6 @@ impl<'c> CraftyThread<'c> {
     /// Read-only transactions skip logging, persisting, and the commit
     /// phases entirely (Section 4.1).
     fn finish_read_only(&mut self) {
-        self.alloc_log.clear();
         self.engine
             .recorder
             .record_completion(self.tid, CompletionPath::ReadOnly);
@@ -245,9 +240,6 @@ impl<'c> CraftyThread<'c> {
         let engine = self.engine;
         let undo_log = engine.threads[self.tid].undo_log;
         for _ in 0..=HTM_RETRIES_PER_PHASE {
-            // Allocations recorded by a previous failed attempt would leak;
-            // hand them back before re-executing the body.
-            self.alloc_log.release_allocations(&engine.allocator);
             // `begin`'s SFENCE drains the previous transaction's commit
             // write-backs before this sequence's undo entries can reach
             // the log: recovery rolls back only the latest sequence, so the
@@ -255,14 +247,13 @@ impl<'c> CraftyThread<'c> {
             let mut txn = engine.htm.begin(self.tid);
             let mut ctx = Ctx {
                 access: LogAccess { txn: &mut txn },
-                allocator: &engine.allocator,
-                alloc_log: &mut self.alloc_log,
+                heap: engine.heap,
             };
             if body(&mut ctx).is_err() {
                 continue;
             }
 
-            if txn.write_set_len() == 0 && self.alloc_log.is_empty() {
+            if txn.write_set_len() == 0 {
                 match txn.commit() {
                     Ok(_) => return LogOutcome::ReadOnly,
                     Err(_) => continue,
@@ -429,7 +420,6 @@ impl<'c> CraftyThread<'c> {
     /// from the Log phase.
     fn revalidate(&mut self, txn: &mut HwTxn<'_>, body: &mut TxnBody<'_>) -> Result<(), Stop> {
         let engine = self.engine;
-        self.alloc_log.start_replay();
         let mut ctx = Ctx {
             access: ValidateAccess {
                 txn,
@@ -438,8 +428,7 @@ impl<'c> CraftyThread<'c> {
                 next: 0,
                 mismatch: false,
             },
-            allocator: &engine.allocator,
-            alloc_log: &mut self.alloc_log,
+            heap: engine.heap,
         };
         let body_result = body(&mut ctx);
         let access = ctx.access;
@@ -525,15 +514,13 @@ impl<'c> CraftyThread<'c> {
         let undo_log = engine.threads[self.tid].undo_log;
         let mut body_failures = 0u32;
         loop {
-            self.alloc_log.release_allocations(&engine.allocator);
             let mut fb = engine.htm.begin_fallback(self.tid);
             let mut ctx = Ctx {
                 access: Buffered {
                     fb: &mut fb,
                     conflicted: false,
                 },
-                allocator: &engine.allocator,
-                alloc_log: &mut self.alloc_log,
+                heap: engine.heap,
             };
             if body(&mut ctx).is_err() {
                 // A failure that was not a snapshot conflict is the program
@@ -549,7 +536,7 @@ impl<'c> CraftyThread<'c> {
                 wait::yield_now();
                 continue;
             }
-            if !fb.has_writes() && self.alloc_log.is_empty() {
+            if !fb.has_writes() {
                 // Every value handed to the body was consistent at the
                 // begin snapshot; nothing to lock or persist.
                 return self.finish_read_only();
@@ -632,23 +619,18 @@ trait Access {
         Ok(())
     }
     fn store(&mut self, addr: PAddr, value: u64) -> Result<(), TxAbort>;
-    /// The re-executed body asked for an allocation the Log phase did not
-    /// make (only possible while the allocation log replays).
-    fn diverged(&mut self) -> TxAbort {
-        TxAbort::inconsistent()
-    }
 }
 
-/// What a transaction body runs against in every phase. Allocation is the
-/// same everywhere — the [`AllocLog`] knows whether it is recording or
-/// replaying — and the frees it logs are performed at commit (Section 6).
-struct Ctx<'a, A> {
+/// What a transaction body runs against in every phase. The heap's state
+/// is persistent words, so `alloc` and `dealloc` are the body's own loads
+/// and stores: logged, rolled back, validated and published like any
+/// other.
+struct Ctx<A> {
     access: A,
-    allocator: &'a PmemAllocator,
-    alloc_log: &'a mut AllocLog,
+    heap: Heap,
 }
 
-impl<A: Access> TxnOps for Ctx<'_, A> {
+impl<A: Access> TxnOps for Ctx<A> {
     fn read(&mut self, addr: PAddr) -> Result<u64, TxAbort> {
         self.access.load(addr)
     }
@@ -662,15 +644,11 @@ impl<A: Access> TxnOps for Ctx<'_, A> {
     }
 
     fn alloc(&mut self, words: u64) -> Result<PAddr, TxAbort> {
-        match self.alloc_log.alloc(self.allocator, words) {
-            Some(addr) => Ok(addr),
-            None => Err(self.access.diverged()),
-        }
+        self.heap.alloc(self, words)
     }
 
     fn dealloc(&mut self, addr: PAddr, words: u64) -> Result<(), TxAbort> {
-        self.alloc_log.free(addr, words);
-        Ok(())
+        self.heap.dealloc(self, addr, words)
     }
 }
 
@@ -735,7 +713,10 @@ impl Access for ValidateAccess<'_, '_> {
             _ => Err(self.diverged()),
         }
     }
+}
 
+impl ValidateAccess<'_, '_> {
+    /// The re-executed body wrote something the Log phase did not log.
     fn diverged(&mut self) -> TxAbort {
         self.mismatch = true;
         self.txn.abort_explicit(ABORT_VALIDATE_MISMATCH);

@@ -6,6 +6,10 @@
 //! reusable-descriptor / scratch-buffer design across the HTM → core →
 //! pmem stack.
 //!
+//! Each route also runs a body that allocates a block and frees it again:
+//! the heap's cursor and free lists are persistent words the body reads
+//! and writes, so allocation adds no Rust allocation either.
+//!
 //! Each route runs twice: with instant drains, and with
 //! [`LatencyModel::nvm_100ns`], under which every drain before a
 //! publication also warms the lines it will publish to — a path the
@@ -31,11 +35,18 @@ fn transfer(
     ops: &mut dyn TxnOps,
     from: crafty_common::PAddr,
     to: crafty_common::PAddr,
+    allocating: bool,
 ) -> Result<(), TxAbort> {
     let a = ops.read(from)?;
     ops.write(from, a.wrapping_sub(1))?;
     let b = ops.read(to)?;
     ops.write(to, b.wrapping_add(1))?;
+    if allocating {
+        // A B+-tree node's size: three lines.
+        let node = ops.alloc(19)?;
+        ops.write(node.add(1), a)?;
+        ops.dealloc(node, 19)?;
+    }
     Ok(())
 }
 
@@ -47,12 +58,14 @@ fn steady_state_bank_transactions_do_not_allocate() {
             ("hardware", base),
             ("forced per-line", base.with_force_fallback(true)),
         ] {
-            run_route(route, cfg, latency);
+            for allocating in [false, true] {
+                run_route(route, cfg, latency, allocating);
+            }
         }
     }
 }
 
-fn run_route(route: &str, cfg: CraftyConfig, latency: LatencyModel) {
+fn run_route(route: &str, cfg: CraftyConfig, latency: LatencyModel, allocating: bool) {
     let mem = Arc::new(MemorySpace::new(
         PmemConfig::small_for_tests().with_latency(latency),
     ));
@@ -79,21 +92,22 @@ fn run_route(route: &str, cfg: CraftyConfig, latency: LatencyModel) {
     for _ in 0..2_000 {
         let from = accounts.add(rng.next_below(accounts_n) * 8);
         let to = accounts.add(rng.next_below(accounts_n) * 8);
-        thread.execute(&mut |ops| transfer(ops, from, to));
+        thread.execute(&mut |ops| transfer(ops, from, to, allocating));
     }
 
     let before = thread_allocations();
     for _ in 0..10_000 {
         let from = accounts.add(rng.next_below(accounts_n) * 8);
         let to = accounts.add(rng.next_below(accounts_n) * 8);
-        thread.execute(&mut |ops| transfer(ops, from, to));
+        thread.execute(&mut |ops| transfer(ops, from, to, allocating));
     }
     let after = thread_allocations();
 
     assert_eq!(
         after - before,
         0,
-        "{route}, {latency:?}: engine hot path allocated {} times over 10k steady-state transactions",
+        "{route}, {latency:?}, allocating {allocating}: engine hot path allocated {} times \
+         over 10k steady-state transactions",
         after - before
     );
 

@@ -229,13 +229,14 @@ fn transactional_allocation_builds_a_persistent_list() {
     }
     // Walk the list non-transactionally.
     let mut seen = Vec::new();
+    let mut nodes = Vec::new();
     let mut cursor = mem.read(head);
     while cursor != 0 {
+        nodes.push(cursor);
         seen.push(mem.read(PAddr::new(cursor)));
         cursor = mem.read(PAddr::new(cursor).add(1));
     }
     assert_eq!(seen, (1..=20u64).rev().collect::<Vec<_>>());
-    assert_eq!(crafty.allocator().live_allocations(), 20);
     // Free them all in one transaction.
     thread.execute(&mut |ops| {
         let mut cursor = ops.read(head)?;
@@ -247,7 +248,101 @@ fn transactional_allocation_builds_a_persistent_list() {
         ops.write(head, 0)?;
         Ok(())
     });
-    assert_eq!(crafty.allocator().live_allocations(), 0);
+    // Twenty allocations hand back exactly the freed nodes, and bump
+    // nothing.
+    let cursor_word = crafty.heap().header();
+    let used = mem.read(cursor_word);
+    let mut again = Vec::new();
+    for _ in 0..20 {
+        thread.execute(&mut |ops| {
+            let node = ops.alloc(2)?;
+            again.push(node.word());
+            Ok(())
+        });
+    }
+    nodes.sort_unstable();
+    again.sort_unstable();
+    assert_eq!(again, nodes);
+    assert_eq!(
+        mem.read(cursor_word),
+        used,
+        "reuse must not move the cursor"
+    );
+}
+
+/// The Validate phase re-executes the body over the header the Log phase
+/// rolled back, so its allocations are the Log phase's, in order.
+#[test]
+fn validate_reexecution_gets_the_log_phase_addresses() {
+    let mem = small_mem();
+    let crafty = Crafty::new(
+        Arc::clone(&mem),
+        CraftyConfig::small_for_tests().with_variant(CraftyVariant::NoRedo),
+    );
+    let mut thread = crafty.register_thread(0);
+    let mut runs: Vec<(PAddr, PAddr)> = Vec::new();
+    thread.execute(&mut |ops| {
+        let first = ops.alloc(4)?;
+        let second = ops.alloc(12)?;
+        ops.write(first, 1)?;
+        ops.write(second, 2)?;
+        runs.push((first, second));
+        Ok(())
+    });
+    let b = crafty.breakdown();
+    assert_eq!(b.completions(CompletionPath::Validate), 1);
+    assert_eq!(runs.len(), 2, "a Log run and a Validate run");
+    assert_eq!(runs[0], runs[1]);
+    let (first, second) = runs[0];
+    assert_eq!(second, first.add(8));
+    assert_eq!(
+        mem.read(crafty.heap().header()),
+        3 * 8,
+        "three lines bumped once"
+    );
+}
+
+#[test]
+fn concurrent_allocations_do_not_overlap() {
+    let mem = small_mem();
+    let crafty = Crafty::new(
+        Arc::clone(&mem),
+        CraftyConfig::small_for_tests().with_max_threads(4),
+    );
+    let per_thread = 100;
+    let addrs: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|tid| {
+                let crafty = &crafty;
+                s.spawn(move || {
+                    let mut thread = crafty.register_thread(tid);
+                    let mut mine = Vec::new();
+                    for i in 0..per_thread {
+                        let mut got = PAddr::NULL;
+                        thread.execute(&mut |ops| {
+                            got = ops.alloc(3)?;
+                            // Every tenth block goes straight back, so the
+                            // free list is contended as well as the cursor.
+                            if i % 10 == 9 {
+                                ops.dealloc(got, 3)?;
+                            }
+                            Ok(())
+                        });
+                        if i % 10 != 9 {
+                            mine.push(got.word());
+                        }
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut all: Vec<u64> = addrs.into_iter().flatten().collect();
+    let held = all.len();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(all.len(), held, "a block was handed out twice");
 }
 
 #[test]

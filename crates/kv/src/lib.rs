@@ -54,8 +54,9 @@
 //! transaction that installs the new table. Old tables are abandoned in
 //! place after a resize completes (the arena is sized for the growth
 //! schedule at construction); this keeps allocation crash-consistent
-//! without needing a persistent free list, and keeps the store independent
-//! of any engine's volatile heap allocator — after a crash, [`ShardedKv::open`]
+//! without needing a persistent free list. A table is larger than the
+//! largest block of the engines' heap ([`crafty_pmem::Heap`], seven lines),
+//! so the store keeps its own arena — after a crash, [`ShardedKv::open`]
 //! on the rebooted space continues exactly where the arena cursor points.
 //!
 //! **Recovery.** [`ShardedKv::create`] lays the store out with deterministic

@@ -12,7 +12,9 @@
 //!   operations, spontaneous evictions, and latency emulation.
 //! * [`PersistentImage`] — what survives a [`MemorySpace::crash`]; the
 //!   input to the recovery observer.
-//! * [`PmemAllocator`] — a simple allocator over a persistent heap region.
+//! * [`Heap`] — a persistent heap whose cursor and free lists are words of
+//!   its own first line, allocated through the calling transaction's reads
+//!   and writes.
 //!
 //! # Persistence must not serialize the fast path
 //!
@@ -93,7 +95,7 @@ pub mod config;
 pub mod image;
 pub mod space;
 
-pub use alloc::PmemAllocator;
+pub use alloc::{Heap, MAX_BLOCK_LINES};
 pub use config::{CrashModel, FaultPlan, LatencyModel, PmemConfig};
 pub use image::PersistentImage;
 pub use space::{MemorySpace, PmemStats};

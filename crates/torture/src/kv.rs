@@ -80,17 +80,35 @@ fn draw_ops(seed: u64, txns: u64) -> Vec<KvOp> {
         .collect()
 }
 
-/// Record of one (possibly trapped) KV run.
-struct KvRun {
+/// Record of one (possibly trapped) single-threaded Crafty run, the kv and
+/// heap suites' replay.
+pub(crate) struct CraftyRun {
     setup_steps: u64,
     total_steps: u64,
-    dir_addr: crafty_common::PAddr,
-    image: Option<PersistentImage>,
+    pub(crate) dir_addr: crafty_common::PAddr,
+    pub(crate) image: Option<PersistentImage>,
     /// Flight-recorder state frozen at the same tick as `image`.
     trace: Vec<ThreadTrace>,
 }
 
-impl Replay for KvRun {
+impl CraftyRun {
+    /// Takes the run's trapped image and trace from `mem` once it is done.
+    pub(crate) fn finish(
+        mem: &MemorySpace,
+        setup_steps: u64,
+        dir_addr: crafty_common::PAddr,
+    ) -> Self {
+        CraftyRun {
+            setup_steps,
+            total_steps: mem.fault_steps(),
+            dir_addr,
+            image: mem.take_fault_image(),
+            trace: mem.take_fault_trace(),
+        }
+    }
+}
+
+impl Replay for CraftyRun {
     fn setup_steps(&self) -> u64 {
         self.setup_steps
     }
@@ -107,7 +125,7 @@ impl Replay for KvRun {
 
 /// Runs the KV workload once under `plan`. The event rings are reset
 /// first, so a trapped run's frozen tail shows only this replay's events.
-fn run_once(ops: &[KvOp], plan: FaultPlan) -> KvRun {
+fn run_once(ops: &[KvOp], plan: FaultPlan) -> CraftyRun {
     trace::reset_rings();
     let mem = Arc::new(MemorySpace::new(pmem_cfg(plan, 1)));
     let engine = Crafty::new(Arc::clone(&mem), crafty_cfg(1));
@@ -129,20 +147,14 @@ fn run_once(ops: &[KvOp], plan: FaultPlan) -> KvRun {
         });
     }
     drop(thread);
-    KvRun {
-        setup_steps,
-        total_steps: mem.fault_steps(),
-        dir_addr,
-        image: mem.take_fault_image(),
-        trace: mem.take_fault_trace(),
-    }
+    CraftyRun::finish(&mem, setup_steps, dir_addr)
 }
 
 /// Audits the run's trapped image: recovers and boots it, replays the
 /// layout constructors, deep-checks store structure, and requires the
 /// surviving pairs to equal the shadow map after some prefix of the
 /// operation list.
-fn audit(run: &mut KvRun, ops: &[KvOp]) -> Result<(), String> {
+fn audit(run: &mut CraftyRun, ops: &[KvOp]) -> Result<(), String> {
     let image = run.image.take().expect("an audited run trapped its image");
     let recovered = recover_checked(image, run.dir_addr)?;
     let mem = Arc::new(MemorySpace::boot(

@@ -72,11 +72,13 @@ use crafty_common::SplitMix64;
 use crafty_pmem::{CrashModel, FaultPlan};
 
 pub mod bank;
+pub mod heap;
 pub mod kv;
 pub mod rec;
 pub mod service;
 
 pub use bank::{injected_violation_is_caught, run_bank_torture, Route};
+pub use heap::run_heap_torture;
 pub use kv::run_kv_torture;
 pub use rec::run_recovery_torture;
 pub use service::run_service_torture;
@@ -187,7 +189,8 @@ impl fmt::Display for TortureFailure {
 /// Outcome of one torture suite.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TortureReport {
-    /// Which suite ran (`"bank"`, `"kv"`, `"recovery"`, `"service"`); the
+    /// Which suite ran (`"bank"`, `"heap"`, `"kv"`, `"recovery"`,
+    /// `"service"`); the
     /// bank suite's routes past the first report as `"bank/<route>"`
     /// ([`bank::Route::suite`]).
     pub suite: &'static str,

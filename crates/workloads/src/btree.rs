@@ -53,6 +53,18 @@ pub struct BtreeWorkload {
 }
 
 impl BtreeWorkload {
+    /// [`Workload::prepare`] as the concrete mix, whose `insert` and
+    /// `lookup` a caller can drive: reserves and persists the root pointer.
+    pub fn tree(&self, mem: &MemorySpace) -> BtreeMix {
+        let root_ptr = mem.reserve_persistent(1);
+        mem.persist(0, root_ptr);
+        BtreeMix {
+            root_ptr,
+            variant: self.variant,
+            key_space: self.key_space,
+        }
+    }
+
     /// The paper-style configuration for the given variant.
     pub fn paper(variant: BtreeVariant) -> Self {
         BtreeWorkload {
@@ -79,13 +91,7 @@ impl Workload for BtreeWorkload {
     }
 
     fn prepare(&self, mem: &Arc<MemorySpace>) -> Box<dyn TxnMix> {
-        let root_ptr = mem.reserve_persistent(1);
-        mem.persist(0, root_ptr);
-        Box::new(BtreeMix {
-            root_ptr,
-            variant: self.variant,
-            key_space: self.key_space,
-        })
+        Box::new(self.tree(mem))
     }
 }
 
@@ -109,6 +115,26 @@ impl BtreeMix {
         self.node_write(ops, node, OFF_IS_LEAF, u64::from(is_leaf))?;
         self.node_write(ops, node, OFF_NKEYS, 0)?;
         Ok(node)
+    }
+
+    /// Walks the whole tree through `read` (a space's or an image's words):
+    /// its keys in order, and its nodes' addresses.
+    pub fn walk(&self, read: impl Fn(PAddr) -> u64) -> (Vec<u64>, Vec<PAddr>) {
+        let (mut keys, mut nodes) = (Vec::new(), Vec::new());
+        let root = read(self.root_ptr);
+        let mut stack = if root == 0 { Vec::new() } else { vec![root] };
+        while let Some(node) = stack.pop().map(PAddr::new) {
+            nodes.push(node);
+            let nkeys = read(node.add(OFF_NKEYS));
+            if read(node.add(OFF_IS_LEAF)) == 1 {
+                keys.extend((0..nkeys).map(|i| read(node.add(OFF_KEYS + i))));
+            } else {
+                // Rightmost child first, so the leftmost is walked next.
+                let children = (0..=nkeys).rev().map(|i| read(node.add(OFF_CHILDREN + i)));
+                stack.extend(children);
+            }
+        }
+        (keys, nodes)
     }
 
     /// Looks up `key`; returns its value if present.
@@ -322,24 +348,19 @@ mod tests {
     use crafty_core::{Crafty, CraftyConfig};
     use crafty_pmem::PmemConfig;
 
-    fn mix_and_engine() -> (Arc<MemorySpace>, BtreeMix, BaselineTm) {
+    fn mix_and_engine() -> (BtreeMix, BaselineTm) {
         let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
         let engine = NonDurable::new(Arc::clone(&mem), 1 << 15);
-        let root_ptr = mem.reserve_persistent(1);
-        (
-            Arc::clone(&mem),
-            BtreeMix {
-                root_ptr,
-                variant: BtreeVariant::InsertOnly,
-                key_space: 4096,
-            },
-            engine,
-        )
+        let workload = BtreeWorkload {
+            variant: BtreeVariant::InsertOnly,
+            key_space: 4096,
+        };
+        (workload.tree(&mem), engine)
     }
 
     #[test]
     fn insert_then_lookup_round_trips() {
-        let (_mem, tree, engine) = mix_and_engine();
+        let (tree, engine) = mix_and_engine();
         let mut handle = engine.register_thread(0);
         for key in [5u64, 1, 9, 3, 7, 2, 8, 4, 6, 0, 100, 200, 300] {
             handle.execute(&mut |ops| tree.insert(ops, key, key * 10).map(|_| ()));
@@ -359,7 +380,7 @@ mod tests {
 
     #[test]
     fn inserts_survive_node_splits() {
-        let (_mem, tree, engine) = mix_and_engine();
+        let (tree, engine) = mix_and_engine();
         let mut handle = engine.register_thread(0);
         for key in 0..200u64 {
             handle.execute(&mut |ops| tree.insert(ops, key, key + 1).map(|_| ()));
@@ -374,7 +395,7 @@ mod tests {
 
     #[test]
     fn duplicate_insert_overwrites_and_reports_not_new() {
-        let (_mem, tree, engine) = mix_and_engine();
+        let (tree, engine) = mix_and_engine();
         let mut handle = engine.register_thread(0);
         let mut first = true;
         let mut second = true;
@@ -395,7 +416,7 @@ mod tests {
 
     #[test]
     fn removal_hides_keys() {
-        let (_mem, tree, engine) = mix_and_engine();
+        let (tree, engine) = mix_and_engine();
         let mut handle = engine.register_thread(0);
         for key in 0..50u64 {
             handle.execute(&mut |ops| tree.insert(ops, key, key).map(|_| ()));

@@ -146,3 +146,48 @@ fn crafty_breakdown_distinguishes_commit_paths_under_contention() {
         "non-Redo completions require hardware aborts"
     );
 }
+
+/// A body that frees a block and then aborts on its first run is run again
+/// by every engine, on the hardware route and on Crafty's forced software
+/// route. Only the run that commits may free the block, so the next two
+/// allocations of its size are the block and a fresh one.
+#[test]
+fn a_retried_body_frees_once() {
+    let mut engines: Vec<(&str, Box<dyn PersistentTm>)> = EngineKind::ALL
+        .iter()
+        .map(|&kind| (kind.label(), build_engine(kind, &small_space(1), 1)))
+        .collect();
+    let forced = CraftyConfig::small_for_tests()
+        .with_max_threads(1)
+        .with_force_fallback(true);
+    let engine = Crafty::new(small_space(1), forced);
+    engines.push(("Crafty, forced software commit", Box::new(engine)));
+
+    for (label, engine) in &engines {
+        let mut t = engine.register_thread(0);
+        let block = alloc_block(t.as_mut());
+        let mut runs = 0;
+        t.execute(&mut |ops| {
+            runs += 1;
+            ops.dealloc(block, 20)?;
+            if runs == 1 {
+                return Err(TxAbort::inconsistent());
+            }
+            Ok(())
+        });
+        assert!(runs >= 2, "{label}: the aborted body was not run again");
+        let (first, second) = (alloc_block(t.as_mut()), alloc_block(t.as_mut()));
+        assert_eq!(first, block, "{label}: the freed block is reused first");
+        assert_ne!(second, block, "{label}: the block was freed twice");
+    }
+}
+
+/// Allocates one three-line block in a transaction of its own.
+fn alloc_block(t: &mut dyn TmThread) -> PAddr {
+    let mut got = PAddr::NULL;
+    t.execute(&mut |ops| {
+        got = ops.alloc(20)?;
+        Ok(())
+    });
+    got
+}

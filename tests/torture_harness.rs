@@ -1,15 +1,18 @@
 //! Workspace-level drive of the fault-injection torture harness: the same
 //! suites `figures -- torture` runs, pinned here so `cargo test` exercises
-//! an exhaustive enumeration of every bank route, sampled KV and
-//! crash-during-recovery runs, and the harness's own injected-violation
-//! self-check.
+//! an exhaustive enumeration of every bank route and of the heap suite,
+//! sampled KV and crash-during-recovery runs, and the harness's own
+//! injected-violation self-check.
+
+use std::collections::BTreeSet;
 
 use crafty_common::CompletionPath;
 use crafty_pmem::{CrashModel, FaultPlan};
 use crafty_torture::bank::{draw_picks, run_once, run_route, ROUTES};
+use crafty_torture::heap;
 use crafty_torture::{
-    injected_violation_is_caught, run_kv_torture, run_recovery_torture, run_service_torture, Route,
-    TortureConfig,
+    injected_violation_is_caught, run_heap_torture, run_kv_torture, run_recovery_torture,
+    run_service_torture, Route, TortureConfig,
 };
 
 /// Exhaustive enumeration of `routes` of the bank rig at one seed: every
@@ -55,6 +58,45 @@ fn bank_exhaustive_enumeration_is_violation_free() {
 #[test]
 fn fallback_exhaustive_enumeration_is_violation_free() {
     enumerate_exhaustively(&ROUTES[3..], 21);
+}
+
+/// Exhaustive enumeration of the heap suite at the seed CI runs: a seeded
+/// stack whose pushes allocate and whose pops free, audited at every crash
+/// point for a prefix of the stack, a header that agrees with it, and a
+/// second life whose pushes alias no live node.
+#[test]
+fn heap_exhaustive_enumeration_is_violation_free() {
+    let report = run_heap_torture(&TortureConfig::quick(1));
+    assert!(report.ok(), "violations: {:?}", report.failures);
+    assert_eq!(
+        report.crash_points_tested,
+        report.total_steps - report.setup_steps
+    );
+    assert!(report.crash_points_tested > 100, "run too small to matter");
+}
+
+/// The heap suite only bites if its runs reach every path of the heap: at
+/// the seeds CI and the test above run, a push reuses a popped node of
+/// each size, and pushes of each size bump the cursor.
+#[test]
+fn heap_seeds_reach_the_bump_path_and_both_free_lists() {
+    for seed in [1, 21] {
+        let (mut stack, mut freed) = (Vec::new(), Vec::new());
+        let (mut reused, mut bumped) = (BTreeSet::new(), BTreeSet::new());
+        for op in heap::draw_ops(seed, TortureConfig::quick(seed).txns) {
+            let Some(words) = op else {
+                freed.extend(stack.pop());
+                continue;
+            };
+            match freed.iter().rposition(|&w| w == words) {
+                Some(i) => reused.insert(freed.remove(i)),
+                None => bumped.insert(words),
+            };
+            stack.push(words);
+        }
+        let both = BTreeSet::from([heap::SMALL, heap::LARGE]);
+        assert_eq!((&reused, &bumped), (&both, &both), "seed {seed}");
+    }
 }
 
 /// Stratified sampling of the KV suite: structural integrity, exact
