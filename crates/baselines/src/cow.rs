@@ -164,7 +164,7 @@ impl Durable {
         };
 
         Durable {
-            clock: Clock::new(),
+            clock: Clock::default(),
             dude_counter_addr,
             redo_logs,
             redo_log_words: cfg.redo_log_words,

@@ -60,7 +60,7 @@
 //! (`crafty-torture`): it enumerates crash points over the suites'
 //! workloads (exhaustively with `--steps 0`, the default; via seeded
 //! stratified sampling with `--steps N`), audits every crash image
-//! (recovery, clean logs, idempotence, prefix-of-commit-order state), and
+//! (recovery, its writes, idempotence, prefix-of-commit-order state), and
 //! exits non-zero when any invariant is violated. Every reported failure
 //! carries a `(seed, step)` pair; replay it exactly with
 //! `figures -- torture --suite S --seed SEED --crash-step STEP` (a step no

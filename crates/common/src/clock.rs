@@ -49,17 +49,18 @@ impl fmt::Display for Timestamp {
 /// A process-wide monotonic logical clock (the simulation's RDTSC).
 ///
 /// `now()` strictly increases across all threads, so any two calls are
-/// totally ordered and the order is consistent with happens-before.
+/// totally ordered and the order is consistent with happens-before. A
+/// default clock's first timestamp is tick 1.
 #[derive(Debug, Default)]
 pub struct Clock {
     counter: AtomicU64,
 }
 
 impl Clock {
-    /// Creates a clock starting at tick 1.
-    pub fn new() -> Self {
+    /// Creates a clock whose first timestamp follows `ts`.
+    pub fn after(ts: Timestamp) -> Self {
         Clock {
-            counter: AtomicU64::new(0),
+            counter: AtomicU64::new(ts.raw()),
         }
     }
 
@@ -85,7 +86,7 @@ mod tests {
 
     #[test]
     fn now_is_strictly_increasing() {
-        let c = Clock::new();
+        let c = Clock::default();
         let a = c.now();
         let b = c.now();
         let d = c.now();
@@ -95,7 +96,7 @@ mod tests {
 
     #[test]
     fn current_does_not_advance() {
-        let c = Clock::new();
+        let c = Clock::default();
         let a = c.now();
         assert_eq!(c.current(), a);
         assert_eq!(c.current(), a);
@@ -104,7 +105,7 @@ mod tests {
 
     #[test]
     fn timestamps_are_unique_across_threads() {
-        let clock = Arc::new(Clock::new());
+        let clock = Arc::new(Clock::default());
         let mut handles = Vec::new();
         for _ in 0..4 {
             let clock = Arc::clone(&clock);

@@ -33,7 +33,7 @@
 //! ```
 //! use crafty_common::{PAddr, Clock};
 //!
-//! let clock = Clock::new();
+//! let clock = Clock::default();
 //! let a = clock.now();
 //! let b = clock.now();
 //! assert!(a < b);

@@ -20,6 +20,7 @@ use crafty_htm::{HtmConfig, HtmRuntime};
 use crafty_pmem::{Heap, MemorySpace};
 
 use crate::config::CraftyConfig;
+use crate::recovery::{parse_sequences, resume_at};
 use crate::thread::CraftyThread;
 use crate::undo_log::{LogDirectory, LogGeometry, UndoLog};
 
@@ -38,7 +39,8 @@ pub(crate) const ABORT_LOG_MOVED: u32 = 4;
 pub(crate) struct ThreadShared {
     /// The thread's circular persistent undo log.
     pub(crate) undo_log: UndoLog,
-    /// Timestamp of the thread's most recent LOGGED/COMMITTED sequence.
+    /// Timestamp of the latest sequence this life appended to the log (its
+    /// Log time, raised to its commit time once stamped; 0 before the first).
     pub(crate) last_seq_ts: AtomicU64,
 }
 
@@ -78,7 +80,8 @@ pub struct Crafty {
     /// Persistent address of the log directory (recovery's root object).
     directory_addr: PAddr,
     /// `tsLowerBound` (Section 5.2): a lazily maintained lower bound on the
-    /// earliest timestamp recovery might need to roll back to.
+    /// earliest timestamp recovery might need to roll back to. It starts
+    /// at the recovery floor, below which recovery rolls nothing back.
     pub(crate) ts_lower_bound: AtomicU64,
     pub(crate) threads: Vec<ThreadShared>,
 }
@@ -95,6 +98,9 @@ impl std::fmt::Debug for Crafty {
 impl Crafty {
     /// Creates a Crafty engine over `mem`, reserving its logs, global
     /// variables, and persistent heap, and persisting the log directory.
+    ///
+    /// Over an image [`crate::recover`] recovered, it resumes each log one
+    /// past its latest marker and the clock at the directory's floor.
     ///
     /// Uses a Skylake-like HTM configuration; see
     /// [`Crafty::with_htm_config`] to override it.
@@ -143,18 +149,27 @@ impl Crafty {
             .collect();
 
         let directory = LogDirectory { logs: geometries };
-        directory.store(&mem, 0, directory_addr);
+        let floor = directory.store(&mem, 0, directory_addr);
+        if floor != 0 {
+            for log in threads.iter().map(|t| t.undo_log) {
+                let g = log.geometry();
+                let words: Vec<u64> = (0..2 * g.capacity)
+                    .map(|w| mem.read(g.start.add(w)))
+                    .collect();
+                mem.write(log.head_addr(), resume_at(&parse_sequences(&words)));
+            }
+        }
 
         Crafty {
             mem,
             htm,
-            clock: Clock::new(),
+            clock: Clock::after(Timestamp::from_raw(floor)),
             cfg,
             recorder,
             heap,
             g_last_redo_ts_addr,
             directory_addr,
-            ts_lower_bound: AtomicU64::new(0),
+            ts_lower_bound: AtomicU64::new(floor),
             threads,
         }
     }

@@ -71,8 +71,8 @@ pub mod undo_log;
 pub use config::{CraftyConfig, CraftyVariant};
 pub use engine::Crafty;
 pub use recovery::{
-    logs_are_clean, parse_sequences, recover, recover_interrupted, recovery_phase_word,
-    InterruptedRecovery, RecoveryError, RecoveryReport, Sequence,
+    parse_sequences, recover, recover_interrupted, recovery_floor, InterruptedRecovery,
+    RecoveryError, RecoveryReport, Sequence,
 };
 pub use thread::CraftyThread;
 pub use undo_log::{Entry, LogDirectory, LogGeometry, SlotState, UndoLog};

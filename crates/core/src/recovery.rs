@@ -4,7 +4,8 @@
 //! corresponding to a prefix of the committed-transaction order:
 //!
 //! 1. Read the persistent log directory to find every thread's circular
-//!    undo log.
+//!    undo log and the recovery *floor*: every sequence stamped below it
+//!    belongs to a life an earlier recovery already closed, and is ignored.
 //! 2. Parse each log into *fully persisted sequences*: every marker
 //!    records its sequence's entry count in its meta word and its
 //!    timestamp (the Log time, or the commit time once stamped) in its
@@ -20,9 +21,12 @@
 //!    timestamp is at or after the earliest timestamp being rolled back.
 //!    Rollback applies old values in reverse timestamp order, entries in
 //!    reverse order within a sequence (Section 5.1).
-//! 4. Zero the log regions so the restarted program begins with clean
-//!    logs, bracketed by a persistent phase word so that a crash *during*
-//!    recovery itself converges on re-run (see [`recover_interrupted`]).
+//! 4. Commit with one word, leaving the logs for the next life to resume
+//!    ([`crate::Crafty::new`] puts each head one past its latest marker):
+//!    clear every word ahead of that marker that already carries the lap
+//!    parity the next life writes there — an append the crash cut short —
+//!    then write the floor as one past the largest timestamp parsed (see
+//!    [`recover_interrupted`]).
 //!
 //! The paper's artifact implements the logging needed for recovery but not
 //! recovery itself ("we have not implemented the actual recovery logic,
@@ -35,18 +39,16 @@ use std::fmt;
 use crafty_common::{PAddr, Timestamp};
 use crafty_pmem::PersistentImage;
 
-use crate::undo_log::{Entry, LogDirectory, LogGeometry, SlotState, RECOVERY_FLAG_WORD};
-
-/// Value of the directory's recovery phase word while log zeroing is in
-/// flight. Set only after a recovery pass has applied its *entire*
-/// rollback, cleared again once every log slot is zeroed.
-const FLAG_ZEROING: u64 = 1;
+use crate::undo_log::{decode, words_on_lap, Entry, LogDirectory, SlotState, RECOVERY_FLOOR_WORD};
 
 /// A fully persisted sequence reconstructed from a thread's log.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Sequence {
     /// The sequence timestamp (Log time, stamped over with commit time).
     pub ts: Timestamp,
+    /// The absolute index of the sequence's marker modulo two laps (its
+    /// slot, plus the capacity on an odd lap): where its log resumes from.
+    pub marker_abs: u64,
     /// Undo entries in append (program) order.
     pub entries: Vec<(PAddr, u64)>,
 }
@@ -56,7 +58,8 @@ pub struct Sequence {
 pub struct RecoveryReport {
     /// Number of per-thread logs scanned.
     pub threads_scanned: usize,
-    /// Fully persisted sequences found across all logs.
+    /// Fully persisted sequences found at or above the recovery floor
+    /// across all logs.
     pub sequences_found: usize,
     /// Sequences rolled back (per-thread latest plus the timestamp cut).
     pub sequences_rolled_back: usize,
@@ -89,14 +92,8 @@ impl fmt::Display for RecoveryError {
 
 impl Error for RecoveryError {}
 
-/// Decodes every slot of one log from the image.
-fn slot_states(image: &PersistentImage, geometry: &LogGeometry) -> Vec<SlotState> {
-    (0..geometry.capacity)
-        .map(|s| geometry.read_slot(image, s))
-        .collect()
-}
-
-/// Parses one thread's circular log from a crashed image into its fully
+/// Parses one thread's circular log — its words, two per slot, as
+/// [`crate::LogGeometry::region`] returns them from an image — into its fully
 /// persisted sequences, oldest first.
 ///
 /// Every marker records the number of data entries its sequence appended,
@@ -112,15 +109,13 @@ fn slot_states(image: &PersistentImage, geometry: &LogGeometry) -> Vec<SlotState
 /// sequence fails its count check because its leading slots now carry the
 /// newer lap.
 ///
-/// Per-thread timestamps are strictly increasing in append order, so the
+/// Per-thread timestamps are strictly increasing in append order, and a
+/// resumed log's clock starts above every timestamp it holds, so the
 /// accepted sequences are returned sorted by timestamp and the last one is
 /// the thread's latest.
-pub fn parse_sequences(image: &PersistentImage, geometry: &LogGeometry) -> Vec<Sequence> {
-    let capacity = geometry.capacity;
-    if capacity == 0 {
-        return Vec::new();
-    }
-    let states = slot_states(image, geometry);
+pub fn parse_sequences(words: &[u64]) -> Vec<Sequence> {
+    let capacity = words.len() as u64 / 2;
+    let states: Vec<SlotState> = words.chunks_exact(2).map(|w| decode(w[0], w[1])).collect();
     let mut sequences: Vec<Sequence> = Vec::new();
     for (slot, state) in states.iter().enumerate() {
         let SlotState::Valid {
@@ -157,11 +152,21 @@ pub fn parse_sequences(image: &PersistentImage, geometry: &LogGeometry) -> Vec<S
         });
         if complete {
             entries.reverse();
-            sequences.push(Sequence { ts, entries });
+            sequences.push(Sequence {
+                ts,
+                marker_abs: slot as u64 + parity * capacity,
+                entries,
+            });
         }
     }
     sequences.sort_by_key(|s| s.ts);
     sequences
+}
+
+/// Where a log whose accepted sequences are `sequences` (oldest first)
+/// resumes: one past its latest marker, or at 0 if it holds none.
+pub(crate) fn resume_at(sequences: &[Sequence]) -> u64 {
+    sequences.last().map_or(0, |s| s.marker_abs + 1)
 }
 
 /// Outcome of a budget-limited recovery pass (see [`recover_interrupted`]).
@@ -169,38 +174,18 @@ pub fn parse_sequences(image: &PersistentImage, geometry: &LogGeometry) -> Vec<S
 pub struct InterruptedRecovery {
     /// What the pass did within its budget. `entries_rolled_back` counts
     /// only undo entries actually applied; `sequences_rolled_back` counts
-    /// sequences whose entries were *all* applied.
+    /// sequences whose entries were *all* applied before the budget ran
+    /// out.
     pub report: RecoveryReport,
-    /// Total image writes performed (rollback entries plus log-zeroing
-    /// words).
+    /// Log words cleared ahead of each log's latest marker (the remains of
+    /// an unfinished append).
+    pub words_invalidated: u64,
+    /// Total image writes performed: the rollback's entries, the
+    /// invalidated log words, and the floor (none when it is unchanged).
     pub writes_applied: u64,
     /// True when the pass finished without exhausting its budget — i.e.
     /// this was a complete recovery.
     pub completed: bool,
-}
-
-/// An image writer that stops after a fixed number of writes, emulating a
-/// power failure partway through recovery itself. Writes past the budget
-/// are silently skipped (after a real crash they simply never happened).
-struct BudgetedWriter<'a> {
-    image: &'a mut PersistentImage,
-    remaining: u64,
-    applied: u64,
-    skipped: bool,
-}
-
-impl BudgetedWriter<'_> {
-    /// Performs the write if budget remains; returns whether it happened.
-    fn write(&mut self, addr: PAddr, value: u64) -> bool {
-        if self.remaining == 0 {
-            self.skipped = true;
-            return false;
-        }
-        self.remaining -= 1;
-        self.applied += 1;
-        self.image.write(addr, value);
-        true
-    }
 }
 
 /// Runs the recovery observer over a crashed image. `directory_addr` is the
@@ -220,29 +205,22 @@ pub fn recover(
     Ok(run.report)
 }
 
-/// Like [`recover`], but performs at most `write_budget` image writes and
-/// then stops — emulating a crash *during recovery*. Re-running recovery
-/// on the resulting image always converges to the image an uninterrupted
-/// recovery produces, via a two-phase protocol around the directory's
-/// persistent recovery phase word:
+/// Like [`recover`], but performs at most `write_budget` image writes —
+/// emulating a crash *during recovery*: the pass plans its writes from
+/// what it parsed and applies a prefix of the plan. Re-running recovery
+/// on the result converges to the image an uninterrupted recovery
+/// produces, because the plan's last write is the directory's floor:
 ///
-/// * **Rollback phase** (phase word clear): while any rollback write is
-///   still outstanding the logs are untouched, so a re-run re-parses the
-///   *same* sequences and re-applies the *same* rollback from the top —
-///   old-value writes are idempotent and applied newest-first, so the
-///   final value of every address is the oldest logged old value either
-///   way.
-/// * **Zeroing phase** (phase word set): the phase word is set only once
-///   the rollback is fully applied, and cleared only after every log slot
-///   is zeroed. A pass that finds it set does *not* re-parse the logs —
-///   a half-zeroed log can present a rolled-back sequence stripped of the
-///   older sequence that shared its addresses, and re-applying it would
-///   clobber the completed rollback. Instead the pass only finishes the
-///   zeroing and clears the phase word.
+/// * **Before it**, nothing written changes what a re-run parses (the
+///   rollback writes only program data, the invalidation only words no
+///   accepted sequence holds), so the re-run re-applies the *same*
+///   rollback — old-value writes are idempotent and applied newest-first —
+///   and finishes the invalidation.
+/// * **After it**, every parsed sequence is below the floor: a re-run
+///   finds nothing and writes nothing.
 ///
-/// The re-run's timestamp cut therefore never moves below the interrupted
-/// run's cut, and no sequence that survived the first cut is ever rolled
-/// back by a later pass.
+/// So a re-run's cut never moves below the interrupted run's, and no
+/// sequence that survived the first cut is rolled back later.
 ///
 /// # Errors
 ///
@@ -255,125 +233,107 @@ pub fn recover_interrupted(
 ) -> Result<InterruptedRecovery, RecoveryError> {
     let directory = LogDirectory::load(image, directory_addr)
         .ok_or(RecoveryError::MissingDirectory { at: directory_addr })?;
-    let flag_addr = directory_addr.add(RECOVERY_FLAG_WORD);
-    let resuming = image.read(flag_addr) == FLAG_ZEROING;
-
-    // With the phase word set, a previous pass already applied its whole
-    // rollback and died zeroing the logs; the half-zeroed content must not
-    // be parsed (let alone rolled back) again.
-    let per_thread: Vec<Vec<Sequence>> = if resuming {
-        Vec::new()
-    } else {
-        directory
-            .logs
-            .iter()
-            .map(|g| parse_sequences(image, g))
-            .collect()
-    };
-    let sequences_found = per_thread.iter().map(Vec::len).sum();
+    // Everything is read before the plan's first write.
+    let view: &PersistentImage = image;
+    let floor_addr = directory_addr.add(RECOVERY_FLOOR_WORD);
+    let floor = view.read(floor_addr);
+    let per_thread: Vec<Vec<Sequence>> = directory
+        .logs
+        .iter()
+        .map(|g| parse_sequences(g.region(view)))
+        .collect();
+    let live = |s: &&Sequence| s.ts.raw() >= floor;
 
     // The timestamp cut: the earliest timestamp among each thread's latest
-    // sequence. Everything at or after it is rolled back.
+    // sequence. Everything at or after it is rolled back, newest first
+    // (Section 5.1).
     let cutoff = per_thread
         .iter()
-        .filter_map(|seqs| seqs.last().map(|s| s.ts))
+        .filter_map(|seqs| seqs.last().filter(live).map(|s| s.ts))
         .min();
+    let mut to_roll_back: Vec<&Sequence> = per_thread
+        .iter()
+        .flatten()
+        .filter(|s| cutoff.is_some_and(|cut| s.ts >= cut))
+        .collect();
+    to_roll_back.sort_by_key(|s| std::cmp::Reverse(s.ts));
+    let rollback = to_roll_back.iter().flat_map(|s| s.entries.iter().rev());
 
-    let mut report = RecoveryReport {
-        threads_scanned: directory.logs.len(),
-        sequences_found,
-        sequences_rolled_back: 0,
-        entries_rolled_back: 0,
-        cutoff_ts: cutoff,
-    };
-    let mut writer = BudgetedWriter {
-        image,
-        remaining: write_budget,
-        applied: 0,
-        skipped: false,
-    };
-
-    if let Some(cutoff) = cutoff {
-        let mut to_roll_back: Vec<&Sequence> = per_thread
-            .iter()
-            .flatten()
-            .filter(|s| s.ts >= cutoff)
-            .collect();
-        // Reverse timestamp order: newest first (Section 5.1).
-        to_roll_back.sort_by_key(|s| std::cmp::Reverse(s.ts));
-        for seq in to_roll_back {
-            let mut whole_sequence = true;
-            for &(addr, old_value) in seq.entries.iter().rev() {
-                if writer.write(addr, old_value) {
-                    report.entries_rolled_back += 1;
-                } else {
-                    whole_sequence = false;
+    // The next life writes each slot first with the parity of its lap from
+    // the resume point: the resume point's lap from there on, the next lap
+    // before it. Earlier laps' entries carry the other parity; a word that
+    // already carries this one is left over from an append the crash cut
+    // short, and is cleared.
+    let mut stale: Vec<PAddr> = Vec::new();
+    for (g, seqs) in directory.logs.iter().zip(&per_thread) {
+        let next = resume_at(seqs);
+        let (resume_slot, lap) = (next % g.capacity, g.parity(next));
+        for (w, slot) in g.region(view).chunks_exact(2).zip(0..) {
+            let [meta, value] = words_on_lap(w[0], w[1], lap ^ u64::from(slot < resume_slot));
+            let at = g.start.add(2 * slot);
+            for (addr, on_lap) in [(at, meta), (at.add(1), value)] {
+                if on_lap {
+                    stale.push(addr);
                 }
             }
-            if whole_sequence {
-                report.sequences_rolled_back += 1;
-            }
         }
     }
 
-    // Enter the zeroing phase. The budgeted writer skips this (and every
-    // later write) if the budget died mid-rollback, so a set phase word
-    // always means the rollback above landed completely.
-    if !resuming {
-        writer.write(flag_addr, FLAG_ZEROING);
+    // The commit point: one past every parsed timestamp, written last.
+    let next_floor = per_thread
+        .iter()
+        .flatten()
+        .map(|s| s.ts.raw() + 1)
+        .fold(floor, u64::max);
+    let commit = (next_floor != floor).then_some((floor_addr, next_floor));
+
+    let plan: Vec<(PAddr, u64)> = rollback
+        .copied()
+        .chain(stale.iter().map(|&a| (a, 0)))
+        .chain(commit)
+        .collect();
+    let applied = plan
+        .len()
+        .min(usize::try_from(write_budget).unwrap_or(usize::MAX));
+    for &(addr, value) in &plan[..applied] {
+        image.write(addr, value);
     }
-
-    // Start the next run with clean logs so stale entries cannot be
-    // confused with new ones after the clock restarts. Each slot's meta
-    // word is cleared before its value word: a slot with a zero meta word
-    // already decodes as absent, so no intermediate state ever presents a
-    // torn slot.
-    for g in &directory.logs {
-        for slot in 0..g.capacity {
-            let a = g.slot_addr(slot);
-            writer.write(a, 0);
-            writer.write(a.add(1), 0);
-        }
-    }
-
-    // Leave the zeroing phase: from here a fresh pass may parse (the now
-    // empty) logs again.
-    writer.write(flag_addr, 0);
-
-    let completed = !writer.skipped;
-    let writes_applied = writer.applied;
+    let rollback_len = plan.len() - stale.len() - usize::from(commit.is_some());
+    let entries_rolled_back = applied.min(rollback_len);
+    let sequences_rolled_back = to_roll_back
+        .iter()
+        .scan(0, |end, s| {
+            *end += s.entries.len();
+            Some(*end)
+        })
+        .filter(|&end| end <= applied)
+        .count();
     Ok(InterruptedRecovery {
-        report,
-        writes_applied,
-        completed,
+        report: RecoveryReport {
+            threads_scanned: directory.logs.len(),
+            sequences_found: per_thread.iter().flatten().filter(live).count(),
+            sequences_rolled_back,
+            entries_rolled_back,
+            cutoff_ts: cutoff,
+        },
+        words_invalidated: (applied - entries_rolled_back).min(stale.len()) as u64,
+        writes_applied: applied as u64,
+        completed: applied == plan.len(),
     })
 }
 
-/// The directory's recovery phase word in `image`: nonzero only while a
-/// recovery pass is zeroing the logs, so 0 after every completed pass. A
-/// word left set would make the next recovery resume zeroing instead of
-/// parsing, and roll nothing back.
-pub fn recovery_phase_word(image: &PersistentImage, directory_addr: PAddr) -> u64 {
-    image.read(directory_addr.add(RECOVERY_FLAG_WORD))
-}
-
-/// Convenience wrapper: checks whether the image still decodes every log
-/// slot as absent (i.e. [`recover`] has zeroed the logs).
-pub fn logs_are_clean(image: &PersistentImage, directory_addr: PAddr) -> bool {
-    let Some(directory) = LogDirectory::load(image, directory_addr) else {
-        return false;
-    };
-    directory
-        .logs
-        .iter()
-        .all(|g| (0..g.capacity).all(|s| matches!(g.read_slot(image, s), SlotState::Absent)))
+/// The directory's recovery floor in `image`: 0 until a recovery has run,
+/// then one past the largest timestamp the last recovery parsed. Every
+/// sequence stamped below it is ignored by the next recovery.
+pub fn recovery_floor(image: &PersistentImage, directory_addr: PAddr) -> u64 {
+    image.read(directory_addr.add(RECOVERY_FLOOR_WORD))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::undo_log::{decode, LogGeometry, UndoLog};
-    use crafty_common::BreakdownRecorder;
+    use crafty_common::{BreakdownRecorder, PersistentTm};
     use crafty_htm::{HtmConfig, HtmRuntime};
     use crafty_pmem::{MemorySpace, PmemConfig};
     use std::sync::Arc;
@@ -447,7 +407,7 @@ mod tests {
         persist_sequence(&f, 0, &[(a, 1), (a.add(1), 2)], 5);
         persist_sequence(&f, 0, &[(a, 3)], 9);
         let image = f.mem.crash();
-        let seqs = parse_sequences(&image, &f.logs[0].geometry());
+        let seqs = parse_sequences(f.logs[0].geometry().region(&image));
         assert_eq!(seqs.len(), 2);
         assert_eq!(seqs[0].ts.raw(), 5);
         assert_eq!(seqs[0].entries, vec![(a, 1), (a.add(1), 2)]);
@@ -475,7 +435,7 @@ mod tests {
         assert_eq!(image.read(x), 10);
         assert_eq!(report.sequences_rolled_back, 1);
         assert_eq!(report.cutoff_ts, Some(Timestamp::from_raw(7)));
-        assert!(logs_are_clean(&image, f.dir_addr));
+        assert_eq!(recovery_floor(&image, f.dir_addr), 8);
     }
 
     #[test]
@@ -576,7 +536,7 @@ mod tests {
         persist_sequence(&f, 0, &[(x, 1), (x.add(1), 1)], 4);
         persist_sequence(&f, 0, &[(x, 2), (x.add(1), 2)], 6);
         let image = f.mem.crash();
-        let seqs = parse_sequences(&image, &f.logs[0].geometry());
+        let seqs = parse_sequences(f.logs[0].geometry().region(&image));
         // The first sequence was partially overwritten by the third; only
         // fully intact, anchored sequences may be reported.
         assert!(seqs.iter().all(|s| s.entries.len() == 2));
@@ -587,15 +547,21 @@ mod tests {
         );
     }
 
+    /// Recovery leaves the logs as they are and closes them with the
+    /// floor: the sequence still parses, but a second recovery ignores it.
     #[test]
-    fn recovery_zeroes_logs_for_the_next_run() {
+    fn recovery_keeps_the_logs_for_the_next_life() {
         let f = fixture(1, 16);
         let x = PAddr::new(2048);
         persist_sequence(&f, 0, &[(x, 0)], 2);
         let mut image = f.mem.crash();
         recover(&mut image, f.dir_addr).expect("recover");
-        assert!(logs_are_clean(&image, f.dir_addr));
-        // A second recovery over the cleaned image is a no-op.
+        let seqs = parse_sequences(f.logs[0].geometry().region(&image));
+        assert_eq!(seqs.len(), 1);
+        assert_eq!((seqs[0].ts.raw(), seqs[0].marker_abs), (2, 1));
+        assert_eq!(resume_at(&seqs), 2);
+        assert_eq!(recovery_floor(&image, f.dir_addr), 3);
+        // A second recovery over the recovered image is a no-op.
         let report = recover(&mut image, f.dir_addr).expect("recover");
         assert_eq!(report.sequences_found, 0);
     }
@@ -639,23 +605,28 @@ mod tests {
         assert_eq!(image, once, "second recovery must not change the image");
     }
 
-    /// Every completed pass clears the phase word: a first recovery, and a
-    /// re-run over an image whose pass died zeroing the logs (the word
-    /// still set).
+    /// The floor is every pass's last write: one past the largest parsed
+    /// timestamp after a complete pass, still 0 after a pass that died one
+    /// write short, and written by the re-run.
     #[test]
-    fn recovery_leaves_its_phase_word_clear() {
+    fn recovery_commits_with_its_floor() {
         let (f, _, _, pristine) = interrupted_setup();
         let mut image = pristine.clone();
         let full = recover_interrupted(&mut image, f.dir_addr, u64::MAX).expect("full");
-        assert_eq!(recovery_phase_word(&image, f.dir_addr), 0);
+        assert_eq!(recovery_floor(&image, f.dir_addr), 9);
+        assert_eq!(full.words_invalidated, 0, "no append was cut short");
+        assert_eq!(
+            full.writes_applied,
+            full.report.entries_rolled_back as u64 + 1
+        );
 
         let mut image = pristine;
-        let died_zeroing =
+        let short =
             recover_interrupted(&mut image, f.dir_addr, full.writes_applied - 1).expect("bounded");
-        assert!(!died_zeroing.completed);
-        assert_eq!(recovery_phase_word(&image, f.dir_addr), FLAG_ZEROING);
+        assert!(!short.completed);
+        assert_eq!(recovery_floor(&image, f.dir_addr), 0);
         recover(&mut image, f.dir_addr).expect("re-recovery");
-        assert_eq!(recovery_phase_word(&image, f.dir_addr), 0);
+        assert_eq!(recovery_floor(&image, f.dir_addr), 9);
     }
 
     /// Crash *during* recovery at every possible write count: re-running
@@ -686,10 +657,10 @@ mod tests {
             if let (Some(a), Some(b)) = (rerun.cutoff_ts, full.report.cutoff_ts) {
                 assert!(a >= b, "budget {budget}: cutoff regressed");
             }
-            assert!(logs_are_clean(&image, f.dir_addr));
             // And a third pass is a no-op.
             let third = recover(&mut image, f.dir_addr).expect("third");
             assert_eq!(third.sequences_found, 0);
+            assert_eq!(image, reference, "budget {budget}: the third pass wrote");
         }
     }
 
@@ -704,9 +675,78 @@ mod tests {
         assert_eq!(run.writes_applied, 1);
         assert_eq!(run.report.entries_rolled_back, 1);
         assert!(run.report.sequences_rolled_back <= 1);
-        assert!(
-            !logs_are_clean(&image, f.dir_addr),
-            "zeroing cannot have finished on a 1-write budget"
+        assert_eq!(
+            recovery_floor(&image, f.dir_addr),
+            0,
+            "the floor is the last write, not the first"
         );
+    }
+
+    /// The remains of an append the crash cut short must not outlive
+    /// recovery. The first life's image holds one `Valid` data slot past
+    /// its latest marker, naming `y` with a stale old value. The second
+    /// life resumes on that slot: its first transaction logs its write of
+    /// `x` there, and the second crash keeps that sequence's marker but not
+    /// all of its data slot (neither word, only the meta word, or only the
+    /// value word). Recovery must reject the sequence, so neither address
+    /// moves: a data slot completed by the leftover's words would roll back
+    /// a value no transaction wrote.
+    #[test]
+    fn a_cut_short_append_cannot_complete_a_next_life_sequence() {
+        let cfg = crate::CraftyConfig::small_for_tests().with_max_threads(1);
+        let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
+        let crafty = crate::Crafty::new(Arc::clone(&mem), cfg);
+        let (x, y) = (mem.reserve_persistent(1), mem.reserve_persistent(1));
+        let mut thread = crafty.register_thread(0);
+        thread.execute(&mut |ops| {
+            ops.write(x, 5)?;
+            ops.write(y, 42)
+        });
+        drop(thread);
+        crafty.quiesce();
+        // The cut-short append: its data slot persisted, its marker did not.
+        let log = crafty.threads[0].undo_log;
+        let g = log.geometry();
+        let Ok(cut) = log.append_sequence(
+            &crafty.htm,
+            &[(y, 111)],
+            crafty.clock.now(),
+            &mut Vec::new(),
+        );
+        log.flush_entries(&mem, 0, cut.first_abs, cut.marker_abs);
+        mem.drain(0);
+        let mut image = mem.crash();
+        let lost = g.slot_addr(cut.marker_abs);
+        image.write(lost, 0);
+        image.write(lost.add(1), 0);
+        recover(&mut image, crafty.directory_addr()).expect("first recovery");
+
+        let mem2 = Arc::new(MemorySpace::boot(&image, PmemConfig::small_for_tests()));
+        let crafty2 = crate::Crafty::new(Arc::clone(&mem2), cfg);
+        let next = crafty2.threads[0].undo_log.head(&mem2);
+        let mut thread = crafty2.register_thread(0);
+        thread.execute(&mut |ops| ops.write(x, 7));
+        drop(thread);
+        let crashed = mem2.crash();
+        let (data, marker) = (g.slot_addr(next), g.slot_addr(next + 1));
+        assert!(matches!(
+            decode(crashed.read(data), crashed.read(data.add(1))),
+            SlotState::Valid {
+                entry: Entry::Data { addr, old_value: 5 },
+                ..
+            } if addr == x
+        ));
+        for persisted in [vec![], vec![data], vec![data.add(1)]] {
+            let mut image2 = image.clone();
+            for a in persisted.iter().copied().chain([marker, marker.add(1)]) {
+                image2.write(a, crashed.read(a));
+            }
+            recover(&mut image2, crafty2.directory_addr()).expect("second recovery");
+            assert_eq!(
+                (image2.read(x), image2.read(y)),
+                (5, 42),
+                "data-slot words persisted: {persisted:?}"
+            );
+        }
     }
 }

@@ -215,11 +215,6 @@ pub struct LogGeometry {
 }
 
 impl LogGeometry {
-    /// Number of persistent words the log occupies.
-    pub fn words(&self) -> u64 {
-        self.capacity * 2
-    }
-
     /// The address of the meta word of the slot used by absolute entry
     /// index `abs`.
     pub fn slot_addr(&self, abs: u64) -> PAddr {
@@ -231,12 +226,23 @@ impl LogGeometry {
         (abs / self.capacity) & 1
     }
 
-    /// Reads slot `slot` (0-based position within the region, *not* an
-    /// absolute index) from a crashed image.
-    pub fn read_slot(&self, image: &PersistentImage, slot: u64) -> SlotState {
-        let addr = self.start.add(slot * 2);
-        decode(image.read(addr), image.read(addr.add(1)))
+    /// The log's words in a crashed image: two per slot, slot 0 first.
+    pub fn region<'a>(&self, image: &'a PersistentImage) -> &'a [u64] {
+        let start = self.start.word() as usize;
+        &image.as_words()[start..start + 2 * self.capacity as usize]
     }
+}
+
+/// Which of a slot's words, `[meta, value]`, already carry lap parity
+/// `parity`: a log must clear them before it writes the slot on that lap,
+/// or a write that persists one word pairs with the other into a valid
+/// entry.
+pub(crate) fn words_on_lap(meta: u64, value: u64, parity: u64) -> [bool; 2] {
+    let meta_on_lap = meta & PRESENT_BIT != 0 && (meta & META_PARITY_BIT != 0) == (parity == 1);
+    [
+        meta_on_lap,
+        value & VALUE_PARITY_MASK == value_parity_code(parity),
+    ]
 }
 
 /// Result of appending a sequence during the Log phase.
@@ -520,9 +526,9 @@ impl UndoLog {
 /// The persistent log directory: the root object recovery starts from.
 ///
 /// Layout (one word each): magic, thread count, per-thread log capacity,
-/// recovery phase word (`RECOVERY_FLAG_WORD`), then one log start
-/// address per thread. Written and persisted once when the engine is
-/// constructed; only recovery ever touches the phase word afterwards.
+/// recovery floor (`RECOVERY_FLOOR_WORD`), then one log start address per
+/// thread. Stored and persisted at every engine construction, keeping the
+/// floor it finds; only recovery ever changes the floor.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LogDirectory {
     /// One geometry per worker thread, indexed by thread id.
@@ -531,12 +537,12 @@ pub struct LogDirectory {
 
 const DIRECTORY_MAGIC: u64 = 0xC4AF_2020_0D0A_7E57;
 
-/// Offset of the recovery phase word within the directory header. Zero at
-/// rest; recovery sets it once its rollback is fully applied and clears it
-/// after log zeroing completes, so an interrupted recovery pass can tell
-/// whether re-parsing the logs is still safe (see
+/// Offset of the recovery floor within the directory header: 0 on a fresh
+/// space, then one past the largest timestamp the last recovery parsed.
+/// Recovery ignores every sequence stamped below it and writes it last, as
+/// its commit point, and the next life's clock starts at it (see
 /// [`crate::recovery::recover_interrupted`]).
-pub(crate) const RECOVERY_FLAG_WORD: u64 = 3;
+pub(crate) const RECOVERY_FLOOR_WORD: u64 = 3;
 
 impl LogDirectory {
     /// Number of words a directory for `threads` threads occupies.
@@ -544,8 +550,10 @@ impl LogDirectory {
         4 + threads as u64
     }
 
-    /// Writes and persists the directory at `at`.
-    pub fn store(&self, mem: &MemorySpace, tid: usize, at: PAddr) {
+    /// Writes and persists the directory at `at`, storing back the
+    /// recovery floor already there (0 on a fresh space), and returns that
+    /// floor.
+    pub fn store(&self, mem: &MemorySpace, tid: usize, at: PAddr) -> u64 {
         assert!(
             !self.logs.is_empty(),
             "directory must describe at least one log"
@@ -555,14 +563,16 @@ impl LogDirectory {
             self.logs.iter().all(|g| g.capacity == capacity),
             "all per-thread logs must share a capacity"
         );
+        let floor = mem.read(at.add(RECOVERY_FLOOR_WORD));
         mem.write(at, DIRECTORY_MAGIC);
         mem.write(at.add(1), self.logs.len() as u64);
         mem.write(at.add(2), capacity);
-        mem.write(at.add(RECOVERY_FLAG_WORD), 0);
+        mem.write(at.add(RECOVERY_FLOOR_WORD), floor);
         for (i, g) in self.logs.iter().enumerate() {
             mem.write(at.add(4 + i as u64), g.start.word());
         }
         mem.persist_ranges(tid, &[(at, Self::words_needed(self.logs.len()))]);
+        floor
     }
 
     /// Reads a directory back from a crashed image. Returns `None` if the
@@ -590,6 +600,12 @@ mod tests {
     use crafty_htm::HtmConfig;
     use crafty_pmem::PmemConfig;
     use std::sync::Arc;
+
+    /// Decodes slot `slot` (a position in the region) of `g` in `image`.
+    fn read_slot(g: &LogGeometry, image: &PersistentImage, slot: u64) -> SlotState {
+        let words = g.region(image);
+        decode(words[2 * slot as usize], words[2 * slot as usize + 1])
+    }
 
     fn setup() -> (Arc<MemorySpace>, HtmRuntime, UndoLog) {
         let mem = Arc::new(MemorySpace::new(PmemConfig::small_for_tests()));
@@ -755,7 +771,7 @@ mod tests {
         mem.drain(0);
         let image = mem.crash();
         let g = log.geometry();
-        match g.read_slot(&image, 0) {
+        match read_slot(&g, &image, 0) {
             SlotState::Valid {
                 entry: Entry::Data { addr, old_value },
                 ..
@@ -765,7 +781,7 @@ mod tests {
             }
             other => panic!("slot 0: {other:?}"),
         }
-        match g.read_slot(&image, 2) {
+        match read_slot(&g, &image, 2) {
             SlotState::Valid {
                 entry: Entry::Marker { ts, data_entries },
                 ..
@@ -829,7 +845,7 @@ mod tests {
             "a commit stamp persists the marker's value word alone"
         );
         let image = mem.crash();
-        match log.geometry().read_slot(&image, info.marker_abs) {
+        match read_slot(&log.geometry(), &image, info.marker_abs) {
             SlotState::Valid {
                 entry: Entry::Marker { ts, data_entries },
                 ..
@@ -913,7 +929,8 @@ mod tests {
         let Ok(()) = log.commit_marker(&htm, info.marker_abs, Timestamp::from_raw(3));
         log.flush_entries(&mem, 0, info.first_abs, info.marker_abs);
         mem.drain(0);
-        match log.geometry().read_slot(&mem.crash(), 1) {
+        let image = mem.crash();
+        match read_slot(&log.geometry(), &image, 1) {
             SlotState::Valid {
                 entry: Entry::Marker { ts, data_entries },
                 ..
@@ -951,7 +968,9 @@ mod tests {
             };
             assert_eq!((info.first_abs, info.marker_abs), (29, 34));
             let g = log.geometry();
-            let words: Vec<u64> = (0..g.words()).map(|w| mem.read(g.start.add(w))).collect();
+            let words: Vec<u64> = (0..g.capacity * 2)
+                .map(|w| mem.read(g.start.add(w)))
+                .collect();
             (words, log.head(&mem))
         };
         let (hardware, nontx) = (run(true), run(false));

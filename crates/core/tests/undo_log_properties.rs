@@ -90,7 +90,7 @@ proptest! {
             expected.push((ts, entries));
         }
         let image = mem.crash();
-        let sequences = parse_sequences(&image, &log.geometry());
+        let sequences = parse_sequences(log.geometry().region(&image));
         prop_assert_eq!(sequences.len(), expected.len());
         for (seq, (ts, entries)) in sequences.iter().zip(&expected) {
             prop_assert_eq!(seq.ts, *ts);
@@ -113,7 +113,7 @@ proptest! {
             .collect();
         let Ok(_) = log.append_sequence(&htm, &tail, Timestamp::from_raw(9), &mut Vec::new());
         let image = mem.crash();
-        let sequences = parse_sequences(&image, &log.geometry());
+        let sequences = parse_sequences(log.geometry().region(&image));
         prop_assert!(!sequences.is_empty());
         prop_assert_eq!(sequences[0].ts, Timestamp::from_raw(5));
         prop_assert_eq!(sequences[0].entries.len(), 2);

@@ -19,9 +19,10 @@
 //! Every route's crash images pass one audit ([`run_route`]): the replay
 //! completed every transaction, the image recovers to a prefix of the
 //! commit order, and the recovered image boots into a second life that
-//! keeps running with money conserved. The lock words live in the volatile
-//! region and the runtime's version array, so a rebooted heap never sees a
-//! stuck lock; the second life shows it by construction.
+//! keeps running, crashes and recovers again with money conserved. The
+//! lock words live in the volatile region and the runtime's version array,
+//! so a rebooted heap never sees a stuck lock; the second life shows it by
+//! construction.
 //!
 //! The rig is public — [`Route`], [`draw_picks`], [`run_once`] /
 //! [`BankRun`], [`recover_checked`], [`prefix_check`] — so a test that
@@ -32,7 +33,10 @@ use std::sync::Arc;
 
 use crafty_common::trace::{self, ThreadTrace, TraceLevel};
 use crafty_common::{BreakdownSnapshot, PAddr, PersistentTm, SplitMix64, TxAbort, TxnOps};
-use crafty_core::{logs_are_clean, recover, recovery_phase_word, Crafty, CraftyConfig};
+use crafty_core::{
+    parse_sequences, recover, recover_interrupted, recovery_floor, Crafty, CraftyConfig,
+    InterruptedRecovery, LogDirectory, Sequence,
+};
 use crafty_htm::HtmConfig;
 use crafty_pmem::{CrashModel, FaultPlan, LatencyModel, MemorySpace, PersistentImage, PmemConfig};
 
@@ -306,34 +310,56 @@ pub fn run_once(
     }
 }
 
-/// Recovers `image` and checks the generic log invariants: recovery
-/// succeeds, the logs decode clean and the recovery phase word reads 0
-/// afterwards (a word left set would make the next recovery skip its
-/// rollback), and a second recovery is a byte-for-byte no-op. Returns the
-/// recovered image.
+/// Recovers `image` and checks the recovery protocol's invariants on it
+/// (`check_recovered`). Returns the recovered image.
 pub fn recover_checked(
     mut image: PersistentImage,
     dir_addr: PAddr,
 ) -> Result<PersistentImage, String> {
-    recover(&mut image, dir_addr).map_err(|e| format!("recovery failed: {e}"))?;
-    if !logs_are_clean(&image, dir_addr) {
-        return Err("logs are not clean after recovery".to_string());
+    let run = recover_interrupted(&mut image, dir_addr, u64::MAX)
+        .map_err(|e| format!("recovery failed: {e}"))?;
+    check_recovered(&image, dir_addr, &run)?;
+    Ok(image)
+}
+
+/// Checks `image`, which the complete pass `run` recovered: the pass wrote
+/// only what was in flight — the entries it rolled back, the log words it
+/// invalidated and the floor — and a second recovery finds no sequence and
+/// leaves the image byte for byte unchanged (a floor left unwritten would
+/// let it roll back again).
+pub(crate) fn check_recovered(
+    image: &PersistentImage,
+    dir_addr: PAddr,
+    run: &InterruptedRecovery,
+) -> Result<(), String> {
+    let in_flight = run.report.entries_rolled_back as u64 + run.words_invalidated + 1;
+    if run.writes_applied > in_flight {
+        return Err(format!(
+            "recovery made {} writes for {in_flight} in flight",
+            run.writes_applied
+        ));
     }
-    let phase = recovery_phase_word(&image, dir_addr);
-    if phase != 0 {
-        return Err(format!("recovery left its phase word at {phase}"));
-    }
-    let once = image.clone();
-    let second = recover(&mut image, dir_addr).map_err(|e| format!("re-recovery failed: {e}"))?;
+    let mut again = image.clone();
+    let second = recover(&mut again, dir_addr).map_err(|e| format!("re-recovery failed: {e}"))?;
     if second.sequences_found != 0 || second.entries_rolled_back != 0 {
         return Err(format!(
             "recovery is not a no-op the second time: {second:?}"
         ));
     }
-    if image != once {
+    if again != *image {
         return Err("second recovery changed the image".to_string());
     }
-    Ok(image)
+    Ok(())
+}
+
+/// Every fully persisted sequence of every log in `image`.
+fn all_sequences(image: &PersistentImage, dir_addr: PAddr) -> Vec<Sequence> {
+    LogDirectory::load(image, dir_addr)
+        .map(|dir| dir.logs)
+        .unwrap_or_default()
+        .iter()
+        .flat_map(|g| parse_sequences(g.region(image)))
+        .collect()
 }
 
 /// Global-cut consistency: the recovered account array must equal the
@@ -371,9 +397,14 @@ pub fn prefix_check(
 /// Second-life audit: boots `recovered` into a fresh space, rebuilds the
 /// route's engine over it (reservation cursors are deterministic, so every
 /// address comes back identical), runs [`SECOND_LIFE_TXNS`] more transfer
-/// transactions, and checks conservation of money end to end. A stuck lock
-/// word would either hang the first fallback that touches its line (the
-/// sorted acquisition loop spins on `LOCKED_MASK`) or corrupt an account.
+/// transactions, and crashes again under `CrashModel::relaxed(seed ^
+/// step)` without quiescing, so the last transaction may be in flight.
+/// The second crash image must recover through [`recover_checked`] with
+/// money conserved, and every sequence the second life logged must be
+/// stamped at or above the floor it booted with and below the floor its
+/// recovery wrote. A stuck lock word would either hang the first fallback
+/// that touches its line (the sorted acquisition loop spins on
+/// `LOCKED_MASK`) or corrupt an account.
 fn second_life(
     route: Route,
     recovered: &PersistentImage,
@@ -388,12 +419,12 @@ fn second_life(
     // Re-establish the layout exactly as a restarted program would; the
     // reservation cursor hands back the same base the first life used.
     let base = mem.reserve_persistent(ACCOUNTS * 8);
-    let total = || {
+    let total = |read: &dyn Fn(PAddr) -> u64| {
         (0..ACCOUNTS)
-            .map(|i| mem.read(base.add(i * 8)))
+            .map(|i| read(base.add(i * 8)))
             .fold(0u64, u64::wrapping_add)
     };
-    let before = total();
+    let before = total(&|a| mem.read(a));
     if before != ACCOUNTS * INITIAL {
         return Err(format!(
             "second life booted with a non-conserved bank: total {before} vs {}",
@@ -409,12 +440,26 @@ fn second_life(
         thread.execute(&mut |ops| transfer(ops, base, (from, to, amount)));
     }
     drop(thread);
-    engine.quiesce();
-    let after = total();
+    let crashed = mem.crash_with(CrashModel::relaxed(seed ^ step));
+    let dir_addr = engine.directory_addr();
+    let first_life = all_sequences(recovered, dir_addr);
+    let logged: Vec<Sequence> = all_sequences(&crashed, dir_addr)
+        .into_iter()
+        .filter(|s| !first_life.contains(s))
+        .collect();
+    let image = recover_checked(crashed, dir_addr).map_err(|e| format!("second crash: {e}"))?;
+    let after = total(&|a| image.read(a));
     if after != ACCOUNTS * INITIAL {
         return Err(format!(
-            "second life broke conservation: total {after} vs {}",
+            "second crash broke conservation: total {after} vs {}",
             ACCOUNTS * INITIAL
+        ));
+    }
+    let floors = recovery_floor(recovered, dir_addr)..recovery_floor(&image, dir_addr);
+    if let Some(s) = logged.iter().find(|s| !floors.contains(&s.ts.raw())) {
+        return Err(format!(
+            "a second-life sequence is stamped {}, outside the floors {floors:?}",
+            s.ts
         ));
     }
     Ok(())

@@ -15,9 +15,11 @@
 //!   run and the audit. Exhaustive for small runs; seeded stratified
 //!   sampling otherwise.
 //! * **Recovery auditing** — every snapshot is recovered and checked:
-//!   recovery succeeds, logs decode clean, a second recovery is a byte
-//!   no-op, and the recovered application state equals a *prefix* of the
-//!   committed-transaction order replayed against a shadow oracle (plus
+//!   recovery succeeds and writes only what was in flight (the entries
+//!   it rolls back, the log words it invalidates, the floor), a second
+//!   recovery finds nothing and is a byte no-op, and the recovered
+//!   application state equals a *prefix* of the committed-transaction
+//!   order replayed against a shadow oracle (plus
 //!   [`crafty_kv::ShardedKv::check_integrity`] deep structure checks for
 //!   the KV suite).
 //! * **One bank rig, four routes** — [`bank::run_bank_torture`] runs the
@@ -30,8 +32,10 @@
 //!   transitions tick the fault clock, so crash points land while line
 //!   locks are held. Every route gets the same audit: every transaction
 //!   completed, the prefix check, and a *second life* — the recovered
-//!   image is booted and must run more transactions with conservation
-//!   intact (a rebooted heap never sees a stuck lock).
+//!   image is booted and must run more transactions, crash again and
+//!   recover with conservation intact (a rebooted heap never sees a
+//!   stuck lock), every second-life sequence stamped between the two
+//!   recoveries' floors.
 //! * **Crash-during-recovery** — [`rec::run_recovery_torture`] interrupts
 //!   [`crafty_core::recover_interrupted`] at every write budget and checks
 //!   that re-running recovery converges to the uninterrupted image.

@@ -8,14 +8,17 @@
 //! the full write count, follows each interrupted pass with a normal
 //! recovery, and requires byte-for-byte convergence to the reference —
 //! recovery is idempotent and restartable at any point of its own write
-//! stream (an interrupt during rollback leaves the logs intact so the
-//! re-run re-derives the same plan; an interrupt during log zeroing is
-//! detected via the directory's persistent phase word and the re-run only
-//! finishes the zeroing — see [`crafty_core::recover_interrupted`]).
+//! stream (a pass interrupted before its last write, the directory's
+//! floor, leaves the floor it read, so the re-run parses the same
+//! sequences, repeats the same rollback and finishes the invalidation; a
+//! pass that wrote the floor leaves nothing to find — see
+//! [`crafty_core::recover_interrupted`]).
 
-use crafty_core::{logs_are_clean, recover, recover_interrupted};
+use crafty_core::{recover, recover_interrupted};
 
-use crate::bank::{draw_picks, prefix_check, run_once, BankRun, Route, Transfer, SPACE_MODEL};
+use crate::bank::{
+    check_recovered, draw_picks, prefix_check, run_once, BankRun, Route, Transfer, SPACE_MODEL,
+};
 use crate::{enumerate, TortureConfig, TortureReport};
 
 /// Trap points per run: each spawns a full budget sweep, so a few spread
@@ -31,6 +34,7 @@ fn audit(run: &mut BankRun, picks: &[Vec<Transfer>]) -> Result<(), String> {
     let mut reference = pristine.clone();
     let full = recover_interrupted(&mut reference, run.dir_addr, u64::MAX)
         .map_err(|e| format!("reference recovery failed: {e}"))?;
+    check_recovered(&reference, run.dir_addr, &full)?;
     prefix_check(&reference, run.base, picks)?;
     for budget in 0..=full.writes_applied {
         let mut image = pristine.clone();
@@ -53,9 +57,6 @@ fn audit(run: &mut BankRun, picks: &[Vec<Transfer>]) -> Result<(), String> {
                     "budget {budget}: timestamp cut regressed ({second:?} < {first:?})"
                 ));
             }
-        }
-        if !logs_are_clean(&image, run.dir_addr) {
-            return Err(format!("budget {budget}: logs dirty after convergence"));
         }
     }
     Ok(())

@@ -31,8 +31,8 @@
 //!    records the fresh-key puts it got **acked**.
 //! 3. A supervisor polls [`MemorySpace::fault_tripped`]; when the trap
 //!    fires it shuts the first server down, runs the audited recovery
-//!    pipeline (`recover_checked`: recovery + clean logs + idempotent
-//!    re-recovery) on the crash image, boots the image, replays the
+//!    pipeline (`recover_checked`: recovery + in-flight writes only +
+//!    idempotent re-recovery) on the crash image, boots the image, replays the
 //!    deterministic layout ([`ShardedKv::open`], [`SessionTable::open`]),
 //!    and starts a second server over the recovered heap **on a fresh
 //!    port**, publishing the new address to the clients' connectors.

@@ -13,8 +13,8 @@
 //!
 //! * the committed final state equals the model's word-for-word, and
 //! * crash images trapped across each route's own run pass the identical
-//!   audit — recovery succeeds, logs decode clean, re-recovery is a
-//!   no-op, and the recovered accounts equal a prefix of the commit
+//!   audit — recovery succeeds and writes only what was in flight,
+//!   re-recovery is a no-op, and the recovered accounts equal a prefix of the commit
 //!   order — under the strict, relaxed, and adversarial crash models
 //!   (the last on a space that evicts lines mid-run).
 //!
